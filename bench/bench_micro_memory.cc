@@ -1,9 +1,9 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the memory substrate and the
- * PRIME controller path: request scheduling, address decode, the event
- * queue, and Table I command round trips.  Also reports the modeled
- * Buffer-subarray bypass latency delta (a Section III-A design note).
+ * PRIME controller path: request scheduling, address decode and Table I
+ * command round trips.  Also reports the modeled Buffer-subarray bypass
+ * latency delta (a Section III-A design note).
  */
 
 #include <benchmark/benchmark.h>
@@ -13,7 +13,6 @@
 #include "nvmodel/latency_model.hh"
 #include "nn/dataset.hh"
 #include "prime/prime_system.hh"
-#include "sim/event.hh"
 
 using namespace prime;
 
@@ -67,20 +66,6 @@ BM_FrFcfsBatch(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_FrFcfsBatch)->Arg(64)->Arg(512);
-
-void
-BM_EventQueue(benchmark::State &state)
-{
-    for (auto _ : state) {
-        sim::EventQueue q;
-        for (int i = 0; i < 1000; ++i)
-            q.schedule(static_cast<Ns>((i * 37) % 997), [](Ns) {});
-        q.run();
-        benchmark::DoNotOptimize(q.processed());
-    }
-    state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueue);
 
 void
 BM_CommandRoundTrip(benchmark::State &state)

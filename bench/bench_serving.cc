@@ -11,16 +11,20 @@
  * saturates at the service capacity, coalesced batches grow to
  * --max-batch, the bounded ingress ring fills and admission control
  * sheds the overflow -- the open-loop generator does not slow down, so
- * the curve shows the saturation plateau instead of hiding it.
+ * the curve shows the saturation plateau instead of hiding it.  The
+ * ring holds a quarter of a point's requests, so an over-capacity
+ * point fills it before the generator is done.
  *
  * Headline numbers land as top-level fields of BENCH_serving.json:
  * serving.peak_qps (best achieved rate across the sweep),
- * serving.p99_ms_at_peak, serving.base_qps and the batched-vs-single
- * comparison (the same offered load served with --max-batch 16 versus
- * one-request-at-a-time dispatch).  The per-point curve is recorded
- * under serving.sweep.pointN.* in the stats section, and the sweep
- * runs under an enabled MetricsRegistry so the live queue-depth /
- * in-flight gauges are summarized in the "metrics" section.
+ * serving.p99_ms_at_peak, serving.base_qps,
+ * serving.shed_rate_at_max_load (shed fraction at the highest offered
+ * load) and the batched-vs-single comparison (the same offered load
+ * served with --max-batch 16 versus one request per batch).  The
+ * per-point curve is recorded under serving.sweep.pointN.* in the
+ * stats section, and the sweep runs under an enabled MetricsRegistry
+ * so the live queue-depth gauge is summarized in the "metrics"
+ * section.
  *
  * Flags: --warmup N (untimed warm-up batches, default 1), --requests N
  * (submissions per sweep point, default 160), plus the BenchRun
@@ -85,10 +89,9 @@ servePoint(core::PrimeSystem &prime, std::span<const nn::Tensor> inputs,
            telemetry::MetricsRegistry *registry)
 {
     serve::ServingOptions sopt;
-    sopt.queueCapacity = 256;
+    sopt.queueCapacity = std::max<std::size_t>(2, requests / 4);
     sopt.maxBatch = max_batch;
     sopt.batchWindowUs = 200;
-    sopt.dispatchThreads = 1;
     serve::ServingEngine engine(prime, sopt);
     if (registry)
         engine.registerMetrics(*registry);
@@ -252,6 +255,7 @@ main(int argc, char **argv)
     run.topLevel("serving.peak_qps", points[peak].achievedQps);
     run.topLevel("serving.p99_ms_at_peak", points[peak].p99Ms);
     run.topLevel("serving.base_qps", base_qps);
+    run.topLevel("serving.shed_rate_at_max_load", points.back().shedRate);
     run.topLevel("serving.sweep_points",
                  static_cast<double>(points.size()));
     run.topLevel("serving.batched_qps", batched.achievedQps);

@@ -123,13 +123,6 @@ PrimeController::execute(const mapping::Command &command)
 }
 
 void
-PrimeController::executeAll(const std::vector<mapping::Command> &commands)
-{
-    for (const mapping::Command &c : commands)
-        execute(c);
-}
-
-void
 PrimeController::computeMatImpl(int global_mat)
 {
     // On the thread-pool fan-out path this span lands on the worker's

@@ -42,9 +42,6 @@ class PrimeController
     /** Execute one decoded command. */
     void execute(const mapping::Command &command);
 
-    /** Execute a whole command stream. */
-    void executeAll(const std::vector<mapping::Command> &commands);
-
     /**
      * Fire the crossbars of one mat: interpret its input latch as
      * wordline codes, run the composed MVM, and capture the target codes

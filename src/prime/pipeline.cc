@@ -112,22 +112,17 @@ class MetricGuard
 
 } // namespace
 
-PipelineEngine::PipelineEngine(PrimeSystem &system,
-                               const PrimeSystem::RunBatchOptions &options)
-    : system_(system), options_(options)
-{
-}
-
 std::vector<nn::Tensor>
-PipelineEngine::run(std::span<const nn::Tensor> inputs)
+runPipelined(PrimeSystem &system, std::span<const nn::Tensor> inputs,
+             const PrimeSystem::RunBatchOptions &options)
 {
     PRIME_SPAN(telemetry::globalTrace(), "pipeline.batch", "pipeline");
-    const std::size_t n_stages = system_.stages().size();
+    const std::size_t n_stages = system.stages().size();
     PRIME_ASSERT(n_stages >= 1, "no pipeline stages");
     const std::size_t ring_capacity = static_cast<std::size_t>(
-        std::max(1, options_.queueCapacity));
+        std::max(1, options.queueCapacity));
     const std::size_t batch_size = static_cast<std::size_t>(
-        std::max(1, options_.handoffBatch));
+        std::max(1, options.handoffBatch));
 
     std::vector<nn::Tensor> results(inputs.size());
     if (inputs.empty())
@@ -199,7 +194,7 @@ PipelineEngine::run(std::span<const nn::Tensor> inputs)
     // path identical to the unattributed executor.
     auto stage_loop = [&](std::size_t s) {
         StageLocal &local = locals[s];
-        PrimeSystem::ExecContext &ctx = system_.stageContext(s);
+        PrimeSystem::ExecContext &ctx = system.stageContext(s);
         const bool first = s == 0;
         const bool last = s + 1 == n_stages;
         std::size_t processed = 0;
@@ -243,7 +238,7 @@ PipelineEngine::run(std::span<const nn::Tensor> inputs)
             for (Item &item : in) {
                 const double t0 = now_ns();
                 nn::Tensor y =
-                    system_.runStage(item.tensor, s, ctx);
+                    system.runStage(item.tensor, s, ctx);
                 const double t1 = now_ns();
                 local.stageNs.sample(t1 - t0);
                 local.busyNs += t1 - t0;
@@ -299,7 +294,7 @@ PipelineEngine::run(std::span<const nn::Tensor> inputs)
 
     // Merge the worker-local accumulators (single-threaded again; the
     // join above is the happens-before edge covering `results` too).
-    StatGroup &stats = system_.stats();
+    StatGroup &stats = system.stats();
     StatGroup &attribution = stats.child("pipeline.attribution");
     telemetry::Histogram &stage_ns =
         stats.histogram("pipeline.stage_ns");

@@ -3,7 +3,7 @@
  * The functional inter-bank pipeline executor (paper Section IV-B).
  *
  * A Large MappingPlan assigns consecutive layer groups to disjoint
- * banks; PipelineEngine executes a batch of inputs as a free-running
+ * banks; runPipelined executes a batch of inputs as a free-running
  * pipeline over those stages: one dedicated long-lived worker per
  * stage (a prime::WorkerGroup, one trace lane each), connected by
  * bounded SPSC ring queues (prime::SpscRing) that carry *batches* of
@@ -48,20 +48,13 @@
 
 namespace prime::core {
 
-/** Executes one batch through the bank-stage pipeline. */
-class PipelineEngine
-{
-  public:
-    PipelineEngine(PrimeSystem &system,
-                   const PrimeSystem::RunBatchOptions &options);
-
-    /** Stream @p inputs through the stages; results in input order. */
-    std::vector<nn::Tensor> run(std::span<const nn::Tensor> inputs);
-
-  private:
-    PrimeSystem &system_;
-    PrimeSystem::RunBatchOptions options_;
-};
+/**
+ * Stream @p inputs through @p system's bank stages as one pipelined
+ * batch; results in input order.
+ */
+std::vector<nn::Tensor>
+runPipelined(PrimeSystem &system, std::span<const nn::Tensor> inputs,
+             const PrimeSystem::RunBatchOptions &options);
 
 } // namespace prime::core
 

@@ -683,8 +683,7 @@ PrimeSystem::runBatch(std::span<const nn::Tensor> inputs,
             out.push_back(run(in));
         return out;
     }
-    PipelineEngine engine(*this, options);
-    return engine.run(inputs);
+    return runPipelined(*this, inputs, options);
 }
 
 std::vector<double>

@@ -15,7 +15,7 @@
  * subarray + controller) per bank the plan places tiles into, so Large
  * plans execute across real bank boundaries.  runBatch() drives those
  * banks as the paper's inter-bank pipeline (Section IV-B: one stage per
- * bank-disjoint layer group) via the PipelineEngine; run() executes the
+ * bank-disjoint layer group) via runPipelined; run() executes the
  * same stages sequentially.  Bank-level parallelism (identical copies
  * of a small/medium NN across banks) still needs only bank 0 for
  * functional fidelity.  Performance and energy are estimated by the

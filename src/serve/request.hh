@@ -26,8 +26,8 @@ struct Response
     nn::Tensor output;
     /** Admission -> completion latency (the serving histogram's ns). */
     double e2eNs = 0.0;
-    /** Admission -> batch-dispatch share of e2eNs (queueing + coalesce
-     *  window; the rest is execution + completion delivery). */
+    /** Admission -> batch-start share of e2eNs (queueing + coalesce
+     *  window; the rest is execution). */
     double queueWaitNs = 0.0;
     /** Size of the dynamic batch this request rode in. */
     std::size_t batchSize = 0;
@@ -35,11 +35,14 @@ struct Response
 
 /**
  * Completion callback.  Invoked exactly once per *accepted* request,
- * on a dispatch thread (never on the submitting thread), after the
- * batch it rode in finished executing.  Rejected submissions get no
- * callback -- trySubmit returning false is the whole shed-load signal.
- * Must be thread-safe against other requests' callbacks: concurrent
- * batches complete on concurrent dispatch threads.
+ * on the engine's scheduler thread (never on the submitting thread),
+ * after the batch it rode in finished executing.  Rejected submissions
+ * get no callback -- trySubmit returning false is the whole shed-load
+ * signal.  Callbacks run serially, one request after another, and the
+ * next batch starts only after the last of them returned: a slow
+ * callback delays every later request (and lets the ingress ring fill
+ * and shed).  It must synchronize with whatever thread reads what it
+ * writes.
  */
 using CompletionFn = std::function<void(Response &&)>;
 

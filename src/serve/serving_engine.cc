@@ -12,8 +12,8 @@ namespace prime::serve {
 namespace {
 
 /** Idle nap of the scheduler when the ingress ring is empty: long
- *  enough not to starve co-located producers/dispatchers of a core,
- *  short against any realistic batch window. */
+ *  enough not to starve co-located producers of a core, short against
+ *  any realistic batch window. */
 constexpr std::chrono::microseconds kIdleNap{20};
 
 } // namespace
@@ -26,12 +26,11 @@ ServingEngine::ServingEngine(core::PrimeSystem &system,
 {
     options_.maxBatch = std::max(1, options_.maxBatch);
     options_.batchWindowUs = std::max(0, options_.batchWindowUs);
-    options_.dispatchThreads = std::max(1, options_.dispatchThreads);
 
     // Fixed stats schema: histograms exist (empty) from construction,
     // counters surface as read-time formulas over the atomics the
-    // producer/dispatch threads actually bump -- a Stat has a
-    // single-writer contract the multi-threaded serving path cannot
+    // producer and scheduler threads actually bump -- a Stat has a
+    // single-writer contract the multi-producer admission path cannot
     // honor directly.
     stats_.histogram("serving.e2e_latency_ns");
     stats_.histogram("serving.queue_wait_ns");
@@ -86,16 +85,8 @@ ServingEngine::start()
     if (running_)
         return;
     stopping_.store(false, std::memory_order_seq_cst);
-    {
-        MutexLock lock(dispatchMutex_);
-        dispatchDone_ = false;
-    }
     running_ = true;
     scheduler_ = std::thread([this] { schedulerLoop(); });
-    dispatchers_.reserve(
-        static_cast<std::size_t>(options_.dispatchThreads));
-    for (int i = 0; i < options_.dispatchThreads; ++i)
-        dispatchers_.emplace_back([this] { dispatchLoop(); });
 }
 
 void
@@ -104,21 +95,11 @@ ServingEngine::stop()
     if (!running_)
         return;
     // Close admission first (trySubmit rejects from here on), then let
-    // the scheduler drain the ring and flush its partial batch; only
-    // after it exited is the dispatch queue complete and safe to
-    // close.
+    // the scheduler drain the ring and run its last batches.
     // seq_cst deliberately: pairs with trySubmit's pendingSubmits_
     // increment so the drain condition in popOrQuit is race-free.
     stopping_.store(true, std::memory_order_seq_cst);
     scheduler_.join();
-    {
-        MutexLock lock(dispatchMutex_);
-        dispatchDone_ = true;
-    }
-    dispatchCv_.notify_all();
-    for (std::thread &t : dispatchers_)
-        t.join();
-    dispatchers_.clear();
     running_ = false;
 }
 
@@ -177,21 +158,23 @@ ServingEngine::schedulerLoop()
     const double window_ns = 1e3 * options_.batchWindowUs;
     const std::size_t max_batch =
         static_cast<std::size_t>(options_.maxBatch);
+    std::vector<Request> batch;
+    batch.reserve(max_batch);
     for (;;) {
         Request first;
         if (!popOrQuit(first))
             break;
         // A batch opens on its first request and closes at maxBatch
-        // co-riders or when the latency budget since opening expires,
-        // whichever comes first.
-        Batch batch;
-        batch.requests.reserve(max_batch);
-        batch.requests.push_back(std::move(first));
-        const double deadline = nowNs() + window_ns;
-        while (batch.requests.size() < max_batch) {
+        // co-riders or when that request's latency budget expires,
+        // whichever comes first.  The budget runs from admission, so a
+        // request that waited in the ring while the previous batch ran
+        // is not held for a second full window.
+        const double deadline = first.admitNs + window_ns;
+        batch.push_back(std::move(first));
+        while (batch.size() < max_batch) {
             Request next;
             if (ingress_.tryPop(next)) {
-                batch.requests.push_back(std::move(next));
+                batch.push_back(std::move(next));
                 continue;
             }
             // Stopping means no co-rider will ever arrive: close now.
@@ -200,92 +183,47 @@ ServingEngine::schedulerLoop()
                 break;
             std::this_thread::yield();
         }
-        flush(std::move(batch));
+        execute(batch);
+        batch.clear();
     }
 }
 
 void
-ServingEngine::flush(Batch &&batch)
-{
-    {
-        MutexLock lock(statsMutex_);
-        stats_.histogram("serving.batch_size")
-            .sample(static_cast<double>(batch.requests.size()));
-    }
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    pendingBatches_.fetch_add(1, std::memory_order_relaxed);
-    {
-        MutexLock lock(dispatchMutex_);
-        dispatchQueue_.push_back(std::move(batch));
-    }
-    dispatchCv_.notify_one();
-}
-
-void
-ServingEngine::dispatchLoop()
-{
-    for (;;) {
-        Batch batch;
-        {
-            UniqueLock lock(dispatchMutex_);
-            while (dispatchQueue_.empty() && !dispatchDone_)
-                dispatchCv_.wait(lock);
-            if (dispatchQueue_.empty())
-                return;  // done and drained
-            batch = std::move(dispatchQueue_.front());
-            dispatchQueue_.pop_front();
-        }
-        pendingBatches_.fetch_sub(1, std::memory_order_relaxed);
-        inflightBatches_.fetch_add(1, std::memory_order_relaxed);
-        execute(std::move(batch));
-        inflightBatches_.fetch_sub(1, std::memory_order_relaxed);
-    }
-}
-
-void
-ServingEngine::execute(Batch &&batch)
+ServingEngine::execute(std::vector<Request> &batch)
 {
     PRIME_SPAN(telemetry::globalTrace(), "serve.batch", "serve");
-    const std::size_t n = batch.requests.size();
+    const std::size_t n = batch.size();
+    stats_.histogram("serving.batch_size")
+        .sample(static_cast<double>(n));
+    batches_.fetch_add(1, std::memory_order_relaxed);
     std::vector<nn::Tensor> inputs;
     inputs.reserve(n);
-    for (Request &r : batch.requests)
+    for (Request &r : batch)
         inputs.push_back(std::move(r.input));
 
-    const double dispatch_ns = nowNs();
-    std::vector<nn::Tensor> outputs;
-    {
-        // One functional machine: concurrent dispatchers serialize
-        // here (PrimeSystem is not reentrant), overlapping their
-        // completion/stats work with the next batch's execution.
-        MutexLock hw(hardwareMutex_);
-        outputs = system_.runBatch(std::span<const nn::Tensor>(inputs),
-                                   options_.batch);
-    }
+    const double start_ns = nowNs();
+    std::vector<nn::Tensor> outputs = system_.runBatch(
+        std::span<const nn::Tensor>(inputs), options_.batch);
     const double done_ns = nowNs();
 
-    {
-        MutexLock lock(statsMutex_);
-        telemetry::Histogram &e2e =
-            stats_.histogram("serving.e2e_latency_ns");
-        telemetry::Histogram &wait =
-            stats_.histogram("serving.queue_wait_ns");
-        for (const Request &r : batch.requests) {
-            e2e.sample(done_ns - r.admitNs);
-            wait.sample(dispatch_ns - r.admitNs);
-        }
+    telemetry::Histogram &e2e = stats_.histogram("serving.e2e_latency_ns");
+    telemetry::Histogram &wait = stats_.histogram("serving.queue_wait_ns");
+    for (const Request &r : batch) {
+        e2e.sample(done_ns - r.admitNs);
+        wait.sample(start_ns - r.admitNs);
     }
     completed_.fetch_add(n, std::memory_order_relaxed);
 
+    // Callbacks run here, serially: a slow one delays the next batch.
     for (std::size_t i = 0; i < n; ++i) {
-        Request &r = batch.requests[i];
+        Request &r = batch[i];
         if (!r.onComplete)
             continue;
         Response response;
         response.id = r.id;
         response.output = std::move(outputs[i]);
         response.e2eNs = done_ns - r.admitNs;
-        response.queueWaitNs = dispatch_ns - r.admitNs;
+        response.queueWaitNs = start_ns - r.admitNs;
         response.batchSize = n;
         r.onComplete(std::move(response));
     }
@@ -299,16 +237,6 @@ ServingEngine::registerMetrics(telemetry::MetricsRegistry &registry)
         return static_cast<double>(ingress_.approxSize());
     });
     metricNames_.push_back("serving.queue.depth");
-    registry.gauge("serving.pending_batches", [this] {
-        return static_cast<double>(
-            pendingBatches_.load(std::memory_order_relaxed));
-    });
-    metricNames_.push_back("serving.pending_batches");
-    registry.gauge("serving.inflight_batches", [this] {
-        return static_cast<double>(
-            inflightBatches_.load(std::memory_order_relaxed));
-    });
-    metricNames_.push_back("serving.inflight_batches");
     registry.counter("serving.accepted", [this] {
         return static_cast<double>(
             accepted_.load(std::memory_order_relaxed));

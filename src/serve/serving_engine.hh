@@ -7,39 +7,38 @@
  *
  * Data path:
  *
- *   client threads --tryPush--> MpscRing<Request> (bounded ingress)
- *        |                          |
+ *   client threads --tryPush--> MpscRing<Request> (bounded ingress,
+ *        |                          |          the engine's only queue)
  *        | false = shed load        | single consumer
  *        v                          v
- *     rejected               scheduler thread: dynamic batching
- *                            (coalesce up to maxBatch requests or
- *                             batchWindowUs, whichever first)
- *                                   |
- *                                   v
- *                            dispatch queue -> N dispatch threads
- *                                   |    (hardware mutex serializes
- *                                   v     the functional crossbars)
- *                            PrimeSystem::runBatch -> completions
+ *     rejected               scheduler thread:
+ *                              pop -> coalesce (up to maxBatch requests
+ *                              or batchWindowUs after the first one's
+ *                              admission, whichever first)
+ *                              -> PrimeSystem::runBatch
+ *                              -> stats -> completion callbacks
  *
  * Contracts:
  *  - Admission control: trySubmit never blocks.  A full ingress ring
  *    (or an engine whose stop() began) rejects the request explicitly
  *    -- the caller sees false, serving.rejected counts it, and no
- *    callback ever fires for it.  Accepted requests are completed
- *    exactly once, even across stop() (the scheduler drains the ring
- *    and flushes its partial batch before exiting).
- *  - Batching policy: the scheduler opens a batch at the first popped
- *    request and closes it after maxBatch requests or batchWindowUs
- *    microseconds, whichever comes first -- the latency budget bounds
- *    how long an early request waits for co-riders.  An empty window
- *    never delays a lone request past the budget.
+ *    callback ever fires for it.  The scheduler pops only what it is
+ *    about to run, so while a batch executes new arrivals wait in the
+ *    ring and a busy engine sheds at queueCapacity.  Accepted requests
+ *    are completed exactly once, even across stop() (the scheduler
+ *    drains the ring and runs its partial batch before exiting).
+ *  - Batching policy: a batch opens at the first popped request and
+ *    closes after maxBatch requests or batchWindowUs microseconds
+ *    after that request's admission, whichever comes first -- the
+ *    latency budget bounds how long an early request waits for
+ *    co-riders.  A request that already waited while the previous
+ *    batch ran does not wait a second window; an empty window never
+ *    delays a lone request past the budget.
  *  - Bit-identity: outputs equal per-sample PrimeSystem::run() calls
- *    regardless of batch composition, dispatch thread count or queue
- *    capacity (runBatch's own contract).  Dispatch threads serialize
- *    on one hardware mutex -- the functional machine is a single
- *    physical memory, and PrimeSystem is not reentrant -- so extra
- *    dispatchers overlap completion delivery and stats with execution,
- *    not crossbar work.
+ *    regardless of batch composition, thread-pool size or queue
+ *    capacity (runBatch's own contract).  The scheduler is the only
+ *    thread that touches the PrimeSystem -- the functional machine is
+ *    a single physical memory, and PrimeSystem is not reentrant.
  *  - One engine serves one mapped model (the PrimeSystem it wraps);
  *    coalescing is therefore per-model by construction.  Serving
  *    several models means several engines over several systems.
@@ -52,8 +51,7 @@
  * telemetry::Histogram stats (p50/p95/p99), batch sizes in a third;
  * serving.accepted/rejected/completed/batches surface both as stat
  * formulas and as MetricsRegistry counters, and registerMetrics adds
- * live gauges for ingress queue depth, batches waiting for a
- * dispatcher and batches in flight.
+ * a live gauge of the ingress queue depth.
  */
 
 #ifndef PRIME_SERVE_SERVING_ENGINE_HH
@@ -62,16 +60,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/mpsc_ring.hh"
-#include "common/mutex.hh"
-#include "common/thread_annotations.hh"
 #include "common/stats.hh"
 #include "common/telemetry/metrics.hh"
 #include "prime/prime_system.hh"
@@ -84,14 +78,12 @@ struct ServingOptions
 {
     /** Bounded ingress ring slots; a full ring sheds load. */
     std::size_t queueCapacity = 1024;
-    /** Largest dynamic batch one dispatch carries. */
+    /** Largest dynamic batch one runBatch call carries. */
     int maxBatch = 16;
     /** Latency budget: a batch closes this long after its first
-     *  request even if maxBatch was not reached. */
+     *  request's admission even if maxBatch was not reached. */
     int batchWindowUs = 200;
-    /** Dispatch worker threads pulling closed batches. */
-    int dispatchThreads = 1;
-    /** Passed through to PrimeSystem::runBatch per dispatch. */
+    /** Passed through to PrimeSystem::runBatch per batch. */
     core::PrimeSystem::RunBatchOptions batch;
 };
 
@@ -105,14 +97,14 @@ class ServingEngine
     ServingEngine(const ServingEngine &) = delete;
     ServingEngine &operator=(const ServingEngine &) = delete;
 
-    /** Spawn the scheduler + dispatch threads (idempotent). */
+    /** Spawn the scheduler thread (idempotent). */
     void start();
 
     /**
      * Drain and join: stop admitting, let the scheduler empty the
-     * ingress ring and flush its partial batch, run every queued batch
-     * to completion, then join all threads (idempotent).  The counter
-     * formulas in stats() read the final totals live.
+     * ingress ring and run every batch to completion, then join it
+     * (idempotent).  The counter formulas in stats() read the final
+     * totals live.
      */
     void stop();
 
@@ -130,18 +122,14 @@ class ServingEngine
     // ---------------------------------------------------- telemetry --
 
     /** serving.* stats: latency/batch-size histograms + counter
-     *  formulas.  Stable to read once stop() returned -- the analysis
-     *  escape below encodes exactly that quiescence contract: the
-     *  histograms are statsMutex_-guarded while dispatchers run, and
-     *  this unlocked handle is for the controlling thread after
-     *  stop() joined them all. */
-    StatGroup &stats() PRIME_NO_THREAD_SAFETY_ANALYSIS { return stats_; }
+     *  formulas.  The scheduler thread is the histograms' only writer,
+     *  so they are stable to read once stop() joined it. */
+    StatGroup &stats() { return stats_; }
 
     /**
-     * Register live probes with @p registry: serving.queue.depth /
-     * serving.pending_batches / serving.inflight_batches gauges and
-     * the accepted/rejected/completed/batches counters.  Pair with
-     * unregisterMetrics before the engine is destroyed.
+     * Register live probes with @p registry: the serving.queue.depth
+     * gauge and the accepted/rejected/completed/batches counters.
+     * Pair with unregisterMetrics before the engine is destroyed.
      */
     void registerMetrics(telemetry::MetricsRegistry &registry);
 
@@ -168,18 +156,10 @@ class ServingEngine
     const ServingOptions &options() const { return options_; }
 
   private:
-    /** One closed dynamic batch on its way to a dispatcher. */
-    struct Batch
-    {
-        std::vector<Request> requests;
-    };
-
     double nowNs() const;
     bool popOrQuit(Request &out);
     void schedulerLoop();
-    void dispatchLoop();
-    void flush(Batch &&batch);
-    void execute(Batch &&batch);
+    void execute(std::vector<Request> &batch);
 
     core::PrimeSystem &system_;
     ServingOptions options_;
@@ -193,30 +173,14 @@ class ServingEngine
     std::atomic<std::uint64_t> rejected_{0};
     std::atomic<std::uint64_t> completed_{0};
     std::atomic<std::uint64_t> batches_{0};
-    /** Closed batches waiting for a dispatcher (gauge mirror). */
-    std::atomic<std::uint64_t> pendingBatches_{0};
-    /** Batches currently inside runBatch/completion. */
-    std::atomic<std::uint64_t> inflightBatches_{0};
 
-    /** Scheduler -> dispatcher handoff (closed batches). */
-    Mutex dispatchMutex_;
-    CondVar dispatchCv_;
-    std::deque<Batch> dispatchQueue_ PRIME_GUARDED_BY(dispatchMutex_);
-    bool dispatchDone_ PRIME_GUARDED_BY(dispatchMutex_) = false;
-
-    /** Serializes runBatch: the one functional machine.  No data of
-     *  its own -- the capability stands for exclusive use of the
-     *  non-reentrant PrimeSystem. */
-    Mutex hardwareMutex_;
-    /** Guards the histograms (dispatchers sample concurrently). */
-    Mutex statsMutex_;
-    StatGroup stats_ PRIME_GUARDED_BY(statsMutex_);
+    /** Histograms written only by the scheduler thread. */
+    StatGroup stats_;
 
     std::atomic<bool> stopping_{false};
     bool running_ = false;
     std::chrono::steady_clock::time_point epoch_;
     std::thread scheduler_;
-    std::vector<std::thread> dispatchers_;
     std::vector<std::string> metricNames_;
 };
 

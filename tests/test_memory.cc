@@ -14,7 +14,6 @@
 
 #include "memory/cpu_traffic.hh"
 #include "memory/main_memory.hh"
-#include "sim/event.hh"
 
 namespace prime::memory {
 namespace {
@@ -514,72 +513,6 @@ TEST(CpuTraffic, PacingThrottlesAgainstPrimeProgress)
     EXPECT_LT(stats.requests,
               static_cast<std::uint64_t>(10.0 * expected) + 16);
 }
-
-} // namespace
-} // namespace prime::memory
-
-namespace prime::sim {
-namespace {
-
-TEST(EventQueue, OrdersByTime)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule(30.0, [&](Ns) { order.push_back(3); });
-    q.schedule(10.0, [&](Ns) { order.push_back(1); });
-    q.schedule(20.0, [&](Ns) { order.push_back(2); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_DOUBLE_EQ(q.now(), 30.0);
-    EXPECT_EQ(q.processed(), 3u);
-}
-
-TEST(EventQueue, SameTimeIsFifo)
-{
-    EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(1.0, [&, i](Ns) { order.push_back(i); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, EventsCanScheduleEvents)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(1.0, [&](Ns now) {
-        q.schedule(now + 1.0, [&](Ns) { ++fired; });
-    });
-    q.run();
-    EXPECT_EQ(fired, 1);
-    EXPECT_DOUBLE_EQ(q.now(), 2.0);
-}
-
-TEST(EventQueue, HorizonStopsExecution)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(1.0, [&](Ns) { ++fired; });
-    q.schedule(100.0, [&](Ns) { ++fired; });
-    q.run(50.0);
-    EXPECT_EQ(fired, 1);
-    EXPECT_FALSE(q.empty());
-}
-
-TEST(EventQueue, RejectsPast)
-{
-    EventQueue q;
-    q.schedule(10.0, [](Ns) {});
-    q.run();
-    EXPECT_DEATH(q.schedule(5.0, [](Ns) {}), "past");
-}
-
-} // namespace
-} // namespace prime::sim
-
-namespace prime::memory {
-namespace {
 
 TEST(PagePolicy, ClosedWinsOnRandomRows)
 {

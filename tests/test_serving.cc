@@ -4,17 +4,19 @@
  * parity, boundary behavior, multi-producer hammer designed to run
  * under TSan), and the dynamic-batching ServingEngine over a real
  * 4-bank pipelined PrimeSystem -- admission control / shed-load
- * semantics, batch coalescing bounds, latency histograms, and
- * bit-identity of served outputs against sequential run() across
- * 1/4/8 dispatch threads.
+ * semantics (also while a batch is executing), batch coalescing
+ * bounds, latency histograms, and bit-identity of served outputs
+ * against sequential run() at 1/4/8 thread-pool threads.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
+#include <latch>
 #include <map>
 #include <mutex>
 #include <string>
@@ -292,6 +294,65 @@ TEST(ServingEngine, ShedsLoadWhenIngressFullAndCompletesAccepted)
         engine.trySubmit(servingSetup().inputs[0], nullptr).has_value());
 }
 
+TEST(ServingEngine, ShedsWhileExecutorIsBusy)
+{
+    core::PrimeSystem prime(tinyBankParams());
+    programTiny(prime);
+
+    ServingOptions sopt;
+    sopt.queueCapacity = 4;
+    sopt.maxBatch = 1;
+    ServingEngine engine(prime, sopt);
+    engine.start();
+
+    // Completion calls per request id: each accepted request must be
+    // answered exactly once.
+    std::mutex mutex;
+    std::map<std::uint64_t, int> calls;
+    auto count = [&](Response &&r) {
+        std::lock_guard<std::mutex> lock(mutex);
+        ++calls[r.id];
+    };
+
+    // The first request's callback holds the engine busy until the
+    // latch opens.
+    std::latch entered(1);
+    std::latch release(1);
+    const auto first = engine.trySubmit(
+        servingSetup().inputs[0], [&](Response &&r) {
+            count(std::move(r));
+            entered.count_down();
+            release.wait();
+        });
+    ASSERT_TRUE(first.has_value());
+    entered.wait();
+
+    // While it is busy, the ingress ring is the only place requests
+    // can wait: four fit, the fifth is shed.  The gaps give a
+    // scheduler that kept draining the ring every chance to do so.
+    std::vector<std::uint64_t> accepted{*first};
+    int shed = 0;
+    for (int i = 1; i <= 5; ++i) {
+        const auto id = engine.trySubmit(servingSetup().inputs[i], count);
+        if (id)
+            accepted.push_back(*id);
+        else
+            ++shed;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    EXPECT_EQ(accepted.size(), 5u);  // the first + four queued
+    EXPECT_EQ(shed, 1);
+
+    release.count_down();
+    engine.stop();
+
+    EXPECT_EQ(engine.rejected(), 1u);
+    EXPECT_EQ(engine.completed(), engine.accepted());
+    EXPECT_EQ(calls.size(), accepted.size());
+    for (std::uint64_t id : accepted)
+        EXPECT_EQ(calls[id], 1) << "request " << id;
+}
+
 TEST(ServingEngine, CoalescesQueuedRequestsUpToMaxBatch)
 {
     core::PrimeSystem prime(tinyBankParams());
@@ -345,7 +406,7 @@ TEST(ServingEngine, CoalescesQueuedRequestsUpToMaxBatch)
               kRequests);
 }
 
-TEST(ServingEngine, ServedOutputsBitIdenticalAcrossDispatchThreads)
+TEST(ServingEngine, ServedOutputsBitIdenticalAcrossPoolSizes)
 {
     core::PrimeSystem prime(tinyBankParams());
     programTiny(prime);
@@ -358,12 +419,11 @@ TEST(ServingEngine, ServedOutputsBitIdenticalAcrossDispatchThreads)
         expected.push_back(prime.run(in));
 
     for (int threads : {1, 4, 8}) {
-        ThreadPool::setGlobalThreadCount(4);
+        ThreadPool::setGlobalThreadCount(threads);
         ServingOptions sopt;
         sopt.queueCapacity = 64;
         sopt.maxBatch = 5;  // batches straddle the input set unevenly
         sopt.batchWindowUs = 200;
-        sopt.dispatchThreads = threads;
         ServingEngine engine(prime, sopt);
         Collector collector;
 

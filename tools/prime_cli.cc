@@ -13,8 +13,9 @@
  *                                   execute on the full PrimeSystem
  *   prime_cli serve <name>          long-running serving engine fed by
  *                                   a synthetic open-loop Poisson load
- *                                   generator (dynamic batching,
- *                                   admission control, latency stats)
+ *                                   generator (dynamic batching run on
+ *                                   one scheduler thread, admission
+ *                                   control, latency stats)
  *   prime_cli area                  the Figure 12 area report
  *   prime_cli help
  *
@@ -40,8 +41,8 @@
  * `serve` options (plus the run training/metrics/warm-up ones):
  *   --qps N (offered load), --requests N (total submissions),
  *   --max-batch N / --batch-window-us N (dynamic batching knobs),
- *   --queue-cap N (ingress ring slots; overflow sheds load),
- *   --dispatch-threads N, --producers N (load-generator threads).
+ *   --queue-cap N (ingress ring slots, the engine's only queue;
+ *   overflow sheds load), --producers N (load-generator threads).
  */
 
 #include <algorithm>
@@ -94,7 +95,6 @@ struct CliOptions
     int maxBatch = 16;        ///< serve: dynamic batch ceiling
     int batchWindowUs = 200;  ///< serve: coalescing latency budget
     int queueCap = 1024;      ///< serve: ingress ring capacity
-    int dispatchThreads = 1;  ///< serve: dispatch workers
     int producers = 1;        ///< serve: load-generator threads
 
     bool metricsRequested() const
@@ -160,9 +160,6 @@ optionsFromArgs(int argc, char **argv)
             opt.batchWindowUs = std::atoi(argv[++i]);
         else if (std::strcmp(argv[i], "--queue-cap") == 0 && i + 1 < argc)
             opt.queueCap = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--dispatch-threads") == 0 &&
-                 i + 1 < argc)
-            opt.dispatchThreads = std::atoi(argv[++i]);
         else if (std::strcmp(argv[i], "--producers") == 0 && i + 1 < argc)
             opt.producers = std::atoi(argv[++i]);
     }
@@ -243,8 +240,8 @@ usage()
         "serve:   --qps N --requests N --producers N   offered load\n"
         "         --max-batch N --batch-window-us N    batching "
         "policy\n"
-        "         --queue-cap N --dispatch-threads N   ingress / "
-        "dispatch\n");
+        "         --queue-cap N                        ingress ring "
+        "slots (full = shed)\n");
     return 2;
 }
 
@@ -527,7 +524,6 @@ cmdServe(int argc, char **argv, const CliOptions &opt)
         static_cast<std::size_t>(std::max(1, opt.queueCap));
     sopt.maxBatch = opt.maxBatch;
     sopt.batchWindowUs = opt.batchWindowUs;
-    sopt.dispatchThreads = opt.dispatchThreads;
     sopt.batch.pipeline = opt.pipeline;
     serve::ServingEngine engine(prime, sopt);
 
@@ -583,12 +579,11 @@ cmdServe(int argc, char **argv, const CliOptions &opt)
     std::printf(
         "achieved %.1f req/s (incl. drain) | e2e latency p50 %.3f ms, "
         "p95 %.3f ms, p99 %.3f ms | max-batch %d, window %d us, "
-        "queue %zu, %d dispatcher(s)\n\n",
+        "queue %zu\n\n",
         wall_s > 0.0 ? engine.completed() / wall_s : 0.0,
         e2e.quantile(0.50) / 1e6, e2e.quantile(0.95) / 1e6,
         e2e.quantile(0.99) / 1e6, engine.options().maxBatch,
-        engine.options().batchWindowUs, engine.options().queueCapacity,
-        engine.options().dispatchThreads);
+        engine.options().batchWindowUs, engine.options().queueCapacity);
     engine.stats().dump(std::cout);
     std::printf("\n");
     prime.stats().dump(std::cout);

@@ -71,7 +71,8 @@ sampler-lock
 
 headers (opt-in: --check-headers)
     Every header under src/ must be self-contained: a TU that includes
-    only that header must compile (include-what-you-use smoke).
+    only that header must compile (include-what-you-use smoke).  The
+    compiles run in parallel, one worker per CPU.
 
 Exit status: 0 clean, 1 findings, 2 usage/environment error.
 """
@@ -79,6 +80,7 @@ Exit status: 0 clean, 1 findings, 2 usage/environment error.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -631,32 +633,39 @@ def check_mem_shard_stats(repo: Repo) -> Iterator[Finding]:
 
 
 def check_headers(root: str, compiler: str) -> list[Finding]:
-    findings: list[Finding] = []
+    """Compile each src/**.hh alone; one worker per CPU, report in path
+    order."""
+    src = os.path.join(root, "src")
     headers: list[str] = []
-    for dirpath, _dirnames, filenames in os.walk(os.path.join(root, "src")):
-        for name in sorted(filenames):
+    for dirpath, _dirnames, filenames in os.walk(src):
+        for name in filenames:
             if name.endswith(".hh"):
                 headers.append(os.path.join(dirpath, name))
+    headers.sort()
+
     with tempfile.TemporaryDirectory() as tmp:
-        tu = os.path.join(tmp, "tu.cc")
-        for path in sorted(headers):
-            rel = os.path.relpath(path, os.path.join(root, "src"))
+        def compile_one(index: int) -> Finding | None:
+            path = headers[index]
+            tu = os.path.join(tmp, f"tu{index}.cc")
             with open(tu, "w", encoding="utf-8") as f:
-                f.write(f'#include "{rel}"\n')
+                f.write(f'#include "{os.path.relpath(path, src)}"\n')
             proc = subprocess.run(
                 [compiler, "-std=c++20", "-fsyntax-only",
-                 "-I", os.path.join(root, "src"), "-Wall", "-Wextra", tu],
+                 "-I", src, "-Wall", "-Wextra", tu],
                 capture_output=True, text=True)
-            if proc.returncode != 0:
-                first = next(
-                    (ln for ln in proc.stderr.splitlines()
-                     if "error" in ln),
-                    proc.stderr.strip().splitlines()[0]
-                    if proc.stderr.strip() else "unknown error")
-                findings.append(Finding(
-                    os.path.relpath(path, root), 1, "headers",
-                    f"not self-contained: {first}"))
-    return findings
+            if proc.returncode == 0:
+                return None
+            first = next(
+                (ln for ln in proc.stderr.splitlines() if "error" in ln),
+                proc.stderr.strip().splitlines()[0]
+                if proc.stderr.strip() else "unknown error")
+            return Finding(os.path.relpath(path, root), 1, "headers",
+                           f"not self-contained: {first}")
+
+        with concurrent.futures.ThreadPoolExecutor(
+                max_workers=os.cpu_count() or 1) as pool:
+            results = list(pool.map(compile_one, range(len(headers))))
+    return [f for f in results if f is not None]
 
 
 # --------------------------------------------------------------------------
