@@ -86,6 +86,21 @@ class Rng
     std::mt19937_64 engine_;
 };
 
+/**
+ * Seed of stream @p stream under @p base: a SplitMix64 mix, so nearby
+ * stream indices (e.g. adjacent mats) get unrelated seeds.  Giving each
+ * mat its own Rng seeded this way makes every draw a function of the
+ * mat, not of a global draw order.
+ */
+inline std::uint64_t
+streamSeed(std::uint64_t base, std::uint64_t stream)
+{
+    std::uint64_t z = base + (stream + 1) * 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
 } // namespace prime
 
 #endif // PRIME_COMMON_RNG_HH

@@ -10,8 +10,10 @@
  * once for every i in [0, n); bodies must write only to disjoint,
  * index-addressed state (out[i] = f(i)).  Under that discipline the
  * results are identical for every pool size, and a pool of size <= 1
- * degenerates to a plain sequential loop on the calling thread (the
- * deterministic fallback used when bit-exact RNG ordering matters).
+ * degenerates to a plain sequential loop on the calling thread.
+ * Random draws follow the same rule: a body draws only from an Rng of
+ * its own index (e.g. a per-mat stream, see streamSeed in rng.hh),
+ * never from a shared one.
  *
  * Pool-size resolution (first match wins):
  *   1. an explicit setGlobalThreadCount(n) call (config plumbing:

@@ -1,6 +1,7 @@
 #include "memory/main_memory.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -180,19 +181,22 @@ MainMemory::writeData(std::uint64_t addr,
                       const std::vector<std::uint8_t> &data)
 {
     PRIME_SPAN(telemetry::globalTrace(), "mem.write_data", "memory");
-    // Walk the range one 64B line at a time, locking that line's store
+    // Walk the range one page at a time, locking that page's store
     // stripe: disjoint transfers (the pipeline stages' staging windows)
-    // land on different stripes and proceed in parallel.
+    // land on different pages and proceed in parallel.
     std::size_t i = 0;
     while (i < data.size()) {
-        const std::uint64_t line_end = ((addr + i) | 63) + 1;
-        const std::size_t end = std::min<std::size_t>(
-            data.size(), i + static_cast<std::size_t>(
-                                 line_end - (addr + i)));
-        StoreStripe &stripe = store_[storeStripe(addr + i)];
+        const std::uint64_t page = (addr + i) / kPageBytes;
+        const std::size_t offset = (addr + i) % kPageBytes;
+        const std::size_t n =
+            std::min(data.size() - i, kPageBytes - offset);
+        StoreStripe &stripe = store_[storeStripe(page)];
         MutexLock lock(stripe.mutex);
-        for (; i < end; ++i)
-            stripe.bytes[addr + i] = data[i];
+        std::unique_ptr<std::uint8_t[]> &bytes = stripe.pages[page];
+        if (!bytes)
+            bytes = std::make_unique<std::uint8_t[]>(kPageBytes);
+        std::memcpy(bytes.get() + offset, data.data() + i, n);
+        i += n;
     }
 }
 
@@ -203,16 +207,15 @@ MainMemory::readData(std::uint64_t addr, std::size_t size) const
     std::vector<std::uint8_t> out(size, 0);
     std::size_t i = 0;
     while (i < size) {
-        const std::uint64_t line_end = ((addr + i) | 63) + 1;
-        const std::size_t end = std::min<std::size_t>(
-            size, i + static_cast<std::size_t>(line_end - (addr + i)));
-        const StoreStripe &stripe = store_[storeStripe(addr + i)];
+        const std::uint64_t page = (addr + i) / kPageBytes;
+        const std::size_t offset = (addr + i) % kPageBytes;
+        const std::size_t n = std::min(size - i, kPageBytes - offset);
+        const StoreStripe &stripe = store_[storeStripe(page)];
         MutexLock lock(stripe.mutex);
-        for (; i < end; ++i) {
-            auto it = stripe.bytes.find(addr + i);
-            if (it != stripe.bytes.end())
-                out[i] = it->second;
-        }
+        const auto it = stripe.pages.find(page);
+        if (it != stripe.pages.end())
+            std::memcpy(out.data() + i, it->second.get() + offset, n);
+        i += n;
     }
     return out;
 }

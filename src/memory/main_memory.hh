@@ -45,15 +45,17 @@ namespace prime::memory {
  * Thread safety -- the lock domains live in MemoryController (see
  * controller.hh): per-bank shard mutexes for timing + stat state, one
  * atomic reservation cursor per channel.  MainMemory itself adds only
- * the functional backing store, striped 64-byte-line-wise over a small
- * mutex array so reads/writes at disjoint addresses proceed in parallel
- * and never contend with the timing path.  Functional reads/writes at
- * disjoint addresses are order-independent; the *timing* state
- * interleaves in arrival order, so latency stats under concurrency are
- * schedule-dependent (functional results stay deterministic).  stats()
- * aggregates the per-bank shards into the published StatGroup at call
- * time -- cheap, but like the bank() accessor it snapshots: call it
- * while no concurrent accesses run when exact totals matter.
+ * the functional backing store: sparse 4 KiB pages, allocated
+ * zero-filled on first write and copied with memcpy, spread page-wise
+ * over a small mutex array so reads/writes at disjoint pages proceed
+ * in parallel and never contend with the timing path.  Functional
+ * reads/writes at disjoint addresses are order-independent; the
+ * *timing* state interleaves in arrival order, so latency stats under
+ * concurrency are schedule-dependent (functional results stay
+ * deterministic).  stats() aggregates the per-bank shards into the
+ * published StatGroup at call time -- cheap, but like the bank()
+ * accessor it snapshots: call it while no concurrent accesses run when
+ * exact totals matter.
  *
  * These contracts are machine-checked: every shard-guarded member is
  * PRIME_GUARDED_BY its shard mutex and the locked-caller convention of
@@ -97,7 +99,8 @@ class MainMemory
     scheduleBytes(std::uint64_t addr, std::size_t bytes, bool is_write,
                   RequestSource source = RequestSource::Prime);
 
-    /** Functional write of a byte span at @p addr. */
+    /** Functional write of a byte span at @p addr (allocates the pages
+     *  it touches, zero-filled, on first write). */
     void writeData(std::uint64_t addr, const std::vector<std::uint8_t> &data);
 
     /** Functional read of @p size bytes at @p addr (absent bytes are 0). */
@@ -176,13 +179,15 @@ class MainMemory
     void unregisterMetrics(telemetry::MetricsRegistry &registry) const;
 
   private:
-    /** Store stripes: 64B lines spread over this many mutexes. */
+    /** Functional store page size. */
+    static constexpr std::size_t kPageBytes = 4096;
+    /** Store stripes: pages spread over this many mutexes. */
     static constexpr std::size_t kStoreStripes = 16;
 
-    /** Store stripe covering the 64B line of @p addr. */
-    std::size_t storeStripe(std::uint64_t addr) const
+    /** Store stripe holding page @p page. */
+    static std::size_t storeStripe(std::uint64_t page)
     {
-        return (addr >> 6) % kStoreStripes;
+        return page % kStoreStripes;
     }
 
     /** Fold the controllers' shards into stats_ (absolute, idempotent). */
@@ -194,12 +199,13 @@ class MainMemory
     /** One controller per channel (pinned: they own mutexes). */
     std::vector<std::unique_ptr<MemoryController>> controllers_;
 
-    /** Functional backing store, striped by 64B line. */
+    /** Functional backing store: page number -> kPageBytes bytes,
+     *  striped by page. */
     struct StoreStripe
     {
         alignas(64) mutable Mutex mutex;
-        std::unordered_map<std::uint64_t, std::uint8_t> bytes
-            PRIME_GUARDED_BY(mutex);
+        std::unordered_map<std::uint64_t, std::unique_ptr<std::uint8_t[]>>
+            pages PRIME_GUARDED_BY(mutex);
     };
     mutable std::array<StoreStripe, kStoreStripes> store_;
 

@@ -20,6 +20,19 @@ PrimeController::PrimeController(const nvmodel::TechParams &tech,
     outputs_.resize(mats);
 }
 
+void
+PrimeController::setAnalogCompute(bool analog,
+                                  std::optional<std::uint64_t> bank_seed)
+{
+    analog_ = analog;
+    noise_.clear();
+    if (!bank_seed)
+        return;
+    noise_.reserve(latches_.size());
+    for (std::size_t m = 0; m < latches_.size(); ++m)
+        noise_.emplace_back(streamSeed(*bank_seed, m));
+}
+
 FfMat &
 PrimeController::mat(int global_mat)
 {
@@ -141,9 +154,11 @@ PrimeController::computeMatImpl(int global_mat)
     for (int r = 0; r < engine.rows(); ++r)
         codes[static_cast<std::size_t>(r)] =
             latch[static_cast<std::size_t>(r)];
+    Rng *noise = noise_.empty()
+                     ? nullptr
+                     : &noise_[static_cast<std::size_t>(global_mat)];
     outputs_[static_cast<std::size_t>(global_mat)] =
-        analog_ ? engine.mvmAnalog(codes, noiseRng_)
-                : engine.mvmExact(codes);
+        analog_ ? engine.mvmAnalog(codes, noise) : engine.mvmExact(codes);
 }
 
 void
@@ -158,20 +173,11 @@ void
 PrimeController::computeMats(const std::vector<int> &global_mats)
 {
     PRIME_SPAN(telemetry::globalTrace(), "ff.compute_fanout", "compute");
-    if (analog_ && noiseRng_) {
-        // The shared noise Rng must see the same draw order as per-mat
-        // computeMat calls: sequential, in the given mat order.
-        for (int m : global_mats)
-            computeMatImpl(m);
-    } else {
-        // Each mat touches only its own latch, output register and
-        // crossbar planes; integer (and noise-free analog) results are
-        // identical for any thread count.
-        ThreadPool::global().parallelFor(
-            global_mats.size(), [&](std::size_t i) {
-                computeMatImpl(global_mats[i]);
-            });
-    }
+    // Each mat touches only its own latch, output register, crossbar
+    // planes and noise stream, so results match any thread count.
+    ThreadPool::global().parallelFor(global_mats.size(), [&](std::size_t i) {
+        computeMatImpl(global_mats[i]);
+    });
     if (stats_)
         stats_->get("controller.mat_mvms").increment(global_mats.size());
 }

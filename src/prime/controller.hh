@@ -15,8 +15,10 @@
 #define PRIME_PRIME_CONTROLLER_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "mapping/commands.hh"
 #include "memory/main_memory.hh"
@@ -53,12 +55,9 @@ class PrimeController
 
     /**
      * Fire several mats at once (the replica/tile fan-out of the Run
-     * step).  In the ideal integer mode the per-mat MVMs run on the
-     * global thread pool -- each mat owns disjoint latches, outputs and
-     * crossbars, and integer results are thread-count independent.  In
-     * analog mode the mats run sequentially in the given order so the
-     * shared noise Rng's draw sequence matches per-mat computeMat calls
-     * (the RNG-ordering contract).
+     * step) on the global thread pool.  Each mat owns disjoint latches,
+     * outputs, crossbars and read-noise stream, so results -- analog
+     * noise included -- are identical at any thread count.
      */
     void computeMats(const std::vector<int> &global_mats);
 
@@ -77,14 +76,14 @@ class PrimeController
     /**
      * Select analog computation: computeMat() drives the crossbars
      * through the conductance path (programming variation baked into
-     * the cells; read noise drawn from @p rng when non-null) instead of
-     * the ideal integer datapath.
+     * the cells) instead of the ideal integer datapath.  With a
+     * @p bank_seed, local mat m also draws read noise from its own Rng,
+     * seeded by streamSeed(*bank_seed, m) -- so a mat's noise depends
+     * only on the inputs it saw since this call, never on the order
+     * other mats run in.
      */
-    void setAnalogCompute(bool analog, Rng *rng = nullptr)
-    {
-        analog_ = analog;
-        noiseRng_ = rng;
-    }
+    void setAnalogCompute(bool analog,
+                          std::optional<std::uint64_t> bank_seed);
     bool analogCompute() const { return analog_; }
 
   private:
@@ -97,7 +96,8 @@ class PrimeController
     BufferSubarray *buffer_;
     StatGroup *stats_;
     bool analog_ = false;
-    Rng *noiseRng_ = nullptr;
+    /** Per-mat read-noise streams; empty when read noise is off. */
+    std::vector<Rng> noise_;
     std::uint64_t commands_ = 0;
     /** Per-mat input latches and output registers. */
     std::vector<std::vector<std::uint8_t>> latches_;

@@ -6,6 +6,7 @@
 
 #include "common/logging.hh"
 #include "common/telemetry/trace_session.hh"
+#include "common/thread_pool.hh"
 #include "nn/network.hh"
 #include "prime/pipeline.hh"
 
@@ -52,7 +53,7 @@ PrimeSystem::ensureBank(int bank)
         banks_.push_back(
             std::make_unique<BankUnit>(tech_, &mem_, stats));
         banks_.back()->controller.setAnalogCompute(analog_,
-                                                   analogNoiseRng_);
+                                                   bankNoiseSeed(index));
     }
 }
 
@@ -80,9 +81,20 @@ void
 PrimeSystem::setAnalogCompute(bool analog, Rng *noise_rng)
 {
     analog_ = analog;
-    analogNoiseRng_ = noise_rng;
-    for (const std::unique_ptr<BankUnit> &b : banks_)
-        b->controller.setAnalogCompute(analog, noise_rng);
+    analogNoiseSeed_.reset();
+    if (noise_rng)
+        analogNoiseSeed_ = noise_rng->engine()();
+    for (std::size_t b = 0; b < banks_.size(); ++b)
+        banks_[b]->controller.setAnalogCompute(
+            analog, bankNoiseSeed(static_cast<int>(b)));
+}
+
+std::optional<std::uint64_t>
+PrimeSystem::bankNoiseSeed(int bank) const
+{
+    if (!analogNoiseSeed_)
+        return std::nullopt;
+    return streamSeed(*analogNoiseSeed_, static_cast<std::uint64_t>(bank));
 }
 
 const mapping::MappingPlan &
@@ -120,6 +132,13 @@ int
 PrimeSystem::matInBank(const mapping::MatTile &tile) const
 {
     return tile.subarray * tech_.geometry.matsPerSubarray + tile.mat;
+}
+
+int
+PrimeSystem::matsPerBank() const
+{
+    return tech_.geometry.ffSubarraysPerBank *
+           tech_.geometry.matsPerSubarray;
 }
 
 void
@@ -172,6 +191,16 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
     programs_.clear();
     configCommands_.clear();
 
+    // Phase 1 (sequential): quantize, slice every replica-0 tile and
+    // place it.  The mats are programmed in phase 2.
+    struct TileJob
+    {
+        const mapping::LayerMapping *mapping = nullptr;
+        TileRef ref;
+        std::vector<std::vector<int>> slice;
+        std::vector<std::uint8_t> migrated;
+    };
+    std::vector<TileJob> jobs;
     for (const mapping::LayerMapping &m : plan_->layers) {
         LayerProgram lp;
         lp.mapping = &m;
@@ -226,24 +255,26 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
             }
         }
 
-        // Program the replica-0 tiles and collect their placements.
+        // Slice the replica-0 tiles and collect their placements.
         for (const mapping::MatTile &t : m.tiles) {
             if (t.replica != 0)
                 continue;
-            std::vector<std::vector<int>> slice(
+            TileJob job;
+            job.mapping = &m;
+            job.slice.assign(
                 static_cast<std::size_t>(t.rowsUsed),
                 std::vector<int>(static_cast<std::size_t>(t.colsUsed)));
             for (int r = 0; r < t.rowsUsed; ++r)
                 for (int c = 0; c < t.colsUsed; ++c)
-                    slice[static_cast<std::size_t>(r)]
-                         [static_cast<std::size_t>(c)] =
+                    job.slice[static_cast<std::size_t>(r)]
+                             [static_cast<std::size_t>(c)] =
                         codes[static_cast<std::size_t>(
                             t.rowTile * tech_.geometry.matRows + r)]
                              [static_cast<std::size_t>(
                                  t.colTile * tech_.geometry.matCols + c)];
 
             ensureBank(t.bank);
-            TileRef ref;
+            TileRef &ref = job.ref;
             ref.bank = t.bank;
             ref.mat = matInBank(t);
             // Per-bank output slot + the bank's compute-mat list.
@@ -258,52 +289,71 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
             ref.slot = static_cast<int>(lp.matsPerBank[bank_pos].size());
             lp.matsPerBank[bank_pos].push_back(ref.mat);
             lp.matOf.push_back(ref);
-
-            PrimeController &ctrl = unit(t.bank).controller;
-            // Morphing step 1+2: migrate resident data, program weights.
-            std::vector<std::uint8_t> migrated =
-                ctrl.mat(ref.mat).morphToCompute(slice, rng);
-            // Static SA-window fallback: cover the worst-case dot
-            // product of the programmed tile (calibrate() refines it).
-            ctrl.mat(ref.mat).engine().calibrateOutputShift();
-            // The migration is real memory traffic: timed write bursts
-            // through the bank/channel model plus the functional copy.
-            mem_.scheduleBytes(migrationAddr_, migrated.size(), true,
-                               memory::RequestSource::Prime);
-            mem_.writeData(migrationAddr_, migrated);
-            migrationAddr_ += migrated.size();
-            stats_.get("morph.migrated_bytes").add(
-                static_cast<double>(migrated.size()));
-            stats_.get("morph.mats_to_compute").increment();
-
-            // Datapath configuration for this mat (Table I, left half).
-            // The command's mat address is system-global
-            // (bank * matsPerBank + local mat); configDatapath routes it
-            // to the owning bank's controller.  Bank 0 keeps the plain
-            // local index, so single-bank command streams are unchanged.
-            const int mats_per_bank = tech_.geometry.ffSubarraysPerBank *
-                                      tech_.geometry.matsPerSubarray;
-            const std::uint32_t mat_addr = static_cast<std::uint32_t>(
-                ref.bank * mats_per_bank + ref.mat);
-            using mapping::Command;
-            using mapping::CommandOp;
-            configCommands_.push_back(Command{
-                CommandOp::SetMatFunction, mat_addr,
-                static_cast<std::uint8_t>(mapping::MatFunction::Compute),
-                0, 0, 0});
-            configCommands_.push_back(Command{
-                CommandOp::BypassSigmoid, mat_addr,
-                static_cast<std::uint8_t>(m.info.sigmoidAfter ? 0 : 1),
-                0, 0, 0});
-            configCommands_.push_back(
-                Command{CommandOp::BypassSa, mat_addr, 0, 0, 0, 0});
-            configCommands_.push_back(
-                Command{CommandOp::InputSource, mat_addr,
-                        static_cast<std::uint8_t>(
-                            mapping::InputSource::Buffer),
-                        0, 0, 0});
+            jobs.push_back(std::move(job));
         }
         programs_.push_back(std::move(lp));
+    }
+
+    // The command's mat address is system-global (bank * matsPerBank +
+    // local mat); configDatapath routes it to the owning bank's
+    // controller.  Bank 0 keeps the plain local index, so single-bank
+    // command streams are unchanged.  The same address keys the mat's
+    // programming-variation stream.
+    auto mat_addr = [this](const TileRef &ref) {
+        return static_cast<std::uint32_t>(ref.bank * matsPerBank() +
+                                          ref.mat);
+    };
+
+    // Phase 2 (parallel): morphing steps 1+2 on every mat at once --
+    // hand over the resident data, program the weights.  Each mat draws
+    // its variation from its own stream, so the cells are the same at
+    // any thread count.
+    const std::optional<std::uint64_t> seed =
+        rng ? std::optional<std::uint64_t>(rng->engine()()) : std::nullopt;
+    ThreadPool::global().parallelFor(jobs.size(), [&](std::size_t i) {
+        TileJob &job = jobs[i];
+        FfMat &mat = unit(job.ref.bank).controller.mat(job.ref.mat);
+        std::optional<Rng> variation;
+        if (seed)
+            variation.emplace(streamSeed(*seed, mat_addr(job.ref)));
+        job.migrated = mat.morphToCompute(
+            job.slice, variation ? &*variation : nullptr);
+        // Static SA-window fallback: cover the worst-case dot product
+        // of the programmed tile (calibrate() refines it).
+        mat.engine().calibrateOutputShift();
+    });
+
+    // Phase 3 (sequential, global tile order): the migration is real
+    // memory traffic -- timed write bursts through the bank/channel
+    // model plus the functional copy -- followed by the datapath
+    // configuration of the mat (Table I, left half).
+    for (const TileJob &job : jobs) {
+        mem_.scheduleBytes(migrationAddr_, job.migrated.size(), true,
+                           memory::RequestSource::Prime);
+        mem_.writeData(migrationAddr_, job.migrated);
+        migrationAddr_ += job.migrated.size();
+        stats_.get("morph.migrated_bytes").add(
+            static_cast<double>(job.migrated.size()));
+        stats_.get("morph.mats_to_compute").increment();
+
+        const std::uint32_t addr = mat_addr(job.ref);
+        using mapping::Command;
+        using mapping::CommandOp;
+        configCommands_.push_back(Command{
+            CommandOp::SetMatFunction, addr,
+            static_cast<std::uint8_t>(mapping::MatFunction::Compute), 0, 0,
+            0});
+        configCommands_.push_back(Command{
+            CommandOp::BypassSigmoid, addr,
+            static_cast<std::uint8_t>(job.mapping->info.sigmoidAfter ? 0
+                                                                     : 1),
+            0, 0, 0});
+        configCommands_.push_back(
+            Command{CommandOp::BypassSa, addr, 0, 0, 0, 0});
+        configCommands_.push_back(Command{
+            CommandOp::InputSource, addr,
+            static_cast<std::uint8_t>(mapping::InputSource::Buffer), 0, 0,
+            0});
     }
     buildStages();
     programmed_ = true;
@@ -316,8 +366,7 @@ PrimeSystem::configDatapath()
     PRIME_ASSERT(programmed_, "programWeight must precede");
     // Route every command to the controller of the bank its system-wide
     // mat address falls into (the controller sees the local index).
-    const int mats_per_bank = tech_.geometry.ffSubarraysPerBank *
-                              tech_.geometry.matsPerSubarray;
+    const int mats_per_bank = matsPerBank();
     for (const mapping::Command &c : configCommands_) {
         mapping::Command local = c;
         const int bank = static_cast<int>(c.matAddr) / mats_per_bank;
@@ -672,11 +721,7 @@ PrimeSystem::runBatch(std::span<const nn::Tensor> inputs,
 {
     PRIME_ASSERT(programmed_, "programWeight must precede runBatch");
     PRIME_ASSERT(configured_, "configDatapath must precede runBatch");
-    // The analog noise Rng's draw order is only defined sequentially
-    // (the RNG-ordering contract), so it forces the sequential path.
-    const bool sequential = !options.pipeline || stages_.size() <= 1 ||
-                            (analog_ && analogNoiseRng_ != nullptr);
-    if (sequential) {
+    if (!options.pipeline || stages_.size() <= 1) {
         std::vector<nn::Tensor> out;
         out.reserve(inputs.size());
         for (const nn::Tensor &in : inputs)

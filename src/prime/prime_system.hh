@@ -57,7 +57,13 @@ class PrimeSystem
     /**
      * Quantize the trained weights to the composing format, morph the
      * planned FF mats to computation mode (migrating their resident data
-     * into Mem subarrays) and program the crossbar cells.
+     * into Mem subarrays) and program the crossbar cells.  The mats are
+     * programmed in parallel on the global thread pool; with @p rng,
+     * one base seed is drawn from it and each mat takes its programming
+     * variation from its own stream, streamSeed(base, global mat
+     * address), so the cells are identical at any thread count.  The
+     * migration traffic and the configuration commands follow in global
+     * tile order.
      */
     void programWeight(const nn::Network &trained, Rng *rng = nullptr);
 
@@ -75,8 +81,14 @@ class PrimeSystem
     /**
      * Compute through the analog conductance path instead of the ideal
      * integer datapath: programming variation (if weights were
-     * programmed with an Rng) and optional read noise then reach the
-     * results.
+     * programmed with an Rng) then reaches the results.  With
+     * @p noise_rng, one base seed is drawn from it;
+     * bank b's controller seeds its local mat m's read-noise stream
+     * with streamSeed(streamSeed(base, b), m).  The caller's Rng is not
+     * kept, and each call restarts the streams.  The FF mats' crossbars
+     * model no read noise today (CrossbarParams::readNoiseSigma stays
+     * 0), so the streams draw nothing and only programming variation
+     * reaches the results.
      */
     void setAnalogCompute(bool analog, Rng *noise_rng = nullptr);
 
@@ -89,9 +101,9 @@ class PrimeSystem
      * pipeline executor (one dedicated worker per stage, bounded SPSC
      * ring queues between them); otherwise the samples run sequentially
      * through run().  Results are bit-identical to per-sample run()
-     * calls at any thread count, queue capacity and handoff batch --
-     * except under analog compute with a noise Rng, where the draw
-     * order is only defined sequentially, so the executor falls back.
+     * calls at any thread count, queue capacity and handoff batch,
+     * noisy analog compute included: every mat draws read noise from
+     * its own stream and sees the images in order on every executor.
      */
     struct RunBatchOptions
     {
@@ -252,6 +264,12 @@ class PrimeSystem
     /** Mat index of a tile within its bank. */
     int matInBank(const mapping::MatTile &tile) const;
 
+    /** FF mats per bank (the stride of global mat addresses). */
+    int matsPerBank() const;
+
+    /** Seed of @p bank's read-noise streams (none: no noise). */
+    std::optional<std::uint64_t> bankNoiseSeed(int bank) const;
+
     /** Quantize a non-negative activation vector to Pin-bit codes. */
     std::vector<std::uint8_t>
     quantizeToCodes(const std::vector<double> &values, int &in_frac) const;
@@ -281,7 +299,8 @@ class PrimeSystem
     /** Bank units indexed by bank; banks_[0] always exists. */
     std::vector<std::unique_ptr<BankUnit>> banks_;
     bool analog_ = false;
-    Rng *analogNoiseRng_ = nullptr;
+    /** Base seed of the per-mat read-noise streams (none: no noise). */
+    std::optional<std::uint64_t> analogNoiseSeed_;
 
     std::optional<nn::Topology> topology_;
     std::optional<mapping::MappingPlan> plan_;

@@ -201,6 +201,9 @@ class ComposedMatrixEngine
     /** Set the shift from the programmed weights' worst-case range. */
     void calibrateOutputShift();
 
+    /** The positive/negative crossbar pair holding the weights. */
+    const DifferentialPair &arrays() const { return arrays_; }
+
     /** Total cell-write events across both arrays (endurance). */
     std::uint64_t totalCellWrites() const
     {

@@ -21,6 +21,8 @@ constexpr std::chrono::microseconds kIdleNap{20};
 ServingEngine::ServingEngine(core::PrimeSystem &system,
                              const ServingOptions &options)
     : system_(system), options_(options),
+      inputSize_(static_cast<std::size_t>(
+          system.topology().layers.front().inputCount())),
       ingress_(std::max<std::size_t>(1, options.queueCapacity)),
       epoch_(std::chrono::steady_clock::now())
 {
@@ -106,6 +108,12 @@ ServingEngine::stop()
 std::optional<std::uint64_t>
 ServingEngine::trySubmit(nn::Tensor input, CompletionFn on_complete)
 {
+    if (input.size() != inputSize_) {
+        // A mis-sized tensor would fault the scheduler thread deep in
+        // the datapath; it never enters the ring.
+        rejected_.fetch_add(1, std::memory_order_relaxed);
+        return std::nullopt;
+    }
     // The submit gate pairs with the scheduler's drain condition
     // (both seq_cst): a submitter that read stopping_ == false is
     // visible in pendingSubmits_ until its push completed, so the

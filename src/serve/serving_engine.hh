@@ -19,8 +19,9 @@
  *                              -> stats -> completion callbacks
  *
  * Contracts:
- *  - Admission control: trySubmit never blocks.  A full ingress ring
- *    (or an engine whose stop() began) rejects the request explicitly
+ *  - Admission control: trySubmit never blocks.  A full ingress ring,
+ *    an input whose size is not the model's input count, or an engine
+ *    whose stop() began rejects the request explicitly
  *    -- the caller sees false, serving.rejected counts it, and no
  *    callback ever fires for it.  The scheduler pops only what it is
  *    about to run, so while a batch executes new arrivals wait in the
@@ -112,9 +113,10 @@ class ServingEngine
 
     /**
      * Submit one request from any thread.  Returns the request id on
-     * acceptance; std::nullopt when the engine shed it (ingress full
-     * or stop() underway) -- the admission-control contract, never
-     * blocking, no callback for shed requests.
+     * acceptance; std::nullopt when the engine rejected it (input size
+     * is not the model's input count, ingress full, or stop()
+     * underway) -- the admission-control contract, never blocking, no
+     * callback for rejected requests.
      */
     std::optional<std::uint64_t> trySubmit(nn::Tensor input,
                                            CompletionFn on_complete);
@@ -163,6 +165,9 @@ class ServingEngine
 
     core::PrimeSystem &system_;
     ServingOptions options_;
+    /** Element count every admitted input must have (the first
+     *  layer's input count). */
+    std::size_t inputSize_;
 
     MpscRing<Request> ingress_;
     /** Submitters mid-trySubmit; pairs with stopping_ (both seq_cst)

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "memory/cpu_traffic.hh"
 #include "memory/main_memory.hh"
@@ -178,6 +180,16 @@ TEST(MainMemory, RowHitRateImprovesWithFrFcfs)
     EXPECT_GT(frfcfs.rowHitRate(), fcfs.rowHitRate());
 }
 
+/** @p n bytes of a position-dependent pattern keyed by @p key. */
+std::vector<std::uint8_t>
+pattern(std::size_t n, unsigned key)
+{
+    std::vector<std::uint8_t> v(n);
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = static_cast<std::uint8_t>((i * 131 + key * 29 + 7) & 0xff);
+    return v;
+}
+
 TEST(MainMemory, FunctionalStoreRoundTrip)
 {
     MainMemory mem(tech());
@@ -187,6 +199,75 @@ TEST(MainMemory, FunctionalStoreRoundTrip)
     // Unwritten bytes read as zero.
     EXPECT_EQ(mem.readData(999999, 2),
               (std::vector<std::uint8_t>{0, 0}));
+
+    // A write spanning a 4 KiB page boundary reads back whole, and
+    // each side of the boundary holds its own part.
+    const std::uint64_t boundary = 8 * 4096;
+    const std::vector<std::uint8_t> span = pattern(100, 1);
+    mem.writeData(boundary - 40, span);
+    EXPECT_EQ(mem.readData(boundary - 40, 100), span);
+    EXPECT_EQ(mem.readData(boundary, 60),
+              std::vector<std::uint8_t>(span.begin() + 40, span.end()));
+
+    // Absent bytes read 0 inside a partly written page (around the
+    // write above) and in an untouched page; a read straddling the
+    // written span sees zeros, the data, zeros.
+    EXPECT_EQ(mem.readData(boundary - 4096, 4096 - 40),
+              std::vector<std::uint8_t>(4096 - 40, 0));
+    EXPECT_EQ(mem.readData(boundary + 60, 200),
+              std::vector<std::uint8_t>(200, 0));
+    EXPECT_EQ(mem.readData(40 * 4096 + 17, 5000),
+              std::vector<std::uint8_t>(5000, 0));
+    std::vector<std::uint8_t> around(10, 0);
+    around.insert(around.end(), span.begin(), span.end());
+    around.resize(around.size() + 10, 0);
+    EXPECT_EQ(mem.readData(boundary - 50, 120), around);
+
+    // An overwrite replaces exactly its own bytes.
+    const std::vector<std::uint8_t> patch = pattern(20, 2);
+    mem.writeData(boundary - 10, patch);
+    std::vector<std::uint8_t> patched = span;
+    std::copy(patch.begin(), patch.end(), patched.begin() + 30);
+    EXPECT_EQ(mem.readData(boundary - 40, 100), patched);
+
+    // A migration-sized (one FF mat, 32 KiB) unaligned round trip.
+    const std::vector<std::uint8_t> mat = pattern(32 * 1024, 3);
+    mem.writeData(1000 * 4096 + 123, mat);
+    EXPECT_EQ(mem.readData(1000 * 4096 + 123, mat.size()), mat);
+}
+
+TEST(MainMemory, FunctionalStoreConcurrentWritersShareStripes)
+{
+    // Every touched page is a multiple of 16 pages apart, so all of
+    // them land on one store stripe; the writers also share each page,
+    // each owning one quarter of it.  Interleaved writes must never
+    // lose or corrupt a byte.
+    MainMemory mem(tech());
+    constexpr int kWriters = 4;
+    constexpr int kPages = 8;
+    constexpr std::size_t kQuarter = 4096 / kWriters;
+    auto addr = [](int page, int writer) {
+        return static_cast<std::uint64_t>(page) * 16 * 4096 +
+               static_cast<std::uint64_t>(writer) * kQuarter;
+    };
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w)
+        writers.emplace_back([&mem, &addr, w] {
+            for (int round = 0; round < 20; ++round)
+                for (int p = 0; p < kPages; ++p)
+                    mem.writeData(addr(p, w),
+                                  pattern(kQuarter, static_cast<unsigned>(
+                                                        round * 64 + p * 4 +
+                                                        w)));
+        });
+    for (std::thread &t : writers)
+        t.join();
+    for (int p = 0; p < kPages; ++p)
+        for (int w = 0; w < kWriters; ++w)
+            EXPECT_EQ(mem.readData(addr(p, w), kQuarter),
+                      pattern(kQuarter,
+                              static_cast<unsigned>(19 * 64 + p * 4 + w)))
+                << "page " << p << " writer " << w;
 }
 
 TEST(MainMemory, StatsAccumulate)

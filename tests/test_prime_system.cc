@@ -1,11 +1,16 @@
 /**
  * @file
  * End-to-end PrimeSystem tests: the Figure 7 API flow on trained
- * networks, split-merge fidelity, morphing/release, and accounting.
+ * networks, split-merge fidelity, morphing/release, accounting, and the
+ * per-mat RNG streams that keep noisy analog runs identical at any
+ * thread count and on every executor.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/thread_pool.hh"
 #include "nn/dataset.hh"
 #include "prime/prime_system.hh"
 
@@ -220,6 +225,163 @@ TEST(PrimeSystem, CnnEndToEnd)
             ++correct;
     EXPECT_GT(static_cast<double>(correct) / test.size(),
               float_acc - 0.15);
+}
+
+/** Analog devices with programming variation. */
+nvmodel::TechParams
+variationParams(nvmodel::TechParams tech = nvmodel::defaultTechParams())
+{
+    tech.device.programVariation = 0.03;
+    return tech;
+}
+
+/** One FF mat per bank: the 4-layer MLP below maps across 4 banks and
+ *  pipelines in 4 bank-disjoint stages. */
+nvmodel::TechParams
+tinyBankParams()
+{
+    nvmodel::TechParams tech = nvmodel::defaultTechParams();
+    tech.geometry.ffSubarraysPerBank = 1;
+    tech.geometry.matsPerSubarray = 1;
+    return tech;
+}
+
+/** Exact (bitwise) equality of two output sets. */
+void
+expectSameBits(const std::vector<nn::Tensor> &got,
+               const std::vector<nn::Tensor> &want, const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].size(), want[i].size()) << what;
+        for (std::size_t k = 0; k < got[i].size(); ++k)
+            EXPECT_EQ(got[i][k], want[i][k])
+                << what << " sample=" << i << " element=" << k;
+    }
+}
+
+/**
+ * A fresh system programmed with variation seed @p variation_seed,
+ * computing on the analog path with noise seed @p noise_seed:
+ * the outputs of @p inputs through pipelined runBatch, or through
+ * per-sample run() when @p batched is false.
+ */
+std::vector<nn::Tensor>
+analogOutputs(const nvmodel::TechParams &tech, const nn::Topology &topology,
+             const nn::Network &net, const std::vector<nn::Tensor> &inputs,
+             bool batched, std::uint64_t noise_seed = 202,
+             std::uint64_t variation_seed = 101)
+{
+    PrimeSystem prime(tech);
+    prime.mapTopology(topology);
+    Rng variation(variation_seed);
+    prime.programWeight(net, &variation);
+    prime.configDatapath();
+    Rng noise(noise_seed);
+    prime.setAnalogCompute(true, &noise);
+    if (batched)
+        return prime.runBatch(std::span<const nn::Tensor>(inputs));
+    std::vector<nn::Tensor> out;
+    for (const nn::Tensor &in : inputs)
+        out.push_back(prime.run(in));
+    return out;
+}
+
+TEST(PrimeSystem, NoisyAnalogBitIdenticalAcrossThreadsAndPipeline)
+{
+    // Single bank, 5 mats fired together per layer (4 row tiles of the
+    // 784-input layer): the mats programmed from their own variation
+    // streams compute on the pool.
+    std::vector<nn::Tensor> inputs;
+    for (std::size_t i = 0; i < 12; ++i)
+        inputs.push_back(setup().test[i].input);
+    ThreadPool::setGlobalThreadCount(1);
+    const std::vector<nn::Tensor> reference = analogOutputs(
+        variationParams(), setup().topology, setup().net, inputs, false);
+    for (int threads : {1, 4, 8}) {
+        ThreadPool::setGlobalThreadCount(threads);
+        expectSameBits(analogOutputs(variationParams(), setup().topology,
+                                    setup().net, inputs, true),
+                       reference,
+                       "single bank, threads=" + std::to_string(threads));
+    }
+    // The variation is really drawn: another variation seed moves the
+    // outputs.
+    ThreadPool::setGlobalThreadCount(1);
+    const std::vector<nn::Tensor> reseeded =
+        analogOutputs(variationParams(), setup().topology, setup().net, inputs,
+                     false, 202, 102);
+    bool moved = false;
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+        for (std::size_t k = 0; k < reseeded[i].size(); ++k)
+            moved = moved || reseeded[i][k] != reference[i][k];
+    EXPECT_TRUE(moved);
+
+    // Four banks, four pipeline stages: pipelined runBatch equals the
+    // per-sample run() reference at every pool size.
+    const nn::Topology mlp =
+        nn::parseTopology("mlp-4stage", "64-256-256-256-10", 1, 8, 8);
+    Rng net_rng(7);
+    const nn::Network net = nn::buildNetwork(mlp, net_rng);
+    Rng input_rng(11);
+    std::vector<nn::Tensor> small;
+    for (int i = 0; i < 16; ++i) {
+        nn::Tensor t({1, 8, 8});
+        for (std::size_t k = 0; k < t.size(); ++k)
+            t[k] = input_rng.uniform(0.0, 1.0);
+        small.push_back(std::move(t));
+    }
+    const nvmodel::TechParams tiny = variationParams(tinyBankParams());
+    const std::vector<nn::Tensor> sequential =
+        analogOutputs(tiny, mlp, net, small, false);
+    for (int threads : {1, 4, 8}) {
+        ThreadPool::setGlobalThreadCount(threads);
+        expectSameBits(analogOutputs(tiny, mlp, net, small, true),
+                       sequential,
+                       "pipelined, threads=" + std::to_string(threads));
+    }
+    ThreadPool::setGlobalThreadCount(0);
+}
+
+TEST(PrimeSystem, ProgrammedConductancesIdenticalAcrossThreads)
+{
+    // Every mat programs from its own variation stream, so the
+    // parallel programming pass writes the same cells at any pool size.
+    auto conductances = [](int threads) {
+        ThreadPool::setGlobalThreadCount(threads);
+        PrimeSystem prime(variationParams());
+        prime.mapTopology(setup().topology);
+        Rng rng(77);
+        prime.programWeight(setup().net, &rng);
+        std::vector<double> g;
+        for (const mapping::LayerMapping &m : prime.plan().layers)
+            for (const mapping::MatTile &t : m.tiles) {
+                if (t.replica != 0)
+                    continue;
+                const reram::DifferentialPair &pair =
+                    prime.controller(t.bank)
+                        .mat(t.subarray * nvmodel::defaultTechParams()
+                                              .geometry.matsPerSubarray +
+                             t.mat)
+                        .engine()
+                        .arrays();
+                for (const reram::Crossbar *x :
+                     {&pair.positive(), &pair.negative()})
+                    for (int r = 0; r < x->params().rows; ++r)
+                        for (int c = 0; c < x->params().cols; ++c)
+                            g.push_back(x->conductance(r, c));
+            }
+        ThreadPool::setGlobalThreadCount(0);
+        return g;
+    };
+    const std::vector<double> one = conductances(1);
+    const std::vector<double> eight = conductances(8);
+    ASSERT_FALSE(one.empty());
+    ASSERT_EQ(one.size(), eight.size());
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < one.size(); ++i)
+        differing += one[i] == eight[i] ? 0 : 1;
+    EXPECT_EQ(differing, 0u);
 }
 
 } // namespace

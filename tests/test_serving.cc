@@ -4,7 +4,8 @@
  * parity, boundary behavior, multi-producer hammer designed to run
  * under TSan), and the dynamic-batching ServingEngine over a real
  * 4-bank pipelined PrimeSystem -- admission control / shed-load
- * semantics (also while a batch is executing), batch coalescing
+ * semantics (also while a batch is executing, and for mis-sized
+ * inputs), batch coalescing
  * bounds, latency histograms, and bit-identity of served outputs
  * against sequential run() at 1/4/8 thread-pool threads.
  */
@@ -351,6 +352,42 @@ TEST(ServingEngine, ShedsWhileExecutorIsBusy)
     EXPECT_EQ(calls.size(), accepted.size());
     for (std::uint64_t id : accepted)
         EXPECT_EQ(calls[id], 1) << "request " << id;
+}
+
+TEST(ServingEngine, RejectsMisSizedInputAtAdmission)
+{
+    core::PrimeSystem prime(tinyBankParams());
+    programTiny(prime);
+    const nn::Tensor &good = servingSetup().inputs[0];
+    const nn::Tensor expected = prime.run(good);
+
+    ServingOptions sopt;
+    ServingEngine engine(prime, sopt);
+    Collector collector;
+    engine.start();
+
+    // 63 and 65 elements around the model's 64 inputs: both are
+    // rejected at admission, before the scheduler could run them.
+    EXPECT_FALSE(
+        engine.trySubmit(nn::Tensor({1, 7, 9}), collector.sink())
+            .has_value());
+    EXPECT_FALSE(
+        engine.trySubmit(nn::Tensor({65}), collector.sink()).has_value());
+    EXPECT_EQ(engine.rejected(), 2u);
+    EXPECT_EQ(engine.accepted(), 0u);
+
+    // The engine keeps serving well-formed requests.
+    const auto id = engine.trySubmit(good, collector.sink());
+    ASSERT_TRUE(id.has_value());
+    engine.stop();
+
+    EXPECT_EQ(engine.accepted(), 1u);
+    EXPECT_EQ(engine.completed(), 1u);
+    ASSERT_EQ(collector.responses.size(), 1u);
+    const nn::Tensor &got = collector.responses.at(*id).output;
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t k = 0; k < got.size(); ++k)
+        EXPECT_EQ(got[k], expected[k]) << "element " << k;
 }
 
 TEST(ServingEngine, CoalescesQueuedRequestsUpToMaxBatch)
