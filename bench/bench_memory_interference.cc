@@ -119,8 +119,6 @@ main(int argc, char **argv)
     }
 
     ThreadPool::setGlobalThreadCount(8);
-    core::PrimeSystem::RunBatchOptions pipelined;
-    pipelined.pipeline = true;
 
     // Intensity 0 must come first: it calibrates the solo modeled
     // window every later point's offered load is sized against.
@@ -133,8 +131,7 @@ main(int argc, char **argv)
         prime.mapTopology(topo);
         prime.programWeight(net);
         prime.configDatapath();
-        (void)prime.runBatch(std::span<const nn::Tensor>(inputs),
-                             pipelined);
+        (void)prime.runBatch(std::span<const nn::Tensor>(inputs));
         memory::MainMemory &mem = prime.mainMemory();
         mem.resetStats();
         const Ns window_start = mem.channelFree();
@@ -166,8 +163,7 @@ main(int argc, char **argv)
                 [&gen, &corun, &pt] { corun = gen.run(pt.cpuRequests); });
 
         const auto t0 = std::chrono::steady_clock::now();
-        (void)prime.runBatch(std::span<const nn::Tensor>(inputs),
-                             pipelined);
+        (void)prime.runBatch(std::span<const nn::Tensor>(inputs));
         pt.hostMs = elapsedNs(t0) / 1e6;
         // The batch is done: release a paced generator that is still
         // waiting on PRIME progress which will never come.

@@ -137,17 +137,14 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i)
         if (!std::strcmp(argv[i], "--warmup") && i + 1 < argc)
             warmup = std::atoi(argv[++i]);
-    core::PrimeSystem::RunBatchOptions sequential;
-    sequential.pipeline = false;
-    core::PrimeSystem::RunBatchOptions pipelined;
-    pipelined.pipeline = true;
     for (int i = 0; i < warmup; ++i)
-        (void)prime.runBatch(std::span<const nn::Tensor>(inputs),
-                             pipelined);
+        (void)prime.runBatch(std::span<const nn::Tensor>(inputs));
 
+    // Sequential baseline: the same images one run() at a time.
     auto t0 = std::chrono::steady_clock::now();
-    std::vector<nn::Tensor> seq_out =
-        prime.runBatch(std::span<const nn::Tensor>(inputs), sequential);
+    std::vector<nn::Tensor> seq_out;
+    for (const nn::Tensor &in : inputs)
+        seq_out.push_back(prime.run(in));
     const double seq_ns = elapsedNs(t0);
 
     // Diff the executor's cumulative stage counters across the timed
@@ -174,7 +171,7 @@ main(int argc, char **argv)
 
     t0 = std::chrono::steady_clock::now();
     std::vector<nn::Tensor> pipe_out =
-        prime.runBatch(std::span<const nn::Tensor>(inputs), pipelined);
+        prime.runBatch(std::span<const nn::Tensor>(inputs));
     const double pipe_ns = elapsedNs(t0);
 
     registry.stopSampler();

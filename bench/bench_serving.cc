@@ -176,15 +176,13 @@ main(int argc, char **argv)
     ThreadPool::setGlobalThreadCount(
         std::max<int>(4, static_cast<int>(prime.stages().size())));
 
-    core::PrimeSystem::RunBatchOptions pipelined;
     for (int i = 0; i < warmup; ++i)
-        (void)prime.runBatch(std::span<const nn::Tensor>(inputs),
-                             pipelined);
+        (void)prime.runBatch(std::span<const nn::Tensor>(inputs));
 
     // Closed-loop capacity estimate: one timed pipelined batch.  The
     // sweep offers multiples of this base rate.
     const auto t0 = std::chrono::steady_clock::now();
-    (void)prime.runBatch(std::span<const nn::Tensor>(inputs), pipelined);
+    (void)prime.runBatch(std::span<const nn::Tensor>(inputs));
     const double base_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)

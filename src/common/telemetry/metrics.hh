@@ -17,9 +17,9 @@
  *    sampler thread (or by sampleOnce() callers).  The registrant
  *    guarantees the probe is safe to call from another thread at any
  *    time between probe() and unregister(): read atomics (e.g.
- *    SpscRing::approxSize, WorkerGroup::runningWorkers, relaxed Stat
- *    snapshots), or take a short-lived lock (the per-bank MainMemory
- *    probes).  A probe must never call back into its registry.
+ *    SpscRing::approxSize, relaxed Stat snapshots), or take a
+ *    short-lived lock (the per-bank MainMemory probes).  A probe must
+ *    never call back into its registry.
  *  - One mutex guards the probe table and the snapshot ring; a tick
  *    holds it across all probe calls, so unregister() returning
  *    guarantees no in-flight tick still runs the removed probe (the

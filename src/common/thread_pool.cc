@@ -19,12 +19,14 @@ thread_local bool tls_in_pool = false;
 
 } // namespace
 
-ThreadPool::ThreadPool(int threads)
+ThreadPool::ThreadPool(int threads, const std::string &lane)
 {
     if (threads <= 0)
         threads = defaultThreadCount();
     for (int i = 1; i < threads; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
+        workers_.emplace_back([this, name = lane + "-" + std::to_string(i)] {
+            workerLoop(name);
+        });
 }
 
 ThreadPool::~ThreadPool()
@@ -64,10 +66,16 @@ ThreadPool::runJob(const std::function<void(std::size_t)> &body,
     }
 }
 
-void
-ThreadPool::workerLoop(int index)
+bool
+ThreadPool::insideJob()
 {
-    telemetry::setTraceThreadName("pool-worker-" + std::to_string(index));
+    return tls_in_pool;
+}
+
+void
+ThreadPool::workerLoop(const std::string &lane)
+{
+    telemetry::setTraceThreadName(lane);
     tls_in_pool = true;
     std::uint64_t seen = 0;
     for (;;) {
@@ -130,60 +138,6 @@ ThreadPool::parallelFor(std::size_t n,
         done_.wait(lock);
     body_ = nullptr;
     jobSize_ = 0;
-}
-
-WorkerGroup::WorkerGroup(const std::string &name_prefix,
-                         std::size_t count,
-                         std::function<void(std::size_t)> body)
-    : states_(std::make_shared<std::vector<std::atomic<int>>>(count))
-{
-    threads_.reserve(count);
-    // One shared copy of the body; workers only call it, so sharing is
-    // safe and keeps captured state (rings, result buffers) in one
-    // place.  The state vector is shared the same way so a worker's
-    // final Done store stays valid even if the group is destroyed
-    // between the store and the thread's exit.
-    auto shared = std::make_shared<std::function<void(std::size_t)>>(
-        std::move(body));
-    for (std::size_t i = 0; i < count; ++i) {
-        threads_.emplace_back([shared, states = states_, name_prefix, i] {
-            telemetry::setTraceThreadName(name_prefix + "-" +
-                                          std::to_string(i));
-            // Pool-context marker: nested parallelFor runs inline (a
-            // blocked stage worker must never park the whole group on
-            // the shared pool's serial job slot).
-            tls_in_pool = true;
-            (*states)[i].store(static_cast<int>(WorkerState::Running),
-                               std::memory_order_relaxed);
-            (*shared)(i);
-            (*states)[i].store(static_cast<int>(WorkerState::Done),
-                               std::memory_order_relaxed);
-        });
-    }
-}
-
-WorkerGroup::~WorkerGroup()
-{
-    join();
-}
-
-void
-WorkerGroup::join()
-{
-    for (std::thread &t : threads_)
-        if (t.joinable())
-            t.join();
-}
-
-std::size_t
-WorkerGroup::runningWorkers() const
-{
-    std::size_t running = 0;
-    for (const std::atomic<int> &state : *states_)
-        if (state.load(std::memory_order_relaxed) ==
-            static_cast<int>(WorkerState::Running))
-            ++running;
-    return running;
 }
 
 namespace {

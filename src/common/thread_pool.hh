@@ -6,6 +6,12 @@
  * futures -- just parallelFor over an index range with an atomic
  * cursor, which is all the compute plane needs.
  *
+ * Two kinds of pool exist: the process-wide global() pool, and one
+ * stage pool per PrimeSystem sized to its plan's inter-bank pipeline
+ * stages.  The pipeline executor runs parallelFor(n_stages, stage_loop)
+ * on the stage pool, so every stage gets a thread for the whole batch
+ * and the workers park on the pool's condvar between batches.
+ *
  * Determinism contract: parallelFor(n, body) invokes body(i) exactly
  * once for every i in [0, n); bodies must write only to disjoint,
  * index-addressed state (out[i] = f(i)).  Under that discipline the
@@ -28,7 +34,6 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,8 +51,10 @@ class ThreadPool
      * @param threads total concurrency including the calling thread;
      *        <= 1 creates no workers (sequential fallback), 0 resolves
      *        via defaultThreadCount().
+     * @param lane trace-lane prefix of the workers ("<lane>-<i>").
      */
-    explicit ThreadPool(int threads = 0);
+    explicit ThreadPool(int threads = 0,
+                        const std::string &lane = "pool-worker");
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -77,8 +84,15 @@ class ThreadPool
     /** PRIME_THREADS env var if set and positive, else hardware. */
     static int defaultThreadCount();
 
+    /**
+     * True on a thread that is running a pool job (a worker, or a
+     * caller inside its own parallelFor), where a nested parallelFor
+     * runs its bodies one after another on this thread.
+     */
+    static bool insideJob();
+
   private:
-    void workerLoop(int index);
+    void workerLoop(const std::string &lane);
 
     /**
      * Claim-and-run loop over @p body / @p size, shared by workers and
@@ -111,59 +125,6 @@ class ThreadPool
         PRIME_GUARDED_BY(mutex_) = nullptr;
     std::size_t jobSize_ PRIME_GUARDED_BY(mutex_) = 0;
     std::atomic<std::size_t> next_{0};
-};
-
-/**
- * A group of dedicated long-lived worker threads, for free-running
- * executors that pin one thread to one role (e.g. one pipeline stage)
- * instead of fanning an index range out over the shared pool.  Each
- * worker runs body(i) once, start to finish; join() (or destruction)
- * waits for all of them.
- *
- * Workers are pool-context threads: each gets a named trace lane
- * ("<prefix>-<i>") for per-stage telemetry, and nested
- * ThreadPool::parallelFor calls from inside a worker run inline rather
- * than serializing the group on the shared pool's job slot.
- */
-class WorkerGroup
-{
-  public:
-    /** Lifecycle of one worker, observable from any thread. */
-    enum class WorkerState : int
-    {
-        Pending = 0,  ///< spawned, body not yet entered
-        Running = 1,  ///< inside body(i)
-        Done = 2,     ///< body returned
-    };
-
-    /** Spawn @p count workers running body(0) .. body(count-1). */
-    WorkerGroup(const std::string &name_prefix, std::size_t count,
-                std::function<void(std::size_t)> body);
-    ~WorkerGroup();
-
-    WorkerGroup(const WorkerGroup &) = delete;
-    WorkerGroup &operator=(const WorkerGroup &) = delete;
-
-    /** Wait for every worker to return (idempotent). */
-    void join();
-
-    std::size_t size() const { return threads_.size(); }
-
-    /** Worker @p i's current state (relaxed; a metrics-probe view). */
-    WorkerState
-    workerState(std::size_t i) const
-    {
-        return static_cast<WorkerState>(
-            (*states_)[i].load(std::memory_order_relaxed));
-    }
-
-    /** Workers currently inside their body (relaxed snapshot). */
-    std::size_t runningWorkers() const;
-
-  private:
-    std::vector<std::thread> threads_;
-    /** Shared with the worker lambdas so state outlives join(). */
-    std::shared_ptr<std::vector<std::atomic<int>>> states_;
 };
 
 } // namespace prime

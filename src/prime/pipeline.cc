@@ -38,10 +38,10 @@ struct Item
 using HandoffBatch = std::vector<Item>;
 
 /**
- * Per-stage accumulator, owned exclusively by that stage's worker
- * while the pipeline runs and merged into the StatGroup after the
- * workers join -- the tile path samples stats without any lock or
- * string-keyed lookup.  Cache-line aligned so neighbouring workers'
+ * Per-stage accumulator, owned exclusively by the thread running that
+ * stage while the pipeline runs and merged into the StatGroup after
+ * parallelFor returns -- the tile path samples stats without any lock
+ * or string-keyed lookup.  Cache-line aligned so neighbouring stages'
  * counters never false-share.
  */
 struct alignas(64) StageLocal
@@ -53,7 +53,7 @@ struct alignas(64) StageLocal
     double busyNs = 0.0;
     double stallUpNs = 0.0;   ///< waiting on an empty input ring
     double stallDownNs = 0.0; ///< waiting on a full output ring
-    double wallNs = 0.0;      ///< worker body wall time
+    double wallNs = 0.0;      ///< stage-loop wall time
     std::uint64_t items = 0;
     std::uint64_t handoffs = 0;
     std::uint64_t pushWaits = 0; ///< failed tryPush attempts (full ring)
@@ -61,7 +61,7 @@ struct alignas(64) StageLocal
 };
 
 /**
- * What a stage worker is doing right now, exported as the
+ * What a stage is doing right now, exported as the
  * pipeline.stageN.state gauge (tools/metrics_report.py decodes it).
  */
 enum StageState : int
@@ -113,16 +113,20 @@ class MetricGuard
 } // namespace
 
 std::vector<nn::Tensor>
-runPipelined(PrimeSystem &system, std::span<const nn::Tensor> inputs,
-             const PrimeSystem::RunBatchOptions &options)
+runPipelined(PrimeSystem &system, ThreadPool &stage_pool,
+             std::span<const nn::Tensor> inputs)
 {
     PRIME_SPAN(telemetry::globalTrace(), "pipeline.batch", "pipeline");
     const std::size_t n_stages = system.stages().size();
     PRIME_ASSERT(n_stages >= 1, "no pipeline stages");
-    const std::size_t ring_capacity = static_cast<std::size_t>(
-        std::max(1, options.queueCapacity));
-    const std::size_t batch_size = static_cast<std::size_t>(
-        std::max(1, options.handoffBatch));
+    PRIME_ASSERT(stage_pool.size() == static_cast<int>(n_stages),
+                 "stage pool of ", stage_pool.size(), " threads for ",
+                 n_stages, " stages");
+    // Inside a pool job parallelFor runs inline: the stages would run
+    // one after another and stage 0 would block forever on a full ring.
+    PRIME_ASSERT(!ThreadPool::insideJob(),
+                 "runBatch on a multi-stage plan must not be called from "
+                 "inside a parallelFor body");
 
     std::vector<nn::Tensor> results(inputs.size());
     if (inputs.empty())
@@ -139,13 +143,13 @@ runPipelined(PrimeSystem &system, std::span<const nn::Tensor> inputs,
     };
 
     // Ring s connects stage s to stage s+1.  Capacity is counted in
-    // handoff batches; each worker is the sole producer of its output
+    // handoff batches; each stage is the sole producer of its output
     // ring and sole consumer of its input ring (the SPSC contract).
     std::vector<std::unique_ptr<SpscRing<HandoffBatch>>> rings;
     rings.reserve(n_stages > 0 ? n_stages - 1 : 0);
     for (std::size_t s = 0; s + 1 < n_stages; ++s)
         rings.push_back(
-            std::make_unique<SpscRing<HandoffBatch>>(ring_capacity));
+            std::make_unique<SpscRing<HandoffBatch>>(kRingSlots));
 
     std::vector<StageLocal> locals(n_stages);
 
@@ -184,7 +188,7 @@ runPipelined(PrimeSystem &system, std::span<const nn::Tensor> inputs,
     // Free-running stage body: pop (or slice, for stage 0) a batch,
     // run every tile through this stage's banks, hand the batch
     // downstream (or scatter results, for the last stage).  Each
-    // worker exits after exactly `total` tiles -- no sentinels, no
+    // stage returns after exactly `total` tiles -- no sentinels, no
     // coordinator round trips, and bounded rings mean a slow stage
     // backpressures its producer instead of buffering the batch.
     //
@@ -193,19 +197,21 @@ runPipelined(PrimeSystem &system, std::span<const nn::Tensor> inputs,
     // an uncontended handoff costs no clock call, keeping the fast
     // path identical to the unattributed executor.
     auto stage_loop = [&](std::size_t s) {
+        PRIME_SPAN(telemetry::globalTrace(),
+                   "pipe.stage" + std::to_string(s), "pipeline");
         StageLocal &local = locals[s];
         PrimeSystem::ExecContext &ctx = system.stageContext(s);
         const bool first = s == 0;
         const bool last = s + 1 == n_stages;
         std::size_t processed = 0;
         HandoffBatch in, out;
-        in.reserve(batch_size);
-        out.reserve(batch_size);
+        in.reserve(kHandoffBatch);
+        out.reserve(kHandoffBatch);
         const double t_enter = now_ns();
         while (processed < total) {
             if (first) {
                 const std::size_t take =
-                    std::min(batch_size, total - processed);
+                    std::min(kHandoffBatch, total - processed);
                 const double admit = now_ns();
                 in.clear();
                 for (std::size_t i = 0; i < take; ++i)
@@ -274,7 +280,7 @@ runPipelined(PrimeSystem &system, std::span<const nn::Tensor> inputs,
                     local.stallDownNs += now_ns() - wait_start;
                 }
                 out = HandoffBatch();
-                out.reserve(batch_size);
+                out.reserve(kHandoffBatch);
             }
         }
         local.wallNs = now_ns() - t_enter;
@@ -282,18 +288,11 @@ runPipelined(PrimeSystem &system, std::span<const nn::Tensor> inputs,
             stage_state[s].store(kStateDone, std::memory_order_relaxed);
     };
 
-    {
-        WorkerGroup workers("pipe-stage", n_stages, stage_loop);
-        MetricGuard worker_gauge(metrics);
-        if (live)
-            worker_gauge.gauge("pipeline.workers.running", [&workers] {
-                return static_cast<double>(workers.runningWorkers());
-            });
-        workers.join();
-    }
+    stage_pool.parallelFor(n_stages, stage_loop);
 
-    // Merge the worker-local accumulators (single-threaded again; the
-    // join above is the happens-before edge covering `results` too).
+    // Merge the stage-local accumulators (single-threaded again; the
+    // return of parallelFor is the happens-before edge covering
+    // `results` too).
     StatGroup &stats = system.stats();
     StatGroup &attribution = stats.child("pipeline.attribution");
     telemetry::Histogram &stage_ns =

@@ -4,31 +4,37 @@
  *
  * A Large MappingPlan assigns consecutive layer groups to disjoint
  * banks; runPipelined executes a batch of inputs as a free-running
- * pipeline over those stages: one dedicated long-lived worker per
- * stage (a prime::WorkerGroup, one trace lane each), connected by
- * bounded SPSC ring queues (prime::SpscRing) that carry *batches* of
- * tiles per handoff, so the per-sample synchronization cost is two
- * atomic operations amortized over RunBatchOptions::handoffBatch
- * samples.  No global round barrier exists: a stage runs as long as
- * its input ring has work and its output ring has room, which is what
- * turns the modeled bank concurrency into host wall-clock speedup
+ * pipeline over those stages.  The stages run as
+ * stagePool.parallelFor(n_stages, stage_loop) on the PrimeSystem's own
+ * ThreadPool, sized to the stage count: the calling thread works as one
+ * stage, and between batches the workers park on the pool's condvar,
+ * as the paper's banks stay in place while images stream through.
+ * Stages are connected by bounded SPSC ring queues (prime::SpscRing)
+ * that carry *batches* of kHandoffBatch tiles per handoff, so the
+ * per-sample synchronization cost is two atomic operations amortized
+ * over the batch.  No global round barrier exists: a stage runs as long
+ * as its input ring has work and its output ring has room, which is
+ * what turns the modeled bank concurrency into host wall-clock speedup
  * (the event-driven controller/interconnect idiom of McSim's
  * PTSMemoryController/PTSXbar, decoupled stages communicating through
- * queues).
+ * queues).  Each stage's run over one batch is one "pipe.stageN" trace
+ * span; which pool thread carries it may change from batch to batch.
  *
  * Determinism contract: each sample passes through the stages in
- * order, and each stage's hardware (its banks, staging windows and
- * StatGroup) is touched only by that stage's worker, in sample-index
- * order -- so the output tensors are bit-identical to sequential
- * PrimeSystem::run() calls at any thread count, ring capacity and
- * handoff batch size.  Timing-derived stats (pipeline.stage_ns,
+ * order, and within a batch each stage's hardware (its banks, staging
+ * windows and StatGroup) is touched only by the thread running that
+ * stage, in sample-index order -- so the output tensors are
+ * bit-identical to sequential PrimeSystem::run() calls at any thread
+ * count.  Across batches a stage may move to another pool thread; the
+ * pool's job handoff (its mutex) orders one batch's writes before the
+ * next batch's reads.  Timing-derived stats (pipeline.stage_ns,
  * mem.queue_ns under concurrency) are schedule-dependent.
  *
- * Stats are sampled without any lock on the tile path: every worker
+ * Stats are sampled without any lock on the tile path: every stage
  * accumulates into its own stage-indexed slot (histogram + counters,
  * pre-resolved Stat references -- no string-keyed map lookups in the
- * loop) and the coordinator merges the slots into pipeline.* after the
- * workers join.
+ * loop) and the calling thread merges the slots into pipeline.* after
+ * parallelFor returns.
  *
  * Lock contract: this executor owns no mutex at all -- its shared
  * state is rings and atomics, every one with an explicitly spelled
@@ -41,20 +47,34 @@
 #ifndef PRIME_PRIME_PIPELINE_HH
 #define PRIME_PRIME_PIPELINE_HH
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
+#include "common/thread_pool.hh"
 #include "prime/prime_system.hh"
 
 namespace prime::core {
 
+/** Samples per inter-stage handoff (one ring slot). */
+inline constexpr std::size_t kHandoffBatch = 4;
+
+/**
+ * Depth of each inter-stage ring, in handoff batches: a slow stage
+ * stalls its producer after kRingSlots * kHandoffBatch buffered samples.
+ */
+inline constexpr std::size_t kRingSlots = 2;
+
 /**
  * Stream @p inputs through @p system's bank stages as one pipelined
- * batch; results in input order.
+ * batch on @p stage_pool (one thread per stage: its size() must equal
+ * the stage count); results in input order.  Must not be called from
+ * inside a parallelFor body, where the stages would run one after
+ * another and stage 0 would block forever on a full ring.
  */
 std::vector<nn::Tensor>
-runPipelined(PrimeSystem &system, std::span<const nn::Tensor> inputs,
-             const PrimeSystem::RunBatchOptions &options);
+runPipelined(PrimeSystem &system, ThreadPool &stage_pool,
+             std::span<const nn::Tensor> inputs);
 
 } // namespace prime::core
 

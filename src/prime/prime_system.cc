@@ -712,23 +712,19 @@ PrimeSystem::run(const nn::Tensor &input)
 std::vector<nn::Tensor>
 PrimeSystem::runBatch(std::span<const nn::Tensor> inputs)
 {
-    return runBatch(inputs, RunBatchOptions{});
-}
-
-std::vector<nn::Tensor>
-PrimeSystem::runBatch(std::span<const nn::Tensor> inputs,
-                      const RunBatchOptions &options)
-{
     PRIME_ASSERT(programmed_, "programWeight must precede runBatch");
     PRIME_ASSERT(configured_, "configDatapath must precede runBatch");
-    if (!options.pipeline || stages_.size() <= 1) {
+    if (stages_.size() <= 1) {
         std::vector<nn::Tensor> out;
         out.reserve(inputs.size());
         for (const nn::Tensor &in : inputs)
             out.push_back(run(in));
         return out;
     }
-    return runPipelined(*this, inputs, options);
+    const int n_stages = static_cast<int>(stages_.size());
+    if (!stagePool_ || stagePool_->size() != n_stages)
+        stagePool_ = std::make_unique<ThreadPool>(n_stages, "pipe-worker");
+    return runPipelined(*this, *stagePool_, inputs);
 }
 
 std::vector<double>

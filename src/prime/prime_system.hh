@@ -15,8 +15,9 @@
  * subarray + controller) per bank the plan places tiles into, so Large
  * plans execute across real bank boundaries.  runBatch() drives those
  * banks as the paper's inter-bank pipeline (Section IV-B: one stage per
- * bank-disjoint layer group) via runPipelined; run() executes the
- * same stages sequentially.  Bank-level parallelism (identical copies
+ * bank-disjoint layer group) via runPipelined, on a per-system stage
+ * pool that persists across batches; run() executes the same stages
+ * sequentially.  Bank-level parallelism (identical copies
  * of a small/medium NN across banks) still needs only bank 0 for
  * functional fidelity.  Performance and energy are estimated by the
  * analytic PrimeModel over the same MappingPlan.
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "common/fixed_point.hh"
+#include "common/thread_pool.hh"
 #include "mapping/mapper.hh"
 #include "memory/main_memory.hh"
 #include "nn/quantized.hh"
@@ -96,34 +98,24 @@ class PrimeSystem
     nn::Tensor run(const nn::Tensor &input);
 
     /**
-     * Batched inference.  With `pipeline` enabled and a multi-stage
-     * plan, the batch streams through the free-running inter-bank
-     * pipeline executor (one dedicated worker per stage, bounded SPSC
-     * ring queues between them); otherwise the samples run sequentially
-     * through run().  Results are bit-identical to per-sample run()
-     * calls at any thread count, queue capacity and handoff batch,
+     * Batched inference, the one batch entry point.  A multi-stage plan
+     * streams the batch through the free-running inter-bank pipeline
+     * (runPipelined: one thread of this system's stage pool per stage,
+     * bounded SPSC rings between them); a one-stage plan runs the
+     * samples through run().  Callers that want sequential execution
+     * of a multi-stage plan loop over run() themselves.  Results are
+     * bit-identical to per-sample run() calls at any thread count,
      * noisy analog compute included: every mat draws read noise from
      * its own stream and sees the images in order on every executor.
+     *
+     * The stage pool is created on the first pipelined batch and kept
+     * across batches; a remap that changes the stage count rebuilds
+     * it.  Call from one thread at a time, and not from inside a
+     * ThreadPool::parallelFor body on a multi-stage plan: there a
+     * nested parallelFor runs its bodies inline, so the stages would
+     * run one after another and deadlock on a full ring (a
+     * PRIME_ASSERT catches it instead).
      */
-    struct RunBatchOptions
-    {
-        /** Use the inter-bank pipeline when the plan has > 1 stage. */
-        bool pipeline = true;
-        /**
-         * Bounded depth of each inter-stage ring, counted in handoff
-         * batches (backpressure: a slow stage stalls its producer
-         * after queueCapacity * handoffBatch buffered samples).
-         */
-        int queueCapacity = 2;
-        /**
-         * Samples per inter-stage handoff: each ring slot carries up
-         * to this many tiles, amortizing the push/pop synchronization
-         * over the batch.
-         */
-        int handoffBatch = 4;
-    };
-    std::vector<nn::Tensor> runBatch(std::span<const nn::Tensor> inputs,
-                                     const RunBatchOptions &options);
     std::vector<nn::Tensor> runBatch(std::span<const nn::Tensor> inputs);
 
     /** Softmax post-processing on the CPU side. */
@@ -308,6 +300,10 @@ class PrimeSystem
     std::vector<mapping::Command> configCommands_;
     std::vector<mapping::PipelineStage> stages_;
     std::vector<ExecContext> stageContexts_;
+    /** One thread per pipeline stage, kept across runBatch calls (built
+     *  on the first pipelined batch, rebuilt when the stage count
+     *  changes). */
+    std::unique_ptr<ThreadPool> stagePool_;
     bool programmed_ = false;
     bool configured_ = false;
     /** True while calibrate() drives inferences. */

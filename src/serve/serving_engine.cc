@@ -210,8 +210,8 @@ ServingEngine::execute(std::vector<Request> &batch)
         inputs.push_back(std::move(r.input));
 
     const double start_ns = nowNs();
-    std::vector<nn::Tensor> outputs = system_.runBatch(
-        std::span<const nn::Tensor>(inputs), options_.batch);
+    std::vector<nn::Tensor> outputs =
+        system_.runBatch(std::span<const nn::Tensor>(inputs));
     const double done_ns = nowNs();
 
     telemetry::Histogram &e2e = stats_.histogram("serving.e2e_latency_ns");

@@ -18,6 +18,11 @@
  *                              -> PrimeSystem::runBatch
  *                              -> stats -> completion callbacks
  *
+ * On a multi-stage plan runBatch runs the inter-bank pipeline on the
+ * PrimeSystem's persistent stage pool: the scheduler thread works as
+ * one stage and the pool's workers, parked between batches, carry the
+ * others.  No thread is spawned per batch.
+ *
  * Contracts:
  *  - Admission control: trySubmit never blocks.  A full ingress ring,
  *    an input whose size is not the model's input count, or an engine
@@ -38,8 +43,9 @@
  *  - Bit-identity: outputs equal per-sample PrimeSystem::run() calls
  *    regardless of batch composition, thread-pool size or queue
  *    capacity (runBatch's own contract).  The scheduler is the only
- *    thread that touches the PrimeSystem -- the functional machine is
- *    a single physical memory, and PrimeSystem is not reentrant.
+ *    thread that calls into the PrimeSystem -- the functional machine
+ *    is a single physical memory, and PrimeSystem is not reentrant.
+ *    It is a plain thread, never a pool job, as runBatch requires.
  *  - One engine serves one mapped model (the PrimeSystem it wraps);
  *    coalescing is therefore per-model by construction.  Serving
  *    several models means several engines over several systems.
@@ -84,8 +90,6 @@ struct ServingOptions
     /** Latency budget: a batch closes this long after its first
      *  request's admission even if maxBatch was not reached. */
     int batchWindowUs = 200;
-    /** Passed through to PrimeSystem::runBatch per batch. */
-    core::PrimeSystem::RunBatchOptions batch;
 };
 
 /** Dynamic-batching request scheduler over one PrimeSystem. */

@@ -3,8 +3,8 @@
  * Inter-bank pipeline executor tests: the SPSC ring primitive (checked
  * against a mutex-based reference queue), stage extraction from the
  * plan, bit-identity of the free-running batch path against sequential
- * run() across thread counts / queue bounds / handoff batch sizes,
- * executor stats, and the analytic stage-cost cross-check.
+ * run() across thread counts, batch sizes and remaps on the persistent
+ * stage pool, executor stats, and the analytic stage-cost cross-check.
  */
 
 #include <gtest/gtest.h>
@@ -262,6 +262,30 @@ programTiny(PrimeSystem &prime)
     prime.configDatapath();
 }
 
+/** Outputs of per-sample run() over @p inputs: the bit-identity
+ *  reference every batched path is held to. */
+std::vector<nn::Tensor>
+runEach(PrimeSystem &prime, const std::vector<nn::Tensor> &inputs)
+{
+    std::vector<nn::Tensor> out;
+    for (const nn::Tensor &in : inputs)
+        out.push_back(prime.run(in));
+    return out;
+}
+
+void
+expectSameBits(const std::vector<nn::Tensor> &got,
+               const std::vector<nn::Tensor> &want, const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].size(), want[i].size()) << what;
+        for (std::size_t k = 0; k < got[i].size(); ++k)
+            EXPECT_EQ(got[i][k], want[i][k])
+                << what << " sample=" << i << " element=" << k;
+    }
+}
+
 TEST(PipelineStages, FourBankPlanYieldsFourStages)
 {
     PrimeSystem prime(tinyBankParams());
@@ -313,99 +337,84 @@ TEST(PipelineEngine, BatchBitIdenticalAcrossThreadCounts)
     ASSERT_EQ(prime.stages().size(), 4u);
 
     const std::vector<nn::Tensor> inputs = sampleInputs(12);
-    // Sequential reference through run().
-    std::vector<nn::Tensor> expected;
-    for (const nn::Tensor &in : inputs)
-        expected.push_back(prime.run(in));
-
+    const std::vector<nn::Tensor> expected = runEach(prime, inputs);
     for (int threads : {1, 4, 8}) {
         ThreadPool::setGlobalThreadCount(threads);
-        PrimeSystem::RunBatchOptions opt;
-        opt.pipeline = true;
-        std::vector<nn::Tensor> got = prime.runBatch(
-            std::span<const nn::Tensor>(inputs), opt);
-        ASSERT_EQ(got.size(), expected.size());
-        for (std::size_t i = 0; i < got.size(); ++i) {
-            ASSERT_EQ(got[i].size(), expected[i].size());
-            for (std::size_t k = 0; k < got[i].size(); ++k)
-                EXPECT_EQ(got[i][k], expected[i][k])
-                    << "threads=" << threads << " sample=" << i
-                    << " element=" << k;
+        expectSameBits(prime.runBatch(std::span<const nn::Tensor>(inputs)),
+                       expected, "threads=" + std::to_string(threads));
+    }
+    ThreadPool::setGlobalThreadCount(0);
+}
+
+TEST(PipelineEngine, PersistentStagePoolAcrossBatchesAndRemaps)
+{
+    // Back-to-back batches reuse one stage pool.  The sizes cover a
+    // single image, partial handoffs (3, 9, 17 are not multiples of
+    // kHandoffBatch) and backpressure beyond the kRingSlots *
+    // kHandoffBatch samples one ring holds.
+    const std::vector<std::size_t> sizes = {1, 3, 4, 9, 17};
+    PrimeSystem prime(tinyBankParams());
+    programTiny(prime);
+    ASSERT_EQ(prime.stages().size(), 4u);
+    ASSERT_GT(sizes.back(), kRingSlots * kHandoffBatch);
+
+    std::uint64_t batches = 0, samples = 0;
+    auto run_all = [&](const std::string &plan) {
+        for (int threads : {1, 4, 8}) {
+            ThreadPool::setGlobalThreadCount(threads);
+            for (std::size_t n : sizes) {
+                const std::vector<nn::Tensor> inputs = sampleInputs(n);
+                const std::vector<nn::Tensor> expected =
+                    runEach(prime, inputs);
+                expectSameBits(
+                    prime.runBatch(std::span<const nn::Tensor>(inputs)),
+                    expected,
+                    plan + " threads=" + std::to_string(threads) +
+                        " n=" + std::to_string(n));
+                ++batches;
+                samples += n;
+            }
         }
-    }
-    ThreadPool::setGlobalThreadCount(0);
+        ThreadPool::setGlobalThreadCount(0);
+        EXPECT_EQ(prime.stats().get("pipeline.batches").count(), batches)
+            << plan;
+        EXPECT_EQ(prime.stats().get("pipeline.samples").count(), samples)
+            << plan;
+    };
+    run_all("4-stage");
+
+    // Remap onto a three-bank plan: the pool is rebuilt for the new
+    // stage count and the outputs stay bit-identical.
+    const nn::Topology three =
+        nn::parseTopology("mlp-3stage", "64-256-256-10", 1, 8, 8);
+    Rng rng(5);
+    const nn::Network net = nn::buildNetwork(three, rng);
+    prime.release();
+    prime.mapTopology(three);
+    prime.programWeight(net);
+    prime.configDatapath();
+    ASSERT_EQ(prime.stages().size(), 3u);
+    run_all("3-stage");
 }
 
-TEST(PipelineEngine, QueueBoundsPreserveResults)
+TEST(PipelineEngineDeathTest, RunBatchInsideParallelForAsserts)
 {
+    // Inside a pool job a nested parallelFor runs inline, so the stages
+    // would run one after another and stage 0 would block forever on a
+    // full ring; runBatch must fail loudly instead of hanging.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
     PrimeSystem prime(tinyBankParams());
     programTiny(prime);
-    const std::vector<nn::Tensor> inputs = sampleInputs(9);
-    std::vector<nn::Tensor> expected;
-    for (const nn::Tensor &in : inputs)
-        expected.push_back(prime.run(in));
-
-    ThreadPool::setGlobalThreadCount(4);
-    for (int cap : {1, 2, 8}) {
-        PrimeSystem::RunBatchOptions opt;
-        opt.queueCapacity = cap;
-        std::vector<nn::Tensor> got = prime.runBatch(
-            std::span<const nn::Tensor>(inputs), opt);
-        ASSERT_EQ(got.size(), expected.size());
-        for (std::size_t i = 0; i < got.size(); ++i)
-            for (std::size_t k = 0; k < got[i].size(); ++k)
-                EXPECT_EQ(got[i][k], expected[i][k])
-                    << "cap=" << cap << " sample=" << i;
-    }
-    ThreadPool::setGlobalThreadCount(0);
-}
-
-TEST(PipelineEngine, HandoffBatchSizesPreserveResults)
-{
-    // The batched-handoff parity check: whatever the handoff batch size
-    // (single-sample handoffs, odd sizes, larger than the input batch),
-    // outputs stay bit-identical to the sequential reference.
-    PrimeSystem prime(tinyBankParams());
-    programTiny(prime);
-    const std::vector<nn::Tensor> inputs = sampleInputs(10);
-    std::vector<nn::Tensor> expected;
-    for (const nn::Tensor &in : inputs)
-        expected.push_back(prime.run(in));
-
-    ThreadPool::setGlobalThreadCount(4);
-    for (int handoff : {1, 3, 16}) {
-        PrimeSystem::RunBatchOptions opt;
-        opt.queueCapacity = 1;
-        opt.handoffBatch = handoff;
-        std::vector<nn::Tensor> got = prime.runBatch(
-            std::span<const nn::Tensor>(inputs), opt);
-        ASSERT_EQ(got.size(), expected.size());
-        for (std::size_t i = 0; i < got.size(); ++i)
-            for (std::size_t k = 0; k < got[i].size(); ++k)
-                EXPECT_EQ(got[i][k], expected[i][k])
-                    << "handoff=" << handoff << " sample=" << i;
-    }
-    ThreadPool::setGlobalThreadCount(0);
-}
-
-TEST(PipelineEngine, PipelineDisabledFallsBackToSequential)
-{
-    PrimeSystem prime(tinyBankParams());
-    programTiny(prime);
-    const std::vector<nn::Tensor> inputs = sampleInputs(3);
-    std::vector<nn::Tensor> expected;
-    for (const nn::Tensor &in : inputs)
-        expected.push_back(prime.run(in));
-
-    PrimeSystem::RunBatchOptions opt;
-    opt.pipeline = false;
-    std::vector<nn::Tensor> got =
-        prime.runBatch(std::span<const nn::Tensor>(inputs), opt);
-    EXPECT_EQ(prime.stats().get("pipeline.batches").count(),
-              0u);  // the engine never ran
-    for (std::size_t i = 0; i < got.size(); ++i)
-        for (std::size_t k = 0; k < got[i].size(); ++k)
-            EXPECT_EQ(got[i][k], expected[i][k]);
+    // More samples than the rings hold, so without the guard stage 0
+    // would block.
+    const std::vector<nn::Tensor> inputs =
+        sampleInputs(4 * kRingSlots * kHandoffBatch);
+    ThreadPool pool(2);
+    auto nested = [&](std::size_t) {
+        prime.runBatch(std::span<const nn::Tensor>(inputs));
+    };
+    EXPECT_DEATH(pool.parallelFor(2, nested),
+                 "must not be called from inside a parallelFor body");
 }
 
 TEST(PipelineEngine, StatsAccountForEveryStageExecution)
@@ -427,10 +436,7 @@ TEST(PipelineEngine, StatsAccountForEveryStageExecution)
               static_cast<std::uint64_t>(n * n_stages));
     // Batched handoffs: each non-last stage pushes ceil(n / handoff)
     // batches downstream, which together carry every sample.
-    PrimeSystem::RunBatchOptions defaults;
-    const std::size_t per_stage =
-        (n + defaults.handoffBatch - 1) /
-        static_cast<std::size_t>(defaults.handoffBatch);
+    const std::size_t per_stage = (n + kHandoffBatch - 1) / kHandoffBatch;
     EXPECT_EQ(stats.get("pipeline.handoffs").count(),
               per_stage * (n_stages - 1));
     EXPECT_EQ(stats.histogram("pipeline.handoff_items").count(),
@@ -511,9 +517,7 @@ TEST(PipelineEngine, BitIdenticalWithMetricsEnabled)
     PrimeSystem prime(tinyBankParams());
     programTiny(prime);
     const std::vector<nn::Tensor> inputs = sampleInputs(12);
-    std::vector<nn::Tensor> expected;
-    for (const nn::Tensor &in : inputs)
-        expected.push_back(prime.run(in));
+    const std::vector<nn::Tensor> expected = runEach(prime, inputs);
 
     // Full observability on: global registry enabled, per-bank memory
     // probes registered, sampler thread ticking every ms while the
@@ -527,13 +531,8 @@ TEST(PipelineEngine, BitIdenticalWithMetricsEnabled)
 
     for (int threads : {1, 4, 8}) {
         ThreadPool::setGlobalThreadCount(threads);
-        std::vector<nn::Tensor> got = prime.runBatch(
-            std::span<const nn::Tensor>(inputs));
-        ASSERT_EQ(got.size(), expected.size());
-        for (std::size_t i = 0; i < got.size(); ++i)
-            for (std::size_t k = 0; k < got[i].size(); ++k)
-                EXPECT_EQ(got[i][k], expected[i][k])
-                    << "threads=" << threads << " sample=" << i;
+        expectSameBits(prime.runBatch(std::span<const nn::Tensor>(inputs)),
+                       expected, "threads=" + std::to_string(threads));
     }
     ThreadPool::setGlobalThreadCount(0);
 
@@ -604,19 +603,13 @@ TEST(PipelineEngine, Table3WorkloadsBatchMatchSequential)
         std::vector<nn::Tensor> inputs;
         for (const nn::Sample &s : samples)
             inputs.push_back(s.input);
-        std::vector<nn::Tensor> expected;
-        for (const nn::Tensor &in : inputs)
-            expected.push_back(prime.run(in));
-
+        const std::vector<nn::Tensor> expected = runEach(prime, inputs);
         for (int threads : {1, 4, 8}) {
             ThreadPool::setGlobalThreadCount(threads);
-            std::vector<nn::Tensor> got = prime.runBatch(
-                std::span<const nn::Tensor>(inputs));
-            ASSERT_EQ(got.size(), expected.size()) << name;
-            for (std::size_t i = 0; i < got.size(); ++i)
-                for (std::size_t k = 0; k < got[i].size(); ++k)
-                    EXPECT_EQ(got[i][k], expected[i][k])
-                        << name << " threads=" << threads;
+            expectSameBits(
+                prime.runBatch(std::span<const nn::Tensor>(inputs)),
+                expected,
+                std::string(name) + " threads=" + std::to_string(threads));
         }
         ThreadPool::setGlobalThreadCount(0);
     }

@@ -152,67 +152,30 @@ TEST(ThreadPoolStress, PoolChurnWithTracing)
     EXPECT_EQ(session.eventCount(), expected);
 }
 
-/** WorkerGroup state tracking: the metrics-probe view (workerState /
- *  runningWorkers, relaxed loads from any thread) must follow each
- *  worker Pending -> Running -> Done, stay within bounds while probed
- *  concurrently, and read Done for every worker after join(). */
-TEST(ThreadPoolStress, WorkerGroupStatesObservableWhileRunning)
-{
-    constexpr std::size_t kWorkers = 4;
-    std::atomic<std::size_t> entered{0};
-    std::atomic<bool> release{false};
-
-    WorkerGroup group("state-test", kWorkers, [&](std::size_t) {
-        entered.fetch_add(1, std::memory_order_release);
-        while (!release.load(std::memory_order_acquire))
-            std::this_thread::yield();
-    });
-    ASSERT_EQ(group.size(), kWorkers);
-
-    // Wait until every body has been entered: all Running, none Done.
-    while (entered.load(std::memory_order_acquire) < kWorkers)
-        std::this_thread::yield();
-    EXPECT_EQ(group.runningWorkers(), kWorkers);
-    for (std::size_t i = 0; i < kWorkers; ++i)
-        EXPECT_EQ(group.workerState(i), WorkerGroup::WorkerState::Running);
-
-    // Probe from a second observer while the workers wind down -- the
-    // running count is a relaxed snapshot but must stay in range.
-    std::atomic<bool> stop{false};
-    std::thread prober([&] {
-        while (!stop.load(std::memory_order_acquire)) {
-            const std::size_t running = group.runningWorkers();
-            EXPECT_LE(running, kWorkers);
-        }
-    });
-
-    release.store(true, std::memory_order_release);
-    group.join();
-    stop.store(true, std::memory_order_release);
-    prober.join();
-
-    EXPECT_EQ(group.runningWorkers(), 0u);
-    for (std::size_t i = 0; i < kWorkers; ++i)
-        EXPECT_EQ(group.workerState(i), WorkerGroup::WorkerState::Done);
-}
-
 /** Nested parallelFor from inside a pool body must run inline without
- *  deadlock, still invoking every index exactly once. */
+ *  deadlock, still invoking every index exactly once; insideJob() is
+ *  true in every body and false outside parallelFor. */
 TEST(ThreadPoolStress, NestedParallelForRunsInline)
 {
     ThreadPool pool(4);
     constexpr std::size_t kOuter = 32;
     constexpr std::size_t kInner = 16;
     std::vector<std::uint32_t> out(kOuter, 0);
+    std::vector<char> inside(kOuter, 0);
+    EXPECT_FALSE(ThreadPool::insideJob());
     pool.parallelFor(kOuter, [&](std::size_t i) {
+        inside[i] = ThreadPool::insideJob();
         std::uint32_t sum = 0;
         pool.parallelFor(kInner, [&](std::size_t j) {
             sum += static_cast<std::uint32_t>(j + 1);
         });
         out[i] = sum;
     });
-    for (std::size_t i = 0; i < kOuter; ++i)
+    EXPECT_FALSE(ThreadPool::insideJob());
+    for (std::size_t i = 0; i < kOuter; ++i) {
         EXPECT_EQ(out[i], kInner * (kInner + 1) / 2);
+        EXPECT_TRUE(inside[i]) << i;  // caller and workers alike
+    }
 }
 
 /** Bit-exact double comparison: EXPECT_DOUBLE_EQ tolerates 4 ULPs,

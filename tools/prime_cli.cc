@@ -22,15 +22,17 @@
  * All commands accept `--set key=value` TechParams overrides (see
  * nvmodel::applyConfig for the key list), e.g.
  *   prime_cli bench MLP-S --set geometry.ff_subarrays=4
+ * Every option takes one value.  An unknown option, or an option
+ * missing its value, prints the usage text and exits 2.
  *
  * Observability options (every command):
  *   --stats-json <file>   write the versioned JSON stats document
  *   --trace <file>        record a Chrome trace_event JSON file of the
  *                         run (open in Perfetto / chrome://tracing)
  * `run` options: --images N (test set), --train N, --epochs N,
- *   --batch N (run inference through the batched front end in batches
- *   of N; multi-bank plans execute on the inter-bank pipeline engine),
- *   --no-pipeline (batched but sequential, for A/B comparisons),
+ *   --batch N (run inference through runBatch in batches of N;
+ *   multi-bank plans execute on the inter-bank pipeline engine; without
+ *   --batch every image goes through run(), one at a time),
  *   --warmup N (untimed warm-up inference passes before the measured
  *   loop so cold plane-cache rebuilds don't skew host wall-clock stats;
  *   default 1, 0 disables), --metrics-out <file> (sampled JSONL
@@ -51,9 +53,14 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "common/config.hh"
@@ -86,7 +93,6 @@ struct CliOptions
     int train = 400;          ///< run: training images
     int epochs = 1;           ///< run: training epochs
     int batch = 0;            ///< run: batch size (0 = per-image run())
-    bool pipeline = true;     ///< run: pipeline batched execution
     int warmup = 1;           ///< untimed warm-up passes before timing
 
     // serve: load generation + dynamic batching
@@ -117,51 +123,72 @@ techFromArgs(int argc, char **argv)
     return tech;
 }
 
-CliOptions
+/** Where an option's value lands (--set: applied by techFromArgs). */
+using OptionField =
+    std::variant<std::monostate, std::string CliOptions::*,
+                 int CliOptions::*, double CliOptions::*>;
+
+/** Every option of every subcommand; each takes exactly one value. */
+const std::map<std::string_view, OptionField> &
+optionFields()
+{
+    static const std::map<std::string_view, OptionField> fields = {
+        {"--set", std::monostate{}},
+        {"--stats-json", &CliOptions::statsJson},
+        {"--trace", &CliOptions::traceFile},
+        {"--metrics-out", &CliOptions::metricsOut},
+        {"--metrics-prom", &CliOptions::metricsProm},
+        {"--metrics-interval-ms", &CliOptions::metricsIntervalMs},
+        {"--images", &CliOptions::images},
+        {"--train", &CliOptions::train},
+        {"--epochs", &CliOptions::epochs},
+        {"--batch", &CliOptions::batch},
+        {"--warmup", &CliOptions::warmup},
+        {"--qps", &CliOptions::qps},
+        {"--requests", &CliOptions::requests},
+        {"--max-batch", &CliOptions::maxBatch},
+        {"--batch-window-us", &CliOptions::batchWindowUs},
+        {"--queue-cap", &CliOptions::queueCap},
+        {"--producers", &CliOptions::producers},
+    };
+    return fields;
+}
+
+/**
+ * The options after the subcommand.  Positional arguments (<name>,
+ * [CxHxW]) pass through; an unknown option or an option missing its
+ * value is reported on stderr and yields nullopt, so a typo never
+ * silently runs a different experiment.
+ */
+std::optional<CliOptions>
 optionsFromArgs(int argc, char **argv)
 {
     CliOptions opt;
     for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--stats-json") == 0 && i + 1 < argc)
-            opt.statsJson = argv[++i];
-        else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
-            opt.traceFile = argv[++i];
-        else if (std::strcmp(argv[i], "--metrics-out") == 0 &&
-                 i + 1 < argc)
-            opt.metricsOut = argv[++i];
-        else if (std::strcmp(argv[i], "--metrics-prom") == 0 &&
-                 i + 1 < argc)
-            opt.metricsProm = argv[++i];
-        else if (std::strcmp(argv[i], "--metrics-interval-ms") == 0 &&
-                 i + 1 < argc)
-            opt.metricsIntervalMs = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--images") == 0 && i + 1 < argc)
-            opt.images = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--train") == 0 && i + 1 < argc)
-            opt.train = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--epochs") == 0 && i + 1 < argc)
-            opt.epochs = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc)
-            opt.batch = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--pipeline") == 0)
-            opt.pipeline = true;
-        else if (std::strcmp(argv[i], "--no-pipeline") == 0)
-            opt.pipeline = false;
-        else if (std::strcmp(argv[i], "--warmup") == 0 && i + 1 < argc)
-            opt.warmup = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--qps") == 0 && i + 1 < argc)
-            opt.qps = std::atof(argv[++i]);
-        else if (std::strcmp(argv[i], "--requests") == 0 && i + 1 < argc)
-            opt.requests = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--max-batch") == 0 && i + 1 < argc)
-            opt.maxBatch = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--batch-window-us") == 0 &&
-                 i + 1 < argc)
-            opt.batchWindowUs = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--queue-cap") == 0 && i + 1 < argc)
-            opt.queueCap = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--producers") == 0 && i + 1 < argc)
-            opt.producers = std::atoi(argv[++i]);
+        if (argv[i][0] != '-')
+            continue;
+        const auto it = optionFields().find(argv[i]);
+        if (it == optionFields().end()) {
+            std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
+            return std::nullopt;
+        }
+        if (i + 1 >= argc) {
+            std::fprintf(stderr, "option '%s' needs a value\n", argv[i]);
+            return std::nullopt;
+        }
+        const char *value = argv[++i];
+        std::visit(
+            [&](auto field) {
+                using Field = decltype(field);
+                if constexpr (std::is_same_v<Field, std::string CliOptions::*>)
+                    opt.*field = value;
+                else if constexpr (std::is_same_v<Field, int CliOptions::*>)
+                    opt.*field = std::atoi(value);
+                else if constexpr (std::is_same_v<Field,
+                                                  double CliOptions::*>)
+                    opt.*field = std::atof(value);
+            },
+            it->second);
     }
     return opt;
 }
@@ -230,7 +257,7 @@ usage()
         "         --stats-json <file>     write JSON stats document\n"
         "         --trace <file>          write Chrome trace JSON\n"
         "run:     --images N --train N --epochs N\n"
-        "         --batch N [--no-pipeline]  batched front end\n"
+        "         --batch N               runBatch in batches of N\n"
         "         --warmup N              untimed warm-up passes "
         "(default 1)\n"
         "         --metrics-out <file>    sampled JSONL time-series\n"
@@ -393,8 +420,6 @@ warmUp(core::PrimeSystem &prime, std::span<const nn::Sample> test,
 {
     if (opt.warmup <= 0 || test.empty())
         return;
-    core::PrimeSystem::RunBatchOptions ropt;
-    ropt.pipeline = opt.pipeline;
     const std::size_t n =
         opt.batch > 0
             ? std::min<std::size_t>(
@@ -405,7 +430,7 @@ warmUp(core::PrimeSystem &prime, std::span<const nn::Sample> test,
             std::vector<nn::Tensor> inputs;
             for (std::size_t k = 0; k < n; ++k)
                 inputs.push_back(test[k].input);
-            prime.runBatch(std::span<const nn::Tensor>(inputs), ropt);
+            prime.runBatch(std::span<const nn::Tensor>(inputs));
         } else {
             prime.run(test[0].input);
         }
@@ -447,16 +472,14 @@ cmdRun(int argc, char **argv, const CliOptions &opt)
 
     int correct = 0;
     if (opt.batch > 0) {
-        core::PrimeSystem::RunBatchOptions ropt;
-        ropt.pipeline = opt.pipeline;
         const std::size_t batch = static_cast<std::size_t>(opt.batch);
         for (std::size_t i = 0; i < test.size(); i += batch) {
             const std::size_t n = std::min(batch, test.size() - i);
             std::vector<nn::Tensor> inputs;
             for (std::size_t k = 0; k < n; ++k)
                 inputs.push_back(test[i + k].input);
-            std::vector<nn::Tensor> outputs = prime.runBatch(
-                std::span<const nn::Tensor>(inputs), ropt);
+            std::vector<nn::Tensor> outputs =
+                prime.runBatch(std::span<const nn::Tensor>(inputs));
             for (std::size_t k = 0; k < n; ++k)
                 if (static_cast<int>(outputs[k].argmax()) ==
                     test[i + k].label)
@@ -485,9 +508,8 @@ cmdRun(int argc, char **argv, const CliOptions &opt)
         std::printf("batched front end: batch %d, %zu pipeline stage(s), "
                     "%s execution\n",
                     opt.batch, prime.stages().size(),
-                    opt.pipeline && prime.stages().size() > 1
-                        ? "pipelined"
-                        : "sequential");
+                    prime.stages().size() > 1 ? "pipelined"
+                                              : "sequential");
     std::printf("\n");
     prime.stats().dump(std::cout);
     std::printf("\n");
@@ -524,7 +546,6 @@ cmdServe(int argc, char **argv, const CliOptions &opt)
         static_cast<std::size_t>(std::max(1, opt.queueCap));
     sopt.maxBatch = opt.maxBatch;
     sopt.batchWindowUs = opt.batchWindowUs;
-    sopt.batch.pipeline = opt.pipeline;
     serve::ServingEngine engine(prime, sopt);
 
     telemetry::MetricsRegistry metrics;
@@ -634,7 +655,10 @@ main(int argc, char **argv)
 {
     if (argc < 2)
         return usage();
-    const CliOptions opt = optionsFromArgs(argc, argv);
+    const std::optional<CliOptions> parsed = optionsFromArgs(argc, argv);
+    if (!parsed)
+        return usage();
+    const CliOptions &opt = *parsed;
 
     telemetry::TraceSession trace;
     if (!opt.traceFile.empty()) {

@@ -789,7 +789,7 @@ def self_test() -> int:
         'registry.gauge("pipeline.ring0.depth", probe);',
         'registry.counter("mem.bank0.reads", probe);',
         'registry.probe("a.b_c.d2", kind, fn);',
-        'reg->unregister("pipeline.workers.running");',
+        'reg->unregister("pipeline.stage0.state");',
         'stats.get("run.tiled_mvms").increment();',
     ])})
     expect(failures, "naming/good",
