@@ -146,16 +146,15 @@ MemoryController::accessShardLocked(BankShard &sh,
     return result;
 }
 
-std::vector<RequestResult>
-MemoryController::scheduleBankQueue(std::vector<PendingRequest> pending,
-                                    const SchedulerConfig &sched)
+void
+MemoryController::scheduleBankQueue(std::vector<PendingRequest> &pending,
+                                    const SchedulerConfig &sched,
+                                    std::vector<RequestResult> *results)
 {
     PRIME_ASSERT(sched.window >= 1, "window=", sched.window);
     PRIME_ASSERT(sched.maxBypass >= 0, "maxBypass=", sched.maxBypass);
-    std::vector<RequestResult> results;
-    results.reserve(pending.size());
     if (pending.empty())
-        return results;
+        return;
 
     const int channel_bank =
         pending.front().location.chip * geometry_.banksPerChip +
@@ -192,13 +191,14 @@ MemoryController::scheduleBankQueue(std::vector<PendingRequest> pending,
             bypasses = 0;
         else
             ++bypasses;
-        PendingRequest next =
+        const PendingRequest next =
             pending[static_cast<std::size_t>(chosen)];
         pending.erase(pending.begin() + chosen);
-        results.push_back(
-            accessShardLocked(sh, next.request, next.location));
+        const RequestResult result =
+            accessShardLocked(sh, next.request, next.location);
+        if (results)
+            results->push_back(result);
     }
-    return results;
 }
 
 ChannelTotals

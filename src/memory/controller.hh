@@ -142,12 +142,13 @@ class MemoryController
      * to the same bank of this channel), per @p sched: within a
      * lookahead window of sched.window requests a row-buffer hit is
      * preferred, but the oldest request is never bypassed more than
-     * sched.maxBypass consecutive times.  Results are in completion
-     * order.
+     * sched.maxBypass consecutive times.  Consumes @p pending (left
+     * empty) and appends the completions, in completion order, to
+     * @p results unless it is null; allocates nothing itself.
      */
-    std::vector<RequestResult>
-    scheduleBankQueue(std::vector<PendingRequest> pending,
-                      const SchedulerConfig &sched);
+    void scheduleBankQueue(std::vector<PendingRequest> &pending,
+                           const SchedulerConfig &sched,
+                           std::vector<RequestResult> *results);
 
     /** Earliest time this channel's data bus is free. */
     Ns

@@ -114,55 +114,78 @@ MainMemory::scheduleBatch(std::vector<Request> requests,
 {
     std::vector<RequestResult> results;
     results.reserve(requests.size());
-
-    // Keep requests sorted by issue time, then partition by bank: the
-    // row-hit reordering window only ever matters within a bank, and
-    // per-bank groups let each channel's FR-FCFS loop hold exactly one
-    // bank lock at a time (banks appear in first-request order).
-    std::stable_sort(requests.begin(), requests.end(),
-                     [](const Request &a, const Request &b) {
-                         return a.issue < b.issue;
-                     });
-    std::vector<int> bank_order;
-    std::vector<std::vector<PendingRequest>> groups;
-    for (const Request &r : requests) {
-        const Location loc = mapper_.decode(r.addr);
-        std::size_t g = 0;
-        while (g < bank_order.size() && bank_order[g] != loc.globalBank)
-            ++g;
-        if (g == bank_order.size()) {
-            bank_order.push_back(loc.globalBank);
-            groups.emplace_back();
-        }
-        groups[g].push_back(PendingRequest{r, loc});
-    }
-
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        const int channel =
-            bank_order[g] / params_.geometry.banksPerChannel();
-        std::vector<RequestResult> bank_results =
-            controller(channel).scheduleBankQueue(std::move(groups[g]),
-                                                  sched);
-        results.insert(results.end(),
-                       std::make_move_iterator(bank_results.begin()),
-                       std::make_move_iterator(bank_results.end()));
-    }
+    schedule(requests, sched, &results);
     return results;
 }
 
-std::vector<RequestResult>
+namespace {
+
+/**
+ * Per-thread scratch of the scheduling path, reused across calls (the
+ * pipeline stages call into one MainMemory concurrently, so the scratch
+ * cannot live in it).
+ */
+struct ScheduleScratch
+{
+    std::vector<Request> bursts;
+    std::vector<PendingRequest> decoded;
+    std::vector<int> banks;
+    std::vector<PendingRequest> queue;
+};
+
+thread_local ScheduleScratch t_scratch;
+
+} // namespace
+
+void
+MainMemory::schedule(std::span<Request> requests,
+                     const SchedulerConfig &sched,
+                     std::vector<RequestResult> *results)
+{
+    // Keep requests sorted by issue time, then partition by bank: the
+    // row-hit reordering window only ever matters within a bank, and
+    // per-bank groups let each channel's FR-FCFS loop hold exactly one
+    // bank lock at a time (banks appear in first-request order).  An
+    // already sorted batch -- every single-channel transfer -- skips the
+    // sort, whose merge buffer would allocate.
+    const auto by_issue = [](const Request &a, const Request &b) {
+        return a.issue < b.issue;
+    };
+    if (!std::is_sorted(requests.begin(), requests.end(), by_issue))
+        std::stable_sort(requests.begin(), requests.end(), by_issue);
+    ScheduleScratch &scratch = t_scratch;
+    scratch.decoded.clear();
+    scratch.banks.clear();
+    for (const Request &r : requests) {
+        const Location loc = mapper_.decode(r.addr);
+        if (std::find(scratch.banks.begin(), scratch.banks.end(),
+                      loc.globalBank) == scratch.banks.end())
+            scratch.banks.push_back(loc.globalBank);
+        scratch.decoded.push_back(PendingRequest{r, loc});
+    }
+    for (const int bank : scratch.banks) {
+        scratch.queue.clear();
+        for (const PendingRequest &p : scratch.decoded)
+            if (p.location.globalBank == bank)
+                scratch.queue.push_back(p);
+        controller(bank / params_.geometry.banksPerChannel())
+            .scheduleBankQueue(scratch.queue, sched, results);
+    }
+}
+
+void
 MainMemory::scheduleBytes(std::uint64_t addr, std::size_t bytes,
                           bool is_write, RequestSource source)
 {
     if (bytes == 0)
-        return {};
+        return;
     // Anchor each burst at its *own* channel's cursor: co-running
     // traffic on one channel must not push this transfer's issue time
     // on every other channel (a global max-horizon anchor would
     // serialize PRIME traffic behind any CPU backlog instead of
     // arbitrating with it at the owning controller).
-    std::vector<Request> requests;
-    requests.reserve((bytes + 63) / 64);
+    std::vector<Request> &requests = t_scratch.bursts;
+    requests.clear();
     for (std::size_t off = 0; off < bytes; off += 64) {
         Request r;
         r.addr = addr + off;
@@ -173,12 +196,11 @@ MainMemory::scheduleBytes(std::uint64_t addr, std::size_t bytes,
         r.source = source;
         requests.push_back(r);
     }
-    return scheduleBatch(std::move(requests), sched_);
+    schedule(requests, sched_, nullptr);
 }
 
 void
-MainMemory::writeData(std::uint64_t addr,
-                      const std::vector<std::uint8_t> &data)
+MainMemory::writeData(std::uint64_t addr, std::span<const std::uint8_t> data)
 {
     PRIME_SPAN(telemetry::globalTrace(), "mem.write_data", "memory");
     // Walk the range one page at a time, locking that page's store
@@ -200,24 +222,24 @@ MainMemory::writeData(std::uint64_t addr,
     }
 }
 
-std::vector<std::uint8_t>
-MainMemory::readData(std::uint64_t addr, std::size_t size) const
+void
+MainMemory::readData(std::uint64_t addr, std::span<std::uint8_t> out) const
 {
     PRIME_SPAN(telemetry::globalTrace(), "mem.read_data", "memory");
-    std::vector<std::uint8_t> out(size, 0);
     std::size_t i = 0;
-    while (i < size) {
+    while (i < out.size()) {
         const std::uint64_t page = (addr + i) / kPageBytes;
         const std::size_t offset = (addr + i) % kPageBytes;
-        const std::size_t n = std::min(size - i, kPageBytes - offset);
+        const std::size_t n = std::min(out.size() - i, kPageBytes - offset);
         const StoreStripe &stripe = store_[storeStripe(page)];
         MutexLock lock(stripe.mutex);
         const auto it = stripe.pages.find(page);
         if (it != stripe.pages.end())
             std::memcpy(out.data() + i, it->second.get() + offset, n);
+        else
+            std::memset(out.data() + i, 0, n);
         i += n;
     }
-    return out;
 }
 
 double

@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -94,18 +95,20 @@ class MainMemory
      * the current channel-free time, scheduled FR-FCFS under the
      * configured SchedulerConfig and attributed to @p source.  Timing
      * only -- pair with readData/writeData for the functional payload.
+     * The bursts are built in per-thread scratch that is reused across
+     * calls, so a steady stream of transfers allocates nothing (the
+     * completion records are not kept; scheduleBatch returns them).
      */
-    std::vector<RequestResult>
-    scheduleBytes(std::uint64_t addr, std::size_t bytes, bool is_write,
-                  RequestSource source = RequestSource::Prime);
+    void scheduleBytes(std::uint64_t addr, std::size_t bytes, bool is_write,
+                       RequestSource source = RequestSource::Prime);
 
     /** Functional write of a byte span at @p addr (allocates the pages
      *  it touches, zero-filled, on first write). */
-    void writeData(std::uint64_t addr, const std::vector<std::uint8_t> &data);
+    void writeData(std::uint64_t addr, std::span<const std::uint8_t> data);
 
-    /** Functional read of @p size bytes at @p addr (absent bytes are 0). */
-    std::vector<std::uint8_t> readData(std::uint64_t addr,
-                                       std::size_t size) const;
+    /** Functional read of out.size() bytes at @p addr into @p out
+     *  (absent bytes read as 0). */
+    void readData(std::uint64_t addr, std::span<std::uint8_t> out) const;
 
     const AddressMapper &mapper() const { return mapper_; }
 
@@ -192,6 +195,16 @@ class MainMemory
 
     /** Fold the controllers' shards into stats_ (absolute, idempotent). */
     void syncStats();
+
+    /**
+     * The FR-FCFS body of scheduleBatch/scheduleBytes: sorts @p requests
+     * by issue time (stably), groups them by bank in first-appearance
+     * order and schedules each group at its channel's controller,
+     * appending the completions to @p results unless it is null.
+     */
+    void schedule(std::span<Request> requests,
+                  const SchedulerConfig &sched,
+                  std::vector<RequestResult> *results);
 
     nvmodel::TechParams params_;
     AddressMapper mapper_;

@@ -1,5 +1,6 @@
 #include "prime/buffer_subarray.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -9,7 +10,8 @@ namespace prime::core {
 
 BufferSubarray::BufferSubarray(const nvmodel::TechParams &tech,
                                StatGroup *stats)
-    : stats_(stats)
+    : readBytes_(&stats->get("buffer.read_bytes")),
+      writeBytes_(&stats->get("buffer.write_bytes"))
 {
     const nvmodel::Geometry &g = tech.geometry;
     const std::size_t bytes_per_mat = static_cast<std::size_t>(g.matRows) *
@@ -17,47 +19,50 @@ BufferSubarray::BufferSubarray(const nvmodel::TechParams &tech,
     data_.assign(bytes_per_mat * g.matsPerSubarray, 0);
 }
 
-void
-BufferSubarray::write(std::size_t addr,
-                      const std::vector<std::uint8_t> &bytes)
+std::span<std::uint8_t>
+BufferSubarray::writeView(std::size_t addr, std::size_t size)
 {
     PRIME_SPAN(telemetry::globalTrace(), "buffer.write", "buffer");
-    PRIME_ASSERT(addr + bytes.size() <= data_.size(),
-                 "buffer write out of range: ", addr, "+", bytes.size(),
-                 " > ", data_.size());
-    std::copy(bytes.begin(), bytes.end(), data_.begin() + addr);
-    traffic_ += bytes.size();
-    if (stats_)
-        stats_->get("buffer.write_bytes").add(
-            static_cast<double>(bytes.size()));
+    PRIME_ASSERT(addr + size <= data_.size(),
+                 "buffer write out of range: ", addr, "+", size, " > ",
+                 data_.size());
+    traffic_ += size;
+    writeBytes_->add(static_cast<double>(size));
+    return std::span<std::uint8_t>(data_).subspan(addr, size);
 }
 
-std::vector<std::uint8_t>
+void
+BufferSubarray::write(std::size_t addr, std::span<const std::uint8_t> bytes)
+{
+    const std::span<std::uint8_t> dst = writeView(addr, bytes.size());
+    std::copy(bytes.begin(), bytes.end(), dst.begin());
+}
+
+std::span<const std::uint8_t>
 BufferSubarray::read(std::size_t addr, std::size_t size) const
 {
     PRIME_SPAN(telemetry::globalTrace(), "buffer.read", "buffer");
     PRIME_ASSERT(addr + size <= data_.size(),
                  "buffer read out of range: ", addr, "+", size);
     traffic_ += size;
-    if (stats_)
-        stats_->get("buffer.read_bytes").add(static_cast<double>(size));
-    return std::vector<std::uint8_t>(data_.begin() + addr,
-                                     data_.begin() + addr + size);
+    readBytes_->add(static_cast<double>(size));
+    return std::span<const std::uint8_t>(data_).subspan(addr, size);
 }
 
 void
 BufferSubarray::writeValues(std::size_t addr,
                             const std::vector<double> &values)
 {
-    std::vector<std::uint8_t> bytes(values.size() * sizeof(double));
-    std::memcpy(bytes.data(), values.data(), bytes.size());
-    write(addr, bytes);
+    const std::span<std::uint8_t> dst =
+        writeView(addr, values.size() * sizeof(double));
+    std::memcpy(dst.data(), values.data(), dst.size());
 }
 
 std::vector<double>
 BufferSubarray::readValues(std::size_t addr, std::size_t count) const
 {
-    std::vector<std::uint8_t> bytes = read(addr, count * sizeof(double));
+    const std::span<const std::uint8_t> bytes =
+        read(addr, count * sizeof(double));
     std::vector<double> values(count);
     std::memcpy(values.data(), bytes.data(), bytes.size());
     return values;

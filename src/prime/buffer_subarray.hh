@@ -11,6 +11,7 @@
 #define PRIME_PRIME_BUFFER_SUBARRAY_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/stats.hh"
@@ -18,20 +19,35 @@
 
 namespace prime::core {
 
-/** The byte-addressable staging buffer of one bank. */
+/**
+ * The byte-addressable staging buffer of one bank.  Transfers are span
+ * views into the buffer's own storage: a read or write copies nothing
+ * and allocates nothing, and every byte it covers is accounted (the
+ * traffic counter plus the buffer.read_bytes / buffer.write_bytes
+ * stats, bound once at construction).
+ */
 class BufferSubarray
 {
   public:
+    /** @p stats (required) receives the buffer.* stats. */
     BufferSubarray(const nvmodel::TechParams &tech, StatGroup *stats);
 
     /** Capacity in bytes (one subarray of SLC mats). */
     std::size_t capacity() const { return data_.size(); }
 
-    /** Write through the connection unit (FF side) or row buffer (mem side). */
-    void write(std::size_t addr, const std::vector<std::uint8_t> &bytes);
+    /**
+     * Write access to @p size bytes at @p addr, accounted as written:
+     * the caller fills the returned view (the connection unit on the
+     * FF side, the row buffer on the memory side).
+     */
+    std::span<std::uint8_t> writeView(std::size_t addr, std::size_t size);
 
-    /** Read @p size bytes. */
-    std::vector<std::uint8_t> read(std::size_t addr, std::size_t size) const;
+    /** Write @p bytes at @p addr (a copy through writeView). */
+    void write(std::size_t addr, std::span<const std::uint8_t> bytes);
+
+    /** Read @p size bytes at @p addr: a view valid until the next write. */
+    std::span<const std::uint8_t> read(std::size_t addr,
+                                       std::size_t size) const;
 
     /** Convenience: store a vector of doubles (8 bytes each). */
     void writeValues(std::size_t addr, const std::vector<double> &values);
@@ -45,7 +61,9 @@ class BufferSubarray
 
   private:
     std::vector<std::uint8_t> data_;
-    StatGroup *stats_;
+    /** buffer.read_bytes / buffer.write_bytes. */
+    Stat *readBytes_;
+    Stat *writeBytes_;
     mutable std::uint64_t traffic_ = 0;
 };
 

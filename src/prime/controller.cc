@@ -1,5 +1,7 @@
 #include "prime/controller.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/telemetry/trace_session.hh"
 #include "common/thread_pool.hh"
@@ -11,13 +13,23 @@ PrimeController::PrimeController(const nvmodel::TechParams &tech,
                                  std::vector<FfSubarray> *ff_subarrays,
                                  BufferSubarray *buffer, StatGroup *stats)
     : tech_(tech), mem_(mem), ff_(ff_subarrays), buffer_(buffer),
-      stats_(stats)
+      commandsStat_(&stats->get("controller.commands")),
+      cfgFunction_(&stats->get("controller.cfg_function")),
+      fetchBytes_(&stats->get("controller.fetch_bytes")),
+      commitBytes_(&stats->get("controller.commit_bytes")),
+      loadBytes_(&stats->get("controller.load_bytes")),
+      storeBytes_(&stats->get("controller.store_bytes")),
+      matMvms_(&stats->get("controller.mat_mvms"))
 {
     PRIME_ASSERT(mem_ && ff_ && buffer_, "controller wiring incomplete");
-    const std::size_t mats = static_cast<std::size_t>(ff_->size()) *
-                             tech.geometry.matsPerSubarray;
-    latches_.resize(mats);
-    outputs_.resize(mats);
+    const nvmodel::Geometry &g = tech.geometry;
+    PRIME_ASSERT(static_cast<std::size_t>(g.matRows) <= kFfOutputOffset &&
+                     2 * static_cast<std::size_t>(g.matCols) <=
+                         kFfMatStride - kFfOutputOffset,
+                 "a ", g.matRows, "x", g.matCols,
+                 " mat overflows its FF address window");
+    work_.resize(static_cast<std::size_t>(ff_->size()) *
+                 g.matsPerSubarray);
 }
 
 void
@@ -28,8 +40,8 @@ PrimeController::setAnalogCompute(bool analog,
     noise_.clear();
     if (!bank_seed)
         return;
-    noise_.reserve(latches_.size());
-    for (std::size_t m = 0; m < latches_.size(); ++m)
+    noise_.reserve(work_.size());
+    for (std::size_t m = 0; m < work_.size(); ++m)
         noise_.emplace_back(streamSeed(*bank_seed, m));
 }
 
@@ -43,6 +55,14 @@ PrimeController::mat(int global_mat)
     return (*ff_)[static_cast<std::size_t>(sub)].mat(global_mat % per);
 }
 
+PrimeController::MatWork &
+PrimeController::matAt(std::uint64_t ff_addr)
+{
+    const std::uint64_t mat_idx = ff_addr / kFfMatStride;
+    PRIME_ASSERT(mat_idx < work_.size(), "FF addr out of range");
+    return work_[mat_idx];
+}
+
 void
 PrimeController::execute(const mapping::Command &command)
 {
@@ -50,16 +70,14 @@ PrimeController::execute(const mapping::Command &command)
     PRIME_SPAN(telemetry::globalTrace(), mapping::commandOpName(command.op),
                "controller");
     ++commands_;
-    if (stats_)
-        stats_->get("controller.commands").increment();
+    commandsStat_->increment();
 
     switch (command.op) {
       case CommandOp::SetMatFunction: {
         // prog/comp/mem function selection. Programming and morphing move
         // actual cell contents via PrimeSystem; the controller records
         // the datapath selection.
-        if (stats_)
-            stats_->get("controller.cfg_function").increment();
+        cfgFunction_->increment();
         break;
       }
       case CommandOp::BypassSigmoid:
@@ -81,55 +99,46 @@ PrimeController::execute(const mapping::Command &command)
         // crosses the bank/channel model as timed 64B read bursts.
         mem_->scheduleBytes(command.src, command.bytes, false,
                             memory::RequestSource::Prime);
-        std::vector<std::uint8_t> data =
-            mem_->readData(command.src, command.bytes);
-        buffer_->write(static_cast<std::size_t>(command.dst), data);
-        if (stats_)
-            stats_->get("controller.fetch_bytes").add(command.bytes);
+        mem_->readData(command.src,
+                       buffer_->writeView(
+                           static_cast<std::size_t>(command.dst),
+                           command.bytes));
+        fetchBytes_->add(command.bytes);
         break;
       }
       case CommandOp::Commit: {
-        std::vector<std::uint8_t> data = buffer_->read(
+        const std::span<const std::uint8_t> data = buffer_->read(
             static_cast<std::size_t>(command.src), command.bytes);
         mem_->scheduleBytes(command.dst, data.size(), true,
                             memory::RequestSource::Prime);
         mem_->writeData(command.dst, data);
-        if (stats_)
-            stats_->get("controller.commit_bytes").add(command.bytes);
+        commitBytes_->add(command.bytes);
         break;
       }
       case CommandOp::Load: {
         // Buffer -> FF input latch.
-        const std::size_t mat_idx = command.dst / kFfMatStride;
+        std::array<std::uint8_t, kFfOutputOffset> &latch =
+            matAt(command.dst).latch;
         const std::size_t offset = command.dst % kFfMatStride;
-        PRIME_ASSERT(mat_idx < latches_.size(), "FF addr out of range");
-        PRIME_ASSERT(offset + command.bytes <= kFfOutputOffset,
+        PRIME_ASSERT(offset + command.bytes <= latch.size(),
                      "load overruns the input latch");
-        std::vector<std::uint8_t> data = buffer_->read(
+        const std::span<const std::uint8_t> data = buffer_->read(
             static_cast<std::size_t>(command.src), command.bytes);
-        std::vector<std::uint8_t> &latch = latches_[mat_idx];
-        if (latch.size() < offset + command.bytes)
-            latch.resize(offset + command.bytes, 0);
         std::copy(data.begin(), data.end(), latch.begin() + offset);
-        if (stats_)
-            stats_->get("controller.load_bytes").add(command.bytes);
+        loadBytes_->add(command.bytes);
         break;
       }
       case CommandOp::Store: {
         // FF output registers -> Buffer (two bytes per code).
-        const std::size_t mat_idx = command.src / kFfMatStride;
-        PRIME_ASSERT(mat_idx < outputs_.size(), "FF addr out of range");
-        const std::vector<std::int64_t> &out = outputs_[mat_idx];
-        std::vector<std::uint8_t> data(out.size() * 2);
+        const std::vector<std::int64_t> &out = matAt(command.src).outputs;
+        const std::span<std::uint8_t> data = buffer_->writeView(
+            static_cast<std::size_t>(command.dst), 2 * out.size());
         for (std::size_t i = 0; i < out.size(); ++i) {
             const std::int16_t v = static_cast<std::int16_t>(out[i]);
             data[2 * i] = static_cast<std::uint8_t>(v & 0xff);
             data[2 * i + 1] = static_cast<std::uint8_t>((v >> 8) & 0xff);
         }
-        buffer_->write(static_cast<std::size_t>(command.dst), data);
-        if (stats_)
-            stats_->get("controller.store_bytes").add(
-                static_cast<double>(data.size()));
+        storeBytes_->add(static_cast<double>(data.size()));
         break;
       }
     }
@@ -145,59 +154,59 @@ PrimeController::computeMatImpl(int global_mat)
     PRIME_ASSERT(m.mode() == reram::FfMode::Computation,
                  "computeMat on a memory-mode mat");
     const reram::ComposedMatrixEngine &engine = m.engine();
-    const std::vector<std::uint8_t> &latch =
-        latches_[static_cast<std::size_t>(global_mat)];
-    PRIME_ASSERT(static_cast<int>(latch.size()) >= engine.rows(),
-                 "latch underfilled: ", latch.size(), " < ",
-                 engine.rows());
-    std::vector<int> codes(static_cast<std::size_t>(engine.rows()));
-    for (int r = 0; r < engine.rows(); ++r)
-        codes[static_cast<std::size_t>(r)] =
-            latch[static_cast<std::size_t>(r)];
-    Rng *noise = noise_.empty()
-                     ? nullptr
-                     : &noise_[static_cast<std::size_t>(global_mat)];
-    outputs_[static_cast<std::size_t>(global_mat)] =
-        analog_ ? engine.mvmAnalog(codes, noise) : engine.mvmExact(codes);
+    const std::size_t idx = static_cast<std::size_t>(global_mat);
+    MatWork &work = work_[idx];
+    work.inputs.resize(static_cast<std::size_t>(engine.rows()));
+    work.outputs.resize(static_cast<std::size_t>(engine.cols()));
+    std::copy(work.latch.begin(), work.latch.begin() + engine.rows(),
+              work.inputs.begin());
+    if (analog_) {
+        Rng *noise = noise_.empty() ? nullptr : &noise_[idx];
+        engine.mvmAnalog(work.inputs, work.outputs, work.scratch, noise);
+    } else {
+        engine.mvmExact(work.inputs, work.outputs, work.scratch);
+    }
 }
 
 void
 PrimeController::computeMat(int global_mat)
 {
     computeMatImpl(global_mat);
-    if (stats_)
-        stats_->get("controller.mat_mvms").increment();
+    matMvms_->increment();
 }
 
 void
-PrimeController::computeMats(const std::vector<int> &global_mats)
+PrimeController::computeMats(std::span<const int> global_mats)
 {
     PRIME_SPAN(telemetry::globalTrace(), "ff.compute_fanout", "compute");
     // Each mat touches only its own latch, output register, crossbar
-    // planes and noise stream, so results match any thread count.
-    ThreadPool::global().parallelFor(global_mats.size(), [&](std::size_t i) {
-        computeMatImpl(global_mats[i]);
-    });
-    if (stats_)
-        stats_->get("controller.mat_mvms").increment(global_mats.size());
+    // planes, scratch and noise stream, so results match any thread
+    // count.
+    if (global_mats.size() == 1)
+        computeMatImpl(global_mats[0]);
+    else
+        ThreadPool::global().parallelFor(
+            global_mats.size(),
+            [&](std::size_t i) { computeMatImpl(global_mats[i]); });
+    matMvms_->increment(global_mats.size());
 }
 
-const std::vector<std::uint8_t> &
+std::span<const std::uint8_t>
 PrimeController::latch(int global_mat) const
 {
     PRIME_ASSERT(global_mat >= 0 &&
-                     global_mat < static_cast<int>(latches_.size()),
+                     global_mat < static_cast<int>(work_.size()),
                  "mat ", global_mat);
-    return latches_[static_cast<std::size_t>(global_mat)];
+    return work_[static_cast<std::size_t>(global_mat)].latch;
 }
 
 std::vector<std::int64_t>
 PrimeController::outputCodes(int global_mat) const
 {
     PRIME_ASSERT(global_mat >= 0 &&
-                     global_mat < static_cast<int>(outputs_.size()),
+                     global_mat < static_cast<int>(work_.size()),
                  "mat ", global_mat);
-    return outputs_[static_cast<std::size_t>(global_mat)];
+    return work_[static_cast<std::size_t>(global_mat)].outputs;
 }
 
 } // namespace prime::core

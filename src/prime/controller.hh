@@ -9,13 +9,21 @@
  * kFfMatStride bytes; offset 0 is the input latch (one byte per
  * wordline code), offset kFfOutputOffset the output registers (two
  * bytes, little endian, per bitline code).
+ *
+ * Every mat's input latch is allocated with the controller, its output
+ * registers and MVM scratch on its first MVM after programming, and the
+ * stats are bound at construction: executing a data-flow command or
+ * firing a mat after that allocates nothing and does no string-keyed
+ * lookup.
  */
 
 #ifndef PRIME_PRIME_CONTROLLER_HH
 #define PRIME_PRIME_CONTROLLER_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/rng.hh"
@@ -36,10 +44,13 @@ class PrimeController
     /** Offset of the output registers within a mat window. */
     static constexpr std::size_t kFfOutputOffset = 2048;
 
+    /** Every pointer is required; @p stats receives the controller.*
+     *  stats. */
     PrimeController(const nvmodel::TechParams &tech,
                     memory::MainMemory *mem,
                     std::vector<FfSubarray> *ff_subarrays,
                     BufferSubarray *buffer, StatGroup *stats);
+
 
     /** Execute one decoded command. */
     void execute(const mapping::Command &command);
@@ -55,14 +66,16 @@ class PrimeController
 
     /**
      * Fire several mats at once (the replica/tile fan-out of the Run
-     * step) on the global thread pool.  Each mat owns disjoint latches,
-     * outputs, crossbars and read-noise stream, so results -- analog
-     * noise included -- are identical at any thread count.
+     * step) on the global thread pool; a single mat fires on the
+     * calling thread.  Each mat owns disjoint latches, outputs, crossbars,
+     * MVM scratch and read-noise stream, so results -- analog noise
+     * included -- are identical at any thread count.
      */
-    void computeMats(const std::vector<int> &global_mats);
+    void computeMats(std::span<const int> global_mats);
 
-    /** Input latch contents of a mat. */
-    const std::vector<std::uint8_t> &latch(int global_mat) const;
+    /** Input latch of a mat (kFfOutputOffset bytes; byte r is
+     *  wordline r's code). */
+    std::span<const std::uint8_t> latch(int global_mat) const;
 
     /** Output register contents of a mat as signed codes. */
     std::vector<std::int64_t> outputCodes(int global_mat) const;
@@ -87,21 +100,43 @@ class PrimeController
     bool analogCompute() const { return analog_; }
 
   private:
+    /** One mat's datapath state. */
+    struct MatWork
+    {
+        /** Input latch: byte r is wordline r's code. */
+        std::array<std::uint8_t, kFfOutputOffset> latch{};
+        /** Latch codes widened to the engine's input type. */
+        std::vector<int> inputs;
+        /** Output registers: the last MVM's target codes (Store drains
+         *  them as int16). */
+        std::vector<std::int64_t> outputs;
+        reram::ComposedMatrixEngine::MvmScratch scratch;
+    };
+
     /** The MVM of computeMat without the stats bookkeeping. */
     void computeMatImpl(int global_mat);
+
+    /** The mat a data-flow command's FF address falls into. */
+    MatWork &matAt(std::uint64_t ff_addr);
 
     nvmodel::TechParams tech_;
     memory::MainMemory *mem_;
     std::vector<FfSubarray> *ff_;
     BufferSubarray *buffer_;
-    StatGroup *stats_;
     bool analog_ = false;
     /** Per-mat read-noise streams; empty when read noise is off. */
     std::vector<Rng> noise_;
     std::uint64_t commands_ = 0;
-    /** Per-mat input latches and output registers. */
-    std::vector<std::vector<std::uint8_t>> latches_;
-    std::vector<std::vector<std::int64_t>> outputs_;
+    std::vector<MatWork> work_;
+
+    /** The controller.* stats, bound at construction. */
+    Stat *commandsStat_;
+    Stat *cfgFunction_;
+    Stat *fetchBytes_;
+    Stat *commitBytes_;
+    Stat *loadBytes_;
+    Stat *storeBytes_;
+    Stat *matMvms_;
 };
 
 } // namespace prime::core

@@ -100,15 +100,6 @@ FfMat::engine()
     return *engine_;
 }
 
-std::vector<std::vector<std::int64_t>>
-FfMat::computeBatch(const std::vector<std::vector<int>> &inputs, bool analog,
-                    Rng *rng) const
-{
-    PRIME_SPAN(telemetry::globalTrace(), "ff.compute_batch", "compute");
-    const reram::ComposedMatrixEngine &e = engine();
-    return analog ? e.mvmAnalogBatch(inputs, rng) : e.mvmExactBatch(inputs);
-}
-
 FfSubarray::FfSubarray(const nvmodel::TechParams &tech, StatGroup *stats)
     : tech_(tech), stats_(stats)
 {
@@ -141,17 +132,6 @@ FfSubarray::computeMats() const
     if (stats_)
         stats_->get("ff.compute_mats").sample(n);
     return n;
-}
-
-std::vector<std::vector<std::int64_t>>
-FfSubarray::computeBatch(int mat_index,
-                         const std::vector<std::vector<int>> &inputs,
-                         bool analog, Rng *rng) const
-{
-    if (stats_)
-        stats_->get("ff.batched_mvms").add(
-            static_cast<double>(inputs.size()));
-    return mat(mat_index).computeBatch(inputs, analog, rng);
 }
 
 std::size_t

@@ -55,16 +55,6 @@ class FfMat
     const reram::ComposedMatrixEngine &engine() const;
     reram::ComposedMatrixEngine &engine();
 
-    /**
-     * Batched MVM through the mat's engine (computation mode only): one
-     * target-code row per input vector, amortizing peripheral dispatch
-     * across the batch.  Analog mode follows the engine's RNG-ordering
-     * contract (bit-identical to sequential per-sample calls).
-     */
-    std::vector<std::vector<std::int64_t>>
-    computeBatch(const std::vector<std::vector<int>> &inputs,
-                 bool analog = false, Rng *rng = nullptr) const;
-
     /** Datapath configuration bits (Table I bypass commands). */
     void setBypassSigmoid(bool bypass) { bypassSigmoid_ = bypass; }
     bool bypassSigmoid() const { return bypassSigmoid_; }
@@ -98,11 +88,6 @@ class FfSubarray
 
     /** Mats currently in computation mode. */
     int computeMats() const;
-
-    /** Batched MVM on one mat (see FfMat::computeBatch). */
-    std::vector<std::vector<std::int64_t>>
-    computeBatch(int mat_index, const std::vector<std::vector<int>> &inputs,
-                 bool analog = false, Rng *rng = nullptr) const;
 
     /** Aggregate SLC bytes currently serving as normal memory. */
     std::size_t memoryModeBytes() const;

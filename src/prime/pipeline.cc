@@ -122,11 +122,6 @@ runPipelined(PrimeSystem &system, ThreadPool &stage_pool,
     PRIME_ASSERT(stage_pool.size() == static_cast<int>(n_stages),
                  "stage pool of ", stage_pool.size(), " threads for ",
                  n_stages, " stages");
-    // Inside a pool job parallelFor runs inline: the stages would run
-    // one after another and stage 0 would block forever on a full ring.
-    PRIME_ASSERT(!ThreadPool::insideJob(),
-                 "runBatch on a multi-stage plan must not be called from "
-                 "inside a parallelFor body");
 
     std::vector<nn::Tensor> results(inputs.size());
     if (inputs.empty())

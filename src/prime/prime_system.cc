@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <string>
 
 #include "common/logging.hh"
@@ -167,6 +168,7 @@ PrimeSystem::buildStages()
         ctx.tiledMvms = &ctx.stats->get("run.tiled_mvms");
         stageContexts_.push_back(ctx);
     }
+    inferences_ = &stats_.get("run.inferences");
 }
 
 PrimeSystem::ExecContext &
@@ -191,12 +193,28 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
     programs_.clear();
     configCommands_.clear();
 
-    // Phase 1 (sequential): quantize, slice every replica-0 tile and
-    // place it.  The mats are programmed in phase 2.
+    // Buffer-local layout of the run-time data flow: inputs stage in the
+    // low half, output slots in the high half.  Derived from the
+    // geometry so small test configurations (one mat per subarray) stay
+    // in range.
+    const nvmodel::Geometry &g = tech_.geometry;
+    const std::size_t buffer_bytes = static_cast<std::size_t>(g.matRows) *
+                                     g.matCols * g.arraysPerFfMat / 8 *
+                                     g.matsPerSubarray;
+    const std::uint64_t buf_in = 0;
+    const std::uint64_t buf_out = buffer_bytes / 2;
+    const std::uint32_t slot_bytes =
+        2 * static_cast<std::uint32_t>(g.matCols);
+
+    // Phase 1 (sequential): quantize, slice every replica-0 tile, place
+    // it, and lower the layer's data flow into its tape.  The mats are
+    // programmed in phase 2.
     struct TileJob
     {
         const mapping::LayerMapping *mapping = nullptr;
-        TileRef ref;
+        int bank = 0;
+        /** Mat index within the bank (controller addressing). */
+        int mat = 0;
         std::vector<std::vector<int>> slice;
         std::vector<std::uint8_t> migrated;
     };
@@ -224,6 +242,9 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
 
         // Arrange weight codes as [row][col] of the layer's MVM.
         const int rows = m.info.rows, cols = m.info.cols;
+        PRIME_ASSERT(static_cast<std::uint64_t>(rows) <= buf_out,
+                     "input codes overflow the buffer input window: ",
+                     rows, " > ", buf_out);
         std::vector<std::vector<int>> codes(
             static_cast<std::size_t>(rows),
             std::vector<int>(static_cast<std::size_t>(cols), 0));
@@ -255,7 +276,9 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
             }
         }
 
-        // Slice the replica-0 tiles and collect their placements.
+        // Slice the replica-0 tiles and lower each into a Load and a
+        // Store on its bank's tape entry (the tile's output slot is its
+        // ordinal among the layer's tiles in that bank).
         for (const mapping::MatTile &t : m.tiles) {
             if (t.replica != 0)
                 continue;
@@ -269,27 +292,62 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
                     job.slice[static_cast<std::size_t>(r)]
                              [static_cast<std::size_t>(c)] =
                         codes[static_cast<std::size_t>(
-                            t.rowTile * tech_.geometry.matRows + r)]
+                            t.rowTile * g.matRows + r)]
                              [static_cast<std::size_t>(
-                                 t.colTile * tech_.geometry.matCols + c)];
+                                 t.colTile * g.matCols + c)];
 
             ensureBank(t.bank);
-            TileRef &ref = job.ref;
-            ref.bank = t.bank;
-            ref.mat = matInBank(t);
-            // Per-bank output slot + the bank's compute-mat list.
-            std::size_t bank_pos = 0;
-            while (bank_pos < lp.banks.size() &&
-                   lp.banks[bank_pos] != t.bank)
-                ++bank_pos;
-            if (bank_pos == lp.banks.size()) {
-                lp.banks.push_back(t.bank);
-                lp.matsPerBank.emplace_back();
+            job.bank = t.bank;
+            job.mat = matInBank(t);
+            BankUnit &u = unit(t.bank);
+            auto bank = std::find_if(
+                lp.tape.banks.begin(), lp.tape.banks.end(),
+                [&](const TapeBank &tb) {
+                    return tb.controller == &u.controller;
+                });
+            if (bank == lp.tape.banks.end()) {
+                lp.tape.banks.emplace_back().controller = &u.controller;
+                bank = std::prev(lp.tape.banks.end());
             }
-            ref.slot = static_cast<int>(lp.matsPerBank[bank_pos].size());
-            lp.matsPerBank[bank_pos].push_back(ref.mat);
-            lp.matOf.push_back(ref);
+            const std::uint64_t ff_addr =
+                static_cast<std::uint64_t>(job.mat) *
+                PrimeController::kFfMatStride;
+            using mapping::Command;
+            using mapping::CommandOp;
+            TapeTile tile;
+            tile.controller = &u.controller;
+            tile.buffer = &u.buffer;
+            tile.rowBase = t.rowTile * g.matRows;
+            tile.rows = t.rowsUsed;
+            tile.colBase = t.colTile * g.matCols;
+            tile.cols = t.colsUsed;
+            tile.load = Command{CommandOp::Load, 0, 0,
+                                buf_in + static_cast<std::uint64_t>(
+                                             tile.rowBase),
+                                ff_addr,
+                                static_cast<std::uint32_t>(t.rowsUsed)};
+            tile.store = Command{
+                CommandOp::Store, 0, 0, ff_addr,
+                buf_out + bank->mats.size() * slot_bytes,
+                static_cast<std::uint32_t>(2 * t.colsUsed)};
+            tile.peakSlot = jobs.size();
+            bank->mats.push_back(job.mat);
+            lp.tape.tiles.push_back(tile);
             jobs.push_back(std::move(job));
+        }
+        // Per bank: Fetch the whole input vector, Commit the bank's
+        // output slots back-to-back into the output window.
+        std::uint64_t commit_offset = 0;
+        for (TapeBank &tb : lp.tape.banks) {
+            const std::uint32_t bank_bytes =
+                static_cast<std::uint32_t>(tb.mats.size()) * slot_bytes;
+            tb.fetch = mapping::Command{mapping::CommandOp::Fetch, 0, 0, 0,
+                                        buf_in,
+                                        static_cast<std::uint32_t>(rows)};
+            tb.commit = mapping::Command{mapping::CommandOp::Commit, 0, 0,
+                                         buf_out, commit_offset,
+                                         bank_bytes};
+            commit_offset += bank_bytes;
         }
         programs_.push_back(std::move(lp));
     }
@@ -299,9 +357,9 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
     // controller.  Bank 0 keeps the plain local index, so single-bank
     // command streams are unchanged.  The same address keys the mat's
     // programming-variation stream.
-    auto mat_addr = [this](const TileRef &ref) {
-        return static_cast<std::uint32_t>(ref.bank * matsPerBank() +
-                                          ref.mat);
+    auto mat_addr = [this](const TileJob &job) {
+        return static_cast<std::uint32_t>(job.bank * matsPerBank() +
+                                          job.mat);
     };
 
     // Phase 2 (parallel): morphing steps 1+2 on every mat at once --
@@ -312,10 +370,10 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
         rng ? std::optional<std::uint64_t>(rng->engine()()) : std::nullopt;
     ThreadPool::global().parallelFor(jobs.size(), [&](std::size_t i) {
         TileJob &job = jobs[i];
-        FfMat &mat = unit(job.ref.bank).controller.mat(job.ref.mat);
+        FfMat &mat = unit(job.bank).controller.mat(job.mat);
         std::optional<Rng> variation;
         if (seed)
-            variation.emplace(streamSeed(*seed, mat_addr(job.ref)));
+            variation.emplace(streamSeed(*seed, mat_addr(job)));
         job.migrated = mat.morphToCompute(
             job.slice, variation ? &*variation : nullptr);
         // Static SA-window fallback: cover the worst-case dot product
@@ -336,7 +394,7 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
             static_cast<double>(job.migrated.size()));
         stats_.get("morph.mats_to_compute").increment();
 
-        const std::uint32_t addr = mat_addr(job.ref);
+        const std::uint32_t addr = mat_addr(job);
         using mapping::Command;
         using mapping::CommandOp;
         configCommands_.push_back(Command{
@@ -355,6 +413,14 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
             static_cast<std::uint8_t>(mapping::InputSource::Buffer), 0, 0,
             0});
     }
+    // The engines exist now: bind each tape tile to its mat's (jobs run
+    // in global tile order, as the tapes do).
+    std::size_t job_index = 0;
+    for (LayerProgram &lp : programs_)
+        for (TapeTile &tile : lp.tape.tiles) {
+            const TileJob &job = jobs[job_index++];
+            tile.engine = &tile.controller->mat(job.mat).engine();
+        }
     buildStages();
     programmed_ = true;
 }
@@ -398,149 +464,89 @@ PrimeSystem::quantizeToCodes(const std::vector<double> &values,
     return codes;
 }
 
-std::vector<double>
+void
 PrimeSystem::tiledMvm(const LayerProgram &lp,
-                      const std::vector<std::uint8_t> &codes, int in_frac,
-                      ExecContext &ctx)
+                      std::span<const std::uint8_t> codes, int in_frac,
+                      std::span<double> out, ExecContext &ctx)
 {
-    using mapping::Command;
-    using mapping::CommandOp;
     PRIME_SPAN(telemetry::globalTrace(), "run.tiled_mvm", "compute");
     const mapping::LayerMapping &m = *lp.mapping;
     PRIME_ASSERT(static_cast<int>(codes.size()) == m.info.rows,
                  "input codes ", codes.size(), " vs rows ", m.info.rows);
+    PRIME_ASSERT(static_cast<int>(out.size()) == m.info.cols,
+                 "outputs ", out.size(), " vs cols ", m.info.cols);
+    const LayerTape &tape = lp.tape;
 
-    // Buffer-local layout: inputs stage in the low half, output slots
-    // in the high half.  Derived from the geometry so small test
-    // configurations (one mat per subarray) stay in range.
-    const nvmodel::Geometry &g = tech_.geometry;
-    const std::size_t buffer_bytes = static_cast<std::size_t>(g.matRows) *
-                                     g.matCols * g.arraysPerFfMat / 8 *
-                                     g.matsPerSubarray;
-    const std::size_t buf_in = 0;
-    const std::size_t buf_out = buffer_bytes / 2;
-    PRIME_ASSERT(codes.size() <= buf_out,
-                 "input codes overflow the buffer input window: ",
-                 codes.size(), " > ", buf_out);
-
-    std::size_t tile_index = 0;
-    std::vector<const mapping::MatTile *> tiles;
-    for (const mapping::MatTile &t : m.tiles)
-        if (t.replica == 0)
-            tiles.push_back(&t);
-
-    if (calibrating_) {
-        // Track each tile's untruncated dot-product peak; bypass the
-        // command path so downstream layers see exact activations.
-        std::vector<double> out(static_cast<std::size_t>(m.info.cols),
-                                0.0);
-        for (const mapping::MatTile *t : tiles) {
-            const TileRef ref = lp.matOf[tile_index++];
-            const reram::ComposedMatrixEngine &engine =
-                unit(ref.bank).controller.mat(ref.mat).engine();
-            std::vector<int> seg(static_cast<std::size_t>(t->rowsUsed));
-            for (int r = 0; r < t->rowsUsed; ++r)
-                seg[static_cast<std::size_t>(r)] =
-                    codes[static_cast<std::size_t>(
-                        t->rowTile * tech_.geometry.matRows + r)];
-            std::vector<std::int64_t> full = engine.mvmFull(seg);
-            std::int64_t &peak =
-                calibrationPeaks_[{ref.bank, ref.mat}];
-            for (int c = 0; c < t->colsUsed; ++c) {
-                peak = std::max(peak, std::abs(full[
-                    static_cast<std::size_t>(c)]));
-                const int col = t->colTile * tech_.geometry.matCols + c;
-                out[static_cast<std::size_t>(col)] += std::ldexp(
-                    static_cast<double>(full[static_cast<std::size_t>(c)]),
-                    -in_frac - lp.weightFrac);
-            }
+    if (!calibrating_) {
+        // Input codes arrive from main memory: the CPU side stages them
+        // in the context's input window, then every bank hosting tiles
+        // of this layer Fetches them into its Buffer subarray through
+        // the timed bank/channel model (the input broadcast over the
+        // internal bus).
+        mem_.writeData(ctx.inputStageAddr, codes);
+        for (const TapeBank &bank : tape.banks) {
+            mapping::Command fetch = bank.fetch;
+            fetch.src += ctx.inputStageAddr;
+            bank.controller->execute(fetch);
         }
-        return out;
-    }
-
-    // Input codes arrive from main memory: the CPU side stages them in
-    // the context's input window, then every bank hosting tiles of this
-    // layer Fetches them into its Buffer subarray through the timed
-    // bank/channel model (the input broadcast over the internal bus).
-    mem_.writeData(ctx.inputStageAddr, codes);
-    for (int bank : lp.banks)
-        unit(bank).controller.execute(
-            Command{CommandOp::Fetch, 0, 0, ctx.inputStageAddr, buf_in,
-                    static_cast<std::uint32_t>(codes.size())});
-
-    // Load, compute, store (Table I data-flow commands).  All input
-    // latches fill first, then each bank's tiles fire together through
-    // its controller's fan-out -- the functional analog of the hardware
-    // evaluating every replica/tile concurrently -- and the output
-    // registers drain back to the per-bank buffers.
-    for (const mapping::MatTile *t : tiles) {
-        const TileRef ref = lp.matOf[tile_index++];
-        unit(ref.bank).controller.execute(Command{
-            CommandOp::Load, 0, 0,
-            buf_in + static_cast<std::uint64_t>(t->rowTile) *
-                         tech_.geometry.matRows,
-            static_cast<std::uint64_t>(ref.mat) *
-                PrimeController::kFfMatStride,
-            static_cast<std::uint32_t>(t->rowsUsed)});
-    }
-    for (std::size_t b = 0; b < lp.banks.size(); ++b)
-        unit(lp.banks[b]).controller.computeMats(lp.matsPerBank[b]);
-    tile_index = 0;
-    for (const mapping::MatTile *t : tiles) {
-        const TileRef ref = lp.matOf[tile_index];
-        unit(ref.bank).controller.execute(Command{
-            CommandOp::Store, 0, 0,
-            static_cast<std::uint64_t>(ref.mat) *
-                PrimeController::kFfMatStride,
-            buf_out + static_cast<std::size_t>(ref.slot) * 2 *
-                          static_cast<std::size_t>(
-                              tech_.geometry.matCols),
-            static_cast<std::uint32_t>(2 * t->colsUsed)});
-        ++tile_index;
-    }
-
-    // Results leave through the same boundary: each bank Commits its
-    // output slots back to memory as timed write bursts, packed
-    // back-to-back in the context's output window.
-    std::uint64_t commit_addr = ctx.outputStageAddr;
-    for (std::size_t b = 0; b < lp.banks.size(); ++b) {
-        const std::uint32_t bank_bytes = static_cast<std::uint32_t>(
-            lp.matsPerBank[b].size() * 2 *
-            static_cast<std::size_t>(tech_.geometry.matCols));
-        unit(lp.banks[b]).controller.execute(Command{
-            CommandOp::Commit, 0, 0, buf_out, commit_addr, bank_bytes});
-        commit_addr += bank_bytes;
+        // Load, compute, store (Table I data-flow commands).  All input
+        // latches fill first, then each bank's tiles fire together
+        // through its controller's fan-out -- the functional analog of
+        // the hardware evaluating every replica/tile concurrently -- and
+        // the output registers drain back to the per-bank buffers.
+        for (const TapeTile &tile : tape.tiles)
+            tile.controller->execute(tile.load);
+        for (const TapeBank &bank : tape.banks)
+            bank.controller->computeMats(bank.mats);
+        for (const TapeTile &tile : tape.tiles)
+            tile.controller->execute(tile.store);
+        // Results leave through the same boundary: each bank Commits its
+        // output slots back to memory as timed write bursts, packed
+        // back-to-back in the context's output window.
+        for (const TapeBank &bank : tape.banks) {
+            mapping::Command commit = bank.commit;
+            commit.dst += ctx.outputStageAddr;
+            bank.controller->execute(commit);
+        }
     }
 
     // Merge: partial target codes of row tiles accumulate per output
-    // column; each tile's code scale depends on its own input count.
+    // column; each tile's code scale depends on its own SA window.
     // Accumulation order is the global tile order regardless of bank
     // placement, keeping the floating-point sums bit-identical to the
-    // single-bank path.
-    std::vector<double> out(static_cast<std::size_t>(m.info.cols), 0.0);
-    tile_index = 0;
-    for (const mapping::MatTile *t : tiles) {
-        const TileRef ref = lp.matOf[tile_index];
-        std::vector<std::uint8_t> raw = unit(ref.bank).buffer.read(
-            buf_out + static_cast<std::size_t>(ref.slot) * 2 *
-                          static_cast<std::size_t>(tech_.geometry.matCols),
-            static_cast<std::size_t>(2 * t->colsUsed));
-        // The tile's SA window sets the code scale.
-        const int shift = unit(ref.bank).controller.mat(ref.mat)
-                              .engine().outputShift();
-        for (int c = 0; c < t->colsUsed; ++c) {
+    // single-bank path.  Calibration merges each tile's untruncated dot
+    // products instead (tracking their peak), so downstream layers see
+    // exact activations.
+    std::fill(out.begin(), out.end(), 0.0);
+    for (const TapeTile &tile : tape.tiles) {
+        double *col = out.data() + tile.colBase;
+        if (calibrating_) {
+            const std::vector<int> seg(codes.begin() + tile.rowBase,
+                                       codes.begin() + tile.rowBase +
+                                           tile.rows);
+            const std::vector<std::int64_t> full = tile.engine->mvmFull(seg);
+            std::int64_t &peak = calibrationPeaks_[tile.peakSlot];
+            for (int c = 0; c < tile.cols; ++c) {
+                const std::int64_t v = full[static_cast<std::size_t>(c)];
+                peak = std::max(peak, std::abs(v));
+                col[c] += std::ldexp(static_cast<double>(v),
+                                     -in_frac - lp.weightFrac);
+            }
+            continue;
+        }
+        const std::span<const std::uint8_t> raw =
+            tile.buffer->read(static_cast<std::size_t>(tile.store.dst),
+                              tile.store.bytes);
+        const int exp = tile.engine->outputShift() - in_frac - lp.weightFrac;
+        for (int c = 0; c < tile.cols; ++c) {
             const std::int16_t code = static_cast<std::int16_t>(
                 static_cast<std::uint16_t>(raw[2 * c]) |
                 (static_cast<std::uint16_t>(raw[2 * c + 1]) << 8));
-            const int col = t->colTile * tech_.geometry.matCols + c;
-            out[static_cast<std::size_t>(col)] +=
-                std::ldexp(static_cast<double>(code),
-                           shift - in_frac - lp.weightFrac);
+            col[c] += std::ldexp(static_cast<double>(code), exp);
         }
-        ++tile_index;
     }
-    ctx.tiledMvms->increment();
-    return out;
+    if (!calibrating_)
+        ctx.tiledMvms->increment();
 }
 
 nn::Tensor
@@ -549,12 +555,12 @@ PrimeSystem::runFc(const LayerProgram &lp, const nn::Tensor &x,
 {
     PRIME_SPAN(telemetry::globalTrace(), "layer.fc", "compute");
     int in_frac = 0;
-    std::vector<std::uint8_t> codes = quantizeToCodes(x.flat(), in_frac);
-    std::vector<double> mvm = tiledMvm(lp, codes, in_frac, ctx);
+    const std::vector<std::uint8_t> codes =
+        quantizeToCodes(x.flat(), in_frac);
     nn::Tensor y({lp.spec.outFeatures});
+    tiledMvm(lp, codes, in_frac, y.flat(), ctx);
     for (int o = 0; o < lp.spec.outFeatures; ++o)
-        y[static_cast<std::size_t>(o)] =
-            mvm[static_cast<std::size_t>(o)] +
+        y[static_cast<std::size_t>(o)] +=
             lp.bias[static_cast<std::size_t>(o)];
     return y;
 }
@@ -574,6 +580,7 @@ PrimeSystem::runConv(const LayerProgram &lp, const nn::Tensor &x,
     const int field = s.inC * s.kernel * s.kernel;
     nn::Tensor y({s.outC, s.outH, s.outW});
     std::vector<std::uint8_t> codes(static_cast<std::size_t>(field));
+    std::vector<double> mvm(static_cast<std::size_t>(s.outC));
     for (int oy = 0; oy < s.outH; ++oy) {
         for (int ox = 0; ox < s.outW; ++ox) {
             std::size_t idx = 0;
@@ -592,7 +599,7 @@ PrimeSystem::runConv(const LayerProgram &lp, const nn::Tensor &x,
                             codes[idx++] = all_codes[flat];
                         }
                     }
-            std::vector<double> mvm = tiledMvm(lp, codes, in_frac, ctx);
+            tiledMvm(lp, codes, in_frac, mvm, ctx);
             for (int oc = 0; oc < s.outC; ++oc)
                 y.at3(oc, oy, ox) =
                     mvm[static_cast<std::size_t>(oc)] +
@@ -608,18 +615,26 @@ PrimeSystem::calibrate(const std::vector<nn::Sample> &samples)
     PRIME_SPAN(telemetry::globalTrace(), "phase.calibrate", "phase");
     PRIME_ASSERT(programmed_ && configured_,
                  "calibrate after programWeight + configDatapath");
-    calibrationPeaks_.clear();
+    std::size_t tiles = 0;
+    for (const LayerProgram &lp : programs_)
+        tiles += lp.tape.tiles.size();
+    calibrationPeaks_.assign(tiles, -1);
     calibrating_ = true;
     for (const nn::Sample &s : samples)
         run(s.input);
     calibrating_ = false;
-    for (const auto &[key, peak] : calibrationPeaks_) {
-        const std::int64_t bound = std::max<std::int64_t>(2 * peak, 1);
-        int bits = 0;
-        while ((std::int64_t{1} << bits) <= bound)
-            ++bits;
-        unit(key.first).controller.mat(key.second).engine()
-            .setOutputShift(std::max(0, bits - tech_.outputBits));
+    for (const LayerProgram &lp : programs_) {
+        for (const TapeTile &tile : lp.tape.tiles) {
+            const std::int64_t peak = calibrationPeaks_[tile.peakSlot];
+            if (peak < 0)
+                continue;
+            const std::int64_t bound = std::max<std::int64_t>(2 * peak, 1);
+            int bits = 0;
+            while ((std::int64_t{1} << bits) <= bound)
+                ++bits;
+            tile.engine->setOutputShift(
+                std::max(0, bits - tech_.outputBits));
+        }
     }
     stats_.get("run.calibrations").increment();
 }
@@ -700,12 +715,13 @@ PrimeSystem::run(const nn::Tensor &input)
     PRIME_ASSERT(programmed_, "programWeight must precede run");
     PRIME_ASSERT(configured_, "configDatapath must precede run");
 
-    ExecContext ctx{&stats_, inputStageAddr_, outputStageAddr_,
-                    &stats_.get("run.tiled_mvms")};
+    // Every stage runs in stage 0's context: the root StatGroup and the
+    // base staging windows.
+    ExecContext ctx = stageContexts_.front();
     nn::Tensor x = input;
     for (std::size_t s = 0; s < stages_.size(); ++s)
         x = runStageImpl(x, s, ctx);
-    stats_.get("run.inferences").increment();
+    inferences_->increment();
     return x;
 }
 
@@ -721,6 +737,13 @@ PrimeSystem::runBatch(std::span<const nn::Tensor> inputs)
             out.push_back(run(in));
         return out;
     }
+    // Inside a pool job parallelFor runs inline: the stages would run
+    // one after another and stage 0 would block forever on a full ring.
+    // Checked before the stage pool is touched, so concurrent misuse
+    // dies here rather than racing on it.
+    PRIME_ASSERT(!ThreadPool::insideJob(),
+                 "runBatch on a multi-stage plan must not be called from "
+                 "inside a parallelFor body");
     const int n_stages = static_cast<int>(stages_.size());
     if (!stagePool_ || stagePool_->size() != n_stages)
         stagePool_ = std::make_unique<ThreadPool>(n_stages, "pipe-worker");

@@ -26,11 +26,9 @@
 #ifndef PRIME_PRIME_PRIME_SYSTEM_HH
 #define PRIME_PRIME_PRIME_SYSTEM_HH
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/fixed_point.hh"
@@ -136,9 +134,9 @@ class PrimeSystem
         std::uint64_t inputStageAddr = 0;
         std::uint64_t outputStageAddr = 0;
         /**
-         * Cached &stats->get("run.tiled_mvms"): the per-tile hot path
-         * bumps this directly instead of re-doing the string-keyed map
-         * lookup per MVM (StatGroup map nodes are address-stable).
+         * &stats->get("run.tiled_mvms"), bound by buildStages: tiledMvm
+         * bumps it directly, with no string-keyed lookup per MVM
+         * (StatGroup map nodes are address-stable).
          */
         Stat *tiledMvms = nullptr;
     };
@@ -221,30 +219,68 @@ class PrimeSystem
                  StatGroup *stats);
     };
 
-    /** A replica-0 tile's placement as the execution path needs it. */
-    struct TileRef
+    /** One replica-0 tile of a lowered layer. */
+    struct TapeTile
     {
-        int bank = 0;
-        /** Mat index within the bank (controller addressing). */
-        int mat = 0;
-        /** Ordinal among the layer's replica-0 tiles in this bank
-         *  (per-bank Buffer-subarray output slot). */
-        int slot = 0;
+        PrimeController *controller = nullptr;
+        BufferSubarray *buffer = nullptr;
+        /** The tile mat's engine (SA shift of the merge, calibration). */
+        reram::ComposedMatrixEngine *engine = nullptr;
+        /** Buffer -> input latch, and output registers -> the tile's
+         *  Buffer output slot (which the merge reads back). */
+        mapping::Command load;
+        mapping::Command store;
+        /** First input row / output column of the layer MVM the tile
+         *  covers, and its extent. */
+        int rowBase = 0;
+        int rows = 0;
+        int colBase = 0;
+        int cols = 0;
+        /** The tile's entry in calibrationPeaks_. */
+        std::size_t peakSlot = 0;
     };
 
-    /** Per weighted layer: quantization scales and digital-side bias. */
+    /** One bank hosting tiles of a lowered layer. */
+    struct TapeBank
+    {
+        PrimeController *controller = nullptr;
+        /** Memory -> Buffer input codes; src is relative to the
+         *  context's input window. */
+        mapping::Command fetch;
+        /** The bank's mats in tile order: one computeMats fan-out. */
+        std::vector<int> mats;
+        /** Buffer output slots -> memory; dst is relative to the
+         *  context's output window. */
+        mapping::Command commit;
+    };
+
+    /**
+     * A weighted layer's Table I data-flow stream, lowered once by
+     * programWeight with every address, size and pointer resolved.
+     * tiledMvm replays it per MVM: Fetch per bank, Load per tile,
+     * computeMats per bank, Store per tile, Commit per bank, then the
+     * merge over the tiles.  The pointers stay valid until release()
+     * or the next mapTopology/programWeight discards the tape: bank
+     * units are heap-pinned, and engines live until their mats morph
+     * back to memory.
+     */
+    struct LayerTape
+    {
+        /** Banks hosting replica-0 tiles, in first-tile order. */
+        std::vector<TapeBank> banks;
+        /** Replica-0 tiles in global (rowTile-major) order. */
+        std::vector<TapeTile> tiles;
+    };
+
+    /** Per weighted layer: quantization scales, digital-side bias and
+     *  the lowered command tape. */
     struct LayerProgram
     {
         const mapping::LayerMapping *mapping = nullptr;
         nn::LayerSpec spec;
         int weightFrac = 0;
         std::vector<double> bias;
-        /** Placement of each replica-0 tile (rowTile-major). */
-        std::vector<TileRef> matOf;
-        /** Banks hosting replica-0 tiles, in first-tile order. */
-        std::vector<int> banks;
-        /** Per entry of banks: the bank's mats in tile order. */
-        std::vector<std::vector<int>> matsPerBank;
+        LayerTape tape;
     };
 
     /** The bank unit hosting @p bank (instantiated by programWeight). */
@@ -266,11 +302,14 @@ class PrimeSystem
     std::vector<std::uint8_t>
     quantizeToCodes(const std::vector<double> &values, int &in_frac) const;
 
-    /** MVM through the mapped tiles of one layer (split-merge). */
-    std::vector<double>
-    tiledMvm(const LayerProgram &lp,
-             const std::vector<std::uint8_t> &codes, int in_frac,
-             ExecContext &ctx);
+    /**
+     * MVM through the mapped tiles of one layer (split-merge): replays
+     * the layer's tape and merges the tiles into @p out (cols entries),
+     * allocating nothing.  While calibrating, the tiles' untruncated
+     * dot products are merged instead and no command is issued.
+     */
+    void tiledMvm(const LayerProgram &lp, std::span<const std::uint8_t> codes,
+                  int in_frac, std::span<double> out, ExecContext &ctx);
 
     nn::Tensor runFc(const LayerProgram &lp, const nn::Tensor &x,
                      ExecContext &ctx);
@@ -281,7 +320,8 @@ class PrimeSystem
     nn::Tensor runStageImpl(const nn::Tensor &x, std::size_t stage,
                             ExecContext &ctx);
 
-    /** Build stages_ + stageContexts_ from the plan (programWeight). */
+    /** Build stages_ + stageContexts_ from the plan and bind the run
+     *  counters (programWeight). */
     void buildStages();
 
     nvmodel::TechParams tech_;
@@ -300,6 +340,8 @@ class PrimeSystem
     std::vector<mapping::Command> configCommands_;
     std::vector<mapping::PipelineStage> stages_;
     std::vector<ExecContext> stageContexts_;
+    /** run.inferences, bound by buildStages. */
+    Stat *inferences_ = nullptr;
     /** One thread per pipeline stage, kept across runBatch calls (built
      *  on the first pipelined batch, rebuilt when the stage count
      *  changes). */
@@ -308,8 +350,9 @@ class PrimeSystem
     bool configured_ = false;
     /** True while calibrate() drives inferences. */
     bool calibrating_ = false;
-    /** Peak |integer dot product| per (bank, mat) during calibration. */
-    std::map<std::pair<int, int>, std::int64_t> calibrationPeaks_;
+    /** Peak |integer dot product| per tape tile during calibration
+     *  (-1: no sample reached the tile). */
+    std::vector<std::int64_t> calibrationPeaks_;
     /** Cursor for migrating FF-resident data into Mem space. */
     std::uint64_t migrationAddr_ = 0;
     /** Memory staging window for per-inference input codes (the CPU

@@ -220,17 +220,29 @@ ComposedMatrixEngine::programWeights(
     logicalWeights_ = weights;
 }
 
-std::vector<std::int64_t>
-ComposedMatrixEngine::assemble(const std::vector<std::int64_t> &hh,
-                               const std::vector<std::int64_t> &hl,
-                               const std::vector<std::int64_t> &lh,
-                               const std::vector<std::int64_t> &ll) const
+void
+ComposedMatrixEngine::assemble(std::span<const std::int64_t> pass_h,
+                               std::span<const std::int64_t> pass_l,
+                               std::span<std::int64_t> out) const
 {
-    std::vector<std::int64_t> out(cols_, 0);
     for (int c = 0; c < cols_; ++c)
-        out[c] = composedAssemble(hh[c], hl[c], lh[c], ll[c], composing_,
-                                  outputShift_);
-    return out;
+        out[c] = composedAssemble(pass_h[2 * c], pass_l[2 * c],
+                                  pass_h[2 * c + 1], pass_l[2 * c + 1],
+                                  composing_, outputShift_);
+}
+
+void
+ComposedMatrixEngine::splitPhases(std::span<const int> inputs,
+                                  MvmScratch &scratch) const
+{
+    PRIME_ASSERT(static_cast<int>(inputs.size()) == rows_,
+                 "inputs=", inputs.size());
+    scratch.phases.resize(2 * static_cast<std::size_t>(rows_));
+    for (int r = 0; r < rows_; ++r) {
+        auto [ih, il] = splitInput(inputs[r], composing_);
+        scratch.phases[static_cast<std::size_t>(r)] = ih;
+        scratch.phases[static_cast<std::size_t>(rows_ + r)] = il;
+    }
 }
 
 void
@@ -240,87 +252,87 @@ ComposedMatrixEngine::calibrateOutputShift()
     outputShift_ = calibratedOutputShift(logicalWeights_, composing_);
 }
 
+void
+ComposedMatrixEngine::mvmExact(std::span<const int> inputs,
+                               std::span<std::int64_t> out,
+                               MvmScratch &scratch) const
+{
+    splitPhases(inputs, scratch);
+    PRIME_ASSERT(static_cast<int>(out.size()) == cols_,
+                 "outputs=", out.size());
+    const std::size_t rows = static_cast<std::size_t>(rows_);
+    const std::size_t lines = 2 * static_cast<std::size_t>(cols_);
+    scratch.passes.resize(3 * lines);
+    const std::span<const int> phases(scratch.phases);
+    const std::span<std::int64_t> passes(scratch.passes);
+    // High input phase: even bitlines give HH, odd give LH; low input
+    // phase: even give HL, odd give LL.  The third slice takes the
+    // negative array's result.
+    arrays_.mvmExact(phases.first(rows), passes.first(lines),
+                     passes.subspan(2 * lines));
+    arrays_.mvmExact(phases.subspan(rows), passes.subspan(lines, lines),
+                     passes.subspan(2 * lines));
+    assemble(passes.first(lines), passes.subspan(lines, lines), out);
+}
+
 std::vector<std::int64_t>
 ComposedMatrixEngine::mvmExact(std::span<const int> inputs) const
 {
-    PRIME_ASSERT(static_cast<int>(inputs.size()) == rows_,
-                 "inputs=", inputs.size());
-    std::vector<int> high(rows_), low(rows_);
-    for (int r = 0; r < rows_; ++r) {
-        auto [ih, il] = splitInput(inputs[r], composing_);
-        high[r] = ih;
-        low[r] = il;
+    MvmScratch scratch;
+    std::vector<std::int64_t> out(static_cast<std::size_t>(cols_));
+    mvmExact(inputs, out, scratch);
+    return out;
+}
+
+void
+ComposedMatrixEngine::mvmAnalog(std::span<const int> inputs,
+                                std::span<std::int64_t> out,
+                                MvmScratch &scratch, Rng *rng) const
+{
+    splitPhases(inputs, scratch);
+    PRIME_ASSERT(static_cast<int>(out.size()) == cols_,
+                 "outputs=", out.size());
+    const std::size_t rows = static_cast<std::size_t>(rows_);
+    const std::size_t lines = 2 * static_cast<std::size_t>(cols_);
+    scratch.passes.resize(2 * lines);
+    scratch.currents.resize(2 * lines);
+    const std::span<const int> phases(scratch.phases);
+    const std::span<double> current(scratch.currents);
+    // One pass per input phase (high first: the RNG-ordering contract);
+    // the SA digitizes each component to the nearest level-unit code
+    // before the precision-control adder truncates and accumulates.
+    for (std::size_t pass = 0; pass < 2; ++pass) {
+        arrays_.mvmAnalog(phases.subspan(pass * rows, rows),
+                          current.first(lines), current.subspan(lines),
+                          rng);
+        for (std::size_t i = 0; i < lines; ++i)
+            scratch.passes[pass * lines + i] =
+                static_cast<std::int64_t>(std::llround(current[i]));
     }
-    // High input phase: even bitlines give HH, odd give LH.
-    std::vector<std::int64_t> pass_h = arrays_.mvmExact(high);
-    // Low input phase: even bitlines give HL, odd give LL.
-    std::vector<std::int64_t> pass_l = arrays_.mvmExact(low);
-    std::vector<std::int64_t> hh(cols_), hl(cols_), lh(cols_), ll(cols_);
-    for (int c = 0; c < cols_; ++c) {
-        hh[c] = pass_h[2 * c];
-        lh[c] = pass_h[2 * c + 1];
-        hl[c] = pass_l[2 * c];
-        ll[c] = pass_l[2 * c + 1];
-    }
-    return assemble(hh, hl, lh, ll);
+    const std::span<const std::int64_t> passes(scratch.passes);
+    assemble(passes.first(lines), passes.subspan(lines), out);
 }
 
 std::vector<std::int64_t>
 ComposedMatrixEngine::mvmAnalog(std::span<const int> inputs, Rng *rng) const
 {
-    PRIME_ASSERT(static_cast<int>(inputs.size()) == rows_,
-                 "inputs=", inputs.size());
-    std::vector<int> high(rows_), low(rows_);
-    for (int r = 0; r < rows_; ++r) {
-        auto [ih, il] = splitInput(inputs[r], composing_);
-        high[r] = ih;
-        low[r] = il;
-    }
-    std::vector<double> pass_h = arrays_.mvmAnalog(high, rng);
-    std::vector<double> pass_l = arrays_.mvmAnalog(low, rng);
-    // The SA digitizes each component to the nearest level-unit code
-    // before the precision-control adder truncates and accumulates.
-    auto digitize = [](double x) {
-        return static_cast<std::int64_t>(std::llround(x));
-    };
-    std::vector<std::int64_t> hh(cols_), hl(cols_), lh(cols_), ll(cols_);
-    for (int c = 0; c < cols_; ++c) {
-        hh[c] = digitize(pass_h[2 * c]);
-        lh[c] = digitize(pass_h[2 * c + 1]);
-        hl[c] = digitize(pass_l[2 * c]);
-        ll[c] = digitize(pass_l[2 * c + 1]);
-    }
-    return assemble(hh, hl, lh, ll);
+    MvmScratch scratch;
+    std::vector<std::int64_t> out(static_cast<std::size_t>(cols_));
+    mvmAnalog(inputs, out, scratch, rng);
+    return out;
 }
 
 std::vector<std::vector<std::int64_t>>
 ComposedMatrixEngine::mvmExactBatch(
     const std::vector<std::vector<int>> &inputs) const
 {
+    MvmScratch scratch;
     std::vector<std::vector<std::int64_t>> out;
     out.reserve(inputs.size());
-    std::vector<int> high(static_cast<std::size_t>(rows_)),
-        low(static_cast<std::size_t>(rows_));
     for (const std::vector<int> &sample : inputs) {
-        PRIME_ASSERT(static_cast<int>(sample.size()) == rows_,
-                     "inputs=", sample.size());
-        for (int r = 0; r < rows_; ++r) {
-            auto [ih, il] = splitInput(sample[static_cast<std::size_t>(r)],
-                                       composing_);
-            high[static_cast<std::size_t>(r)] = ih;
-            low[static_cast<std::size_t>(r)] = il;
-        }
-        std::vector<std::int64_t> pass_h = arrays_.mvmExact(high);
-        std::vector<std::int64_t> pass_l = arrays_.mvmExact(low);
-        std::vector<std::int64_t> hh(cols_), hl(cols_), lh(cols_),
-            ll(cols_);
-        for (int c = 0; c < cols_; ++c) {
-            hh[c] = pass_h[2 * c];
-            lh[c] = pass_h[2 * c + 1];
-            hl[c] = pass_l[2 * c];
-            ll[c] = pass_l[2 * c + 1];
-        }
-        out.push_back(assemble(hh, hl, lh, ll));
+        std::vector<std::int64_t> &row =
+            out.emplace_back(static_cast<std::size_t>(cols_));
+        mvmExact(sample, row, scratch);
     }
     return out;
 }
@@ -331,10 +343,14 @@ ComposedMatrixEngine::mvmAnalogBatch(
 {
     // Sample-major, high-phase-then-low-phase: the same draw order as
     // sequential mvmAnalog calls, keeping batched results bit-exact.
+    MvmScratch scratch;
     std::vector<std::vector<std::int64_t>> out;
     out.reserve(inputs.size());
-    for (const std::vector<int> &sample : inputs)
-        out.push_back(mvmAnalog(sample, rng));
+    for (const std::vector<int> &sample : inputs) {
+        std::vector<std::int64_t> &row =
+            out.emplace_back(static_cast<std::size_t>(cols_));
+        mvmAnalog(sample, row, scratch, rng);
+    }
     return out;
 }
 

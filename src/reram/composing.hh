@@ -148,27 +148,47 @@ class ComposedMatrixEngine
     ComposedMatrixEngine(int rows, int cols, const ComposingParams &p,
                          const CrossbarParams &array_params);
 
+    /**
+     * Working memory of the span MVMs: the two input phases, the
+     * per-pass component results and the analog bitline currents.  Each
+     * MVM sizes it for this engine on first use; reusing one scratch
+     * across calls keeps the MVMs allocation-free.  One scratch per
+     * concurrent caller (the engine itself holds no MVM state).
+     */
+    struct MvmScratch
+    {
+        std::vector<int> phases;
+        std::vector<std::int64_t> passes;
+        std::vector<double> currents;
+    };
+
     /** Program logical signed weights in (-2^Pw, 2^Pw). */
     void programWeights(const std::vector<std::vector<int>> &weights,
                         Rng *rng = nullptr);
 
-    /** Composed MVM with ideal devices (integer datapath). */
+    /** Composed MVM with ideal devices (integer datapath) into @p out
+     *  (cols entries). */
+    void mvmExact(std::span<const int> inputs, std::span<std::int64_t> out,
+                  MvmScratch &scratch) const;
+
+    /** mvmExact into a fresh vector (allocates). */
     std::vector<std::int64_t>
     mvmExact(std::span<const int> inputs) const;
 
     /**
-     * Composed MVM through the analog arrays (programming variation baked
-     * into conductances; read noise when @p rng set).  Component results
-     * are quantized by the SA before truncation, as in hardware.
+     * Composed MVM through the analog arrays into @p out (programming
+     * variation baked into conductances; read noise when @p rng set).
+     * Component results are quantized by the SA before truncation, as
+     * in hardware.
      */
+    void mvmAnalog(std::span<const int> inputs, std::span<std::int64_t> out,
+                   MvmScratch &scratch, Rng *rng = nullptr) const;
+
+    /** mvmAnalog into a fresh vector (allocates). */
     std::vector<std::int64_t>
     mvmAnalog(std::span<const int> inputs, Rng *rng = nullptr) const;
 
-    /**
-     * Batched composed MVM with ideal devices: one target-code row per
-     * input vector, with input splitting and the per-pass dispatch
-     * amortized across the batch.  Identical to per-sample mvmExact.
-     */
+    /** Batched mvmExact: one target-code row per input vector. */
     std::vector<std::vector<std::int64_t>>
     mvmExactBatch(const std::vector<std::vector<int>> &inputs) const;
 
@@ -219,12 +239,17 @@ class ComposedMatrixEngine
     }
 
   private:
-    /** Assemble target codes from per-phase component results. */
-    std::vector<std::int64_t>
-    assemble(const std::vector<std::int64_t> &hh,
-             const std::vector<std::int64_t> &hl,
-             const std::vector<std::int64_t> &lh,
-             const std::vector<std::int64_t> &ll) const;
+    /** Split @p inputs into the high | low phases of @p scratch. */
+    void splitPhases(std::span<const int> inputs, MvmScratch &scratch) const;
+
+    /**
+     * Assemble target codes into @p out from the two passes' bitlines:
+     * even bitlines of @p pass_h give HH, odd LH; of @p pass_l, HL and
+     * LL.
+     */
+    void assemble(std::span<const std::int64_t> pass_h,
+                  std::span<const std::int64_t> pass_l,
+                  std::span<std::int64_t> out) const;
 
     int rows_;
     int cols_;

@@ -142,52 +142,73 @@ Crossbar::conductance(int row, int col) const
     return at(row, col).conductance();
 }
 
-std::vector<std::int64_t>
-Crossbar::mvmExact(std::span<const int> input_levels) const
+void
+Crossbar::mvmExact(std::span<const int> input_levels,
+                   std::span<std::int64_t> out) const
 {
     PRIME_ASSERT(static_cast<int>(input_levels.size()) == params_.rows,
                  "inputs=", input_levels.size());
+    PRIME_ASSERT(static_cast<int>(out.size()) == params_.cols,
+                 "outputs=", out.size());
     ensurePlanes();
     const int cols = params_.cols;
-    std::vector<std::int64_t> out(cols, 0);
+    std::fill(out.begin(), out.end(), 0);
     // Accumulate in 32 bits over bounded row chunks, widening to the
     // 64-bit result between chunks: one product is at most 255 * 255
     // (8-bit inputs, 8-bit MLC levels), so 16384 rows stay under 2^31
-    // with margin, and the int32 inner loop vectorizes.
+    // with margin, and the int32 inner loop vectorizes.  The int32
+    // accumulator is a stack block of columns, so the kernel never
+    // allocates (an FF mat's 2 x 256 bitlines are one block).
     constexpr int kChunkRows = 16384;
-    std::vector<std::int32_t> acc(static_cast<std::size_t>(cols));
-    for (int r0 = 0; r0 < params_.rows; r0 += kChunkRows) {
-        const int r1 = std::min(params_.rows, r0 + kChunkRows);
-        std::fill(acc.begin(), acc.end(), 0);
-        bool any = false;
-        for (int r = r0; r < r1; ++r) {
-            const std::int32_t in = input_levels[r];
-            PRIME_ASSERT(in >= 0 && in < params_.inputLevels(),
-                         "input level ", in, " out of range at row ", r);
-            if (in == 0)
-                continue;
-            any = true;
-            accumulateLevelRow(acc.data(),
-                               levelPlane_.data() +
-                                   static_cast<std::size_t>(r) * cols,
-                               in, cols);
+    constexpr int kBlockCols = 512;
+    std::int32_t acc[kBlockCols];
+    for (int c0 = 0; c0 < cols; c0 += kBlockCols) {
+        const int width = std::min(kBlockCols, cols - c0);
+        for (int r0 = 0; r0 < params_.rows; r0 += kChunkRows) {
+            const int r1 = std::min(params_.rows, r0 + kChunkRows);
+            std::fill(acc, acc + width, 0);
+            bool any = false;
+            for (int r = r0; r < r1; ++r) {
+                const std::int32_t in = input_levels[r];
+                PRIME_ASSERT(in >= 0 && in < params_.inputLevels(),
+                             "input level ", in, " out of range at row ",
+                             r);
+                if (in == 0)
+                    continue;
+                any = true;
+                accumulateLevelRow(acc,
+                                   levelPlane_.data() +
+                                       static_cast<std::size_t>(r) * cols +
+                                       c0,
+                                   in, width);
+            }
+            if (any)
+                for (int c = 0; c < width; ++c)
+                    out[static_cast<std::size_t>(c0 + c)] += acc[c];
         }
-        if (any)
-            for (int c = 0; c < cols; ++c)
-                out[c] += acc[static_cast<std::size_t>(c)];
     }
+}
+
+std::vector<std::int64_t>
+Crossbar::mvmExact(std::span<const int> input_levels) const
+{
+    std::vector<std::int64_t> out(static_cast<std::size_t>(params_.cols));
+    mvmExact(input_levels, out);
     return out;
 }
 
-std::vector<double>
-Crossbar::mvmAnalog(std::span<const int> input_levels, Rng *rng) const
+void
+Crossbar::mvmAnalog(std::span<const int> input_levels,
+                    std::span<double> current, Rng *rng) const
 {
     PRIME_ASSERT(static_cast<int>(input_levels.size()) == params_.rows,
                  "inputs=", input_levels.size());
+    PRIME_ASSERT(static_cast<int>(current.size()) == params_.cols,
+                 "outputs=", current.size());
     ensurePlanes();
     const Volt v_step = params_.voltageStep();
     const int cols = params_.cols;
-    std::vector<double> current(cols, 0.0);
+    std::fill(current.begin(), current.end(), 0.0);
     for (int r = 0; r < params_.rows; ++r) {
         const Volt v = v_step * input_levels[r];
         if (v == 0.0)
@@ -206,13 +227,19 @@ Crossbar::mvmAnalog(std::span<const int> input_levels, Rng *rng) const
         for (double &i : current)
             i += rng->gaussian(0.0, params_.readNoiseSigma * full_scale);
     }
+}
+
+std::vector<double>
+Crossbar::mvmAnalog(std::span<const int> input_levels, Rng *rng) const
+{
+    std::vector<double> current(static_cast<std::size_t>(params_.cols));
+    mvmAnalog(input_levels, current, rng);
     return current;
 }
 
 std::vector<std::vector<std::int64_t>>
 Crossbar::mvmExactBatch(const std::vector<std::vector<int>> &inputs) const
 {
-    ensurePlanes();
     std::vector<std::vector<std::int64_t>> out;
     out.reserve(inputs.size());
     for (const std::vector<int> &in : inputs)
@@ -224,7 +251,6 @@ std::vector<std::vector<double>>
 Crossbar::mvmAnalogBatch(const std::vector<std::vector<int>> &inputs,
                          Rng *rng) const
 {
-    ensurePlanes();
     std::vector<std::vector<double>> out;
     out.reserve(inputs.size());
     for (const std::vector<int> &in : inputs)
@@ -304,24 +330,43 @@ DifferentialPair::programSigned(const std::vector<std::vector<int>> &weights,
     }
 }
 
+void
+DifferentialPair::mvmExact(std::span<const int> input_levels,
+                           std::span<std::int64_t> out,
+                           std::span<std::int64_t> neg) const
+{
+    pos_.mvmExact(input_levels, out);
+    neg_.mvmExact(input_levels, neg);
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i] -= neg[i];
+}
+
 std::vector<std::int64_t>
 DifferentialPair::mvmExact(std::span<const int> input_levels) const
 {
-    std::vector<std::int64_t> p = pos_.mvmExact(input_levels);
-    std::vector<std::int64_t> n = neg_.mvmExact(input_levels);
-    for (std::size_t i = 0; i < p.size(); ++i)
-        p[i] -= n[i];
-    return p;
+    const std::size_t cols = static_cast<std::size_t>(pos_.params().cols);
+    std::vector<std::int64_t> out(cols), neg(cols);
+    mvmExact(input_levels, out, neg);
+    return out;
+}
+
+void
+DifferentialPair::mvmAnalog(std::span<const int> input_levels,
+                            std::span<double> out, std::span<double> neg,
+                            Rng *rng) const
+{
+    pos_.mvmAnalog(input_levels, out, rng);
+    neg_.mvmAnalog(input_levels, neg, rng);
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i] = pos_.levelUnitsFromCurrent(out[i] - neg[i]);
 }
 
 std::vector<double>
 DifferentialPair::mvmAnalog(std::span<const int> input_levels, Rng *rng) const
 {
-    std::vector<double> p = pos_.mvmAnalog(input_levels, rng);
-    std::vector<double> n = neg_.mvmAnalog(input_levels, rng);
-    std::vector<double> out(p.size());
-    for (std::size_t i = 0; i < p.size(); ++i)
-        out[i] = pos_.levelUnitsFromCurrent(p[i] - n[i]);
+    const std::size_t cols = static_cast<std::size_t>(pos_.params().cols);
+    std::vector<double> out(cols), neg(cols);
+    mvmAnalog(input_levels, out, neg, rng);
     return out;
 }
 

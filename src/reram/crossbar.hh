@@ -99,15 +99,21 @@ class Crossbar
      * the composing scheme's correctness proofs are stated in these units.
      *
      * Runs over the cached level plane (a contiguous int matrix rebuilt
-     * lazily after any cell mutation), not the Cell objects.
+     * lazily after any cell mutation), not the Cell objects, and writes
+     * the cols results to @p out without allocating.
      */
+    void mvmExact(std::span<const int> input_levels,
+                  std::span<std::int64_t> out) const;
+
+    /** mvmExact into a fresh vector (allocates; the span form does not). */
     std::vector<std::int64_t>
     mvmExact(std::span<const int> input_levels) const;
 
     /**
-     * Analog MVM through programmed conductances: returns per-bitline
-     * current in uA, including programming variation (already baked into
-     * the conductances) and optional read noise when @p rng is non-null.
+     * Analog MVM through programmed conductances: writes the per-bitline
+     * current in uA to @p current (cols entries), including programming
+     * variation (already baked into the conductances) and optional read
+     * noise when @p rng is non-null.
      *
      * Runs over the cached effective-conductance plane, which folds the
      * per-position wordline/bitline IR drop into each cell's value.
@@ -117,14 +123,14 @@ class Crossbar
      * Batched and cached-plane execution preserve exactly this order, so
      * results are bit-identical to the scalar path for a given Rng state.
      */
+    void mvmAnalog(std::span<const int> input_levels,
+                   std::span<double> current, Rng *rng = nullptr) const;
+
+    /** mvmAnalog into a fresh vector (allocates; the span form does not). */
     std::vector<double>
     mvmAnalog(std::span<const int> input_levels, Rng *rng = nullptr) const;
 
-    /**
-     * Batched ideal MVM: one result row per input vector.  Equivalent to
-     * calling mvmExact per sample, with the per-call dispatch (plane
-     * check, bounds validation, allocation) amortized over the batch.
-     */
+    /** Batched ideal MVM: mvmExact per sample, one result row each. */
     std::vector<std::vector<std::int64_t>>
     mvmExactBatch(const std::vector<std::vector<int>> &inputs) const;
 
@@ -227,14 +233,27 @@ class DifferentialPair
     void programSigned(const std::vector<std::vector<int>> &weights,
                        Rng *rng = nullptr);
 
-    /** Exact signed integer MVM (reference semantics). */
+    /**
+     * Exact signed integer MVM (reference semantics) into @p out; the
+     * negative array's result goes through @p neg (both cols entries).
+     */
+    void mvmExact(std::span<const int> input_levels,
+                  std::span<std::int64_t> out,
+                  std::span<std::int64_t> neg) const;
+
+    /** mvmExact into a fresh vector (allocates). */
     std::vector<std::int64_t>
     mvmExact(std::span<const int> input_levels) const;
 
     /**
-     * Analog signed MVM in level units: both arrays driven by the same
-     * input voltages, currents subtracted, then scaled to level units.
+     * Analog signed MVM in level units into @p out: both arrays driven
+     * by the same input voltages (the negative array's current lands in
+     * @p neg), currents subtracted, then scaled to level units.
      */
+    void mvmAnalog(std::span<const int> input_levels, std::span<double> out,
+                   std::span<double> neg, Rng *rng = nullptr) const;
+
+    /** mvmAnalog into a fresh vector (allocates). */
     std::vector<double>
     mvmAnalog(std::span<const int> input_levels, Rng *rng = nullptr) const;
 

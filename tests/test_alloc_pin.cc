@@ -1,0 +1,288 @@
+/**
+ * @file
+ * Allocation pin of the run-time data flow.  After warm-up, replaying a
+ * programmed layer's Table I stream -- Fetch, Load, computeMats, Store,
+ * Commit through PrimeController and MainMemory -- allocates nothing,
+ * in exact mode and on the noisy analog path; and a whole run()
+ * allocates equally often whatever its layers' tile counts, so the
+ * tiled MVM replays its tape without allocating.
+ *
+ * This executable replaces the global operator new/delete with
+ * counting versions, which is why it is a binary of its own.
+ */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <span>
+#include <vector>
+
+#include "common/thread_pool.hh"
+#include "prime/prime_system.hh"
+
+namespace {
+
+/** operator new calls so far, from every thread. */
+std::atomic<std::size_t> g_allocations{0};
+
+// The replacement operator new/delete sit on the C allocator: they
+// cannot call themselves.
+void *
+countedAlloc(std::size_t size, std::size_t align = 0) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    size = size ? size : 1;
+    if (align <= alignof(std::max_align_t))
+        // NOLINTNEXTLINE(cppcoreguidelines-no-malloc): see above.
+        return std::malloc(size);
+    return std::aligned_alloc(align, (size + align - 1) / align * align);
+}
+
+void
+release(void *p) noexcept
+{
+    // NOLINTNEXTLINE(cppcoreguidelines-no-malloc): see countedAlloc.
+    std::free(p);
+}
+
+void *
+countedAllocOrThrow(std::size_t size, std::size_t align = 0)
+{
+    if (void *p = countedAlloc(size, align))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+void *operator new(std::size_t size) { return countedAllocOrThrow(size); }
+void *operator new[](std::size_t size) { return countedAllocOrThrow(size); }
+void *
+operator new(std::size_t size, std::align_val_t align)
+{
+    return countedAllocOrThrow(size, static_cast<std::size_t>(align));
+}
+void *
+operator new[](std::size_t size, std::align_val_t align)
+{
+    return countedAllocOrThrow(size, static_cast<std::size_t>(align));
+}
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+void operator delete(void *p) noexcept { release(p); }
+void operator delete[](void *p) noexcept { release(p); }
+void operator delete(void *p, std::size_t) noexcept { release(p); }
+void operator delete[](void *p, std::size_t) noexcept { release(p); }
+void operator delete(void *p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void *p, std::align_val_t) noexcept { release(p); }
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    release(p);
+}
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    release(p);
+}
+
+namespace prime::core {
+namespace {
+
+using mapping::Command;
+using mapping::CommandOp;
+
+/** 600 inputs: the first layer spans three row tiles of a 256-row mat. */
+const nn::Topology &
+topology()
+{
+    static const nn::Topology t =
+        nn::parseTopology("mlp-600-40-10", "600-40-10", 1, 20, 30);
+    return t;
+}
+
+const nn::Network &
+network()
+{
+    static const nn::Network net = [] {
+        Rng rng(3);
+        return nn::buildNetwork(topology(), rng);
+    }();
+    return net;
+}
+
+/** A programmed, configured system (with programming variation). */
+std::unique_ptr<PrimeSystem>
+programmed(const nvmodel::TechParams &tech)
+{
+    auto prime = std::make_unique<PrimeSystem>(tech);
+    prime->mapTopology(topology());
+    Rng variation(17);
+    prime->programWeight(network(), &variation);
+    prime->configDatapath();
+    return prime;
+}
+
+/**
+ * The first layer's data flow, laid out from the public plan the way
+ * PrimeSystem lowers it: inputs at the bottom of the Buffer subarray,
+ * one output slot per tile in its top half.
+ */
+struct LayerReplay
+{
+    PrimeSystem *prime = nullptr;
+    std::vector<int> mats;
+    std::vector<Command> loads;
+    std::vector<Command> stores;
+    Command fetch;
+    Command commit;
+    std::vector<std::uint8_t> codes;
+
+    static constexpr std::uint64_t kInputAddr = 1 << 20;
+    static constexpr std::uint64_t kOutputAddr = 2 << 20;
+
+    explicit LayerReplay(PrimeSystem &system) : prime(&system)
+    {
+        const mapping::LayerMapping &m = system.plan().layers.front();
+        const nvmodel::Geometry g = nvmodel::defaultTechParams().geometry;
+        const std::uint64_t buf_out = system.buffer(0).capacity() / 2;
+        const std::uint32_t slot =
+            2 * static_cast<std::uint32_t>(g.matCols);
+        for (const mapping::MatTile &t : m.tiles) {
+            if (t.replica != 0)
+                continue;
+            EXPECT_EQ(t.bank, 0);
+            const int mat = t.subarray * g.matsPerSubarray + t.mat;
+            const std::uint64_t ff = static_cast<std::uint64_t>(mat) *
+                                     PrimeController::kFfMatStride;
+            loads.push_back(Command{
+                CommandOp::Load, 0, 0,
+                static_cast<std::uint64_t>(t.rowTile * g.matRows), ff,
+                static_cast<std::uint32_t>(t.rowsUsed)});
+            stores.push_back(Command{
+                CommandOp::Store, 0, 0, ff, buf_out + mats.size() * slot,
+                static_cast<std::uint32_t>(2 * t.colsUsed)});
+            mats.push_back(mat);
+        }
+        fetch = Command{CommandOp::Fetch, 0, 0, kInputAddr, 0,
+                        static_cast<std::uint32_t>(m.info.rows)};
+        commit = Command{CommandOp::Commit, 0, 0, buf_out, kOutputAddr,
+                         static_cast<std::uint32_t>(mats.size()) * slot};
+        codes.resize(static_cast<std::size_t>(m.info.rows));
+        for (std::size_t i = 0; i < codes.size(); ++i)
+            codes[i] = static_cast<std::uint8_t>((i * 7 + 3) % 64);
+    }
+
+    void
+    operator()()
+    {
+        PrimeController &ctrl = prime->controller(0);
+        prime->mainMemory().writeData(kInputAddr, codes);
+        ctrl.execute(fetch);
+        for (const Command &c : loads)
+            ctrl.execute(c);
+        ctrl.computeMats(mats);
+        for (const Command &c : stores)
+            ctrl.execute(c);
+        ctrl.execute(commit);
+    }
+
+    /** The committed output registers of the last replay. */
+    std::vector<std::uint8_t>
+    committed() const
+    {
+        std::vector<std::uint8_t> out(commit.bytes);
+        prime->mainMemory().readData(kOutputAddr, out);
+        return out;
+    }
+};
+
+/** operator new calls made by @p n calls of @p fn after three warm-ups. */
+template <typename Fn>
+std::size_t
+steadyStateAllocations(Fn &&fn, int n)
+{
+    for (int i = 0; i < 3; ++i)
+        fn();
+    const std::size_t before = g_allocations.load();
+    for (int i = 0; i < n; ++i)
+        fn();
+    return g_allocations.load() - before;
+}
+
+void
+expectReplayAllocatesNothing(PrimeSystem &prime, const char *what)
+{
+    LayerReplay replay(prime);
+    ASSERT_GE(replay.mats.size(), 3u) << what << ": not a multi-tile layer";
+    const std::uint64_t commands = prime.controller(0).commandCount();
+    EXPECT_EQ(steadyStateAllocations(replay, 20), 0u) << what;
+    EXPECT_EQ(prime.controller(0).commandCount() - commands,
+              23 * (replay.loads.size() + replay.stores.size() + 2))
+        << what;
+    // The replays did real, repeatable work: the committed codes are
+    // not all zero and a further replay commits the same bytes.
+    const std::vector<std::uint8_t> first = replay.committed();
+    EXPECT_NE(first, std::vector<std::uint8_t>(first.size(), 0)) << what;
+    replay();
+    EXPECT_EQ(replay.committed(), first) << what;
+}
+
+TEST(AllocationPin, LayerReplayAllocatesNothingExact)
+{
+    std::unique_ptr<PrimeSystem> prime =
+        programmed(nvmodel::defaultTechParams());
+    expectReplayAllocatesNothing(*prime, "exact");
+}
+
+TEST(AllocationPin, LayerReplayAllocatesNothingNoisyAnalog)
+{
+    nvmodel::TechParams tech = nvmodel::defaultTechParams();
+    tech.device.programVariation = 0.03;
+    std::unique_ptr<PrimeSystem> prime = programmed(tech);
+    Rng noise(29);
+    prime->setAnalogCompute(true, &noise);
+    expectReplayAllocatesNothing(*prime, "noisy analog");
+}
+
+TEST(AllocationPin, RunAllocationsDoNotDependOnTileCount)
+{
+    // The same network on 256x256 mats (3 + 1 tiles) and on 64x64 mats
+    // (10 + 1 tiles): run() allocates for its tensors and activation
+    // codes, never per tile or per command.
+    nvmodel::TechParams small = nvmodel::defaultTechParams();
+    small.geometry.matRows = 64;
+    small.geometry.matCols = 64;
+    std::unique_ptr<PrimeSystem> wide =
+        programmed(nvmodel::defaultTechParams());
+    std::unique_ptr<PrimeSystem> narrow = programmed(small);
+    ASSERT_LT(wide->plan().totalMats(), narrow->plan().totalMats());
+
+    nn::Tensor input({1, 20, 30});
+    for (std::size_t i = 0; i < input.size(); ++i)
+        input[i] = static_cast<double>(i % 17) / 17.0;
+    for (int threads : {1, 4}) {
+        ThreadPool::setGlobalThreadCount(threads);
+        const std::size_t per_wide =
+            steadyStateAllocations([&] { wide->run(input); }, 10);
+        const std::size_t per_narrow =
+            steadyStateAllocations([&] { narrow->run(input); }, 10);
+        EXPECT_EQ(per_wide, per_narrow) << "threads=" << threads;
+    }
+    ThreadPool::setGlobalThreadCount(0);
+}
+
+} // namespace
+} // namespace prime::core

@@ -284,6 +284,25 @@ TEST(CrossbarFastPath, CachedPlaneTracksInterleavedMutations)
     }
 }
 
+/** Arrays wider than the exact kernel's 512-column accumulator block
+ *  span several blocks; the span form overwrites whatever its output
+ *  buffer held. */
+TEST(CrossbarFastPath, WideArraySpansColumnBlocks)
+{
+    Rng rng(22);
+    CrossbarParams p = smallParams(8, 1100);
+    Crossbar xbar(p);
+    xbar.programLevels(randomLevels(8, 1100, 15, rng));
+    std::vector<int> in(8);
+    for (int &v : in)
+        v = static_cast<int>(rng.uniformInt(0, 7));
+    const std::vector<std::int64_t> want = referenceMvm(xbar, in);
+    EXPECT_EQ(xbar.mvmExact(in), want);
+    std::vector<std::int64_t> out(want.size(), -12345);
+    xbar.mvmExact(in, out);
+    EXPECT_EQ(out, want);
+}
+
 /** The cached-conductance analog path must reproduce the pre-change
  *  IR-drop formula exactly. */
 TEST(CrossbarFastPath, AnalogIrDropMatchesFormula)

@@ -190,14 +190,24 @@ pattern(std::size_t n, unsigned key)
     return v;
 }
 
+/** Functional read of @p size bytes into a fresh vector, pre-filled
+ *  with a non-zero byte so absent bytes must be written as 0. */
+std::vector<std::uint8_t>
+readBytes(const MainMemory &mem, std::uint64_t addr, std::size_t size)
+{
+    std::vector<std::uint8_t> out(size, 0xa5);
+    mem.readData(addr, out);
+    return out;
+}
+
 TEST(MainMemory, FunctionalStoreRoundTrip)
 {
     MainMemory mem(tech());
     std::vector<std::uint8_t> data = {1, 2, 3, 250, 0, 9};
     mem.writeData(12345, data);
-    EXPECT_EQ(mem.readData(12345, 6), data);
+    EXPECT_EQ(readBytes(mem, 12345, 6), data);
     // Unwritten bytes read as zero.
-    EXPECT_EQ(mem.readData(999999, 2),
+    EXPECT_EQ(readBytes(mem, 999999, 2),
               (std::vector<std::uint8_t>{0, 0}));
 
     // A write spanning a 4 KiB page boundary reads back whole, and
@@ -205,35 +215,35 @@ TEST(MainMemory, FunctionalStoreRoundTrip)
     const std::uint64_t boundary = 8 * 4096;
     const std::vector<std::uint8_t> span = pattern(100, 1);
     mem.writeData(boundary - 40, span);
-    EXPECT_EQ(mem.readData(boundary - 40, 100), span);
-    EXPECT_EQ(mem.readData(boundary, 60),
+    EXPECT_EQ(readBytes(mem, boundary - 40, 100), span);
+    EXPECT_EQ(readBytes(mem, boundary, 60),
               std::vector<std::uint8_t>(span.begin() + 40, span.end()));
 
     // Absent bytes read 0 inside a partly written page (around the
     // write above) and in an untouched page; a read straddling the
     // written span sees zeros, the data, zeros.
-    EXPECT_EQ(mem.readData(boundary - 4096, 4096 - 40),
+    EXPECT_EQ(readBytes(mem, boundary - 4096, 4096 - 40),
               std::vector<std::uint8_t>(4096 - 40, 0));
-    EXPECT_EQ(mem.readData(boundary + 60, 200),
+    EXPECT_EQ(readBytes(mem, boundary + 60, 200),
               std::vector<std::uint8_t>(200, 0));
-    EXPECT_EQ(mem.readData(40 * 4096 + 17, 5000),
+    EXPECT_EQ(readBytes(mem, 40 * 4096 + 17, 5000),
               std::vector<std::uint8_t>(5000, 0));
     std::vector<std::uint8_t> around(10, 0);
     around.insert(around.end(), span.begin(), span.end());
     around.resize(around.size() + 10, 0);
-    EXPECT_EQ(mem.readData(boundary - 50, 120), around);
+    EXPECT_EQ(readBytes(mem, boundary - 50, 120), around);
 
     // An overwrite replaces exactly its own bytes.
     const std::vector<std::uint8_t> patch = pattern(20, 2);
     mem.writeData(boundary - 10, patch);
     std::vector<std::uint8_t> patched = span;
     std::copy(patch.begin(), patch.end(), patched.begin() + 30);
-    EXPECT_EQ(mem.readData(boundary - 40, 100), patched);
+    EXPECT_EQ(readBytes(mem, boundary - 40, 100), patched);
 
     // A migration-sized (one FF mat, 32 KiB) unaligned round trip.
     const std::vector<std::uint8_t> mat = pattern(32 * 1024, 3);
     mem.writeData(1000 * 4096 + 123, mat);
-    EXPECT_EQ(mem.readData(1000 * 4096 + 123, mat.size()), mat);
+    EXPECT_EQ(readBytes(mem, 1000 * 4096 + 123, mat.size()), mat);
 }
 
 TEST(MainMemory, FunctionalStoreConcurrentWritersShareStripes)
@@ -264,7 +274,7 @@ TEST(MainMemory, FunctionalStoreConcurrentWritersShareStripes)
         t.join();
     for (int p = 0; p < kPages; ++p)
         for (int w = 0; w < kWriters; ++w)
-            EXPECT_EQ(mem.readData(addr(p, w), kQuarter),
+            EXPECT_EQ(readBytes(mem, addr(p, w), kQuarter),
                       pattern(kQuarter,
                               static_cast<unsigned>(19 * 64 + p * 4 + w)))
                 << "page " << p << " writer " << w;

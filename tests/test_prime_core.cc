@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <span>
 
 #include "common/rng.hh"
 #include "prime/buffer_subarray.hh"
@@ -99,8 +100,10 @@ TEST(BufferSubarray, ReadWriteAndTraffic)
     BufferSubarray buf(tech(), &stats);
     // One subarray of 32 mats x 32 KiB = 1 MiB.
     EXPECT_EQ(buf.capacity(), 1024u * 1024);
-    buf.write(64, {5, 6, 7});
-    EXPECT_EQ(buf.read(64, 3), (std::vector<std::uint8_t>{5, 6, 7}));
+    buf.write(64, std::vector<std::uint8_t>{5, 6, 7});
+    const std::span<const std::uint8_t> got = buf.read(64, 3);
+    EXPECT_EQ(std::vector<std::uint8_t>(got.begin(), got.end()),
+              (std::vector<std::uint8_t>{5, 6, 7}));
     EXPECT_EQ(buf.trafficBytes(), 6u);
     EXPECT_DOUBLE_EQ(stats.get("buffer.write_bytes").sum(), 3.0);
     EXPECT_DEATH(buf.read(buf.capacity(), 1), "out of range");
@@ -140,14 +143,15 @@ class ControllerTest : public ::testing::Test
 
 TEST_F(ControllerTest, FetchAndCommitMoveData)
 {
-    mem_.writeData(0x1000, {11, 22, 33});
+    mem_.writeData(0x1000, std::vector<std::uint8_t>{11, 22, 33});
     mapping::Command fetch;
     fetch.op = mapping::CommandOp::Fetch;
     fetch.src = 0x1000;
     fetch.dst = 0x40;
     fetch.bytes = 3;
     controller_->execute(fetch);
-    EXPECT_EQ(buffer_.read(0x40, 3),
+    const std::span<const std::uint8_t> fetched = buffer_.read(0x40, 3);
+    EXPECT_EQ(std::vector<std::uint8_t>(fetched.begin(), fetched.end()),
               (std::vector<std::uint8_t>{11, 22, 33}));
 
     mapping::Command commit;
@@ -156,8 +160,9 @@ TEST_F(ControllerTest, FetchAndCommitMoveData)
     commit.dst = 0x2000;
     commit.bytes = 3;
     controller_->execute(commit);
-    EXPECT_EQ(mem_.readData(0x2000, 3),
-              (std::vector<std::uint8_t>{11, 22, 33}));
+    std::vector<std::uint8_t> committed(3);
+    mem_.readData(0x2000, committed);
+    EXPECT_EQ(committed, (std::vector<std::uint8_t>{11, 22, 33}));
     EXPECT_EQ(controller_->commandCount(), 2u);
 }
 
@@ -168,15 +173,17 @@ TEST_F(ControllerTest, LoadComputeStoreRoundTrip)
     controller_->mat(0).engine().setOutputShift(0);
 
     // Stage input codes 3, 2 in the buffer and load them.
-    buffer_.write(0, {3, 2});
+    buffer_.write(0, std::vector<std::uint8_t>{3, 2});
     mapping::Command load;
     load.op = mapping::CommandOp::Load;
     load.src = 0;
     load.dst = 0;  // mat 0, offset 0
     load.bytes = 2;
     controller_->execute(load);
-    EXPECT_EQ(controller_->latch(0),
-              (std::vector<std::uint8_t>{3, 2}));
+    const std::span<const std::uint8_t> latch = controller_->latch(0);
+    ASSERT_EQ(latch.size(), PrimeController::kFfOutputOffset);
+    EXPECT_EQ(latch[0], 3);
+    EXPECT_EQ(latch[1], 2);
 
     controller_->computeMat(0);
     auto out = controller_->outputCodes(0);
@@ -220,7 +227,7 @@ TEST_F(ControllerTest, DatapathConfigReachesMats)
 
 TEST_F(ControllerTest, ComputeOnMemoryModeMatDies)
 {
-    buffer_.write(0, {1});
+    buffer_.write(0, std::vector<std::uint8_t>{1});
     mapping::Command load;
     load.op = mapping::CommandOp::Load;
     load.bytes = 1;

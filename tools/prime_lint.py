@@ -82,6 +82,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import fnmatch
 import json
 import os
 import re
@@ -585,46 +586,65 @@ def check_sampler_lock(repo: Repo) -> Iterator[Finding]:
 
 # String-keyed StatGroup lookup with at least one argument (so
 # unique_ptr/shared_ptr .get() does not match).
-MEM_STAT_LOOKUP_RE = re.compile(
+STAT_LOOKUP_RE = re.compile(
     r"(?:\.|->)(?:get|histogram|formula)\s*\(\s*[^)\s]")
 # Column-0 method-definition line in the repo's style (return type on
-# its own line, qualified name starting the next): captures the final
-# name component as the enclosing function.
-MEM_FUNC_DEF_RE = re.compile(r"^(?:\w+(?:<[^(;]*>)?::)*(~?\w+)\s*\(")
-# Publication-only paths: everything else in src/memory is, or is
-# called from, a request path and must sample into its bank shard.
+# its own line, qualified name starting the next): captures the
+# qualified name of the enclosing function.
+FUNC_DEF_RE = re.compile(r"^((?:\w+(?:<[^(;]*>)?::)*~?\w+)\s*\(")
+# Memory: every function is, or is called from, a request path except
+# the publication-only ones (matched on the last name component).
 MEM_STATS_ALLOWED = {"MainMemory", "stats", "syncStats",
                      "registerMetrics", "unregisterMetrics"}
+# PRIME: the per-command and per-tile functions (fnmatch patterns on the
+# qualified name); constructors and buildStages bind the stats they use.
+PRIME_HOT_FUNCS = ("PrimeController::execute",
+                   "PrimeController::computeMat*",
+                   "BufferSubarray::read", "BufferSubarray::write*",
+                   "PrimeSystem::tiledMvm", "PrimeSystem::runFc",
+                   "PrimeSystem::runConv", "PrimeSystem::run")
 
 
-@rule("mem-shard-stats", "error",
-      "src/memory request paths sample into bank-shard counters, never"
-      " string-keyed StatGroup lookups",
-      "src/memory/**")
-def check_mem_shard_stats(repo: Repo) -> Iterator[Finding]:
-    # The memory hot path (access/scheduleBankQueue and everything they
-    # call) serves every PRIME and CPU request; a string-keyed registry
-    # lookup there reintroduces the shared-hash-map contention the bank
-    # shards exist to avoid.  Only stat *publication* -- the MainMemory
-    # constructor (formula registration), stats()/syncStats, and the
-    # metrics (un)registration -- may touch the registry.
-    for sf in repo.files("src/memory", (".hh", ".cc")):
-        current = ""
-        for lineno, code in enumerate(sf.code_lines, 1):
-            m = MEM_FUNC_DEF_RE.match(code)
-            if m:
-                current = m.group(1)
-            if MEM_STAT_LOOKUP_RE.search(code) and \
-                    current not in MEM_STATS_ALLOWED:
-                where = current or "<file scope>"
-                yield emit(
-                    sf, lineno, "mem-shard-stats",
-                    f"string-keyed StatGroup lookup in memory"
-                    f" function '{where}': request paths must sample"
-                    f" into the per-bank shard counters; only the"
-                    f" MainMemory constructor and the publication"
-                    f" paths (stats/syncStats/registerMetrics/"
-                    f"unregisterMetrics) may touch the registry")
+def hot_path(path: str, func: str) -> bool:
+    """Whether @func in @path runs per request, command or tile."""
+    if path.startswith(os.path.join("src", "memory") + os.sep):
+        return func.split("::")[-1] not in MEM_STATS_ALLOWED
+    if path.startswith(os.path.join("src", "prime") + os.sep):
+        return any(fnmatch.fnmatchcase(func, pat)
+                   for pat in PRIME_HOT_FUNCS)
+    return False
+
+
+@rule("hot-path-stats", "error",
+      "memory request paths and the PRIME command/tile path use bound"
+      " Stat pointers or shard counters, never string-keyed StatGroup"
+      " lookups",
+      "src/memory/**, src/prime/**")
+def check_hot_path_stats(repo: Repo) -> Iterator[Finding]:
+    # A string-keyed registry lookup costs a map walk (and, past the
+    # SSO length, a heap allocation for the key) on every call; on the
+    # memory request path it also reintroduces the shared-map
+    # contention the bank shards exist to avoid.  Memory functions
+    # sample into their bank shard; only stat *publication* (the
+    # MainMemory constructor, stats()/syncStats, the metrics
+    # (un)registration) touches the registry.  PRIME's hot functions
+    # use the Stat pointers their constructors / buildStages bound.
+    for subdir in ("src/memory", "src/prime"):
+        for sf in repo.files(subdir, (".hh", ".cc")):
+            current = ""
+            for lineno, code in enumerate(sf.code_lines, 1):
+                m = FUNC_DEF_RE.match(code)
+                if m:
+                    current = m.group(1)
+                if STAT_LOOKUP_RE.search(code) and \
+                        hot_path(sf.path, current):
+                    yield emit(
+                        sf, lineno, "hot-path-stats",
+                        f"string-keyed StatGroup lookup in hot function"
+                        f" '{current}': bind the Stat once (constructor,"
+                        f" buildStages) or sample into the memory bank"
+                        f" shard; only the publication paths may touch"
+                        f" the registry")
 
 
 # --------------------------------------------------------------------------
@@ -944,42 +964,86 @@ def self_test() -> int:
     expect(failures, "sampler-lock/ring",
            run_rules(ring_bad, ["sampler-lock"]), 1)
 
-    # ---- mem-shard-stats ----
-    mem_stats_bad = fixture_repo({"src/memory/ctrl.cc": "\n".join([
-        "RequestResult",
-        "MemoryController::access(const Request &r)",
-        "{",
-        "    stats_.get(\"mem.reads\").increment();",      # finding
-        "    stats_.histogram(name).sample(v);",           # finding
-        "}",
-    ])})
-    expect(failures, "mem-shard-stats/bad",
-           run_rules(mem_stats_bad, ["mem-shard-stats"]), 2)
+    # ---- hot-path-stats ----
+    hot_stats_bad = fixture_repo({
+        "src/memory/ctrl.cc": "\n".join([
+            "RequestResult",
+            "MemoryController::access(const Request &r)",
+            "{",
+            "    stats_.get(\"mem.reads\").increment();",     # finding
+            "    stats_.histogram(name).sample(v);",          # finding
+            "}",
+        ]),
+        "src/prime/controller.cc": "\n".join([
+            "void",
+            "PrimeController::execute(const mapping::Command &c)",
+            "{",
+            "    stats_->get(\"controller.commands\").increment();",  # finding
+            "}",
+            "void",
+            "PrimeController::computeMats(std::span<const int> m)",
+            "{",
+            "    stats_->get(\"controller.mat_mvms\").increment();",  # finding
+            "}",
+            "nn::Tensor",
+            "PrimeSystem::run(const nn::Tensor &input)",
+            "{",
+            "    stats_.get(\"run.inferences\").increment();",  # finding
+            "}",
+        ]),
+    })
+    expect(failures, "hot-path-stats/bad",
+           run_rules(hot_stats_bad, ["hot-path-stats"]), 5)
 
-    mem_stats_good = fixture_repo({"src/memory/mm.cc": "\n".join([
+    hot_stats_good = fixture_repo({
+        "src/memory/mm.cc": "\n".join([
+            "void",
+            "MainMemory::syncStats()",
+            "{",
+            "    stats_.get(prefix + \"reads\").increment();",
+            "    stats_.histogram(\"mem.service_ns\").merge(h);",
+            "}",
+            "RequestResult",
+            "MemoryController::access(const Request &r)",
+            "{",
+            "    sh.reads += 1;  // shard counter, no registry",
+            "    return controllers_[0].get()->access(r);",  # ptr .get()
+            "}",
+        ]),
+        "src/prime/controller.cc": "\n".join([
+            "PrimeController::PrimeController(StatGroup *stats)",
+            "{",
+            "    commandsStat_ = &stats->get(\"controller.commands\");",
+            "}",
+            "void",
+            "PrimeController::execute(const mapping::Command &c)",
+            "{",
+            "    commandsStat_->increment();",
+            "}",
+            "void",
+            "PrimeSystem::buildStages()",
+            "{",
+            "    inferences_ = &stats_.get(\"run.inferences\");",
+            "}",
+            "std::vector<nn::Tensor>",
+            "PrimeSystem::runBatch(std::span<const nn::Tensor> in)",
+            "{",
+            "    stats_.get(\"pipeline.batches\").increment();",
+            "}",
+        ]),
+    })
+    expect(failures, "hot-path-stats/good",
+           run_rules(hot_stats_good, ["hot-path-stats"]), 0)
+
+    hot_stats_elsewhere = fixture_repo({"src/sim/x.cc": "\n".join([
         "void",
-        "MainMemory::syncStats()",
+        "PrimeController::execute(const mapping::Command &c)",
         "{",
-        "    stats_.get(prefix + \"reads\").increment();",
-        "    stats_.histogram(\"mem.service_ns\").merge(h);",
-        "}",
-        "RequestResult",
-        "MemoryController::access(const Request &r)",
-        "{",
-        "    sh.reads += 1;  // shard counter, no registry",
-        "    return controllers_[0].get()->access(r);",  # ptr .get()
+        "    stats_.get(\"a.b\").increment();",  # outside both scopes
         "}",
     ])})
-    expect(failures, "mem-shard-stats/good",
-           run_rules(mem_stats_good, ["mem-shard-stats"]), 0)
-
-    mem_stats_elsewhere = fixture_repo({"src/prime/x.cc": "\n".join([
-        "void f() {",
-        "    stats_.get(\"a.b\").increment();",  # outside src/memory
-        "}",
-    ])})
-    expect(failures, "mem-shard-stats/elsewhere",
-           run_rules(mem_stats_elsewhere, ["mem-shard-stats"]), 0)
+    expect(failures, "hot-path-stats/elsewhere",
+           run_rules(hot_stats_elsewhere, ["hot-path-stats"]), 0)
 
     for f in failures:
         print(f"prime_lint self-test: {f}", file=sys.stderr)
