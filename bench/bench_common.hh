@@ -40,7 +40,8 @@ namespace prime::bench {
  * attaches the per-series summaries with metrics(): each series emits
  * {"samples":N,"min":..,"max":..,"mean":..,"last":..} under its name,
  * so any BENCH_*.json can embed time-series evidence without
- * hand-rolling JSON.
+ * hand-rolling JSON.  A series whose samples are all 0 (an idle bank's
+ * counters) is left out of the summary.
  */
 class BenchRun
 {
@@ -91,13 +92,17 @@ class BenchRun
 
     /**
      * Attach the sampled time-series summaries of @p registry to the
-     * document's "metrics" section (replacing any previous set).  Call
-     * after the sampler stopped; summarize() snapshots at call time.
+     * document's "metrics" section (replacing any previous set),
+     * omitting series that only ever sampled 0.  Call after the sampler
+     * stopped; summarize() snapshots at call time.
      */
     void
     metrics(const telemetry::MetricsRegistry &registry)
     {
         metricsSummaries_ = registry.summarize();
+        std::erase_if(metricsSummaries_, [](const auto &s) {
+            return s.min == 0.0 && s.max == 0.0;
+        });
     }
 
     /** Write the stats document (and trace, if enabled). */

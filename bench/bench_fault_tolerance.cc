@@ -122,12 +122,14 @@ main()
         double sum_err = 0.0, worst = 0.0;
         int samples = 0;
         Rng nrng(10);
+        reram::ComposedMatrixEngine::MvmScratch scratch;
+        std::vector<std::int64_t> ideal(16), noisy(16);
         for (int trial = 0; trial < 50; ++trial) {
             std::vector<int> in(128);
             for (int &v : in)
                 v = static_cast<int>(wrng.uniformInt(0, 63));
-            auto ideal = engine.mvmExact(in);
-            auto noisy = engine.mvmAnalog(in, &nrng);
+            engine.mvmExact(in, ideal, scratch);
+            engine.mvmAnalog(in, noisy, scratch, &nrng);
             for (int c = 0; c < 16; ++c) {
                 const double err = std::abs(
                     static_cast<double>(noisy[c] - ideal[c]));

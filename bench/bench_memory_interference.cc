@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "memory/cpu_traffic.hh"
 #include "nn/topology.hh"
@@ -180,8 +181,11 @@ main(int argc, char **argv)
         pt.rowHitRate = mem.rowHitRate();
         // PRIME's memory makespan for this batch: last PRIME
         // completion relative to the post-reset horizon.
-        pt.ffWindowNs =
-            stats.get("mem.prime.last_ready_ns").sum() - window_start;
+        double prime_last_ready_ns = 0.0;
+        PRIME_FATAL_IF(!stats.evalFormula("mem.prime.last_ready_ns",
+                                          prime_last_ready_ns),
+                       "mem.prime.last_ready_ns is not published");
+        pt.ffWindowNs = prime_last_ready_ns - window_start;
         if (intensity == 0.0)
             solo_window_ns = pt.ffWindowNs;
         pt.ffSlowdown = solo_window_ns > 0.0

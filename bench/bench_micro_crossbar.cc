@@ -3,11 +3,15 @@
  * Google-benchmark microbenchmarks of the ReRAM compute substrate:
  * crossbar MVMs, the composing pipeline, and the peripheral units.
  * These measure the *simulator's* throughput (useful when scaling
- * experiments), not modeled hardware time.
+ * experiments), not modeled hardware time.  Every MVM benchmark times a
+ * span kernel on the path PrimeController::computeMat runs (composed
+ * engine, then crossbar), writing into buffers reused across
+ * iterations.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -44,6 +48,26 @@ sharedCrossbar(int rows, int cols)
     return *it->second;
 }
 
+/** A composed engine of n x n logical weights, programmed once. */
+const ComposedMatrixEngine &
+sharedEngine(int n)
+{
+    static std::map<int, std::unique_ptr<ComposedMatrixEngine>> cache;
+    auto it = cache.find(n);
+    if (it == cache.end()) {
+        auto engine = std::make_unique<ComposedMatrixEngine>(
+            n, n, ComposingParams{}, CrossbarParams{});
+        Rng rng(9);
+        std::vector<std::vector<int>> w(n, std::vector<int>(n));
+        for (auto &r : w)
+            for (int &v : r)
+                v = static_cast<int>(rng.uniformInt(-255, 255));
+        engine->programWeights(w);
+        it = cache.emplace(n, std::move(engine)).first;
+    }
+    return *it->second;
+}
+
 void
 BM_CrossbarMvmExact(benchmark::State &state)
 {
@@ -53,8 +77,12 @@ BM_CrossbarMvmExact(benchmark::State &state)
     std::vector<int> in(static_cast<std::size_t>(n));
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 7));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(xbar.mvmExact(in));
+    std::vector<std::int64_t> out(static_cast<std::size_t>(n));
+    for (auto _ : state) {
+        xbar.mvmExact(in, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(n) * n);
 }
@@ -69,8 +97,12 @@ BM_CrossbarMvmAnalog(benchmark::State &state)
     std::vector<int> in(static_cast<std::size_t>(n));
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 7));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(xbar.mvmAnalog(in));
+    std::vector<double> out(static_cast<std::size_t>(n));
+    for (auto _ : state) {
+        xbar.mvmAnalog(in, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(n) * n);
 }
@@ -103,121 +135,61 @@ BM_CrossbarMvmAnalogIrDrop(benchmark::State &state)
     std::vector<int> in(static_cast<std::size_t>(n));
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 7));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(it->second->mvmAnalog(in));
+    std::vector<double> out(static_cast<std::size_t>(n));
+    for (auto _ : state) {
+        it->second->mvmAnalog(in, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(n) * n);
 }
 BENCHMARK(BM_CrossbarMvmAnalogIrDrop)->Arg(64)->Arg(256);
 
-/** Batched exact MVM: per-call dispatch amortized over the batch. */
-void
-BM_CrossbarMvmExactBatch(benchmark::State &state)
-{
-    const int n = static_cast<int>(state.range(0));
-    const int batch = static_cast<int>(state.range(1));
-    Crossbar &xbar = sharedCrossbar(n, n);
-    Rng rng(14);
-    std::vector<std::vector<int>> inputs(
-        static_cast<std::size_t>(batch),
-        std::vector<int>(static_cast<std::size_t>(n)));
-    for (auto &in : inputs)
-        for (int &v : in)
-            v = static_cast<int>(rng.uniformInt(0, 7));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(xbar.mvmExactBatch(inputs));
-    state.SetItemsProcessed(state.iterations() * batch *
-                            static_cast<std::int64_t>(n) * n);
-}
-BENCHMARK(BM_CrossbarMvmExactBatch)
-    ->Args({256, 8})
-    ->Args({256, 32});
-
-/** Batched analog MVM. */
-void
-BM_CrossbarMvmAnalogBatch(benchmark::State &state)
-{
-    const int n = static_cast<int>(state.range(0));
-    const int batch = static_cast<int>(state.range(1));
-    Crossbar &xbar = sharedCrossbar(n, n);
-    Rng rng(15);
-    std::vector<std::vector<int>> inputs(
-        static_cast<std::size_t>(batch),
-        std::vector<int>(static_cast<std::size_t>(n)));
-    for (auto &in : inputs)
-        for (int &v : in)
-            v = static_cast<int>(rng.uniformInt(0, 7));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(xbar.mvmAnalogBatch(inputs));
-    state.SetItemsProcessed(state.iterations() * batch *
-                            static_cast<std::int64_t>(n) * n);
-}
-BENCHMARK(BM_CrossbarMvmAnalogBatch)->Args({256, 8})->Args({256, 32});
-
+/** The exact composed MVM of an FF mat (computeMat's ideal path). */
 void
 BM_ComposedMatMvm(benchmark::State &state)
 {
     const int n = static_cast<int>(state.range(0));
-    ComposingParams cp;
-    CrossbarParams xp;
-    static std::map<int, std::unique_ptr<ComposedMatrixEngine>> cache;
-    auto it = cache.find(n);
-    if (it == cache.end()) {
-        auto engine =
-            std::make_unique<ComposedMatrixEngine>(n, n, cp, xp);
-        Rng rng(9);
-        std::vector<std::vector<int>> w(n, std::vector<int>(n));
-        for (auto &r : w)
-            for (int &v : r)
-                v = static_cast<int>(rng.uniformInt(-255, 255));
-        engine->programWeights(w);
-        it = cache.emplace(n, std::move(engine)).first;
-    }
+    const ComposedMatrixEngine &engine = sharedEngine(n);
     Rng rng(10);
     std::vector<int> in(static_cast<std::size_t>(n));
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 63));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(it->second->mvmExact(in));
+    ComposedMatrixEngine::MvmScratch scratch;
+    std::vector<std::int64_t> out(static_cast<std::size_t>(n));
+    for (auto _ : state) {
+        engine.mvmExact(in, out, scratch);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(n) * n);
 }
 BENCHMARK(BM_ComposedMatMvm)->Arg(64)->Arg(256);
 
-/** Batched composed MVM through the full composing pipeline. */
+/** The analog composed MVM of an FF mat (computeMat's analog path):
+ *  two input phases through the conductance planes, SA-quantized. */
 void
-BM_ComposedMatMvmBatch(benchmark::State &state)
+BM_ComposedMatMvmAnalog(benchmark::State &state)
 {
     const int n = static_cast<int>(state.range(0));
-    const int batch = static_cast<int>(state.range(1));
-    ComposingParams cp;
-    CrossbarParams xp;
-    static std::map<int, std::unique_ptr<ComposedMatrixEngine>> cache;
-    auto it = cache.find(n);
-    if (it == cache.end()) {
-        auto engine =
-            std::make_unique<ComposedMatrixEngine>(n, n, cp, xp);
-        Rng rng(16);
-        std::vector<std::vector<int>> w(n, std::vector<int>(n));
-        for (auto &r : w)
-            for (int &v : r)
-                v = static_cast<int>(rng.uniformInt(-255, 255));
-        engine->programWeights(w);
-        it = cache.emplace(n, std::move(engine)).first;
-    }
+    const ComposedMatrixEngine &engine = sharedEngine(n);
     Rng rng(17);
-    std::vector<std::vector<int>> inputs(
-        static_cast<std::size_t>(batch),
-        std::vector<int>(static_cast<std::size_t>(n)));
-    for (auto &in : inputs)
-        for (int &v : in)
-            v = static_cast<int>(rng.uniformInt(0, 63));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(it->second->mvmExactBatch(inputs));
-    state.SetItemsProcessed(state.iterations() * batch *
+    std::vector<int> in(static_cast<std::size_t>(n));
+    for (int &v : in)
+        v = static_cast<int>(rng.uniformInt(0, 63));
+    ComposedMatrixEngine::MvmScratch scratch;
+    std::vector<std::int64_t> out(static_cast<std::size_t>(n));
+    for (auto _ : state) {
+        engine.mvmAnalog(in, out, scratch);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(n) * n);
 }
-BENCHMARK(BM_ComposedMatMvmBatch)->Args({256, 16});
+BENCHMARK(BM_ComposedMatMvmAnalog)->Arg(64)->Arg(256);
 
 void
 BM_ComposedApprox(benchmark::State &state)

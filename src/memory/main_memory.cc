@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -43,6 +44,14 @@ MainMemory::MainMemory(const nvmodel::TechParams &params,
                                               : 0.0;
                        });
     }
+    // Makespan horizons: the latest completion each class has seen
+    // since the last resetStats, refreshed by syncStats.
+    stats_.formula("mem.prime.last_ready_ns",
+                   [ready = &lastReady_[static_cast<std::size_t>(
+                        RequestSource::Prime)]] { return *ready; });
+    stats_.formula("mem.cpu.last_ready_ns",
+                   [ready = &lastReady_[static_cast<std::size_t>(
+                        RequestSource::Cpu)]] { return *ready; });
 }
 
 MemoryController &
@@ -330,19 +339,8 @@ MainMemory::syncStats()
     set_histogram("mem.cpu.service_ns",
                   all.sourceServiceNs[static_cast<std::size_t>(
                       RequestSource::Cpu)]);
-    // Makespan horizons: the latest completion each class has seen
-    // since the last resetStats (value semantics: reset + add).
-    auto set_value = [this](const char *name, double value) {
-        Stat &s = stats_.get(name);
-        s.reset();
-        s.add(value);
-    };
-    set_value("mem.prime.last_ready_ns",
-              all.sourceLastReady[static_cast<std::size_t>(
-                  RequestSource::Prime)]);
-    set_value("mem.cpu.last_ready_ns",
-              all.sourceLastReady[static_cast<std::size_t>(
-                  RequestSource::Cpu)]);
+    std::copy(std::begin(all.sourceLastReady), std::end(all.sourceLastReady),
+              lastReady_.begin());
 }
 
 void

@@ -222,6 +222,10 @@ class MainMemory
     };
     mutable std::array<StoreStripe, kStoreStripes> store_;
 
+    /** Latest completion per RequestSource since the last resetStats,
+     *  as of the last syncStats: the mem.prime/cpu.last_ready_ns
+     *  formulas read it. */
+    std::array<Ns, kRequestSources> lastReady_{};
     StatGroup stats_;
 };
 

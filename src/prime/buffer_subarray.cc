@@ -1,7 +1,6 @@
 #include "prime/buffer_subarray.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/logging.hh"
 #include "common/telemetry/trace_session.hh"
@@ -47,25 +46,6 @@ BufferSubarray::read(std::size_t addr, std::size_t size) const
     traffic_ += size;
     readBytes_->add(static_cast<double>(size));
     return std::span<const std::uint8_t>(data_).subspan(addr, size);
-}
-
-void
-BufferSubarray::writeValues(std::size_t addr,
-                            const std::vector<double> &values)
-{
-    const std::span<std::uint8_t> dst =
-        writeView(addr, values.size() * sizeof(double));
-    std::memcpy(dst.data(), values.data(), dst.size());
-}
-
-std::vector<double>
-BufferSubarray::readValues(std::size_t addr, std::size_t count) const
-{
-    const std::span<const std::uint8_t> bytes =
-        read(addr, count * sizeof(double));
-    std::vector<double> values(count);
-    std::memcpy(values.data(), bytes.data(), bytes.size());
-    return values;
 }
 
 } // namespace prime::core

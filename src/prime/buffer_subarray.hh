@@ -49,13 +49,6 @@ class BufferSubarray
     std::span<const std::uint8_t> read(std::size_t addr,
                                        std::size_t size) const;
 
-    /** Convenience: store a vector of doubles (8 bytes each). */
-    void writeValues(std::size_t addr, const std::vector<double> &values);
-
-    /** Convenience: load a vector of doubles. */
-    std::vector<double> readValues(std::size_t addr,
-                                   std::size_t count) const;
-
     /** Bytes moved through the buffer so far (both directions). */
     std::uint64_t trafficBytes() const { return traffic_; }
 

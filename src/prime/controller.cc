@@ -200,7 +200,7 @@ PrimeController::latch(int global_mat) const
     return work_[static_cast<std::size_t>(global_mat)].latch;
 }
 
-std::vector<std::int64_t>
+std::span<const std::int64_t>
 PrimeController::outputCodes(int global_mat) const
 {
     PRIME_ASSERT(global_mat >= 0 &&

@@ -77,8 +77,9 @@ class PrimeController
      *  wordline r's code). */
     std::span<const std::uint8_t> latch(int global_mat) const;
 
-    /** Output register contents of a mat as signed codes. */
-    std::vector<std::int64_t> outputCodes(int global_mat) const;
+    /** Output register contents of a mat as signed codes: a view valid
+     *  until the mat's next MVM. */
+    std::span<const std::int64_t> outputCodes(int global_mat) const;
 
     /** Number of commands executed. */
     std::uint64_t commandCount() const { return commands_; }

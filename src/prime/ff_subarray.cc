@@ -100,8 +100,7 @@ FfMat::engine()
     return *engine_;
 }
 
-FfSubarray::FfSubarray(const nvmodel::TechParams &tech, StatGroup *stats)
-    : tech_(tech), stats_(stats)
+FfSubarray::FfSubarray(const nvmodel::TechParams &tech) : tech_(tech)
 {
     mats_.reserve(static_cast<std::size_t>(tech.geometry.matsPerSubarray));
     for (int i = 0; i < tech.geometry.matsPerSubarray; ++i)
@@ -129,8 +128,6 @@ FfSubarray::computeMats() const
     for (const FfMat &m : mats_)
         if (m.mode() == reram::FfMode::Computation)
             ++n;
-    if (stats_)
-        stats_->get("ff.compute_mats").sample(n);
     return n;
 }
 

@@ -13,7 +13,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/stats.hh"
 #include "nvmodel/tech_params.hh"
 #include "reram/composing.hh"
 #include "reram/peripheral.hh"
@@ -80,7 +79,7 @@ class FfMat
 class FfSubarray
 {
   public:
-    FfSubarray(const nvmodel::TechParams &tech, StatGroup *stats);
+    explicit FfSubarray(const nvmodel::TechParams &tech);
 
     int matCount() const { return static_cast<int>(mats_.size()); }
     FfMat &mat(int index);
@@ -95,7 +94,6 @@ class FfSubarray
   private:
     nvmodel::TechParams tech_;
     std::vector<FfMat> mats_;
-    StatGroup *stats_;
 };
 
 } // namespace prime::core

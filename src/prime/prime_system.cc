@@ -20,7 +20,7 @@ PrimeSystem::BankUnit::BankUnit(const nvmodel::TechParams &tech,
           v.reserve(static_cast<std::size_t>(
               tech.geometry.ffSubarraysPerBank));
           for (int i = 0; i < tech.geometry.ffSubarraysPerBank; ++i)
-              v.emplace_back(tech, stats);
+              v.emplace_back(tech);
           return v;
       }()),
       buffer(tech, stats), controller(tech, mem, &ff, &buffer, stats)
@@ -521,10 +521,13 @@ PrimeSystem::tiledMvm(const LayerProgram &lp,
     for (const TapeTile &tile : tape.tiles) {
         double *col = out.data() + tile.colBase;
         if (calibrating_) {
-            const std::vector<int> seg(codes.begin() + tile.rowBase,
-                                       codes.begin() + tile.rowBase +
-                                           tile.rows);
-            const std::vector<std::int64_t> full = tile.engine->mvmFull(seg);
+            const std::span<int> seg(calibrationRows_.data(),
+                                     static_cast<std::size_t>(tile.rows));
+            const std::span<std::int64_t> full(
+                calibrationFull_.data(), static_cast<std::size_t>(tile.cols));
+            std::copy_n(codes.begin() + tile.rowBase, tile.rows,
+                        seg.begin());
+            tile.engine->mvmFull(seg, full);
             std::int64_t &peak = calibrationPeaks_[tile.peakSlot];
             for (int c = 0; c < tile.cols; ++c) {
                 const std::int64_t v = full[static_cast<std::size_t>(c)];
@@ -619,6 +622,8 @@ PrimeSystem::calibrate(const std::vector<nn::Sample> &samples)
     for (const LayerProgram &lp : programs_)
         tiles += lp.tape.tiles.size();
     calibrationPeaks_.assign(tiles, -1);
+    calibrationRows_.resize(static_cast<std::size_t>(tech_.geometry.matRows));
+    calibrationFull_.resize(static_cast<std::size_t>(tech_.geometry.matCols));
     calibrating_ = true;
     for (const nn::Sample &s : samples)
         run(s.input);

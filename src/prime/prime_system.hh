@@ -353,6 +353,11 @@ class PrimeSystem
     /** Peak |integer dot product| per tape tile during calibration
      *  (-1: no sample reached the tile). */
     std::vector<std::int64_t> calibrationPeaks_;
+    /** A calibrated tile's input codes and untruncated dot products,
+     *  sized by calibrate() for a whole mat; calibration runs
+     *  single-threaded through run(), so one pair serves every tile. */
+    std::vector<int> calibrationRows_;
+    std::vector<std::int64_t> calibrationFull_;
     /** Cursor for migrating FF-resident data into Mem space. */
     std::uint64_t migrationAddr_ = 0;
     /** Memory staging window for per-inference input codes (the CPU

@@ -116,7 +116,9 @@ InSituTrainer::layerForward(TrainLayer &layer,
             std::nearbyint(std::ldexp(std::max(input[i], 0.0), in_frac)),
             0.0, static_cast<double>(max_code)));
 
-    std::vector<std::int64_t> targets = layer.engine->mvmExact(codes);
+    std::vector<std::int64_t> &targets = layer.targets;
+    targets.resize(static_cast<std::size_t>(layer.engine->cols()));
+    layer.engine->mvmExact(codes, targets, layer.scratch);
     const int shift = layer.engine->outputShift();
     std::vector<double> out(targets.size());
     for (std::size_t o = 0; o < targets.size(); ++o)

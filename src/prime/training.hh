@@ -20,6 +20,7 @@
 #ifndef PRIME_PRIME_TRAINING_HH
 #define PRIME_PRIME_TRAINING_HH
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -89,6 +90,10 @@ class InSituTrainer
         std::vector<double> gradW, gradB;
         /** The crossbar engine holding the quantized weights. */
         std::unique_ptr<reram::ComposedMatrixEngine> engine;
+        /** The engine's MVM working memory and its target codes,
+         *  reused across forward passes. */
+        reram::ComposedMatrixEngine::MvmScratch scratch;
+        std::vector<std::int64_t> targets;
         DfxFormat format;
         /** Cached activations for backprop. */
         std::vector<double> lastInput, lastPreAct, lastOutput;

@@ -275,15 +275,6 @@ ComposedMatrixEngine::mvmExact(std::span<const int> inputs,
     assemble(passes.first(lines), passes.subspan(lines, lines), out);
 }
 
-std::vector<std::int64_t>
-ComposedMatrixEngine::mvmExact(std::span<const int> inputs) const
-{
-    MvmScratch scratch;
-    std::vector<std::int64_t> out(static_cast<std::size_t>(cols_));
-    mvmExact(inputs, out, scratch);
-    return out;
-}
-
 void
 ComposedMatrixEngine::mvmAnalog(std::span<const int> inputs,
                                 std::span<std::int64_t> out,
@@ -313,59 +304,20 @@ ComposedMatrixEngine::mvmAnalog(std::span<const int> inputs,
     assemble(passes.first(lines), passes.subspan(lines), out);
 }
 
-std::vector<std::int64_t>
-ComposedMatrixEngine::mvmAnalog(std::span<const int> inputs, Rng *rng) const
-{
-    MvmScratch scratch;
-    std::vector<std::int64_t> out(static_cast<std::size_t>(cols_));
-    mvmAnalog(inputs, out, scratch, rng);
-    return out;
-}
-
-std::vector<std::vector<std::int64_t>>
-ComposedMatrixEngine::mvmExactBatch(
-    const std::vector<std::vector<int>> &inputs) const
-{
-    MvmScratch scratch;
-    std::vector<std::vector<std::int64_t>> out;
-    out.reserve(inputs.size());
-    for (const std::vector<int> &sample : inputs) {
-        std::vector<std::int64_t> &row =
-            out.emplace_back(static_cast<std::size_t>(cols_));
-        mvmExact(sample, row, scratch);
-    }
-    return out;
-}
-
-std::vector<std::vector<std::int64_t>>
-ComposedMatrixEngine::mvmAnalogBatch(
-    const std::vector<std::vector<int>> &inputs, Rng *rng) const
-{
-    // Sample-major, high-phase-then-low-phase: the same draw order as
-    // sequential mvmAnalog calls, keeping batched results bit-exact.
-    MvmScratch scratch;
-    std::vector<std::vector<std::int64_t>> out;
-    out.reserve(inputs.size());
-    for (const std::vector<int> &sample : inputs) {
-        std::vector<std::int64_t> &row =
-            out.emplace_back(static_cast<std::size_t>(cols_));
-        mvmAnalog(sample, row, scratch, rng);
-    }
-    return out;
-}
-
-std::vector<std::int64_t>
-ComposedMatrixEngine::mvmFull(std::span<const int> inputs) const
+void
+ComposedMatrixEngine::mvmFull(std::span<const int> inputs,
+                              std::span<std::int64_t> out) const
 {
     PRIME_ASSERT(!logicalWeights_.empty(), "weights not programmed");
     PRIME_ASSERT(static_cast<int>(inputs.size()) == rows_,
                  "inputs=", inputs.size());
-    std::vector<std::int64_t> out(cols_, 0);
+    PRIME_ASSERT(static_cast<int>(out.size()) == cols_,
+                 "outputs=", out.size());
+    std::fill(out.begin(), out.end(), 0);
     for (int c = 0; c < cols_; ++c)
         for (int r = 0; r < rows_; ++r)
             out[c] += static_cast<std::int64_t>(inputs[r]) *
                       logicalWeights_[r][c];
-    return out;
 }
 
 std::vector<std::int64_t>

@@ -171,44 +171,24 @@ class ComposedMatrixEngine
     void mvmExact(std::span<const int> inputs, std::span<std::int64_t> out,
                   MvmScratch &scratch) const;
 
-    /** mvmExact into a fresh vector (allocates). */
-    std::vector<std::int64_t>
-    mvmExact(std::span<const int> inputs) const;
-
     /**
      * Composed MVM through the analog arrays into @p out (programming
      * variation baked into conductances; read noise when @p rng set).
      * Component results are quantized by the SA before truncation, as
-     * in hardware.
+     * in hardware.  Per call, the high input phase's noise draws
+     * (positive array then negative) precede the low phase's.
      */
     void mvmAnalog(std::span<const int> inputs, std::span<std::int64_t> out,
                    MvmScratch &scratch, Rng *rng = nullptr) const;
-
-    /** mvmAnalog into a fresh vector (allocates). */
-    std::vector<std::int64_t>
-    mvmAnalog(std::span<const int> inputs, Rng *rng = nullptr) const;
-
-    /** Batched mvmExact: one target-code row per input vector. */
-    std::vector<std::vector<std::int64_t>>
-    mvmExactBatch(const std::vector<std::vector<int>> &inputs) const;
-
-    /**
-     * Batched composed analog MVM.  Bit-identical to per-sample
-     * mvmAnalog calls with the same @p rng: per sample, the high input
-     * phase's noise draws (positive array then negative) precede the low
-     * phase's.
-     */
-    std::vector<std::vector<std::int64_t>>
-    mvmAnalogBatch(const std::vector<std::vector<int>> &inputs,
-                   Rng *rng = nullptr) const;
 
     /** Reference target codes for the currently programmed weights. */
     std::vector<std::int64_t>
     targetExact(std::span<const int> inputs) const;
 
-    /** Untruncated integer dot products (for SA-window calibration). */
-    std::vector<std::int64_t>
-    mvmFull(std::span<const int> inputs) const;
+    /** Untruncated integer dot products into @p out (cols entries;
+     *  for SA-window calibration). */
+    void mvmFull(std::span<const int> inputs,
+                 std::span<std::int64_t> out) const;
 
     int rows() const { return rows_; }
     int cols() const { return cols_; }

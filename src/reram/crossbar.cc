@@ -189,14 +189,6 @@ Crossbar::mvmExact(std::span<const int> input_levels,
     }
 }
 
-std::vector<std::int64_t>
-Crossbar::mvmExact(std::span<const int> input_levels) const
-{
-    std::vector<std::int64_t> out(static_cast<std::size_t>(params_.cols));
-    mvmExact(input_levels, out);
-    return out;
-}
-
 void
 Crossbar::mvmAnalog(std::span<const int> input_levels,
                     std::span<double> current, Rng *rng) const
@@ -227,35 +219,6 @@ Crossbar::mvmAnalog(std::span<const int> input_levels,
         for (double &i : current)
             i += rng->gaussian(0.0, params_.readNoiseSigma * full_scale);
     }
-}
-
-std::vector<double>
-Crossbar::mvmAnalog(std::span<const int> input_levels, Rng *rng) const
-{
-    std::vector<double> current(static_cast<std::size_t>(params_.cols));
-    mvmAnalog(input_levels, current, rng);
-    return current;
-}
-
-std::vector<std::vector<std::int64_t>>
-Crossbar::mvmExactBatch(const std::vector<std::vector<int>> &inputs) const
-{
-    std::vector<std::vector<std::int64_t>> out;
-    out.reserve(inputs.size());
-    for (const std::vector<int> &in : inputs)
-        out.push_back(mvmExact(in));
-    return out;
-}
-
-std::vector<std::vector<double>>
-Crossbar::mvmAnalogBatch(const std::vector<std::vector<int>> &inputs,
-                         Rng *rng) const
-{
-    std::vector<std::vector<double>> out;
-    out.reserve(inputs.size());
-    for (const std::vector<int> &in : inputs)
-        out.push_back(mvmAnalog(in, rng));
-    return out;
 }
 
 double
@@ -341,15 +304,6 @@ DifferentialPair::mvmExact(std::span<const int> input_levels,
         out[i] -= neg[i];
 }
 
-std::vector<std::int64_t>
-DifferentialPair::mvmExact(std::span<const int> input_levels) const
-{
-    const std::size_t cols = static_cast<std::size_t>(pos_.params().cols);
-    std::vector<std::int64_t> out(cols), neg(cols);
-    mvmExact(input_levels, out, neg);
-    return out;
-}
-
 void
 DifferentialPair::mvmAnalog(std::span<const int> input_levels,
                             std::span<double> out, std::span<double> neg,
@@ -359,37 +313,6 @@ DifferentialPair::mvmAnalog(std::span<const int> input_levels,
     neg_.mvmAnalog(input_levels, neg, rng);
     for (std::size_t i = 0; i < out.size(); ++i)
         out[i] = pos_.levelUnitsFromCurrent(out[i] - neg[i]);
-}
-
-std::vector<double>
-DifferentialPair::mvmAnalog(std::span<const int> input_levels, Rng *rng) const
-{
-    const std::size_t cols = static_cast<std::size_t>(pos_.params().cols);
-    std::vector<double> out(cols), neg(cols);
-    mvmAnalog(input_levels, out, neg, rng);
-    return out;
-}
-
-std::vector<std::vector<std::int64_t>>
-DifferentialPair::mvmExactBatch(
-    const std::vector<std::vector<int>> &inputs) const
-{
-    std::vector<std::vector<std::int64_t>> out;
-    out.reserve(inputs.size());
-    for (const std::vector<int> &in : inputs)
-        out.push_back(mvmExact(in));
-    return out;
-}
-
-std::vector<std::vector<double>>
-DifferentialPair::mvmAnalogBatch(const std::vector<std::vector<int>> &inputs,
-                                 Rng *rng) const
-{
-    std::vector<std::vector<double>> out;
-    out.reserve(inputs.size());
-    for (const std::vector<int> &in : inputs)
-        out.push_back(mvmAnalog(in, rng));
-    return out;
 }
 
 } // namespace prime::reram

@@ -105,10 +105,6 @@ class Crossbar
     void mvmExact(std::span<const int> input_levels,
                   std::span<std::int64_t> out) const;
 
-    /** mvmExact into a fresh vector (allocates; the span form does not). */
-    std::vector<std::int64_t>
-    mvmExact(std::span<const int> input_levels) const;
-
     /**
      * Analog MVM through programmed conductances: writes the per-bitline
      * current in uA to @p current (cols entries), including programming
@@ -119,29 +115,12 @@ class Crossbar
      * per-position wordline/bitline IR drop into each cell's value.
      *
      * RNG-ordering contract: read noise is drawn *after* the full
-     * accumulation, one gaussian per bitline in ascending column order.
-     * Batched and cached-plane execution preserve exactly this order, so
-     * results are bit-identical to the scalar path for a given Rng state.
+     * accumulation, one gaussian per bitline in ascending column order,
+     * so a sequence of calls sharing one Rng is reproducible sample by
+     * sample.
      */
     void mvmAnalog(std::span<const int> input_levels,
                    std::span<double> current, Rng *rng = nullptr) const;
-
-    /** mvmAnalog into a fresh vector (allocates; the span form does not). */
-    std::vector<double>
-    mvmAnalog(std::span<const int> input_levels, Rng *rng = nullptr) const;
-
-    /** Batched ideal MVM: mvmExact per sample, one result row each. */
-    std::vector<std::vector<std::int64_t>>
-    mvmExactBatch(const std::vector<std::vector<int>> &inputs) const;
-
-    /**
-     * Batched analog MVM.  Bit-identical to calling mvmAnalog once per
-     * sample in order with the same @p rng (sample-major, then
-     * column-ascending noise draws -- see the mvmAnalog RNG contract).
-     */
-    std::vector<std::vector<double>>
-    mvmAnalogBatch(const std::vector<std::vector<int>> &inputs,
-                   Rng *rng = nullptr) const;
 
     /**
      * Convert a differential bitline current (pos minus neg array) to
@@ -241,34 +220,15 @@ class DifferentialPair
                   std::span<std::int64_t> out,
                   std::span<std::int64_t> neg) const;
 
-    /** mvmExact into a fresh vector (allocates). */
-    std::vector<std::int64_t>
-    mvmExact(std::span<const int> input_levels) const;
-
     /**
      * Analog signed MVM in level units into @p out: both arrays driven
      * by the same input voltages (the negative array's current lands in
-     * @p neg), currents subtracted, then scaled to level units.
+     * @p neg), currents subtracted, then scaled to level units.  Per
+     * call, the positive array's noise draws precede the negative
+     * array's.
      */
     void mvmAnalog(std::span<const int> input_levels, std::span<double> out,
                    std::span<double> neg, Rng *rng = nullptr) const;
-
-    /** mvmAnalog into a fresh vector (allocates). */
-    std::vector<double>
-    mvmAnalog(std::span<const int> input_levels, Rng *rng = nullptr) const;
-
-    /** Batched exact signed MVM (one output row per input vector). */
-    std::vector<std::vector<std::int64_t>>
-    mvmExactBatch(const std::vector<std::vector<int>> &inputs) const;
-
-    /**
-     * Batched analog signed MVM.  RNG order matches sequential calls:
-     * per sample, the positive array's noise draws precede the negative
-     * array's.
-     */
-    std::vector<std::vector<double>>
-    mvmAnalogBatch(const std::vector<std::vector<int>> &inputs,
-                   Rng *rng = nullptr) const;
 
     const Crossbar &positive() const { return pos_; }
     const Crossbar &negative() const { return neg_; }

@@ -3,9 +3,10 @@
  * Allocation pin of the run-time data flow.  After warm-up, replaying a
  * programmed layer's Table I stream -- Fetch, Load, computeMats, Store,
  * Commit through PrimeController and MainMemory -- allocates nothing,
- * in exact mode and on the noisy analog path; and a whole run()
- * allocates equally often whatever its layers' tile counts, so the
- * tiled MVM replays its tape without allocating.
+ * in exact mode and on the noisy analog path; and a whole run() or
+ * calibrate() allocates equally often whatever its layers' tile
+ * counts, so the tiled MVM replays its tape -- or merges its tiles'
+ * untruncated dot products -- without allocating.
  *
  * This executable replaces the global operator new/delete with
  * counting versions, which is why it is a binary of its own.
@@ -260,8 +261,8 @@ TEST(AllocationPin, LayerReplayAllocatesNothingNoisyAnalog)
 TEST(AllocationPin, RunAllocationsDoNotDependOnTileCount)
 {
     // The same network on 256x256 mats (3 + 1 tiles) and on 64x64 mats
-    // (10 + 1 tiles): run() allocates for its tensors and activation
-    // codes, never per tile or per command.
+    // (10 + 1 tiles): run() and calibrate() allocate for their tensors
+    // and activation codes, never per tile or per command.
     nvmodel::TechParams small = nvmodel::defaultTechParams();
     small.geometry.matRows = 64;
     small.geometry.matCols = 64;
@@ -273,6 +274,7 @@ TEST(AllocationPin, RunAllocationsDoNotDependOnTileCount)
     nn::Tensor input({1, 20, 30});
     for (std::size_t i = 0; i < input.size(); ++i)
         input[i] = static_cast<double>(i % 17) / 17.0;
+    const std::vector<nn::Sample> samples = {{input, 0}};
     for (int threads : {1, 4}) {
         ThreadPool::setGlobalThreadCount(threads);
         const std::size_t per_wide =
@@ -280,6 +282,12 @@ TEST(AllocationPin, RunAllocationsDoNotDependOnTileCount)
         const std::size_t per_narrow =
             steadyStateAllocations([&] { narrow->run(input); }, 10);
         EXPECT_EQ(per_wide, per_narrow) << "threads=" << threads;
+        const std::size_t calibrate_wide = steadyStateAllocations(
+            [&] { wide->calibrate(samples); }, 10);
+        const std::size_t calibrate_narrow = steadyStateAllocations(
+            [&] { narrow->calibrate(samples); }, 10);
+        EXPECT_EQ(calibrate_wide, calibrate_narrow)
+            << "calibrate, threads=" << threads;
     }
     ThreadPool::setGlobalThreadCount(0);
 }

@@ -134,7 +134,9 @@ TEST(ComposedMatrixEngine, MatchesIntegerModel)
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 63));
 
-    auto hw = engine.mvmExact(in);
+    ComposedMatrixEngine::MvmScratch scratch;
+    std::vector<std::int64_t> hw(cols);
+    engine.mvmExact(in, hw, scratch);
     for (int c = 0; c < cols; ++c) {
         std::vector<int> col(rows);
         for (int r = 0; r < rows; ++r)
@@ -158,7 +160,9 @@ TEST(ComposedMatrixEngine, TargetWithinBound)
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 63));
 
-    auto hw = engine.mvmExact(in);
+    ComposedMatrixEngine::MvmScratch scratch;
+    std::vector<std::int64_t> hw(8);
+    engine.mvmExact(in, hw, scratch);
     auto target = engine.targetExact(in);
     for (int c = 0; c < 8; ++c)
         EXPECT_LE(std::llabs(hw[c] - target[c]), 4);
@@ -178,7 +182,11 @@ TEST(ComposedMatrixEngine, AnalogTracksExactWithIdealDevices)
     std::vector<int> in(64);
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 63));
-    EXPECT_EQ(engine.mvmAnalog(in), engine.mvmExact(in));
+    ComposedMatrixEngine::MvmScratch scratch;
+    std::vector<std::int64_t> analog(6), exact(6);
+    engine.mvmAnalog(in, analog, scratch);
+    engine.mvmExact(in, exact, scratch);
+    EXPECT_EQ(analog, exact);
 }
 
 TEST(ComposedMatrixEngine, ProgrammingVariationStaysClose)
@@ -196,8 +204,10 @@ TEST(ComposedMatrixEngine, ProgrammingVariationStaysClose)
     std::vector<int> in(128);
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 63));
-    auto noisy = engine.mvmAnalog(in, nullptr);
-    auto ideal = engine.mvmExact(in);
+    ComposedMatrixEngine::MvmScratch scratch;
+    std::vector<std::int64_t> noisy(4), ideal(4);
+    engine.mvmAnalog(in, noisy, scratch, nullptr);
+    engine.mvmExact(in, ideal, scratch);
     for (int c = 0; c < 4; ++c)
         EXPECT_NEAR(static_cast<double>(noisy[c]),
                     static_cast<double>(ideal[c]),

@@ -49,7 +49,8 @@ TEST(Crossbar, MvmExactMatchesReference)
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 7));
 
-    auto out = xbar.mvmExact(in);
+    std::vector<std::int64_t> out(8);
+    xbar.mvmExact(in, out);
     for (int c = 0; c < 8; ++c) {
         std::int64_t expect = 0;
         for (int r = 0; r < 16; ++r)
@@ -72,9 +73,11 @@ TEST(Crossbar, AnalogMatchesExactWithIdealDevices)
     std::vector<int> in(32);
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 7));
-    auto exact = pos.mvmExact(in);
-    auto ip = pos.mvmAnalog(in);
-    auto in_ = neg.mvmAnalog(in);
+    std::vector<std::int64_t> exact(16);
+    std::vector<double> ip(16), in_(16);
+    pos.mvmExact(in, exact);
+    pos.mvmAnalog(in, ip);
+    neg.mvmAnalog(in, in_);
     for (int c = 0; c < 16; ++c) {
         const double level_units =
             pos.levelUnitsFromCurrent(ip[c] - in_[c]);
@@ -90,8 +93,9 @@ TEST(Crossbar, ReadNoisePerturbsOutput)
     Crossbar xbar(p);
     xbar.programLevels(randomLevels(32, 4, 15, rng));
     std::vector<int> in(32, 5);
-    auto clean = xbar.mvmAnalog(in, nullptr);
-    auto noisy = xbar.mvmAnalog(in, &rng);
+    std::vector<double> clean(4), noisy(4);
+    xbar.mvmAnalog(in, clean, nullptr);
+    xbar.mvmAnalog(in, noisy, &rng);
     bool different = false;
     for (int c = 0; c < 4; ++c)
         if (clean[c] != noisy[c])
@@ -120,10 +124,18 @@ TEST(Crossbar, WearTracked)
 TEST(Crossbar, RejectsBadInputs)
 {
     Crossbar xbar(smallParams(4, 4));
+    std::vector<std::int64_t> out(4);
+    std::vector<double> current(4);
     std::vector<int> wrong_size(3, 0);
-    EXPECT_DEATH(xbar.mvmExact(wrong_size), "inputs");
+    EXPECT_DEATH(xbar.mvmExact(wrong_size, out), "inputs");
+    EXPECT_DEATH(xbar.mvmAnalog(wrong_size, current), "inputs");
     std::vector<int> too_big(4, 8);  // inputBits=3 -> max 7
-    EXPECT_DEATH(xbar.mvmExact(too_big), "input level");
+    EXPECT_DEATH(xbar.mvmExact(too_big, out), "input level");
+    std::vector<int> ok(4, 1);
+    std::vector<std::int64_t> short_out(3);
+    std::vector<double> short_current(3);
+    EXPECT_DEATH(xbar.mvmExact(ok, short_out), "outputs");
+    EXPECT_DEATH(xbar.mvmAnalog(ok, short_current), "outputs");
 }
 
 TEST(DifferentialPair, SignedWeightsSplitCorrectly)
@@ -145,7 +157,8 @@ TEST(DifferentialPair, ExactSignedMvm)
     DifferentialPair pair(p);
     pair.programSigned({{5, -5}, {-3, 3}, {0, 15}});
     std::vector<int> in = {7, 2, 1};
-    auto out = pair.mvmExact(in);
+    std::vector<std::int64_t> out(2), neg(2);
+    pair.mvmExact(in, out, neg);
     EXPECT_EQ(out[0], 7 * 5 + 2 * -3 + 1 * 0);
     EXPECT_EQ(out[1], 7 * -5 + 2 * 3 + 1 * 15);
 }
@@ -163,8 +176,10 @@ TEST(DifferentialPair, AnalogCancelsOffset)
     std::vector<int> in(64);
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 7));
-    auto exact = pair.mvmExact(in);
-    auto analog = pair.mvmAnalog(in);
+    std::vector<std::int64_t> exact(8), exact_neg(8);
+    std::vector<double> analog(8), analog_neg(8);
+    pair.mvmExact(in, exact, exact_neg);
+    pair.mvmAnalog(in, analog, analog_neg);
     for (int c = 0; c < 8; ++c)
         EXPECT_NEAR(analog[c], static_cast<double>(exact[c]), 1e-6);
 }
@@ -194,8 +209,11 @@ TEST_P(CrossbarShapeSweep, AnalogAgreesWithExact)
     std::vector<int> in(rows);
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 7));
-    auto exact = pair.mvmExact(in);
-    auto analog = pair.mvmAnalog(in);
+    const std::size_t n = static_cast<std::size_t>(cols);
+    std::vector<std::int64_t> exact(n), exact_neg(n);
+    std::vector<double> analog(n), analog_neg(n);
+    pair.mvmExact(in, exact, exact_neg);
+    pair.mvmAnalog(in, analog, analog_neg);
     for (int c = 0; c < cols; ++c)
         EXPECT_NEAR(analog[c], static_cast<double>(exact[c]), 1e-5);
 }
@@ -206,7 +224,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{256, 16}, std::pair{33, 129}));
 
 // ------------------------------------------------------------------
-// Compute-plane fast path: cached planes, batch APIs, thread pool.
+// Compute-plane fast path: cached planes, buffer reuse, thread pool.
 // ------------------------------------------------------------------
 
 /** Scalar reference MVM straight from storedLevel(), bypassing planes. */
@@ -263,10 +281,11 @@ TEST(CrossbarFastPath, CachedPlaneTracksInterleavedMutations)
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 7));
 
+    std::vector<std::int64_t> out(12);
     for (int step = 0; step < 8; ++step) {
         // Warm the planes...
-        EXPECT_EQ(xbar.mvmExact(in), referenceMvm(xbar, in))
-            << "step " << step;
+        xbar.mvmExact(in, out);
+        EXPECT_EQ(out, referenceMvm(xbar, in)) << "step " << step;
         // ...then mutate through both write paths.
         if (step % 2 == 0) {
             xbar.programCell(static_cast<int>(rng.uniformInt(0, 15)),
@@ -279,8 +298,8 @@ TEST(CrossbarFastPath, CachedPlaneTracksInterleavedMutations)
             xbar.writeRowBits(static_cast<int>(rng.uniformInt(0, 15)),
                               bits);
         }
-        EXPECT_EQ(xbar.mvmExact(in), referenceMvm(xbar, in))
-            << "after mutation " << step;
+        xbar.mvmExact(in, out);
+        EXPECT_EQ(out, referenceMvm(xbar, in)) << "after mutation " << step;
     }
 }
 
@@ -297,7 +316,6 @@ TEST(CrossbarFastPath, WideArraySpansColumnBlocks)
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 7));
     const std::vector<std::int64_t> want = referenceMvm(xbar, in);
-    EXPECT_EQ(xbar.mvmExact(in), want);
     std::vector<std::int64_t> out(want.size(), -12345);
     xbar.mvmExact(in, out);
     EXPECT_EQ(out, want);
@@ -316,7 +334,8 @@ TEST(CrossbarFastPath, AnalogIrDropMatchesFormula)
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 7));
 
-    std::vector<double> got = xbar.mvmAnalog(in);
+    std::vector<double> got(10);
+    xbar.mvmAnalog(in, got);
     std::vector<double> want = referenceAnalog(xbar, in);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t c = 0; c < got.size(); ++c)
@@ -324,7 +343,7 @@ TEST(CrossbarFastPath, AnalogIrDropMatchesFormula)
 
     // Still exact after a mutation invalidates the plane.
     xbar.programCell(3, 7, 11, &rng);
-    got = xbar.mvmAnalog(in);
+    xbar.mvmAnalog(in, got);
     want = referenceAnalog(xbar, in);
     for (std::size_t c = 0; c < got.size(); ++c)
         EXPECT_DOUBLE_EQ(got[c], want[c]) << "col " << c;
@@ -345,7 +364,8 @@ TEST(CrossbarFastPath, ReadNoiseMatchesPreChangeFormula)
         v = static_cast<int>(rng.uniformInt(0, 7));
 
     Rng noise_a(99), noise_b(99);
-    std::vector<double> noisy = xbar.mvmAnalog(in, &noise_a);
+    std::vector<double> noisy(6);
+    xbar.mvmAnalog(in, noisy, &noise_a);
     std::vector<double> want = referenceAnalog(xbar, in);
     const double full_scale =
         p.device.readVoltage * p.device.gMax() * p.rows;
@@ -355,9 +375,11 @@ TEST(CrossbarFastPath, ReadNoiseMatchesPreChangeFormula)
         EXPECT_DOUBLE_EQ(noisy[c], want[c]) << "col " << c;
 }
 
-/** Batched MVMs equal per-sample calls; analog batching preserves the
- *  RNG draw order bit-exactly. */
-TEST(CrossbarFastPath, BatchMatchesSequential)
+/** One output buffer reused across samples gives what a fresh buffer
+ *  per sample gives, exact and noisy analog alike (the same Rng seed
+ *  on both sides): the kernels overwrite their outputs and draw read
+ *  noise in the same order either way. */
+TEST(CrossbarFastPath, ReusedOutputMatchesFreshPerSample)
 {
     Rng rng(24);
     CrossbarParams p = smallParams(20, 9);
@@ -369,23 +391,27 @@ TEST(CrossbarFastPath, BatchMatchesSequential)
         for (int &v : in)
             v = static_cast<int>(rng.uniformInt(0, 7));
 
-    auto batch = xbar.mvmExactBatch(inputs);
-    ASSERT_EQ(batch.size(), inputs.size());
-    for (std::size_t s = 0; s < inputs.size(); ++s)
-        EXPECT_EQ(batch[s], xbar.mvmExact(inputs[s])) << "sample " << s;
-
-    Rng seq_rng(7), batch_rng(7);
-    auto analog_batch = xbar.mvmAnalogBatch(inputs, &batch_rng);
+    Rng reused_rng(7), fresh_rng(7);
+    std::vector<std::int64_t> exact(9);
+    std::vector<double> analog(9);
     for (std::size_t s = 0; s < inputs.size(); ++s) {
-        auto seq = xbar.mvmAnalog(inputs[s], &seq_rng);
-        for (std::size_t c = 0; c < seq.size(); ++c)
-            EXPECT_DOUBLE_EQ(analog_batch[s][c], seq[c])
-                << "sample " << s << " col " << c;
+        xbar.mvmExact(inputs[s], exact);
+        std::vector<std::int64_t> fresh_exact(9);
+        xbar.mvmExact(inputs[s], fresh_exact);
+        EXPECT_EQ(exact, fresh_exact) << "sample " << s;
+
+        xbar.mvmAnalog(inputs[s], analog, &reused_rng);
+        std::vector<double> fresh_analog(9);
+        xbar.mvmAnalog(inputs[s], fresh_analog, &fresh_rng);
+        EXPECT_EQ(analog, fresh_analog) << "sample " << s;
     }
 }
 
-/** Composed-engine batches equal per-sample calls, both datapaths. */
-TEST(ComposedEngineFastPath, BatchMatchesSequential)
+/** One MvmScratch and output buffer reused across samples -- and
+ *  across both datapaths, which size the scratch differently -- give
+ *  what a fresh pair per sample gives: the reuse contract the
+ *  controller's per-mat scratch relies on. */
+TEST(ComposedEngineFastPath, ReusedScratchMatchesFreshPerSample)
 {
     ComposingParams cp;
     CrossbarParams xp;
@@ -403,16 +429,21 @@ TEST(ComposedEngineFastPath, BatchMatchesSequential)
         for (int &v : in)
             v = static_cast<int>(rng.uniformInt(0, 63));
 
-    auto batch = engine.mvmExactBatch(inputs);
-    ASSERT_EQ(batch.size(), inputs.size());
-    for (std::size_t s = 0; s < inputs.size(); ++s)
-        EXPECT_EQ(batch[s], engine.mvmExact(inputs[s])) << "sample " << s;
+    Rng reused_rng(31), fresh_rng(31);
+    ComposedMatrixEngine::MvmScratch scratch;
+    std::vector<std::int64_t> out(6);
+    for (std::size_t s = 0; s < inputs.size(); ++s) {
+        engine.mvmExact(inputs[s], out, scratch);
+        ComposedMatrixEngine::MvmScratch fresh_scratch;
+        std::vector<std::int64_t> fresh(6);
+        engine.mvmExact(inputs[s], fresh, fresh_scratch);
+        EXPECT_EQ(out, fresh) << "exact sample " << s;
 
-    Rng seq_rng(31), batch_rng(31);
-    auto analog_batch = engine.mvmAnalogBatch(inputs, &batch_rng);
-    for (std::size_t s = 0; s < inputs.size(); ++s)
-        EXPECT_EQ(analog_batch[s], engine.mvmAnalog(inputs[s], &seq_rng))
-            << "sample " << s;
+        engine.mvmAnalog(inputs[s], out, scratch, &reused_rng);
+        ComposedMatrixEngine::MvmScratch fresh_analog_scratch;
+        engine.mvmAnalog(inputs[s], fresh, fresh_analog_scratch, &fresh_rng);
+        EXPECT_EQ(out, fresh) << "analog sample " << s;
+    }
 }
 
 /** parallelFor must produce thread-count-independent results and hit

@@ -529,12 +529,25 @@ TEST(MainMemory, ResetStatsZeroesCountersKeepsTiming)
     mem.scheduleBytes(0, 4096, false);
     const Ns horizon = mem.channelFree();
     EXPECT_GT(horizon, 0.0);
+    // The per-source makespan horizons are gauges: read-time formulas
+    // over the last sync, never scalars with a count.
+    double prime_ready = -1.0, cpu_ready = -1.0;
+    ASSERT_TRUE(mem.stats().evalFormula("mem.prime.last_ready_ns",
+                                        prime_ready));
+    ASSERT_TRUE(mem.stats().evalFormula("mem.cpu.last_ready_ns",
+                                        cpu_ready));
+    EXPECT_DOUBLE_EQ(prime_ready, mem.primeProgressNs());
+    EXPECT_GT(prime_ready, 0.0);
+    EXPECT_DOUBLE_EQ(cpu_ready, 0.0);
+    EXPECT_EQ(mem.stats().find("mem.prime.last_ready_ns"), nullptr);
     mem.resetStats();
     StatGroup &stats = mem.stats();
     EXPECT_EQ(stats.get("mem.reads").count(), 0u);
     EXPECT_EQ(stats.get("mem.row_hits").count(), 0u);
     EXPECT_EQ(stats.histogram("mem.service_ns").count(), 0u);
     EXPECT_DOUBLE_EQ(mem.rowHitRate(), 0.0);
+    ASSERT_TRUE(stats.evalFormula("mem.prime.last_ready_ns", prime_ready));
+    EXPECT_DOUBLE_EQ(prime_ready, 0.0);
     // The hardware stays warm: cursors and open rows survive.
     EXPECT_DOUBLE_EQ(mem.channelFree(), horizon);
 }

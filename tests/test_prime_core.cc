@@ -57,7 +57,8 @@ TEST(FfMat, MorphingProtocol)
 
     // The engine computes on the programmed weights.
     std::vector<int> in = {3, 2};
-    auto full = mat.engine().mvmFull(in);
+    std::vector<std::int64_t> full(2);
+    mat.engine().mvmFull(in, full);
     EXPECT_EQ(full[0], 3 * 10 + 2 * -5);
     EXPECT_EQ(full[1], 3 * -20 + 2 * 30);
 
@@ -84,8 +85,7 @@ TEST(FfMat, RejectsDoubleMorphAndOversizedTile)
 
 TEST(FfSubarray, TracksModesAndCapacity)
 {
-    StatGroup stats;
-    FfSubarray sub(tech(), &stats);
+    FfSubarray sub(tech());
     EXPECT_EQ(sub.matCount(), 32);
     EXPECT_EQ(sub.computeMats(), 0);
     EXPECT_EQ(sub.memoryModeBytes(), 32u * 32 * 1024);
@@ -109,16 +109,6 @@ TEST(BufferSubarray, ReadWriteAndTraffic)
     EXPECT_DEATH(buf.read(buf.capacity(), 1), "out of range");
 }
 
-TEST(BufferSubarray, ValueHelpers)
-{
-    StatGroup stats;
-    BufferSubarray buf(tech(), &stats);
-    buf.writeValues(0, {1.5, -2.25});
-    auto vals = buf.readValues(0, 2);
-    EXPECT_DOUBLE_EQ(vals[0], 1.5);
-    EXPECT_DOUBLE_EQ(vals[1], -2.25);
-}
-
 /** Fixture wiring a controller to memory, FF subarrays and a buffer. */
 class ControllerTest : public ::testing::Test
 {
@@ -128,7 +118,7 @@ class ControllerTest : public ::testing::Test
           buffer_(tech_, &stats_)
     {
         for (int i = 0; i < tech_.geometry.ffSubarraysPerBank; ++i)
-            ff_.emplace_back(tech_, &stats_);
+            ff_.emplace_back(tech_);
         controller_ = std::make_unique<PrimeController>(
             tech_, &mem_, &ff_, &buffer_, &stats_);
     }
@@ -406,7 +396,7 @@ TEST(ControllerFuzz, RandomCommandStreamsKeepInvariants)
     memory::MainMemory mem(tech);
     std::vector<FfSubarray> ff;
     for (int i = 0; i < tech.geometry.ffSubarraysPerBank; ++i)
-        ff.emplace_back(tech, &stats);
+        ff.emplace_back(tech);
     BufferSubarray buffer(tech, &stats);
     PrimeController ctrl(tech, &mem, &ff, &buffer, &stats);
 

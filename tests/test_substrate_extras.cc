@@ -198,8 +198,10 @@ TEST(IrDrop, ZeroWireResistanceIsExact)
             v = static_cast<int>(rng.uniformInt(0, 15));
     xbar.programLevels(levels);
     std::vector<int> in(64, 5);
-    auto exact = xbar.mvmExact(in);
-    auto analog = xbar.mvmAnalog(in);
+    std::vector<std::int64_t> exact(8);
+    std::vector<double> analog(8);
+    xbar.mvmExact(in, exact);
+    xbar.mvmAnalog(in, analog);
     for (int c = 0; c < 8; ++c)
         EXPECT_NEAR(xbar.levelUnitsFromCurrent(analog[c]) -
                         5.0 * 64 * /* Gmin offset in level units */
@@ -220,8 +222,9 @@ TEST(IrDrop, WireResistanceReducesCurrent)
     a.programLevels(levels);
     b.programLevels(levels);
     std::vector<int> in(128, 7);
-    auto ia = a.mvmAnalog(in);
-    auto ib = b.mvmAnalog(in);
+    std::vector<double> ia(16), ib(16);
+    a.mvmAnalog(in, ia);
+    b.mvmAnalog(in, ib);
     for (int c = 0; c < 16; ++c)
         EXPECT_LT(ib[static_cast<std::size_t>(c)],
                   ia[static_cast<std::size_t>(c)]);
@@ -244,8 +247,10 @@ TEST(IrDrop, GrowsWithArraySize)
         a.programLevels(levels);
         b.programLevels(levels);
         std::vector<int> in(n, 7);
-        auto ia = a.mvmAnalog(in);
-        auto ib = b.mvmAnalog(in);
+        std::vector<double> ia(static_cast<std::size_t>(n)),
+            ib(static_cast<std::size_t>(n));
+        a.mvmAnalog(in, ia);
+        b.mvmAnalog(in, ib);
         return (ia.back() - ib.back()) / ia.back();
     };
     EXPECT_GT(relative_loss(256), relative_loss(32));

@@ -69,26 +69,18 @@ sampler-lock
     leaf locks are allowed, via suppression), and SpscRing/MpscRing
     are lock-free by contract.
 
-headers (opt-in: --check-headers)
-    Every header under src/ must be self-contained: a TU that includes
-    only that header must compile (include-what-you-use smoke).  The
-    compiles run in parallel, one worker per CPU.
-
 Exit status: 0 clean, 1 findings, 2 usage/environment error.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import fnmatch
 import json
 import os
 import re
-import subprocess
 import sys
-import tempfile
 from typing import Callable, Iterable, Iterator
 
 # --------------------------------------------------------------------------
@@ -232,18 +224,17 @@ class Rule:
     description: str
     scope: str  # human-readable file scope
     check: CheckFn
-    default: bool = True  # run without opt-in flags
 
 
 RULES: dict[str, Rule] = {}
 
 
-def rule(id: str, severity: str, description: str, scope: str,
-         default: bool = True) -> Callable[[CheckFn], CheckFn]:
+def rule(id: str, severity: str, description: str,
+         scope: str) -> Callable[[CheckFn], CheckFn]:
     def wrap(fn: CheckFn) -> CheckFn:
         if id in RULES:
             raise ValueError(f"duplicate rule id {id}")
-        RULES[id] = Rule(id, severity, description, scope, fn, default)
+        RULES[id] = Rule(id, severity, description, scope, fn)
         return fn
 
     return wrap
@@ -648,47 +639,6 @@ def check_hot_path_stats(repo: Repo) -> Iterator[Finding]:
 
 
 # --------------------------------------------------------------------------
-# Headers (opt-in, needs a compiler)
-# --------------------------------------------------------------------------
-
-
-def check_headers(root: str, compiler: str) -> list[Finding]:
-    """Compile each src/**.hh alone; one worker per CPU, report in path
-    order."""
-    src = os.path.join(root, "src")
-    headers: list[str] = []
-    for dirpath, _dirnames, filenames in os.walk(src):
-        for name in filenames:
-            if name.endswith(".hh"):
-                headers.append(os.path.join(dirpath, name))
-    headers.sort()
-
-    with tempfile.TemporaryDirectory() as tmp:
-        def compile_one(index: int) -> Finding | None:
-            path = headers[index]
-            tu = os.path.join(tmp, f"tu{index}.cc")
-            with open(tu, "w", encoding="utf-8") as f:
-                f.write(f'#include "{os.path.relpath(path, src)}"\n')
-            proc = subprocess.run(
-                [compiler, "-std=c++20", "-fsyntax-only",
-                 "-I", src, "-Wall", "-Wextra", tu],
-                capture_output=True, text=True)
-            if proc.returncode == 0:
-                return None
-            first = next(
-                (ln for ln in proc.stderr.splitlines() if "error" in ln),
-                proc.stderr.strip().splitlines()[0]
-                if proc.stderr.strip() else "unknown error")
-            return Finding(os.path.relpath(path, root), 1, "headers",
-                           f"not self-contained: {first}")
-
-        with concurrent.futures.ThreadPoolExecutor(
-                max_workers=os.cpu_count() or 1) as pool:
-            results = list(pool.map(compile_one, range(len(headers))))
-    return [f for f in results if f is not None]
-
-
-# --------------------------------------------------------------------------
 # Runner
 # --------------------------------------------------------------------------
 
@@ -1063,12 +1013,6 @@ def main() -> int:
     parser.add_argument("--repo", default=None,
                         help="repository root (default: the tool's"
                              " parent)")
-    parser.add_argument("--check-headers", action="store_true",
-                        help="also compile each header standalone (slow)")
-    parser.add_argument("--compiler",
-                        default=os.environ.get("CXX", "c++"),
-                        help="compiler for --check-headers (default:"
-                             " $CXX or c++)")
     parser.add_argument("--self-test", action="store_true",
                         help="run every rule against embedded fixtures"
                              " and exit")
@@ -1095,7 +1039,7 @@ def main() -> int:
         print(f"prime_lint: no src/ under {root}", file=sys.stderr)
         return 2
 
-    rule_ids = args.rule or [r.id for r in RULES.values() if r.default]
+    rule_ids = args.rule or list(RULES)
     unknown = [rid for rid in rule_ids if rid not in RULES]
     if unknown:
         print(f"prime_lint: unknown rule(s) {unknown}", file=sys.stderr)
@@ -1103,9 +1047,6 @@ def main() -> int:
 
     repo = Repo(root=root)
     findings = run_rules(repo, rule_ids)
-    if args.check_headers:
-        findings.extend(check_headers(root, args.compiler))
-        rule_ids = rule_ids + ["headers"]
 
     for f in findings:
         print(f.render())
@@ -1119,15 +1060,6 @@ def main() -> int:
         return 1
     print("prime_lint: clean")
     return 0
-
-
-# `headers` lives outside the default registry (needs a compiler); give
-# it a Rule entry so severity lookups and --list-rules stay uniform.
-RULES["headers"] = Rule(
-    "headers", "error",
-    "every src/ header compiles standalone (include-what-you-use smoke)",
-    "src/**.hh (opt-in: --check-headers)",
-    lambda repo: iter(()), default=False)
 
 
 if __name__ == "__main__":
