@@ -15,12 +15,12 @@
  * executor delivers (the headline perf metric; it needs spare host
  * cores, so a shortfall WARNs rather than failing).  The timed
  * pipelined run executes under an enabled MetricsRegistry (sampler on,
- * live ring/stage gauges registered), its flight-recorder attribution
- * (busy / stall-upstream / stall-downstream / idle per stage) prints
- * as a bottleneck report, and the end-to-end latency quantiles plus
- * the per-stage attribution land in BENCH_pipeline.json -- headline
- * numbers as top-level fields, the sampled series summarized in the
- * "metrics" section.
+ * watching the system stats with their live ring/stage gauges), its
+ * flight-recorder attribution (busy / stall-upstream /
+ * stall-downstream / idle per stage) prints as a bottleneck report,
+ * and the end-to-end latency quantiles plus the per-stage attribution
+ * land in BENCH_pipeline.json -- headline numbers as top-level fields,
+ * the sampled series summarized in the "metrics" section.
  */
 
 #include <algorithm>
@@ -161,12 +161,12 @@ main(int argc, char **argv)
     prime.stats().histogram("pipeline.e2e_latency_ns").reset();
 
     // The timed pipelined run executes fully observed: sampler thread
-    // on, live ring-depth/stage-state gauges registered by the
-    // executor, per-bank memory probes registered here.
+    // on, watching the system's stats (the pipeline's ring-depth/
+    // stage-state gauges among them) and the per-bank memory occupancy.
     telemetry::MetricsRegistry registry;
     registry.enable();
-    telemetry::setGlobalMetrics(&registry);
-    prime.registerMetrics(registry);
+    registry.watch(prime.stats());
+    registry.watch(prime.mainMemory().occupancy());
     registry.startSampler(1);
 
     t0 = std::chrono::steady_clock::now();
@@ -175,8 +175,6 @@ main(int argc, char **argv)
     const double pipe_ns = elapsedNs(t0);
 
     registry.stopSampler();
-    prime.unregisterMetrics(registry);
-    telemetry::setGlobalMetrics(nullptr);
     run.metrics(registry);
     ThreadPool::setGlobalThreadCount(0);
 

@@ -94,7 +94,7 @@ servePoint(core::PrimeSystem &prime, std::span<const nn::Tensor> inputs,
     sopt.batchWindowUs = 200;
     serve::ServingEngine engine(prime, sopt);
     if (registry)
-        engine.registerMetrics(*registry);
+        registry->watch(engine.stats());
 
     serve::LoadGenOptions lopt;
     lopt.targetQps = offered_qps;
@@ -128,7 +128,7 @@ servePoint(core::PrimeSystem &prime, std::span<const nn::Tensor> inputs,
     point.meanBatch =
         engine.stats().histogram("serving.batch_size").mean();
     if (registry)
-        engine.unregisterMetrics(*registry);
+        registry->unwatch(engine.stats());
     return point;
 }
 
@@ -192,13 +192,13 @@ main(int argc, char **argv)
                 "ms)\n\n",
                 base_qps, batch, base_s * 1e3);
 
-    // The whole sweep runs observed: serving gauges registered per
-    // point (same names, so each series spans the sweep), per-bank
-    // memory probes once.
+    // The whole sweep runs observed: each point's engine watched while
+    // it lives (same names, so each series spans the sweep), the
+    // system's stats and memory occupancy throughout.
     telemetry::MetricsRegistry registry;
     registry.enable();
-    telemetry::setGlobalMetrics(&registry);
-    prime.registerMetrics(registry);
+    registry.watch(prime.stats());
+    registry.watch(prime.mainMemory().occupancy());
     registry.startSampler(1);
 
     const double multipliers[] = {0.25, 0.5, 1.0, 2.0, 4.0};
@@ -235,8 +235,6 @@ main(int argc, char **argv)
                     "dispatch (host-domain measurement; needs cores)\n");
 
     registry.stopSampler();
-    prime.unregisterMetrics(registry);
-    telemetry::setGlobalMetrics(nullptr);
     run.metrics(registry);
     ThreadPool::setGlobalThreadCount(0);
 

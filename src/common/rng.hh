@@ -14,6 +14,8 @@
 #include <random>
 #include <vector>
 
+#include "common/logging.hh"
+
 namespace prime {
 
 /**
@@ -42,12 +44,19 @@ class Rng
         return d(engine_);
     }
 
-    /** Gaussian draw. */
+    /**
+     * Gaussian draw: mean + stddev * z for a standard normal z, so
+     * stddev 0 is allowed (returns @p mean, still advancing the engine
+     * by one draw) where std::normal_distribution requires stddev > 0.
+     * Bit-identical to std::normal_distribution(mean, stddev) for
+     * stddev > 0.
+     */
     double
     gaussian(double mean = 0.0, double stddev = 1.0)
     {
-        std::normal_distribution<double> d(mean, stddev);
-        return d(engine_);
+        PRIME_ASSERT(stddev >= 0.0, "stddev=", stddev);
+        std::normal_distribution<double> d;
+        return mean + stddev * d(engine_);
     }
 
     /** Bernoulli draw. */

@@ -38,12 +38,14 @@ dottedPrefix(const std::string &name)
 Stat &
 StatGroup::get(const std::string &name)
 {
+    MutexLock lock(mutex_);
     return stats_[name];
 }
 
 const Stat *
 StatGroup::find(const std::string &name) const
 {
+    MutexLock lock(mutex_);
     auto it = stats_.find(name);
     return it == stats_.end() ? nullptr : &it->second;
 }
@@ -51,35 +53,41 @@ StatGroup::find(const std::string &name) const
 telemetry::Histogram &
 StatGroup::histogram(const std::string &name)
 {
+    MutexLock lock(mutex_);
     return histograms_[name];
 }
 
 const telemetry::Histogram *
 StatGroup::findHistogram(const std::string &name) const
 {
+    MutexLock lock(mutex_);
     auto it = histograms_.find(name);
     return it == histograms_.end() ? nullptr : &it->second;
 }
 
 void
-StatGroup::formula(const std::string &name, std::function<double()> fn)
+StatGroup::formula(const std::string &name, std::function<double()> fn,
+                   MetricKind kind)
 {
-    formulas_[name] = std::move(fn);
+    MutexLock lock(mutex_);
+    formulas_[name] = Formula{std::move(fn), kind};
 }
 
 bool
 StatGroup::evalFormula(const std::string &name, double &out) const
 {
+    MutexLock lock(mutex_);
     auto it = formulas_.find(name);
     if (it == formulas_.end())
         return false;
-    out = it->second();
+    out = it->second.fn();
     return true;
 }
 
 StatGroup &
 StatGroup::child(const std::string &name)
 {
+    MutexLock lock(mutex_);
     auto it = children_.find(name);
     if (it == children_.end())
         it = children_.emplace(name, std::make_unique<StatGroup>()).first;
@@ -89,6 +97,7 @@ StatGroup::child(const std::string &name)
 const StatGroup *
 StatGroup::findChild(const std::string &name) const
 {
+    MutexLock lock(mutex_);
     auto it = children_.find(name);
     return it == children_.end() ? nullptr : it->second.get();
 }
@@ -96,6 +105,7 @@ StatGroup::findChild(const std::string &name) const
 std::vector<std::string>
 StatGroup::names() const
 {
+    MutexLock lock(mutex_);
     std::vector<std::string> out;
     out.reserve(stats_.size());
     for (const auto &kv : stats_)
@@ -106,6 +116,7 @@ StatGroup::names() const
 void
 StatGroup::resetAll()
 {
+    MutexLock lock(mutex_);
     for (auto &kv : stats_)
         kv.second.reset();
     for (auto &kv : histograms_)
@@ -117,6 +128,7 @@ StatGroup::resetAll()
 void
 StatGroup::dumpPrefixed(std::ostream &os, const std::string &prefix) const
 {
+    MutexLock lock(mutex_);
     // Group scalar lines by their first dotted component: a blank line
     // between groups keeps a long dump scannable.
     std::string last_group;
@@ -150,7 +162,7 @@ StatGroup::dumpPrefixed(std::ostream &os, const std::string &prefix) const
     }
     for (const auto &kv : formulas_) {
         os << std::left << std::setw(44) << (prefix + kv.first)
-           << " value=" << formatValue(kv.second()) << '\n';
+           << " value=" << formatValue(kv.second.fn()) << '\n';
     }
     for (const auto &kv : children_)
         kv.second->dumpPrefixed(os, prefix + kv.first + ".");
@@ -167,6 +179,7 @@ StatGroup::dumpJsonObject(std::ostream &os) const
 {
     using telemetry::jsonNumber;
     using telemetry::jsonString;
+    MutexLock lock(mutex_);
     os << '{';
     bool first = true;
     auto key = [&](const std::string &name) {
@@ -226,7 +239,7 @@ StatGroup::dumpJsonObject(std::ostream &os) const
     for (const auto &kv : formulas_) {
         key(kv.first);
         os << "{\"type\":\"formula\",\"value\":";
-        jsonNumber(os, kv.second());
+        jsonNumber(os, kv.second.fn());
         os << '}';
     }
     for (const auto &kv : children_) {
@@ -234,6 +247,28 @@ StatGroup::dumpJsonObject(std::ostream &os) const
         kv.second->dumpJsonObject(os);
     }
     os << '}';
+}
+
+void
+StatGroup::forEachValuePrefixed(const std::string &prefix,
+                                const ValueVisitor &visit) const
+{
+    MutexLock lock(mutex_);
+    for (const auto &[name, s] : stats_) {
+        const std::uint64_t count = s.count();
+        visit(prefix + name, MetricKind::Counter,
+              count ? static_cast<double>(count) : s.sum());
+    }
+    for (const auto &[name, f] : formulas_)
+        visit(prefix + name, f.kind, f.fn());
+    for (const auto &[name, group] : children_)
+        group->forEachValuePrefixed(prefix + name + ".", visit);
+}
+
+void
+StatGroup::forEachValue(const ValueVisitor &visit) const
+{
+    forEachValuePrefixed("", visit);
 }
 
 void

@@ -9,6 +9,10 @@
  * sub-group rendered as a nested JSON object and a dotted prefix in the
  * text dump.  No global state: each simulated system owns its own root
  * group.
+ *
+ * A group is also the one declaration of its live values: the metrics
+ * sampler (telemetry/metrics.hh) watches groups and reads every stat
+ * and formula of them as a time series (see forEachValue).
  */
 
 #ifndef PRIME_COMMON_STATS_HH
@@ -23,20 +27,30 @@
 #include <string>
 #include <vector>
 
+#include "common/mutex.hh"
+#include "common/thread_annotations.hh"
 #include "common/telemetry/histogram.hh"
 
 namespace prime {
+
+/** How a live value's samples relate over time. */
+enum class MetricKind
+{
+    Gauge,    ///< instantaneous value (queue depth, worker state)
+    Counter,  ///< monotonically accumulating total (items, bytes)
+};
 
 /**
  * A named accumulating statistic (count + sum, enough for mean).
  *
  * Concurrency: a Stat has at most one writer at a time (gem5-style --
  * concurrent updaters use per-worker shards merged post-join), but the
- * metrics sampler thread may *read* any stat mid-run.  Every field
- * access therefore goes through a relaxed std::atomic_ref: the writer's
- * read-modify-write stays a plain load+store pair (exact, since it is
- * the only writer) compiled to the same movs as before, while the
- * sampler's loads are race-free torn-value-free snapshots.  Relaxed
+ * metrics sampler thread may *read* any stat of a watched group
+ * mid-run.  Every field access therefore goes through a relaxed
+ * std::atomic_ref: the writer's read-modify-write stays a plain
+ * load+store pair (exact, since it is the only writer) compiled to the
+ * same movs as before, while the sampler's loads are race-free
+ * torn-value-free snapshots.  Relaxed
  * ordering is sufficient -- a sampled value needs no happens-before
  * with other stats, only freedom from data races.
  */
@@ -141,6 +155,16 @@ class Stat
  * formulas (values derived at read time, e.g. a hit rate), and child
  * groups.  Non-copyable: children are owned and formulas may capture
  * pointers to sibling stats (std::map nodes are address-stable).
+ *
+ * Concurrency: one mutex per group guards its maps, so creating an
+ * entry (a get() of a new name, child(), formula() replacing a
+ * closure) is safe while the metrics sampler walks the group on
+ * another thread.  Writes through a returned Stat& take no lock (the
+ * Stat contract above).  Readers that evaluate formulas -- dump(),
+ * dumpJson(), evalFormula(), forEachValue() -- hold the group mutex
+ * while the closure runs, so a formula must be safe to call from any
+ * thread and must not call back into its own group; it may take a leaf
+ * lock (lock order: registry -> group -> memory shard).
  */
 class StatGroup
 {
@@ -165,11 +189,14 @@ class StatGroup
     const telemetry::Histogram *findHistogram(const std::string &name) const;
 
     /**
-     * Register (or replace) a derived stat evaluated at read time.
-     * The callable must stay valid for the group's lifetime; capture
-     * pointers to stats of this group rather than enclosing objects.
+     * Register (or replace) a derived stat evaluated at read time; the
+     * sampler exports it as a series of @p kind.  The callable must
+     * stay valid for the group's lifetime and be callable from any
+     * thread (see the class contract); capture pointers to stats of
+     * this group, atomics or leaf-locked state.
      */
-    void formula(const std::string &name, std::function<double()> fn);
+    void formula(const std::string &name, std::function<double()> fn,
+                 MetricKind kind = MetricKind::Gauge);
 
     /** Evaluate a formula into @p out; false if absent. */
     bool evalFormula(const std::string &name, double &out) const;
@@ -205,13 +232,39 @@ class StatGroup
     /** The group's JSON object alone (no version envelope). */
     void dumpJsonObject(std::ostream &os) const;
 
-  private:
-    void dumpPrefixed(std::ostream &os, const std::string &prefix) const;
+    /** What forEachValue hands its visitor per value. */
+    using ValueVisitor =
+        std::function<void(const std::string &name, MetricKind kind,
+                           double value)>;
 
-    std::map<std::string, Stat> stats_;
-    std::map<std::string, telemetry::Histogram> histograms_;
-    std::map<std::string, std::function<double()>> formulas_;
-    std::map<std::string, std::unique_ptr<StatGroup>> children_;
+    /**
+     * The metrics sampler's walk: visit every Stat as a Counter --
+     * its count(), or its sum() while the count is 0 (an add()-only
+     * stat) -- and every formula with its declared kind, children
+     * dotted-prefixed as in dump().  Histograms are not visited.  Each
+     * group's mutex is held while its entries are visited.
+     */
+    void forEachValue(const ValueVisitor &visit) const;
+
+  private:
+    struct Formula
+    {
+        std::function<double()> fn;
+        MetricKind kind = MetricKind::Gauge;
+    };
+
+    void dumpPrefixed(std::ostream &os, const std::string &prefix) const;
+    void forEachValuePrefixed(const std::string &prefix,
+                              const ValueVisitor &visit) const;
+
+    /** Guards the maps (not the values: see the class contract). */
+    mutable Mutex mutex_;
+    std::map<std::string, Stat> stats_ PRIME_GUARDED_BY(mutex_);
+    std::map<std::string, telemetry::Histogram> histograms_
+        PRIME_GUARDED_BY(mutex_);
+    std::map<std::string, Formula> formulas_ PRIME_GUARDED_BY(mutex_);
+    std::map<std::string, std::unique_ptr<StatGroup>> children_
+        PRIME_GUARDED_BY(mutex_);
 };
 
 /**

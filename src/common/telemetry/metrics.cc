@@ -35,48 +35,22 @@ MetricsRegistry::disable()
 }
 
 void
-MetricsRegistry::probe(const std::string &name, MetricKind kind, Probe fn)
+MetricsRegistry::watch(const StatGroup &group)
 {
     MutexLock lock(mutex_);
-    for (auto &[existing, source] : sources_) {
-        if (existing == name) {
-            source = Source{kind, std::move(fn)};
-            return;
-        }
-    }
-    sources_.emplace_back(name, Source{kind, std::move(fn)});
+    if (std::find(watched_.begin(), watched_.end(), &group) ==
+        watched_.end())
+        watched_.push_back(&group);
 }
 
 void
-MetricsRegistry::gauge(const std::string &name, Probe fn)
-{
-    probe(name, MetricKind::Gauge, std::move(fn));
-}
-
-void
-MetricsRegistry::counter(const std::string &name, Probe fn)
-{
-    probe(name, MetricKind::Counter, std::move(fn));
-}
-
-void
-MetricsRegistry::unregister(const std::string &name)
+MetricsRegistry::unwatch(const StatGroup &group)
 {
     // Taking the sampling mutex serializes against an in-flight tick:
-    // once we hold it, no tick is mid-probe, and the erased source can
-    // never be called again.
+    // once we hold it, no tick is mid-walk, and the group can never be
+    // visited again.
     MutexLock lock(mutex_);
-    sources_.erase(
-        std::remove_if(sources_.begin(), sources_.end(),
-                       [&](const auto &s) { return s.first == name; }),
-        sources_.end());
-}
-
-std::size_t
-MetricsRegistry::sourceCount() const
-{
-    MutexLock lock(mutex_);
-    return sources_.size();
+    std::erase(watched_, &group);
 }
 
 bool
@@ -91,9 +65,14 @@ MetricsRegistry::sampleOnce()
     MutexLock lock(mutex_);
     Snapshot snap;
     snap.tsNs = ts;
-    snap.values.reserve(sources_.size());
-    for (const auto &[name, source] : sources_)
-        snap.values.push_back(Value{name, source.kind, source.fn()});
+    if (!snapshots_.empty())
+        snap.values.reserve(snapshots_.back().values.size());
+    for (const StatGroup *group : watched_)
+        group->forEachValue(
+            [&snap](const std::string &name, MetricKind kind,
+                    double value) {
+                snap.values.push_back(Value{name, kind, value});
+            });
     if (snapshots_.size() == capacity_) {
         snapshots_.pop_front();
         ++dropped_;
@@ -261,33 +240,6 @@ MetricsRegistry::summarize() const
         out.push_back(std::move(s));
     }
     return out;
-}
-
-namespace {
-
-/** The inert default: permanently disabled, accepts no samples. */
-MetricsRegistry &
-inertMetrics()
-{
-    static MetricsRegistry inert(1);
-    return inert;
-}
-
-std::atomic<MetricsRegistry *> g_metrics{nullptr};
-
-} // namespace
-
-MetricsRegistry *
-globalMetrics()
-{
-    MetricsRegistry *registry = g_metrics.load(std::memory_order_acquire);
-    return registry ? registry : &inertMetrics();
-}
-
-void
-setGlobalMetrics(MetricsRegistry *registry)
-{
-    g_metrics.store(registry, std::memory_order_release);
 }
 
 } // namespace prime::telemetry

@@ -1,44 +1,41 @@
 /**
  * @file
- * Time-series metrics: a registry of named gauge/counter probes and a
- * background sampler thread that periodically snapshots every
- * registered probe into an in-memory ring of timestamped snapshots.
+ * Time-series metrics: a registry that watches StatGroups and a
+ * background sampler thread that periodically snapshots every value of
+ * every watched group into an in-memory ring of timestamped snapshots.
  *
  * Where the stats package (common/stats.hh) accumulates totals and the
  * trace session records individual spans, the metrics registry answers
  * "what did this look like *while* it ran": queue depths, worker
  * states, per-bank memory backlog, counter rates -- the continuous
  * utilization signals a serving scheduler or a bottleneck report needs.
- * Snapshots export as JSONL time-series (one JSON object per line, for
- * tools/metrics_report.py) and as Prometheus-style text exposition.
+ * The StatGroup entry is the one declaration of a live value: a tick
+ * reads each Stat as a counter and each formula as a series of its
+ * declared kind (StatGroup::forEachValue).  Snapshots export as JSONL
+ * time-series (one JSON object per line, for tools/metrics_report.py)
+ * and as Prometheus-style text exposition.
  *
  * Threading contract:
- *  - Probes are std::function<double()> callables sampled by the
- *    sampler thread (or by sampleOnce() callers).  The registrant
- *    guarantees the probe is safe to call from another thread at any
- *    time between probe() and unregister(): read atomics (e.g.
- *    SpscRing::approxSize, relaxed Stat snapshots), or take a
- *    short-lived lock (the per-bank MainMemory probes).  A probe must
- *    never call back into its registry.
- *  - One mutex guards the probe table and the snapshot ring; a tick
- *    holds it across all probe calls, so unregister() returning
- *    guarantees no in-flight tick still runs the removed probe (the
- *    pipeline executor relies on this to unregister its ring-depth
- *    gauges before the rings are destroyed).  The guarded members are
- *    machine-checked: PRIME_GUARDED_BY(mutex_) under the clang-tsa
- *    preset, not just this prose.  Because a tick holds mutex_ across
- *    probe calls, a probe that locks any non-leaf mutex risks deadlock
- *    -- prime_lint rule `sampler-lock` flags mutex acquisition inside
- *    probe closures (the per-bank MainMemory probes carry reasoned
- *    suppressions: shard locks are leaf locks).
+ *  - A tick holds the registry mutex, then each watched group's mutex
+ *    while it walks that group, and formulas may take a leaf lock (the
+ *    MainMemory occupancy formulas take a bank shard lock): the lock
+ *    order is registry -> group -> memory shard.  Formulas are
+ *    therefore sampler-safe by the StatGroup contract: atomics,
+ *    relaxed Stat snapshots or a leaf lock, never a call back into the
+ *    registry or their own group (prime_lint rule `sampler-lock` flags
+ *    mutex acquisition inside formula closures).
+ *  - unwatch() takes the registry mutex, so its return guarantees no
+ *    in-flight or future tick touches the group: the group (and what
+ *    its formulas capture) may then be destroyed.  The guarded members
+ *    are machine-checked: PRIME_GUARDED_BY(mutex_) under the clang-tsa
+ *    preset, not just this prose.
  *  - enable()/disable() are atomic; a disabled registry refuses to
- *    sample and costs registration sites exactly one load+branch (the
- *    PRIME_SPAN discipline).  Nothing on a simulator hot path touches
- *    the registry at all -- sampling cost lives on the sampler thread.
+ *    sample.  Nothing on a simulator hot path touches the registry at
+ *    all -- sampling cost lives on the sampler thread.
  *
- * Naming convention: dotted lowercase group.metric names, exactly like
- * stats (tools/prime_lint.py enforces both).  The Prometheus exposition
- * sanitizes dots to underscores and prefixes "prime_".
+ * Naming convention: dotted lowercase group.metric names, the stats
+ * convention (tools/prime_lint.py enforces it).  The Prometheus
+ * exposition sanitizes dots to underscores and prefixes "prime_".
  */
 
 #ifndef PRIME_COMMON_TELEMETRY_METRICS_HH
@@ -48,31 +45,21 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/mutex.hh"
+#include "common/stats.hh"
 #include "common/thread_annotations.hh"
 
 namespace prime::telemetry {
 
-/** How a metric's samples relate over time. */
-enum class MetricKind
-{
-    Gauge,    ///< instantaneous value (queue depth, worker state)
-    Counter,  ///< monotonically accumulating total (items, bytes)
-};
-
-/** Registry of named probes + snapshot ring + sampler thread. */
+/** Registry of watched StatGroups + snapshot ring + sampler thread. */
 class MetricsRegistry
 {
   public:
-    /** A probe: returns the metric's current value, thread-safely. */
-    using Probe = std::function<double()>;
-
     /** One sampled value inside a snapshot. */
     struct Value
     {
@@ -81,7 +68,7 @@ class MetricsRegistry
         double value = 0.0;
     };
 
-    /** One timestamped tick over every probe registered at the time. */
+    /** One timestamped tick over every group watched at the time. */
     struct Snapshot
     {
         std::int64_t tsNs = 0;  ///< ns since the registry epoch
@@ -117,20 +104,19 @@ class MetricsRegistry
         return enabled_.load(std::memory_order_acquire);
     }
 
-    /** Register (or replace) a probe under @p name. */
-    void probe(const std::string &name, MetricKind kind, Probe fn);
-    /** Register an instantaneous-value probe. */
-    void gauge(const std::string &name, Probe fn);
-    /** Register an accumulating-total probe. */
-    void counter(const std::string &name, Probe fn);
+    /**
+     * Sample every value of @p group (and its children) from the next
+     * tick on; watching a watched group again is a no-op.  The group
+     * must outlive the watch: unwatch it before destroying it, unless
+     * no tick runs again (the sampler stopped and sampleOnce unused).
+     */
+    void watch(const StatGroup &group);
 
     /**
-     * Remove a probe.  On return no sampler tick (running or future)
-     * will call it again, so whatever it captured may be destroyed.
+     * Stop sampling @p group.  On return no sampler tick (running or
+     * future) touches it again, so it may be destroyed.
      */
-    void unregister(const std::string &name);
-
-    std::size_t sourceCount() const;
+    void unwatch(const StatGroup &group);
 
     /**
      * Spawn the sampler thread: one snapshot immediately, then one
@@ -154,7 +140,7 @@ class MetricsRegistry
     /** Snapshots evicted because the ring was full. */
     std::uint64_t droppedSnapshots() const;
 
-    /** Drop recorded snapshots (probes stay registered). */
+    /** Drop recorded snapshots (watched groups stay watched). */
     void clear();
 
     /**
@@ -177,21 +163,14 @@ class MetricsRegistry
     static std::string prometheusName(const std::string &name);
 
   private:
-    struct Source
-    {
-        MetricKind kind = MetricKind::Gauge;
-        Probe fn;
-    };
-
     void samplerLoop(int interval_ms);
 
     std::atomic<bool> enabled_{false};
     std::chrono::steady_clock::time_point epoch_;
 
-    /** Guards sources_, snapshots_ and dropped_ (see class contract). */
+    /** Guards watched_, snapshots_ and dropped_ (see class contract). */
     mutable Mutex mutex_;
-    std::vector<std::pair<std::string, Source>> sources_
-        PRIME_GUARDED_BY(mutex_);
+    std::vector<const StatGroup *> watched_ PRIME_GUARDED_BY(mutex_);
     std::deque<Snapshot> snapshots_ PRIME_GUARDED_BY(mutex_);
     std::size_t capacity_;
     std::uint64_t dropped_ PRIME_GUARDED_BY(mutex_) = 0;
@@ -203,17 +182,6 @@ class MetricsRegistry
     bool stopRequested_ PRIME_GUARDED_BY(samplerMutex_) = false;
     std::thread sampler_;
 };
-
-/**
- * The process-wide registry instrumentation sites check (the pipeline
- * executor registers its live ring-depth/stage-state gauges here).
- * Never null: defaults to an inert, permanently disabled registry until
- * setGlobalMetrics installs a real one.
- */
-MetricsRegistry *globalMetrics();
-
-/** Install (or, with nullptr, uninstall) the process-wide registry. */
-void setGlobalMetrics(MetricsRegistry *registry);
 
 } // namespace prime::telemetry
 

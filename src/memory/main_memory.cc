@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iterator>
 #include <string>
 #include <utility>
 
@@ -48,10 +47,46 @@ MainMemory::MainMemory(const nvmodel::TechParams &params,
     // since the last resetStats, refreshed by syncStats.
     stats_.formula("mem.prime.last_ready_ns",
                    [ready = &lastReady_[static_cast<std::size_t>(
-                        RequestSource::Prime)]] { return *ready; });
+                        RequestSource::Prime)]] {
+                       return ready->load(std::memory_order_relaxed);
+                   });
     stats_.formula("mem.cpu.last_ready_ns",
                    [ready = &lastReady_[static_cast<std::size_t>(
-                        RequestSource::Cpu)]] { return *ready; });
+                        RequestSource::Cpu)]] {
+                       return ready->load(std::memory_order_relaxed);
+                   });
+
+    // Live occupancy (see occupancy()).  Global bank numbering, so
+    // dashboards keep one flat mem.bankN.* namespace regardless of
+    // channel count.
+    occupancy_.formula("mem.channel_free_ns",
+                       [this] { return channelFree(); });
+    const int per = params_.geometry.banksPerChannel();
+    for (int ch = 0; ch < channels(); ++ch) {
+        const MemoryController *ctrl = controllers_[
+            static_cast<std::size_t>(ch)].get();
+        occupancy_.formula("mem.ch" + std::to_string(ch) + ".free_ns",
+                           [ctrl] { return ctrl->channelFree(); });
+        for (int cb = 0; cb < per; ++cb) {
+            const std::string prefix =
+                "mem.bank" + std::to_string(ch * per + cb) + ".";
+            occupancy_.formula(prefix + "backlog_ns", [ctrl, cb] {
+                return ctrl->bankBacklogNs(cb);
+            });
+            occupancy_.formula(
+                prefix + "reads",
+                [ctrl, cb] {
+                    return static_cast<double>(ctrl->bankReads(cb));
+                },
+                MetricKind::Counter);
+            occupancy_.formula(
+                prefix + "writes",
+                [ctrl, cb] {
+                    return static_cast<double>(ctrl->bankWrites(cb));
+                },
+                MetricKind::Counter);
+        }
+    }
 }
 
 MemoryController &
@@ -339,58 +374,9 @@ MainMemory::syncStats()
     set_histogram("mem.cpu.service_ns",
                   all.sourceServiceNs[static_cast<std::size_t>(
                       RequestSource::Cpu)]);
-    std::copy(std::begin(all.sourceLastReady), std::end(all.sourceLastReady),
-              lastReady_.begin());
-}
-
-void
-MainMemory::registerMetrics(telemetry::MetricsRegistry &registry) const
-{
-    registry.gauge("mem.channel_free_ns",
-                   [this] { return channelFree(); });
-    const int per = params_.geometry.banksPerChannel();
-    for (int ch = 0; ch < channels(); ++ch) {
-        const MemoryController *ctrl = controllers_[
-            static_cast<std::size_t>(ch)].get();
-        registry.gauge("mem.ch" + std::to_string(ch) + ".free_ns",
-                       [ctrl] { return ctrl->channelFree(); });
-        for (int cb = 0; cb < per; ++cb) {
-            // Global bank numbering, so dashboards keep one flat
-            // mem.bankN.* namespace regardless of channel count.  The
-            // probes take the bank's shard mutex internally -- a leaf
-            // lock never held across registry calls (metrics.hh
-            // threading contract).
-            const std::string prefix =
-                "mem.bank" + std::to_string(ch * per + cb) + ".";
-            registry.gauge(prefix + "backlog_ns",
-                           [ctrl, cb] {
-                               return ctrl->bankBacklogNs(cb);
-                           });
-            registry.counter(prefix + "reads", [ctrl, cb] {
-                return static_cast<double>(ctrl->bankReads(cb));
-            });
-            registry.counter(prefix + "writes", [ctrl, cb] {
-                return static_cast<double>(ctrl->bankWrites(cb));
-            });
-        }
-    }
-}
-
-void
-MainMemory::unregisterMetrics(telemetry::MetricsRegistry &registry) const
-{
-    registry.unregister("mem.channel_free_ns");
-    const int per = params_.geometry.banksPerChannel();
-    for (int ch = 0; ch < channels(); ++ch) {
-        registry.unregister("mem.ch" + std::to_string(ch) + ".free_ns");
-        for (int cb = 0; cb < per; ++cb) {
-            const std::string prefix =
-                "mem.bank" + std::to_string(ch * per + cb) + ".";
-            registry.unregister(prefix + "backlog_ns");
-            registry.unregister(prefix + "reads");
-            registry.unregister(prefix + "writes");
-        }
-    }
+    for (std::size_t s = 0; s < kRequestSources; ++s)
+        lastReady_[s].store(all.sourceLastReady[s],
+                            std::memory_order_relaxed);
 }
 
 } // namespace prime::memory

@@ -13,6 +13,7 @@
 #define PRIME_MEMORY_MAIN_MEMORY_HH
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -23,7 +24,6 @@
 #include "common/stats.hh"
 #include "common/thread_annotations.hh"
 #include "common/telemetry/histogram.hh"
-#include "common/telemetry/metrics.hh"
 #include "memory/address.hh"
 #include "memory/bank.hh"
 #include "memory/controller.hh"
@@ -168,18 +168,17 @@ class MainMemory
     const nvmodel::TechParams &params() const { return params_; }
 
     /**
-     * Register occupancy probes with @p registry: per bank (global
-     * numbering) mem.bankN.backlog_ns (gauge: how far bank N's timing
-     * cursor runs ahead of its channel's bus) and mem.bankN.reads/
-     * writes (counters); per channel mem.chN.free_ns; plus the
-     * aggregate horizon mem.channel_free_ns.  Each probe takes the
-     * bank's shard lock for two loads -- sampler-thread cost, never hot
-     * path.  Pair with unregisterMetrics before destroying the memory.
+     * Live occupancy, for the metrics sampler to watch: per bank
+     * (global numbering) mem.bankN.backlog_ns (gauge: how far bank N's
+     * timing cursor runs ahead of its channel's bus) and mem.bankN.
+     * reads/writes (counters); per channel mem.chN.free_ns; plus the
+     * aggregate horizon mem.channel_free_ns.  All are formulas read
+     * straight from the controllers -- the bank ones take the bank's
+     * shard lock for two loads, sampler-thread cost, never hot path.
+     * Kept apart from stats() so the stats document leaves out these
+     * mostly idle per-bank entries.
      */
-    void registerMetrics(telemetry::MetricsRegistry &registry) const;
-
-    /** Remove every probe registerMetrics added to @p registry. */
-    void unregisterMetrics(telemetry::MetricsRegistry &registry) const;
+    const StatGroup &occupancy() const { return occupancy_; }
 
   private:
     /** Functional store page size. */
@@ -224,9 +223,11 @@ class MainMemory
 
     /** Latest completion per RequestSource since the last resetStats,
      *  as of the last syncStats: the mem.prime/cpu.last_ready_ns
-     *  formulas read it. */
-    std::array<Ns, kRequestSources> lastReady_{};
+     *  formulas read it (atomic: a formula may run on the sampler
+     *  thread while syncStats writes). */
+    std::array<std::atomic<Ns>, kRequestSources> lastReady_{};
     StatGroup stats_;
+    StatGroup occupancy_;
 };
 
 } // namespace prime::memory

@@ -8,52 +8,6 @@
 
 namespace prime::nn {
 
-namespace {
-
-/** Elementwise sigmoid. */
-Tensor
-applySigmoid(const Tensor &x)
-{
-    Tensor y = x;
-    for (std::size_t i = 0; i < y.size(); ++i)
-        y[i] = 1.0 / (1.0 + std::exp(-y[i]));
-    return y;
-}
-
-/** Elementwise ReLU. */
-Tensor
-applyRelu(const Tensor &x)
-{
-    Tensor y = x;
-    for (std::size_t i = 0; i < y.size(); ++i)
-        y[i] = y[i] < 0.0 ? 0.0 : y[i];
-    return y;
-}
-
-/** 2x2-style pooling driven by the spec dims. */
-Tensor
-applyPool(const LayerSpec &s, const Tensor &x, bool mean)
-{
-    Tensor y({s.outC, s.outH, s.outW});
-    for (int c = 0; c < s.outC; ++c)
-        for (int oy = 0; oy < s.outH; ++oy)
-            for (int ox = 0; ox < s.outW; ++ox) {
-                double best = -1.0e300, sum = 0.0;
-                for (int dy = 0; dy < s.poolK; ++dy)
-                    for (int dx = 0; dx < s.poolK; ++dx) {
-                        const double v =
-                            x.at3(c, oy * s.poolK + dy, ox * s.poolK + dx);
-                        best = std::max(best, v);
-                        sum += v;
-                    }
-                y.at3(c, oy, ox) =
-                    mean ? sum / (s.poolK * s.poolK) : best;
-            }
-    return y;
-}
-
-} // namespace
-
 QuantizedNetwork::QuantizedNetwork(const Topology &topology,
                                    const Network &trained,
                                    const QuantizedOptions &options)
@@ -371,19 +325,11 @@ QuantizedNetwork::forward(const Tensor &input) const
             x = forwardConv(q, x);
             break;
           case LayerKind::MaxPool:
-            x = applyPool(q.spec, x, false);
-            break;
           case LayerKind::MeanPool:
-            x = applyPool(q.spec, x, true);
-            break;
           case LayerKind::Sigmoid:
-            x = applySigmoid(x);
-            break;
           case LayerKind::Relu:
-            x = applyRelu(x);
-            break;
           case LayerKind::Flatten:
-            x = x.reshaped({static_cast<int>(x.size())});
+            x = forwardUnweighted(q.spec, std::move(x));
             break;
         }
     }

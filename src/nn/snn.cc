@@ -92,10 +92,12 @@ SpikingNetwork::simulate(const Tensor &input, int timesteps,
     std::vector<int> out_spikes(
         static_cast<std::size_t>(layers_.back().outFeatures), 0);
 
-    std::vector<std::uint8_t> spikes(input.size());
+    std::vector<std::uint8_t> spikes;
     std::vector<std::uint8_t> next;
     for (int t = 0; t < timesteps; ++t) {
-        // Rate-coded input: Bernoulli with probability = pixel value.
+        // Rate-coded input: Bernoulli with probability = pixel value
+        // (spikes holds the last layer's output after each step).
+        spikes.resize(input.size());
         for (std::size_t i = 0; i < input.size(); ++i)
             spikes[i] =
                 rng.bernoulli(std::clamp(input[i], 0.0, 1.0)) ? 1 : 0;

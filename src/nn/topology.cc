@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -102,6 +103,49 @@ LayerSpec::describe() const
         os << layerKindName(kind);
     }
     return os.str();
+}
+
+Tensor
+forwardUnweighted(const LayerSpec &spec, Tensor x)
+{
+    switch (spec.kind) {
+      case LayerKind::MaxPool:
+      case LayerKind::MeanPool: {
+        Tensor y({spec.outC, spec.outH, spec.outW});
+        for (int c = 0; c < spec.outC; ++c)
+            for (int oy = 0; oy < spec.outH; ++oy)
+                for (int ox = 0; ox < spec.outW; ++ox) {
+                    double best = -1.0e300, sum = 0.0;
+                    for (int dy = 0; dy < spec.poolK; ++dy)
+                        for (int dx = 0; dx < spec.poolK; ++dx) {
+                            const double v =
+                                x.at3(c, oy * spec.poolK + dy,
+                                      ox * spec.poolK + dx);
+                            best = std::max(best, v);
+                            sum += v;
+                        }
+                    y.at3(c, oy, ox) =
+                        spec.kind == LayerKind::MaxPool
+                            ? best
+                            : sum / (spec.poolK * spec.poolK);
+                }
+        return y;
+      }
+      case LayerKind::Sigmoid:
+        for (std::size_t i = 0; i < x.size(); ++i)
+            x[i] = 1.0 / (1.0 + std::exp(-x[i]));
+        return x;
+      case LayerKind::Relu:
+        for (std::size_t i = 0; i < x.size(); ++i)
+            x[i] = x[i] < 0.0 ? 0.0 : x[i];
+        return x;
+      case LayerKind::Flatten:
+        return x.reshaped({static_cast<int>(x.size())});
+      case LayerKind::FullyConnected:
+      case LayerKind::Convolution:
+        break;
+    }
+    PRIME_PANIC("forwardUnweighted on weighted layer ", spec.describe());
 }
 
 long long

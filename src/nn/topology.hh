@@ -48,6 +48,14 @@ struct LayerSpec
     std::string describe() const;
 };
 
+/**
+ * Inference forward of an unweighted layer -- max/mean pooling,
+ * sigmoid, ReLU, flatten -- shared by every inference path that runs
+ * them on the digital side (QuantizedNetwork, PrimeSystem).  @p spec
+ * must not be a weighted layer.
+ */
+Tensor forwardUnweighted(const LayerSpec &spec, Tensor x);
+
 /** A named topology: ordered layer specs plus totals. */
 struct Topology
 {

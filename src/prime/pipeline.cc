@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -11,9 +10,8 @@
 #include "common/logging.hh"
 #include "common/spsc_ring.hh"
 #include "common/telemetry/histogram.hh"
-#include "common/telemetry/metrics.hh"
 #include "common/telemetry/trace_session.hh"
-#include "common/thread_pool.hh"
+#include "prime/prime_system.hh"
 
 namespace prime::core {
 
@@ -62,7 +60,8 @@ struct alignas(64) StageLocal
 
 /**
  * What a stage is doing right now, exported as the
- * pipeline.stageN.state gauge (tools/metrics_report.py decodes it).
+ * pipeline.stageN.state gauge (tools/metrics_report.py decodes it);
+ * kStateDone holds from the end of a stage's batch to its next one.
  */
 enum StageState : int
 {
@@ -73,60 +72,60 @@ enum StageState : int
     kStateDone = 4,
 };
 
-/** Unregisters a batch of metric names on scope exit. */
-class MetricGuard
-{
-  public:
-    explicit MetricGuard(telemetry::MetricsRegistry *registry)
-        : registry_(registry)
-    {}
-
-    ~MetricGuard()
-    {
-        for (const std::string &name : names_)
-            registry_->unregister(name);
-    }
-
-    MetricGuard(const MetricGuard &) = delete;
-    MetricGuard &operator=(const MetricGuard &) = delete;
-
-    void
-    gauge(const std::string &name, telemetry::MetricsRegistry::Probe fn)
-    {
-        registry_->gauge(name, std::move(fn));
-        names_.push_back(name);
-    }
-
-    void
-    counter(const std::string &name,
-            telemetry::MetricsRegistry::Probe fn)
-    {
-        registry_->counter(name, std::move(fn));
-        names_.push_back(name);
-    }
-
-  private:
-    telemetry::MetricsRegistry *registry_;
-    std::vector<std::string> names_;
-};
-
 } // namespace
 
+struct Pipeline::Stage
+{
+    /** A StageState, written by the stage's thread per transition. */
+    std::atomic<int> state{kStateIdle};
+    /** pipeline.stageN.items, bumped by the stage's thread. */
+    Stat *items = nullptr;
+    /** Ring to the next stage (unused while this stage is last). */
+    SpscRing<HandoffBatch> out{kRingSlots};
+};
+
+Pipeline::Pipeline(StatGroup &stats) : stats_(stats) {}
+
+Pipeline::~Pipeline() = default;
+
+void
+Pipeline::grow(std::size_t n)
+{
+    while (stages_.size() < n) {
+        const std::size_t s = stages_.size();
+        Stage &stage = *stages_.emplace_back(std::make_unique<Stage>());
+        const std::string prefix = "pipeline.stage" + std::to_string(s);
+        stage.items = &stats_.get(prefix + ".items");
+        stats_.formula(prefix + ".state", [state = &stage.state] {
+            return static_cast<double>(
+                state->load(std::memory_order_relaxed));
+        });
+        // Stage s-1's output ring carries traffic from now on.
+        if (s > 0)
+            stats_.formula("pipeline.ring" + std::to_string(s - 1) +
+                               ".depth",
+                           [ring = &stages_[s - 1]->out] {
+                               return static_cast<double>(
+                                   ring->approxSize());
+                           });
+    }
+}
+
 std::vector<nn::Tensor>
-runPipelined(PrimeSystem &system, ThreadPool &stage_pool,
-             std::span<const nn::Tensor> inputs)
+Pipeline::run(PrimeSystem &system, std::span<const nn::Tensor> inputs)
 {
     PRIME_SPAN(telemetry::globalTrace(), "pipeline.batch", "pipeline");
     const std::size_t n_stages = system.stages().size();
     PRIME_ASSERT(n_stages >= 1, "no pipeline stages");
-    PRIME_ASSERT(stage_pool.size() == static_cast<int>(n_stages),
-                 "stage pool of ", stage_pool.size(), " threads for ",
-                 n_stages, " stages");
 
     std::vector<nn::Tensor> results(inputs.size());
     if (inputs.empty())
         return results;
     const std::size_t total = inputs.size();
+    grow(n_stages);
+    if (!pool_ || pool_->size() != static_cast<int>(n_stages))
+        pool_ = std::make_unique<ThreadPool>(static_cast<int>(n_stages),
+                                             "pipe-worker");
 
     // Flight-recorder clock: every stamp is ns since this run's epoch,
     // so stamps stay small doubles and subtract exactly.
@@ -137,48 +136,11 @@ runPipelined(PrimeSystem &system, ThreadPool &stage_pool,
             .count();
     };
 
-    // Ring s connects stage s to stage s+1.  Capacity is counted in
-    // handoff batches; each stage is the sole producer of its output
-    // ring and sole consumer of its input ring (the SPSC contract).
-    std::vector<std::unique_ptr<SpscRing<HandoffBatch>>> rings;
-    rings.reserve(n_stages > 0 ? n_stages - 1 : 0);
-    for (std::size_t s = 0; s + 1 < n_stages; ++s)
-        rings.push_back(
-            std::make_unique<SpscRing<HandoffBatch>>(kRingSlots));
-
+    // Stage s's output ring connects it to stage s+1.  Capacity is
+    // counted in handoff batches; each stage is the sole producer of
+    // its output ring and sole consumer of its input ring (the SPSC
+    // contract).  Every batch drains the rings it fills.
     std::vector<StageLocal> locals(n_stages);
-
-    // Live-observability plumbing.  `live` is the single disabled-mode
-    // branch: with no enabled registry installed nothing below touches
-    // an atomic or the registry at all.  States/item counters are
-    // relaxed atomics written per batch transition (not per tile) and
-    // read by the sampler thread.
-    telemetry::MetricsRegistry *metrics = telemetry::globalMetrics();
-    const bool live = metrics->enabled();
-    std::vector<std::atomic<int>> stage_state(n_stages);
-    std::vector<std::atomic<std::uint64_t>> stage_items(n_stages);
-    MetricGuard gauges(metrics);
-    if (live) {
-        for (std::size_t s = 0; s + 1 < n_stages; ++s)
-            gauges.gauge("pipeline.ring" + std::to_string(s) + ".depth",
-                         [ring = rings[s].get()] {
-                             return static_cast<double>(
-                                 ring->approxSize());
-                         });
-        for (std::size_t s = 0; s < n_stages; ++s) {
-            const std::string prefix =
-                "pipeline.stage" + std::to_string(s);
-            gauges.gauge(prefix + ".state", [state = &stage_state[s]] {
-                return static_cast<double>(
-                    state->load(std::memory_order_relaxed));
-            });
-            gauges.counter(prefix + ".items",
-                           [items = &stage_items[s]] {
-                               return static_cast<double>(items->load(
-                                   std::memory_order_relaxed));
-                           });
-        }
-    }
 
     // Free-running stage body: pop (or slice, for stage 0) a batch,
     // run every tile through this stage's banks, hand the batch
@@ -195,6 +157,7 @@ runPipelined(PrimeSystem &system, ThreadPool &stage_pool,
         PRIME_SPAN(telemetry::globalTrace(),
                    "pipe.stage" + std::to_string(s), "pipeline");
         StageLocal &local = locals[s];
+        Stage &stage = *stages_[s];
         PrimeSystem::ExecContext &ctx = system.stageContext(s);
         const bool first = s == 0;
         const bool last = s + 1 == n_stages;
@@ -214,15 +177,15 @@ runPipelined(PrimeSystem &system, ThreadPool &stage_pool,
                                       inputs[processed + i], admit,
                                       admit});
             } else {
-                if (!rings[s - 1]->tryPop(in)) {
-                    if (live)
-                        stage_state[s].store(kStateStallUpstream,
-                                             std::memory_order_relaxed);
+                SpscRing<HandoffBatch> &ring = stages_[s - 1]->out;
+                if (!ring.tryPop(in)) {
+                    stage.state.store(kStateStallUpstream,
+                                      std::memory_order_relaxed);
                     const double wait_start = now_ns();
                     do {
                         ++local.popWaits;
                         std::this_thread::yield();
-                    } while (!rings[s - 1]->tryPop(in));
+                    } while (!ring.tryPop(in));
                     local.stallUpNs += now_ns() - wait_start;
                 }
                 // Queue-wait covers ring residency plus the pop spin:
@@ -232,9 +195,7 @@ runPipelined(PrimeSystem &system, ThreadPool &stage_pool,
                 for (const Item &item : in)
                     local.queueWaitNs.sample(dequeue - item.enqueueNs);
             }
-            if (live)
-                stage_state[s].store(kStateBusy,
-                                     std::memory_order_relaxed);
+            stage.state.store(kStateBusy, std::memory_order_relaxed);
             out.clear();
             for (Item &item : in) {
                 const double t0 = now_ns();
@@ -253,9 +214,7 @@ runPipelined(PrimeSystem &system, ThreadPool &stage_pool,
                 }
             }
             processed += in.size();
-            if (live)
-                stage_items[s].fetch_add(in.size(),
-                                         std::memory_order_relaxed);
+            stage.items->increment(in.size());
             if (!last) {
                 local.handoffItems.sample(
                     static_cast<double>(out.size()));
@@ -263,15 +222,14 @@ runPipelined(PrimeSystem &system, ThreadPool &stage_pool,
                 const double enqueue = now_ns();
                 for (Item &item : out)
                     item.enqueueNs = enqueue;
-                if (!rings[s]->tryPush(std::move(out))) {
-                    if (live)
-                        stage_state[s].store(kStateStallDownstream,
-                                             std::memory_order_relaxed);
+                if (!stage.out.tryPush(std::move(out))) {
+                    stage.state.store(kStateStallDownstream,
+                                      std::memory_order_relaxed);
                     const double wait_start = now_ns();
                     do {
                         ++local.pushWaits;
                         std::this_thread::yield();
-                    } while (!rings[s]->tryPush(std::move(out)));
+                    } while (!stage.out.tryPush(std::move(out)));
                     local.stallDownNs += now_ns() - wait_start;
                 }
                 out = HandoffBatch();
@@ -279,16 +237,15 @@ runPipelined(PrimeSystem &system, ThreadPool &stage_pool,
             }
         }
         local.wallNs = now_ns() - t_enter;
-        if (live)
-            stage_state[s].store(kStateDone, std::memory_order_relaxed);
+        stage.state.store(kStateDone, std::memory_order_relaxed);
     };
 
-    stage_pool.parallelFor(n_stages, stage_loop);
+    pool_->parallelFor(n_stages, stage_loop);
 
     // Merge the stage-local accumulators (single-threaded again; the
     // return of parallelFor is the happens-before edge covering
     // `results` too).
-    StatGroup &stats = system.stats();
+    StatGroup &stats = stats_;
     StatGroup &attribution = stats.child("pipeline.attribution");
     telemetry::Histogram &stage_ns =
         stats.histogram("pipeline.stage_ns");
@@ -313,7 +270,6 @@ runPipelined(PrimeSystem &system, ThreadPool &stage_pool,
         const std::string prefix =
             "pipeline.stage" + std::to_string(s);
         stats.get(prefix + ".busy_ns").add(local.busyNs);
-        stats.get(prefix + ".items").increment(local.items);
         stats.get(prefix + ".push_waits").increment(local.pushWaits);
         stats.get(prefix + ".pop_waits").increment(local.popWaits);
         stats.histogram(prefix + ".queue_wait_ns")

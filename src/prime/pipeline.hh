@@ -3,9 +3,9 @@
  * The functional inter-bank pipeline executor (paper Section IV-B).
  *
  * A Large MappingPlan assigns consecutive layer groups to disjoint
- * banks; runPipelined executes a batch of inputs as a free-running
+ * banks; Pipeline::run executes a batch of inputs as a free-running
  * pipeline over those stages.  The stages run as
- * stagePool.parallelFor(n_stages, stage_loop) on the PrimeSystem's own
+ * pool.parallelFor(n_stages, stage_loop) on the pipeline's own
  * ThreadPool, sized to the stage count: the calling thread works as one
  * stage, and between batches the workers park on the pool's condvar,
  * as the paper's banks stay in place while images stream through.
@@ -19,6 +19,12 @@
  * PTSMemoryController/PTSXbar, decoupled stages communicating through
  * queues).  Each stage's run over one batch is one "pipe.stageN" trace
  * span; which pool thread carries it may change from batch to batch.
+ *
+ * Live state: the rings and a per-stage state word persist across
+ * batches and are only ever grown, so the pipeline declares its live
+ * values once, in the system's StatGroup, as stages first appear:
+ * pipeline.ringN.depth and pipeline.stageN.state gauge formulas, and
+ * the pipeline.stageN.items Stat its stage thread bumps per handoff.
  *
  * Determinism contract: each sample passes through the stages in
  * order, and within a batch each stage's hardware (its banks, staging
@@ -34,27 +40,32 @@
  * accumulates into its own stage-indexed slot (histogram + counters,
  * pre-resolved Stat references -- no string-keyed map lookups in the
  * loop) and the calling thread merges the slots into pipeline.* after
- * parallelFor returns.
+ * parallelFor returns; only the items Stat is bumped live.
  *
  * Lock contract: this executor owns no mutex at all -- its shared
  * state is rings and atomics, every one with an explicitly spelled
- * memory_order (prime_lint rule `atomic-order` enforces that), and
- * the shard locks it reaches through MainMemory are the annotated
- * capabilities in memory/main_memory.hh, machine-checked under the
- * clang-tsa preset.
+ * memory_order (prime_lint rule `atomic-order` enforces that).  The
+ * StatGroup map lock is taken only off the tile path (declaring a new
+ * stage, the post-batch merge), and the shard locks it reaches
+ * through MainMemory are the annotated capabilities in
+ * memory/main_memory.hh, machine-checked under the clang-tsa preset.
  */
 
 #ifndef PRIME_PRIME_PIPELINE_HH
 #define PRIME_PRIME_PIPELINE_HH
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
+#include "common/stats.hh"
 #include "common/thread_pool.hh"
-#include "prime/prime_system.hh"
+#include "nn/tensor.hh"
 
 namespace prime::core {
+
+class PrimeSystem;
 
 /** Samples per inter-stage handoff (one ring slot). */
 inline constexpr std::size_t kHandoffBatch = 4;
@@ -65,16 +76,43 @@ inline constexpr std::size_t kHandoffBatch = 4;
  */
 inline constexpr std::size_t kRingSlots = 2;
 
-/**
- * Stream @p inputs through @p system's bank stages as one pipelined
- * batch on @p stage_pool (one thread per stage: its size() must equal
- * the stage count); results in input order.  Must not be called from
- * inside a parallelFor body, where the stages would run one after
- * another and stage 0 would block forever on a full ring.
- */
-std::vector<nn::Tensor>
-runPipelined(PrimeSystem &system, ThreadPool &stage_pool,
-             std::span<const nn::Tensor> inputs);
+/** The inter-bank pipeline of one PrimeSystem, kept across batches. */
+class Pipeline
+{
+  public:
+    /**
+     * A pipeline declaring its live values in @p stats (the system's
+     * root group), which must outlive it.
+     */
+    explicit Pipeline(StatGroup &stats);
+    ~Pipeline();
+
+    Pipeline(const Pipeline &) = delete;
+    Pipeline &operator=(const Pipeline &) = delete;
+
+    /**
+     * Stream @p inputs through @p system's bank stages as one
+     * pipelined batch, one pool thread per stage (the pool is rebuilt
+     * when the stage count changes); results in input order.  Must
+     * not be called from inside a parallelFor body, where the stages
+     * would run one after another and stage 0 would block forever on
+     * a full ring.
+     */
+    std::vector<nn::Tensor> run(PrimeSystem &system,
+                                std::span<const nn::Tensor> inputs);
+
+  private:
+    /** One stage's persistent state and its output ring. */
+    struct Stage;
+
+    /** Grow to @p n stages, declaring each new stage's live values. */
+    void grow(std::size_t n);
+
+    StatGroup &stats_;
+    std::unique_ptr<ThreadPool> pool_;
+    /** Only ever grown: the formulas capture the stages. */
+    std::vector<std::unique_ptr<Stage>> stages_;
+};
 
 } // namespace prime::core
 

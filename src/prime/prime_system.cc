@@ -29,7 +29,8 @@ PrimeSystem::BankUnit::BankUnit(const nvmodel::TechParams &tech,
 
 PrimeSystem::PrimeSystem(const nvmodel::TechParams &tech,
                          const mapping::MapperOptions &mapper_options)
-    : tech_(tech), mapperOptions_(mapper_options), mem_(tech)
+    : tech_(tech), mapperOptions_(mapper_options), mem_(tech),
+      pipeline_(stats_)
 {
     // Bank 0 always exists (small/medium NNs execute entirely in it);
     // programWeight instantiates further banks as the plan needs them.
@@ -665,38 +666,11 @@ PrimeSystem::runStageImpl(const nn::Tensor &x, std::size_t stage,
             break;
           }
           case nn::LayerKind::MaxPool:
-          case nn::LayerKind::MeanPool: {
-            nn::Tensor p({spec.outC, spec.outH, spec.outW});
-            for (int c = 0; c < spec.outC; ++c)
-                for (int oy = 0; oy < spec.outH; ++oy)
-                    for (int ox = 0; ox < spec.outW; ++ox) {
-                        double best = -1.0e300, sum = 0.0;
-                        for (int dy = 0; dy < spec.poolK; ++dy)
-                            for (int dx = 0; dx < spec.poolK; ++dx) {
-                                const double v = y.at3(
-                                    c, oy * spec.poolK + dy,
-                                    ox * spec.poolK + dx);
-                                best = std::max(best, v);
-                                sum += v;
-                            }
-                        p.at3(c, oy, ox) =
-                            spec.kind == nn::LayerKind::MaxPool
-                                ? best
-                                : sum / (spec.poolK * spec.poolK);
-                    }
-            y = p;
-            break;
-          }
+          case nn::LayerKind::MeanPool:
           case nn::LayerKind::Sigmoid:
-            for (std::size_t i = 0; i < y.size(); ++i)
-                y[i] = 1.0 / (1.0 + std::exp(-y[i]));
-            break;
           case nn::LayerKind::Relu:
-            for (std::size_t i = 0; i < y.size(); ++i)
-                y[i] = y[i] < 0.0 ? 0.0 : y[i];
-            break;
           case nn::LayerKind::Flatten:
-            y = y.reshaped({static_cast<int>(y.size())});
+            y = nn::forwardUnweighted(spec, std::move(y));
             break;
         }
     }
@@ -749,10 +723,7 @@ PrimeSystem::runBatch(std::span<const nn::Tensor> inputs)
     PRIME_ASSERT(!ThreadPool::insideJob(),
                  "runBatch on a multi-stage plan must not be called from "
                  "inside a parallelFor body");
-    const int n_stages = static_cast<int>(stages_.size());
-    if (!stagePool_ || stagePool_->size() != n_stages)
-        stagePool_ = std::make_unique<ThreadPool>(n_stages, "pipe-worker");
-    return runPipelined(*this, *stagePool_, inputs);
+    return pipeline_.run(*this, inputs);
 }
 
 std::vector<double>
@@ -812,31 +783,6 @@ PrimeSystem::configurationEnergy() const
     PRIME_ASSERT(plan_.has_value(), "mapTopology not called");
     sim::PrimeModel model(tech_);
     return model.configurationEnergy(*plan_);
-}
-
-void
-PrimeSystem::registerMetrics(telemetry::MetricsRegistry &registry)
-{
-    // Pre-resolved Stat pointers (std::map nodes are address-stable);
-    // the probes take relaxed snapshots, safe against concurrent
-    // single-writer updates (see the Stat class contract).
-    registry.counter("run.inferences",
-                     [stat = &stats_.get("run.inferences")] {
-                         return static_cast<double>(stat->count());
-                     });
-    registry.counter("run.tiled_mvms",
-                     [stat = &stats_.get("run.tiled_mvms")] {
-                         return static_cast<double>(stat->count());
-                     });
-    mem_.registerMetrics(registry);
-}
-
-void
-PrimeSystem::unregisterMetrics(telemetry::MetricsRegistry &registry)
-{
-    registry.unregister("run.inferences");
-    registry.unregister("run.tiled_mvms");
-    mem_.unregisterMetrics(registry);
 }
 
 } // namespace prime::core

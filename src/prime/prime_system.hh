@@ -15,8 +15,8 @@
  * subarray + controller) per bank the plan places tiles into, so Large
  * plans execute across real bank boundaries.  runBatch() drives those
  * banks as the paper's inter-bank pipeline (Section IV-B: one stage per
- * bank-disjoint layer group) via runPipelined, on a per-system stage
- * pool that persists across batches; run() executes the same stages
+ * bank-disjoint layer group) via a per-system Pipeline (stage pool and
+ * rings) that persists across batches; run() executes the same stages
  * sequentially.  Bank-level parallelism (identical copies
  * of a small/medium NN across banks) still needs only bank 0 for
  * functional fidelity.  Performance and energy are estimated by the
@@ -37,6 +37,7 @@
 #include "memory/main_memory.hh"
 #include "nn/quantized.hh"
 #include "prime/controller.hh"
+#include "prime/pipeline.hh"
 #include "sim/prime_model.hh"
 
 namespace prime::core {
@@ -98,7 +99,7 @@ class PrimeSystem
     /**
      * Batched inference, the one batch entry point.  A multi-stage plan
      * streams the batch through the free-running inter-bank pipeline
-     * (runPipelined: one thread of this system's stage pool per stage,
+     * (Pipeline::run: one thread of this system's stage pool per stage,
      * bounded SPSC rings between them); a one-stage plan runs the
      * samples through run().  Callers that want sequential execution
      * of a multi-stage plan loop over run() themselves.  Results are
@@ -106,9 +107,10 @@ class PrimeSystem
      * noisy analog compute included: every mat draws read noise from
      * its own stream and sees the images in order on every executor.
      *
-     * The stage pool is created on the first pipelined batch and kept
-     * across batches; a remap that changes the stage count rebuilds
-     * it.  Call from one thread at a time, and not from inside a
+     * The pipeline's stage pool is created on the first pipelined
+     * batch and kept across batches (a remap that changes the stage
+     * count rebuilds it); its live values are declared in stats() as
+     * stages first run.  Call from one thread at a time, and not from inside a
      * ThreadPool::parallelFor body on a multi-stage plan: there a
      * nested parallelFor runs its bodies inline, so the stages would
      * run one after another and deadlock on a full ring (a
@@ -179,20 +181,6 @@ class PrimeSystem
     const mapping::MappingPlan &plan() const;
     const nn::Topology &topology() const;
     StatGroup &stats() { return stats_; }
-
-    /**
-     * Register the system's continuous-observability probes with
-     * @p registry: run.inferences / run.tiled_mvms counters (relaxed
-     * Stat snapshots off the root group) plus every per-bank
-     * MainMemory occupancy probe (see MainMemory::registerMetrics).
-     * The pipeline executor adds its own per-run ring/stage gauges
-     * when the registry is enabled.  Pair with unregisterMetrics
-     * before the system is destroyed.
-     */
-    void registerMetrics(telemetry::MetricsRegistry &registry);
-
-    /** Remove every probe registerMetrics added to @p registry. */
-    void unregisterMetrics(telemetry::MetricsRegistry &registry);
     /** Number of instantiated bank units. */
     int bankCount() const { return static_cast<int>(banks_.size()); }
     /** Bank @p bank's controller / Buffer subarray (default: bank 0). */
@@ -342,10 +330,8 @@ class PrimeSystem
     std::vector<ExecContext> stageContexts_;
     /** run.inferences, bound by buildStages. */
     Stat *inferences_ = nullptr;
-    /** One thread per pipeline stage, kept across runBatch calls (built
-     *  on the first pipelined batch, rebuilt when the stage count
-     *  changes). */
-    std::unique_ptr<ThreadPool> stagePool_;
+    /** The inter-bank pipeline, kept across runBatch calls. */
+    Pipeline pipeline_;
     bool programmed_ = false;
     bool configured_ = false;
     /** True while calibrate() drives inferences. */

@@ -33,25 +33,27 @@ ServingEngine::ServingEngine(core::PrimeSystem &system,
     // counters surface as read-time formulas over the atomics the
     // producer and scheduler threads actually bump -- a Stat has a
     // single-writer contract the multi-producer admission path cannot
-    // honor directly.
+    // honor directly.  Every formula reads atomics only, so a metrics
+    // sampler may evaluate it at any time.
     stats_.histogram("serving.e2e_latency_ns");
     stats_.histogram("serving.queue_wait_ns");
     stats_.histogram("serving.batch_size");
-    stats_.formula("serving.accepted", [this] {
-        return static_cast<double>(
-            accepted_.load(std::memory_order_relaxed));
-    });
-    stats_.formula("serving.rejected", [this] {
-        return static_cast<double>(
-            rejected_.load(std::memory_order_relaxed));
-    });
-    stats_.formula("serving.completed", [this] {
-        return static_cast<double>(
-            completed_.load(std::memory_order_relaxed));
-    });
-    stats_.formula("serving.batches", [this] {
-        return static_cast<double>(
-            batches_.load(std::memory_order_relaxed));
+    auto read = [](const std::atomic<std::uint64_t> &value) {
+        return [&value] {
+            return static_cast<double>(
+                value.load(std::memory_order_relaxed));
+        };
+    };
+    stats_.formula("serving.accepted", read(accepted_),
+                   MetricKind::Counter);
+    stats_.formula("serving.rejected", read(rejected_),
+                   MetricKind::Counter);
+    stats_.formula("serving.completed", read(completed_),
+                   MetricKind::Counter);
+    stats_.formula("serving.batches", read(batches_),
+                   MetricKind::Counter);
+    stats_.formula("serving.queue.depth", [this] {
+        return static_cast<double>(ingress_.approxSize());
     });
     stats_.formula("serving.shed_rate", [this] {
         const double a = static_cast<double>(
@@ -235,44 +237,6 @@ ServingEngine::execute(std::vector<Request> &batch)
         response.batchSize = n;
         r.onComplete(std::move(response));
     }
-}
-
-void
-ServingEngine::registerMetrics(telemetry::MetricsRegistry &registry)
-{
-    metricNames_.clear();
-    registry.gauge("serving.queue.depth", [this] {
-        return static_cast<double>(ingress_.approxSize());
-    });
-    metricNames_.push_back("serving.queue.depth");
-    registry.counter("serving.accepted", [this] {
-        return static_cast<double>(
-            accepted_.load(std::memory_order_relaxed));
-    });
-    metricNames_.push_back("serving.accepted");
-    registry.counter("serving.rejected", [this] {
-        return static_cast<double>(
-            rejected_.load(std::memory_order_relaxed));
-    });
-    metricNames_.push_back("serving.rejected");
-    registry.counter("serving.completed", [this] {
-        return static_cast<double>(
-            completed_.load(std::memory_order_relaxed));
-    });
-    metricNames_.push_back("serving.completed");
-    registry.counter("serving.batches", [this] {
-        return static_cast<double>(
-            batches_.load(std::memory_order_relaxed));
-    });
-    metricNames_.push_back("serving.batches");
-}
-
-void
-ServingEngine::unregisterMetrics(telemetry::MetricsRegistry &registry)
-{
-    for (const std::string &name : metricNames_)
-        registry.unregister(name);
-    metricNames_.clear();
 }
 
 } // namespace prime::serve

@@ -56,9 +56,10 @@
  *
  * Telemetry: per-request end-to-end and queue-wait latency land in
  * telemetry::Histogram stats (p50/p95/p99), batch sizes in a third;
- * serving.accepted/rejected/completed/batches surface both as stat
- * formulas and as MetricsRegistry counters, and registerMetrics adds
- * a live gauge of the ingress queue depth.
+ * serving.accepted/rejected/completed/batches are counter formulas,
+ * serving.shed_rate and serving.queue.depth (the ingress ring's
+ * occupancy) gauge formulas -- all sampler-safe, so a MetricsRegistry
+ * watching stats() samples them live.
  */
 
 #ifndef PRIME_SERVE_SERVING_ENGINE_HH
@@ -68,13 +69,11 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/mpsc_ring.hh"
 #include "common/stats.hh"
-#include "common/telemetry/metrics.hh"
 #include "prime/prime_system.hh"
 #include "serve/request.hh"
 
@@ -127,20 +126,10 @@ class ServingEngine
 
     // ---------------------------------------------------- telemetry --
 
-    /** serving.* stats: latency/batch-size histograms + counter
-     *  formulas.  The scheduler thread is the histograms' only writer,
-     *  so they are stable to read once stop() joined it. */
+    /** serving.* stats: latency/batch-size histograms + counter and
+     *  gauge formulas.  The scheduler thread is the histograms' only
+     *  writer, so they are stable to read once stop() joined it. */
     StatGroup &stats() { return stats_; }
-
-    /**
-     * Register live probes with @p registry: the serving.queue.depth
-     * gauge and the accepted/rejected/completed/batches counters.
-     * Pair with unregisterMetrics before the engine is destroyed.
-     */
-    void registerMetrics(telemetry::MetricsRegistry &registry);
-
-    /** Remove every probe registerMetrics added to @p registry. */
-    void unregisterMetrics(telemetry::MetricsRegistry &registry);
 
     std::uint64_t accepted() const
     {
@@ -190,7 +179,6 @@ class ServingEngine
     bool running_ = false;
     std::chrono::steady_clock::time_point epoch_;
     std::thread scheduler_;
-    std::vector<std::string> metricNames_;
 };
 
 } // namespace prime::serve

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 
@@ -186,6 +188,37 @@ TEST(Rng, GaussianMomentsRoughlyCorrect)
     const double var = sq / n - mean * mean;
     EXPECT_NEAR(mean, 1.0, 0.1);
     EXPECT_NEAR(var, 4.0, 0.3);
+}
+
+TEST(Rng, GaussianZeroSigmaReturnsMeanAndAdvances)
+{
+    // stddev 0 is in range (std::normal_distribution requires > 0):
+    // the draw is exactly the mean, and the engine still advances, so
+    // the stream after it matches a stream that drew at stddev 1.
+    Rng zero(9), unit(9);
+    EXPECT_EQ(zero.gaussian(0.25, 0.0), 0.25);
+    EXPECT_EQ(zero.gaussian(-3.0, 0.0), -3.0);
+    (void)unit.gaussian();
+    (void)unit.gaussian();
+    EXPECT_EQ(zero.uniform(), unit.uniform());
+}
+
+TEST(Rng, GaussianMatchesStdNormalDistribution)
+{
+    // Pin: every stream with stddev > 0 is bit-identical to drawing
+    // from a fresh std::normal_distribution(mean, stddev) per call.
+    const double params[][2] = {{0.0, 1.0}, {1.0, 2.0}, {-0.5, 0.05},
+                                {3.0, 1e-3}};
+    for (std::uint64_t seed : {1ULL, 42ULL, 0x5eed5eedULL}) {
+        Rng rng(seed);
+        std::mt19937_64 engine(seed);
+        for (int i = 0; i < 400; ++i) {
+            const double *p = params[i % 4];
+            std::normal_distribution<double> d(p[0], p[1]);
+            EXPECT_EQ(rng.gaussian(p[0], p[1]), d(engine))
+                << "seed=" << seed << " draw=" << i;
+        }
+    }
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -519,14 +520,15 @@ TEST(PipelineEngine, BitIdenticalWithMetricsEnabled)
     const std::vector<nn::Tensor> inputs = sampleInputs(12);
     const std::vector<nn::Tensor> expected = runEach(prime, inputs);
 
-    // Full observability on: global registry enabled, per-bank memory
-    // probes registered, sampler thread ticking every ms while the
-    // executor registers its live ring/stage gauges.  Outputs must
-    // stay bit-identical to the unobserved sequential reference.
+    // Full observability on: the sampler thread ticks every ms over the
+    // system's stats (the pipeline's live ring/stage formulas among
+    // them) and the per-bank memory occupancy while the batches run.
+    // Outputs must stay bit-identical to the unobserved sequential
+    // reference.
     telemetry::MetricsRegistry registry;
     registry.enable();
-    telemetry::setGlobalMetrics(&registry);
-    prime.registerMetrics(registry);
+    registry.watch(prime.stats());
+    registry.watch(prime.mainMemory().occupancy());
     registry.startSampler(1);
 
     for (int threads : {1, 4, 8}) {
@@ -537,16 +539,42 @@ TEST(PipelineEngine, BitIdenticalWithMetricsEnabled)
     ThreadPool::setGlobalThreadCount(0);
 
     registry.stopSampler();
-    prime.unregisterMetrics(registry);
-    telemetry::setGlobalMetrics(nullptr);
-    EXPECT_EQ(registry.sourceCount(), 0u);  // engine gauges removed too
     ASSERT_GE(registry.snapshotCount(), 2u);
-    // The sampled series include the memory probes (registered for the
-    // registry's whole life, so present in every snapshot).
-    bool saw_mem = false;
+    // The sampled series carry the memory occupancy and the pipeline's
+    // declarations with their kinds; stage items count every sample
+    // of the three batches.
+    const std::size_t n_stages = prime.stages().size();
+    ASSERT_GE(n_stages, 2u);
+    std::map<std::string, telemetry::MetricsRegistry::SeriesSummary>
+        series;
     for (const auto &s : registry.summarize())
-        saw_mem |= s.name.rfind("mem.", 0) == 0;
-    EXPECT_TRUE(saw_mem);
+        series[s.name] = s;
+    EXPECT_EQ(series.count("mem.bank0.backlog_ns"), 1u);
+    EXPECT_EQ(series["mem.bank0.reads"].kind, MetricKind::Counter);
+    for (std::size_t s = 0; s < n_stages; ++s) {
+        const std::string stage = "pipeline.stage" + std::to_string(s);
+        ASSERT_EQ(series.count(stage + ".state"), 1u) << s;
+        EXPECT_EQ(series[stage + ".state"].kind, MetricKind::Gauge);
+        EXPECT_EQ(series[stage + ".items"].kind, MetricKind::Counter);
+        EXPECT_EQ(series[stage + ".items"].last, 3.0 * inputs.size())
+            << s;
+        if (s + 1 < n_stages) {
+            const std::string ring =
+                "pipeline.ring" + std::to_string(s) + ".depth";
+            ASSERT_EQ(series.count(ring), 1u) << s;
+            EXPECT_EQ(series[ring].last, 0.0) << s;  // drained
+        }
+    }
+    EXPECT_EQ(series.count("pipeline.ring" + std::to_string(n_stages - 1) +
+                           ".depth"),
+              0u);
+
+    // Unwatched groups are never touched again.
+    registry.unwatch(prime.stats());
+    registry.unwatch(prime.mainMemory().occupancy());
+    registry.clear();
+    ASSERT_TRUE(registry.sampleOnce());
+    EXPECT_TRUE(registry.summarize().empty());
 }
 
 TEST(PipelineEngine, AnalyticStageCostsCrossCheck)

@@ -490,7 +490,7 @@ TEST(ServingEngine, ServedOutputsBitIdenticalAcrossPoolSizes)
     }
 }
 
-TEST(ServingEngine, MetricsProbesRegisterAndUnregister)
+TEST(ServingEngine, MetricsWatchAndUnwatch)
 {
     core::PrimeSystem prime(tinyBankParams());
     programTiny(prime);
@@ -499,7 +499,7 @@ TEST(ServingEngine, MetricsProbesRegisterAndUnregister)
     ServingEngine engine(prime, sopt);
     telemetry::MetricsRegistry registry;
     registry.enable();
-    engine.registerMetrics(registry);
+    registry.watch(engine.stats());
 
     engine.start();
     ASSERT_TRUE(
@@ -511,17 +511,19 @@ TEST(ServingEngine, MetricsProbesRegisterAndUnregister)
     for (const auto &series : registry.summarize()) {
         if (series.name == "serving.queue.depth") {
             saw_depth = true;
+            EXPECT_EQ(series.kind, MetricKind::Gauge);
             EXPECT_EQ(series.last, 0.0);  // drained
         }
         if (series.name == "serving.accepted") {
             saw_accepted = true;
+            EXPECT_EQ(series.kind, MetricKind::Counter);
             EXPECT_EQ(series.last, 1.0);
         }
     }
     EXPECT_TRUE(saw_depth);
     EXPECT_TRUE(saw_accepted);
 
-    engine.unregisterMetrics(registry);
+    registry.unwatch(engine.stats());
     registry.clear();
     ASSERT_TRUE(registry.sampleOnce());
     for (const auto &series : registry.summarize())

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -577,9 +578,11 @@ TEST(Trace, ThreadedLanesRecordWithoutCorruption)
 
 TEST(Metrics, DisabledRegistryIsNoOp)
 {
+    StatGroup group;
+    group.formula("test.depth", [] { return 3.0; });
     telemetry::MetricsRegistry registry;
     EXPECT_FALSE(registry.enabled());
-    registry.gauge("test.depth", [] { return 3.0; });
+    registry.watch(group);
     EXPECT_FALSE(registry.sampleOnce());
     EXPECT_EQ(registry.snapshotCount(), 0u);
     // A disabled registry never spawns the sampler thread.
@@ -589,25 +592,32 @@ TEST(Metrics, DisabledRegistryIsNoOp)
     EXPECT_EQ(registry.snapshotCount(), 0u);
 }
 
-TEST(Metrics, RegisterSampleExportRoundTrip)
+TEST(Metrics, WatchSampleExportRoundTrip)
 {
+    // One declaration per live value: a formula samples as a series of
+    // its declared kind, a Stat as a counter (count(), or sum() for an
+    // add()-only stat), child groups dotted-prefixed; histograms are
+    // not sampled.
+    StatGroup group;
+    double depth = 2.0;
+    group.formula("test.ring.depth", [&] { return depth; });
+    Stat &items = group.get("test.stage.items");
+    items.increment(10);
+    group.child("bank1").get("test.bytes").add(64.0);
+    group.histogram("test.latency_ns").sample(5.0);
     telemetry::MetricsRegistry registry;
     registry.enable();
-    double depth = 2.0;
-    std::uint64_t items = 10;
-    registry.gauge("test.ring.depth", [&] { return depth; });
-    registry.counter("test.stage.items",
-                     [&] { return static_cast<double>(items); });
-    EXPECT_EQ(registry.sourceCount(), 2u);
+    registry.watch(group);
+    registry.watch(group);  // a second watch is a no-op
 
     EXPECT_TRUE(registry.sampleOnce());
     depth = 5.0;
-    items = 30;
+    items.increment(20);
     EXPECT_TRUE(registry.sampleOnce());
     EXPECT_EQ(registry.snapshotCount(), 2u);
 
     // Every JSONL line must parse as {"ts_ns":N,"metrics":{...}} and
-    // reproduce the probed values; timestamps never go backwards.
+    // reproduce the sampled values; timestamps never go backwards.
     std::ostringstream os;
     registry.writeJsonl(os);
     std::istringstream is(os.str());
@@ -625,19 +635,29 @@ TEST(Metrics, RegisterSampleExportRoundTrip)
     EXPECT_DOUBLE_EQ(
         lines[1]["metrics"]["test.ring.depth"].number, 5.0);
     EXPECT_DOUBLE_EQ(
+        lines[0]["metrics"]["test.stage.items"].number, 10.0);
+    EXPECT_DOUBLE_EQ(
         lines[1]["metrics"]["test.stage.items"].number, 30.0);
+    EXPECT_DOUBLE_EQ(
+        lines[1]["metrics"]["bank1.test.bytes"].number, 64.0);
+    EXPECT_EQ(lines[1]["metrics"]["test.latency_ns"].kind, Json::Null);
 
-    // summarize() aggregates the series.
+    // summarize() aggregates the series, with their kinds.
     const auto summaries = registry.summarize();
-    ASSERT_EQ(summaries.size(), 2u);
-    const auto &d = summaries[0].name == "test.ring.depth"
-                        ? summaries[0]
-                        : summaries[1];
-    EXPECT_EQ(d.samples, 2u);
-    EXPECT_DOUBLE_EQ(d.min, 2.0);
-    EXPECT_DOUBLE_EQ(d.max, 5.0);
-    EXPECT_DOUBLE_EQ(d.mean, 3.5);
-    EXPECT_DOUBLE_EQ(d.last, 5.0);
+    ASSERT_EQ(summaries.size(), 3u);
+    for (const auto &s : summaries) {
+        EXPECT_EQ(s.samples, 2u) << s.name;
+        EXPECT_EQ(s.kind, s.name == "test.ring.depth"
+                              ? MetricKind::Gauge
+                              : MetricKind::Counter)
+            << s.name;
+        if (s.name == "test.ring.depth") {
+            EXPECT_DOUBLE_EQ(s.min, 2.0);
+            EXPECT_DOUBLE_EQ(s.max, 5.0);
+            EXPECT_DOUBLE_EQ(s.mean, 3.5);
+            EXPECT_DOUBLE_EQ(s.last, 5.0);
+        }
+    }
 }
 
 TEST(Metrics, PrometheusExpositionFormat)
@@ -646,10 +666,14 @@ TEST(Metrics, PrometheusExpositionFormat)
                   "mem.bank0.reads"),
               "prime_mem_bank0_reads");
 
+    StatGroup group;
+    group.formula("test.ring.depth", [] { return 4.0; });
+    group.formula("test.stage.items", [] { return 64.0; },
+                  MetricKind::Counter);
+    group.get("test.stage.handoffs").increment(3);
     telemetry::MetricsRegistry registry;
     registry.enable();
-    registry.gauge("test.ring.depth", [] { return 4.0; });
-    registry.counter("test.stage.items", [] { return 64.0; });
+    registry.watch(group);
     ASSERT_TRUE(registry.sampleOnce());
 
     std::ostringstream os;
@@ -661,6 +685,10 @@ TEST(Metrics, PrometheusExpositionFormat)
         << text;
     EXPECT_NE(text.find("# TYPE prime_test_stage_items counter\n"
                         "prime_test_stage_items 64\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("# TYPE prime_test_stage_handoffs counter\n"
+                        "prime_test_stage_handoffs 3\n"),
               std::string::npos)
         << text;
     // Exposition line format: every non-# line is "<name> <value>".
@@ -676,17 +704,17 @@ TEST(Metrics, PrometheusExpositionFormat)
     }
 }
 
-TEST(Metrics, ReplaceAndUnregister)
+TEST(Metrics, ReplaceFormulaAndUnwatch)
 {
+    StatGroup group;
+    group.formula("test.value", [] { return 1.0; });
+    group.formula("test.value", [] { return 2.0; });  // replaces
     telemetry::MetricsRegistry registry;
     registry.enable();
-    registry.gauge("test.value", [] { return 1.0; });
-    registry.gauge("test.value", [] { return 2.0; });  // replaces
-    EXPECT_EQ(registry.sourceCount(), 1u);
+    registry.watch(group);
     ASSERT_TRUE(registry.sampleOnce());
 
-    registry.unregister("test.value");
-    EXPECT_EQ(registry.sourceCount(), 0u);
+    registry.unwatch(group);
     ASSERT_TRUE(registry.sampleOnce());
 
     std::ostringstream os;
@@ -703,13 +731,38 @@ TEST(Metrics, ReplaceAndUnregister)
               Json::Null);
 }
 
+TEST(Metrics, UnwatchedGroupMayBeDestroyedWhileSampling)
+{
+    // unwatch() returning means no tick touches the group again: the
+    // sampler keeps running while watched groups come and go (ASan and
+    // TSan catch a tick reaching a destroyed group or closure).
+    telemetry::MetricsRegistry registry;
+    registry.enable();
+    registry.startSampler(1);
+    for (int round = 0; round < 50; ++round) {
+        auto group = std::make_unique<StatGroup>();
+        auto value = std::make_unique<std::atomic<int>>(round);
+        group->formula("test.round", [v = value.get()] {
+            return static_cast<double>(v->load(std::memory_order_relaxed));
+        });
+        registry.watch(*group);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        registry.unwatch(*group);
+        group.reset();
+        value.reset();
+    }
+    registry.stopSampler();
+    EXPECT_GE(registry.snapshotCount(), 2u);
+}
+
 TEST(Metrics, SnapshotRingEvictsOldest)
 {
+    StatGroup group;
+    int tick = 0;
+    group.formula("test.tick", [&] { return static_cast<double>(tick); });
     telemetry::MetricsRegistry registry(2);
     registry.enable();
-    int tick = 0;
-    registry.gauge("test.tick",
-                   [&] { return static_cast<double>(tick); });
+    registry.watch(group);
     for (tick = 1; tick <= 3; ++tick)
         ASSERT_TRUE(registry.sampleOnce());
     EXPECT_EQ(registry.snapshotCount(), 2u);
@@ -722,13 +775,15 @@ TEST(Metrics, SnapshotRingEvictsOldest)
 
 TEST(Metrics, SamplerThreadCollectsTimestampedSnapshots)
 {
-    telemetry::MetricsRegistry registry;
-    registry.enable();
+    StatGroup group;
     std::atomic<int> calls{0};
-    registry.gauge("test.calls", [&] {
+    group.formula("test.calls", [&] {
         return static_cast<double>(
             calls.fetch_add(1, std::memory_order_relaxed));
     });
+    telemetry::MetricsRegistry registry;
+    registry.enable();
+    registry.watch(group);
     registry.startSampler(1);
     EXPECT_TRUE(registry.samplerRunning());
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -747,23 +802,24 @@ TEST(Metrics, SamplerThreadCollectsTimestampedSnapshots)
 TEST(Metrics, SamplerReadsStatsWrittenConcurrently)
 {
     // The full TSan-relevant chain: a worker thread hammers a Stat
-    // (single writer) while the sampler thread snapshots it through a
-    // relaxed probe -- the Stat atomic_ref contract.
+    // (single writer) and creates new entries in the watched group
+    // while the sampler thread walks it -- the Stat atomic_ref and
+    // group-mutex contracts.
     StatGroup stats;
     Stat &counter = stats.get("test.events");
+    stats.formula("test.events_sum", [&counter] { return counter.sum(); });
     telemetry::MetricsRegistry registry;
     registry.enable();
-    registry.counter("test.events", [&counter] {
-        return static_cast<double>(counter.count());
-    });
-    registry.gauge("test.events_sum",
-                   [&counter] { return counter.sum(); });
+    registry.watch(stats);
     registry.startSampler(1);
-    std::thread writer([&counter] {
+    std::thread writer([&counter, &stats] {
         for (int i = 0; i < 50000; ++i) {
             counter.increment();
             counter.add(2.0);
             counter.sample(static_cast<double>(i));
+            if (i % 1000 == 0)
+                stats.get("test.new" + std::to_string(i / 1000))
+                    .increment();
         }
     });
     writer.join();
@@ -776,20 +832,6 @@ TEST(Metrics, SamplerReadsStatsWrittenConcurrently)
             EXPECT_DOUBLE_EQ(s.last, 100000.0);
         }
     }
-}
-
-TEST(Metrics, GlobalRegistryDefaultsInert)
-{
-    telemetry::MetricsRegistry *inert = telemetry::globalMetrics();
-    ASSERT_NE(inert, nullptr);
-    EXPECT_FALSE(inert->enabled());
-    EXPECT_FALSE(inert->sampleOnce());
-
-    telemetry::MetricsRegistry mine;
-    telemetry::setGlobalMetrics(&mine);
-    EXPECT_EQ(telemetry::globalMetrics(), &mine);
-    telemetry::setGlobalMetrics(nullptr);
-    EXPECT_EQ(telemetry::globalMetrics(), inert);
 }
 
 TEST(Trace, ClearKeepsLanesDropsEvents)

@@ -7,10 +7,10 @@ form {"ts_ns": N, "metrics": {"name": value, ...}}.
 
 Prints a per-stage pipeline utilization table (decoded from the
 pipeline.stageN.state gauge: 0=idle 1=busy 2=stall-up 3=stall-down
-4=done), ring queue-depth statistics, a serving-engine table (ingress
-queue depth / pending / in-flight gauges plus admission-counter rates
-from the serving.* namespace), and a general min/mean/max/last summary
-of every other series.  Exits non-zero on malformed input, so CI can
+4=done), ring queue-depth statistics, a serving-engine table (the
+serving.queue.depth and serving.shed_rate gauges plus the rates of the
+serving.accepted/rejected/completed/batches counters), and a general
+min/mean/max/last summary of every other series.  Exits non-zero on malformed input, so CI can
 use it as a JSONL validator:
 
     python3 tools/metrics_report.py BENCH_metrics.jsonl

@@ -464,8 +464,8 @@ cmdRun(int argc, char **argv, const CliOptions &opt)
     telemetry::MetricsRegistry metrics;
     if (opt.metricsRequested()) {
         metrics.enable();
-        telemetry::setGlobalMetrics(&metrics);
-        prime.registerMetrics(metrics);
+        metrics.watch(prime.stats());
+        metrics.watch(prime.mainMemory().occupancy());
         metrics.startSampler(
             opt.metricsIntervalMs > 0 ? opt.metricsIntervalMs : 10);
     }
@@ -493,8 +493,6 @@ cmdRun(int argc, char **argv, const CliOptions &opt)
 
     if (opt.metricsRequested()) {
         metrics.stopSampler();
-        prime.unregisterMetrics(metrics);
-        telemetry::setGlobalMetrics(nullptr);
         writeMetrics(opt, metrics);
     }
     prime.release();
@@ -551,9 +549,9 @@ cmdServe(int argc, char **argv, const CliOptions &opt)
     telemetry::MetricsRegistry metrics;
     if (opt.metricsRequested()) {
         metrics.enable();
-        telemetry::setGlobalMetrics(&metrics);
-        prime.registerMetrics(metrics);
-        engine.registerMetrics(metrics);
+        metrics.watch(prime.stats());
+        metrics.watch(prime.mainMemory().occupancy());
+        metrics.watch(engine.stats());
         metrics.startSampler(
             opt.metricsIntervalMs > 0 ? opt.metricsIntervalMs : 10);
     }
@@ -581,9 +579,6 @@ cmdServe(int argc, char **argv, const CliOptions &opt)
 
     if (opt.metricsRequested()) {
         metrics.stopSampler();
-        engine.unregisterMetrics(metrics);
-        prime.unregisterMetrics(metrics);
-        telemetry::setGlobalMetrics(nullptr);
         writeMetrics(opt, metrics);
     }
 

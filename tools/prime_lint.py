@@ -34,10 +34,11 @@ command-spans
     PrimeController::execute(), which itself must open a span through
     commandOpName -- so every executed command shows up in traces.
 
-stats-naming / metrics-naming / serving-naming
-    Stat and metric name literals follow the dotted group.metric
-    convention (lowercase snake segments, >= 1 dot); the serving path
-    additionally stays inside the "serving." namespace.
+stats-naming / serving-naming
+    StatGroup name literals (stats, histograms, formulas -- the one
+    declaration the metrics sampler reads too) follow the dotted
+    group.metric convention (lowercase snake segments, >= 1 dot); the
+    serving path additionally stays inside the "serving." namespace.
 
 span-in-sampler
     PRIME_SPAN must never appear in the metrics sampler implementation
@@ -62,12 +63,11 @@ atomic-order
     dependency.  The argument scan is balanced-paren and multi-line.
 
 sampler-lock
-    No mutex acquisition inside MetricsRegistry probe closures
-    (gauge/counter/probe lambda bodies) or inside the lock-free ring
-    implementations: a probe runs under the registry mutex on the
-    sampler thread (lock inversions deadlock it -- only documented
-    leaf locks are allowed, via suppression), and SpscRing/MpscRing
-    are lock-free by contract.
+    No mutex acquisition inside StatGroup formula closures or inside
+    the lock-free ring implementations: a formula runs under the
+    registry and group mutexes on the sampler thread (lock inversions
+    deadlock it -- only documented leaf locks are allowed, via
+    suppression), and SpscRing/MpscRing are lock-free by contract.
 
 Exit status: 0 clean, 1 findings, 2 usage/environment error.
 """
@@ -379,9 +379,6 @@ def check_command_spans(repo: Repo) -> Iterator[Finding]:
 STAT_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
 STAT_CALL_RE = re.compile(
     r"(?:\.|->)(?P<fn>get|histogram|formula)\(\s*\"(?P<name>[^\"]*)\"")
-METRIC_CALL_RE = re.compile(
-    r"(?:\.|->)(?P<fn>gauge|counter|probe|unregister)"
-    r"\(\s*\"(?P<name>[^\"]*)\"")
 
 
 @rule("stats-naming", "error",
@@ -402,28 +399,11 @@ def check_stats_naming(repo: Repo) -> Iterator[Finding]:
                         f" segments, >= 1 dot)")
 
 
-@rule("metrics-naming", "error",
-      "MetricsRegistry name literals follow dotted convention",
-      "src/**, tools/**, bench/**")
-def check_metrics_naming(repo: Repo) -> Iterator[Finding]:
-    for subdir in ("src", "tools", "bench"):
-        for sf in repo.files(subdir, (".hh", ".cc", ".cpp")):
-            for lineno, text in enumerate(sf.lines, 1):
-                for m in METRIC_CALL_RE.finditer(text):
-                    name = m.group("name")
-                    if not STAT_NAME_RE.match(name):
-                        yield emit(
-                            sf, lineno, "metrics-naming",
-                            f"metric name '{name}' does not follow the"
-                            f" dotted group.metric convention"
-                            f" (lowercase snake segments, >= 1 dot)")
-
-
 SERVING_NAME_RE = re.compile(r"^serving(\.[a-z0-9_]+)+$")
 
 
 @rule("serving-naming", "error",
-      "serving-path stat/metric literals stay in the serving.* space",
+      "serving-path stat literals stay in the serving.* space",
       "src/serve/**, bench/bench_serving.cc")
 def check_serving_naming(repo: Repo) -> Iterator[Finding]:
     def targets() -> Iterator[SourceFile]:
@@ -434,14 +414,13 @@ def check_serving_naming(repo: Repo) -> Iterator[Finding]:
 
     for sf in targets():
         for lineno, text in enumerate(sf.lines, 1):
-            for regex in (STAT_CALL_RE, METRIC_CALL_RE):
-                for m in regex.finditer(text):
-                    name = m.group("name")
-                    if not SERVING_NAME_RE.match(name):
-                        yield emit(
-                            sf, lineno, "serving-naming",
-                            f"serving-path stat/metric '{name}' must"
-                            f" use the dotted 'serving.*' namespace")
+            for m in STAT_CALL_RE.finditer(text):
+                name = m.group("name")
+                if not SERVING_NAME_RE.match(name):
+                    yield emit(
+                        sf, lineno, "serving-naming",
+                        f"serving-path stat '{name}' must use the"
+                        f" dotted 'serving.*' namespace")
 
 
 @rule("span-in-sampler", "error",
@@ -536,19 +515,20 @@ def check_atomic_order(repo: Repo) -> Iterator[Finding]:
 LOCK_ACQ_RE = re.compile(
     r"\b(?:MutexLock|UniqueLock|std::lock_guard|std::unique_lock"
     r"|std::scoped_lock)\b|\.lock\(\)")
-PROBE_REG_RE = re.compile(r"(?:\.|->)(?:gauge|counter|probe)\s*\(")
+FORMULA_RE = re.compile(r"(?:\.|->)formula\s*\(")
 
 
 @rule("sampler-lock", "error",
-      "no mutex acquisition inside MetricsRegistry probe closures or"
-      " the lock-free ring implementations",
-      "probe registration sites; src/common/{spsc,mpsc}_ring.hh")
+      "no mutex acquisition inside StatGroup formula closures or the"
+      " lock-free ring implementations",
+      "formula declaration sites; src/common/{spsc,mpsc}_ring.hh")
 def check_sampler_lock(repo: Repo) -> Iterator[Finding]:
-    # Probe closures: a tick calls every probe while holding the
-    # registry mutex on the sampler thread; only documented leaf locks
-    # (suppressed with a reason) are tolerable there.
+    # Formula closures: a tick calls every formula of a watched group
+    # while holding the registry and group mutexes on the sampler
+    # thread; only documented leaf locks (suppressed with a reason) are
+    # tolerable there.
     for sf in repo.files("src", (".hh", ".cc")):
-        for m in PROBE_REG_RE.finditer(sf.code):
+        for m in FORMULA_RE.finditer(sf.code):
             args = balanced_args(sf.code, m.end() - 1)
             if args is None or "[" not in args:
                 continue  # no closure argument at this site
@@ -557,8 +537,8 @@ def check_sampler_lock(repo: Repo) -> Iterator[Finding]:
                 yield emit(
                     sf, lineno, "sampler-lock",
                     f"mutex acquisition ({lm.group(0)}) inside a"
-                    f" metrics probe closure: probes run under the"
-                    f" registry mutex on the sampler thread -- only a"
+                    f" formula closure: formulas run under the registry"
+                    f" and group mutexes on the sampler thread -- only a"
                     f" leaf lock with a reasoned suppression is safe")
     # Ring implementations are lock-free by contract.
     for rel in ("src/common/spsc_ring.hh", "src/common/mpsc_ring.hh"):
@@ -585,8 +565,7 @@ STAT_LOOKUP_RE = re.compile(
 FUNC_DEF_RE = re.compile(r"^((?:\w+(?:<[^(;]*>)?::)*~?\w+)\s*\(")
 # Memory: every function is, or is called from, a request path except
 # the publication-only ones (matched on the last name component).
-MEM_STATS_ALLOWED = {"MainMemory", "stats", "syncStats",
-                     "registerMetrics", "unregisterMetrics"}
+MEM_STATS_ALLOWED = {"MainMemory", "stats", "syncStats"}
 # PRIME: the per-command and per-tile functions (fnmatch patterns on the
 # qualified name); constructors and buildStages bind the stats they use.
 PRIME_HOT_FUNCS = ("PrimeController::execute",
@@ -617,8 +596,7 @@ def check_hot_path_stats(repo: Repo) -> Iterator[Finding]:
     # memory request path it also reintroduces the shared-map
     # contention the bank shards exist to avoid.  Memory functions
     # sample into their bank shard; only stat *publication* (the
-    # MainMemory constructor, stats()/syncStats, the metrics
-    # (un)registration) touches the registry.  PRIME's hot functions
+    # MainMemory constructor, stats()/syncStats) touches the registry.  PRIME's hot functions
     # use the Stat pointers their constructors / buildStages bound.
     for subdir in ("src/memory", "src/prime"):
         for sf in repo.files(subdir, (".hh", ".cc")):
@@ -756,38 +734,36 @@ def self_test() -> int:
 
     # ---- naming rules (ported fixtures) ----
     good_naming = fixture_repo({"src/a.cc": "\n".join([
-        'registry.gauge("pipeline.ring0.depth", probe);',
-        'registry.counter("mem.bank0.reads", probe);',
-        'registry.probe("a.b_c.d2", kind, fn);',
-        'reg->unregister("pipeline.stage0.state");',
+        'stats.formula("pipeline.ring0.depth", fn);',
+        'occupancy_.formula("mem.bank0.reads", fn, MetricKind::Counter);',
+        'stats.histogram("a.b_c.d2");',
         'stats.get("run.tiled_mvms").increment();',
     ])})
     expect(failures, "naming/good",
-           run_rules(good_naming, ["stats-naming", "metrics-naming"]), 0)
+           run_rules(good_naming, ["stats-naming"]), 0)
 
     bad_naming = fixture_repo({"src/a.cc": "\n".join([
-        'registry.gauge("Depth", probe);',
-        'registry.counter("mem.", probe);',
-        'registry.gauge("mem.Bank0.reads", fn);',
-        'registry.probe("pipeline ring", k, fn);',
+        'stats.formula("Depth", fn);',
+        'stats.formula("mem.", fn, MetricKind::Counter);',
+        'stats.histogram("mem.Bank0.reads");',
+        'stats->get("pipeline ring");',
         'stats.get("inferences").add(1);',
     ])})
     expect(failures, "naming/bad",
-           run_rules(bad_naming, ["stats-naming", "metrics-naming"]), 5)
+           run_rules(bad_naming, ["stats-naming"]), 5)
 
     serving_good = fixture_repo({"src/serve/a.cc": "\n".join([
         'stats_.histogram("serving.e2e_latency_ns");',
-        'registry.gauge("serving.queue.depth", probe);',
+        'stats_.formula("serving.queue.depth", fn);',
         'stats.get("serving.sweep.point0.p99_ms").add(v);',
-        'registry.unregister("serving.inflight_batches");',
     ])})
     expect(failures, "serving/good",
            run_rules(serving_good, ["serving-naming"]), 0)
 
     serving_bad = fixture_repo({"src/serve/a.cc": "\n".join([
         'stats_.histogram("latency.e2e_ns");',
-        'registry.gauge("serving.Depth", probe);',
-        'registry.counter("serving", probe);',
+        'stats_.formula("serving.Depth", fn);',
+        'stats_.formula("serving", fn, MetricKind::Counter);',
         'stats.get("serve.queue.depth").add(1);',
     ])})
     expect(failures, "serving/bad",
@@ -873,8 +849,8 @@ def self_test() -> int:
 
     # ---- sampler-lock ----
     sampler_bad = fixture_repo({"src/m.cc": "\n".join([
-        "void f(Registry &registry) {",
-        "    registry.gauge(\"a.b\", [this] {",
+        "void f(StatGroup &stats) {",
+        "    stats.formula(\"a.b\", [this] {",
         "        std::lock_guard<std::mutex> lock(m_);",  # finding
         "        return value_;",
         "    });",
@@ -884,8 +860,8 @@ def self_test() -> int:
            run_rules(sampler_bad, ["sampler-lock"]), 1)
 
     sampler_suppressed = fixture_repo({"src/m.cc": "\n".join([
-        "void f(Registry &registry) {",
-        "    registry.gauge(\"a.b\", [sh] {",
+        "void f(StatGroup &stats) {",
+        "    stats.formula(\"a.b\", [sh] {",
         "        // prime-lint: disable=sampler-lock reason=leaf lock",
         "        MutexLock lock(sh->mutex);",
         "        return sh->value;",
@@ -896,8 +872,8 @@ def self_test() -> int:
            run_rules(sampler_suppressed, ["sampler-lock"]), 0, 1)
 
     sampler_good = fixture_repo({"src/m.cc": "\n".join([
-        "void f(Registry &registry) {",
-        "    registry.gauge(\"a.b\", [this] {",
+        "void f(StatGroup &stats) {",
+        "    stats.formula(\"a.b\", [this] {",
         "        return depth_.load(std::memory_order_relaxed);",
         "    });",
         "}",
