@@ -5,7 +5,7 @@
  * These measure the *simulator's* throughput (useful when scaling
  * experiments), not modeled hardware time.  Every MVM benchmark times a
  * span kernel on the path PrimeController::computeMat runs (composed
- * engine, then crossbar), writing into buffers reused across
+ * engine, then the analog crossbar), writing into buffers reused across
  * iterations.
  */
 
@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -48,45 +49,28 @@ sharedCrossbar(int rows, int cols)
     return *it->second;
 }
 
-/** A composed engine of n x n logical weights, programmed once. */
+/** A composed engine of rows x cols logical weights, programmed once. */
 const ComposedMatrixEngine &
-sharedEngine(int n)
+sharedEngine(int rows, int cols)
 {
-    static std::map<int, std::unique_ptr<ComposedMatrixEngine>> cache;
-    auto it = cache.find(n);
+    static std::map<std::pair<int, int>,
+                    std::unique_ptr<ComposedMatrixEngine>>
+        cache;
+    const std::pair<int, int> key{rows, cols};
+    auto it = cache.find(key);
     if (it == cache.end()) {
         auto engine = std::make_unique<ComposedMatrixEngine>(
-            n, n, ComposingParams{}, CrossbarParams{});
+            rows, cols, ComposingParams{}, CrossbarParams{});
         Rng rng(9);
-        std::vector<std::vector<int>> w(n, std::vector<int>(n));
+        std::vector<std::vector<int>> w(rows, std::vector<int>(cols));
         for (auto &r : w)
             for (int &v : r)
                 v = static_cast<int>(rng.uniformInt(-255, 255));
         engine->programWeights(w);
-        it = cache.emplace(n, std::move(engine)).first;
+        it = cache.emplace(key, std::move(engine)).first;
     }
     return *it->second;
 }
-
-void
-BM_CrossbarMvmExact(benchmark::State &state)
-{
-    const int n = static_cast<int>(state.range(0));
-    Crossbar &xbar = sharedCrossbar(n, n);
-    Rng rng(7);
-    std::vector<int> in(static_cast<std::size_t>(n));
-    for (int &v : in)
-        v = static_cast<int>(rng.uniformInt(0, 7));
-    std::vector<std::int64_t> out(static_cast<std::size_t>(n));
-    for (auto _ : state) {
-        xbar.mvmExact(in, out);
-        benchmark::DoNotOptimize(out.data());
-        benchmark::ClobberMemory();
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(n) * n);
-}
-BENCHMARK(BM_CrossbarMvmExact)->Arg(64)->Arg(128)->Arg(256);
 
 void
 BM_CrossbarMvmAnalog(benchmark::State &state)
@@ -146,27 +130,32 @@ BM_CrossbarMvmAnalogIrDrop(benchmark::State &state)
 }
 BENCHMARK(BM_CrossbarMvmAnalogIrDrop)->Arg(64)->Arg(256);
 
-/** The exact composed MVM of an FF mat (computeMat's ideal path). */
+/** The exact composed MVM of an FF mat (computeMat's ideal path), on
+ *  rows x cols logical weights; 25 x 5 is CNN-1's conv tile. */
 void
 BM_ComposedMatMvm(benchmark::State &state)
 {
-    const int n = static_cast<int>(state.range(0));
-    const ComposedMatrixEngine &engine = sharedEngine(n);
+    const int rows = static_cast<int>(state.range(0));
+    const int cols = static_cast<int>(state.range(1));
+    const ComposedMatrixEngine &engine = sharedEngine(rows, cols);
     Rng rng(10);
-    std::vector<int> in(static_cast<std::size_t>(n));
+    std::vector<int> in(static_cast<std::size_t>(rows));
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 63));
     ComposedMatrixEngine::MvmScratch scratch;
-    std::vector<std::int64_t> out(static_cast<std::size_t>(n));
+    std::vector<std::int64_t> out(static_cast<std::size_t>(cols));
     for (auto _ : state) {
         engine.mvmExact(in, out, scratch);
         benchmark::DoNotOptimize(out.data());
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(n) * n);
+                            static_cast<std::int64_t>(rows) * cols);
 }
-BENCHMARK(BM_ComposedMatMvm)->Arg(64)->Arg(256);
+BENCHMARK(BM_ComposedMatMvm)
+    ->Args({64, 64})
+    ->Args({256, 256})
+    ->Args({25, 5});
 
 /** The analog composed MVM of an FF mat (computeMat's analog path):
  *  two input phases through the conductance planes, SA-quantized. */
@@ -174,7 +163,7 @@ void
 BM_ComposedMatMvmAnalog(benchmark::State &state)
 {
     const int n = static_cast<int>(state.range(0));
-    const ComposedMatrixEngine &engine = sharedEngine(n);
+    const ComposedMatrixEngine &engine = sharedEngine(n, n);
     Rng rng(17);
     std::vector<int> in(static_cast<std::size_t>(n));
     for (int &v : in)

@@ -67,6 +67,31 @@ BM_FrFcfsBatch(benchmark::State &state)
 }
 BENCHMARK(BM_FrFcfsBatch)->Arg(64)->Arg(512);
 
+/**
+ * One timed transfer through scheduleBytes, as a Table I command issues
+ * it: a 25-B read is CNN-1's Fetch of a 5x5 receptive field, a 512-B
+ * write the Commit of one output slot.  The address walks forward so
+ * bursts see a mix of row hits and misses.
+ */
+void
+BM_ScheduleBytes(benchmark::State &state)
+{
+    const std::size_t bytes = static_cast<std::size_t>(state.range(0));
+    const bool is_write = state.range(1) != 0;
+    memory::MainMemory mem(nvmodel::defaultTechParams());
+    const std::uint64_t span = std::uint64_t{1} << 24;
+    std::uint64_t addr = 0;
+    for (auto _ : state) {
+        mem.scheduleBytes(addr, bytes, is_write);
+        benchmark::ClobberMemory();
+        addr = (addr + 1088) % span;
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_ScheduleBytes)->Args({25, 0})->Args({512, 1});
+
 void
 BM_CommandRoundTrip(benchmark::State &state)
 {

@@ -1,6 +1,7 @@
 #include "common/telemetry/histogram.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace prime::telemetry {
@@ -12,16 +13,23 @@ Histogram::Histogram() : buckets_(kBucketCount, 0)
 int
 Histogram::bucketIndex(double value)
 {
+    // NaN, zero and negatives go to the underflow bucket.
     if (!(value > 0.0))
         return 0;
-    int exp = 0;
-    const double frac = std::frexp(value, &exp);  // frac in [0.5, 1)
+    // Read the IEEE-754 fields instead of calling frexp: value =
+    // 1.m * 2^(e - 1023), i.e. frexp's fraction 0.5 * 1.m with exponent
+    // e - 1022, whose sub-bucket (frac - 0.5) * 2 * kSubBuckets is the
+    // top three mantissa bits.  Denormals (e = 0) sit far below kMinExp;
+    // +inf (e = 2047) lands in the top bucket.
+    static_assert(kSubBuckets == 8, "sub-bucket = top 3 mantissa bits");
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
+    const int exp = static_cast<int>(bits >> 52) - 1022;
     if (exp < kMinExp)
         return 0;
-    if (exp > kMaxExp)
+    // The buckets cover exponents kMinExp .. kMaxExp - 1.
+    if (exp >= kMaxExp)
         return kBucketCount - 1;
-    int sub = static_cast<int>((frac - 0.5) * 2.0 * kSubBuckets);
-    sub = std::clamp(sub, 0, kSubBuckets - 1);
+    const int sub = static_cast<int>((bits >> 49) & 7u);
     return 1 + (exp - kMinExp) * kSubBuckets + sub;
 }
 

@@ -5,9 +5,10 @@
  * Buckets are spaced logarithmically: each power-of-two decade is split
  * into kSubBuckets linear sub-buckets, bounding the relative error of a
  * reported quantile by 1/kSubBuckets (12.5%) while keeping the bucket
- * array small and the sample path branch-free (frexp + two integer
- * ops).  Non-positive samples land in a dedicated underflow bucket so
- * zero-latency events stay visible without distorting the log range.
+ * array small and the sample path cheap (the bucket comes straight
+ * from the double's exponent and top mantissa bits).  Non-positive
+ * samples land in a dedicated underflow bucket so zero-latency events
+ * stay visible without distorting the log range.
  */
 
 #ifndef PRIME_COMMON_TELEMETRY_HISTOGRAM_HH
@@ -26,7 +27,8 @@ class Histogram
     static constexpr int kSubBuckets = 8;
     /** Smallest representable exponent (values below go to underflow). */
     static constexpr int kMinExp = -31;
-    /** Largest representable exponent (values above clamp to the top). */
+    /** One past the largest bucketed exponent: values from
+     *  2^(kMaxExp-1) up, +inf included, clamp to the top bucket. */
     static constexpr int kMaxExp = 64;
     /** Bucket 0 is the underflow bucket (v <= 0 or v < 2^(kMinExp-1)). */
     static constexpr int kBucketCount =
@@ -65,7 +67,8 @@ class Histogram
     /** The raw bucket counters (index 0 = underflow). */
     const std::vector<std::uint64_t> &buckets() const { return buckets_; }
 
-    /** Bucket index a value falls into. */
+    /** Bucket index a value falls into (NaN and values <= 0 in the
+     *  underflow bucket, +inf in the top one). */
     static int bucketIndex(double value);
     /** Inclusive lower bound of a bucket (0 for the underflow bucket). */
     static double bucketLowerBound(int index);

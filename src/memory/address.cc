@@ -56,6 +56,40 @@ AddressMapper::decode(std::uint64_t addr) const
     return loc;
 }
 
+void
+AddressMapper::stepLine(Location &loc) const
+{
+    // The next line lives on the next channel at the same local offset,
+    // until the rotation wraps and the local offset moves one line on
+    // (with one channel, every step wraps).
+    if (++loc.channel == geometry_.channels) {
+        loc.channel = 0;
+        std::uint64_t column =
+            static_cast<std::uint64_t>(loc.column) + kLineBytes;
+        // A loop, not a branch: a mat row narrower than a line carries
+        // more than once.
+        while (column >= bytesPerMatRow_) {
+            column -= bytesPerMatRow_;
+            if (++loc.mat < geometry_.matsPerSubarray)
+                continue;
+            loc.mat = 0;
+            if (++loc.subarray < geometry_.subarraysPerBank)
+                continue;
+            loc.subarray = 0;
+            if (++loc.bank < geometry_.banksPerChip)
+                continue;
+            loc.bank = 0;
+            if (++loc.chip < geometry_.chipsPerRank)
+                continue;
+            loc.chip = 0;
+            ++loc.row;
+        }
+        loc.column = static_cast<int>(column);
+    }
+    loc.globalBank = loc.channel * geometry_.banksPerChannel() +
+                     loc.chip * geometry_.banksPerChip + loc.bank;
+}
+
 std::uint64_t
 AddressMapper::encode(const Location &loc) const
 {

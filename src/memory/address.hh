@@ -51,6 +51,16 @@ class AddressMapper
     /** Decode an address; asserts it is within capacity. */
     Location decode(std::uint64_t addr) const;
 
+    /**
+     * Step @p loc, the decode of some address a, to the decode of
+     * a + kLineBytes without dividing: rotate the channel, and on each
+     * full rotation carry the 64 bytes through column -> mat ->
+     * subarray -> bank -> row.  The caller keeps a + kLineBytes within
+     * capacity.  This is how a transfer decodes its bursts after the
+     * first.
+     */
+    void stepLine(Location &loc) const;
+
     /** Inverse of decode (used by tests as a round-trip invariant). */
     std::uint64_t encode(const Location &loc) const;
 

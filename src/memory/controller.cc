@@ -96,14 +96,34 @@ MemoryController::access(const Request &request, const Location &loc)
     const int channel_bank =
         loc.chip * geometry_.banksPerChip + loc.bank;
     BankShard &sh = shard(channel_bank);
-    MutexLock lock(sh.mutex);
-    return accessShardLocked(sh, request, loc);
+    RequestResult result;
+    {
+        MutexLock lock(sh.mutex);
+        result = accessShardLocked(sh, request, loc, rowTag(loc));
+    }
+    if (request.source == RequestSource::Prime)
+        publishPrimeHorizon(result.dataReady);
+    return result;
+}
+
+void
+MemoryController::publishPrimeHorizon(Ns ready)
+{
+    // Release pairs with primeHorizon()'s acquire: a reader that sees
+    // the new horizon also sees the bank state behind it.
+    Ns cur = primeHorizon_.load(std::memory_order_relaxed);
+    while (cur < ready &&
+           !primeHorizon_.compare_exchange_weak(cur, ready,
+                                                std::memory_order_release,
+                                                std::memory_order_relaxed)) {
+    }
 }
 
 RequestResult
 MemoryController::accessShardLocked(BankShard &sh,
                                     const Request &request,
-                                    const Location &loc)
+                                    const Location &loc,
+                                    std::int64_t row_tag)
 {
     PRIME_SPAN(telemetry::globalTrace(),
                request.isWrite ? "mem.write" : "mem.read", "memory");
@@ -111,8 +131,7 @@ MemoryController::accessShardLocked(BankShard &sh,
     result.request = request;
     result.location = loc;
 
-    result.bank = sh.bank.access(request.issue, rowTag(loc),
-                                 request.isWrite);
+    result.bank = sh.bank.access(request.issue, row_tag, request.isWrite);
 
     // The data burst serializes on this channel after the bank has the
     // data (read) or before the bank commits it (write, modeled
@@ -134,20 +153,28 @@ MemoryController::accessShardLocked(BankShard &sh,
     sh.sourceServiceNs[src].sample(service);
     sh.sourceLastReady[src] =
         std::max(sh.sourceLastReady[src], result.dataReady);
-    if (request.source == RequestSource::Prime) {
-        // Lock-free max-advance of the co-run pacing signal.
-        Ns cur = primeHorizon_.load(std::memory_order_relaxed);
-        while (cur < result.dataReady &&
-               !primeHorizon_.compare_exchange_weak(
-                   cur, result.dataReady, std::memory_order_release,
-                   std::memory_order_relaxed)) {
-        }
-    }
     return result;
 }
 
+namespace {
+
+/**
+ * Per-thread scratch of scheduleBankQueue: each entry's row tag and
+ * the queue order as indices into the pending span (grown to the
+ * largest queue seen, then reused).
+ */
+struct BankQueueScratch
+{
+    std::vector<std::int64_t> tags;
+    std::vector<std::size_t> order;
+};
+
+thread_local BankQueueScratch t_queue;
+
+} // namespace
+
 void
-MemoryController::scheduleBankQueue(std::vector<PendingRequest> &pending,
+MemoryController::scheduleBankQueue(std::span<const PendingRequest> pending,
                                     const SchedulerConfig &sched,
                                     std::vector<RequestResult> *results)
 {
@@ -155,50 +182,71 @@ MemoryController::scheduleBankQueue(std::vector<PendingRequest> &pending,
     PRIME_ASSERT(sched.maxBypass >= 0, "maxBypass=", sched.maxBypass);
     if (pending.empty())
         return;
+    const std::size_t n = pending.size();
 
     const int channel_bank =
         pending.front().location.chip * geometry_.banksPerChip +
         pending.front().location.bank;
     BankShard &sh = shard(channel_bank);
-    MutexLock lock(sh.mutex);
 
-    // FR-FCFS with a hard starvation bound.  Each iteration picks,
-    // within the first `window` pending entries, a row-hit request if
-    // one exists, otherwise the oldest -- but once the oldest entry has
-    // been bypassed maxBypass consecutive times, the hit search is
+    // Row tags once per entry, not once per window scan.
+    std::vector<std::int64_t> &tags = t_queue.tags;
+    std::vector<std::size_t> &order = t_queue.order;
+    tags.resize(n);
+    order.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        PRIME_ASSERT(pending[i].location.channel == channel_,
+                     "cross-channel entry in bank queue");
+        tags[i] = rowTag(pending[i].location);
+        order[i] = i;
+    }
+
+    MutexLock lock(sh.mutex);
+    // FR-FCFS with a hard starvation bound.  order[head..n) is the
+    // pending queue, oldest first.  Each iteration picks, within the
+    // first `window` pending entries, a row-hit request if one exists,
+    // otherwise the oldest -- but once the oldest entry has been
+    // bypassed maxBypass consecutive times, the hit search is
     // suppressed and the oldest goes next.  `bypasses` tracks how many
     // times the *current* front entry has been passed over; it resets
     // whenever the front is serviced (a newly exposed front starts its
-    // own count).
+    // own count).  Removing the chosen entry shifts only the (at most
+    // window - 1) entries ahead of it.
+    const std::size_t window = static_cast<std::size_t>(sched.window);
+    Ns prime_ready = 0.0;
     int bypasses = 0;
-    while (!pending.empty()) {
-        int chosen = 0;
+    for (std::size_t head = 0; head < n; ++head) {
+        std::size_t chosen = head;
         if (bypasses < sched.maxBypass) {
-            const int limit = std::min<int>(
-                sched.window, static_cast<int>(pending.size()));
-            for (int i = 0; i < limit; ++i) {
-                const PendingRequest &p =
-                    pending[static_cast<std::size_t>(i)];
-                PRIME_ASSERT(p.location.channel == channel_,
-                             "cross-channel entry in bank queue");
-                if (sh.bank.openRow() == rowTag(p.location)) {
+            const std::int64_t open = sh.bank.openRow();
+            const std::size_t limit = std::min(n, head + window);
+            for (std::size_t i = head; i < limit; ++i) {
+                if (tags[order[i]] == open) {
                     chosen = i;
                     break;
                 }
             }
         }
-        if (chosen == 0)
+        if (chosen == head)
             bypasses = 0;
         else
             ++bypasses;
-        const PendingRequest next =
-            pending[static_cast<std::size_t>(chosen)];
-        pending.erase(pending.begin() + chosen);
+        const std::size_t next = order[chosen];
+        std::copy_backward(order.begin() + static_cast<std::ptrdiff_t>(head),
+                           order.begin() + static_cast<std::ptrdiff_t>(chosen),
+                           order.begin() +
+                               static_cast<std::ptrdiff_t>(chosen + 1));
+        const PendingRequest &p = pending[next];
         const RequestResult result =
-            accessShardLocked(sh, next.request, next.location);
+            accessShardLocked(sh, p.request, p.location, tags[next]);
+        if (p.request.source == RequestSource::Prime)
+            prime_ready = std::max(prime_ready, result.dataReady);
         if (results)
             results->push_back(result);
     }
+    // One horizon advance per queue, with its latest PRIME completion
+    // (a no-op for a CPU-only queue).
+    publishPrimeHorizon(prime_ready);
 }
 
 ChannelTotals

@@ -31,6 +31,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/mutex.hh"
@@ -139,14 +140,16 @@ class MemoryController
 
     /**
      * FR-FCFS over one bank's pending queue (all entries must decode
-     * to the same bank of this channel), per @p sched: within a
-     * lookahead window of sched.window requests a row-buffer hit is
-     * preferred, but the oldest request is never bypassed more than
-     * sched.maxBypass consecutive times.  Consumes @p pending (left
-     * empty) and appends the completions, in completion order, to
-     * @p results unless it is null; allocates nothing itself.
+     * to the same bank of this channel, oldest first), per @p sched:
+     * within a lookahead window of sched.window requests a row-buffer
+     * hit is preferred, but the oldest request is never bypassed more
+     * than sched.maxBypass consecutive times.  Appends the
+     * completions, in completion order, to @p results unless it is
+     * null.  The queue order lives in per-thread index scratch reused
+     * across calls, so a steady stream of queues allocates nothing;
+     * the PRIME-class horizon is published once, after the queue.
      */
-    void scheduleBankQueue(std::vector<PendingRequest> &pending,
+    void scheduleBankQueue(std::span<const PendingRequest> pending,
                            const SchedulerConfig &sched,
                            std::vector<RequestResult> *results);
 
@@ -245,10 +248,15 @@ class MemoryController
     Ns reserveChannel(Ns earliest, Ns transfer);
 
     /** access() body; caller holds the target bank's shard mutex (the
-     *  REQUIRES makes that calling convention a compile-time fact). */
+     *  REQUIRES makes that calling convention a compile-time fact).
+     *  Does not touch primeHorizon_: callers publish it. */
     RequestResult accessShardLocked(BankShard &sh, const Request &request,
-                                    const Location &loc)
+                                    const Location &loc,
+                                    std::int64_t row_tag)
         PRIME_REQUIRES(sh.mutex);
+
+    /** Lock-free max-advance of primeHorizon_ to @p ready (release). */
+    void publishPrimeHorizon(Ns ready);
 
     int channel_;
     nvmodel::TimingParams timing_;

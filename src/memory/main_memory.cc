@@ -146,6 +146,24 @@ MainMemory::access(const Request &request)
     return controller(loc.channel).access(request, loc);
 }
 
+namespace {
+
+/**
+ * Per-thread scratch of the scheduling path, reused across calls (the
+ * pipeline stages call into one MainMemory concurrently, so the scratch
+ * cannot live in it).
+ */
+struct ScheduleScratch
+{
+    std::vector<PendingRequest> decoded;
+    std::vector<int> banks;
+    std::vector<PendingRequest> queue;
+};
+
+thread_local ScheduleScratch t_scratch;
+
+} // namespace
+
 std::vector<RequestResult>
 MainMemory::scheduleBatch(std::vector<Request> requests)
 {
@@ -158,33 +176,18 @@ MainMemory::scheduleBatch(std::vector<Request> requests,
 {
     std::vector<RequestResult> results;
     results.reserve(requests.size());
-    schedule(requests, sched, &results);
+    std::vector<PendingRequest> &decoded = t_scratch.decoded;
+    decoded.clear();
+    for (const Request &r : requests)
+        decoded.push_back(PendingRequest{r, mapper_.decode(r.addr)});
+    scheduleDecoded(decoded, sched, &results);
     return results;
 }
 
-namespace {
-
-/**
- * Per-thread scratch of the scheduling path, reused across calls (the
- * pipeline stages call into one MainMemory concurrently, so the scratch
- * cannot live in it).
- */
-struct ScheduleScratch
-{
-    std::vector<Request> bursts;
-    std::vector<PendingRequest> decoded;
-    std::vector<int> banks;
-    std::vector<PendingRequest> queue;
-};
-
-thread_local ScheduleScratch t_scratch;
-
-} // namespace
-
 void
-MainMemory::schedule(std::span<Request> requests,
-                     const SchedulerConfig &sched,
-                     std::vector<RequestResult> *results)
+MainMemory::scheduleDecoded(std::vector<PendingRequest> &decoded,
+                            const SchedulerConfig &sched,
+                            std::vector<RequestResult> *results)
 {
     // Keep requests sorted by issue time, then partition by bank: the
     // row-hit reordering window only ever matters within a bank, and
@@ -192,28 +195,26 @@ MainMemory::schedule(std::span<Request> requests,
     // bank lock at a time (banks appear in first-request order).  An
     // already sorted batch -- every single-channel transfer -- skips the
     // sort, whose merge buffer would allocate.
-    const auto by_issue = [](const Request &a, const Request &b) {
-        return a.issue < b.issue;
+    const auto by_issue = [](const PendingRequest &a,
+                             const PendingRequest &b) {
+        return a.request.issue < b.request.issue;
     };
-    if (!std::is_sorted(requests.begin(), requests.end(), by_issue))
-        std::stable_sort(requests.begin(), requests.end(), by_issue);
-    ScheduleScratch &scratch = t_scratch;
-    scratch.decoded.clear();
-    scratch.banks.clear();
-    for (const Request &r : requests) {
-        const Location loc = mapper_.decode(r.addr);
-        if (std::find(scratch.banks.begin(), scratch.banks.end(),
-                      loc.globalBank) == scratch.banks.end())
-            scratch.banks.push_back(loc.globalBank);
-        scratch.decoded.push_back(PendingRequest{r, loc});
-    }
-    for (const int bank : scratch.banks) {
-        scratch.queue.clear();
-        for (const PendingRequest &p : scratch.decoded)
+    if (!std::is_sorted(decoded.begin(), decoded.end(), by_issue))
+        std::stable_sort(decoded.begin(), decoded.end(), by_issue);
+    std::vector<int> &banks = t_scratch.banks;
+    banks.clear();
+    for (const PendingRequest &p : decoded)
+        if (std::find(banks.begin(), banks.end(), p.location.globalBank) ==
+            banks.end())
+            banks.push_back(p.location.globalBank);
+    const int per = params_.geometry.banksPerChannel();
+    std::vector<PendingRequest> &queue = t_scratch.queue;
+    for (const int bank : banks) {
+        queue.clear();
+        for (const PendingRequest &p : decoded)
             if (p.location.globalBank == bank)
-                scratch.queue.push_back(p);
-        controller(bank / params_.geometry.banksPerChannel())
-            .scheduleBankQueue(scratch.queue, sched, results);
+                queue.push_back(p);
+        controller(bank / per).scheduleBankQueue(queue, sched, results);
     }
 }
 
@@ -223,24 +224,36 @@ MainMemory::scheduleBytes(std::uint64_t addr, std::size_t bytes,
 {
     if (bytes == 0)
         return;
-    // Anchor each burst at its *own* channel's cursor: co-running
-    // traffic on one channel must not push this transfer's issue time
-    // on every other channel (a global max-horizon anchor would
-    // serialize PRIME traffic behind any CPU backlog instead of
-    // arbitrating with it at the owning controller).
-    std::vector<Request> &requests = t_scratch.bursts;
-    requests.clear();
-    for (std::size_t off = 0; off < bytes; off += 64) {
-        Request r;
-        r.addr = addr + off;
-        r.bytes = static_cast<std::uint32_t>(
-            std::min<std::size_t>(64, bytes - off));
-        r.isWrite = is_write;
-        r.issue = controller(mapper_.channelOf(r.addr)).channelFree();
-        r.source = source;
-        requests.push_back(r);
+    // Decode the first burst, then step: every later burst starts one
+    // 64-byte line on.  Its decode asserts the start is in range; check
+    // the last burst's start once here.
+    const std::size_t last = (bytes - 1) / AddressMapper::kLineBytes *
+                             AddressMapper::kLineBytes;
+    PRIME_ASSERT(addr + last < mapper_.capacityBytes(), "transfer of ",
+                 bytes, " bytes at ", addr, " beyond capacity ",
+                 mapper_.capacityBytes());
+    std::vector<PendingRequest> &decoded = t_scratch.decoded;
+    decoded.clear();
+    PendingRequest p;
+    p.request.isWrite = is_write;
+    p.request.source = source;
+    p.location = mapper_.decode(addr);
+    for (std::size_t off = 0; off < bytes;
+         off += AddressMapper::kLineBytes) {
+        if (off != 0)
+            mapper_.stepLine(p.location);
+        p.request.addr = addr + off;
+        p.request.bytes = static_cast<std::uint32_t>(
+            std::min<std::size_t>(AddressMapper::kLineBytes, bytes - off));
+        // Anchor each burst at its *own* channel's cursor: co-running
+        // traffic on one channel must not push this transfer's issue
+        // time on every other channel (a global max-horizon anchor
+        // would serialize PRIME traffic behind any CPU backlog instead
+        // of arbitrating with it at the owning controller).
+        p.request.issue = controller(p.location.channel).channelFree();
+        decoded.push_back(p);
     }
-    schedule(requests, sched_, nullptr);
+    scheduleDecoded(decoded, sched_, nullptr);
 }
 
 void

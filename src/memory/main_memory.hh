@@ -196,14 +196,15 @@ class MainMemory
     void syncStats();
 
     /**
-     * The FR-FCFS body of scheduleBatch/scheduleBytes: sorts @p requests
-     * by issue time (stably), groups them by bank in first-appearance
-     * order and schedules each group at its channel's controller,
-     * appending the completions to @p results unless it is null.
+     * The FR-FCFS body of scheduleBatch/scheduleBytes: sorts
+     * @p decoded by issue time (stably), groups it by bank in
+     * first-appearance order and schedules each group at its channel's
+     * controller, appending the completions to @p results unless it is
+     * null.
      */
-    void schedule(std::span<Request> requests,
-                  const SchedulerConfig &sched,
-                  std::vector<RequestResult> *results);
+    void scheduleDecoded(std::vector<PendingRequest> &decoded,
+                         const SchedulerConfig &sched,
+                         std::vector<RequestResult> *results);
 
     nvmodel::TechParams params_;
     AddressMapper mapper_;

@@ -45,6 +45,10 @@ applyConfig(const Config &config, TechParams &params)
         config.getInt("datapath.weight_bits", params.weightBits);
     params.outputBits =
         config.getInt("datapath.output_bits", params.outputBits);
+    // The differential pair's signed level plane is int8, so a cell
+    // half holds at most 7 bits.
+    PRIME_FATAL_IF(params.weightBits > 14, "datapath.weight_bits=",
+                   params.weightBits, " exceeds 14 (7-bit cell halves)");
     params.inputPhaseBits = params.inputBits / 2;
     params.cellBits = params.weightBits / 2;
     params.device.rOn = config.getDouble("device.r_on", params.device.rOn);

@@ -239,7 +239,8 @@ TechParams defaultTechParams();
  *   datapath.input_bits, datapath.weight_bits, datapath.output_bits,
  *   device.r_on, device.r_off, device.program_variation
  *
- * Unrecognized keys are fatal (typos must not silently run defaults).
+ * Unrecognized keys are fatal (typos must not silently run defaults),
+ * and so is datapath.weight_bits above 14.
  */
 void applyConfig(const Config &config, TechParams &params);
 

@@ -42,13 +42,10 @@ takeHighBits(std::int64_t x, int shift)
 {
     if (shift <= 0)
         return x << -shift;
-    // Arithmetic shift == floor division for negative values on all
-    // implementations we target; use explicit floor division for clarity.
-    const std::int64_t div = std::int64_t{1} << shift;
-    std::int64_t q = x / div;
-    if (x % div != 0 && x < 0)
-        --q;
-    return q;
+    // C++20 defines >> on a negative value as the arithmetic shift,
+    // which is exactly floor division by 2^shift (and costs no divide on
+    // the per-column assembly path).
+    return x >> shift;
 }
 
 std::int64_t
@@ -262,17 +259,14 @@ ComposedMatrixEngine::mvmExact(std::span<const int> inputs,
                  "outputs=", out.size());
     const std::size_t rows = static_cast<std::size_t>(rows_);
     const std::size_t lines = 2 * static_cast<std::size_t>(cols_);
-    scratch.passes.resize(3 * lines);
+    scratch.passes.resize(2 * lines);
     const std::span<const int> phases(scratch.phases);
     const std::span<std::int64_t> passes(scratch.passes);
-    // High input phase: even bitlines give HH, odd give LH; low input
-    // phase: even give HL, odd give LL.  The third slice takes the
-    // negative array's result.
-    arrays_.mvmExact(phases.first(rows), passes.first(lines),
-                     passes.subspan(2 * lines));
-    arrays_.mvmExact(phases.subspan(rows), passes.subspan(lines, lines),
-                     passes.subspan(2 * lines));
-    assemble(passes.first(lines), passes.subspan(lines, lines), out);
+    // One fused pass over both input phases: of the high phase, even
+    // bitlines give HH and odd LH; of the low phase, HL and LL.
+    arrays_.mvmExact(phases.first(rows), phases.subspan(rows),
+                     passes.first(lines), passes.subspan(lines));
+    assemble(passes.first(lines), passes.subspan(lines), out);
 }
 
 void

@@ -136,7 +136,9 @@ std::int64_t composedAssemble(std::int64_t hh, std::int64_t hl,
  * Computation runs in two analog passes (high input phase, low input
  * phase); the high pass yields the HH and LH components, the low pass the
  * HL and LL components, and the precision-control register+adder
- * (Figure 4 C) accumulates the truncated parts.
+ * (Figure 4 C) accumulates the truncated parts.  The exact (ideal
+ * device) MVM computes both passes in one sweep of the pair's signed
+ * level plane; the analog MVM drives the two arrays per phase.
  */
 class ComposedMatrixEngine
 {

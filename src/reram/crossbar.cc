@@ -39,14 +39,18 @@ namespace {
 #define PRIME_MVM_FP_CLONES
 #endif
 
-/** acc[c] += in * levels[c] over one cached-plane row. */
-PRIME_MVM_INT_CLONES void
-accumulateLevelRow(std::int32_t *acc, const int *levels, std::int32_t in,
-                   int cols)
-{
-    for (int c = 0; c < cols; ++c)
-        acc[c] += in * levels[c];
-}
+// The fused exact kernel accumulates in 32 bits over bounded row
+// chunks, widening to the 64-bit result between chunks: one product is
+// at most 255 * 127 (8-bit input phases, int8 signed levels), so 16384
+// rows stay under 2^31 with margin, and the int32 inner loops
+// vectorize.  The int32 accumulators are stack blocks of columns, so
+// the kernel never allocates (an FF mat's 2 x 256 bitlines are one
+// block).
+constexpr int kChunkRows = 16384;
+constexpr int kBlockCols = 512;
+/** Widest plane the fused kernel keeps in registers; also the pair
+ *  plane's row-pitch granule. */
+constexpr int kNarrowCols = 16;
 
 /** acc[c] += v * geff[c] over one cached-plane row. */
 PRIME_MVM_FP_CLONES void
@@ -54,6 +58,79 @@ accumulateCurrentRow(double *acc, const double *geff, double v, int cols)
 {
     for (int c = 0; c < cols; ++c)
         acc[c] += v * geff[c];
+}
+
+/**
+ * The differential pair's fused exact kernel: pass_h / pass_l = the
+ * high / low phase times the signed rows x cols plane (row pitch
+ * `stride`, a multiple of kNarrowCols, zero-padded).  Everything runs
+ * inside this one function, so a composed MVM makes a single
+ * dispatched call.  A plane of at most kNarrowCols columns (CNN-1's
+ * 25 x 10 conv tile) keeps both accumulators in vector registers over
+ * the padded row; wider planes stream each row into stack column
+ * blocks.
+ */
+PRIME_MVM_INT_CLONES void
+signedPhasesKernel(const std::int8_t *plane, int rows, int cols,
+                   int stride, const int *high, const int *low,
+                   std::int64_t *pass_h, std::int64_t *pass_l)
+{
+    if (cols <= kNarrowCols) {
+        std::int64_t sum_h[kNarrowCols] = {};
+        std::int64_t sum_l[kNarrowCols] = {};
+        for (int r0 = 0; r0 < rows; r0 += kChunkRows) {
+            const int r1 = std::min(rows, r0 + kChunkRows);
+            std::int32_t acc_h[kNarrowCols] = {};
+            std::int32_t acc_l[kNarrowCols] = {};
+            for (int r = r0; r < r1; ++r) {
+                const std::int32_t h = high[r];
+                const std::int32_t l = low[r];
+                const std::int8_t *w =
+                    plane + static_cast<std::size_t>(r) * stride;
+                for (int c = 0; c < kNarrowCols; ++c) {
+                    const std::int32_t v = w[c];
+                    acc_h[c] += h * v;
+                    acc_l[c] += l * v;
+                }
+            }
+            for (int c = 0; c < kNarrowCols; ++c) {
+                sum_h[c] += acc_h[c];
+                sum_l[c] += acc_l[c];
+            }
+        }
+        std::copy(sum_h, sum_h + cols, pass_h);
+        std::copy(sum_l, sum_l + cols, pass_l);
+        return;
+    }
+    std::int32_t acc_h[kBlockCols];
+    std::int32_t acc_l[kBlockCols];
+    for (int c0 = 0; c0 < cols; c0 += kBlockCols) {
+        const int width = std::min(kBlockCols, cols - c0);
+        std::fill(pass_h + c0, pass_h + c0 + width, 0);
+        std::fill(pass_l + c0, pass_l + c0 + width, 0);
+        for (int r0 = 0; r0 < rows; r0 += kChunkRows) {
+            const int r1 = std::min(rows, r0 + kChunkRows);
+            std::fill(acc_h, acc_h + width, 0);
+            std::fill(acc_l, acc_l + width, 0);
+            for (int r = r0; r < r1; ++r) {
+                const std::int32_t h = high[r];
+                const std::int32_t l = low[r];
+                if ((h | l) == 0)
+                    continue;
+                const std::int8_t *w =
+                    plane + static_cast<std::size_t>(r) * stride + c0;
+                for (int c = 0; c < width; ++c) {
+                    const std::int32_t v = w[c];
+                    acc_h[c] += h * v;
+                    acc_l[c] += l * v;
+                }
+            }
+            for (int c = 0; c < width; ++c) {
+                pass_h[c0 + c] += acc_h[c];
+                pass_l[c0 + c] += acc_l[c];
+            }
+        }
+    }
 }
 
 } // namespace
@@ -84,16 +161,12 @@ Crossbar::rebuildPlanes() const
     // thread waited for the lock.
     if (!planesDirty_.load(std::memory_order_acquire))
         return;
-    const std::size_t n = cells_.size();
-    levelPlane_.resize(n);
-    gEffPlane_.resize(n);
+    gEffPlane_.resize(cells_.size());
     const bool ir_drop = params_.wireResistancePerCell > 0.0;
     for (int r = 0; r < params_.rows; ++r) {
         const std::size_t base = static_cast<std::size_t>(r) * params_.cols;
         for (int c = 0; c < params_.cols; ++c) {
-            const Cell &cell = cells_[base + c];
-            levelPlane_[base + c] = cell.level();
-            double g = cell.conductance();
+            double g = cells_[base + c].conductance();
             if (ir_drop && g > 0.0) {
                 // First-order IR drop: the wire segments from the driver
                 // along the wordline (c+1 pitches) and down the bitline
@@ -150,42 +223,15 @@ Crossbar::mvmExact(std::span<const int> input_levels,
                  "inputs=", input_levels.size());
     PRIME_ASSERT(static_cast<int>(out.size()) == params_.cols,
                  "outputs=", out.size());
-    ensurePlanes();
     const int cols = params_.cols;
     std::fill(out.begin(), out.end(), 0);
-    // Accumulate in 32 bits over bounded row chunks, widening to the
-    // 64-bit result between chunks: one product is at most 255 * 255
-    // (8-bit inputs, 8-bit MLC levels), so 16384 rows stay under 2^31
-    // with margin, and the int32 inner loop vectorizes.  The int32
-    // accumulator is a stack block of columns, so the kernel never
-    // allocates (an FF mat's 2 x 256 bitlines are one block).
-    constexpr int kChunkRows = 16384;
-    constexpr int kBlockCols = 512;
-    std::int32_t acc[kBlockCols];
-    for (int c0 = 0; c0 < cols; c0 += kBlockCols) {
-        const int width = std::min(kBlockCols, cols - c0);
-        for (int r0 = 0; r0 < params_.rows; r0 += kChunkRows) {
-            const int r1 = std::min(params_.rows, r0 + kChunkRows);
-            std::fill(acc, acc + width, 0);
-            bool any = false;
-            for (int r = r0; r < r1; ++r) {
-                const std::int32_t in = input_levels[r];
-                PRIME_ASSERT(in >= 0 && in < params_.inputLevels(),
-                             "input level ", in, " out of range at row ",
-                             r);
-                if (in == 0)
-                    continue;
-                any = true;
-                accumulateLevelRow(acc,
-                                   levelPlane_.data() +
-                                       static_cast<std::size_t>(r) * cols +
-                                       c0,
-                                   in, width);
-            }
-            if (any)
-                for (int c = 0; c < width; ++c)
-                    out[static_cast<std::size_t>(c0 + c)] += acc[c];
-        }
+    for (int r = 0; r < params_.rows; ++r) {
+        const std::int64_t in = input_levels[r];
+        PRIME_ASSERT(in >= 0 && in < params_.inputLevels(),
+                     "input level ", in, " out of range at row ", r);
+        const std::size_t base = static_cast<std::size_t>(r) * cols;
+        for (int c = 0; c < cols; ++c)
+            out[static_cast<std::size_t>(c)] += in * cells_[base + c].level();
     }
 }
 
@@ -268,8 +314,13 @@ Crossbar::totalWear() const
 }
 
 DifferentialPair::DifferentialPair(const CrossbarParams &params)
-    : pos_(params), neg_(params)
+    : pos_(params), neg_(params),
+      planeStride_((params.cols + kNarrowCols - 1) / kNarrowCols *
+                   kNarrowCols),
+      signedPlane_(static_cast<std::size_t>(params.rows) * planeStride_, 0)
 {
+    PRIME_ASSERT(params.cellBits >= 1 && params.cellBits <= 7,
+                 "cellBits=", params.cellBits, " overflows the int8 plane");
 }
 
 void
@@ -289,19 +340,36 @@ DifferentialPair::programSigned(const std::vector<std::vector<int>> &weights,
                          "signed weight ", w, " exceeds ", max_mag);
             pos_.programCell(r, c, w > 0 ? w : 0, rng);
             neg_.programCell(r, c, w < 0 ? -w : 0, rng);
+            signedPlane_[static_cast<std::size_t>(r) * planeStride_ + c] =
+                static_cast<std::int8_t>(w);
         }
     }
 }
 
 void
-DifferentialPair::mvmExact(std::span<const int> input_levels,
-                           std::span<std::int64_t> out,
-                           std::span<std::int64_t> neg) const
+DifferentialPair::mvmExact(std::span<const int> high_phase,
+                           std::span<const int> low_phase,
+                           std::span<std::int64_t> pass_h,
+                           std::span<std::int64_t> pass_l) const
 {
-    pos_.mvmExact(input_levels, out);
-    neg_.mvmExact(input_levels, neg);
-    for (std::size_t i = 0; i < out.size(); ++i)
-        out[i] -= neg[i];
+    const CrossbarParams &p = pos_.params();
+    PRIME_ASSERT(static_cast<int>(high_phase.size()) == p.rows &&
+                     static_cast<int>(low_phase.size()) == p.rows,
+                 "inputs=", high_phase.size(), "/", low_phase.size());
+    PRIME_ASSERT(static_cast<int>(pass_h.size()) == p.cols &&
+                     static_cast<int>(pass_l.size()) == p.cols,
+                 "outputs=", pass_h.size(), "/", pass_l.size());
+    // inputLevels is a power of two, so both phases are in range
+    // exactly when their bitwise or is.
+    const unsigned levels = static_cast<unsigned>(p.inputLevels());
+    for (int r = 0; r < p.rows; ++r)
+        PRIME_ASSERT(static_cast<unsigned>(high_phase[r] | low_phase[r]) <
+                         levels,
+                     "input level ", high_phase[r], "/", low_phase[r],
+                     " out of range at row ", r);
+    signedPhasesKernel(signedPlane_.data(), p.rows, p.cols, planeStride_,
+                       high_phase.data(), low_phase.data(), pass_h.data(),
+                       pass_l.data());
 }
 
 void

@@ -98,9 +98,9 @@ class Crossbar
      * the arithmetic the analog array implements when devices are perfect;
      * the composing scheme's correctness proofs are stated in these units.
      *
-     * Runs over the cached level plane (a contiguous int matrix rebuilt
-     * lazily after any cell mutation), not the Cell objects, and writes
-     * the cols results to @p out without allocating.
+     * A plain loop over the Cell levels, kept as the reference the
+     * fused DifferentialPair kernel is tested against; writes the cols
+     * results to @p out without allocating.
      */
     void mvmExact(std::span<const int> input_levels,
                   std::span<std::int64_t> out) const;
@@ -160,11 +160,11 @@ class Crossbar
         return cells_[index(row, col)];
     }
 
-    /** Rebuild the SoA planes from the Cell array (takes planesMutex_;
+    /** Rebuild the SoA plane from the Cell array (takes planesMutex_;
      *  the EXCLUDES makes re-entry a compile-time error). */
     void rebuildPlanes() const PRIME_EXCLUDES(planesMutex_);
 
-    /** Planes, rebuilt if a mutation invalidated them. */
+    /** Plane, rebuilt if a mutation invalidated it. */
     void ensurePlanes() const
     {
         if (planesDirty_.load(std::memory_order_acquire))
@@ -174,21 +174,21 @@ class Crossbar
     CrossbarParams params_;
     std::vector<Cell> cells_;
 
-    // Cached structure-of-arrays planes for the MVM fast path, lazily
-    // (re)built from cells_; any mutation flips planesDirty_.  The
-    // read path is safe to share across threads: the first MVM after a
-    // mutation rebuilds under planesMutex_ and publishes with a
-    // release store of planesDirty_, which the acquire load in
-    // ensurePlanes pairs with.  Mutations themselves must still be
-    // externally ordered against concurrent MVMs (the evaluator's
-    // fan-out keeps whole engines thread-private, and the controller
-    // programs cells only between compute phases).  The planes are
-    // deliberately NOT PRIME_GUARDED_BY(planesMutex_): the MVM read
-    // path touches them lock-free after the release/acquire
+    // Cached structure-of-arrays conductance plane for the analog MVM,
+    // lazily (re)built from cells_ by the first analog MVM after a
+    // mutation (an exact-only array never builds it); any mutation
+    // flips planesDirty_.  The read path is safe to share across
+    // threads: the first MVM after a mutation rebuilds under
+    // planesMutex_ and publishes with a release store of planesDirty_,
+    // which the acquire load in ensurePlanes pairs with.  Mutations
+    // themselves must still be externally ordered against concurrent
+    // MVMs (the evaluator's fan-out keeps whole engines thread-private,
+    // and the controller programs cells only between compute phases).
+    // The plane is deliberately NOT PRIME_GUARDED_BY(planesMutex_): the
+    // MVM read path touches it lock-free after the release/acquire
     // publication above -- the protocol, not the rebuild lock, is the
     // read-side contract.
     mutable Mutex planesMutex_;               ///< serializes rebuilds
-    mutable std::vector<int> levelPlane_;     ///< rows x cols levels
     mutable std::vector<double> gEffPlane_;   ///< rows x cols uS, IR folded
     mutable std::atomic<bool> planesDirty_{true};
 };
@@ -213,12 +213,19 @@ class DifferentialPair
                        Rng *rng = nullptr);
 
     /**
-     * Exact signed integer MVM (reference semantics) into @p out; the
-     * negative array's result goes through @p neg (both cols entries).
+     * Exact signed MVM of both input phases in one fused pass:
+     * pass_h[j] = sum_i high_phase[i] * (pos - neg)[i][j], and pass_l
+     * likewise for @p low_phase (all cols entries).  On the ideal
+     * datapath the subtraction unit is linear, so this equals the four
+     * crossbar passes pos.mvmExact - neg.mvmExact per phase bit for
+     * bit; it runs over the pair's signed level plane (the Crossbar
+     * planes are left unbuilt) with int32 row-chunked accumulation and
+     * does not allocate.
      */
-    void mvmExact(std::span<const int> input_levels,
-                  std::span<std::int64_t> out,
-                  std::span<std::int64_t> neg) const;
+    void mvmExact(std::span<const int> high_phase,
+                  std::span<const int> low_phase,
+                  std::span<std::int64_t> pass_h,
+                  std::span<std::int64_t> pass_l) const;
 
     /**
      * Analog signed MVM in level units into @p out: both arrays driven
@@ -236,6 +243,15 @@ class DifferentialPair
   private:
     Crossbar pos_;
     Crossbar neg_;
+    /** Row pitch of signedPlane_: cols rounded up to 16. */
+    int planeStride_;
+    /**
+     * rows x planeStride_ signed levels, pos - neg (padding columns
+     * 0), written in programSigned's cell loop -- the pair's only
+     * mutation path, so it never goes stale.  int8: |level| <
+     * 2^cellBits <= 128.
+     */
+    std::vector<std::int8_t> signedPlane_;
 };
 
 } // namespace prime::reram

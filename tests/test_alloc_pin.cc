@@ -292,5 +292,36 @@ TEST(AllocationPin, RunAllocationsDoNotDependOnTileCount)
     ThreadPool::setGlobalThreadCount(0);
 }
 
+TEST(AllocationPin, ScheduleBytesAllocatesNothing)
+{
+    // The timed burst path alone: a Commit-sized transfer that crosses
+    // a bank boundary (two bank queues) and a migration-sized one of
+    // 128 bursts (past the 64 a page takes) reuse their per-thread
+    // decode and queue scratch after warm-up.
+    memory::MainMemory mem(nvmodel::defaultTechParams());
+    const memory::AddressMapper &m = mem.mapper();
+    const nvmodel::Geometry &g = m.geometry();
+    // Consecutive addresses change bank after every mat row of every
+    // mat of every subarray.
+    const std::uint64_t bank_edge =
+        m.bytesPerMatRow() *
+        static_cast<std::uint64_t>(g.matsPerSubarray * g.subarraysPerBank);
+    ASSERT_NE(m.decode(bank_edge - 256).globalBank,
+              m.decode(bank_edge).globalBank);
+    std::uint64_t shift = 0;
+    const std::size_t multi_bank = steadyStateAllocations(
+        [&] {
+            mem.scheduleBytes(bank_edge - 256 + shift, 512, true);
+            shift = (shift + 8) % 64;
+        },
+        20);
+    EXPECT_EQ(multi_bank, 0u);
+    const std::size_t migration = steadyStateAllocations(
+        [&] { mem.scheduleBytes(3 * bank_edge - 4096, 128 * 64, true); },
+        20);
+    EXPECT_EQ(migration, 0u);
+    EXPECT_GT(mem.rowHitRate(), 0.0);
+}
+
 } // namespace
 } // namespace prime::core

@@ -85,6 +85,27 @@ TEST(ApplyConfig, DerivesPhaseBits)
     EXPECT_EQ(p.cellBits, 2);
 }
 
+TEST(ApplyConfig, WeightBitsCappedAtSignedPlaneRange)
+{
+    Config ok;
+    ok.set("datapath.weight_bits", "14");
+    nvmodel::TechParams p = nvmodel::defaultTechParams();
+    applyConfig(ok, p);
+    EXPECT_EQ(p.cellBits, 7);
+
+    Config wide;
+    wide.set("datapath.weight_bits", "16");
+    nvmodel::TechParams q = nvmodel::defaultTechParams();
+    try {
+        applyConfig(wide, q);
+        FAIL() << "weight_bits=16 accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("datapath.weight_bits"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ApplyConfig, RejectsUnknownKey)
 {
     Config c;

@@ -39,6 +39,23 @@ randomLevels(int rows, int cols, int max_level, Rng &rng)
     return levels;
 }
 
+/**
+ * The four-pass oracle of a pair's exact MVM: each array run on its
+ * own, then subtracted (what the fused signed-plane kernel replaces).
+ */
+std::vector<std::int64_t>
+fourPassExact(const DifferentialPair &pair, const std::vector<int> &in)
+{
+    const std::size_t n =
+        static_cast<std::size_t>(pair.positive().params().cols);
+    std::vector<std::int64_t> out(n), neg(n);
+    pair.positive().mvmExact(in, out);
+    pair.negative().mvmExact(in, neg);
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] -= neg[i];
+    return out;
+}
+
 TEST(Crossbar, MvmExactMatchesReference)
 {
     Rng rng(1);
@@ -157,10 +174,112 @@ TEST(DifferentialPair, ExactSignedMvm)
     DifferentialPair pair(p);
     pair.programSigned({{5, -5}, {-3, 3}, {0, 15}});
     std::vector<int> in = {7, 2, 1};
-    std::vector<std::int64_t> out(2), neg(2);
-    pair.mvmExact(in, out, neg);
+    const std::vector<int> low = {1, 0, 3};
+    const std::vector<std::int64_t> out = fourPassExact(pair, in);
     EXPECT_EQ(out[0], 7 * 5 + 2 * -3 + 1 * 0);
     EXPECT_EQ(out[1], 7 * -5 + 2 * 3 + 1 * 15);
+    // The fused kernel gives both phases in one call.
+    std::vector<std::int64_t> pass_h(2), pass_l(2);
+    pair.mvmExact(in, low, pass_h, pass_l);
+    EXPECT_EQ(pass_h, out);
+    EXPECT_EQ(pass_l[0], 1 * 5 + 0 * -3 + 3 * 0);
+    EXPECT_EQ(pass_l[1], 1 * -5 + 0 * 3 + 3 * 15);
+}
+
+TEST(DifferentialPair, FusedMvmRejectsBadInputs)
+{
+    DifferentialPair pair(smallParams(4, 2));
+    std::vector<std::int64_t> h(2), l(2), short_out(1);
+    const std::vector<int> ok(4, 1), wrong_size(3, 0), too_big(4, 8);
+    EXPECT_DEATH(pair.mvmExact(wrong_size, ok, h, l), "inputs");
+    EXPECT_DEATH(pair.mvmExact(ok, too_big, h, l), "input level");
+    EXPECT_DEATH(pair.mvmExact(ok, ok, h, short_out), "outputs");
+}
+
+/** Weight and input extremes for the fused-kernel property test: a
+ *  quarter of the entries pinned at the range ends, the rest random. */
+int
+extremeOrRandom(Rng &rng, int lo, int hi)
+{
+    switch (rng.uniformInt(0, 7)) {
+      case 0:
+        return lo;
+      case 1:
+        return hi;
+      default:
+        return static_cast<int>(rng.uniformInt(lo, hi));
+    }
+}
+
+/**
+ * Property: the fused signed-plane kernel equals the four-pass oracle
+ * (pos and neg arrays per input phase, subtracted) bit for bit, on
+ * composed engines whose logical weights reach +-(2^Pw - 1) and whose
+ * 6-bit inputs reach 0 and the max code, across row counts around the
+ * 256-row mat and column counts up to a full 512-bitline block.
+ */
+TEST(DifferentialPair, FusedKernelMatchesFourPassOracle)
+{
+    const ComposingParams cp;
+    const int max_w = (1 << cp.weightBits) - 1;
+    const int max_in = (1 << cp.inputBits) - 1;
+    Rng rng(2026);
+    for (const int rows : {1, 25, 256, 257}) {
+        for (const int cols : {1, 5, 256}) {
+            ComposedMatrixEngine engine(rows, cols, cp, CrossbarParams{});
+            std::vector<std::vector<int>> w(rows, std::vector<int>(cols));
+            for (auto &row : w)
+                for (int &v : row)
+                    v = extremeOrRandom(rng, -max_w, max_w);
+            engine.programWeights(w);
+            const DifferentialPair &pair = engine.arrays();
+            for (int trial = 0; trial < 3; ++trial) {
+                std::vector<int> high(rows), low(rows);
+                for (int r = 0; r < rows; ++r) {
+                    // Trial 0 drives every row at the max code.
+                    const int code = trial == 0
+                                         ? max_in
+                                         : extremeOrRandom(rng, 0, max_in);
+                    auto [ih, il] = splitInput(code, cp);
+                    high[static_cast<std::size_t>(r)] = ih;
+                    low[static_cast<std::size_t>(r)] = il;
+                }
+                const std::size_t lines = 2 * static_cast<std::size_t>(cols);
+                std::vector<std::int64_t> pass_h(lines, -7), pass_l(lines, -7);
+                pair.mvmExact(high, low, pass_h, pass_l);
+                EXPECT_EQ(pass_h, fourPassExact(pair, high))
+                    << rows << "x" << cols << " trial " << trial;
+                EXPECT_EQ(pass_l, fourPassExact(pair, low))
+                    << rows << "x" << cols << " trial " << trial;
+            }
+        }
+    }
+}
+
+/** Both kernel shapes and their edges: up to 16 bitlines stay in
+ *  registers, wider pairs stream rows into 512-column stack blocks
+ *  (several of them past 512: no width cap). */
+TEST(DifferentialPair, FusedKernelCoversNarrowAndBlockedWidths)
+{
+    Rng rng(27);
+    const int rows = 9;
+    for (const int cols : {15, 16, 17, 512, 513, 1100}) {
+        DifferentialPair pair(smallParams(rows, cols));
+        std::vector<std::vector<int>> w(rows, std::vector<int>(cols));
+        for (auto &row : w)
+            for (int &v : row)
+                v = extremeOrRandom(rng, -15, 15);
+        pair.programSigned(w);
+        std::vector<int> high(rows), low(rows);
+        for (int r = 0; r < rows; ++r) {
+            high[static_cast<std::size_t>(r)] = extremeOrRandom(rng, 0, 7);
+            low[static_cast<std::size_t>(r)] = extremeOrRandom(rng, 0, 7);
+        }
+        std::vector<std::int64_t> pass_h(cols, 3), pass_l(cols, 3);
+        pair.mvmExact(high, low, pass_h, pass_l);
+        EXPECT_EQ(pass_h, fourPassExact(pair, high)) << cols;
+        EXPECT_EQ(pass_l, fourPassExact(pair, low)) << cols;
+    }
 }
 
 TEST(DifferentialPair, AnalogCancelsOffset)
@@ -176,9 +295,8 @@ TEST(DifferentialPair, AnalogCancelsOffset)
     std::vector<int> in(64);
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 7));
-    std::vector<std::int64_t> exact(8), exact_neg(8);
+    const std::vector<std::int64_t> exact = fourPassExact(pair, in);
     std::vector<double> analog(8), analog_neg(8);
-    pair.mvmExact(in, exact, exact_neg);
     pair.mvmAnalog(in, analog, analog_neg);
     for (int c = 0; c < 8; ++c)
         EXPECT_NEAR(analog[c], static_cast<double>(exact[c]), 1e-6);
@@ -210,9 +328,8 @@ TEST_P(CrossbarShapeSweep, AnalogAgreesWithExact)
     for (int &v : in)
         v = static_cast<int>(rng.uniformInt(0, 7));
     const std::size_t n = static_cast<std::size_t>(cols);
-    std::vector<std::int64_t> exact(n), exact_neg(n);
+    const std::vector<std::int64_t> exact = fourPassExact(pair, in);
     std::vector<double> analog(n), analog_neg(n);
-    pair.mvmExact(in, exact, exact_neg);
     pair.mvmAnalog(in, analog, analog_neg);
     for (int c = 0; c < cols; ++c)
         EXPECT_NEAR(analog[c], static_cast<double>(exact[c]), 1e-5);

@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hh"
 #include "memory/cpu_traffic.hh"
 #include "memory/main_memory.hh"
 
@@ -696,6 +698,326 @@ TEST(MainMemoryStats, ServiceLatencyHistogramAndHitRateFormula)
     double rate = -1.0;
     ASSERT_TRUE(mem.stats().evalFormula("mem.row_hit_rate", rate));
     EXPECT_DOUBLE_EQ(rate, mem.rowHitRate());
+}
+
+// ------------------------------------------------------------------
+// Burst path: stepped decode and scheduleBytes against their
+// references.
+
+/**
+ * A small geometry where nothing is a power of two: three channels,
+ * and 24-byte mat rows, so one 64-byte step carries through the column
+ * more than once.  8 rows keep each channel a whole number of lines.
+ */
+nvmodel::TechParams
+oddTech()
+{
+    nvmodel::TechParams t = nvmodel::defaultTechParams();
+    nvmodel::Geometry &g = t.geometry;
+    g.channels = 3;
+    g.chipsPerRank = 3;
+    g.banksPerChip = 2;
+    g.subarraysPerBank = 5;
+    g.matsPerSubarray = 3;
+    g.matRows = 8;
+    g.matCols = 48;
+    g.arraysPerFfMat = 4;
+    return t;
+}
+
+/** The three burst-path geometries: default, two channels, odd. */
+std::vector<nvmodel::TechParams>
+burstGeometries()
+{
+    return {tech(), multiChannelTech(2), oddTech()};
+}
+
+void
+expectSameLocation(const Location &got, const Location &want,
+                   std::uint64_t addr)
+{
+    EXPECT_EQ(got.channel, want.channel) << addr;
+    EXPECT_EQ(got.chip, want.chip) << addr;
+    EXPECT_EQ(got.bank, want.bank) << addr;
+    EXPECT_EQ(got.globalBank, want.globalBank) << addr;
+    EXPECT_EQ(got.subarray, want.subarray) << addr;
+    EXPECT_EQ(got.mat, want.mat) << addr;
+    EXPECT_EQ(got.row, want.row) << addr;
+    EXPECT_EQ(got.column, want.column) << addr;
+}
+
+/** Step from decode(addr) through a bytes-long transfer, checking
+ *  every burst start against a fresh decode. */
+void
+expectSteppedDecodeMatches(const AddressMapper &m, std::uint64_t addr,
+                           std::uint64_t bytes)
+{
+    Location loc = m.decode(addr);
+    for (std::uint64_t off = AddressMapper::kLineBytes; off < bytes;
+         off += AddressMapper::kLineBytes) {
+        m.stepLine(loc);
+        expectSameLocation(loc, m.decode(addr + off), addr + off);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
+TEST(AddressMapper, SteppedDecodeMatchesDecode)
+{
+    for (const nvmodel::TechParams &t : burstGeometries()) {
+        const AddressMapper m(t.geometry);
+        const std::uint64_t cap = m.capacityBytes();
+        const std::uint64_t ch =
+            static_cast<std::uint64_t>(t.geometry.channels);
+        SCOPED_TRACE("channels=" + std::to_string(ch) +
+                     " mat row=" + std::to_string(m.bytesPerMatRow()));
+        // Transfers that straddle a mat row, a subarray, a bank and a
+        // row (decode strides of the per-channel address, hence x
+        // channels in the flat space), from unaligned starts.
+        const std::uint64_t mat_row = m.bytesPerMatRow();
+        const std::uint64_t subarray =
+            mat_row * static_cast<std::uint64_t>(t.geometry.matsPerSubarray);
+        const std::uint64_t bank =
+            subarray * static_cast<std::uint64_t>(t.geometry.subarraysPerBank);
+        const std::uint64_t row =
+            bank * static_cast<std::uint64_t>(t.geometry.banksPerChannel());
+        for (const std::uint64_t boundary : {mat_row, subarray, bank, row})
+            for (const std::uint64_t before : {1ull, 37ull, 200ull}) {
+                if (boundary * ch < before)
+                    continue;
+                const std::uint64_t start = boundary * ch - before;
+                expectSteppedDecodeMatches(
+                    m, start, std::min<std::uint64_t>(4096, cap - start));
+            }
+        // Seeded random (addr, bytes), up to migration size.
+        Rng rng(404);
+        for (int i = 0; i < 300; ++i) {
+            const std::uint64_t bytes = static_cast<std::uint64_t>(
+                rng.uniformInt(1, std::min<std::int64_t>(
+                                      8192, static_cast<std::int64_t>(
+                                                cap / 4))));
+            const std::uint64_t addr = static_cast<std::uint64_t>(
+                rng.uniformInt(0, static_cast<std::int64_t>(cap - bytes)));
+            expectSteppedDecodeMatches(m, addr, bytes);
+        }
+    }
+    // The odd geometry end to end: every carry, up to the row, from two
+    // start phases.
+    const AddressMapper odd(oddTech().geometry);
+    expectSteppedDecodeMatches(odd, 0, odd.capacityBytes());
+    expectSteppedDecodeMatches(odd, 5, odd.capacityBytes() - 5);
+}
+
+void
+expectSameHistogram(const telemetry::Histogram &got,
+                    const telemetry::Histogram &want, const char *what)
+{
+    EXPECT_EQ(got.count(), want.count()) << what;
+    EXPECT_EQ(got.sum(), want.sum()) << what;
+    EXPECT_EQ(got.min(), want.min()) << what;
+    EXPECT_EQ(got.max(), want.max()) << what;
+    EXPECT_EQ(got.buckets(), want.buckets()) << what;
+}
+
+TEST(MainMemory, ScheduleBytesMatchesScheduleBatchOfItsBursts)
+{
+    for (const nvmodel::TechParams &t : burstGeometries()) {
+        SCOPED_TRACE("channels=" + std::to_string(t.geometry.channels));
+        MainMemory bytes_mem(t), batch_mem(t);
+        const std::uint64_t cap = bytes_mem.mapper().capacityBytes();
+        Rng rng(405);
+        for (int i = 0; i < 400; ++i) {
+            // CPU requests on both twins skew the channel cursors, so
+            // multi-channel transfers issue out of order and sort.
+            if (i % 3 == 0) {
+                const Request cpu{
+                    static_cast<std::uint64_t>(rng.uniformInt(
+                        0, static_cast<std::int64_t>(cap - 64))),
+                    64, rng.bernoulli(0.5),
+                    bytes_mem.channelFree() + rng.uniform(0.0, 50.0),
+                    RequestSource::Cpu};
+                bytes_mem.access(cpu);
+                batch_mem.access(cpu);
+            }
+            const std::size_t bytes = static_cast<std::size_t>(
+                rng.uniformInt(1, i % 10 == 0 ? 6000 : 600));
+            const std::uint64_t addr = static_cast<std::uint64_t>(
+                rng.uniformInt(0, static_cast<std::int64_t>(cap - bytes)));
+            const bool is_write = rng.bernoulli(0.5);
+
+            // The reference: the transfer's bursts, issued at their own
+            // channel's cursor, as one FR-FCFS batch.
+            std::vector<Request> bursts;
+            for (std::size_t off = 0; off < bytes; off += 64)
+                bursts.push_back(Request{
+                    addr + off,
+                    static_cast<std::uint32_t>(
+                        std::min<std::size_t>(64, bytes - off)),
+                    is_write,
+                    batch_mem
+                        .controller(batch_mem.mapper().channelOf(addr + off))
+                        .channelFree(),
+                    RequestSource::Prime});
+            const Ns progress = batch_mem.primeProgressNs();
+            const std::vector<RequestResult> results =
+                batch_mem.scheduleBatch(bursts);
+            bytes_mem.scheduleBytes(addr, bytes, is_write);
+
+            // The horizon is the latest PRIME dataReady so far.
+            Ns ready = progress;
+            for (const RequestResult &r : results)
+                ready = std::max(ready, r.dataReady);
+            ASSERT_EQ(results.size(), bursts.size());
+            ASSERT_EQ(batch_mem.primeProgressNs(), ready) << "transfer " << i;
+            ASSERT_EQ(bytes_mem.primeProgressNs(),
+                      batch_mem.primeProgressNs()) << "transfer " << i;
+            for (int ch = 0; ch < bytes_mem.channels(); ++ch)
+                ASSERT_EQ(bytes_mem.controller(ch).channelFree(),
+                          batch_mem.controller(ch).channelFree())
+                    << "transfer " << i << " channel " << ch;
+        }
+        for (int b = 0; b < t.geometry.totalBanks(); ++b) {
+            EXPECT_EQ(bytes_mem.bank(b).openRow(), batch_mem.bank(b).openRow())
+                << b;
+            EXPECT_EQ(bytes_mem.bank(b).nextFree(),
+                      batch_mem.bank(b).nextFree()) << b;
+        }
+        for (int ch = 0; ch < bytes_mem.channels(); ++ch) {
+            const ChannelTotals got = bytes_mem.controller(ch).totals();
+            const ChannelTotals want = batch_mem.controller(ch).totals();
+            EXPECT_EQ(got.reads, want.reads) << ch;
+            EXPECT_EQ(got.writes, want.writes) << ch;
+            EXPECT_EQ(got.bytes, want.bytes) << ch;
+            EXPECT_EQ(got.rowHits, want.rowHits) << ch;
+            EXPECT_EQ(got.rowMisses, want.rowMisses) << ch;
+            EXPECT_GT(got.rowHits, 0u) << ch;
+            EXPECT_GT(got.rowMisses, 0u) << ch;
+            expectSameHistogram(got.queueNs, want.queueNs, "queue_ns");
+            expectSameHistogram(got.serviceNs, want.serviceNs,
+                                "service_ns");
+            for (std::size_t src = 0; src < kRequestSources; ++src) {
+                expectSameHistogram(got.sourceServiceNs[src],
+                                    want.sourceServiceNs[src],
+                                    "source service_ns");
+                EXPECT_EQ(got.sourceLastReady[src],
+                          want.sourceLastReady[src]);
+            }
+        }
+    }
+}
+
+TEST(MainMemory, FrFcfsOrderMatchesEraseReference)
+{
+    // The controller keeps its bank queue as a compacting index list;
+    // the reference is the plain form: a vector of pending requests,
+    // scanned for a row hit within the window and erased from.  With
+    // an open-page bank the open row after each access is that
+    // access's row, so the service order follows from the row tags.
+    Rng rng(406);
+    for (int trial = 0; trial < 60; ++trial) {
+        const SchedulerConfig sched{static_cast<int>(rng.uniformInt(1, 9)),
+                                    static_cast<int>(rng.uniformInt(0, 5))};
+        MainMemory mem(tech(), PagePolicy::Open, sched);
+        const std::uint64_t stride = rowStride(mem);
+        std::vector<Request> batch;
+        const int n = static_cast<int>(rng.uniformInt(1, 90));
+        for (int i = 0; i < n; ++i)
+            batch.push_back(Request{
+                static_cast<std::uint64_t>(rng.uniformInt(0, 3)) * stride +
+                    static_cast<std::uint64_t>(i) * 8,
+                8, rng.bernoulli(0.3), 0.0});
+        const MemoryController &ctrl = mem.controller(0);
+        std::vector<Request> pending = batch;
+        std::vector<std::uint64_t> want;
+        std::int64_t open = -1;
+        int bypasses = 0;
+        while (!pending.empty()) {
+            std::size_t chosen = 0;
+            if (bypasses < sched.maxBypass)
+                for (std::size_t i = 0;
+                     i < std::min<std::size_t>(
+                             static_cast<std::size_t>(sched.window),
+                             pending.size());
+                     ++i)
+                    if (ctrl.rowTag(mem.mapper().decode(pending[i].addr)) ==
+                        open) {
+                        chosen = i;
+                        break;
+                    }
+            bypasses = chosen == 0 ? 0 : bypasses + 1;
+            open = ctrl.rowTag(mem.mapper().decode(pending[chosen].addr));
+            want.push_back(pending[chosen].addr);
+            pending.erase(pending.begin() +
+                          static_cast<std::ptrdiff_t>(chosen));
+        }
+        std::vector<std::uint64_t> got;
+        for (const RequestResult &r : mem.scheduleBatch(batch))
+            got.push_back(r.request.addr);
+        ASSERT_EQ(got, want) << "trial " << trial << " window "
+                             << sched.window << " maxBypass "
+                             << sched.maxBypass;
+    }
+}
+
+TEST(MainMemory, PrimeHorizonPublishedPerQueuePacesCoRunTraffic)
+{
+    // Two PRIME threads stream Fetch/Commit-sized transfers (one bank
+    // queue each, horizon published once per queue) while a paced CPU
+    // generator reads primeProgressNs() to throttle itself and a
+    // watcher polls it.  The horizon must only move forward, and once
+    // quiescent equal the latest PRIME completion the shards recorded.
+    // TSan (clang-tsan preset) checks the release/acquire pairing.
+    MainMemory mem(multiChannelTech(2));
+    CpuTrafficOptions opt;
+    opt.pattern = CpuPattern::Random;
+    opt.intensity = 0.5;
+    opt.paceLeadNs = 200.0;
+    opt.seed = 9;
+    CpuTrafficGenerator gen(mem, opt);
+    std::atomic<bool> done{false};
+    std::atomic<bool> went_backwards{false};
+    std::thread cpu([&gen] { gen.run(); });
+    std::thread watcher([&] {
+        Ns last = 0.0;
+        while (!done.load(std::memory_order_acquire)) {
+            const Ns now = mem.primeProgressNs();
+            if (now < last)
+                went_backwards.store(true, std::memory_order_relaxed);
+            last = now;
+        }
+    });
+    std::vector<std::thread> prime;
+    for (int th = 0; th < 2; ++th) {
+        prime.emplace_back([&mem, th] {
+            const std::uint64_t base =
+                static_cast<std::uint64_t>(th) * (std::uint64_t{1} << 26);
+            for (int i = 0; i < 2000; ++i) {
+                const std::uint64_t addr =
+                    base + static_cast<std::uint64_t>(i) * 576;
+                mem.scheduleBytes(addr, 25, false);
+                mem.scheduleBytes(addr + 64, 512, true);
+            }
+        });
+    }
+    for (std::thread &t : prime)
+        t.join();
+    gen.stop();
+    cpu.join();
+    done.store(true, std::memory_order_release);
+    watcher.join();
+
+    EXPECT_FALSE(went_backwards.load());
+    Ns latest = 0.0;
+    for (int ch = 0; ch < mem.channels(); ++ch)
+        latest = std::max(
+            latest, mem.controller(ch).totals().sourceLastReady[static_cast<
+                        std::size_t>(RequestSource::Prime)]);
+    EXPECT_GT(latest, 0.0);
+    EXPECT_EQ(mem.primeProgressNs(), latest);
+    EXPECT_EQ(mem.stats().get("mem.reads").count() +
+                  mem.stats().get("mem.writes").count() -
+                  mem.stats().histogram("mem.cpu.service_ns").count(),
+              2u * 2000u * 9u);
 }
 
 } // namespace

@@ -11,11 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -24,6 +27,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/telemetry/histogram.hh"
 #include "common/telemetry/metrics.hh"
@@ -258,6 +262,107 @@ TEST(Histogram, BucketBoundsContainTheirValues)
     // Non-positive values land in the underflow bucket.
     EXPECT_EQ(telemetry::Histogram::bucketIndex(0.0), 0);
     EXPECT_EQ(telemetry::Histogram::bucketIndex(-4.0), 0);
+}
+
+/** The frexp form of Histogram::bucketIndex, for finite values. */
+int
+frexpBucketIndex(double value)
+{
+    using telemetry::Histogram;
+    if (!(value > 0.0))
+        return 0;
+    int exp = 0;
+    const double frac = std::frexp(value, &exp);  // [0.5, 1)
+    if (exp < Histogram::kMinExp)
+        return 0;
+    if (exp >= Histogram::kMaxExp)
+        return Histogram::kBucketCount - 1;
+    const int sub = std::clamp(
+        static_cast<int>((frac - 0.5) * 2.0 * Histogram::kSubBuckets), 0,
+        Histogram::kSubBuckets - 1);
+    return 1 + (exp - Histogram::kMinExp) * Histogram::kSubBuckets + sub;
+}
+
+TEST(Histogram, BucketIndexMatchesFrexpOnRandomFiniteDoubles)
+{
+    // Half the draws are raw bit patterns (every exponent, denormals
+    // included); half keep the exponent near the bucketed range, where
+    // the mantissa bits pick the sub-bucket.
+    Rng rng(0xb0c4e7);
+    int checked = 0;
+    while (checked < 1000000) {
+        std::uint64_t bits = rng.engine()();
+        if (checked % 2 == 1) {
+            const std::int64_t exp = rng.uniformInt(
+                telemetry::Histogram::kMinExp - 4 + 1022,
+                telemetry::Histogram::kMaxExp + 4 + 1022);
+            bits = (bits & ~(std::uint64_t{0x7ff} << 52)) |
+                   (static_cast<std::uint64_t>(exp) << 52);
+        }
+        const double v = std::bit_cast<double>(bits);
+        if (!std::isfinite(v))
+            continue;
+        ASSERT_EQ(telemetry::Histogram::bucketIndex(v), frexpBucketIndex(v))
+            << std::hexfloat << v;
+        ++checked;
+    }
+}
+
+TEST(Histogram, BucketIndexEdgeCases)
+{
+    using telemetry::Histogram;
+    const int top = Histogram::kBucketCount - 1;
+    const double min_normal = std::numeric_limits<double>::min();
+    const double denormal = min_normal / 4.0;
+    // Bucket 0: zero, negatives, denormals, NaN and everything below
+    // 2^(kMinExp-1); that value opens bucket 1.
+    EXPECT_EQ(Histogram::bucketIndex(0.0), 0);
+    EXPECT_EQ(Histogram::bucketIndex(-0.0), 0);
+    EXPECT_EQ(Histogram::bucketIndex(denormal), 0);
+    EXPECT_EQ(Histogram::bucketIndex(
+                  std::numeric_limits<double>::quiet_NaN()),
+              0);
+    EXPECT_EQ(Histogram::bucketIndex(
+                  std::ldexp(1.0, Histogram::kMinExp - 2)),
+              0);
+    EXPECT_EQ(Histogram::bucketIndex(
+                  std::ldexp(1.0, Histogram::kMinExp - 1)),
+              1);
+    EXPECT_EQ(Histogram::bucketIndex(std::ldexp(1.0, Histogram::kMinExp)),
+              1 + Histogram::kSubBuckets);
+    // The last exponent band starts at 2^(kMaxExp-2) and its top
+    // sub-bucket is the array's last; 2^(kMaxExp-1) and everything
+    // above, +inf included, clamp there (2^(kMaxExp-1) once indexed
+    // one past the end).
+    EXPECT_EQ(Histogram::bucketIndex(
+                  std::ldexp(1.0, Histogram::kMaxExp - 2)),
+              top - (Histogram::kSubBuckets - 1));
+    EXPECT_EQ(Histogram::bucketIndex(
+                  std::ldexp(1.0, Histogram::kMaxExp - 1)),
+              top);
+    EXPECT_EQ(Histogram::bucketIndex(std::ldexp(1.0, Histogram::kMaxExp)),
+              top);
+    EXPECT_EQ(Histogram::bucketIndex(
+                  std::ldexp(1.0, Histogram::kMaxExp + 1)),
+              top);
+    EXPECT_EQ(Histogram::bucketIndex(std::numeric_limits<double>::max()),
+              top);
+    EXPECT_EQ(Histogram::bucketIndex(
+                  std::numeric_limits<double>::infinity()),
+              top);
+    for (double v : {0.0, -0.0, denormal,
+                     std::ldexp(1.0, Histogram::kMinExp - 1),
+                     std::ldexp(1.0, Histogram::kMinExp),
+                     std::ldexp(1.0, Histogram::kMaxExp - 1),
+                     std::ldexp(1.0, Histogram::kMaxExp),
+                     std::ldexp(1.0, Histogram::kMaxExp + 1),
+                     std::numeric_limits<double>::max()})
+        EXPECT_EQ(Histogram::bucketIndex(v), frexpBucketIndex(v)) << v;
+    // A sample at the top lands inside the bucket array.
+    Histogram h;
+    h.sample(std::numeric_limits<double>::infinity());
+    h.sample(std::ldexp(1.0, Histogram::kMaxExp - 1));
+    EXPECT_EQ(h.buckets()[static_cast<std::size_t>(top)], 2u);
 }
 
 TEST(Histogram, BucketIndexMonotonic)
