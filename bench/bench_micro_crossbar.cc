@@ -151,11 +151,58 @@ BM_ComposedMatMvm(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(rows) * cols);
+    state.SetLabel(reram::detail::dispatchedSignedPlaneKernel().name);
 }
 BENCHMARK(BM_ComposedMatMvm)
     ->Args({64, 64})
     ->Args({256, 256})
     ->Args({25, 5});
+
+/**
+ * One ISA variant of the pair's exact kernel, called directly on a
+ * rows x bitlines pair with composed-engine levels (7-bit signed) and
+ * 3-bit phases; registered per variant by main() as
+ * BM_SignedPlaneKernel/<variant>/rows/bitlines.
+ */
+void
+BM_SignedPlaneKernel(benchmark::State &state,
+                     const reram::detail::SignedPlaneKernel &kernel)
+{
+    if (!kernel.supported) {
+        state.SkipWithError("this CPU lacks the variant's ISA");
+        return;
+    }
+    const int rows = static_cast<int>(state.range(0));
+    const int lines = static_cast<int>(state.range(1));
+    CrossbarParams p;
+    p.rows = rows;
+    p.cols = lines;
+    p.cellBits = 7;
+    DifferentialPair pair(p);
+    Rng rng(11);
+    std::vector<std::vector<int>> w(rows, std::vector<int>(lines));
+    for (auto &r : w)
+        for (int &v : r)
+            v = static_cast<int>(rng.uniformInt(-127, 127));
+    pair.programSigned(w);
+    std::vector<int> high(static_cast<std::size_t>(rows));
+    std::vector<int> low(static_cast<std::size_t>(rows));
+    for (int &v : high)
+        v = static_cast<int>(rng.uniformInt(0, 7));
+    for (int &v : low)
+        v = static_cast<int>(rng.uniformInt(0, 7));
+    std::vector<std::int64_t> pass_h(static_cast<std::size_t>(lines));
+    std::vector<std::int64_t> pass_l(static_cast<std::size_t>(lines));
+    for (auto _ : state) {
+        kernel.run(pair.quadPlane().data(), rows, lines, high.data(),
+                   low.data(), pass_h.data(), pass_l.data());
+        benchmark::DoNotOptimize(pass_h.data());
+        benchmark::DoNotOptimize(pass_l.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(rows) * lines);
+}
 
 /** The analog composed MVM of an FF mat (computeMat's analog path):
  *  two input phases through the conductance planes, SA-quantized. */
@@ -247,6 +294,12 @@ main(int argc, char **argv)
         args.push_back(out.data());
         args.push_back(fmt.data());
     }
+    for (const reram::detail::SignedPlaneKernel &kernel :
+         reram::detail::signedPlaneKernels())
+        benchmark::RegisterBenchmark(
+            (std::string("BM_SignedPlaneKernel/") + kernel.name).c_str(),
+            BM_SignedPlaneKernel, kernel)
+            ->Args({256, 512});
     int ac = static_cast<int>(args.size());
     benchmark::Initialize(&ac, args.data());
     if (benchmark::ReportUnrecognizedArguments(ac, args.data()))

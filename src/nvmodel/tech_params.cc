@@ -45,10 +45,22 @@ applyConfig(const Config &config, TechParams &params)
         config.getInt("datapath.weight_bits", params.weightBits);
     params.outputBits =
         config.getInt("datapath.output_bits", params.outputBits);
-    // The differential pair's signed level plane is int8, so a cell
-    // half holds at most 7 bits.
-    PRIME_FATAL_IF(params.weightBits > 14, "datapath.weight_bits=",
-                   params.weightBits, " exceeds 14 (7-bit cell halves)");
+    // The composing scheme splits inputs and weights into two equal
+    // halves.  Input codes are uint8; the differential pair's signed
+    // level plane is int8, so a cell half holds at most 7 bits; the SA
+    // senses at most 8.
+    PRIME_FATAL_IF(params.inputBits < 2 || params.inputBits > 8 ||
+                       params.inputBits % 2 != 0,
+                   "datapath.input_bits=", params.inputBits,
+                   " must be even and in [2, 8] (two phases of a uint8 code)");
+    PRIME_FATAL_IF(params.weightBits < 2 || params.weightBits > 14 ||
+                       params.weightBits % 2 != 0,
+                   "datapath.weight_bits=", params.weightBits,
+                   " must be even and in [2, 14] (two cell halves of at "
+                   "most 7 bits)");
+    PRIME_FATAL_IF(params.outputBits < 1 || params.outputBits > 8,
+                   "datapath.output_bits=", params.outputBits,
+                   " must be in [1, 8]");
     params.inputPhaseBits = params.inputBits / 2;
     params.cellBits = params.weightBits / 2;
     params.device.rOn = config.getDouble("device.r_on", params.device.rOn);

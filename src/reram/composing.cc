@@ -68,66 +68,89 @@ defaultOutputShift(const ComposingParams &p, int input_count)
            p.outputBits;
 }
 
-/** SA register saturation: signed (Po+1)-bit window. */
-static std::int64_t
-saturateToSa(std::int64_t code, int output_bits)
-{
-    const std::int64_t hi = (std::int64_t{1} << output_bits) - 1;
-    const std::int64_t lo = -(std::int64_t{1} << output_bits);
-    return std::clamp(code, lo, hi);
-}
+namespace {
 
 /**
- * Assemble the target from the four component dot products under a given
- * total shift.  Rfull = 2^((Pin+Pw)/2) HH + 2^(Pw/2) HL + 2^(Pin/2) LH
- * + LL, so component c's own shift is total_shift - m_c; a negative
- * component shift means the digital adder scales the (saturated) raw
- * code up instead.
+ * The precision-control adder under one SA window, its four per-part
+ * shifts computed once.  Rfull = 2^((Pin+Pw)/2) HH + 2^(Pw/2) HL +
+ * 2^(Pin/2) LH + LL, so component c's own shift is total_shift - m_c.
+ * A non-negative shift places the SA window that many bits up: codes
+ * below it vanish, and the reference ladder's half-LSB offset rounds to
+ * nearest instead of biasing low.  A negative shift (a window finer
+ * than one level unit) is not physical: the SA digitizes at natural
+ * resolution and the adder applies the up-shift digitally.  Each part
+ * then saturates at the SA's signed (Po+1)-bit register.
  */
-/**
- * Round-to-nearest variant of takeHighBits: the SA reference ladder is
- * offset by half an LSB, the standard sensing trick that centers the
- * conversion error instead of biasing it low.
- */
-static std::int64_t
-takeHighBitsRounded(std::int64_t x, int shift)
+class Assembler
 {
-    if (shift <= 0)
-        return x << -shift;
-    return takeHighBits(x + (std::int64_t{1} << (shift - 1)), shift);
+  public:
+    Assembler(const ComposingParams &p, int total_shift)
+        : lo_(-(std::int64_t{1} << p.outputBits)),
+          hi_((std::int64_t{1} << p.outputBits) - 1)
+    {
+        const int magnitude[4] = {(p.inputBits + p.weightBits) / 2,
+                                  p.weightBits / 2, p.inputBits / 2, 0};
+        for (int i = 0; i < 4; ++i) {
+            const int shift = total_shift - magnitude[i];
+            Part &part = parts_[i];
+            part.down = std::max(shift, 0);
+            part.up = std::max(-shift, 0);
+            part.half = shift > 0 ? std::int64_t{1} << (shift - 1) : 0;
+        }
+    }
+
+    /** One output from its HH, HL, LH and LL component dot products. */
+    std::int64_t
+    operator()(std::int64_t hh, std::int64_t hl, std::int64_t lh,
+               std::int64_t ll) const
+    {
+        return code(parts_[0], hh) + code(parts_[1], hl) +
+               code(parts_[2], lh) + code(parts_[3], ll);
+    }
+
+  private:
+    struct Part
+    {
+        std::int64_t half;
+        int down;
+        int up;
+    };
+
+    /** The SA code of one component, scaled to the target window.  An
+     *  arithmetic >> is floor division by 2^down (C++20). */
+    std::int64_t
+    code(const Part &part, std::int64_t x) const
+    {
+        return std::clamp((x + part.half) >> part.down, lo_, hi_) << part.up;
+    }
+
+    Part parts_[4];
+    std::int64_t lo_;
+    std::int64_t hi_;
+};
+
+/** Asserts every input is an @p in_bits-bit code: one or-reduction,
+ *  the offending row looked up only on failure. */
+void
+checkCodes(std::span<const int> inputs, int in_bits)
+{
+    unsigned any = 0;
+    for (const int v : inputs)
+        any |= static_cast<unsigned>(v);
+    if (any >> in_bits == 0)
+        return;
+    for (std::size_t r = 0; r < inputs.size(); ++r)
+        PRIME_ASSERT(inputs[r] >= 0 && inputs[r] < (1 << in_bits), "input ",
+                     inputs[r], " out of ", in_bits, "-bit range at row ", r);
 }
+
+} // namespace
 
 std::int64_t
 composedAssemble(std::int64_t hh, std::int64_t hl, std::int64_t lh,
                  std::int64_t ll, const ComposingParams &p, int total_shift)
 {
-    struct Part
-    {
-        std::int64_t value;
-        int magnitude;
-    };
-    const Part parts[4] = {
-        {hh, (p.inputBits + p.weightBits) / 2},
-        {hl, p.weightBits / 2},
-        {lh, p.inputBits / 2},
-        {ll, 0},
-    };
-    std::int64_t acc = 0;
-    for (const Part &part : parts) {
-        const int shift = total_shift - part.magnitude;
-        if (shift >= 0) {
-            // The SA window sits `shift` bits up; codes below it vanish
-            // (half-LSB offset centers the error).
-            acc += saturateToSa(takeHighBitsRounded(part.value, shift),
-                                p.outputBits);
-        } else {
-            // Window finer than one level unit is not physical; the SA
-            // digitizes at natural resolution and the precision-control
-            // adder applies the up-shift digitally.
-            acc += saturateToSa(part.value, p.outputBits) << -shift;
-        }
-    }
-    return acc;
+    return Assembler(p, total_shift)(hh, hl, lh, ll);
 }
 
 std::int64_t
@@ -222,10 +245,10 @@ ComposedMatrixEngine::assemble(std::span<const std::int64_t> pass_h,
                                std::span<const std::int64_t> pass_l,
                                std::span<std::int64_t> out) const
 {
-    for (int c = 0; c < cols_; ++c)
-        out[c] = composedAssemble(pass_h[2 * c], pass_l[2 * c],
-                                  pass_h[2 * c + 1], pass_l[2 * c + 1],
-                                  composing_, outputShift_);
+    const Assembler sa(composing_, outputShift_);
+    for (std::size_t c = 0; c < static_cast<std::size_t>(cols_); ++c)
+        out[c] = sa(pass_h[2 * c], pass_l[2 * c], pass_h[2 * c + 1],
+                    pass_l[2 * c + 1]);
 }
 
 void
@@ -234,11 +257,14 @@ ComposedMatrixEngine::splitPhases(std::span<const int> inputs,
 {
     PRIME_ASSERT(static_cast<int>(inputs.size()) == rows_,
                  "inputs=", inputs.size());
-    scratch.phases.resize(2 * static_cast<std::size_t>(rows_));
-    for (int r = 0; r < rows_; ++r) {
-        auto [ih, il] = splitInput(inputs[r], composing_);
-        scratch.phases[static_cast<std::size_t>(r)] = ih;
-        scratch.phases[static_cast<std::size_t>(rows_ + r)] = il;
+    checkCodes(inputs, composing_.inputBits);
+    const std::size_t rows = static_cast<std::size_t>(rows_);
+    scratch.phases.resize(2 * rows);
+    const int bits = composing_.inputPhaseBits;
+    const int mask = (1 << bits) - 1;
+    for (std::size_t r = 0; r < rows; ++r) {
+        scratch.phases[r] = inputs[r] >> bits;
+        scratch.phases[rows + r] = inputs[r] & mask;
     }
 }
 
@@ -307,11 +333,21 @@ ComposedMatrixEngine::mvmFull(std::span<const int> inputs,
                  "inputs=", inputs.size());
     PRIME_ASSERT(static_cast<int>(out.size()) == cols_,
                  "outputs=", out.size());
+    checkCodes(inputs, composing_.inputBits);
+    // Row-outer over each row's contiguous columns.  A product fits
+    // int32 -- inputs below 2^Pin <= 2^16 (two phases of at most 8
+    // bits) times |w| below 2^Pw <= 2^14 (int8 plane halves) -- so the
+    // multiply vectorizes; the sums are int64 and exact, so neither
+    // changes the result.
     std::fill(out.begin(), out.end(), 0);
-    for (int c = 0; c < cols_; ++c)
-        for (int r = 0; r < rows_; ++r)
-            out[c] += static_cast<std::int64_t>(inputs[r]) *
-                      logicalWeights_[r][c];
+    for (std::size_t r = 0; r < inputs.size(); ++r) {
+        const int in = inputs[r];
+        if (in == 0)
+            continue;
+        const int *w = logicalWeights_[r].data();
+        for (std::size_t c = 0; c < out.size(); ++c)
+            out[c] += in * w[c];
+    }
 }
 
 std::vector<std::int64_t>

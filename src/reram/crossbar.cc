@@ -2,18 +2,21 @@
 
 #include <algorithm>
 
+#ifdef __x86_64__
+#include <immintrin.h>
+#endif
+
 #include "common/logging.hh"
 
 namespace prime::reram {
 
 namespace {
 
-// Runtime-dispatched SIMD clones of the two MVM inner loops (GCC/ELF
-// x86-64 only; elsewhere the plain -O3 loop is used).  The integer
-// kernel is exact under any ISA.  The double kernel deliberately stops
-// at "avx2" (no FMA target): mul-then-add per element is identically
-// rounded on every clone, keeping analog results bit-exact across
-// machines.
+// Runtime-dispatched SIMD clones of the analog MVM's inner loop (GCC/ELF
+// x86-64 only; elsewhere the plain -O3 loop is used).  It deliberately
+// stops at "avx2" (no FMA target): mul-then-add per element is
+// identically rounded on every clone, keeping analog results bit-exact
+// across machines.
 //
 // Disabled under sanitizers: target_clones emits GNU ifunc resolvers,
 // which the dynamic linker runs during relocation -- before the
@@ -30,27 +33,21 @@ namespace {
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
     defined(__ELF__) && !defined(PRIME_MVM_NO_CLONES)
-#define PRIME_MVM_INT_CLONES \
-    __attribute__((target_clones("default", "avx2", "arch=x86-64-v4")))
 #define PRIME_MVM_FP_CLONES \
     __attribute__((target_clones("default", "avx2")))
 #else
-#define PRIME_MVM_INT_CLONES
 #define PRIME_MVM_FP_CLONES
 #endif
 
-// The fused exact kernel accumulates in 32 bits over bounded row
-// chunks, widening to the 64-bit result between chunks: one product is
-// at most 255 * 127 (8-bit input phases, int8 signed levels), so 16384
-// rows stay under 2^31 with margin, and the int32 inner loops
-// vectorize.  The int32 accumulators are stack blocks of columns, so
-// the kernel never allocates (an FF mat's 2 x 256 bitlines are one
-// block).
-constexpr int kChunkRows = 16384;
-constexpr int kBlockCols = 512;
-/** Widest plane the fused kernel keeps in registers; also the pair
- *  plane's row-pitch granule. */
-constexpr int kNarrowCols = 16;
+// The exact kernel's ISA variants are plain functions with a target
+// attribute, picked once by CPUID (no ifunc, so sanitizer builds run
+// them too).
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define PRIME_SIGNED_PLANE_X86 1
+#define PRIME_TARGET_AVX2 __attribute__((target("avx2")))
+#define PRIME_TARGET_VNNI \
+    __attribute__((target("avx512f,avx512bw,avx512vnni")))
+#endif
 
 /** acc[c] += v * geff[c] over one cached-plane row. */
 PRIME_MVM_FP_CLONES void
@@ -60,78 +57,248 @@ accumulateCurrentRow(double *acc, const double *geff, double v, int cols)
         acc[c] += v * geff[c];
 }
 
+// The exact kernel sums u8 x s8 products in int32 over bounded row
+// chunks, widening to the int64 result between chunks: one product is
+// at most 255 * 127, so 16384 rows stay under 2^31 with margin.  A
+// chunk's packed phases live on the stack, so the kernel never
+// allocates.
+constexpr int kChunkRows = 16384;
+constexpr int kChunkQuads = kChunkRows / 4;
+static_assert(std::int64_t{kChunkRows} * 255 * 127 <
+              (std::int64_t{1} << 31));
+
 /**
- * The differential pair's fused exact kernel: pass_h / pass_l = the
- * high / low phase times the signed rows x cols plane (row pitch
- * `stride`, a multiple of kNarrowCols, zero-padded).  Everything runs
- * inside this one function, so a composed MVM makes a single
- * dispatched call.  A plane of at most kNarrowCols columns (CNN-1's
- * 25 x 10 conv tile) keeps both accumulators in vector registers over
- * the padded row; wider planes stream each row into stack column
- * blocks.
+ * Pack rows [r0, r1) of both phases into 4-row quads, byte k of quad q
+ * holding row r0 + 4q + k (rows past r1 are 0); returns the bitwise
+ * or of every packed phase.
  */
-PRIME_MVM_INT_CLONES void
-signedPhasesKernel(const std::int8_t *plane, int rows, int cols,
-                   int stride, const int *high, const int *low,
-                   std::int64_t *pass_h, std::int64_t *pass_l)
+unsigned
+packQuads(const int *high, const int *low, int r0, int r1,
+          std::uint32_t *qh, std::uint32_t *ql)
 {
-    if (cols <= kNarrowCols) {
-        std::int64_t sum_h[kNarrowCols] = {};
-        std::int64_t sum_l[kNarrowCols] = {};
-        for (int r0 = 0; r0 < rows; r0 += kChunkRows) {
-            const int r1 = std::min(rows, r0 + kChunkRows);
-            std::int32_t acc_h[kNarrowCols] = {};
-            std::int32_t acc_l[kNarrowCols] = {};
-            for (int r = r0; r < r1; ++r) {
-                const std::int32_t h = high[r];
-                const std::int32_t l = low[r];
-                const std::int8_t *w =
-                    plane + static_cast<std::size_t>(r) * stride;
-                for (int c = 0; c < kNarrowCols; ++c) {
-                    const std::int32_t v = w[c];
-                    acc_h[c] += h * v;
-                    acc_l[c] += l * v;
-                }
-            }
-            for (int c = 0; c < kNarrowCols; ++c) {
-                sum_h[c] += acc_h[c];
-                sum_l[c] += acc_l[c];
-            }
+    unsigned any = 0;
+    for (int r = r0, q = 0; r < r1; r += 4, ++q) {
+        std::uint32_t h = 0;
+        std::uint32_t l = 0;
+        for (int k = 0; k < 4 && r + k < r1; ++k) {
+            const auto hk = static_cast<unsigned>(high[r + k]);
+            const auto lk = static_cast<unsigned>(low[r + k]);
+            any |= hk | lk;
+            h |= hk << (8 * k);
+            l |= lk << (8 * k);
         }
-        std::copy(sum_h, sum_h + cols, pass_h);
-        std::copy(sum_l, sum_l + cols, pass_l);
-        return;
+        qh[q] = h;
+        ql[q] = l;
     }
-    std::int32_t acc_h[kBlockCols];
-    std::int32_t acc_l[kBlockCols];
-    for (int c0 = 0; c0 < cols; c0 += kBlockCols) {
-        const int width = std::min(kBlockCols, cols - c0);
-        std::fill(pass_h + c0, pass_h + c0 + width, 0);
-        std::fill(pass_l + c0, pass_l + c0 + width, 0);
-        for (int r0 = 0; r0 < rows; r0 += kChunkRows) {
-            const int r1 = std::min(rows, r0 + kChunkRows);
-            std::fill(acc_h, acc_h + width, 0);
-            std::fill(acc_l, acc_l + width, 0);
-            for (int r = r0; r < r1; ++r) {
-                const std::int32_t h = high[r];
-                const std::int32_t l = low[r];
-                if ((h | l) == 0)
-                    continue;
-                const std::int8_t *w =
-                    plane + static_cast<std::size_t>(r) * stride + c0;
-                for (int c = 0; c < width; ++c) {
-                    const std::int32_t v = w[c];
-                    acc_h[c] += h * v;
-                    acc_l[c] += l * v;
-                }
-            }
-            for (int c = 0; c < width; ++c) {
-                pass_h[c0 + c] += acc_h[c];
-                pass_l[c0 + c] += acc_l[c];
-            }
-        }
+    return any;
+}
+
+/** pass[0, n) += sums[0, n): one register's int32 column sums,
+ *  widened. */
+void
+addSums(std::int64_t *pass, const std::int32_t *sums, int n)
+{
+    for (int c = 0; c < n; ++c)
+        pass[c] += sums[c];
+}
+
+/** Adds one chunk's products (quads row quads of the plane) into the
+ *  int64 passes. */
+using ChunkFn = void (*)(const std::int8_t *plane, int quads, int stride,
+                         int cols, const std::uint32_t *qh,
+                         const std::uint32_t *ql, std::int64_t *pass_h,
+                         std::int64_t *pass_l);
+
+/**
+ * The body every variant shares: pack each row chunk once, then run
+ * @p narrow over it, or @p wide when some phase is 128 or more.
+ */
+void
+runChunks(ChunkFn narrow, ChunkFn wide, const std::int8_t *plane,
+          int rows, int cols, const int *high, const int *low,
+          std::int64_t *pass_h, std::int64_t *pass_l)
+{
+    alignas(64) std::uint32_t qh[kChunkQuads];
+    alignas(64) std::uint32_t ql[kChunkQuads];
+    const int stride = detail::quadPlaneStride(cols);
+    std::fill_n(pass_h, cols, 0);
+    std::fill_n(pass_l, cols, 0);
+    for (int r0 = 0; r0 < rows; r0 += kChunkRows) {
+        const int r1 = std::min(rows, r0 + kChunkRows);
+        const unsigned any = packQuads(high, low, r0, r1, qh, ql);
+        (any < 128 ? narrow : wide)(
+            plane + static_cast<std::size_t>(r0) * stride,
+            (r1 - r0 + 3) / 4, stride, cols, qh, ql, pass_h, pass_l);
     }
 }
+
+/**
+ * The reference loop, 16 columns at a time.  A u8 x s8 product always
+ * fits int16 (255 * -128 = -32640), and computing it there lets the
+ * baseline ISA vectorize the loop with 16-bit multiplies.
+ */
+void
+plainChunk(const std::int8_t *plane, int quads, int stride, int cols,
+           const std::uint32_t *qh, const std::uint32_t *ql,
+           std::int64_t *pass_h, std::int64_t *pass_l)
+{
+    constexpr int kCols = 16;
+    for (int c0 = 0; c0 < cols; c0 += kCols) {
+        std::int32_t acc_h[kCols] = {};
+        std::int32_t acc_l[kCols] = {};
+        const std::int8_t *w = plane + static_cast<std::size_t>(c0) * 4;
+        for (int q = 0; q < quads;
+             ++q, w += static_cast<std::size_t>(stride) * 4) {
+            std::int16_t h[4];
+            std::int16_t l[4];
+            for (int k = 0; k < 4; ++k) {
+                h[k] = static_cast<std::int16_t>((qh[q] >> (8 * k)) & 0xff);
+                l[k] = static_cast<std::int16_t>((ql[q] >> (8 * k)) & 0xff);
+            }
+            for (int c = 0; c < kCols; ++c) {
+                const std::int8_t *v = w + std::size_t{4} * c;
+                acc_h[c] += static_cast<std::int16_t>(h[0] * v[0]) +
+                            static_cast<std::int16_t>(h[1] * v[1]) +
+                            static_cast<std::int16_t>(h[2] * v[2]) +
+                            static_cast<std::int16_t>(h[3] * v[3]);
+                acc_l[c] += static_cast<std::int16_t>(l[0] * v[0]) +
+                            static_cast<std::int16_t>(l[1] * v[1]) +
+                            static_cast<std::int16_t>(l[2] * v[2]) +
+                            static_cast<std::int16_t>(l[3] * v[3]);
+            }
+        }
+        const int width = std::min(kCols, cols - c0);
+        addSums(pass_h + c0, acc_h, width);
+        addSums(pass_l + c0, acc_l, width);
+    }
+}
+
+void
+plainKernel(const std::int8_t *plane, int rows, int cols, const int *high,
+            const int *low, std::int64_t *pass_h, std::int64_t *pass_l)
+{
+    runChunks(plainChunk, plainChunk, plane, rows, cols, high, low, pass_h,
+              pass_l);
+}
+
+#ifdef PRIME_SIGNED_PLANE_X86
+
+/**
+ * AVX2, NB registers of 8 columns: vpmaddubsw sums row pairs of u8 x
+ * s8 products into int16, vpmaddwd the two pairs into int32.  The
+ * int16 step saturates above 32767, so it is exact only while every
+ * phase is below 128 (2 * 127 * 127 = 32258); runChunks sends wider
+ * chunks to the plain loop.
+ */
+template <int NB>
+PRIME_TARGET_AVX2 void
+avx2Block(const std::int8_t *plane, int quads, int stride, int cols, int c0,
+          const std::uint32_t *qh, const std::uint32_t *ql,
+          std::int64_t *pass_h, std::int64_t *pass_l)
+{
+    const __m256i ones = _mm256_set1_epi16(1);
+    __m256i acc_h[NB];
+    __m256i acc_l[NB];
+    for (int j = 0; j < NB; ++j)
+        acc_h[j] = acc_l[j] = _mm256_setzero_si256();
+    const std::int8_t *w = plane + static_cast<std::size_t>(c0) * 4;
+    for (int q = 0; q < quads; ++q, w += static_cast<std::size_t>(stride) * 4) {
+        const __m256i h = _mm256_set1_epi32(static_cast<int>(qh[q]));
+        const __m256i l = _mm256_set1_epi32(static_cast<int>(ql[q]));
+        for (int j = 0; j < NB; ++j) {
+            const __m256i v = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(w + std::size_t{32} * j));
+            acc_h[j] = _mm256_add_epi32(
+                acc_h[j], _mm256_madd_epi16(_mm256_maddubs_epi16(h, v), ones));
+            acc_l[j] = _mm256_add_epi32(
+                acc_l[j], _mm256_madd_epi16(_mm256_maddubs_epi16(l, v), ones));
+        }
+    }
+    for (int j = 0; j < NB; ++j) {
+        alignas(32) std::int32_t sum_h[8];
+        alignas(32) std::int32_t sum_l[8];
+        _mm256_store_si256(reinterpret_cast<__m256i *>(sum_h), acc_h[j]);
+        _mm256_store_si256(reinterpret_cast<__m256i *>(sum_l), acc_l[j]);
+        const int base = c0 + 8 * j;
+        addSums(pass_h + base, sum_h, std::min(8, cols - base));
+        addSums(pass_l + base, sum_l, std::min(8, cols - base));
+    }
+}
+
+PRIME_TARGET_AVX2 void
+avx2Chunk(const std::int8_t *plane, int quads, int stride, int cols,
+          const std::uint32_t *qh, const std::uint32_t *ql,
+          std::int64_t *pass_h, std::int64_t *pass_l)
+{
+    int c0 = 0;
+    for (; c0 + 32 <= cols; c0 += 32)
+        avx2Block<4>(plane, quads, stride, cols, c0, qh, ql, pass_h, pass_l);
+    for (; c0 < cols; c0 += 8)
+        avx2Block<1>(plane, quads, stride, cols, c0, qh, ql, pass_h, pass_l);
+}
+
+void
+avx2Kernel(const std::int8_t *plane, int rows, int cols, const int *high,
+           const int *low, std::int64_t *pass_h, std::int64_t *pass_l)
+{
+    runChunks(avx2Chunk, plainChunk, plane, rows, cols, high, low, pass_h,
+              pass_l);
+}
+
+/** AVX-512 VNNI, NB registers of 16 columns: one vpdpbusd adds four
+ *  rows' u8 x s8 products into each int32 lane, exactly. */
+template <int NB>
+PRIME_TARGET_VNNI void
+vnniBlock(const std::int8_t *plane, int quads, int stride, int cols, int c0,
+          const std::uint32_t *qh, const std::uint32_t *ql,
+          std::int64_t *pass_h, std::int64_t *pass_l)
+{
+    __m512i acc_h[NB];
+    __m512i acc_l[NB];
+    for (int j = 0; j < NB; ++j)
+        acc_h[j] = acc_l[j] = _mm512_setzero_si512();
+    const std::int8_t *w = plane + static_cast<std::size_t>(c0) * 4;
+    for (int q = 0; q < quads; ++q, w += static_cast<std::size_t>(stride) * 4) {
+        const __m512i h = _mm512_set1_epi32(static_cast<int>(qh[q]));
+        const __m512i l = _mm512_set1_epi32(static_cast<int>(ql[q]));
+        for (int j = 0; j < NB; ++j) {
+            const __m512i v = _mm512_loadu_si512(w + std::size_t{64} * j);
+            acc_h[j] = _mm512_dpbusd_epi32(acc_h[j], h, v);
+            acc_l[j] = _mm512_dpbusd_epi32(acc_l[j], l, v);
+        }
+    }
+    for (int j = 0; j < NB; ++j) {
+        alignas(64) std::int32_t sum_h[16];
+        alignas(64) std::int32_t sum_l[16];
+        _mm512_store_si512(sum_h, acc_h[j]);
+        _mm512_store_si512(sum_l, acc_l[j]);
+        const int base = c0 + 16 * j;
+        addSums(pass_h + base, sum_h, std::min(16, cols - base));
+        addSums(pass_l + base, sum_l, std::min(16, cols - base));
+    }
+}
+
+PRIME_TARGET_VNNI void
+vnniChunk(const std::int8_t *plane, int quads, int stride, int cols,
+          const std::uint32_t *qh, const std::uint32_t *ql,
+          std::int64_t *pass_h, std::int64_t *pass_l)
+{
+    int c0 = 0;
+    for (; c0 + 64 <= cols; c0 += 64)
+        vnniBlock<4>(plane, quads, stride, cols, c0, qh, ql, pass_h, pass_l);
+    for (; c0 < cols; c0 += 16)
+        vnniBlock<1>(plane, quads, stride, cols, c0, qh, ql, pass_h, pass_l);
+}
+
+void
+vnniKernel(const std::int8_t *plane, int rows, int cols, const int *high,
+           const int *low, std::int64_t *pass_h, std::int64_t *pass_l)
+{
+    runChunks(vnniChunk, vnniChunk, plane, rows, cols, high, low, pass_h,
+              pass_l);
+}
+
+#endif // PRIME_SIGNED_PLANE_X86
 
 } // namespace
 
@@ -315,9 +482,9 @@ Crossbar::totalWear() const
 
 DifferentialPair::DifferentialPair(const CrossbarParams &params)
     : pos_(params), neg_(params),
-      planeStride_((params.cols + kNarrowCols - 1) / kNarrowCols *
-                   kNarrowCols),
-      signedPlane_(static_cast<std::size_t>(params.rows) * planeStride_, 0)
+      quadPlane_(static_cast<std::size_t>((params.rows + 3) / 4) * 4 *
+                     detail::quadPlaneStride(params.cols),
+                 0)
 {
     PRIME_ASSERT(params.cellBits >= 1 && params.cellBits <= 7,
                  "cellBits=", params.cellBits, " overflows the int8 plane");
@@ -331,6 +498,8 @@ DifferentialPair::programSigned(const std::vector<std::vector<int>> &weights,
     PRIME_ASSERT(static_cast<int>(weights.size()) == p.rows,
                  "weights rows=", weights.size());
     const int max_mag = p.cellLevels() - 1;
+    const std::size_t stride =
+        static_cast<std::size_t>(detail::quadPlaneStride(p.cols));
     for (int r = 0; r < p.rows; ++r) {
         PRIME_ASSERT(static_cast<int>(weights[r].size()) == p.cols,
                      "weights cols=", weights[r].size());
@@ -340,8 +509,8 @@ DifferentialPair::programSigned(const std::vector<std::vector<int>> &weights,
                          "signed weight ", w, " exceeds ", max_mag);
             pos_.programCell(r, c, w > 0 ? w : 0, rng);
             neg_.programCell(r, c, w < 0 ? -w : 0, rng);
-            signedPlane_[static_cast<std::size_t>(r) * planeStride_ + c] =
-                static_cast<std::int8_t>(w);
+            quadPlane_[(static_cast<std::size_t>(r / 4) * stride + c) * 4 +
+                       r % 4] = static_cast<std::int8_t>(w);
         }
     }
 }
@@ -359,17 +528,21 @@ DifferentialPair::mvmExact(std::span<const int> high_phase,
     PRIME_ASSERT(static_cast<int>(pass_h.size()) == p.cols &&
                      static_cast<int>(pass_l.size()) == p.cols,
                  "outputs=", pass_h.size(), "/", pass_l.size());
-    // inputLevels is a power of two, so both phases are in range
-    // exactly when their bitwise or is.
-    const unsigned levels = static_cast<unsigned>(p.inputLevels());
+    // inputLevels is a power of two, so every phase is in range
+    // exactly when the bitwise or of all of them is.
+    unsigned any = 0;
     for (int r = 0; r < p.rows; ++r)
-        PRIME_ASSERT(static_cast<unsigned>(high_phase[r] | low_phase[r]) <
-                         levels,
-                     "input level ", high_phase[r], "/", low_phase[r],
-                     " out of range at row ", r);
-    signedPhasesKernel(signedPlane_.data(), p.rows, p.cols, planeStride_,
-                       high_phase.data(), low_phase.data(), pass_h.data(),
-                       pass_l.data());
+        any |= static_cast<unsigned>(high_phase[r] | low_phase[r]);
+    if (any >= static_cast<unsigned>(p.inputLevels())) {
+        for (int r = 0; r < p.rows; ++r)
+            PRIME_ASSERT(static_cast<unsigned>(high_phase[r] | low_phase[r]) <
+                             static_cast<unsigned>(p.inputLevels()),
+                         "input level ", high_phase[r], "/", low_phase[r],
+                         " out of range at row ", r);
+    }
+    detail::dispatchedSignedPlaneKernel().run(
+        quadPlane_.data(), p.rows, p.cols, high_phase.data(),
+        low_phase.data(), pass_h.data(), pass_l.data());
 }
 
 void
@@ -382,5 +555,37 @@ DifferentialPair::mvmAnalog(std::span<const int> input_levels,
     for (std::size_t i = 0; i < out.size(); ++i)
         out[i] = pos_.levelUnitsFromCurrent(out[i] - neg[i]);
 }
+
+namespace detail {
+
+std::span<const SignedPlaneKernel>
+signedPlaneKernels()
+{
+#ifdef PRIME_SIGNED_PLANE_X86
+    __builtin_cpu_init();
+#endif
+    static const SignedPlaneKernel kernels[] = {
+#ifdef PRIME_SIGNED_PLANE_X86
+        {"avx512vnni", vnniKernel,
+         __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx512bw") &&
+             __builtin_cpu_supports("avx512vnni")},
+        {"avx2", avx2Kernel, __builtin_cpu_supports("avx2") != 0},
+#endif
+        {"plain", plainKernel, true},
+    };
+    return kernels;
+}
+
+const SignedPlaneKernel &
+dispatchedSignedPlaneKernel()
+{
+    // The plain loop is always supported, so the search always hits.
+    static const SignedPlaneKernel &chosen = *std::ranges::find(
+        signedPlaneKernels(), true, &SignedPlaneKernel::supported);
+    return chosen;
+}
+
+} // namespace detail
 
 } // namespace prime::reram

@@ -218,9 +218,9 @@ class DifferentialPair
      * likewise for @p low_phase (all cols entries).  On the ideal
      * datapath the subtraction unit is linear, so this equals the four
      * crossbar passes pos.mvmExact - neg.mvmExact per phase bit for
-     * bit; it runs over the pair's signed level plane (the Crossbar
-     * planes are left unbuilt) with int32 row-chunked accumulation and
-     * does not allocate.
+     * bit; it runs the CPU-dispatched u8 x s8 kernel
+     * (detail::dispatchedSignedPlaneKernel) over the pair's quad plane
+     * (the Crossbar planes are left unbuilt) and does not allocate.
      */
     void mvmExact(std::span<const int> high_phase,
                   std::span<const int> low_phase,
@@ -239,20 +239,64 @@ class DifferentialPair
 
     const Crossbar &positive() const { return pos_; }
     const Crossbar &negative() const { return neg_; }
+    /** The signed quad plane the exact kernel reads (layout at
+     *  quadPlane_). */
+    std::span<const std::int8_t> quadPlane() const { return quadPlane_; }
 
   private:
     Crossbar pos_;
     Crossbar neg_;
-    /** Row pitch of signedPlane_: cols rounded up to 16. */
-    int planeStride_;
     /**
-     * rows x planeStride_ signed levels, pos - neg (padding columns
-     * 0), written in programSigned's cell loop -- the pair's only
+     * Signed levels pos - neg, 4 rows per column: byte
+     * ((r / 4) * stride + c) * 4 + r % 4 holds row r, column c, with
+     * stride = detail::quadPlaneStride(cols); padding rows and columns
+     * are 0.  Written in programSigned's cell loop -- the pair's only
      * mutation path, so it never goes stale.  int8: |level| <
      * 2^cellBits <= 128.
      */
-    std::vector<std::int8_t> signedPlane_;
+    std::vector<std::int8_t> quadPlane_;
 };
+
+namespace detail {
+
+/**
+ * Row pitch, in columns, of a pair's quad plane: cols rounded up to
+ * 16, so one 64-byte row quad of columns fills an AVX-512 register.
+ */
+constexpr int
+quadPlaneStride(int cols)
+{
+    return (cols + 15) / 16 * 16;
+}
+
+/**
+ * One ISA variant of the pair's exact kernel: pass_h / pass_l (cols
+ * entries each, overwritten) = the high / low phase (rows entries,
+ * each in [0, 256)) times the rows x cols quad plane.  Every variant
+ * is exact for any such input.
+ */
+using SignedPlaneFn = void (*)(const std::int8_t *plane, int rows,
+                               int cols, const int *high, const int *low,
+                               std::int64_t *pass_h, std::int64_t *pass_l);
+
+struct SignedPlaneKernel
+{
+    /** "avx512vnni", "avx2" or "plain". */
+    const char *name;
+    SignedPlaneFn run;
+    /** Whether this CPU can execute it (CPUID). */
+    bool supported;
+};
+
+/** Every variant compiled into this build, fastest first; the plain
+ *  loop comes last and is always supported. */
+std::span<const SignedPlaneKernel> signedPlaneKernels();
+
+/** The variant DifferentialPair::mvmExact runs: the first supported
+ *  one, chosen once per process. */
+const SignedPlaneKernel &dispatchedSignedPlaneKernel();
+
+} // namespace detail
 
 } // namespace prime::reram
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hh"
@@ -22,6 +24,63 @@ TEST(PnForInputCount, PowersOfTwo)
     EXPECT_EQ(pnForInputCount(3), 2);
     EXPECT_EQ(pnForInputCount(256), 8);
     EXPECT_EQ(pnForInputCount(257), 9);
+}
+
+/**
+ * The SA assembly rule written out per part with integer division, as
+ * the composing scheme states it: part c's shift is total - m_c; a
+ * positive shift takes floor((x + 2^(shift-1)) / 2^shift) (half-LSB
+ * rounding), zero keeps x, a negative one keeps x and scales the
+ * saturated code up by 2^-shift; every code saturates at the signed
+ * (Po+1)-bit register.
+ */
+std::int64_t
+referenceAssemble(const std::int64_t (&parts)[4], const ComposingParams &p,
+                  int total_shift)
+{
+    const int magnitude[4] = {(p.inputBits + p.weightBits) / 2,
+                              p.weightBits / 2, p.inputBits / 2, 0};
+    const std::int64_t hi = (std::int64_t{1} << p.outputBits) - 1;
+    const std::int64_t lo = -(std::int64_t{1} << p.outputBits);
+    std::int64_t acc = 0;
+    for (int i = 0; i < 4; ++i) {
+        const int shift = total_shift - magnitude[i];
+        std::int64_t code = parts[i];
+        if (shift > 0) {
+            const std::int64_t d = std::int64_t{1} << shift;
+            const std::int64_t x = code + d / 2;
+            code = x >= 0 ? x / d : -((-x + d - 1) / d);
+        }
+        code = std::min(std::max(code, lo), hi);
+        if (shift < 0)
+            code *= std::int64_t{1} << -shift;
+        acc += code;
+    }
+    return acc;
+}
+
+/** composedAssemble (and so every engine's assembly) against the
+ *  per-part reference, across windows finer than one level unit,
+ *  exactly at it and far above it. */
+TEST(ComposedAssemble, MatchesPerPartReference)
+{
+    Rng rng(404);
+    for (const int out_bits : {1, 6, 8}) {
+        ComposingParams p;
+        p.outputBits = out_bits;
+        for (int total = -3; total <= 30; ++total) {
+            for (int trial = 0; trial < 200; ++trial) {
+                std::int64_t parts[4];
+                for (std::int64_t &v : parts)
+                    v = rng.uniformInt(-(1 << 22), 1 << 22) >>
+                        rng.uniformInt(0, 22);
+                EXPECT_EQ(composedAssemble(parts[0], parts[1], parts[2],
+                                           parts[3], p, total),
+                          referenceAssemble(parts, p, total))
+                    << "Po " << out_bits << " shift " << total;
+            }
+        }
+    }
 }
 
 TEST(SplitInput, RecomposesExactly)

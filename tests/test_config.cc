@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/config.hh"
 #include "nvmodel/tech_params.hh"
 
@@ -85,6 +88,22 @@ TEST(ApplyConfig, DerivesPhaseBits)
     EXPECT_EQ(p.cellBits, 2);
 }
 
+/** applyConfig rejects key=value with a fatal error naming the key. */
+void
+expectRejected(const std::string &key, const std::string &value)
+{
+    Config c;
+    c.set(key, value);
+    nvmodel::TechParams p = nvmodel::defaultTechParams();
+    try {
+        applyConfig(c, p);
+        ADD_FAILURE() << key << "=" << value << " accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ApplyConfig, WeightBitsCappedAtSignedPlaneRange)
 {
     Config ok;
@@ -92,17 +111,48 @@ TEST(ApplyConfig, WeightBitsCappedAtSignedPlaneRange)
     nvmodel::TechParams p = nvmodel::defaultTechParams();
     applyConfig(ok, p);
     EXPECT_EQ(p.cellBits, 7);
+    expectRejected("datapath.weight_bits", "16");
+}
 
-    Config wide;
-    wide.set("datapath.weight_bits", "16");
-    nvmodel::TechParams q = nvmodel::defaultTechParams();
-    try {
-        applyConfig(wide, q);
-        FAIL() << "weight_bits=16 accepted";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("datapath.weight_bits"),
-                  std::string::npos)
-            << e.what();
+/** Odd widths cannot split into two equal halves (weight_bits=9 used
+ *  to abort in ComposingParams::consistent), and 0 left no cell bits
+ *  (an abort in DfxFormat::choose). */
+TEST(ApplyConfig, WeightBitsMustBeEvenAndAtLeastTwo)
+{
+    for (const char *bad : {"9", "3", "1", "0", "-2"})
+        expectRejected("datapath.weight_bits", bad);
+    Config ok;
+    ok.set("datapath.weight_bits", "2");
+    nvmodel::TechParams p = nvmodel::defaultTechParams();
+    applyConfig(ok, p);
+    EXPECT_EQ(p.cellBits, 1);
+}
+
+/** Input codes are uint8 split into two phases: 10 bits used to wrap
+ *  silently, 7 and 0 to abort. */
+TEST(ApplyConfig, InputBitsMustBeEvenInTwoToEight)
+{
+    for (const char *bad : {"10", "9", "7", "1", "0", "-4"})
+        expectRejected("datapath.input_bits", bad);
+    for (const int good : {2, 4, 6, 8}) {
+        Config ok;
+        ok.set("datapath.input_bits", std::to_string(good));
+        nvmodel::TechParams p = nvmodel::defaultTechParams();
+        applyConfig(ok, p);
+        EXPECT_EQ(p.inputPhaseBits, good / 2);
+    }
+}
+
+TEST(ApplyConfig, OutputBitsInOneToEight)
+{
+    for (const char *bad : {"0", "9", "-1"})
+        expectRejected("datapath.output_bits", bad);
+    for (const char *good : {"1", "8"}) {
+        Config ok;
+        ok.set("datapath.output_bits", good);
+        nvmodel::TechParams p = nvmodel::defaultTechParams();
+        applyConfig(ok, p);
+        EXPECT_EQ(p.outputBits, std::stoi(good));
     }
 }
 

@@ -8,6 +8,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hh"
@@ -212,11 +215,12 @@ extremeOrRandom(Rng &rng, int lo, int hi)
 }
 
 /**
- * Property: the fused signed-plane kernel equals the four-pass oracle
- * (pos and neg arrays per input phase, subtracted) bit for bit, on
- * composed engines whose logical weights reach +-(2^Pw - 1) and whose
- * 6-bit inputs reach 0 and the max code, across row counts around the
- * 256-row mat and column counts up to a full 512-bitline block.
+ * Property: the dispatched quad-plane kernel equals the four-pass
+ * oracle (pos and neg arrays per input phase, subtracted) bit for bit,
+ * on composed engines whose logical weights reach +-(2^Pw - 1) and
+ * whose 6-bit inputs reach 0 and the max code, across row counts that
+ * leave 0-3 padding rows in the last quad (up to just past the 256-row
+ * mat) and column counts up to a full 512-bitline FF mat.
  */
 TEST(DifferentialPair, FusedKernelMatchesFourPassOracle)
 {
@@ -224,7 +228,7 @@ TEST(DifferentialPair, FusedKernelMatchesFourPassOracle)
     const int max_w = (1 << cp.weightBits) - 1;
     const int max_in = (1 << cp.inputBits) - 1;
     Rng rng(2026);
-    for (const int rows : {1, 25, 256, 257}) {
+    for (const int rows : {1, 2, 3, 5, 25, 256, 257}) {
         for (const int cols : {1, 5, 256}) {
             ComposedMatrixEngine engine(rows, cols, cp, CrossbarParams{});
             std::vector<std::vector<int>> w(rows, std::vector<int>(cols));
@@ -256,14 +260,14 @@ TEST(DifferentialPair, FusedKernelMatchesFourPassOracle)
     }
 }
 
-/** Both kernel shapes and their edges: up to 16 bitlines stay in
- *  registers, wider pairs stream rows into 512-column stack blocks
- *  (several of them past 512: no width cap). */
-TEST(DifferentialPair, FusedKernelCoversNarrowAndBlockedWidths)
+/** The dispatched kernel across the register-block edges: 16-column
+ *  vectors, 4-vector blocks and widths past 1024 bitlines (no width
+ *  cap), on a row count that is not a multiple of 4. */
+TEST(DifferentialPair, FusedKernelCoversRegisterBlockEdges)
 {
     Rng rng(27);
     const int rows = 9;
-    for (const int cols : {15, 16, 17, 512, 513, 1100}) {
+    for (const int cols : {1, 15, 16, 17, 63, 64, 65, 512, 513, 1100}) {
         DifferentialPair pair(smallParams(rows, cols));
         std::vector<std::vector<int>> w(rows, std::vector<int>(cols));
         for (auto &row : w)
@@ -281,6 +285,144 @@ TEST(DifferentialPair, FusedKernelCoversNarrowAndBlockedWidths)
         EXPECT_EQ(pass_l, fourPassExact(pair, low)) << cols;
     }
 }
+
+/** programSigned writes pos - neg at byte ((r/4) * stride + c) * 4 +
+ *  r % 4, stride = cols rounded up to 16, and leaves padding 0. */
+TEST(DifferentialPair, QuadPlaneLayout)
+{
+    const int rows = 6;
+    const int cols = 17;
+    DifferentialPair pair(smallParams(rows, cols));
+    std::vector<std::vector<int>> w(rows, std::vector<int>(cols));
+    for (int r = 0; r < rows; ++r)
+        for (int c = 0; c < cols; ++c)
+            w[r][c] = (r * cols + c) % 31 - 15;
+    pair.programSigned(w);
+    const int stride = detail::quadPlaneStride(cols);
+    ASSERT_EQ(stride, 32);
+    const std::span<const std::int8_t> plane = pair.quadPlane();
+    ASSERT_EQ(plane.size(), 2u * stride * 4);
+    for (int q = 0; q < 2; ++q)
+        for (int c = 0; c < stride; ++c)
+            for (int k = 0; k < 4; ++k) {
+                const int r = 4 * q + k;
+                const int want = r < rows && c < cols ? w[r][c] : 0;
+                EXPECT_EQ(plane[(static_cast<std::size_t>(q) * stride + c) * 4 +
+                                static_cast<std::size_t>(k)],
+                          want)
+                    << "row " << r << " col " << c;
+            }
+}
+
+TEST(SignedPlaneDispatch, PicksFirstSupportedVariant)
+{
+    const std::span<const detail::SignedPlaneKernel> kernels =
+        detail::signedPlaneKernels();
+    ASSERT_FALSE(kernels.empty());
+    EXPECT_STREQ(kernels.back().name, "plain");
+    EXPECT_TRUE(kernels.back().supported);
+    const detail::SignedPlaneKernel &chosen =
+        detail::dispatchedSignedPlaneKernel();
+    for (const detail::SignedPlaneKernel &k : kernels) {
+        if (k.supported) {
+            EXPECT_EQ(&k, &chosen) << chosen.name;
+            break;
+        }
+    }
+}
+
+/** A compiled-in variant by name, or nullptr. */
+const detail::SignedPlaneKernel *
+findKernel(std::string_view name)
+{
+    for (const detail::SignedPlaneKernel &k : detail::signedPlaneKernels())
+        if (name == k.name)
+            return &k;
+    return nullptr;
+}
+
+class SignedPlaneVariant : public ::testing::TestWithParam<const char *>
+{
+};
+
+/**
+ * Each ISA variant, called directly, equals the plain loop and the
+ * four-pass oracle bit for bit: row counts that are not multiples of
+ * 4, bitline counts straddling the 8/16-column registers and the
+ * 4-register blocks, levels at +-(2^7 - 1), and 8-bit phases up to
+ * 255.  Column 0 holds +127 and column 1 -127 in every row, so under
+ * all-255 phases one vpmaddubsw row pair reaches +-2 * 255 * 127,
+ * beyond int16: the AVX2 variant is exact there only because a chunk
+ * with a phase of 128 or more takes the plain loop.  Phases up to 127
+ * keep it on vpmaddubsw at its largest exact pair sum, 2 * 127 * 127.
+ */
+TEST_P(SignedPlaneVariant, MatchesPlainLoopAndFourPassOracle)
+{
+    const detail::SignedPlaneKernel *kernel = findKernel(GetParam());
+    if (kernel == nullptr || !kernel->supported)
+        GTEST_SKIP() << GetParam() << " is not built or this CPU lacks it";
+    const detail::SignedPlaneKernel &plain = *findKernel("plain");
+    Rng rng(19);
+    for (const int rows : {1, 2, 3, 5, 25, 256, 257}) {
+        for (const int lines :
+             {1, 15, 16, 17, 127, 128, 129, 512, 513, 1100}) {
+            CrossbarParams p = smallParams(rows, lines);
+            p.cellBits = 7;
+            p.inputBits = 8;
+            DifferentialPair pair(p);
+            std::vector<std::vector<int>> w(rows, std::vector<int>(lines));
+            for (auto &row : w) {
+                for (int &v : row)
+                    v = extremeOrRandom(rng, -127, 127);
+                row[0] = 127;
+                if (lines > 1)
+                    row[1] = -127;
+            }
+            pair.programSigned(w);
+            const std::size_t n = static_cast<std::size_t>(lines);
+            for (int trial = 0; trial < 4; ++trial) {
+                std::vector<int> high(rows), low(rows);
+                for (std::size_t r = 0; r < high.size(); ++r) {
+                    switch (trial) {
+                      case 0:  // the int16 hazard: every phase at 255
+                        high[r] = low[r] = 255;
+                        break;
+                      case 1:  // the widest vpmaddubsw-exact phases
+                        high[r] = 127;
+                        low[r] = extremeOrRandom(rng, 0, 127);
+                        break;
+                      case 2:
+                        high[r] = extremeOrRandom(rng, 0, 255);
+                        low[r] = extremeOrRandom(rng, 0, 255);
+                        break;
+                      default:  // 3-bit composed-engine phases
+                        high[r] = extremeOrRandom(rng, 0, 7);
+                        low[r] = extremeOrRandom(rng, 0, 7);
+                    }
+                }
+                std::vector<std::int64_t> h(n, -1), l(n, -1);
+                std::vector<std::int64_t> ref_h(n, -2), ref_l(n, -2);
+                kernel->run(pair.quadPlane().data(), rows, lines,
+                            high.data(), low.data(), h.data(), l.data());
+                plain.run(pair.quadPlane().data(), rows, lines, high.data(),
+                          low.data(), ref_h.data(), ref_l.data());
+                const std::string where = std::to_string(rows) + "x" +
+                                          std::to_string(lines) +
+                                          " trial " + std::to_string(trial);
+                EXPECT_EQ(h, ref_h) << where;
+                EXPECT_EQ(l, ref_l) << where;
+                EXPECT_EQ(ref_h, fourPassExact(pair, high)) << where;
+                EXPECT_EQ(ref_l, fourPassExact(pair, low)) << where;
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, SignedPlaneVariant,
+                         ::testing::Values("avx512vnni", "avx2", "plain"),
+                         [](const auto &info) {
+                             return std::string(info.param);
+                         });
 
 TEST(DifferentialPair, AnalogCancelsOffset)
 {

@@ -6,6 +6,8 @@
 #   benchmark: `run <unknown>` names the valid benchmarks.
 #   option:    an unknown option, or an option missing its value, is
 #              named and followed by the usage text (exit code 2).
+#   config:    a datapath width the simulator cannot run is a config
+#              error naming the key (exit code 1), not an abort.
 if(NOT DEFINED PRIME_CLI)
     message(FATAL_ERROR "pass -DPRIME_CLI=<path to prime_cli>")
 endif()
@@ -49,6 +51,12 @@ elseif(CASE STREQUAL "option")
     expect_failure(want serve MLP-S --batch-window 50)
     set(want "option '--images' needs a value" "usage:")
     expect_failure(want run MLP-S --images)
+elseif(CASE STREQUAL "config")
+    set(expect_rc 1)  # a fatal config error, not an abort (134)
+    set(want "fatal:.*datapath.input_bits=7")
+    expect_failure(want run MLP-S --set datapath.input_bits=7)
+    set(want "fatal:.*datapath.weight_bits=9")
+    expect_failure(want run MLP-S --set datapath.weight_bits=9)
 else()
     message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()
