@@ -125,9 +125,9 @@ main()
         reram::ComposedMatrixEngine::MvmScratch scratch;
         std::vector<std::int64_t> ideal(16), noisy(16);
         for (int trial = 0; trial < 50; ++trial) {
-            std::vector<int> in(128);
-            for (int &v : in)
-                v = static_cast<int>(wrng.uniformInt(0, 63));
+            std::vector<std::uint8_t> in(128);
+            for (std::uint8_t &v : in)
+                v = static_cast<std::uint8_t>(wrng.uniformInt(0, 63));
             engine.mvmExact(in, ideal, scratch);
             engine.mvmAnalog(in, noisy, scratch, &nrng);
             for (int c = 0; c < 16; ++c) {

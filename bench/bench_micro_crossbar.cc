@@ -49,6 +49,16 @@ sharedCrossbar(int rows, int cols)
     return *it->second;
 }
 
+/** @p n input codes drawn uniformly from [0, @p max]. */
+std::vector<std::uint8_t>
+randomCodes(int n, int max, Rng &rng)
+{
+    std::vector<std::uint8_t> codes(static_cast<std::size_t>(n));
+    for (std::uint8_t &v : codes)
+        v = static_cast<std::uint8_t>(rng.uniformInt(0, max));
+    return codes;
+}
+
 /** A composed engine of rows x cols logical weights, programmed once. */
 const ComposedMatrixEngine &
 sharedEngine(int rows, int cols)
@@ -78,9 +88,7 @@ BM_CrossbarMvmAnalog(benchmark::State &state)
     const int n = static_cast<int>(state.range(0));
     Crossbar &xbar = sharedCrossbar(n, n);
     Rng rng(8);
-    std::vector<int> in(static_cast<std::size_t>(n));
-    for (int &v : in)
-        v = static_cast<int>(rng.uniformInt(0, 7));
+    const std::vector<std::uint8_t> in = randomCodes(n, 7, rng);
     std::vector<double> out(static_cast<std::size_t>(n));
     for (auto _ : state) {
         xbar.mvmAnalog(in, out);
@@ -116,9 +124,7 @@ BM_CrossbarMvmAnalogIrDrop(benchmark::State &state)
         it = cache.emplace(n, std::move(xbar)).first;
     }
     Rng rng(13);
-    std::vector<int> in(static_cast<std::size_t>(n));
-    for (int &v : in)
-        v = static_cast<int>(rng.uniformInt(0, 7));
+    const std::vector<std::uint8_t> in = randomCodes(n, 7, rng);
     std::vector<double> out(static_cast<std::size_t>(n));
     for (auto _ : state) {
         it->second->mvmAnalog(in, out);
@@ -139,9 +145,7 @@ BM_ComposedMatMvm(benchmark::State &state)
     const int cols = static_cast<int>(state.range(1));
     const ComposedMatrixEngine &engine = sharedEngine(rows, cols);
     Rng rng(10);
-    std::vector<int> in(static_cast<std::size_t>(rows));
-    for (int &v : in)
-        v = static_cast<int>(rng.uniformInt(0, 63));
+    const std::vector<std::uint8_t> in = randomCodes(rows, 63, rng);
     ComposedMatrixEngine::MvmScratch scratch;
     std::vector<std::int64_t> out(static_cast<std::size_t>(cols));
     for (auto _ : state) {
@@ -185,12 +189,8 @@ BM_SignedPlaneKernel(benchmark::State &state,
         for (int &v : r)
             v = static_cast<int>(rng.uniformInt(-127, 127));
     pair.programSigned(w);
-    std::vector<int> high(static_cast<std::size_t>(rows));
-    std::vector<int> low(static_cast<std::size_t>(rows));
-    for (int &v : high)
-        v = static_cast<int>(rng.uniformInt(0, 7));
-    for (int &v : low)
-        v = static_cast<int>(rng.uniformInt(0, 7));
+    const std::vector<std::uint8_t> high = randomCodes(rows, 7, rng);
+    const std::vector<std::uint8_t> low = randomCodes(rows, 7, rng);
     std::vector<std::int64_t> pass_h(static_cast<std::size_t>(lines));
     std::vector<std::int64_t> pass_l(static_cast<std::size_t>(lines));
     for (auto _ : state) {
@@ -212,9 +212,7 @@ BM_ComposedMatMvmAnalog(benchmark::State &state)
     const int n = static_cast<int>(state.range(0));
     const ComposedMatrixEngine &engine = sharedEngine(n, n);
     Rng rng(17);
-    std::vector<int> in(static_cast<std::size_t>(n));
-    for (int &v : in)
-        v = static_cast<int>(rng.uniformInt(0, 63));
+    const std::vector<std::uint8_t> in = randomCodes(n, 63, rng);
     ComposedMatrixEngine::MvmScratch scratch;
     std::vector<std::int64_t> out(static_cast<std::size_t>(n));
     for (auto _ : state) {

@@ -107,4 +107,35 @@ dfxRoundVector(std::vector<double> &data, int bits,
     return fmt;
 }
 
+int
+quantizeActivationCodes(std::span<const double> values, int bits,
+                        std::span<std::uint8_t> out)
+{
+    PRIME_ASSERT(bits >= 1 && bits <= 8, "bits=", bits);
+    PRIME_ASSERT(out.size() == values.size(),
+                 "codes ", out.size(), " vs values ", values.size());
+    double max_abs = 0.0;
+    for (double v : values)
+        max_abs = std::max(max_abs, std::fabs(v));
+    int exp = 0;
+    if (max_abs > 0.0)
+        std::frexp(max_abs, &exp);
+    const int frac = bits - exp;
+    const double max_code = static_cast<double>((1 << bits) - 1);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        const double scaled = std::ldexp(std::max(values[i], 0.0), frac);
+        out[i] = static_cast<std::uint8_t>(
+            std::clamp(std::nearbyint(scaled), 0.0, max_code));
+    }
+    return frac;
+}
+
+int
+quantizeWeightCode(double w, int frac, int bits)
+{
+    const double max_w = static_cast<double>((1 << bits) - 1);
+    return static_cast<int>(
+        std::clamp(std::nearbyint(std::ldexp(w, frac)), -max_w, max_w));
+}
+
 } // namespace prime

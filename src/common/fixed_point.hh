@@ -68,6 +68,20 @@ double dfxRound(double x, const DfxFormat &fmt);
 DfxFormat dfxRoundVector(std::vector<double> &data, int bits,
                          double saturate_fraction = 0.0);
 
+/**
+ * Unsigned @p bits-bit input codes (the wordline codes of paper Sec.
+ * III-D) into @p out, one per value, sharing one power-of-two scale:
+ * returns the fraction length, @p bits minus the exponent of the
+ * largest |value|.  Each code is round-to-nearest of value *
+ * 2^fraction, clamped to [0, 2^bits - 1].
+ */
+int quantizeActivationCodes(std::span<const double> values, int bits,
+                            std::span<std::uint8_t> out);
+
+/** A weight's sign-magnitude code: round-to-nearest of w * 2^frac,
+ *  saturated to +-(2^bits - 1). */
+int quantizeWeightCode(double w, int frac, int bits);
+
 } // namespace prime
 
 #endif // PRIME_COMMON_FIXED_POINT_HH

@@ -53,20 +53,16 @@ void
 QuantizedNetwork::injectCellFaults(const reram::FaultModel &model,
                                    Rng &rng)
 {
-    const int max_w = (1 << options_.composing.weightBits) - 1;
     for (QLayer &q : qlayers_) {
         if (q.weights.empty())
             continue;
         // Lift weights to composing codes, corrupt, drop back.
         std::vector<std::vector<int>> codes(
             1, std::vector<int>(q.weights.size()));
-        for (std::size_t i = 0; i < q.weights.size(); ++i) {
-            const double mant = std::nearbyint(
-                std::ldexp(q.weights[i], q.weightFormat.fracLength));
-            codes[0][i] = static_cast<int>(std::clamp(
-                mant, static_cast<double>(-max_w),
-                static_cast<double>(max_w)));
-        }
+        for (std::size_t i = 0; i < q.weights.size(); ++i)
+            codes[0][i] =
+                quantizeWeightCode(q.weights[i], q.weightFormat.fracLength,
+                                   options_.composing.weightBits);
         std::vector<std::vector<int>> faulty =
             reram::injectWeightFaults(codes, options_.composing, model,
                                       rng);

@@ -156,15 +156,14 @@ PrimeController::computeMatImpl(int global_mat)
     const reram::ComposedMatrixEngine &engine = m.engine();
     const std::size_t idx = static_cast<std::size_t>(global_mat);
     MatWork &work = work_[idx];
-    work.inputs.resize(static_cast<std::size_t>(engine.rows()));
     work.outputs.resize(static_cast<std::size_t>(engine.cols()));
-    std::copy(work.latch.begin(), work.latch.begin() + engine.rows(),
-              work.inputs.begin());
+    const std::span<const std::uint8_t> inputs =
+        std::span(work.latch).first(static_cast<std::size_t>(engine.rows()));
     if (analog_) {
         Rng *noise = noise_.empty() ? nullptr : &noise_[idx];
-        engine.mvmAnalog(work.inputs, work.outputs, work.scratch, noise);
+        engine.mvmAnalog(inputs, work.outputs, work.scratch, noise);
     } else {
-        engine.mvmExact(work.inputs, work.outputs, work.scratch);
+        engine.mvmExact(inputs, work.outputs, work.scratch);
     }
 }
 

@@ -106,8 +106,6 @@ class PrimeController
     {
         /** Input latch: byte r is wordline r's code. */
         std::array<std::uint8_t, kFfOutputOffset> latch{};
-        /** Latch codes widened to the engine's input type. */
-        std::vector<int> inputs;
         /** Output registers: the last MVM's target codes (Store drains
          *  them as int16). */
         std::vector<std::int64_t> outputs;

@@ -167,7 +167,15 @@ PrimeSystem::buildStages()
         // Pre-resolved here, single-threaded, so the stage workers
         // never do a creating map lookup on the tile path.
         ctx.tiledMvms = &ctx.stats->get("run.tiled_mvms");
-        stageContexts_.push_back(ctx);
+        for (const LayerProgram &lp : programs_) {
+            const mapping::WeightedLayer &info = lp.mapping->info;
+            ctx.codes.resize(std::max<std::size_t>(ctx.codes.size(),
+                                                   lp.spec.inputCount()));
+            ctx.window.resize(std::max<std::size_t>(ctx.window.size(),
+                                                    info.rows));
+            ctx.mvm.resize(std::max<std::size_t>(ctx.mvm.size(), info.cols));
+        }
+        stageContexts_.push_back(std::move(ctx));
     }
     inferences_ = &stats_.get("run.inferences");
 }
@@ -190,7 +198,6 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
                    " layers) does not match the mapped topology (",
                    topology_->layers.size(), " layers)");
 
-    const int max_w = (1 << tech_.weightBits) - 1;
     programs_.clear();
     configCommands_.clear();
 
@@ -250,12 +257,8 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
             static_cast<std::size_t>(rows),
             std::vector<int>(static_cast<std::size_t>(cols), 0));
         auto set_code = [&](int r, int c, double value) {
-            double mant = std::nearbyint(std::ldexp(value, fmt.fracLength));
-            codes[static_cast<std::size_t>(r)][static_cast<std::size_t>(
-                c)] =
-                static_cast<int>(std::clamp(
-                    mant, static_cast<double>(-max_w),
-                    static_cast<double>(max_w)));
+            codes[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)] =
+                quantizeWeightCode(value, fmt.fracLength, tech_.weightBits);
         };
         if (lp.spec.kind == nn::LayerKind::FullyConnected) {
             for (int o = 0; o < cols; ++o)
@@ -444,27 +447,6 @@ PrimeSystem::configDatapath()
     configured_ = true;
 }
 
-std::vector<std::uint8_t>
-PrimeSystem::quantizeToCodes(const std::vector<double> &values,
-                             int &in_frac) const
-{
-    double max_abs = 0.0;
-    for (double v : values)
-        max_abs = std::max(max_abs, std::fabs(v));
-    int exp = 0;
-    if (max_abs > 0.0)
-        std::frexp(max_abs, &exp);
-    in_frac = tech_.inputBits - exp;
-    const int max_code = (1 << tech_.inputBits) - 1;
-    std::vector<std::uint8_t> codes(values.size());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        double scaled = std::ldexp(std::max(values[i], 0.0), in_frac);
-        codes[i] = static_cast<std::uint8_t>(std::clamp(
-            std::nearbyint(scaled), 0.0, static_cast<double>(max_code)));
-    }
-    return codes;
-}
-
 void
 PrimeSystem::tiledMvm(const LayerProgram &lp,
                       std::span<const std::uint8_t> codes, int in_frac,
@@ -522,13 +504,12 @@ PrimeSystem::tiledMvm(const LayerProgram &lp,
     for (const TapeTile &tile : tape.tiles) {
         double *col = out.data() + tile.colBase;
         if (calibrating_) {
-            const std::span<int> seg(calibrationRows_.data(),
-                                     static_cast<std::size_t>(tile.rows));
             const std::span<std::int64_t> full(
                 calibrationFull_.data(), static_cast<std::size_t>(tile.cols));
-            std::copy_n(codes.begin() + tile.rowBase, tile.rows,
-                        seg.begin());
-            tile.engine->mvmFull(seg, full);
+            tile.engine->mvmFull(
+                codes.subspan(static_cast<std::size_t>(tile.rowBase),
+                              static_cast<std::size_t>(tile.rows)),
+                full);
             std::int64_t &peak = calibrationPeaks_[tile.peakSlot];
             for (int c = 0; c < tile.cols; ++c) {
                 const std::int64_t v = full[static_cast<std::size_t>(c)];
@@ -558,9 +539,11 @@ PrimeSystem::runFc(const LayerProgram &lp, const nn::Tensor &x,
                    ExecContext &ctx)
 {
     PRIME_SPAN(telemetry::globalTrace(), "layer.fc", "compute");
-    int in_frac = 0;
-    const std::vector<std::uint8_t> codes =
-        quantizeToCodes(x.flat(), in_frac);
+    PRIME_ASSERT(x.size() <= ctx.codes.size(), "fc input ", x.size());
+    const std::span<std::uint8_t> codes =
+        std::span(ctx.codes).first(x.size());
+    const int in_frac =
+        quantizeActivationCodes(x.flat(), tech_.inputBits, codes);
     nn::Tensor y({lp.spec.outFeatures});
     tiledMvm(lp, codes, in_frac, y.flat(), ctx);
     for (int o = 0; o < lp.spec.outFeatures; ++o)
@@ -575,16 +558,20 @@ PrimeSystem::runConv(const LayerProgram &lp, const nn::Tensor &x,
 {
     PRIME_SPAN(telemetry::globalTrace(), "layer.conv", "compute");
     const nn::LayerSpec &s = lp.spec;
+    PRIME_ASSERT(x.size() <= ctx.codes.size(), "conv input ", x.size());
     // Layer-wide activation scale, as the wordline drivers are
     // configured once per layer.
-    int in_frac = 0;
-    std::vector<std::uint8_t> all_codes =
-        quantizeToCodes(x.flat(), in_frac);
+    const std::span<std::uint8_t> all_codes =
+        std::span(ctx.codes).first(x.size());
+    const int in_frac =
+        quantizeActivationCodes(x.flat(), tech_.inputBits, all_codes);
 
     const int field = s.inC * s.kernel * s.kernel;
     nn::Tensor y({s.outC, s.outH, s.outW});
-    std::vector<std::uint8_t> codes(static_cast<std::size_t>(field));
-    std::vector<double> mvm(static_cast<std::size_t>(s.outC));
+    const std::span<std::uint8_t> codes =
+        std::span(ctx.window).first(static_cast<std::size_t>(field));
+    const std::span<double> mvm =
+        std::span(ctx.mvm).first(static_cast<std::size_t>(s.outC));
     for (int oy = 0; oy < s.outH; ++oy) {
         for (int ox = 0; ox < s.outW; ++ox) {
             std::size_t idx = 0;
@@ -623,7 +610,6 @@ PrimeSystem::calibrate(const std::vector<nn::Sample> &samples)
     for (const LayerProgram &lp : programs_)
         tiles += lp.tape.tiles.size();
     calibrationPeaks_.assign(tiles, -1);
-    calibrationRows_.resize(static_cast<std::size_t>(tech_.geometry.matRows));
     calibrationFull_.resize(static_cast<std::size_t>(tech_.geometry.matCols));
     calibrating_ = true;
     for (const nn::Sample &s : samples)
@@ -634,12 +620,8 @@ PrimeSystem::calibrate(const std::vector<nn::Sample> &samples)
             const std::int64_t peak = calibrationPeaks_[tile.peakSlot];
             if (peak < 0)
                 continue;
-            const std::int64_t bound = std::max<std::int64_t>(2 * peak, 1);
-            int bits = 0;
-            while ((std::int64_t{1} << bits) <= bound)
-                ++bits;
-            tile.engine->setOutputShift(
-                std::max(0, bits - tech_.outputBits));
+            tile.engine->setOutputShift(reram::outputShiftForBound(
+                std::max<std::int64_t>(2 * peak, 1), tech_.outputBits));
         }
     }
     stats_.get("run.calibrations").increment();
@@ -694,9 +676,9 @@ PrimeSystem::run(const nn::Tensor &input)
     PRIME_ASSERT(programmed_, "programWeight must precede run");
     PRIME_ASSERT(configured_, "configDatapath must precede run");
 
-    // Every stage runs in stage 0's context: the root StatGroup and the
-    // base staging windows.
-    ExecContext ctx = stageContexts_.front();
+    // Every stage runs in stage 0's context: the root StatGroup, the
+    // base staging windows and buffers sized for every layer.
+    ExecContext &ctx = stageContexts_.front();
     nn::Tensor x = input;
     for (std::size_t s = 0; s < stages_.size(); ++s)
         x = runStageImpl(x, s, ctx);

@@ -125,10 +125,11 @@ class PrimeSystem
 
     /**
      * Execution context of one pipeline stage (or the sequential
-     * default path): the StatGroup its run.* stats land in and the
-     * main-memory staging windows its Fetch/Commit traffic uses.
-     * Concurrent stages get disjoint windows and disjoint StatGroups,
-     * which is what makes the pipeline rounds race-free.
+     * default path): the StatGroup its run.* stats land in, the
+     * main-memory staging windows its Fetch/Commit traffic uses and
+     * the working buffers of its weighted layers.  Concurrent stages
+     * get disjoint windows, StatGroups and buffers, which is what
+     * makes the pipeline rounds race-free.
      */
     struct ExecContext
     {
@@ -141,6 +142,11 @@ class PrimeSystem
          * (StatGroup map nodes are address-stable).
          */
         Stat *tiledMvms = nullptr;
+        /** A layer's input codes, a conv window's codes and one tiled
+         *  MVM's outputs, sized by buildStages for every layer. */
+        std::vector<std::uint8_t> codes;
+        std::vector<std::uint8_t> window;
+        std::vector<double> mvm;
     };
 
     /** The plan's pipeline stages (valid after programWeight). */
@@ -286,10 +292,6 @@ class PrimeSystem
     /** Seed of @p bank's read-noise streams (none: no noise). */
     std::optional<std::uint64_t> bankNoiseSeed(int bank) const;
 
-    /** Quantize a non-negative activation vector to Pin-bit codes. */
-    std::vector<std::uint8_t>
-    quantizeToCodes(const std::vector<double> &values, int &in_frac) const;
-
     /**
      * MVM through the mapped tiles of one layer (split-merge): replays
      * the layer's tape and merges the tiles into @p out (cols entries),
@@ -308,8 +310,8 @@ class PrimeSystem
     nn::Tensor runStageImpl(const nn::Tensor &x, std::size_t stage,
                             ExecContext &ctx);
 
-    /** Build stages_ + stageContexts_ from the plan and bind the run
-     *  counters (programWeight). */
+    /** Build stages_ + stageContexts_ from the plan, size the
+     *  contexts' buffers and bind the run counters (programWeight). */
     void buildStages();
 
     nvmodel::TechParams tech_;
@@ -339,10 +341,9 @@ class PrimeSystem
     /** Peak |integer dot product| per tape tile during calibration
      *  (-1: no sample reached the tile). */
     std::vector<std::int64_t> calibrationPeaks_;
-    /** A calibrated tile's input codes and untruncated dot products,
-     *  sized by calibrate() for a whole mat; calibration runs
-     *  single-threaded through run(), so one pair serves every tile. */
-    std::vector<int> calibrationRows_;
+    /** A calibrated tile's untruncated dot products, sized by
+     *  calibrate() for a whole mat; calibration runs single-threaded
+     *  through run(), so one buffer serves every tile. */
     std::vector<std::int64_t> calibrationFull_;
     /** Cursor for migrating FF-resident data into Mem space. */
     std::uint64_t migrationAddr_ = 0;

@@ -71,23 +71,17 @@ InSituTrainer::reprogram(TrainLayer &layer)
         std::span<const double>(layer.shadowW.data(),
                                 layer.shadowW.size()),
         tech_.weightBits, 0.01);
-    const int max_w = (1 << tech_.weightBits) - 1;
     const int rows = layer.spec.inFeatures;
     const int cols = layer.spec.outFeatures;
     std::vector<std::vector<int>> codes(
         static_cast<std::size_t>(rows),
         std::vector<int>(static_cast<std::size_t>(cols)));
     for (int o = 0; o < cols; ++o)
-        for (int i = 0; i < rows; ++i) {
-            const double mant = std::nearbyint(std::ldexp(
-                layer.shadowW[static_cast<std::size_t>(o) * rows + i],
-                layer.format.fracLength));
-            codes[static_cast<std::size_t>(i)]
-                 [static_cast<std::size_t>(o)] =
-                static_cast<int>(std::clamp(
-                    mant, static_cast<double>(-max_w),
-                    static_cast<double>(max_w)));
-        }
+        for (int i = 0; i < rows; ++i)
+            codes[static_cast<std::size_t>(i)][static_cast<std::size_t>(o)] =
+                quantizeWeightCode(
+                    layer.shadowW[static_cast<std::size_t>(o) * rows + i],
+                    layer.format.fracLength, tech_.weightBits);
     const std::uint64_t before = layer.engine->totalCellWrites();
     layer.engine->programWeights(
         codes, options_.programVariation > 0.0 ? rng_ : nullptr);
@@ -101,24 +95,12 @@ std::vector<double>
 InSituTrainer::layerForward(TrainLayer &layer,
                             const std::vector<double> &input)
 {
-    // Quantize activations to unsigned Pin-bit codes.
-    double max_abs = 0.0;
-    for (double v : input)
-        max_abs = std::max(max_abs, std::fabs(v));
-    int exp = 0;
-    if (max_abs > 0.0)
-        std::frexp(max_abs, &exp);
-    const int in_frac = tech_.inputBits - exp;
-    const int max_code = (1 << tech_.inputBits) - 1;
-    std::vector<int> codes(input.size());
-    for (std::size_t i = 0; i < input.size(); ++i)
-        codes[i] = static_cast<int>(std::clamp(
-            std::nearbyint(std::ldexp(std::max(input[i], 0.0), in_frac)),
-            0.0, static_cast<double>(max_code)));
-
+    layer.codes.resize(input.size());
+    const int in_frac =
+        quantizeActivationCodes(input, tech_.inputBits, layer.codes);
     std::vector<std::int64_t> &targets = layer.targets;
     targets.resize(static_cast<std::size_t>(layer.engine->cols()));
-    layer.engine->mvmExact(codes, targets, layer.scratch);
+    layer.engine->mvmExact(layer.codes, targets, layer.scratch);
     const int shift = layer.engine->outputShift();
     std::vector<double> out(targets.size());
     for (std::size_t o = 0; o < targets.size(); ++o)

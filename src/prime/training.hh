@@ -90,8 +90,9 @@ class InSituTrainer
         std::vector<double> gradW, gradB;
         /** The crossbar engine holding the quantized weights. */
         std::unique_ptr<reram::ComposedMatrixEngine> engine;
-        /** The engine's MVM working memory and its target codes,
-         *  reused across forward passes. */
+        /** The engine's input codes, MVM working memory and target
+         *  codes, reused across forward passes. */
+        std::vector<std::uint8_t> codes;
         reram::ComposedMatrixEngine::MvmScratch scratch;
         std::vector<std::int64_t> targets;
         DfxFormat format;

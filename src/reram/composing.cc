@@ -129,21 +129,6 @@ class Assembler
     std::int64_t hi_;
 };
 
-/** Asserts every input is an @p in_bits-bit code: one or-reduction,
- *  the offending row looked up only on failure. */
-void
-checkCodes(std::span<const int> inputs, int in_bits)
-{
-    unsigned any = 0;
-    for (const int v : inputs)
-        any |= static_cast<unsigned>(v);
-    if (any >> in_bits == 0)
-        return;
-    for (std::size_t r = 0; r < inputs.size(); ++r)
-        PRIME_ASSERT(inputs[r] >= 0 && inputs[r] < (1 << in_bits), "input ",
-                     inputs[r], " out of ", in_bits, "-bit range at row ", r);
-}
-
 } // namespace
 
 std::int64_t
@@ -182,6 +167,15 @@ composedApprox(std::span<const int> inputs, std::span<const int> weights,
 }
 
 int
+outputShiftForBound(std::int64_t bound, int output_bits)
+{
+    int bits = 0;
+    while ((std::int64_t{1} << bits) <= bound)
+        ++bits;
+    return std::max(0, bits - output_bits);
+}
+
+int
 calibratedOutputShift(const std::vector<std::vector<int>> &weights,
                       const ComposingParams &p)
 {
@@ -195,16 +189,13 @@ calibratedOutputShift(const std::vector<std::vector<int>> &weights,
             bound += max_in * std::abs(static_cast<std::int64_t>(row[c]));
         worst = std::max(worst, bound);
     }
-    int bits = 0;
-    while ((std::int64_t{1} << bits) <= worst)
-        ++bits;
-    return std::max(0, bits - p.outputBits);
+    return outputShiftForBound(worst, p.outputBits);
 }
 
 ComposedMatrixEngine::ComposedMatrixEngine(int rows, int cols,
                                            const ComposingParams &p,
                                            const CrossbarParams &array_params)
-    : rows_(rows), cols_(cols), pn_(pnForInputCount(rows)), composing_(p),
+    : rows_(rows), cols_(cols), composing_(p),
       outputShift_(defaultOutputShift(p, rows)),
       arrays_([&] {
           CrossbarParams cp = array_params;
@@ -216,6 +207,8 @@ ComposedMatrixEngine::ComposedMatrixEngine(int rows, int cols,
       }())
 {
     PRIME_ASSERT(p.consistent(), "inconsistent composing parameters");
+    PRIME_ASSERT(p.inputBits <= 8, "inputBits=", p.inputBits,
+                 " exceeds the one-byte input code");
     PRIME_ASSERT(rows > 0 && cols > 0, "bad engine geometry");
 }
 
@@ -252,19 +245,19 @@ ComposedMatrixEngine::assemble(std::span<const std::int64_t> pass_h,
 }
 
 void
-ComposedMatrixEngine::splitPhases(std::span<const int> inputs,
+ComposedMatrixEngine::splitPhases(std::span<const std::uint8_t> inputs,
                                   MvmScratch &scratch) const
 {
     PRIME_ASSERT(static_cast<int>(inputs.size()) == rows_,
                  "inputs=", inputs.size());
-    checkCodes(inputs, composing_.inputBits);
+    detail::checkInputCodes(inputs, composing_.inputBits);
     const std::size_t rows = static_cast<std::size_t>(rows_);
     scratch.phases.resize(2 * rows);
     const int bits = composing_.inputPhaseBits;
     const int mask = (1 << bits) - 1;
     for (std::size_t r = 0; r < rows; ++r) {
-        scratch.phases[r] = inputs[r] >> bits;
-        scratch.phases[rows + r] = inputs[r] & mask;
+        scratch.phases[r] = static_cast<std::uint8_t>(inputs[r] >> bits);
+        scratch.phases[rows + r] = static_cast<std::uint8_t>(inputs[r] & mask);
     }
 }
 
@@ -276,7 +269,7 @@ ComposedMatrixEngine::calibrateOutputShift()
 }
 
 void
-ComposedMatrixEngine::mvmExact(std::span<const int> inputs,
+ComposedMatrixEngine::mvmExact(std::span<const std::uint8_t> inputs,
                                std::span<std::int64_t> out,
                                MvmScratch &scratch) const
 {
@@ -286,7 +279,7 @@ ComposedMatrixEngine::mvmExact(std::span<const int> inputs,
     const std::size_t rows = static_cast<std::size_t>(rows_);
     const std::size_t lines = 2 * static_cast<std::size_t>(cols_);
     scratch.passes.resize(2 * lines);
-    const std::span<const int> phases(scratch.phases);
+    const std::span<const std::uint8_t> phases(scratch.phases);
     const std::span<std::int64_t> passes(scratch.passes);
     // One fused pass over both input phases: of the high phase, even
     // bitlines give HH and odd LH; of the low phase, HL and LL.
@@ -296,7 +289,7 @@ ComposedMatrixEngine::mvmExact(std::span<const int> inputs,
 }
 
 void
-ComposedMatrixEngine::mvmAnalog(std::span<const int> inputs,
+ComposedMatrixEngine::mvmAnalog(std::span<const std::uint8_t> inputs,
                                 std::span<std::int64_t> out,
                                 MvmScratch &scratch, Rng *rng) const
 {
@@ -307,7 +300,7 @@ ComposedMatrixEngine::mvmAnalog(std::span<const int> inputs,
     const std::size_t lines = 2 * static_cast<std::size_t>(cols_);
     scratch.passes.resize(2 * lines);
     scratch.currents.resize(2 * lines);
-    const std::span<const int> phases(scratch.phases);
+    const std::span<const std::uint8_t> phases(scratch.phases);
     const std::span<double> current(scratch.currents);
     // One pass per input phase (high first: the RNG-ordering contract);
     // the SA digitizes each component to the nearest level-unit code
@@ -325,7 +318,7 @@ ComposedMatrixEngine::mvmAnalog(std::span<const int> inputs,
 }
 
 void
-ComposedMatrixEngine::mvmFull(std::span<const int> inputs,
+ComposedMatrixEngine::mvmFull(std::span<const std::uint8_t> inputs,
                               std::span<std::int64_t> out) const
 {
     PRIME_ASSERT(!logicalWeights_.empty(), "weights not programmed");
@@ -333,12 +326,11 @@ ComposedMatrixEngine::mvmFull(std::span<const int> inputs,
                  "inputs=", inputs.size());
     PRIME_ASSERT(static_cast<int>(out.size()) == cols_,
                  "outputs=", out.size());
-    checkCodes(inputs, composing_.inputBits);
+    detail::checkInputCodes(inputs, composing_.inputBits);
     // Row-outer over each row's contiguous columns.  A product fits
-    // int32 -- inputs below 2^Pin <= 2^16 (two phases of at most 8
-    // bits) times |w| below 2^Pw <= 2^14 (int8 plane halves) -- so the
-    // multiply vectorizes; the sums are int64 and exact, so neither
-    // changes the result.
+    // int32 -- one-byte inputs times |w| below 2^Pw <= 2^14 (int8
+    // plane halves) -- so the multiply vectorizes; the sums are int64
+    // and exact, so neither changes the result.
     std::fill(out.begin(), out.end(), 0);
     for (std::size_t r = 0; r < inputs.size(); ++r) {
         const int in = inputs[r];
@@ -351,9 +343,12 @@ ComposedMatrixEngine::mvmFull(std::span<const int> inputs,
 }
 
 std::vector<std::int64_t>
-ComposedMatrixEngine::targetExact(std::span<const int> inputs) const
+ComposedMatrixEngine::targetExact(std::span<const std::uint8_t> inputs) const
 {
     PRIME_ASSERT(!logicalWeights_.empty(), "weights not programmed");
+    PRIME_ASSERT(static_cast<int>(inputs.size()) == rows_,
+                 "inputs=", inputs.size());
+    detail::checkInputCodes(inputs, composing_.inputBits);
     std::vector<std::int64_t> out(cols_);
     for (int c = 0; c < cols_; ++c) {
         std::int64_t full = 0;

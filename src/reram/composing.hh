@@ -114,6 +114,10 @@ std::int64_t composedApproxShifted(std::span<const int> inputs,
                                    const ComposingParams &p,
                                    int total_shift);
 
+/** The SA window for |dot products| up to @p bound: the smallest
+ *  shift s >= 0 with 2^(s + Po) > @p bound. */
+int outputShiftForBound(std::int64_t bound, int output_bits);
+
 /**
  * Static per-layer SA-range calibration: the smallest shift whose
  * window covers the worst-case |dot product| of the programmed weight
@@ -159,7 +163,7 @@ class ComposedMatrixEngine
      */
     struct MvmScratch
     {
-        std::vector<int> phases;
+        std::vector<std::uint8_t> phases;
         std::vector<std::int64_t> passes;
         std::vector<double> currents;
     };
@@ -170,8 +174,8 @@ class ComposedMatrixEngine
 
     /** Composed MVM with ideal devices (integer datapath) into @p out
      *  (cols entries). */
-    void mvmExact(std::span<const int> inputs, std::span<std::int64_t> out,
-                  MvmScratch &scratch) const;
+    void mvmExact(std::span<const std::uint8_t> inputs,
+                  std::span<std::int64_t> out, MvmScratch &scratch) const;
 
     /**
      * Composed MVM through the analog arrays into @p out (programming
@@ -180,16 +184,17 @@ class ComposedMatrixEngine
      * in hardware.  Per call, the high input phase's noise draws
      * (positive array then negative) precede the low phase's.
      */
-    void mvmAnalog(std::span<const int> inputs, std::span<std::int64_t> out,
-                   MvmScratch &scratch, Rng *rng = nullptr) const;
+    void mvmAnalog(std::span<const std::uint8_t> inputs,
+                   std::span<std::int64_t> out, MvmScratch &scratch,
+                   Rng *rng = nullptr) const;
 
     /** Reference target codes for the currently programmed weights. */
     std::vector<std::int64_t>
-    targetExact(std::span<const int> inputs) const;
+    targetExact(std::span<const std::uint8_t> inputs) const;
 
     /** Untruncated integer dot products into @p out (cols entries;
      *  for SA-window calibration). */
-    void mvmFull(std::span<const int> inputs,
+    void mvmFull(std::span<const std::uint8_t> inputs,
                  std::span<std::int64_t> out) const;
 
     int rows() const { return rows_; }
@@ -222,7 +227,8 @@ class ComposedMatrixEngine
 
   private:
     /** Split @p inputs into the high | low phases of @p scratch. */
-    void splitPhases(std::span<const int> inputs, MvmScratch &scratch) const;
+    void splitPhases(std::span<const std::uint8_t> inputs,
+                     MvmScratch &scratch) const;
 
     /**
      * Assemble target codes into @p out from the two passes' bitlines:
@@ -235,7 +241,6 @@ class ComposedMatrixEngine
 
     int rows_;
     int cols_;
-    int pn_;
     ComposingParams composing_;
     int outputShift_;
     DifferentialPair arrays_;

@@ -1,6 +1,7 @@
 #include "reram/crossbar.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #ifdef __x86_64__
 #include <immintrin.h>
@@ -59,39 +60,12 @@ accumulateCurrentRow(double *acc, const double *geff, double v, int cols)
 
 // The exact kernel sums u8 x s8 products in int32 over bounded row
 // chunks, widening to the int64 result between chunks: one product is
-// at most 255 * 127, so 16384 rows stay under 2^31 with margin.  A
-// chunk's packed phases live on the stack, so the kernel never
-// allocates.
+// at most 255 * 127, so 16384 rows stay under 2^31 with margin.  The
+// phases are read in place, so the kernel never allocates.
 constexpr int kChunkRows = 16384;
-constexpr int kChunkQuads = kChunkRows / 4;
 static_assert(std::int64_t{kChunkRows} * 255 * 127 <
               (std::int64_t{1} << 31));
-
-/**
- * Pack rows [r0, r1) of both phases into 4-row quads, byte k of quad q
- * holding row r0 + 4q + k (rows past r1 are 0); returns the bitwise
- * or of every packed phase.
- */
-unsigned
-packQuads(const int *high, const int *low, int r0, int r1,
-          std::uint32_t *qh, std::uint32_t *ql)
-{
-    unsigned any = 0;
-    for (int r = r0, q = 0; r < r1; r += 4, ++q) {
-        std::uint32_t h = 0;
-        std::uint32_t l = 0;
-        for (int k = 0; k < 4 && r + k < r1; ++k) {
-            const auto hk = static_cast<unsigned>(high[r + k]);
-            const auto lk = static_cast<unsigned>(low[r + k]);
-            any |= hk | lk;
-            h |= hk << (8 * k);
-            l |= lk << (8 * k);
-        }
-        qh[q] = h;
-        ql[q] = l;
-    }
-    return any;
-}
+static_assert(kChunkRows % 4 == 0, "chunks start on a plane quad");
 
 /** pass[0, n) += sums[0, n): one register's int32 column sums,
  *  widened. */
@@ -102,44 +76,14 @@ addSums(std::int64_t *pass, const std::int32_t *sums, int n)
         pass[c] += sums[c];
 }
 
-/** Adds one chunk's products (quads row quads of the plane) into the
- *  int64 passes. */
-using ChunkFn = void (*)(const std::int8_t *plane, int quads, int stride,
-                         int cols, const std::uint32_t *qh,
-                         const std::uint32_t *ql, std::int64_t *pass_h,
-                         std::int64_t *pass_l);
-
-/**
- * The body every variant shares: pack each row chunk once, then run
- * @p narrow over it, or @p wide when some phase is 128 or more.
- */
-void
-runChunks(ChunkFn narrow, ChunkFn wide, const std::int8_t *plane,
-          int rows, int cols, const int *high, const int *low,
-          std::int64_t *pass_h, std::int64_t *pass_l)
-{
-    alignas(64) std::uint32_t qh[kChunkQuads];
-    alignas(64) std::uint32_t ql[kChunkQuads];
-    const int stride = detail::quadPlaneStride(cols);
-    std::fill_n(pass_h, cols, 0);
-    std::fill_n(pass_l, cols, 0);
-    for (int r0 = 0; r0 < rows; r0 += kChunkRows) {
-        const int r1 = std::min(rows, r0 + kChunkRows);
-        const unsigned any = packQuads(high, low, r0, r1, qh, ql);
-        (any < 128 ? narrow : wide)(
-            plane + static_cast<std::size_t>(r0) * stride,
-            (r1 - r0 + 3) / 4, stride, cols, qh, ql, pass_h, pass_l);
-    }
-}
-
 /**
  * The reference loop, 16 columns at a time.  A u8 x s8 product always
  * fits int16 (255 * -128 = -32640), and computing it there lets the
  * baseline ISA vectorize the loop with 16-bit multiplies.
  */
 void
-plainChunk(const std::int8_t *plane, int quads, int stride, int cols,
-           const std::uint32_t *qh, const std::uint32_t *ql,
+plainChunk(const std::int8_t *plane, int rows, int stride, int cols,
+           const std::uint8_t *high, const std::uint8_t *low,
            std::int64_t *pass_h, std::int64_t *pass_l)
 {
     constexpr int kCols = 16;
@@ -147,13 +91,13 @@ plainChunk(const std::int8_t *plane, int quads, int stride, int cols,
         std::int32_t acc_h[kCols] = {};
         std::int32_t acc_l[kCols] = {};
         const std::int8_t *w = plane + static_cast<std::size_t>(c0) * 4;
-        for (int q = 0; q < quads;
-             ++q, w += static_cast<std::size_t>(stride) * 4) {
-            std::int16_t h[4];
-            std::int16_t l[4];
-            for (int k = 0; k < 4; ++k) {
-                h[k] = static_cast<std::int16_t>((qh[q] >> (8 * k)) & 0xff);
-                l[k] = static_cast<std::int16_t>((ql[q] >> (8 * k)) & 0xff);
+        for (int r = 0; r < rows;
+             r += 4, w += static_cast<std::size_t>(stride) * 4) {
+            std::int16_t h[4] = {};
+            std::int16_t l[4] = {};
+            for (int k = 0; k < 4 && r + k < rows; ++k) {
+                h[k] = high[r + k];
+                l[k] = low[r + k];
             }
             for (int c = 0; c < kCols; ++c) {
                 const std::int8_t *v = w + std::size_t{4} * c;
@@ -173,27 +117,37 @@ plainChunk(const std::int8_t *plane, int quads, int stride, int cols,
     }
 }
 
-void
-plainKernel(const std::int8_t *plane, int rows, int cols, const int *high,
-            const int *low, std::int64_t *pass_h, std::int64_t *pass_l)
-{
-    runChunks(plainChunk, plainChunk, plane, rows, cols, high, low, pass_h,
-              pass_l);
-}
-
 #ifdef PRIME_SIGNED_PLANE_X86
+
+/**
+ * The next @p n <= 4 rows of a phase as one quad, byte k holding row k
+ * (x86 is little-endian) and bytes past n zero: a whole quad is one
+ * load in place, a last partial one is built from the rows left, so
+ * no phase is read past its end.
+ */
+inline int
+phaseQuad(const std::uint8_t *rows, int n)
+{
+    std::uint32_t quad = 0;
+    if (n == 4)
+        std::memcpy(&quad, rows, 4);
+    else
+        for (int k = 0; k < n; ++k)
+            quad |= std::uint32_t{rows[k]} << (8 * k);
+    return static_cast<int>(quad);
+}
 
 /**
  * AVX2, NB registers of 8 columns: vpmaddubsw sums row pairs of u8 x
  * s8 products into int16, vpmaddwd the two pairs into int32.  The
  * int16 step saturates above 32767, so it is exact only while every
- * phase is below 128 (2 * 127 * 127 = 32258); runChunks sends wider
- * chunks to the plain loop.
+ * phase is below 128 (2 * 127 * 127 = 32258): the avx2 kernel's wide
+ * loop, for chunks with a phase of 128 or more, is the plain one.
  */
 template <int NB>
 PRIME_TARGET_AVX2 void
-avx2Block(const std::int8_t *plane, int quads, int stride, int cols, int c0,
-          const std::uint32_t *qh, const std::uint32_t *ql,
+avx2Block(const std::int8_t *plane, int rows, int stride, int cols, int c0,
+          const std::uint8_t *high, const std::uint8_t *low,
           std::int64_t *pass_h, std::int64_t *pass_l)
 {
     const __m256i ones = _mm256_set1_epi16(1);
@@ -202,9 +156,11 @@ avx2Block(const std::int8_t *plane, int quads, int stride, int cols, int c0,
     for (int j = 0; j < NB; ++j)
         acc_h[j] = acc_l[j] = _mm256_setzero_si256();
     const std::int8_t *w = plane + static_cast<std::size_t>(c0) * 4;
-    for (int q = 0; q < quads; ++q, w += static_cast<std::size_t>(stride) * 4) {
-        const __m256i h = _mm256_set1_epi32(static_cast<int>(qh[q]));
-        const __m256i l = _mm256_set1_epi32(static_cast<int>(ql[q]));
+    for (int r = 0; r < rows;
+         r += 4, w += static_cast<std::size_t>(stride) * 4) {
+        const int n = std::min(4, rows - r);
+        const __m256i h = _mm256_set1_epi32(phaseQuad(high + r, n));
+        const __m256i l = _mm256_set1_epi32(phaseQuad(low + r, n));
         for (int j = 0; j < NB; ++j) {
             const __m256i v = _mm256_loadu_si256(
                 reinterpret_cast<const __m256i *>(w + std::size_t{32} * j));
@@ -226,31 +182,25 @@ avx2Block(const std::int8_t *plane, int quads, int stride, int cols, int c0,
 }
 
 PRIME_TARGET_AVX2 void
-avx2Chunk(const std::int8_t *plane, int quads, int stride, int cols,
-          const std::uint32_t *qh, const std::uint32_t *ql,
+avx2Chunk(const std::int8_t *plane, int rows, int stride, int cols,
+          const std::uint8_t *high, const std::uint8_t *low,
           std::int64_t *pass_h, std::int64_t *pass_l)
 {
     int c0 = 0;
     for (; c0 + 32 <= cols; c0 += 32)
-        avx2Block<4>(plane, quads, stride, cols, c0, qh, ql, pass_h, pass_l);
+        avx2Block<4>(plane, rows, stride, cols, c0, high, low, pass_h,
+                     pass_l);
     for (; c0 < cols; c0 += 8)
-        avx2Block<1>(plane, quads, stride, cols, c0, qh, ql, pass_h, pass_l);
-}
-
-void
-avx2Kernel(const std::int8_t *plane, int rows, int cols, const int *high,
-           const int *low, std::int64_t *pass_h, std::int64_t *pass_l)
-{
-    runChunks(avx2Chunk, plainChunk, plane, rows, cols, high, low, pass_h,
-              pass_l);
+        avx2Block<1>(plane, rows, stride, cols, c0, high, low, pass_h,
+                     pass_l);
 }
 
 /** AVX-512 VNNI, NB registers of 16 columns: one vpdpbusd adds four
  *  rows' u8 x s8 products into each int32 lane, exactly. */
 template <int NB>
 PRIME_TARGET_VNNI void
-vnniBlock(const std::int8_t *plane, int quads, int stride, int cols, int c0,
-          const std::uint32_t *qh, const std::uint32_t *ql,
+vnniBlock(const std::int8_t *plane, int rows, int stride, int cols, int c0,
+          const std::uint8_t *high, const std::uint8_t *low,
           std::int64_t *pass_h, std::int64_t *pass_l)
 {
     __m512i acc_h[NB];
@@ -258,9 +208,11 @@ vnniBlock(const std::int8_t *plane, int quads, int stride, int cols, int c0,
     for (int j = 0; j < NB; ++j)
         acc_h[j] = acc_l[j] = _mm512_setzero_si512();
     const std::int8_t *w = plane + static_cast<std::size_t>(c0) * 4;
-    for (int q = 0; q < quads; ++q, w += static_cast<std::size_t>(stride) * 4) {
-        const __m512i h = _mm512_set1_epi32(static_cast<int>(qh[q]));
-        const __m512i l = _mm512_set1_epi32(static_cast<int>(ql[q]));
+    for (int r = 0; r < rows;
+         r += 4, w += static_cast<std::size_t>(stride) * 4) {
+        const int n = std::min(4, rows - r);
+        const __m512i h = _mm512_set1_epi32(phaseQuad(high + r, n));
+        const __m512i l = _mm512_set1_epi32(phaseQuad(low + r, n));
         for (int j = 0; j < NB; ++j) {
             const __m512i v = _mm512_loadu_si512(w + std::size_t{64} * j);
             acc_h[j] = _mm512_dpbusd_epi32(acc_h[j], h, v);
@@ -279,23 +231,17 @@ vnniBlock(const std::int8_t *plane, int quads, int stride, int cols, int c0,
 }
 
 PRIME_TARGET_VNNI void
-vnniChunk(const std::int8_t *plane, int quads, int stride, int cols,
-          const std::uint32_t *qh, const std::uint32_t *ql,
+vnniChunk(const std::int8_t *plane, int rows, int stride, int cols,
+          const std::uint8_t *high, const std::uint8_t *low,
           std::int64_t *pass_h, std::int64_t *pass_l)
 {
     int c0 = 0;
     for (; c0 + 64 <= cols; c0 += 64)
-        vnniBlock<4>(plane, quads, stride, cols, c0, qh, ql, pass_h, pass_l);
+        vnniBlock<4>(plane, rows, stride, cols, c0, high, low, pass_h,
+                     pass_l);
     for (; c0 < cols; c0 += 16)
-        vnniBlock<1>(plane, quads, stride, cols, c0, qh, ql, pass_h, pass_l);
-}
-
-void
-vnniKernel(const std::int8_t *plane, int rows, int cols, const int *high,
-           const int *low, std::int64_t *pass_h, std::int64_t *pass_l)
-{
-    runChunks(vnniChunk, vnniChunk, plane, rows, cols, high, low, pass_h,
-              pass_l);
+        vnniBlock<1>(plane, rows, stride, cols, c0, high, low, pass_h,
+                     pass_l);
 }
 
 #endif // PRIME_SIGNED_PLANE_X86
@@ -383,19 +329,18 @@ Crossbar::conductance(int row, int col) const
 }
 
 void
-Crossbar::mvmExact(std::span<const int> input_levels,
+Crossbar::mvmExact(std::span<const std::uint8_t> input_levels,
                    std::span<std::int64_t> out) const
 {
     PRIME_ASSERT(static_cast<int>(input_levels.size()) == params_.rows,
                  "inputs=", input_levels.size());
     PRIME_ASSERT(static_cast<int>(out.size()) == params_.cols,
                  "outputs=", out.size());
+    detail::checkInputCodes(input_levels, params_.inputBits);
     const int cols = params_.cols;
     std::fill(out.begin(), out.end(), 0);
     for (int r = 0; r < params_.rows; ++r) {
         const std::int64_t in = input_levels[r];
-        PRIME_ASSERT(in >= 0 && in < params_.inputLevels(),
-                     "input level ", in, " out of range at row ", r);
         const std::size_t base = static_cast<std::size_t>(r) * cols;
         for (int c = 0; c < cols; ++c)
             out[static_cast<std::size_t>(c)] += in * cells_[base + c].level();
@@ -403,13 +348,14 @@ Crossbar::mvmExact(std::span<const int> input_levels,
 }
 
 void
-Crossbar::mvmAnalog(std::span<const int> input_levels,
+Crossbar::mvmAnalog(std::span<const std::uint8_t> input_levels,
                     std::span<double> current, Rng *rng) const
 {
     PRIME_ASSERT(static_cast<int>(input_levels.size()) == params_.rows,
                  "inputs=", input_levels.size());
     PRIME_ASSERT(static_cast<int>(current.size()) == params_.cols,
                  "outputs=", current.size());
+    detail::checkInputCodes(input_levels, params_.inputBits);
     ensurePlanes();
     const Volt v_step = params_.voltageStep();
     const int cols = params_.cols;
@@ -516,8 +462,8 @@ DifferentialPair::programSigned(const std::vector<std::vector<int>> &weights,
 }
 
 void
-DifferentialPair::mvmExact(std::span<const int> high_phase,
-                           std::span<const int> low_phase,
+DifferentialPair::mvmExact(std::span<const std::uint8_t> high_phase,
+                           std::span<const std::uint8_t> low_phase,
                            std::span<std::int64_t> pass_h,
                            std::span<std::int64_t> pass_l) const
 {
@@ -528,25 +474,15 @@ DifferentialPair::mvmExact(std::span<const int> high_phase,
     PRIME_ASSERT(static_cast<int>(pass_h.size()) == p.cols &&
                      static_cast<int>(pass_l.size()) == p.cols,
                  "outputs=", pass_h.size(), "/", pass_l.size());
-    // inputLevels is a power of two, so every phase is in range
-    // exactly when the bitwise or of all of them is.
-    unsigned any = 0;
-    for (int r = 0; r < p.rows; ++r)
-        any |= static_cast<unsigned>(high_phase[r] | low_phase[r]);
-    if (any >= static_cast<unsigned>(p.inputLevels())) {
-        for (int r = 0; r < p.rows; ++r)
-            PRIME_ASSERT(static_cast<unsigned>(high_phase[r] | low_phase[r]) <
-                             static_cast<unsigned>(p.inputLevels()),
-                         "input level ", high_phase[r], "/", low_phase[r],
-                         " out of range at row ", r);
-    }
+    detail::checkInputCodes(high_phase, p.inputBits);
+    detail::checkInputCodes(low_phase, p.inputBits);
     detail::dispatchedSignedPlaneKernel().run(
         quadPlane_.data(), p.rows, p.cols, high_phase.data(),
         low_phase.data(), pass_h.data(), pass_l.data());
 }
 
 void
-DifferentialPair::mvmAnalog(std::span<const int> input_levels,
+DifferentialPair::mvmAnalog(std::span<const std::uint8_t> input_levels,
                             std::span<double> out, std::span<double> neg,
                             Rng *rng) const
 {
@@ -558,6 +494,26 @@ DifferentialPair::mvmAnalog(std::span<const int> input_levels,
 
 namespace detail {
 
+void
+SignedPlaneKernel::run(const std::int8_t *plane, int rows, int cols,
+                       const std::uint8_t *high, const std::uint8_t *low,
+                       std::int64_t *pass_h, std::int64_t *pass_l) const
+{
+    const int stride = quadPlaneStride(cols);
+    std::fill_n(pass_h, cols, 0);
+    std::fill_n(pass_l, cols, 0);
+    for (int r0 = 0; r0 < rows; r0 += kChunkRows) {
+        const int n = std::min(rows - r0, kChunkRows);
+        unsigned any = 0;
+        if (narrow != wide)
+            for (int r = r0; r < r0 + n; ++r)
+                any |= static_cast<unsigned>(high[r] | low[r]);
+        (any < 128 ? narrow : wide)(
+            plane + static_cast<std::size_t>(r0) * stride, n, stride, cols,
+            high + r0, low + r0, pass_h, pass_l);
+    }
+}
+
 std::span<const SignedPlaneKernel>
 signedPlaneKernels()
 {
@@ -566,13 +522,13 @@ signedPlaneKernels()
 #endif
     static const SignedPlaneKernel kernels[] = {
 #ifdef PRIME_SIGNED_PLANE_X86
-        {"avx512vnni", vnniKernel,
+        {"avx512vnni", vnniChunk, vnniChunk,
          __builtin_cpu_supports("avx512f") &&
              __builtin_cpu_supports("avx512bw") &&
              __builtin_cpu_supports("avx512vnni")},
-        {"avx2", avx2Kernel, __builtin_cpu_supports("avx2") != 0},
+        {"avx2", avx2Chunk, plainChunk, __builtin_cpu_supports("avx2") != 0},
 #endif
-        {"plain", plainKernel, true},
+        {"plain", plainChunk, plainChunk, true},
     };
     return kernels;
 }
@@ -584,6 +540,20 @@ dispatchedSignedPlaneKernel()
     static const SignedPlaneKernel &chosen = *std::ranges::find(
         signedPlaneKernels(), true, &SignedPlaneKernel::supported);
     return chosen;
+}
+
+void
+checkInputCodes(std::span<const std::uint8_t> codes, int bits)
+{
+    unsigned any = 0;
+    for (const std::uint8_t v : codes)
+        any |= v;
+    if (any >> bits == 0)
+        return;
+    for (std::size_t r = 0; r < codes.size(); ++r)
+        PRIME_ASSERT(codes[r] >> bits == 0, "input level ",
+                     static_cast<int>(codes[r]), " out of ", bits,
+                     "-bit range at row ", r);
 }
 
 } // namespace detail

@@ -102,7 +102,7 @@ class Crossbar
      * fused DifferentialPair kernel is tested against; writes the cols
      * results to @p out without allocating.
      */
-    void mvmExact(std::span<const int> input_levels,
+    void mvmExact(std::span<const std::uint8_t> input_levels,
                   std::span<std::int64_t> out) const;
 
     /**
@@ -119,7 +119,7 @@ class Crossbar
      * so a sequence of calls sharing one Rng is reproducible sample by
      * sample.
      */
-    void mvmAnalog(std::span<const int> input_levels,
+    void mvmAnalog(std::span<const std::uint8_t> input_levels,
                    std::span<double> current, Rng *rng = nullptr) const;
 
     /**
@@ -222,8 +222,8 @@ class DifferentialPair
      * (detail::dispatchedSignedPlaneKernel) over the pair's quad plane
      * (the Crossbar planes are left unbuilt) and does not allocate.
      */
-    void mvmExact(std::span<const int> high_phase,
-                  std::span<const int> low_phase,
+    void mvmExact(std::span<const std::uint8_t> high_phase,
+                  std::span<const std::uint8_t> low_phase,
                   std::span<std::int64_t> pass_h,
                   std::span<std::int64_t> pass_l) const;
 
@@ -234,8 +234,9 @@ class DifferentialPair
      * call, the positive array's noise draws precede the negative
      * array's.
      */
-    void mvmAnalog(std::span<const int> input_levels, std::span<double> out,
-                   std::span<double> neg, Rng *rng = nullptr) const;
+    void mvmAnalog(std::span<const std::uint8_t> input_levels,
+                   std::span<double> out, std::span<double> neg,
+                   Rng *rng = nullptr) const;
 
     const Crossbar &positive() const { return pos_; }
     const Crossbar &negative() const { return neg_; }
@@ -269,23 +270,36 @@ quadPlaneStride(int cols)
     return (cols + 15) / 16 * 16;
 }
 
-/**
- * One ISA variant of the pair's exact kernel: pass_h / pass_l (cols
- * entries each, overwritten) = the high / low phase (rows entries,
- * each in [0, 256)) times the rows x cols quad plane.  Every variant
- * is exact for any such input.
- */
-using SignedPlaneFn = void (*)(const std::int8_t *plane, int rows,
-                               int cols, const int *high, const int *low,
-                               std::int64_t *pass_h, std::int64_t *pass_l);
+/** One ISA's loop over a row chunk: adds rows rows of a quad plane
+ *  (row pitch stride) times both phases into pass_h / pass_l. */
+using SignedPlaneChunkFn = void (*)(const std::int8_t *plane, int rows,
+                                    int stride, int cols,
+                                    const std::uint8_t *high,
+                                    const std::uint8_t *low,
+                                    std::int64_t *pass_h,
+                                    std::int64_t *pass_l);
 
+/** One ISA variant of the pair's exact kernel. */
 struct SignedPlaneKernel
 {
     /** "avx512vnni", "avx2" or "plain". */
     const char *name;
-    SignedPlaneFn run;
+    /** The chunk loop while every phase of a chunk is below 128, and
+     *  otherwise. */
+    SignedPlaneChunkFn narrow;
+    SignedPlaneChunkFn wide;
     /** Whether this CPU can execute it (CPUID). */
     bool supported;
+
+    /**
+     * pass_h / pass_l (cols entries each, overwritten) = the high /
+     * low phase (rows bytes each, read in place and never past the
+     * end) times the rows x cols quad plane; exact for any byte
+     * phases.
+     */
+    void run(const std::int8_t *plane, int rows, int cols,
+             const std::uint8_t *high, const std::uint8_t *low,
+             std::int64_t *pass_h, std::int64_t *pass_l) const;
 };
 
 /** Every variant compiled into this build, fastest first; the plain
@@ -295,6 +309,10 @@ std::span<const SignedPlaneKernel> signedPlaneKernels();
 /** The variant DifferentialPair::mvmExact runs: the first supported
  *  one, chosen once per process. */
 const SignedPlaneKernel &dispatchedSignedPlaneKernel();
+
+/** Asserts every code is below 2^@p bits: one or-reduction, the
+ *  offending row looked up only on failure ("input level ..."). */
+void checkInputCodes(std::span<const std::uint8_t> codes, int bits);
 
 } // namespace detail
 

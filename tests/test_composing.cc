@@ -189,9 +189,9 @@ TEST(ComposedMatrixEngine, MatchesIntegerModel)
             v = static_cast<int>(rng.uniformInt(-255, 255));
     engine.programWeights(w);
 
-    std::vector<int> in(rows);
-    for (int &v : in)
-        v = static_cast<int>(rng.uniformInt(0, 63));
+    std::vector<std::uint8_t> in(rows);
+    for (std::uint8_t &v : in)
+        v = static_cast<std::uint8_t>(rng.uniformInt(0, 63));
 
     ComposedMatrixEngine::MvmScratch scratch;
     std::vector<std::int64_t> hw(cols);
@@ -200,7 +200,10 @@ TEST(ComposedMatrixEngine, MatchesIntegerModel)
         std::vector<int> col(rows);
         for (int r = 0; r < rows; ++r)
             col[r] = w[r][c];
-        EXPECT_EQ(hw[c], composedApprox(in, col, cp)) << "col " << c;
+        EXPECT_EQ(hw[c],
+                  composedApprox(std::vector<int>(in.begin(), in.end()),
+                                 col, cp))
+            << "col " << c;
     }
 }
 
@@ -215,9 +218,9 @@ TEST(ComposedMatrixEngine, TargetWithinBound)
         for (int &v : r)
             v = static_cast<int>(rng.uniformInt(-255, 255));
     engine.programWeights(w);
-    std::vector<int> in(100);
-    for (int &v : in)
-        v = static_cast<int>(rng.uniformInt(0, 63));
+    std::vector<std::uint8_t> in(100);
+    for (std::uint8_t &v : in)
+        v = static_cast<std::uint8_t>(rng.uniformInt(0, 63));
 
     ComposedMatrixEngine::MvmScratch scratch;
     std::vector<std::int64_t> hw(8);
@@ -225,6 +228,18 @@ TEST(ComposedMatrixEngine, TargetWithinBound)
     auto target = engine.targetExact(in);
     for (int c = 0; c < 8; ++c)
         EXPECT_LE(std::llabs(hw[c] - target[c]), 4);
+}
+
+/** targetExact checks its inputs as the MVMs do: a short span or an
+ *  out-of-range code dies instead of reading past the span. */
+TEST(ComposedMatrixEngine, TargetExactRejectsBadInputs)
+{
+    ComposedMatrixEngine engine(8, 2, ComposingParams{}, CrossbarParams{});
+    engine.programWeights(
+        std::vector<std::vector<int>>(8, std::vector<int>(2, 1)));
+    const std::vector<std::uint8_t> short_in(7, 1), too_big(8, 64);
+    EXPECT_DEATH(engine.targetExact(short_in), "inputs");
+    EXPECT_DEATH(engine.targetExact(too_big), "input level");
 }
 
 TEST(ComposedMatrixEngine, AnalogTracksExactWithIdealDevices)
@@ -238,9 +253,9 @@ TEST(ComposedMatrixEngine, AnalogTracksExactWithIdealDevices)
         for (int &v : r)
             v = static_cast<int>(rng.uniformInt(-255, 255));
     engine.programWeights(w);  // ideal
-    std::vector<int> in(64);
-    for (int &v : in)
-        v = static_cast<int>(rng.uniformInt(0, 63));
+    std::vector<std::uint8_t> in(64);
+    for (std::uint8_t &v : in)
+        v = static_cast<std::uint8_t>(rng.uniformInt(0, 63));
     ComposedMatrixEngine::MvmScratch scratch;
     std::vector<std::int64_t> analog(6), exact(6);
     engine.mvmAnalog(in, analog, scratch);
@@ -260,9 +275,9 @@ TEST(ComposedMatrixEngine, ProgrammingVariationStaysClose)
         for (int &v : r)
             v = static_cast<int>(rng.uniformInt(-255, 255));
     engine.programWeights(w, &rng);  // noisy programming
-    std::vector<int> in(128);
-    for (int &v : in)
-        v = static_cast<int>(rng.uniformInt(0, 63));
+    std::vector<std::uint8_t> in(128);
+    for (std::uint8_t &v : in)
+        v = static_cast<std::uint8_t>(rng.uniformInt(0, 63));
     ComposedMatrixEngine::MvmScratch scratch;
     std::vector<std::int64_t> noisy(4), ideal(4);
     engine.mvmAnalog(in, noisy, scratch, nullptr);

@@ -47,7 +47,8 @@ randomLevels(int rows, int cols, int max_level, Rng &rng)
  * own, then subtracted (what the fused signed-plane kernel replaces).
  */
 std::vector<std::int64_t>
-fourPassExact(const DifferentialPair &pair, const std::vector<int> &in)
+fourPassExact(const DifferentialPair &pair,
+              const std::vector<std::uint8_t> &in)
 {
     const std::size_t n =
         static_cast<std::size_t>(pair.positive().params().cols);
@@ -65,9 +66,9 @@ TEST(Crossbar, MvmExactMatchesReference)
     Crossbar xbar(smallParams(16, 8));
     auto levels = randomLevels(16, 8, 15, rng);
     xbar.programLevels(levels);
-    std::vector<int> in(16);
-    for (int &v : in)
-        v = static_cast<int>(rng.uniformInt(0, 7));
+    std::vector<std::uint8_t> in(16);
+    for (std::uint8_t &v : in)
+        v = static_cast<std::uint8_t>(rng.uniformInt(0, 7));
 
     std::vector<std::int64_t> out(8);
     xbar.mvmExact(in, out);
@@ -90,9 +91,9 @@ TEST(Crossbar, AnalogMatchesExactWithIdealDevices)
     std::vector<std::vector<int>> zeros(32, std::vector<int>(16, 0));
     neg.programLevels(zeros);
 
-    std::vector<int> in(32);
-    for (int &v : in)
-        v = static_cast<int>(rng.uniformInt(0, 7));
+    std::vector<std::uint8_t> in(32);
+    for (std::uint8_t &v : in)
+        v = static_cast<std::uint8_t>(rng.uniformInt(0, 7));
     std::vector<std::int64_t> exact(16);
     std::vector<double> ip(16), in_(16);
     pos.mvmExact(in, exact);
@@ -112,7 +113,7 @@ TEST(Crossbar, ReadNoisePerturbsOutput)
     p.readNoiseSigma = 0.01;
     Crossbar xbar(p);
     xbar.programLevels(randomLevels(32, 4, 15, rng));
-    std::vector<int> in(32, 5);
+    std::vector<std::uint8_t> in(32, 5);
     std::vector<double> clean(4), noisy(4);
     xbar.mvmAnalog(in, clean, nullptr);
     xbar.mvmAnalog(in, noisy, &rng);
@@ -146,12 +147,13 @@ TEST(Crossbar, RejectsBadInputs)
     Crossbar xbar(smallParams(4, 4));
     std::vector<std::int64_t> out(4);
     std::vector<double> current(4);
-    std::vector<int> wrong_size(3, 0);
+    std::vector<std::uint8_t> wrong_size(3, 0);
     EXPECT_DEATH(xbar.mvmExact(wrong_size, out), "inputs");
     EXPECT_DEATH(xbar.mvmAnalog(wrong_size, current), "inputs");
-    std::vector<int> too_big(4, 8);  // inputBits=3 -> max 7
+    std::vector<std::uint8_t> too_big(4, 8);  // inputBits=3 -> max 7
     EXPECT_DEATH(xbar.mvmExact(too_big, out), "input level");
-    std::vector<int> ok(4, 1);
+    EXPECT_DEATH(xbar.mvmAnalog(too_big, current), "input level");
+    std::vector<std::uint8_t> ok(4, 1);
     std::vector<std::int64_t> short_out(3);
     std::vector<double> short_current(3);
     EXPECT_DEATH(xbar.mvmExact(ok, short_out), "outputs");
@@ -176,8 +178,8 @@ TEST(DifferentialPair, ExactSignedMvm)
     CrossbarParams p = smallParams(3, 2);
     DifferentialPair pair(p);
     pair.programSigned({{5, -5}, {-3, 3}, {0, 15}});
-    std::vector<int> in = {7, 2, 1};
-    const std::vector<int> low = {1, 0, 3};
+    std::vector<std::uint8_t> in = {7, 2, 1};
+    const std::vector<std::uint8_t> low = {1, 0, 3};
     const std::vector<std::int64_t> out = fourPassExact(pair, in);
     EXPECT_EQ(out[0], 7 * 5 + 2 * -3 + 1 * 0);
     EXPECT_EQ(out[1], 7 * -5 + 2 * 3 + 1 * 15);
@@ -193,7 +195,8 @@ TEST(DifferentialPair, FusedMvmRejectsBadInputs)
 {
     DifferentialPair pair(smallParams(4, 2));
     std::vector<std::int64_t> h(2), l(2), short_out(1);
-    const std::vector<int> ok(4, 1), wrong_size(3, 0), too_big(4, 8);
+    const std::vector<std::uint8_t> ok(4, 1), wrong_size(3, 0),
+        too_big(4, 8);
     EXPECT_DEATH(pair.mvmExact(wrong_size, ok, h, l), "inputs");
     EXPECT_DEATH(pair.mvmExact(ok, too_big, h, l), "input level");
     EXPECT_DEATH(pair.mvmExact(ok, ok, h, short_out), "outputs");
@@ -238,15 +241,19 @@ TEST(DifferentialPair, FusedKernelMatchesFourPassOracle)
             engine.programWeights(w);
             const DifferentialPair &pair = engine.arrays();
             for (int trial = 0; trial < 3; ++trial) {
-                std::vector<int> high(rows), low(rows);
+                // Exact-size heap phases: a kernel that read past the
+                // last row would trip ASan.
+                std::vector<std::uint8_t> high(rows), low(rows);
                 for (int r = 0; r < rows; ++r) {
                     // Trial 0 drives every row at the max code.
                     const int code = trial == 0
                                          ? max_in
                                          : extremeOrRandom(rng, 0, max_in);
                     auto [ih, il] = splitInput(code, cp);
-                    high[static_cast<std::size_t>(r)] = ih;
-                    low[static_cast<std::size_t>(r)] = il;
+                    high[static_cast<std::size_t>(r)] =
+                        static_cast<std::uint8_t>(ih);
+                    low[static_cast<std::size_t>(r)] =
+                        static_cast<std::uint8_t>(il);
                 }
                 const std::size_t lines = 2 * static_cast<std::size_t>(cols);
                 std::vector<std::int64_t> pass_h(lines, -7), pass_l(lines, -7);
@@ -274,10 +281,12 @@ TEST(DifferentialPair, FusedKernelCoversRegisterBlockEdges)
             for (int &v : row)
                 v = extremeOrRandom(rng, -15, 15);
         pair.programSigned(w);
-        std::vector<int> high(rows), low(rows);
+        std::vector<std::uint8_t> high(rows), low(rows);
         for (int r = 0; r < rows; ++r) {
-            high[static_cast<std::size_t>(r)] = extremeOrRandom(rng, 0, 7);
-            low[static_cast<std::size_t>(r)] = extremeOrRandom(rng, 0, 7);
+            high[static_cast<std::size_t>(r)] =
+                static_cast<std::uint8_t>(extremeOrRandom(rng, 0, 7));
+            low[static_cast<std::size_t>(r)] =
+                static_cast<std::uint8_t>(extremeOrRandom(rng, 0, 7));
         }
         std::vector<std::int64_t> pass_h(cols, 3), pass_l(cols, 3);
         pair.mvmExact(high, low, pass_h, pass_l);
@@ -381,7 +390,13 @@ TEST_P(SignedPlaneVariant, MatchesPlainLoopAndFourPassOracle)
             pair.programSigned(w);
             const std::size_t n = static_cast<std::size_t>(lines);
             for (int trial = 0; trial < 4; ++trial) {
-                std::vector<int> high(rows), low(rows);
+                // Exact-size heap phases: a variant that read past the
+                // last row would trip ASan.
+                std::vector<std::uint8_t> high(rows), low(rows);
+                auto draw = [&](int hi) {
+                    return static_cast<std::uint8_t>(
+                        extremeOrRandom(rng, 0, hi));
+                };
                 for (std::size_t r = 0; r < high.size(); ++r) {
                     switch (trial) {
                       case 0:  // the int16 hazard: every phase at 255
@@ -389,15 +404,15 @@ TEST_P(SignedPlaneVariant, MatchesPlainLoopAndFourPassOracle)
                         break;
                       case 1:  // the widest vpmaddubsw-exact phases
                         high[r] = 127;
-                        low[r] = extremeOrRandom(rng, 0, 127);
+                        low[r] = draw(127);
                         break;
                       case 2:
-                        high[r] = extremeOrRandom(rng, 0, 255);
-                        low[r] = extremeOrRandom(rng, 0, 255);
+                        high[r] = draw(255);
+                        low[r] = draw(255);
                         break;
                       default:  // 3-bit composed-engine phases
-                        high[r] = extremeOrRandom(rng, 0, 7);
-                        low[r] = extremeOrRandom(rng, 0, 7);
+                        high[r] = draw(7);
+                        low[r] = draw(7);
                     }
                 }
                 std::vector<std::int64_t> h(n, -1), l(n, -1);
@@ -434,9 +449,9 @@ TEST(DifferentialPair, AnalogCancelsOffset)
         for (int &v : row)
             v = static_cast<int>(rng.uniformInt(-15, 15));
     pair.programSigned(w);  // ideal programming
-    std::vector<int> in(64);
-    for (int &v : in)
-        v = static_cast<int>(rng.uniformInt(0, 7));
+    std::vector<std::uint8_t> in(64);
+    for (std::uint8_t &v : in)
+        v = static_cast<std::uint8_t>(rng.uniformInt(0, 7));
     const std::vector<std::int64_t> exact = fourPassExact(pair, in);
     std::vector<double> analog(8), analog_neg(8);
     pair.mvmAnalog(in, analog, analog_neg);
@@ -466,9 +481,9 @@ TEST_P(CrossbarShapeSweep, AnalogAgreesWithExact)
         for (int &v : row)
             v = static_cast<int>(rng.uniformInt(-15, 15));
     pair.programSigned(w);
-    std::vector<int> in(rows);
-    for (int &v : in)
-        v = static_cast<int>(rng.uniformInt(0, 7));
+    std::vector<std::uint8_t> in(rows);
+    for (std::uint8_t &v : in)
+        v = static_cast<std::uint8_t>(rng.uniformInt(0, 7));
     const std::size_t n = static_cast<std::size_t>(cols);
     const std::vector<std::int64_t> exact = fourPassExact(pair, in);
     std::vector<double> analog(n), analog_neg(n);
@@ -488,7 +503,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 /** Scalar reference MVM straight from storedLevel(), bypassing planes. */
 std::vector<std::int64_t>
-referenceMvm(const Crossbar &xbar, const std::vector<int> &in)
+referenceMvm(const Crossbar &xbar, const std::vector<std::uint8_t> &in)
 {
     const CrossbarParams &p = xbar.params();
     std::vector<std::int64_t> out(static_cast<std::size_t>(p.cols), 0);
@@ -504,7 +519,7 @@ referenceMvm(const Crossbar &xbar, const std::vector<int> &in)
  *  element from the stored conductances (the formula the cached
  *  effective-conductance plane must match). */
 std::vector<double>
-referenceAnalog(const Crossbar &xbar, const std::vector<int> &in)
+referenceAnalog(const Crossbar &xbar, const std::vector<std::uint8_t> &in)
 {
     const CrossbarParams &p = xbar.params();
     const Volt v_step = p.voltageStep();
@@ -536,9 +551,9 @@ TEST(CrossbarFastPath, CachedPlaneTracksInterleavedMutations)
     CrossbarParams p = smallParams(16, 12);
     Crossbar xbar(p);
     xbar.programLevels(randomLevels(16, 12, 15, rng));
-    std::vector<int> in(16);
-    for (int &v : in)
-        v = static_cast<int>(rng.uniformInt(0, 7));
+    std::vector<std::uint8_t> in(16);
+    for (std::uint8_t &v : in)
+        v = static_cast<std::uint8_t>(rng.uniformInt(0, 7));
 
     std::vector<std::int64_t> out(12);
     for (int step = 0; step < 8; ++step) {
@@ -571,9 +586,9 @@ TEST(CrossbarFastPath, WideArraySpansColumnBlocks)
     CrossbarParams p = smallParams(8, 1100);
     Crossbar xbar(p);
     xbar.programLevels(randomLevels(8, 1100, 15, rng));
-    std::vector<int> in(8);
-    for (int &v : in)
-        v = static_cast<int>(rng.uniformInt(0, 7));
+    std::vector<std::uint8_t> in(8);
+    for (std::uint8_t &v : in)
+        v = static_cast<std::uint8_t>(rng.uniformInt(0, 7));
     const std::vector<std::int64_t> want = referenceMvm(xbar, in);
     std::vector<std::int64_t> out(want.size(), -12345);
     xbar.mvmExact(in, out);
@@ -589,9 +604,9 @@ TEST(CrossbarFastPath, AnalogIrDropMatchesFormula)
     p.wireResistancePerCell = 2.5;
     Crossbar xbar(p);
     xbar.programLevels(randomLevels(24, 10, 15, rng), &rng);
-    std::vector<int> in(24);
-    for (int &v : in)
-        v = static_cast<int>(rng.uniformInt(0, 7));
+    std::vector<std::uint8_t> in(24);
+    for (std::uint8_t &v : in)
+        v = static_cast<std::uint8_t>(rng.uniformInt(0, 7));
 
     std::vector<double> got(10);
     xbar.mvmAnalog(in, got);
@@ -618,9 +633,9 @@ TEST(CrossbarFastPath, ReadNoiseMatchesPreChangeFormula)
     p.readNoiseSigma = 0.02;
     Crossbar xbar(p);
     xbar.programLevels(randomLevels(32, 6, 15, rng));
-    std::vector<int> in(32);
-    for (int &v : in)
-        v = static_cast<int>(rng.uniformInt(0, 7));
+    std::vector<std::uint8_t> in(32);
+    for (std::uint8_t &v : in)
+        v = static_cast<std::uint8_t>(rng.uniformInt(0, 7));
 
     Rng noise_a(99), noise_b(99);
     std::vector<double> noisy(6);
@@ -645,10 +660,11 @@ TEST(CrossbarFastPath, ReusedOutputMatchesFreshPerSample)
     p.readNoiseSigma = 0.01;
     Crossbar xbar(p);
     xbar.programLevels(randomLevels(20, 9, 15, rng), &rng);
-    std::vector<std::vector<int>> inputs(5, std::vector<int>(20));
+    std::vector<std::vector<std::uint8_t>> inputs(
+        5, std::vector<std::uint8_t>(20));
     for (auto &in : inputs)
-        for (int &v : in)
-            v = static_cast<int>(rng.uniformInt(0, 7));
+        for (std::uint8_t &v : in)
+            v = static_cast<std::uint8_t>(rng.uniformInt(0, 7));
 
     Rng reused_rng(7), fresh_rng(7);
     std::vector<std::int64_t> exact(9);
@@ -683,10 +699,11 @@ TEST(ComposedEngineFastPath, ReusedScratchMatchesFreshPerSample)
             v = static_cast<int>(rng.uniformInt(-255, 255));
     engine.programWeights(w, &rng);
 
-    std::vector<std::vector<int>> inputs(4, std::vector<int>(24));
+    std::vector<std::vector<std::uint8_t>> inputs(
+        4, std::vector<std::uint8_t>(24));
     for (auto &in : inputs)
-        for (int &v : in)
-            v = static_cast<int>(rng.uniformInt(0, 63));
+        for (std::uint8_t &v : in)
+            v = static_cast<std::uint8_t>(rng.uniformInt(0, 63));
 
     Rng reused_rng(31), fresh_rng(31);
     ComposedMatrixEngine::MvmScratch scratch;

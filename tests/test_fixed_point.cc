@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/fixed_point.hh"
@@ -143,6 +145,99 @@ TEST_P(DfxBitsSweep, MonotoneImprovement)
 
 INSTANTIATE_TEST_SUITE_P(Bits, DfxBitsSweep,
                          ::testing::Values(2, 3, 4, 5, 6, 7, 8, 12, 16));
+
+/**
+ * The activation quantizer as PrimeSystem and InSituTrainer each wrote
+ * it before quantizeActivationCodes, copied verbatim: the shared
+ * function must reproduce it bit for bit.
+ */
+int
+referenceActivationCodes(const std::vector<double> &values, int bits,
+                         std::vector<std::uint8_t> &codes)
+{
+    double max_abs = 0.0;
+    for (double v : values)
+        max_abs = std::max(max_abs, std::fabs(v));
+    int exp = 0;
+    if (max_abs > 0.0)
+        std::frexp(max_abs, &exp);
+    const int in_frac = bits - exp;
+    const int max_code = (1 << bits) - 1;
+    codes.assign(values.size(), 0);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        double scaled = std::ldexp(std::max(values[i], 0.0), in_frac);
+        codes[i] = static_cast<std::uint8_t>(std::clamp(
+            std::nearbyint(scaled), 0.0, static_cast<double>(max_code)));
+    }
+    return in_frac;
+}
+
+TEST(ActivationCodes, MatchTheFormerQuantizerBitForBit)
+{
+    std::vector<std::vector<double>> cases = {
+        std::vector<double>(17, 0.0),          // all zero
+        {-1.0, -0.5, 0.25, 0.0, -3.0},         // negatives clamp to 0
+        {1.0, 2.0, 0.5, 4.0, 0.125, 0.0},      // exact powers of two
+        {0.9999999, 0.5, 3.9, 0.49999, 0.75},  // round up to 2^bits
+        {1e-310, 4.9e-324, 0.0, -1e-310},      // denormal maximum
+        {1e300, 1.0, 1e-300},                  // huge range
+    };
+    Rng rng(2020);
+    for (int t = 0; t < 60; ++t) {
+        std::vector<double> v(static_cast<std::size_t>(
+            rng.uniformInt(1, 300)));
+        const double scale = std::ldexp(1.0, static_cast<int>(
+                                                  rng.uniformInt(-40, 40)));
+        for (double &x : v) {
+            switch (rng.uniformInt(0, 5)) {
+              case 0:
+                x = 0.0;
+                break;
+              case 1:  // a power of two
+                x = std::ldexp(scale, static_cast<int>(
+                                          rng.uniformInt(-8, 0)));
+                break;
+              default:
+                x = rng.gaussian(0.0, scale);
+            }
+        }
+        cases.push_back(std::move(v));
+    }
+    for (const int bits : {2, 4, 6, 8}) {
+        for (std::size_t i = 0; i < cases.size(); ++i) {
+            const std::vector<double> &v = cases[i];
+            std::vector<std::uint8_t> want;
+            const int want_frac = referenceActivationCodes(v, bits, want);
+            std::vector<std::uint8_t> got(v.size(), 0xee);
+            EXPECT_EQ(quantizeActivationCodes(v, bits, got), want_frac)
+                << "bits " << bits << " case " << i;
+            EXPECT_EQ(got, want) << "bits " << bits << " case " << i;
+        }
+    }
+    // The edge cases do what their comments say.
+    std::vector<std::uint8_t> codes(5);
+    EXPECT_EQ(quantizeActivationCodes(std::vector<double>(5, 0.0), 6, codes),
+              6);
+    EXPECT_EQ(codes, std::vector<std::uint8_t>(5, 0));
+    // |-3| still sets the scale: 3 < 2^2 leaves 6 - 2 fraction bits.
+    EXPECT_EQ(quantizeActivationCodes(cases[1], 6, codes), 4);
+    EXPECT_EQ(codes, (std::vector<std::uint8_t>{0, 0, 4, 0, 0}));
+    codes.resize(1);
+    EXPECT_EQ(quantizeActivationCodes(std::vector<double>{0.9999999}, 4,
+                                      codes),
+              4);
+    EXPECT_EQ(codes[0], 15);
+}
+
+TEST(WeightCode, RoundsAndSaturatesSignMagnitude)
+{
+    EXPECT_EQ(quantizeWeightCode(0.3, 4, 8), 5);      // 4.8 -> 5
+    EXPECT_EQ(quantizeWeightCode(-0.3, 4, 8), -5);
+    EXPECT_EQ(quantizeWeightCode(2.5 / 16, 4, 8), 2);  // ties to even
+    EXPECT_EQ(quantizeWeightCode(100.0, 4, 8), 255);
+    EXPECT_EQ(quantizeWeightCode(-100.0, 4, 8), -255);
+    EXPECT_EQ(quantizeWeightCode(0.0, -3, 2), 0);
+}
 
 } // namespace
 } // namespace prime

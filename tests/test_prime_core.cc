@@ -56,7 +56,7 @@ TEST(FfMat, MorphingProtocol)
     EXPECT_EQ(migrated[2], 3);
 
     // The engine computes on the programmed weights.
-    std::vector<int> in = {3, 2};
+    std::vector<std::uint8_t> in = {3, 2};
     std::vector<std::int64_t> full(2);
     mat.engine().mvmFull(in, full);
     EXPECT_EQ(full[0], 3 * 10 + 2 * -5);

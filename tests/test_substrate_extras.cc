@@ -197,7 +197,7 @@ TEST(IrDrop, ZeroWireResistanceIsExact)
         for (int &v : r)
             v = static_cast<int>(rng.uniformInt(0, 15));
     xbar.programLevels(levels);
-    std::vector<int> in(64, 5);
+    std::vector<std::uint8_t> in(64, 5);
     std::vector<std::int64_t> exact(8);
     std::vector<double> analog(8);
     xbar.mvmExact(in, exact);
@@ -221,7 +221,7 @@ TEST(IrDrop, WireResistanceReducesCurrent)
     std::vector<std::vector<int>> levels(128, std::vector<int>(16, 15));
     a.programLevels(levels);
     b.programLevels(levels);
-    std::vector<int> in(128, 7);
+    std::vector<std::uint8_t> in(128, 7);
     std::vector<double> ia(16), ib(16);
     a.mvmAnalog(in, ia);
     b.mvmAnalog(in, ib);
@@ -246,7 +246,7 @@ TEST(IrDrop, GrowsWithArraySize)
         std::vector<std::vector<int>> levels(n, std::vector<int>(n, 15));
         a.programLevels(levels);
         b.programLevels(levels);
-        std::vector<int> in(n, 7);
+        std::vector<std::uint8_t> in(n, 7);
         std::vector<double> ia(static_cast<std::size_t>(n)),
             ib(static_cast<std::size_t>(n));
         a.mvmAnalog(in, ia);

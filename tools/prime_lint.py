@@ -34,11 +34,12 @@ command-spans
     PrimeController::execute(), which itself must open a span through
     commandOpName -- so every executed command shows up in traces.
 
-stats-naming / serving-naming
+stats-naming
     StatGroup name literals (stats, histograms, formulas -- the one
     declaration the metrics sampler reads too) follow the dotted
-    group.metric convention (lowercase snake segments, >= 1 dot); the
-    serving path additionally stays inside the "serving." namespace.
+    group.metric convention (lowercase snake segments, >= 1 dot), and
+    the files of STAT_NAMESPACES stay inside their namespace (the
+    serving path in "serving.").
 
 span-in-sampler
     PRIME_SPAN must never appear in the metrics sampler implementation
@@ -379,15 +380,28 @@ def check_command_spans(repo: Repo) -> Iterator[Finding]:
 STAT_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
 STAT_CALL_RE = re.compile(
     r"(?:\.|->)(?P<fn>get|histogram|formula)\(\s*\"(?P<name>[^\"]*)\"")
+# Path glob -> the namespace every stat name in those files must use.
+STAT_NAMESPACES = {
+    "src/serve/**": "serving",
+    "bench/bench_serving.cc": "serving",
+}
 
 
 @rule("stats-naming", "error",
-      "StatGroup name literals follow dotted group.metric convention",
-      "src/** (except common/stats.cc)")
+      "StatGroup name literals follow dotted group.metric convention"
+      " and stay in their file's namespace",
+      "src/** (except common/stats.cc), bench/bench_serving.cc")
 def check_stats_naming(repo: Repo) -> Iterator[Finding]:
-    for sf in repo.files("src", (".hh", ".cc")):
-        if sf.path.endswith(os.path.join("common", "stats.cc")):
-            continue  # the registry itself manipulates raw names
+    # The registry itself (common/stats.cc) manipulates raw names; the
+    # table's single files outside src/ are scanned too.
+    files = [sf for sf in repo.files("src", (".hh", ".cc"))
+             if not sf.path.endswith(os.path.join("common", "stats.cc"))]
+    files += [sf for sf in map(repo.file, STAT_NAMESPACES)
+              if sf is not None and not sf.path.startswith("src/")]
+    for sf in files:
+        path = sf.path.replace(os.sep, "/")
+        ns = next((n for glob, n in STAT_NAMESPACES.items()
+                   if fnmatch.fnmatch(path, glob)), None)
         for lineno, text in enumerate(sf.lines, 1):
             for m in STAT_CALL_RE.finditer(text):
                 name = m.group("name")
@@ -397,30 +411,11 @@ def check_stats_naming(repo: Repo) -> Iterator[Finding]:
                         f"stat name '{name}' does not follow the dotted"
                         f" group.metric convention (lowercase snake"
                         f" segments, >= 1 dot)")
-
-
-SERVING_NAME_RE = re.compile(r"^serving(\.[a-z0-9_]+)+$")
-
-
-@rule("serving-naming", "error",
-      "serving-path stat literals stay in the serving.* space",
-      "src/serve/**, bench/bench_serving.cc")
-def check_serving_naming(repo: Repo) -> Iterator[Finding]:
-    def targets() -> Iterator[SourceFile]:
-        yield from repo.files("src/serve", (".hh", ".cc"))
-        bench = repo.file("bench/bench_serving.cc")
-        if bench is not None:
-            yield bench
-
-    for sf in targets():
-        for lineno, text in enumerate(sf.lines, 1):
-            for m in STAT_CALL_RE.finditer(text):
-                name = m.group("name")
-                if not SERVING_NAME_RE.match(name):
+                elif ns is not None and not name.startswith(ns + "."):
                     yield emit(
-                        sf, lineno, "serving-naming",
-                        f"serving-path stat '{name}' must use the"
-                        f" dotted 'serving.*' namespace")
+                        sf, lineno, "stats-naming",
+                        f"stat '{name}' in {path} must use the dotted"
+                        f" '{ns}.*' namespace")
 
 
 @rule("span-in-sampler", "error",
@@ -758,7 +753,7 @@ def self_test() -> int:
         'stats.get("serving.sweep.point0.p99_ms").add(v);',
     ])})
     expect(failures, "serving/good",
-           run_rules(serving_good, ["serving-naming"]), 0)
+           run_rules(serving_good, ["stats-naming"]), 0)
 
     serving_bad = fixture_repo({"src/serve/a.cc": "\n".join([
         'stats_.histogram("latency.e2e_ns");',
@@ -767,7 +762,7 @@ def self_test() -> int:
         'stats.get("serve.queue.depth").add(1);',
     ])})
     expect(failures, "serving/bad",
-           run_rules(serving_bad, ["serving-naming"]), 4)
+           run_rules(serving_bad, ["stats-naming"]), 4)
 
     # ---- span placement ----
     span_bad = fixture_repo({
