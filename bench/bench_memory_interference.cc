@@ -9,11 +9,14 @@
  * Method: each sweep point builds a fresh multi-channel PrimeSystem
  * (monotonic channel cursors make reuse conflate points), runs one
  * warm-up batch, resets the memory stats, then co-runs a pipelined
- * batch against a CPU traffic generator on its own host thread.  The
- * CPU's offered load is sized against the *solo* batch's modeled
- * channel window (standard offered-load methodology: intensity 1.0
- * offers the aggregate peak bandwidth for the window the PRIME batch
- * needed alone), so host thread speed never inflates the modeled load.
+ * batch against a seeded CPU traffic stream attached to the memory:
+ * the batch's timing pass issues, before each PRIME transfer, every
+ * CPU request arriving within paceLeadNs of PRIME's progress, so the
+ * two streams interleave in modeled time and every run prints the
+ * same modeled numbers.  The CPU's offered load is sized against the
+ * *solo* batch's modeled channel window (standard offered-load
+ * methodology: intensity 1.0 offers the aggregate peak bandwidth for
+ * the window the PRIME batch needed alone).
  * Per-point metrics: the PRIME-side memory makespan (the modeled
  * window from the post-warm-up reset to the last PRIME completion,
  * mem.prime.last_ready_ns -- the Fig 8-style throughput signal), mean/
@@ -36,9 +39,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -142,9 +145,9 @@ main(int argc, char **argv)
         copt.intensity = intensity;
         copt.writeFraction = 0.3;
         copt.seed = 17;
-        // Interleave in modeled time: without pacing the generator
-        // thread outruns the pipeline in host time and delivers its
-        // whole modeled window before PRIME issues anything.
+        // Interleave in modeled time: without pacing the CPU stream
+        // would deliver its whole modeled window before PRIME issues
+        // anything.
         copt.paceLeadNs = 512.0;
 
         Point pt;
@@ -156,21 +159,14 @@ main(int argc, char **argv)
                 intensity * peak * solo_window_ns / copt.bytes));
         }
 
-        memory::CpuTrafficGenerator gen(mem, copt);
-        memory::CpuRunStats corun;
-        std::thread cpu_thread;
-        if (pt.cpuRequests > 0)
-            cpu_thread = std::thread(
-                [&gen, &corun, &pt] { corun = gen.run(pt.cpuRequests); });
-
+        memory::CpuTrafficGenerator gen(mem, copt, pt.cpuRequests);
+        mem.setCoRun(&gen);
         const auto t0 = std::chrono::steady_clock::now();
         (void)prime.runBatch(std::span<const nn::Tensor>(inputs));
         pt.hostMs = elapsedNs(t0) / 1e6;
-        // The batch is done: release a paced generator that is still
-        // waiting on PRIME progress which will never come.
-        gen.stop();
-        if (cpu_thread.joinable())
-            cpu_thread.join();
+        // Requests still beyond PRIME's final progress are not issued.
+        mem.setCoRun(nullptr);
+        const memory::CpuRunStats &corun = gen.stats();
         pt.cpuDelivered = corun.requests;
 
         StatGroup &stats = mem.stats();
@@ -195,14 +191,12 @@ main(int argc, char **argv)
         if (pt.cpuDelivered > 0) {
             pt.cpuCorunP99Ns = corun.serviceNs.quantile(0.99);
             // CPU solo baseline: the same stream (count, seed,
-            // pattern) against a fresh, PRIME-free memory.  No pacing
-            // -- there is no co-runner to pace against.
-            memory::CpuTrafficOptions sopt = copt;
-            sopt.paceLeadNs = 0.0;
+            // pattern) against a fresh, PRIME-free memory, all of it.
             memory::MainMemory solo_mem(tech);
-            memory::CpuTrafficGenerator solo_gen(solo_mem, sopt);
-            pt.cpuSoloP99Ns =
-                solo_gen.run(pt.cpuDelivered).serviceNs.quantile(0.99);
+            memory::CpuTrafficGenerator solo_gen(solo_mem, copt,
+                                                 pt.cpuDelivered);
+            solo_gen.issueUntil(std::numeric_limits<Ns>::infinity());
+            pt.cpuSoloP99Ns = solo_gen.stats().serviceNs.quantile(0.99);
             pt.cpuP99Degradation = pt.cpuSoloP99Ns > 0.0
                                        ? pt.cpuCorunP99Ns / pt.cpuSoloP99Ns
                                        : 1.0;

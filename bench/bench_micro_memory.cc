@@ -8,6 +8,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "mapping/commands.hh"
 #include "memory/main_memory.hh"
 #include "nvmodel/latency_model.hh"
@@ -68,29 +70,32 @@ BM_FrFcfsBatch(benchmark::State &state)
 BENCHMARK(BM_FrFcfsBatch)->Arg(64)->Arg(512);
 
 /**
- * One timed transfer through scheduleBytes, as a Table I command issues
- * it: a 25-B read is CNN-1's Fetch of a 5x5 receptive field, a 512-B
- * write the Commit of one output slot.  The address walks forward so
- * bursts see a mix of row hits and misses.
+ * The timing pass's cost per Table I transfer: one recorded transfer
+ * scheduled again and again, as PRIME's replay times each logged
+ * command.  A 25-B read is CNN-1's Fetch of a 5x5 receptive field, a
+ * 512-B write the Commit of one output slot; 16 records at addresses
+ * 1088 B apart give a mix of row hits and misses.
  */
 void
-BM_ScheduleBytes(benchmark::State &state)
+BM_ScheduleTransfer(benchmark::State &state)
 {
     const std::size_t bytes = static_cast<std::size_t>(state.range(0));
     const bool is_write = state.range(1) != 0;
     memory::MainMemory mem(nvmodel::defaultTechParams());
-    const std::uint64_t span = std::uint64_t{1} << 24;
-    std::uint64_t addr = 0;
+    std::vector<memory::Transfer> records;
+    for (std::uint64_t i = 0; i < 16; ++i)
+        records.push_back(mem.recordTransfer(i * 1088, bytes, is_write));
+    std::size_t next = 0;
     for (auto _ : state) {
-        mem.scheduleBytes(addr, bytes, is_write);
+        mem.schedule(records[next]);
         benchmark::ClobberMemory();
-        addr = (addr + 1088) % span;
+        next = (next + 1) % records.size();
     }
     state.SetItemsProcessed(state.iterations());
     state.SetBytesProcessed(state.iterations() *
                             static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_ScheduleBytes)->Args({25, 0})->Args({512, 1});
+BENCHMARK(BM_ScheduleTransfer)->Args({25, 0})->Args({512, 1});
 
 void
 BM_CommandRoundTrip(benchmark::State &state)

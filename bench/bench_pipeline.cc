@@ -13,9 +13,13 @@
  * cross-check the analytic bottleneck share against the measured
  * per-stage wall-clock shares, and to measure the *host* speedup the
  * executor delivers (the headline perf metric; it needs spare host
- * cores, so a shortfall WARNs rather than failing).  The timed
- * pipelined run executes under an enabled MetricsRegistry (sampler on,
- * watching the system stats with their live ring/stage gauges), its
+ * cores, so a shortfall WARNs rather than failing).  Host time is
+ * noisy on a shared machine, so the sequential and pipelined sides run
+ * interleaved, kRepeats times each, in this one process: the headline
+ * pipeline.host_speedup is the median of the per-repeat ratios, printed
+ * with its quartiles and the sides' own medians and quartiles.  The
+ * timed repeats execute under an enabled MetricsRegistry (sampler on,
+ * watching the system stats with their live ring/stage gauges), their
  * flight-recorder attribution (busy / stall-upstream /
  * stall-downstream / idle per stage) prints as a bottleneck report,
  * and the end-to-end latency quantiles plus the per-stage attribution
@@ -24,6 +28,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -59,6 +64,20 @@ elapsedNs(std::chrono::steady_clock::time_point t0)
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
             .count());
+}
+
+/** Interleaved sequential/pipelined repeats of the host timing. */
+constexpr int kRepeats = 11;
+
+/** Lower quartile, median and upper quartile of @p v (nearest rank). */
+std::array<double, 3>
+quartiles(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const auto at = [&v](double q) {
+        return v[static_cast<std::size_t>(q * (v.size() - 1) + 0.5)];
+    };
+    return {at(0.25), at(0.5), at(0.75)};
 }
 
 /** Snapshot of one stage's cumulative executor counters. */
@@ -140,15 +159,8 @@ main(int argc, char **argv)
     for (int i = 0; i < warmup; ++i)
         (void)prime.runBatch(std::span<const nn::Tensor>(inputs));
 
-    // Sequential baseline: the same images one run() at a time.
-    auto t0 = std::chrono::steady_clock::now();
-    std::vector<nn::Tensor> seq_out;
-    for (const nn::Tensor &in : inputs)
-        seq_out.push_back(prime.run(in));
-    const double seq_ns = elapsedNs(t0);
-
     // Diff the executor's cumulative stage counters across the timed
-    // run so the utilization breakdown covers only that run (the
+    // repeats so the utilization breakdown covers only them (the
     // warm-up batch already populated them).
     const std::size_t n_stages = prime.stages().size();
     std::vector<StageSnapshot> before;
@@ -156,12 +168,12 @@ main(int argc, char **argv)
         before.push_back(snapshotStage(prime.stats(), s));
     const double bottleneck_before =
         prime.stats().get("pipeline.measured_bottleneck_ns").sum();
-    // Quantiles must cover the timed run only; the warm-up batch
+    // Quantiles must cover the timed runs only; the warm-up batch
     // already fed this histogram.
     prime.stats().histogram("pipeline.e2e_latency_ns").reset();
 
-    // The timed pipelined run executes fully observed: sampler thread
-    // on, watching the system's stats (the pipeline's ring-depth/
+    // The timed repeats execute fully observed: sampler thread on,
+    // watching the system's stats (the pipeline's ring-depth/
     // stage-state gauges among them) and the per-bank memory occupancy.
     telemetry::MetricsRegistry registry;
     registry.enable();
@@ -169,10 +181,22 @@ main(int argc, char **argv)
     registry.watch(prime.mainMemory().occupancy());
     registry.startSampler(1);
 
-    t0 = std::chrono::steady_clock::now();
-    std::vector<nn::Tensor> pipe_out =
-        prime.runBatch(std::span<const nn::Tensor>(inputs));
-    const double pipe_ns = elapsedNs(t0);
+    // Interleaved repeats: the same images one run() at a time, then
+    // as one pipelined batch, kRepeats times.
+    std::vector<double> seq_runs, pipe_runs, ratios;
+    std::vector<nn::Tensor> seq_out, pipe_out;
+    for (int r = 0; r < kRepeats; ++r) {
+        auto t0 = std::chrono::steady_clock::now();
+        seq_out.clear();
+        for (const nn::Tensor &in : inputs)
+            seq_out.push_back(prime.run(in));
+        seq_runs.push_back(elapsedNs(t0));
+
+        t0 = std::chrono::steady_clock::now();
+        pipe_out = prime.runBatch(std::span<const nn::Tensor>(inputs));
+        pipe_runs.push_back(elapsedNs(t0));
+        ratios.push_back(seq_runs.back() / pipe_runs.back());
+    }
 
     registry.stopSampler();
     run.metrics(registry);
@@ -234,9 +258,11 @@ main(int argc, char **argv)
             busiest = s;
         }
     }
+    // Each batch adds its bottleneck: the mean over the repeats.
     const double measured_bottleneck_ns =
-        prime.stats().get("pipeline.measured_bottleneck_ns").sum() -
-        bottleneck_before;
+        (prime.stats().get("pipeline.measured_bottleneck_ns").sum() -
+         bottleneck_before) /
+        kRepeats;
     const double measured_share =
         busy_total > 0.0 ? busy_max / busy_total : 0.0;
     std::printf("measured stage wall: bottleneck %.1f us/image, share "
@@ -244,20 +270,28 @@ main(int argc, char **argv)
                 measured_bottleneck_ns / 1e3, measured_share,
                 bottleneck_ns / total_ns);
 
-    const double host_speedup = seq_ns / pipe_ns;
-    std::printf("host wall-clock: sequential %.2f ms, pipelined %.2f ms "
-                "(%.2fx on %u hardware threads)\n",
-                seq_ns / 1e6, pipe_ns / 1e6, host_speedup,
-                std::thread::hardware_concurrency());
+    const std::array<double, 3> seq_q = quartiles(seq_runs);
+    const std::array<double, 3> pipe_q = quartiles(pipe_runs);
+    const std::array<double, 3> speedup_q = quartiles(ratios);
+    const double seq_ns = seq_q[1];
+    const double pipe_ns = pipe_q[1];
+    const double host_speedup = speedup_q[1];
+    std::printf("host wall-clock, median [quartiles] of %d interleaved "
+                "repeats on %u hardware threads:\n"
+                "  sequential %.2f ms [%.2f-%.2f], pipelined %.2f ms "
+                "[%.2f-%.2f], speedup %.2fx [%.2f-%.2f]\n",
+                kRepeats, std::thread::hardware_concurrency(),
+                seq_q[1] / 1e6, seq_q[0] / 1e6, seq_q[2] / 1e6,
+                pipe_q[1] / 1e6, pipe_q[0] / 1e6, pipe_q[2] / 1e6,
+                speedup_q[1], speedup_q[0], speedup_q[2]);
 
     // Flight-recorder bottleneck report: where each stage worker's
-    // wall time went during the timed run.  Stall-upstream means the
+    // wall time went during the timed batches.  Stall-upstream means the
     // stage starved (look one stage up), stall-downstream means it is
     // faster than its consumer (look one stage down), idle is
     // slicing/stamping overhead and scheduler noise.
-    std::printf("\nbottleneck report (timed pipelined run, wall %.2f "
-                "ms):\n",
-                pipe_ns / 1e6);
+    std::printf("\nbottleneck report (%d timed pipelined batches):\n",
+                kRepeats);
     for (std::size_t s = 0; s < n_stages; ++s) {
         const StageSnapshot &t = timed[s];
         const double wall = t.wallNs > 0.0 ? t.wallNs : 1.0;
@@ -290,6 +324,9 @@ main(int argc, char **argv)
     // Headline metrics as top-level JSON fields (CI gates read these).
     run.topLevel("pipeline.speedup", speedup);
     run.topLevel("pipeline.host_speedup", host_speedup);
+    run.topLevel("pipeline.host_speedup_q1", speedup_q[0]);
+    run.topLevel("pipeline.host_speedup_q3", speedup_q[2]);
+    run.topLevel("pipeline.host_repeats", kRepeats);
     run.topLevel("pipeline.measured_bottleneck_ns",
                  measured_bottleneck_ns);
     run.topLevel("pipeline.host_sequential_ms", seq_ns / 1e6);
@@ -299,7 +336,7 @@ main(int argc, char **argv)
     run.topLevel("pipeline.e2e_p99_ns", e2e_p99);
 
     StatGroup &stats = run.stats();
-    // The timed run's attribution diff, as a pipeline.attribution
+    // The timed batches' attribution diff, as a pipeline.attribution
     // child of the bench stats (mirrors the system-side section).
     StatGroup &attr = stats.child("pipeline.attribution");
     for (std::size_t s = 0; s < n_stages; ++s) {

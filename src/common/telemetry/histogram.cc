@@ -1,36 +1,12 @@
 #include "common/telemetry/histogram.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 namespace prime::telemetry {
 
 Histogram::Histogram() : buckets_(kBucketCount, 0)
 {
-}
-
-int
-Histogram::bucketIndex(double value)
-{
-    // NaN, zero and negatives go to the underflow bucket.
-    if (!(value > 0.0))
-        return 0;
-    // Read the IEEE-754 fields instead of calling frexp: value =
-    // 1.m * 2^(e - 1023), i.e. frexp's fraction 0.5 * 1.m with exponent
-    // e - 1022, whose sub-bucket (frac - 0.5) * 2 * kSubBuckets is the
-    // top three mantissa bits.  Denormals (e = 0) sit far below kMinExp;
-    // +inf (e = 2047) lands in the top bucket.
-    static_assert(kSubBuckets == 8, "sub-bucket = top 3 mantissa bits");
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
-    const int exp = static_cast<int>(bits >> 52) - 1022;
-    if (exp < kMinExp)
-        return 0;
-    // The buckets cover exponents kMinExp .. kMaxExp - 1.
-    if (exp >= kMaxExp)
-        return kBucketCount - 1;
-    const int sub = static_cast<int>((bits >> 49) & 7u);
-    return 1 + (exp - kMinExp) * kSubBuckets + sub;
 }
 
 double
@@ -50,20 +26,6 @@ Histogram::bucketUpperBound(int index)
     if (index <= 0)
         return std::ldexp(0.5, kMinExp);  // smallest representable value
     return bucketLowerBound(index + 1);
-}
-
-void
-Histogram::sample(double value)
-{
-    buckets_[static_cast<std::size_t>(bucketIndex(value))] += 1;
-    sum_ += value;
-    count_ += 1;
-    if (count_ == 1) {
-        min_ = max_ = value;
-    } else {
-        min_ = std::min(min_, value);
-        max_ = std::max(max_, value);
-    }
 }
 
 void

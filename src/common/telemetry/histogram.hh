@@ -14,6 +14,8 @@
 #ifndef PRIME_COMMON_TELEMETRY_HISTOGRAM_HH
 #define PRIME_COMMON_TELEMETRY_HISTOGRAM_HH
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -36,8 +38,20 @@ class Histogram
 
     Histogram();
 
-    /** Record one value. */
-    void sample(double value);
+    /** Record one value (inline: the timing pass samples per burst). */
+    void
+    sample(double value)
+    {
+        buckets_[static_cast<std::size_t>(bucketIndex(value))] += 1;
+        sum_ += value;
+        count_ += 1;
+        if (count_ == 1) {
+            min_ = max_ = value;
+        } else {
+            min_ = std::min(min_, value);
+            max_ = std::max(max_, value);
+        }
+    }
 
     /**
      * Fold another histogram's samples into this one (bucket counts,
@@ -69,7 +83,29 @@ class Histogram
 
     /** Bucket index a value falls into (NaN and values <= 0 in the
      *  underflow bucket, +inf in the top one). */
-    static int bucketIndex(double value);
+    static int
+    bucketIndex(double value)
+    {
+        // NaN, zero and negatives go to the underflow bucket.
+        if (!(value > 0.0))
+            return 0;
+        // Read the IEEE-754 fields instead of calling frexp: value =
+        // 1.m * 2^(e - 1023), i.e. frexp's fraction 0.5 * 1.m with
+        // exponent e - 1022, whose sub-bucket (frac - 0.5) * 2 *
+        // kSubBuckets is the top three mantissa bits.  Denormals
+        // (e = 0) sit far below kMinExp; +inf (e = 2047) lands in the
+        // top bucket.
+        static_assert(kSubBuckets == 8, "sub-bucket = top 3 mantissa bits");
+        const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
+        const int exp = static_cast<int>(bits >> 52) - 1022;
+        if (exp < kMinExp)
+            return 0;
+        // The buckets cover exponents kMinExp .. kMaxExp - 1.
+        if (exp >= kMaxExp)
+            return kBucketCount - 1;
+        const int sub = static_cast<int>((bits >> 49) & 7u);
+        return 1 + (exp - kMinExp) * kSubBuckets + sub;
+    }
     /** Inclusive lower bound of a bucket (0 for the underflow bucket). */
     static double bucketLowerBound(int index);
     /** Exclusive upper bound of a bucket. */

@@ -18,8 +18,8 @@
  * Threading contract:
  *  - A tick holds the registry mutex, then each watched group's mutex
  *    while it walks that group, and formulas may take a leaf lock (the
- *    MainMemory occupancy formulas take a bank shard lock): the lock
- *    order is registry -> group -> memory shard.  Formulas are
+ *    MainMemory occupancy formulas need none: they read relaxed
+ *    atomics): the lock order is registry -> group -> leaf.  Formulas are
  *    therefore sampler-safe by the StatGroup contract: atomics,
  *    relaxed Stat snapshots or a leaf lock, never a call back into the
  *    registry or their own group (prime_lint rule `sampler-lock` flags

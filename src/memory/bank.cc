@@ -4,47 +4,6 @@
 
 namespace prime::memory {
 
-BankAccess
-BankModel::access(Ns when, std::int64_t row, bool is_write)
-{
-    BankAccess result;
-    result.start = std::max(when, nextFree_);
-    result.rowHit = (openRow_ == row);
-
-    Ns latency = 0.0;
-    if (!result.rowHit) {
-        // Precharge the old row (if any) and activate the new one; a
-        // closed-page bank precharged eagerly, so only activation is on
-        // the critical path.
-        if (openRow_ >= 0 && policy_ == PagePolicy::Open)
-            latency += timing_.tRp;
-        latency += timing_.tRcd;
-        ++rowMisses_;
-    } else {
-        ++rowHits_;
-    }
-    // Bank-internal write-to-read turnaround.
-    if (!is_write && lastWasWrite_)
-        latency += timing_.tWtr;
-    latency += timing_.tCl;
-
-    result.complete = result.start + latency;
-    // ReRAM's slow writes occupy the bank for the write-recovery window
-    // after the data burst; reads free the bank at completion.
-    result.bankFree = result.complete + (is_write ? timing_.tWr : 0.0);
-
-    if (policy_ == PagePolicy::Closed) {
-        // Auto-precharge off the critical path of this access.
-        openRow_ = -1;
-        nextFree_ = result.bankFree + timing_.tRp;
-    } else {
-        openRow_ = row;
-        nextFree_ = result.bankFree;
-    }
-    lastWasWrite_ = is_write;
-    return result;
-}
-
 void
 BankModel::precharge()
 {

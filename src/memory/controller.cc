@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/logging.hh"
-#include "common/telemetry/trace_session.hh"
 
 namespace prime::memory {
 
@@ -42,37 +41,16 @@ MemoryController::shard(int channel_bank) const
     return *shards_[static_cast<std::size_t>(channel_bank)];
 }
 
-// Quiescent-snapshot accessors (see the header): analysis escape is on
-// the declarations; the shard lock deliberately is not taken.
 const BankModel &
 MemoryController::bank(int channel_bank) const
-    PRIME_NO_THREAD_SAFETY_ANALYSIS
 {
     return shard(channel_bank).bank;
 }
 
 BankModel &
-MemoryController::bank(int channel_bank) PRIME_NO_THREAD_SAFETY_ANALYSIS
+MemoryController::bank(int channel_bank)
 {
     return shard(channel_bank).bank;
-}
-
-Ns
-MemoryController::reserveChannel(Ns earliest, Ns transfer)
-{
-    // Lock-free exclusive reservation: advance the cursor from its
-    // current value to max(earliest, cursor) + transfer.  Competing
-    // requests retry, so granted slots never overlap; the grant order
-    // under concurrency is the arrival order at the CAS (documented as
-    // schedule-dependent timing).
-    Ns free = channelFree_.load(std::memory_order_relaxed);
-    for (;;) {
-        const Ns start = std::max(earliest, free);
-        if (channelFree_.compare_exchange_weak(
-                free, start + transfer, std::memory_order_acq_rel,
-                std::memory_order_relaxed))
-            return start + transfer;
-    }
 }
 
 std::int64_t
@@ -95,83 +73,49 @@ MemoryController::access(const Request &request, const Location &loc)
                  loc.channel, " routed to controller ", channel_);
     const int channel_bank =
         loc.chip * geometry_.banksPerChip + loc.bank;
-    BankShard &sh = shard(channel_bank);
-    RequestResult result;
-    {
-        MutexLock lock(sh.mutex);
-        result = accessShardLocked(sh, request, loc, rowTag(loc));
-    }
-    if (request.source == RequestSource::Prime)
-        publishPrimeHorizon(result.dataReady);
-    return result;
-}
-
-void
-MemoryController::publishPrimeHorizon(Ns ready)
-{
-    // Release pairs with primeHorizon()'s acquire: a reader that sees
-    // the new horizon also sees the bank state behind it.
-    Ns cur = primeHorizon_.load(std::memory_order_relaxed);
-    while (cur < ready &&
-           !primeHorizon_.compare_exchange_weak(cur, ready,
-                                                std::memory_order_release,
-                                                std::memory_order_relaxed)) {
-    }
+    return accessBank(shard(channel_bank), request, loc, rowTag(loc));
 }
 
 RequestResult
-MemoryController::accessShardLocked(BankShard &sh,
-                                    const Request &request,
-                                    const Location &loc,
-                                    std::int64_t row_tag)
+MemoryController::accessBank(BankShard &sh, const Request &request,
+                             const Location &loc, std::int64_t row_tag)
 {
-    PRIME_SPAN(telemetry::globalTrace(),
-               request.isWrite ? "mem.write" : "mem.read", "memory");
     RequestResult result;
     result.request = request;
     result.location = loc;
 
     result.bank = sh.bank.access(request.issue, row_tag, request.isWrite);
+    sh.nextFree.store(sh.bank.nextFree(), std::memory_order_relaxed);
 
     // The data burst serializes on this channel after the bank has the
     // data (read) or before the bank commits it (write, modeled
-    // symmetrically).
+    // symmetrically).  One timing writer: a plain advance of the cursor.
     const Ns transfer = request.bytes / timing_.channelBandwidth();
-    result.dataReady = reserveChannel(result.bank.complete, transfer);
+    result.dataReady =
+        std::max(result.bank.complete,
+                 channelFree_.load(std::memory_order_relaxed)) +
+        transfer;
+    channelFree_.store(result.dataReady, std::memory_order_relaxed);
 
-    // Stat shard: sampled under the bank lock we already hold, so the
-    // hot path never touches a shared StatGroup (row hits/misses stay
-    // in the BankModel counters).
-    (request.isWrite ? sh.writes : sh.reads) += 1;
+    // Stat shard: the hot path never touches a shared StatGroup (row
+    // hits/misses stay in the BankModel counters).
+    std::atomic<std::uint64_t> &count =
+        request.isWrite ? sh.writes : sh.reads;
+    count.store(count.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
     sh.bytes += request.bytes;
     // Modeled latency split: time queued behind the bank/row state vs.
     // total service (queue + bank + channel burst).
     sh.queueNs.sample(result.bank.start - request.issue);
     const Ns service = result.dataReady - request.issue;
-    sh.serviceNs.sample(service);
     const std::size_t src = static_cast<std::size_t>(request.source);
     sh.sourceServiceNs[src].sample(service);
     sh.sourceLastReady[src] =
         std::max(sh.sourceLastReady[src], result.dataReady);
+    if (request.source == RequestSource::Prime)
+        primeHorizon_ = std::max(primeHorizon_, result.dataReady);
     return result;
 }
-
-namespace {
-
-/**
- * Per-thread scratch of scheduleBankQueue: each entry's row tag and
- * the queue order as indices into the pending span (grown to the
- * largest queue seen, then reused).
- */
-struct BankQueueScratch
-{
-    std::vector<std::int64_t> tags;
-    std::vector<std::size_t> order;
-};
-
-thread_local BankQueueScratch t_queue;
-
-} // namespace
 
 void
 MemoryController::scheduleBankQueue(std::span<const PendingRequest> pending,
@@ -190,10 +134,12 @@ MemoryController::scheduleBankQueue(std::span<const PendingRequest> pending,
     BankShard &sh = shard(channel_bank);
 
     // Row tags once per entry, not once per window scan.
-    std::vector<std::int64_t> &tags = t_queue.tags;
-    std::vector<std::size_t> &order = t_queue.order;
-    tags.resize(n);
-    order.resize(n);
+    std::vector<std::int64_t> &tags = tags_;
+    std::vector<std::size_t> &order = order_;
+    if (tags.size() < n) {
+        tags.resize(n);
+        order.resize(n);
+    }
     for (std::size_t i = 0; i < n; ++i) {
         PRIME_ASSERT(pending[i].location.channel == channel_,
                      "cross-channel entry in bank queue");
@@ -201,7 +147,6 @@ MemoryController::scheduleBankQueue(std::span<const PendingRequest> pending,
         order[i] = i;
     }
 
-    MutexLock lock(sh.mutex);
     // FR-FCFS with a hard starvation bound.  order[head..n) is the
     // pending queue, oldest first.  Each iteration picks, within the
     // first `window` pending entries, a row-hit request if one exists,
@@ -213,7 +158,6 @@ MemoryController::scheduleBankQueue(std::span<const PendingRequest> pending,
     // own count).  Removing the chosen entry shifts only the (at most
     // window - 1) entries ahead of it.
     const std::size_t window = static_cast<std::size_t>(sched.window);
-    Ns prime_ready = 0.0;
     int bypasses = 0;
     for (std::size_t head = 0; head < n; ++head) {
         std::size_t chosen = head;
@@ -238,15 +182,10 @@ MemoryController::scheduleBankQueue(std::span<const PendingRequest> pending,
                                static_cast<std::ptrdiff_t>(chosen + 1));
         const PendingRequest &p = pending[next];
         const RequestResult result =
-            accessShardLocked(sh, p.request, p.location, tags[next]);
-        if (p.request.source == RequestSource::Prime)
-            prime_ready = std::max(prime_ready, result.dataReady);
+            accessBank(sh, p.request, p.location, tags[next]);
         if (results)
             results->push_back(result);
     }
-    // One horizon advance per queue, with its latest PRIME completion
-    // (a no-op for a CPU-only queue).
-    publishPrimeHorizon(prime_ready);
 }
 
 ChannelTotals
@@ -254,16 +193,15 @@ MemoryController::totals() const
 {
     ChannelTotals t;
     for (const std::unique_ptr<BankShard> &sh : shards_) {
-        MutexLock lock(sh->mutex);
-        t.reads += sh->reads;
-        t.writes += sh->writes;
+        t.reads += sh->reads.load(std::memory_order_relaxed);
+        t.writes += sh->writes.load(std::memory_order_relaxed);
         t.bytes += sh->bytes;
         t.rowHits += sh->bank.rowHits();
         t.rowMisses += sh->bank.rowMisses();
         t.queueNs.merge(sh->queueNs);
-        t.serviceNs.merge(sh->serviceNs);
         for (std::size_t s = 0; s < kRequestSources; ++s) {
             t.sourceServiceNs[s].merge(sh->sourceServiceNs[s]);
+            t.serviceNs.merge(sh->sourceServiceNs[s]);
             t.sourceLastReady[s] = std::max(t.sourceLastReady[s],
                                             sh->sourceLastReady[s]);
         }
@@ -276,7 +214,6 @@ MemoryController::rowHitRate() const
 {
     std::uint64_t hits = 0, total = 0;
     for (const std::unique_ptr<BankShard> &sh : shards_) {
-        MutexLock lock(sh->mutex);
         hits += sh->bank.rowHits();
         total += sh->bank.rowHits() + sh->bank.rowMisses();
     }
@@ -287,12 +224,10 @@ void
 MemoryController::resetStats()
 {
     for (const std::unique_ptr<BankShard> &sh : shards_) {
-        MutexLock lock(sh->mutex);
-        sh->reads = 0;
-        sh->writes = 0;
+        sh->reads.store(0, std::memory_order_relaxed);
+        sh->writes.store(0, std::memory_order_relaxed);
         sh->bytes = 0.0;
         sh->queueNs.reset();
-        sh->serviceNs.reset();
         for (std::size_t s = 0; s < kRequestSources; ++s) {
             sh->sourceServiceNs[s].reset();
             sh->sourceLastReady[s] = 0.0;
@@ -304,26 +239,22 @@ MemoryController::resetStats()
 Ns
 MemoryController::bankBacklogNs(int channel_bank) const
 {
-    const BankShard &sh = shard(channel_bank);
-    MutexLock lock(sh.mutex);
-    const Ns backlog = sh.bank.nextFree() - channelFree();
+    const Ns backlog =
+        shard(channel_bank).nextFree.load(std::memory_order_relaxed) -
+        channelFree();
     return backlog > 0.0 ? backlog : 0.0;
 }
 
 std::uint64_t
 MemoryController::bankReads(int channel_bank) const
 {
-    const BankShard &sh = shard(channel_bank);
-    MutexLock lock(sh.mutex);
-    return sh.reads;
+    return shard(channel_bank).reads.load(std::memory_order_relaxed);
 }
 
 std::uint64_t
 MemoryController::bankWrites(int channel_bank) const
 {
-    const BankShard &sh = shard(channel_bank);
-    MutexLock lock(sh.mutex);
-    return sh.writes;
+    return shard(channel_bank).writes.load(std::memory_order_relaxed);
 }
 
 } // namespace prime::memory

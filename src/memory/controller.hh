@@ -12,17 +12,21 @@
  * same controllers, so channel-level interference between the two
  * request classes is modeled rather than assumed away.
  *
- * Thread safety -- the controller is the lock domain boundary:
- *  - Each bank shard (timing FSM + its latency/count stat shard) is
- *    guarded by that bank's own mutex; requests to different banks of
- *    one channel, and to any banks of different channels, proceed
- *    fully in parallel.
- *  - The channel cursor is an atomic reservation: a request claims
- *    its burst slot with a CAS max-advance, so channel time stays
- *    exclusive without any lock.  The cursor is owned by exactly this
- *    controller; no other channel's traffic ever touches it.
- *  - FR-FCFS batches are scheduled per bank (row hits only exist
- *    within a bank), holding one bank lock at a time.
+ * Thread safety -- one timing writer, one kind of concurrent reader:
+ *  - The timing state (bank FSMs, stat shards, the channel cursor,
+ *    the PRIME horizon, the queue scratch) has exactly one writer at a
+ *    time: the thread running a timing pass (MainMemory::schedule,
+ *    access, scheduleBatch, resetStats).  PRIME logs its Fetch/Commit
+ *    transfers on the stage threads and replays them in one
+ *    single-threaded pass per public call, so no two threads ever
+ *    schedule against one controller at once, and no lock is taken.
+ *  - The metrics sampler thread reads only the occupancy values
+ *    (channelFree, bankBacklogNs, bankReads, bankWrites).  Those are
+ *    relaxed atomics, each with that single writer, so the sampler
+ *    never races the pass; it may see one bank's counters a burst
+ *    apart from another's.
+ *  - Everything else (totals, rowHitRate, bank, primeHorizon) is read
+ *    by the timing writer's thread, between passes.
  */
 
 #ifndef PRIME_MEMORY_CONTROLLER_HH
@@ -34,9 +38,7 @@
 #include <span>
 #include <vector>
 
-#include "common/mutex.hh"
 #include "common/telemetry/histogram.hh"
-#include "common/thread_annotations.hh"
 #include "memory/address.hh"
 #include "memory/bank.hh"
 #include "nvmodel/tech_params.hh"
@@ -121,10 +123,8 @@ struct ChannelTotals
 };
 
 /**
- * One channel's controller.  See the file comment for the lock
- * domains; the shard-guarded members are PRIME_GUARDED_BY their shard
- * mutex and the locked-caller convention of accessShardLocked is a
- * PRIME_REQUIRES, enforced by the clang-tsa preset.
+ * One channel's controller.  See the file comment for which thread may
+ * call what.
  */
 class MemoryController
 {
@@ -145,32 +145,28 @@ class MemoryController
      * hit is preferred, but the oldest request is never bypassed more
      * than sched.maxBypass consecutive times.  Appends the
      * completions, in completion order, to @p results unless it is
-     * null.  The queue order lives in per-thread index scratch reused
-     * across calls, so a steady stream of queues allocates nothing;
-     * the PRIME-class horizon is published once, after the queue.
+     * null.  The queue order lives in index scratch the controller
+     * reuses across calls, so a steady stream of queues allocates
+     * nothing.  Timing-writer only (see the file comment).
      */
     void scheduleBankQueue(std::span<const PendingRequest> pending,
                            const SchedulerConfig &sched,
                            std::vector<RequestResult> *results);
 
-    /** Earliest time this channel's data bus is free. */
+    /** Earliest time this channel's data bus is free (any thread). */
     Ns
     channelFree() const
     {
-        return channelFree_.load(std::memory_order_acquire);
+        return channelFree_.load(std::memory_order_relaxed);
     }
 
     /**
-     * Latest PRIME-class completion this channel has served -- a
-     * lock-free progress signal a co-running traffic generator can
-     * pace itself against (see CpuTrafficOptions::paceLeadNs).
-     * Monotonic like the channel cursor; resetStats leaves it alone.
+     * Latest PRIME-class completion this channel has served: the
+     * progress a co-run CPU stream is paced against (see
+     * CpuTrafficOptions::paceLeadNs).  Monotonic like the channel
+     * cursor; resetStats leaves it alone.  Timing-writer only.
      */
-    Ns
-    primeHorizon() const
-    {
-        return primeHorizon_.load(std::memory_order_acquire);
-    }
+    Ns primeHorizon() const { return primeHorizon_; }
 
     /**
      * Physical wordline tag for the row buffer (row x subarray x mat).
@@ -179,19 +175,11 @@ class MemoryController
      */
     std::int64_t rowTag(const Location &loc) const;
 
-    /**
-     * Direct bank access WITHOUT the shard lock -- a quiescent-
-     * snapshot accessor for tests and single-threaded setup/teardown.
-     * The analysis escape is deliberate: the bank is shard-guarded on
-     * the concurrent timing path, and a caller using this handle
-     * asserts no concurrent accesses run.
-     */
-    const BankModel &bank(int channel_bank) const
-        PRIME_NO_THREAD_SAFETY_ANALYSIS;
-    BankModel &bank(int channel_bank) PRIME_NO_THREAD_SAFETY_ANALYSIS;
+    /** Direct bank access (timing writer's thread, between passes). */
+    const BankModel &bank(int channel_bank) const;
+    BankModel &bank(int channel_bank);
 
-    /** Fold every shard into absolute channel totals (takes each
-     *  shard lock in turn; exact only while quiescent). */
+    /** Fold every shard into absolute channel totals. */
     ChannelTotals totals() const;
 
     /** Channel-aggregate row-buffer hit rate. */
@@ -206,32 +194,34 @@ class MemoryController
     void resetStats();
 
     /**
-     * Shard-locked backlog of one bank: how far its timing cursor runs
-     * ahead of this channel's bus cursor (metrics-probe helper; the
-     * shard mutex is a leaf lock).
+     * Backlog of one bank: how far its timing cursor runs ahead of
+     * this channel's bus cursor (an occupancy value: any thread).
      */
     Ns bankBacklogNs(int channel_bank) const;
-    /** Shard-locked read/write counters of one bank (metrics probes). */
+    /** Read/write counters of one bank (occupancy values: any
+     *  thread). */
     std::uint64_t bankReads(int channel_bank) const;
     std::uint64_t bankWrites(int channel_bank) const;
 
   private:
     /**
-     * One bank's lock domain: the timing state machine plus the stat
-     * shard its accesses sample into, all updated under `mutex`.
+     * One bank's timing state machine plus the stat shard its accesses
+     * sample into.  The occupancy values the sampler reads are relaxed
+     * atomics: the counters themselves, and a copy of the bank's
+     * next-free time stored after every access.
      */
     struct BankShard
     {
-        alignas(64) mutable Mutex mutex;
-        BankModel bank PRIME_GUARDED_BY(mutex);
-        std::uint64_t reads PRIME_GUARDED_BY(mutex) = 0;
-        std::uint64_t writes PRIME_GUARDED_BY(mutex) = 0;
-        double bytes PRIME_GUARDED_BY(mutex) = 0.0;
-        telemetry::Histogram queueNs PRIME_GUARDED_BY(mutex);
-        telemetry::Histogram serviceNs PRIME_GUARDED_BY(mutex);
-        telemetry::Histogram sourceServiceNs[kRequestSources]
-            PRIME_GUARDED_BY(mutex);
-        Ns sourceLastReady[kRequestSources] PRIME_GUARDED_BY(mutex) = {};
+        BankModel bank;
+        std::atomic<std::uint64_t> reads{0};
+        std::atomic<std::uint64_t> writes{0};
+        std::atomic<Ns> nextFree{0.0};
+        double bytes = 0.0;
+        telemetry::Histogram queueNs;
+        /** Service latency per RequestSource; totals() merges them into
+         *  the all-source histogram. */
+        telemetry::Histogram sourceServiceNs[kRequestSources];
+        Ns sourceLastReady[kRequestSources] = {};
 
         BankShard(const nvmodel::TimingParams &timing, PagePolicy policy)
             : bank(timing, policy)
@@ -241,30 +231,24 @@ class MemoryController
     /** The shard owning channel-local bank @p channel_bank. */
     BankShard &shard(int channel_bank) const;
 
-    /**
-     * Claim an exclusive channel slot of @p transfer ns starting at or
-     * after @p earliest; returns the slot's end (= dataReady).
-     */
-    Ns reserveChannel(Ns earliest, Ns transfer);
-
-    /** access() body; caller holds the target bank's shard mutex (the
-     *  REQUIRES makes that calling convention a compile-time fact).
-     *  Does not touch primeHorizon_: callers publish it. */
-    RequestResult accessShardLocked(BankShard &sh, const Request &request,
-                                    const Location &loc,
-                                    std::int64_t row_tag)
-        PRIME_REQUIRES(sh.mutex);
-
-    /** Lock-free max-advance of primeHorizon_ to @p ready (release). */
-    void publishPrimeHorizon(Ns ready);
+    /** Serve one request at its bank and on this channel's bus, and
+     *  sample it into the bank's stat shard. */
+    RequestResult accessBank(BankShard &sh, const Request &request,
+                             const Location &loc, std::int64_t row_tag);
 
     int channel_;
     nvmodel::TimingParams timing_;
     nvmodel::Geometry geometry_;
-    /** unique_ptr: BankShard owns a mutex and must stay pinned. */
+    /** unique_ptr: BankShard holds atomics, which do not move. */
     std::vector<std::unique_ptr<BankShard>> shards_;
+    /** Timing writer only writes it; atomic for the sampler. */
     std::atomic<Ns> channelFree_{0.0};
-    std::atomic<Ns> primeHorizon_{0.0};
+    Ns primeHorizon_ = 0.0;
+    /** scheduleBankQueue scratch: each entry's row tag and the queue
+     *  order as indices into the pending span (grown to the largest
+     *  queue seen, then reused). */
+    std::vector<std::int64_t> tags_;
+    std::vector<std::size_t> order_;
 };
 
 } // namespace prime::memory

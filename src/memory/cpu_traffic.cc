@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 
 #include "common/logging.hh"
 
@@ -20,7 +19,8 @@ cpuPatternName(CpuPattern pattern)
 }
 
 CpuTrafficGenerator::CpuTrafficGenerator(MainMemory &mem,
-                                         const CpuTrafficOptions &options)
+                                         const CpuTrafficOptions &options,
+                                         std::uint64_t requests)
     : mem_(mem), options_(options), rng_(options.seed)
 {
     PRIME_ASSERT(options_.intensity >= 0.0,
@@ -36,6 +36,24 @@ CpuTrafficGenerator::CpuTrafficGenerator(MainMemory &mem,
         1, region / AddressMapper::kLineBytes);
     streamLine_ = static_cast<std::uint64_t>(rng_.uniformInt(
         0, static_cast<std::int64_t>(regionLines_ - 1)));
+    if (options_.intensity <= 0.0 || requests == 0)
+        return;
+    remaining_ = requests;
+    // Offered load -> mean inter-arrival gap against the aggregate peak
+    // bandwidth of all channels.
+    const double peak =
+        mem_.params().timing.channelBandwidth() * mem_.channels();
+    meanGap_ = options_.bytes / (options_.intensity * peak);
+    arrival_ = mem_.channelFree();
+    drawArrival();
+}
+
+void
+CpuTrafficGenerator::drawArrival()
+{
+    // Exponential (Poisson-process) gap; 1-u keeps log's argument in
+    // (0, 1].
+    arrival_ += -meanGap_ * std::log(1.0 - rng_.uniform());
 }
 
 std::uint64_t
@@ -58,58 +76,30 @@ CpuTrafficGenerator::nextAddr()
     return options_.regionBase + line * AddressMapper::kLineBytes;
 }
 
-CpuRunStats
-CpuTrafficGenerator::run(std::uint64_t max_requests)
+void
+CpuTrafficGenerator::issueUntil(Ns horizon)
 {
-    CpuRunStats stats;
-    if (options_.intensity <= 0.0 || max_requests == 0)
-        return stats;
-
-    // Offered load -> mean inter-arrival gap against the aggregate peak
-    // bandwidth of all channels.
-    const double peak = mem_.params().timing.channelBandwidth() *
-                        mem_.channels();
-    const double mean_gap =
-        options_.bytes / (options_.intensity * peak);
-
-    // Start on warm hardware: arrivals begin at the current channel
-    // horizon rather than modeled time zero.
-    Ns arrival = mem_.channelFree();
-    while (stats.requests < max_requests &&
-           !stop_.load(std::memory_order_acquire)) {
-        // Exponential (Poisson-process) gap; 1-u keeps log's argument
-        // in (0, 1].
-        arrival += -mean_gap * std::log(1.0 - rng_.uniform());
-        // Co-run pacing: hold this arrival until the PRIME side's
-        // modeled progress is within paceLeadNs of it, so the two
-        // request streams interleave in modeled time even when the
-        // host threads run at very different speeds.
-        if (options_.paceLeadNs > 0.0) {
-            while (!stop_.load(std::memory_order_acquire) &&
-                   arrival >
-                       mem_.primeProgressNs() + options_.paceLeadNs)
-                std::this_thread::yield();
-            if (stop_.load(std::memory_order_acquire))
-                break;
-        }
+    while (remaining_ > 0 && arrival_ <= horizon) {
         Request r;
         r.addr = nextAddr();
         r.bytes = options_.bytes;
         r.isWrite = rng_.bernoulli(options_.writeFraction);
-        r.issue = arrival;
+        r.issue = arrival_;
         r.source = RequestSource::Cpu;
         const RequestResult result = mem_.access(r);
-        stats.requests += 1;
-        stats.bytes += r.bytes;
-        stats.serviceNs.sample(result.dataReady - r.issue);
-        stats.lastDataReady =
-            std::max(stats.lastDataReady, result.dataReady);
+        --remaining_;
+        stats_.requests += 1;
+        stats_.bytes += r.bytes;
+        stats_.serviceNs.sample(result.dataReady - r.issue);
+        stats_.lastDataReady =
+            std::max(stats_.lastDataReady, result.dataReady);
         // Dependent loads: the next address cannot issue before the
         // current data returned (closed-loop latency chain).
         if (options_.pattern == CpuPattern::PointerChase)
-            arrival = std::max(arrival, result.dataReady);
+            arrival_ = std::max(arrival_, result.dataReady);
+        if (remaining_ > 0)
+            drawArrival();
     }
-    return stats;
 }
 
 } // namespace prime::memory

@@ -4,17 +4,19 @@
  *
  * Section VI's co-run question -- how much does FF-mode compute slow
  * down when the host CPU keeps hammering the same memory -- needs a
- * CPU-side load generator.  This one issues open-loop requests tagged
- * RequestSource::Cpu at a configurable fraction of the aggregate peak
- * channel bandwidth, in the three canonical shapes: streaming (unit
- * stride, row-buffer friendly), random (uniform lines, row-buffer
- * hostile), and pointer-chase (dependent loads, latency bound).
+ * CPU-side load generator.  This one is a seeded, pull-based stream of
+ * requests tagged RequestSource::Cpu at a configurable fraction of the
+ * aggregate peak channel bandwidth, in the three canonical shapes:
+ * streaming (unit stride, row-buffer friendly), random (uniform lines,
+ * row-buffer hostile), and pointer-chase (dependent loads, latency
+ * bound).  Nothing runs on its own thread: the caller pulls requests in
+ * modeled-arrival order (issueUntil), and a co-run attaches the stream
+ * to MainMemory::setCoRun so PRIME's timing pass merges it.
  */
 
 #ifndef PRIME_MEMORY_CPU_TRAFFIC_HH
 #define PRIME_MEMORY_CPU_TRAFFIC_HH
 
-#include <atomic>
 #include <cstdint>
 
 #include "common/rng.hh"
@@ -55,20 +57,19 @@ struct CpuTrafficOptions
     std::uint64_t regionBytes = 0;
     unsigned long long seed = 1;
     /**
-     * Co-run pacing lead, in modeled ns.  When positive, the arrival
-     * clock never runs more than this far ahead of the co-running
-     * PRIME side's latest completion (MainMemory::primeProgressNs):
-     * the host thread spins until PRIME catches up.  Without this, a
-     * generator thread that is faster than the co-runner in *host*
-     * time delivers its whole modeled window of traffic before PRIME
-     * issues anything -- the channel cursors have no backfill, so the
-     * co-run degenerates into back-to-back solo runs.  0 (default)
-     * disables pacing: pure open loop, for solo runs.
+     * Co-run pacing lead, in modeled ns: attached to a MainMemory
+     * (setCoRun), the stream's requests issue before a PRIME transfer
+     * once their arrival is at most the PRIME side's latest completion
+     * (MainMemory::primeProgressNs) plus this lead.  The two request
+     * streams so interleave in modeled time -- the channel cursors
+     * have no backfill, so issuing the whole CPU window first would
+     * degenerate the co-run into back-to-back solo runs.  A solo run
+     * (issueUntil on its own) does not read it.
      */
     Ns paceLeadNs = 0.0;
 };
 
-/** What one run() issued and observed. */
+/** What a generator has issued and observed so far. */
 struct CpuRunStats
 {
     std::uint64_t requests = 0;
@@ -80,38 +81,32 @@ struct CpuRunStats
 };
 
 /**
- * Issues the configured traffic against a MainMemory.  run() is meant
- * for a dedicated host thread co-running with PRIME batch execution;
- * stop() (thread-safe) ends it from outside.  One generator drives one
- * run() at a time; construct one per host thread for parallel CPUs.
+ * A fixed-length stream of the configured traffic against one
+ * MainMemory.  Modeled arrivals start at the memory's channel-free
+ * horizon at construction, so a stream lands on warm hardware rather
+ * than backfilling the past; the same options, seed and memory state
+ * give the same requests.
  */
 class CpuTrafficGenerator
 {
   public:
-    CpuTrafficGenerator(MainMemory &mem, const CpuTrafficOptions &options);
+    /** A stream of @p requests requests (none at intensity 0). */
+    CpuTrafficGenerator(MainMemory &mem, const CpuTrafficOptions &options,
+                        std::uint64_t requests);
 
     /**
-     * Issue up to @p max_requests requests (default: until stop()).
-     * Modeled arrivals start at the memory's current channel-free
-     * horizon, so a fresh run lands on warm hardware rather than
-     * backfilling the past.  Returns what was issued and observed.
+     * Issue, in arrival order, every remaining request whose modeled
+     * arrival is at most @p horizon (+infinity: the rest of the
+     * stream).  A pointer-chase request arrives no earlier than its
+     * predecessor's data.
      */
-    CpuRunStats run(std::uint64_t max_requests =
-                        ~static_cast<std::uint64_t>(0));
+    void issueUntil(Ns horizon);
 
-    /** Make the current (or next) run() return promptly. */
-    void
-    stop()
-    {
-        stop_.store(true, std::memory_order_release);
-    }
+    /** Requests not yet issued. */
+    std::uint64_t remaining() const { return remaining_; }
 
-    /** Re-arm after stop() so the generator can run() again. */
-    void
-    rearm()
-    {
-        stop_.store(false, std::memory_order_release);
-    }
+    /** What was issued and observed so far. */
+    const CpuRunStats &stats() const { return stats_; }
 
     const CpuTrafficOptions &options() const { return options_; }
 
@@ -119,12 +114,20 @@ class CpuTrafficGenerator
     /** Next request address per the configured pattern. */
     std::uint64_t nextAddr();
 
+    /** Draw the next exponential inter-arrival gap onto arrival_. */
+    void drawArrival();
+
     MainMemory &mem_;
     CpuTrafficOptions options_;
     Rng rng_;
     std::uint64_t regionLines_ = 0;
     std::uint64_t streamLine_ = 0;
-    std::atomic<bool> stop_{false};
+    std::uint64_t remaining_ = 0;
+    /** Mean inter-arrival gap, ns. */
+    double meanGap_ = 0.0;
+    /** Modeled arrival of the next request. */
+    Ns arrival_ = 0.0;
+    CpuRunStats stats_;
 };
 
 } // namespace prime::memory

@@ -7,6 +7,7 @@
 
 #include "common/logging.hh"
 #include "common/telemetry/trace_session.hh"
+#include "memory/cpu_traffic.hh"
 
 namespace prime::memory {
 
@@ -21,6 +22,7 @@ MainMemory::MainMemory(const nvmodel::TechParams &params,
     for (int ch = 0; ch < params.geometry.channels; ++ch)
         controllers_.push_back(
             std::make_unique<MemoryController>(ch, params, policy));
+    issue_.resize(controllers_.size());
     // Derived at read time from the hit/miss counters (std::map nodes
     // are address-stable, so the captured pointers stay valid; the
     // counters themselves are refreshed from the bank shards by
@@ -146,24 +148,6 @@ MainMemory::access(const Request &request)
     return controller(loc.channel).access(request, loc);
 }
 
-namespace {
-
-/**
- * Per-thread scratch of the scheduling path, reused across calls (the
- * pipeline stages call into one MainMemory concurrently, so the scratch
- * cannot live in it).
- */
-struct ScheduleScratch
-{
-    std::vector<PendingRequest> decoded;
-    std::vector<int> banks;
-    std::vector<PendingRequest> queue;
-};
-
-thread_local ScheduleScratch t_scratch;
-
-} // namespace
-
 std::vector<RequestResult>
 MainMemory::scheduleBatch(std::vector<Request> requests)
 {
@@ -176,54 +160,39 @@ MainMemory::scheduleBatch(std::vector<Request> requests,
 {
     std::vector<RequestResult> results;
     results.reserve(requests.size());
-    std::vector<PendingRequest> &decoded = t_scratch.decoded;
-    decoded.clear();
+    decoded_.clear();
     for (const Request &r : requests)
-        decoded.push_back(PendingRequest{r, mapper_.decode(r.addr)});
-    scheduleDecoded(decoded, sched, &results);
+        decoded_.push_back(PendingRequest{r, mapper_.decode(r.addr)});
+    // Keep requests sorted by issue time, then partition by bank (banks
+    // in first-request order): the row-hit reordering window only ever
+    // matters within a bank, so each group is one FR-FCFS queue.
+    std::stable_sort(decoded_.begin(), decoded_.end(),
+                     [](const PendingRequest &a, const PendingRequest &b) {
+                         return a.request.issue < b.request.issue;
+                     });
+    bankOrder_.clear();
+    for (const PendingRequest &p : decoded_)
+        if (std::find(bankOrder_.begin(), bankOrder_.end(),
+                      p.location.globalBank) == bankOrder_.end())
+            bankOrder_.push_back(p.location.globalBank);
+    for (const int bank : bankOrder_) {
+        queue_.clear();
+        for (const PendingRequest &p : decoded_)
+            if (p.location.globalBank == bank)
+                queue_.push_back(p);
+        controller(queue_.front().location.channel)
+            .scheduleBankQueue(queue_, sched, &results);
+    }
     return results;
 }
 
-void
-MainMemory::scheduleDecoded(std::vector<PendingRequest> &decoded,
-                            const SchedulerConfig &sched,
-                            std::vector<RequestResult> *results)
+Transfer
+MainMemory::recordTransfer(std::uint64_t addr, std::size_t bytes,
+                           bool is_write, RequestSource source) const
 {
-    // Keep requests sorted by issue time, then partition by bank: the
-    // row-hit reordering window only ever matters within a bank, and
-    // per-bank groups let each channel's FR-FCFS loop hold exactly one
-    // bank lock at a time (banks appear in first-request order).  An
-    // already sorted batch -- every single-channel transfer -- skips the
-    // sort, whose merge buffer would allocate.
-    const auto by_issue = [](const PendingRequest &a,
-                             const PendingRequest &b) {
-        return a.request.issue < b.request.issue;
-    };
-    if (!std::is_sorted(decoded.begin(), decoded.end(), by_issue))
-        std::stable_sort(decoded.begin(), decoded.end(), by_issue);
-    std::vector<int> &banks = t_scratch.banks;
-    banks.clear();
-    for (const PendingRequest &p : decoded)
-        if (std::find(banks.begin(), banks.end(), p.location.globalBank) ==
-            banks.end())
-            banks.push_back(p.location.globalBank);
-    const int per = params_.geometry.banksPerChannel();
-    std::vector<PendingRequest> &queue = t_scratch.queue;
-    for (const int bank : banks) {
-        queue.clear();
-        for (const PendingRequest &p : decoded)
-            if (p.location.globalBank == bank)
-                queue.push_back(p);
-        controller(bank / per).scheduleBankQueue(queue, sched, results);
-    }
-}
-
-void
-MainMemory::scheduleBytes(std::uint64_t addr, std::size_t bytes,
-                          bool is_write, RequestSource source)
-{
+    Transfer transfer;
     if (bytes == 0)
-        return;
+        return transfer;
     // Decode the first burst, then step: every later burst starts one
     // 64-byte line on.  Its decode asserts the start is in range; check
     // the last burst's start once here.
@@ -232,8 +201,7 @@ MainMemory::scheduleBytes(std::uint64_t addr, std::size_t bytes,
     PRIME_ASSERT(addr + last < mapper_.capacityBytes(), "transfer of ",
                  bytes, " bytes at ", addr, " beyond capacity ",
                  mapper_.capacityBytes());
-    std::vector<PendingRequest> &decoded = t_scratch.decoded;
-    decoded.clear();
+    std::vector<PendingRequest> bursts;
     PendingRequest p;
     p.request.isWrite = is_write;
     p.request.source = source;
@@ -245,15 +213,54 @@ MainMemory::scheduleBytes(std::uint64_t addr, std::size_t bytes,
         p.request.addr = addr + off;
         p.request.bytes = static_cast<std::uint32_t>(
             std::min<std::size_t>(AddressMapper::kLineBytes, bytes - off));
-        // Anchor each burst at its *own* channel's cursor: co-running
-        // traffic on one channel must not push this transfer's issue
-        // time on every other channel (a global max-horizon anchor
-        // would serialize PRIME traffic behind any CPU backlog instead
-        // of arbitrating with it at the owning controller).
-        p.request.issue = controller(p.location.channel).channelFree();
-        decoded.push_back(p);
+        bursts.push_back(p);
     }
-    scheduleDecoded(decoded, sched_, nullptr);
+    // Group per bank in first-appearance order, keeping each bank's
+    // bursts in address order: the per-bank queues scheduleBatch forms
+    // for these bursts, whatever the channel cursors (a channel's
+    // bursts share one issue time, so its banks keep this order).
+    std::vector<int> banks;
+    for (const PendingRequest &b : bursts)
+        if (std::find(banks.begin(), banks.end(), b.location.globalBank) ==
+            banks.end())
+            banks.push_back(b.location.globalBank);
+    transfer.bursts.reserve(bursts.size());
+    for (const int bank : banks) {
+        for (const PendingRequest &b : bursts)
+            if (b.location.globalBank == bank)
+                transfer.bursts.push_back(b);
+        transfer.groupEnds.push_back(
+            static_cast<std::uint32_t>(transfer.bursts.size()));
+    }
+    return transfer;
+}
+
+void
+MainMemory::schedule(const Transfer &transfer)
+{
+    if (transfer.groupEnds.empty())
+        return;
+    // Co-run merge, in modeled time: the CPU requests that arrive
+    // before PRIME's progress plus the pacing lead go first.
+    if (coRun_)
+        coRun_->issueUntil(primeProgressNs() + coRun_->options().paceLeadNs);
+    // Every burst issues at its own channel's cursor as it stands
+    // before the transfer: co-running traffic on one channel must not
+    // push this transfer's issue time on every other channel.
+    for (std::size_t ch = 0; ch < controllers_.size(); ++ch)
+        issue_[ch] = controllers_[ch]->channelFree();
+    std::size_t begin = 0;
+    for (const std::uint32_t end : transfer.groupEnds) {
+        queue_.assign(transfer.bursts.begin() +
+                          static_cast<std::ptrdiff_t>(begin),
+                      transfer.bursts.begin() +
+                          static_cast<std::ptrdiff_t>(end));
+        const int channel = queue_.front().location.channel;
+        for (PendingRequest &p : queue_)
+            p.request.issue = issue_[static_cast<std::size_t>(channel)];
+        controller(channel).scheduleBankQueue(queue_, sched_, nullptr);
+        begin = end;
+    }
 }
 
 void

@@ -31,6 +31,24 @@
 
 namespace prime::memory {
 
+class CpuTrafficGenerator;
+
+/**
+ * A timed transfer decoded once (MainMemory::recordTransfer): its
+ * 64-byte bursts with their addresses, sizes, direction and decoded
+ * locations, grouped per bank in first-appearance order -- each group
+ * one FR-FCFS bank queue.  The record holds no time: schedule() issues
+ * it at the owning channels' cursors of the moment, so one record
+ * replays any number of times.
+ */
+struct Transfer
+{
+    /** The bursts, bank group after bank group (issue times unset). */
+    std::vector<PendingRequest> bursts;
+    /** End offset in bursts of each bank group. */
+    std::vector<std::uint32_t> groupEnds;
+};
+
 /**
  * The full main-memory model.  Timed accesses move the module's notion
  * of bank/channel availability forward; functional reads/writes touch
@@ -43,26 +61,26 @@ namespace prime::memory {
  * the owning controller.  PRIME traffic and CPU co-run traffic
  * (cpu_traffic.hh) arbitrate at the same controllers.
  *
- * Thread safety -- the lock domains live in MemoryController (see
- * controller.hh): per-bank shard mutexes for timing + stat state, one
- * atomic reservation cursor per channel.  MainMemory itself adds only
- * the functional backing store: sparse 4 KiB pages, allocated
- * zero-filled on first write and copied with memcpy, spread page-wise
- * over a small mutex array so reads/writes at disjoint pages proceed
- * in parallel and never contend with the timing path.  Functional
- * reads/writes at disjoint addresses are order-independent; the
- * *timing* state interleaves in arrival order, so latency stats under
- * concurrency are schedule-dependent (functional results stay
- * deterministic).  stats() aggregates the per-bank shards into the
- * published StatGroup at call time -- cheap, but like the bank()
- * accessor it snapshots: call it while no concurrent accesses run when
- * exact totals matter.
+ * Timing is a pass, not a side effect: PRIME records each Fetch/Commit
+ * once as a Transfer (recordTransfer, at tape-lowering time) and
+ * replays the ids its stages logged through schedule() in one
+ * single-threaded timing pass per public PrimeSystem call.  A co-run
+ * CPU stream (setCoRun) is merged into that pass in modeled time.
  *
- * These contracts are machine-checked: every shard-guarded member is
- * PRIME_GUARDED_BY its shard mutex and the locked-caller convention of
- * accessShardLocked is a PRIME_REQUIRES, enforced by the clang-tsa
- * preset (-Werror=thread-safety); the deliberate escapes (bank()) are
- * documented at their declarations.
+ * Thread safety -- the timing state (bank FSMs and stat shards,
+ * channel cursors, the PRIME horizon, the scheduling scratch) has one
+ * writer at a time and no lock: the thread calling schedule, access,
+ * scheduleBatch or resetStats.  Those calls must not overlap one
+ * another, and stats(), rowHitRate(), primeProgressNs() and bank()
+ * belong to that thread, between passes.  The one concurrent reader
+ * is the metrics sampler, and it reads only occupancy(), whose
+ * values are relaxed atomics with that single writer (controller.hh).
+ * The functional backing store is independent of the timing state:
+ * sparse 4 KiB pages, allocated zero-filled on first write and copied
+ * with memcpy, spread page-wise over a small mutex array, so any
+ * number of threads may readData/writeData at once -- the pipeline
+ * stages do, at disjoint staging windows.  Its stripe mutexes are
+ * PRIME_GUARDED_BY-annotated and checked by the clang-tsa preset.
  */
 class MainMemory
 {
@@ -91,16 +109,33 @@ class MainMemory
     scheduleBatch(std::vector<Request> requests);
 
     /**
-     * Timed transfer of a byte range: 64-byte burst requests issued at
-     * the current channel-free time, scheduled FR-FCFS under the
-     * configured SchedulerConfig and attributed to @p source.  Timing
-     * only -- pair with readData/writeData for the functional payload.
-     * The bursts are built in per-thread scratch that is reused across
-     * calls, so a steady stream of transfers allocates nothing (the
-     * completion records are not kept; scheduleBatch returns them).
+     * Decode a transfer of @p bytes at @p addr into 64-byte bursts
+     * attributed to @p source, grouped per bank (see Transfer).  Pure:
+     * touches no timing state, so it can run once, when PRIME lowers
+     * its command tape.
      */
-    void scheduleBytes(std::uint64_t addr, std::size_t bytes, bool is_write,
-                       RequestSource source = RequestSource::Prime);
+    Transfer recordTransfer(std::uint64_t addr, std::size_t bytes,
+                            bool is_write,
+                            RequestSource source = RequestSource::Prime)
+        const;
+
+    /**
+     * Time one recorded transfer: first issue every co-run CPU request
+     * (setCoRun) that arrives no later than primeProgressNs() +
+     * paceLeadNs, then issue the transfer's bursts at their own
+     * channel's cursor as read before any of them is scheduled, each
+     * bank group as one FR-FCFS queue under the configured
+     * SchedulerConfig.  Timing only -- readData/writeData move the
+     * payload.  Allocates nothing once its scratch has grown to the
+     * largest group.
+     */
+    void schedule(const Transfer &transfer);
+
+    /**
+     * Merge @p cpu's stream into every later schedule() (see there);
+     * nullptr detaches.  The generator must outlive the attachment.
+     */
+    void setCoRun(CpuTrafficGenerator *cpu) { coRun_ = cpu; }
 
     /** Functional write of a byte span at @p addr (allocates the pages
      *  it touches, zero-filled, on first write). */
@@ -122,13 +157,8 @@ class MainMemory
     MemoryController &controller(int channel);
     const MemoryController &controller(int channel) const;
 
-    /**
-     * Direct bank access WITHOUT the shard lock -- a quiescent-snapshot
-     * accessor for tests and single-threaded setup/teardown (the same
-     * contract as stats()).  The escape is deliberate: the bank is
-     * shard-guarded on the concurrent timing path, and a caller using
-     * this handle asserts no concurrent accesses run.
-     */
+    /** Direct bank access (timing writer's thread, between
+     *  passes). */
     const BankModel &bank(int global_bank) const;
     BankModel &bank(int global_bank);
 
@@ -141,7 +171,8 @@ class MainMemory
 
     /**
      * Latest PRIME-class completion across all channels -- the co-run
-     * pacing signal (lock-free; see CpuTrafficOptions::paceLeadNs).
+     * pacing signal (see CpuTrafficOptions::paceLeadNs).  Read it
+     * between timing passes, from the thread that runs them.
      */
     Ns primeProgressNs() const;
 
@@ -150,10 +181,10 @@ class MainMemory
 
     /**
      * The published stats, refreshed from the per-bank shards on every
-     * call (see the thread-safety notes above for when the totals are
-     * exact).  Aggregates are published as mem.* plus per-channel
-     * shards as mem.chN.* and per-source service latency as
-     * mem.prime.service_ns / mem.cpu.service_ns.
+     * call.  Aggregates are published as mem.* plus per-channel shards
+     * as mem.chN.* and per-source service latency as
+     * mem.prime.service_ns / mem.cpu.service_ns (mem.service_ns is
+     * their merge).
      */
     StatGroup &stats();
 
@@ -172,11 +203,10 @@ class MainMemory
      * (global numbering) mem.bankN.backlog_ns (gauge: how far bank N's
      * timing cursor runs ahead of its channel's bus) and mem.bankN.
      * reads/writes (counters); per channel mem.chN.free_ns; plus the
-     * aggregate horizon mem.channel_free_ns.  All are formulas read
-     * straight from the controllers -- the bank ones take the bank's
-     * shard lock for two loads, sampler-thread cost, never hot path.
-     * Kept apart from stats() so the stats document leaves out these
-     * mostly idle per-bank entries.
+     * aggregate horizon mem.channel_free_ns.  All are formulas over
+     * the controllers' relaxed atomics, safe to read while a timing
+     * pass runs.  Kept apart from stats() so the stats document leaves
+     * out these mostly idle per-bank entries.
      */
     const StatGroup &occupancy() const { return occupancy_; }
 
@@ -195,22 +225,22 @@ class MainMemory
     /** Fold the controllers' shards into stats_ (absolute, idempotent). */
     void syncStats();
 
-    /**
-     * The FR-FCFS body of scheduleBatch/scheduleBytes: sorts
-     * @p decoded by issue time (stably), groups it by bank in
-     * first-appearance order and schedules each group at its channel's
-     * controller, appending the completions to @p results unless it is
-     * null.
-     */
-    void scheduleDecoded(std::vector<PendingRequest> &decoded,
-                         const SchedulerConfig &sched,
-                         std::vector<RequestResult> *results);
-
     nvmodel::TechParams params_;
     AddressMapper mapper_;
     SchedulerConfig sched_;
     /** One controller per channel (pinned: they own mutexes). */
     std::vector<std::unique_ptr<MemoryController>> controllers_;
+    /** The co-run CPU stream schedule() merges (none: nullptr). */
+    CpuTrafficGenerator *coRun_ = nullptr;
+
+    /** Timing-writer scratch, grown to the largest batch or group
+     *  seen: scheduleBatch's decoded requests and bank order, the
+     *  bank queue handed to a controller, schedule()'s per-channel
+     *  issue times. */
+    std::vector<PendingRequest> decoded_;
+    std::vector<int> bankOrder_;
+    std::vector<PendingRequest> queue_;
+    std::vector<Ns> issue_;
 
     /** Functional backing store: page number -> kPageBytes bytes,
      *  striped by page. */

@@ -95,10 +95,9 @@ PrimeController::execute(const mapping::Command &command)
                                     mapping::InputSource::Buffer));
         break;
       case CommandOp::Fetch: {
-        // Mem -> global row buffer -> Buffer subarray.  The payload
-        // crosses the bank/channel model as timed 64B read bursts.
-        mem_->scheduleBytes(command.src, command.bytes, false,
-                            memory::RequestSource::Prime);
+        // Mem -> global row buffer -> Buffer subarray.  Data only: the
+        // bursts' timing is recorded with the tape and replayed by
+        // PrimeSystem's timing pass.
         mem_->readData(command.src,
                        buffer_->writeView(
                            static_cast<std::size_t>(command.dst),
@@ -109,8 +108,6 @@ PrimeController::execute(const mapping::Command &command)
       case CommandOp::Commit: {
         const std::span<const std::uint8_t> data = buffer_->read(
             static_cast<std::size_t>(command.src), command.bytes);
-        mem_->scheduleBytes(command.dst, data.size(), true,
-                            memory::RequestSource::Prime);
         mem_->writeData(command.dst, data);
         commitBytes_->add(command.bytes);
         break;

@@ -15,6 +15,21 @@
  * stats are bound at construction: executing a data-flow command or
  * firing a mat after that allocates nothing and does no string-keyed
  * lookup.
+ *
+ * Fetch and Commit move data only (MainMemory::readData/writeData);
+ * their bank/channel timing is not the controller's business.  The
+ * caller that issues them from a lowered tape logs the command's
+ * pre-decoded transfer, and PrimeSystem replays the log through the
+ * timed memory model in one pass per public call (ARCHITECTURE.md,
+ * "Timing pass").
+ *
+ * Thread safety: a controller belongs to one bank, and one thread at a
+ * time drives it -- the caller of run(), or the pipeline stage that
+ * owns the bank.  Its data-flow commands touch the bank's own Buffer
+ * subarray and mats plus the functional memory store, which takes its
+ * own page locks, so controllers of different banks run concurrently.
+ * computeMats fans one bank's mats out over the global thread pool;
+ * each mat's latch, outputs, scratch and noise stream are its own.
  */
 
 #ifndef PRIME_PRIME_CONTROLLER_HH

@@ -158,6 +158,7 @@ PrimeSystem::buildStages()
     PRIME_ASSERT(stride >= 64,
                  "staging stride ", stride, " too small for ",
                  stages_.size(), " stages");
+    std::size_t run_transfers = 0;
     for (std::size_t s = 0; s < stages_.size(); ++s) {
         ExecContext ctx;
         ctx.stats = s == 0 ? &stats_
@@ -175,9 +176,80 @@ PrimeSystem::buildStages()
                                                     info.rows));
             ctx.mvm.resize(std::max<std::size_t>(ctx.mvm.size(), info.cols));
         }
+        // Record the bursts of the transfers this context issues: its
+        // own stage's layers, and every layer for stage 0, whose
+        // context run() drives through all stages.
+        ctx.transfers.resize(transferCount_);
+        const mapping::PipelineStage &ps = stages_[s];
+        for (std::size_t p = s == 0 ? 0 : ps.firstWeighted;
+             p < (s == 0 ? programs_.size() : ps.endWeighted); ++p) {
+            const LayerProgram &lp = programs_[p];
+            for (const TapeBank &bank : lp.tape.banks) {
+                ctx.transfers[bank.fetchTransfer] = mem_.recordTransfer(
+                    bank.fetch.src + ctx.inputStageAddr, bank.fetch.bytes,
+                    false);
+                ctx.transfers[bank.commitTransfer] = mem_.recordTransfer(
+                    bank.commit.dst + ctx.outputStageAddr,
+                    bank.commit.bytes, true);
+            }
+            // One Fetch and one Commit per bank per tiled MVM: once per
+            // image for a FC layer, once per output pixel for a conv.
+            const std::size_t mvms =
+                lp.spec.kind == nn::LayerKind::Convolution
+                    ? static_cast<std::size_t>(lp.spec.outH) *
+                          static_cast<std::size_t>(lp.spec.outW)
+                    : 1;
+            const std::size_t n = 2 * lp.tape.banks.size() * mvms;
+            if (p >= ps.firstWeighted && p < ps.endWeighted)
+                ctx.transfersPerImage += n;
+            if (s == 0)
+                run_transfers += n;
+        }
+        ctx.log.reserve(ctx.transfersPerImage);
         stageContexts_.push_back(std::move(ctx));
     }
+    // run() logs a whole image in stage 0's context.
+    stageContexts_.front().log.reserve(run_transfers);
     inferences_ = &stats_.get("run.inferences");
+}
+
+void
+PrimeSystem::replayLog(ExecContext &ctx)
+{
+    if (ctx.log.empty())
+        return;
+    PRIME_SPAN(telemetry::globalTrace(), "mem.replay", "memory");
+    for (const std::uint32_t id : ctx.log)
+        mem_.schedule(ctx.transfers[id]);
+    ctx.log.clear();
+}
+
+void
+PrimeSystem::replayWavefront(std::size_t images)
+{
+    PRIME_SPAN(telemetry::globalTrace(), "mem.replay", "memory");
+    const std::size_t n_stages = stageContexts_.size();
+    for (const ExecContext &ctx : stageContexts_)
+        PRIME_ASSERT(ctx.imageEnds.size() == images, "stage logged ",
+                     ctx.imageEnds.size(), " of ", images, " images");
+    // Step t runs stage s on image t - s, stages in order: the modeled
+    // schedule of a pipeline that advances one stage per step.
+    for (std::size_t t = 0; t + 1 < images + n_stages; ++t) {
+        for (std::size_t s = 0; s < n_stages && s <= t; ++s) {
+            const std::size_t image = t - s;
+            if (image >= images)
+                continue;
+            const ExecContext &ctx = stageContexts_[s];
+            const std::size_t begin =
+                image == 0 ? 0 : ctx.imageEnds[image - 1];
+            for (std::size_t k = begin; k < ctx.imageEnds[image]; ++k)
+                mem_.schedule(ctx.transfers[ctx.log[k]]);
+        }
+    }
+    for (ExecContext &ctx : stageContexts_) {
+        ctx.log.clear();
+        ctx.imageEnds.clear();
+    }
 }
 
 PrimeSystem::ExecContext &
@@ -200,6 +272,7 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
 
     programs_.clear();
     configCommands_.clear();
+    transferCount_ = 0;
 
     // Buffer-local layout of the run-time data flow: inputs stage in the
     // low half, output slots in the high half.  Derived from the
@@ -351,6 +424,8 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
             tb.commit = mapping::Command{mapping::CommandOp::Commit, 0, 0,
                                          buf_out, commit_offset,
                                          bank_bytes};
+            tb.fetchTransfer = transferCount_++;
+            tb.commitTransfer = transferCount_++;
             commit_offset += bank_bytes;
         }
         programs_.push_back(std::move(lp));
@@ -387,11 +462,14 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
 
     // Phase 3 (sequential, global tile order): the migration is real
     // memory traffic -- timed write bursts through the bank/channel
-    // model plus the functional copy -- followed by the datapath
-    // configuration of the mat (Table I, left half).
+    // model, replayed in one timing pass below, plus the functional
+    // copy -- followed by the datapath configuration of the mat
+    // (Table I, left half).
+    std::vector<memory::Transfer> migrations;
+    migrations.reserve(jobs.size());
     for (const TileJob &job : jobs) {
-        mem_.scheduleBytes(migrationAddr_, job.migrated.size(), true,
-                           memory::RequestSource::Prime);
+        migrations.push_back(mem_.recordTransfer(
+            migrationAddr_, job.migrated.size(), true));
         mem_.writeData(migrationAddr_, job.migrated);
         migrationAddr_ += job.migrated.size();
         stats_.get("morph.migrated_bytes").add(
@@ -416,6 +494,11 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
             CommandOp::InputSource, addr,
             static_cast<std::uint8_t>(mapping::InputSource::Buffer), 0, 0,
             0});
+    }
+    {
+        PRIME_SPAN(telemetry::globalTrace(), "mem.replay", "memory");
+        for (const memory::Transfer &t : migrations)
+            mem_.schedule(t);
     }
     // The engines exist now: bind each tape tile to its mat's (jobs run
     // in global tile order, as the tapes do).
@@ -463,14 +546,16 @@ PrimeSystem::tiledMvm(const LayerProgram &lp,
     if (!calibrating_) {
         // Input codes arrive from main memory: the CPU side stages them
         // in the context's input window, then every bank hosting tiles
-        // of this layer Fetches them into its Buffer subarray through
-        // the timed bank/channel model (the input broadcast over the
-        // internal bus).
+        // of this layer Fetches them into its Buffer subarray (the
+        // input broadcast over the internal bus).  Fetch and Commit
+        // move the data; their bursts go into the context's log for the
+        // timing pass.
         mem_.writeData(ctx.inputStageAddr, codes);
         for (const TapeBank &bank : tape.banks) {
             mapping::Command fetch = bank.fetch;
             fetch.src += ctx.inputStageAddr;
             bank.controller->execute(fetch);
+            ctx.log.push_back(bank.fetchTransfer);
         }
         // Load, compute, store (Table I data-flow commands).  All input
         // latches fill first, then each bank's tiles fire together
@@ -484,12 +569,13 @@ PrimeSystem::tiledMvm(const LayerProgram &lp,
         for (const TapeTile &tile : tape.tiles)
             tile.controller->execute(tile.store);
         // Results leave through the same boundary: each bank Commits its
-        // output slots back to memory as timed write bursts, packed
-        // back-to-back in the context's output window.
+        // output slots back to memory, packed back-to-back in the
+        // context's output window.
         for (const TapeBank &bank : tape.banks) {
             mapping::Command commit = bank.commit;
             commit.dst += ctx.outputStageAddr;
             bank.controller->execute(commit);
+            ctx.log.push_back(bank.commitTransfer);
         }
     }
 
@@ -666,7 +752,12 @@ PrimeSystem::runStage(const nn::Tensor &x, std::size_t stage,
     PRIME_SPAN(telemetry::globalTrace(), "pipeline.stage", "pipeline");
     PRIME_ASSERT(stage < stages_.size(),
                  "stage ", stage, " of ", stages_.size());
-    return runStageImpl(x, stage, ctx);
+    nn::Tensor y = runStageImpl(x, stage, ctx);
+    if (pipelining_)
+        ctx.imageEnds.push_back(ctx.log.size());
+    else
+        replayLog(ctx);
+    return y;
 }
 
 nn::Tensor
@@ -682,6 +773,7 @@ PrimeSystem::run(const nn::Tensor &input)
     nn::Tensor x = input;
     for (std::size_t s = 0; s < stages_.size(); ++s)
         x = runStageImpl(x, s, ctx);
+    replayLog(ctx);
     inferences_->increment();
     return x;
 }
@@ -705,7 +797,17 @@ PrimeSystem::runBatch(std::span<const nn::Tensor> inputs)
     PRIME_ASSERT(!ThreadPool::insideJob(),
                  "runBatch on a multi-stage plan must not be called from "
                  "inside a parallelFor body");
-    return pipeline_.run(*this, inputs);
+    // Size every stage's log for the whole batch before the stage
+    // threads start appending (capacity is kept across batches).
+    for (ExecContext &ctx : stageContexts_) {
+        ctx.log.reserve(inputs.size() * ctx.transfersPerImage);
+        ctx.imageEnds.reserve(inputs.size());
+    }
+    pipelining_ = true;
+    std::vector<nn::Tensor> out = pipeline_.run(*this, inputs);
+    pipelining_ = false;
+    replayWavefront(inputs.size());
+    return out;
 }
 
 std::vector<double>

@@ -126,10 +126,10 @@ class PrimeSystem
     /**
      * Execution context of one pipeline stage (or the sequential
      * default path): the StatGroup its run.* stats land in, the
-     * main-memory staging windows its Fetch/Commit traffic uses and
-     * the working buffers of its weighted layers.  Concurrent stages
-     * get disjoint windows, StatGroups and buffers, which is what
-     * makes the pipeline rounds race-free.
+     * main-memory staging windows its Fetch/Commit traffic uses, the
+     * working buffers of its weighted layers and its timing log.
+     * Concurrent stages get disjoint windows, StatGroups, buffers and
+     * logs, which is what makes the pipeline rounds race-free.
      */
     struct ExecContext
     {
@@ -147,6 +147,21 @@ class PrimeSystem
         std::vector<std::uint8_t> codes;
         std::vector<std::uint8_t> window;
         std::vector<double> mvm;
+        /**
+         * The bursts of every tape Fetch/Commit this context can issue,
+         * recorded once by buildStages at this context's staging
+         * windows and indexed by TapeBank::fetchTransfer /
+         * commitTransfer (empty for a layer the context never runs).
+         */
+        std::vector<memory::Transfer> transfers;
+        /** Transfer ids issued since the last timing pass, in program
+         *  order; capacity reserved up front, so appending allocates
+         *  nothing. */
+        std::vector<std::uint32_t> log;
+        /** During a pipelined batch: log.size() after each image. */
+        std::vector<std::size_t> imageEnds;
+        /** Log entries one image appends in this stage. */
+        std::size_t transfersPerImage = 0;
     };
 
     /** The plan's pipeline stages (valid after programWeight). */
@@ -161,7 +176,10 @@ class PrimeSystem
     /**
      * Execute one stage's topology-layer slice on @p x inside @p ctx
      * (the pipeline engine's worker entry point; emits a
-     * "pipeline.stage" span).
+     * "pipeline.stage" span).  Inside a pipelined runBatch the stage's
+     * Fetch/Commit transfers stay in ctx's log for the batch's
+     * wavefront timing pass; called on its own, it times them before
+     * returning, as run() does.
      */
     nn::Tensor runStage(const nn::Tensor &x, std::size_t stage,
                         ExecContext &ctx);
@@ -246,6 +264,9 @@ class PrimeSystem
         /** Buffer output slots -> memory; dst is relative to the
          *  context's output window. */
         mapping::Command commit;
+        /** The Fetch's / Commit's ids in ExecContext::transfers. */
+        std::uint32_t fetchTransfer = 0;
+        std::uint32_t commitTransfer = 0;
     };
 
     /**
@@ -311,8 +332,18 @@ class PrimeSystem
                             ExecContext &ctx);
 
     /** Build stages_ + stageContexts_ from the plan, size the
-     *  contexts' buffers and bind the run counters (programWeight). */
+     *  contexts' buffers, record their transfers, reserve their logs
+     *  and bind the run counters (programWeight). */
     void buildStages();
+
+    /** Timing pass of run() / a lone runStage: @p ctx's logged
+     *  transfers in program order; clears the log. */
+    void replayLog(ExecContext &ctx);
+
+    /** Timing pass of a pipelined batch of @p images: step t, stage
+     *  s, image t - s (ARCHITECTURE.md, "Timing pass"); clears the
+     *  logs. */
+    void replayWavefront(std::size_t images);
 
     nvmodel::TechParams tech_;
     mapping::MapperOptions mapperOptions_;
@@ -334,6 +365,11 @@ class PrimeSystem
     Stat *inferences_ = nullptr;
     /** The inter-bank pipeline, kept across runBatch calls. */
     Pipeline pipeline_;
+    /** Transfer ids handed out to the tapes' Fetch/Commit commands. */
+    std::uint32_t transferCount_ = 0;
+    /** True while a pipelined batch runs its stages (set and cleared
+     *  around Pipeline::run, whose pool handoff publishes it). */
+    bool pipelining_ = false;
     bool programmed_ = false;
     bool configured_ = false;
     /** True while calibrate() drives inferences. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -80,54 +81,112 @@ namespace {
  * than one level unit) is not physical: the SA digitizes at natural
  * resolution and the adder applies the up-shift digitally.  Each part
  * then saturates at the SA's signed (Po+1)-bit register.
+ *
+ * Int is the arithmetic width: int64 always holds it; int32 does when
+ * int32AssemblyFits says so, and lets the per-column loop vectorize
+ * (the baseline ISA has no 64-bit arithmetic shift).
  */
+template <typename Int>
 class Assembler
 {
   public:
     Assembler(const ComposingParams &p, int total_shift)
-        : lo_(-(std::int64_t{1} << p.outputBits)),
-          hi_((std::int64_t{1} << p.outputBits) - 1)
+        : lo_(-(Int{1} << p.outputBits)), hi_((Int{1} << p.outputBits) - 1)
     {
-        const int magnitude[4] = {(p.inputBits + p.weightBits) / 2,
-                                  p.weightBits / 2, p.inputBits / 2, 0};
         for (int i = 0; i < 4; ++i) {
-            const int shift = total_shift - magnitude[i];
+            const int shift = total_shift - partMagnitude(p, i);
             Part &part = parts_[i];
             part.down = std::max(shift, 0);
             part.up = std::max(-shift, 0);
-            part.half = shift > 0 ? std::int64_t{1} << (shift - 1) : 0;
+            part.half = shift > 0 ? Int{1} << (shift - 1) : 0;
         }
     }
 
     /** One output from its HH, HL, LH and LL component dot products. */
-    std::int64_t
-    operator()(std::int64_t hh, std::int64_t hl, std::int64_t lh,
-               std::int64_t ll) const
+    Int
+    operator()(Int hh, Int hl, Int lh, Int ll) const
     {
         return code(parts_[0], hh) + code(parts_[1], hl) +
                code(parts_[2], lh) + code(parts_[3], ll);
     }
 
+    /** Bits component @p i sits above LL in Rfull (HH, HL, LH, LL). */
+    static int
+    partMagnitude(const ComposingParams &p, int i)
+    {
+        const int magnitude[4] = {(p.inputBits + p.weightBits) / 2,
+                                  p.weightBits / 2, p.inputBits / 2, 0};
+        return magnitude[i];
+    }
+
   private:
     struct Part
     {
-        std::int64_t half;
+        Int half;
         int down;
         int up;
     };
 
     /** The SA code of one component, scaled to the target window.  An
      *  arithmetic >> is floor division by 2^down (C++20). */
-    std::int64_t
-    code(const Part &part, std::int64_t x) const
+    Int
+    code(const Part &part, Int x) const
     {
-        return std::clamp((x + part.half) >> part.down, lo_, hi_) << part.up;
+        return std::clamp<Int>((x + part.half) >> part.down, lo_, hi_)
+               << part.up;
     }
 
     Part parts_[4];
-    std::int64_t lo_;
-    std::int64_t hi_;
+    Int lo_;
+    Int hi_;
 };
+
+/**
+ * Whether the exact path's assembly of a @p rows-row engine fits int32
+ * at @p total_shift: a component dot product is at most rows x
+ * (2^phase - 1) x (2^cell - 1) in magnitude, the rounding offset
+ * below 2^30 keeps component + offset in range and the shift amounts
+ * legal, and four saturated, up-shifted codes sum below 2^31.  With
+ * the widest legal parts (4-bit phases, 7-bit cells) the component
+ * bound holds up to kInt32AssemblyRows rows.
+ */
+bool
+int32AssemblyFits(const ComposingParams &p, int rows, int total_shift)
+{
+    if (rows > kInt32AssemblyRows)
+        return false;
+    const std::int64_t component =
+        static_cast<std::int64_t>(rows) *
+        ((std::int64_t{1} << p.inputPhaseBits) - 1) *
+        ((std::int64_t{1} << p.cellBits) - 1);
+    for (int i = 0; i < 4; ++i) {
+        const int shift =
+            total_shift - Assembler<std::int64_t>::partMagnitude(p, i);
+        if (shift > 30 || p.outputBits + std::max(-shift, 0) > 28)
+            return false;
+        const std::int64_t half =
+            shift > 0 ? std::int64_t{1} << (shift - 1) : 0;
+        if (component + half > std::numeric_limits<std::int32_t>::max())
+            return false;
+    }
+    return true;
+}
+
+/** The per-column assembly loop at width Int. */
+template <typename Int>
+void
+assembleColumns(const ComposingParams &p, int total_shift,
+                std::span<const std::int64_t> pass_h,
+                std::span<const std::int64_t> pass_l,
+                std::span<std::int64_t> out)
+{
+    const Assembler<Int> sa(p, total_shift);
+    for (std::size_t c = 0; c < out.size(); ++c)
+        out[c] = sa(static_cast<Int>(pass_h[2 * c]),
+                    static_cast<Int>(pass_l[2 * c]),
+                    static_cast<Int>(pass_h[2 * c + 1]),
+                    static_cast<Int>(pass_l[2 * c + 1]));
+}
 
 } // namespace
 
@@ -135,7 +194,7 @@ std::int64_t
 composedAssemble(std::int64_t hh, std::int64_t hl, std::int64_t lh,
                  std::int64_t ll, const ComposingParams &p, int total_shift)
 {
-    return Assembler(p, total_shift)(hh, hl, lh, ll);
+    return Assembler<std::int64_t>(p, total_shift)(hh, hl, lh, ll);
 }
 
 std::int64_t
@@ -210,6 +269,7 @@ ComposedMatrixEngine::ComposedMatrixEngine(int rows, int cols,
     PRIME_ASSERT(p.inputBits <= 8, "inputBits=", p.inputBits,
                  " exceeds the one-byte input code");
     PRIME_ASSERT(rows > 0 && cols > 0, "bad engine geometry");
+    assembleInt32_ = int32AssemblyFits(composing_, rows_, outputShift_);
 }
 
 void
@@ -236,12 +296,17 @@ ComposedMatrixEngine::programWeights(
 void
 ComposedMatrixEngine::assemble(std::span<const std::int64_t> pass_h,
                                std::span<const std::int64_t> pass_l,
-                               std::span<std::int64_t> out) const
+                               std::span<std::int64_t> out,
+                               bool exact) const
 {
-    const Assembler sa(composing_, outputShift_);
-    for (std::size_t c = 0; c < static_cast<std::size_t>(cols_); ++c)
-        out[c] = sa(pass_h[2 * c], pass_l[2 * c], pass_h[2 * c + 1],
-                    pass_l[2 * c + 1]);
+    // The analog path's components are rounded currents, not bounded
+    // by the exact dot product: int64 always.
+    if (exact && assembleInt32_)
+        assembleColumns<std::int32_t>(composing_, outputShift_, pass_h,
+                                      pass_l, out);
+    else
+        assembleColumns<std::int64_t>(composing_, outputShift_, pass_h,
+                                      pass_l, out);
 }
 
 void
@@ -265,7 +330,14 @@ void
 ComposedMatrixEngine::calibrateOutputShift()
 {
     PRIME_ASSERT(!logicalWeights_.empty(), "weights not programmed");
-    outputShift_ = calibratedOutputShift(logicalWeights_, composing_);
+    setOutputShift(calibratedOutputShift(logicalWeights_, composing_));
+}
+
+void
+ComposedMatrixEngine::setOutputShift(int shift)
+{
+    outputShift_ = shift;
+    assembleInt32_ = int32AssemblyFits(composing_, rows_, shift);
 }
 
 void
@@ -285,7 +357,7 @@ ComposedMatrixEngine::mvmExact(std::span<const std::uint8_t> inputs,
     // bitlines give HH and odd LH; of the low phase, HL and LL.
     arrays_.mvmExact(phases.first(rows), phases.subspan(rows),
                      passes.first(lines), passes.subspan(lines));
-    assemble(passes.first(lines), passes.subspan(lines), out);
+    assemble(passes.first(lines), passes.subspan(lines), out, true);
 }
 
 void
@@ -314,7 +386,7 @@ ComposedMatrixEngine::mvmAnalog(std::span<const std::uint8_t> inputs,
                 static_cast<std::int64_t>(std::llround(current[i]));
     }
     const std::span<const std::int64_t> passes(scratch.passes);
-    assemble(passes.first(lines), passes.subspan(lines), out);
+    assemble(passes.first(lines), passes.subspan(lines), out, false);
 }
 
 void

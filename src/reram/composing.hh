@@ -66,6 +66,14 @@ struct ComposingParams
     }
 };
 
+/**
+ * Rows up to which the exact MVM assembles its component dot products
+ * in int32: with the widest legal parts (4-bit input phases, 7-bit
+ * cells) a component is below 2^25 there, which leaves the SA window's
+ * rounding offset room below 2^31.  Taller engines assemble in int64.
+ */
+inline constexpr int kInt32AssemblyRows = 16384;
+
 /** Smallest pn with 2^pn >= n (the paper's PN for an n-input array). */
 int pnForInputCount(int n);
 
@@ -204,7 +212,7 @@ class ComposedMatrixEngine
     /** Configured SA-window shift (defaults to the paper's full-scale
      *  Pin + Pw + PN - Po). */
     int outputShift() const { return outputShift_; }
-    void setOutputShift(int shift) { outputShift_ = shift; }
+    void setOutputShift(int shift);
     /** Set the shift from the programmed weights' worst-case range. */
     void calibrateOutputShift();
 
@@ -233,16 +241,21 @@ class ComposedMatrixEngine
     /**
      * Assemble target codes into @p out from the two passes' bitlines:
      * even bitlines of @p pass_h give HH, odd LH; of @p pass_l, HL and
-     * LL.
+     * LL.  The @p exact path's components are bounded dot products,
+     * assembled in int32 when that provably fits (at most
+     * kInt32AssemblyRows rows); otherwise int64.
      */
     void assemble(std::span<const std::int64_t> pass_h,
                   std::span<const std::int64_t> pass_l,
-                  std::span<std::int64_t> out) const;
+                  std::span<std::int64_t> out, bool exact) const;
 
     int rows_;
     int cols_;
     ComposingParams composing_;
     int outputShift_;
+    /** Whether the exact assembly at outputShift_ fits int32, kept in
+     *  step with every write of outputShift_. */
+    bool assembleInt32_ = false;
     DifferentialPair arrays_;
     std::vector<std::vector<int>> logicalWeights_;
 };

@@ -3,10 +3,12 @@
  * Allocation pin of the run-time data flow.  After warm-up, replaying a
  * programmed layer's Table I stream -- Fetch, Load, computeMats, Store,
  * Commit through PrimeController and MainMemory -- allocates nothing,
- * in exact mode and on the noisy analog path; and a whole run() or
+ * in exact mode and on the noisy analog path; the timing pass's
+ * replay of recorded transfers allocates nothing; a whole run() or
  * calibrate() allocates equally often whatever its layers' tile
  * counts, so the tiled MVM replays its tape -- or merges its tiles'
- * untruncated dot products -- without allocating.
+ * untruncated dot products -- without allocating; and run() of the
+ * CNN-1 and MLP-S benchmark nets stays at its pinned count per image.
  *
  * This executable replaces the global operator new/delete with
  * counting versions, which is why it is a binary of its own.
@@ -23,6 +25,8 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
+#include "nn/network.hh"
+#include "nn/topology.hh"
 #include "prime/prime_system.hh"
 
 namespace {
@@ -292,12 +296,12 @@ TEST(AllocationPin, RunAllocationsDoNotDependOnTileCount)
     ThreadPool::setGlobalThreadCount(0);
 }
 
-TEST(AllocationPin, ScheduleBytesAllocatesNothing)
+TEST(AllocationPin, ScheduleTransferAllocatesNothing)
 {
-    // The timed burst path alone: a Commit-sized transfer that crosses
+    // The timing pass alone: recorded Commit-sized transfers that cross
     // a bank boundary (two bank queues) and a migration-sized one of
-    // 128 bursts (past the 64 a page takes) reuse their per-thread
-    // decode and queue scratch after warm-up.
+    // 128 bursts (past the 64 a page takes) replay through the
+    // memory's own queue scratch after warm-up.
     memory::MainMemory mem(nvmodel::defaultTechParams());
     const memory::AddressMapper &m = mem.mapper();
     const nvmodel::Geometry &g = m.geometry();
@@ -308,19 +312,56 @@ TEST(AllocationPin, ScheduleBytesAllocatesNothing)
         static_cast<std::uint64_t>(g.matsPerSubarray * g.subarraysPerBank);
     ASSERT_NE(m.decode(bank_edge - 256).globalBank,
               m.decode(bank_edge).globalBank);
-    std::uint64_t shift = 0;
+    std::vector<memory::Transfer> commits;
+    for (std::uint64_t shift = 0; shift < 64; shift += 8)
+        commits.push_back(
+            mem.recordTransfer(bank_edge - 256 + shift, 512, true));
+    ASSERT_EQ(commits.front().groupEnds.size(), 2u);
+    std::size_t next = 0;
     const std::size_t multi_bank = steadyStateAllocations(
         [&] {
-            mem.scheduleBytes(bank_edge - 256 + shift, 512, true);
-            shift = (shift + 8) % 64;
+            mem.schedule(commits[next]);
+            next = (next + 1) % commits.size();
         },
         20);
     EXPECT_EQ(multi_bank, 0u);
-    const std::size_t migration = steadyStateAllocations(
-        [&] { mem.scheduleBytes(3 * bank_edge - 4096, 128 * 64, true); },
-        20);
-    EXPECT_EQ(migration, 0u);
+    const memory::Transfer migration =
+        mem.recordTransfer(3 * bank_edge - 4096, 128 * 64, true);
+    const std::size_t migrate = steadyStateAllocations(
+        [&] { mem.schedule(migration); }, 20);
+    EXPECT_EQ(migrate, 0u);
     EXPECT_GT(mem.rowHitRate(), 0.0);
+}
+
+/** Steady-state operator new calls per run() of a benchmark net. */
+std::size_t
+runAllocationsPerImage(const char *name)
+{
+    const nn::Topology topo = nn::mlBenchByName(name);
+    Rng rng(5);
+    const nn::Network net = nn::buildNetwork(topo, rng);
+    PrimeSystem prime;
+    prime.mapTopology(topo);
+    prime.programWeight(net);
+    prime.configDatapath();
+    nn::Tensor input({1, 28, 28});
+    for (std::size_t i = 0; i < input.size(); ++i)
+        input[i] = static_cast<double>(i % 13) / 13.0;
+    constexpr int kImages = 4;
+    return steadyStateAllocations([&] { prime.run(input); }, kImages) /
+           kImages;
+}
+
+TEST(AllocationPin, RunAllocationsPerImagePinned)
+{
+    // run() allocates for its tensors and activation codes only; the
+    // Fetch/Commit log it appends to is reserved when the tape is
+    // lowered and its timing pass replays without allocating.  The
+    // counts are those of the inline-timing design this replaced.
+    ThreadPool::setGlobalThreadCount(1);
+    EXPECT_LE(runAllocationsPerImage("CNN-1"), 14u);
+    EXPECT_LE(runAllocationsPerImage("MLP-S"), 12u);
+    ThreadPool::setGlobalThreadCount(0);
 }
 
 } // namespace

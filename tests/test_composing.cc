@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -377,6 +378,72 @@ TEST(Composing, OutputBits8KeepsLlTerm)
     ASSERT_GT(target, 0);
     EXPECT_GT(approx, 0) << "LL term dropped from the Po=8 assembly";
     EXPECT_LE(std::llabs(approx - target), 4);
+}
+
+TEST(ComposedMatrixEngine, Int32AssemblyMatchesInt64AtExtremeCodes)
+{
+    // The exact MVM assembles in int32 up to kInt32AssemblyRows rows and
+    // in int64 past them; either must equal the int64 reference
+    // assembly (composedApproxShifted) bit for bit.  Extreme codes: max
+    // inputs against all-+max, all--max and alternating weight columns,
+    // at the paper's parts and at the widest legal ones (4-bit phases,
+    // 7-bit cells, 8-bit SA), under the default, a saturating (0), an
+    // up-shifting (-2) and the calibrated SA window.
+    ComposingParams widest;
+    widest.inputBits = 8;
+    widest.inputPhaseBits = 4;
+    widest.weightBits = 14;
+    widest.cellBits = 7;
+    widest.outputBits = 8;
+    ASSERT_EQ(kInt32AssemblyRows, 16384);
+    for (const ComposingParams &cp : {ComposingParams{}, widest}) {
+        const int max_w = (1 << cp.weightBits) - 1;
+        const int max_in = (1 << cp.inputBits) - 1;
+        for (const int rows : {1, 25, 256, kInt32AssemblyRows,
+                               kInt32AssemblyRows + 1}) {
+            SCOPED_TRACE("rows=" + std::to_string(rows) + " weightBits=" +
+                         std::to_string(cp.weightBits));
+            constexpr int kCols = 3;
+            std::vector<std::vector<int>> w(
+                static_cast<std::size_t>(rows), std::vector<int>(kCols));
+            for (int r = 0; r < rows; ++r) {
+                std::vector<int> &row = w[static_cast<std::size_t>(r)];
+                row = {max_w, -max_w, r % 2 ? -max_w : max_w};
+            }
+            ComposedMatrixEngine engine(rows, kCols, cp, CrossbarParams{});
+            engine.programWeights(w);
+            const std::vector<std::uint8_t> all_max(
+                static_cast<std::size_t>(rows),
+                static_cast<std::uint8_t>(max_in));
+            std::vector<std::uint8_t> every_other = all_max;
+            for (std::size_t r = 1; r < every_other.size(); r += 2)
+                every_other[r] = 0;
+            ComposedMatrixEngine::MvmScratch scratch;
+            std::vector<std::int64_t> out(kCols);
+            for (const int shift :
+                 {defaultOutputShift(cp, rows), 0, -2,
+                  calibratedOutputShift(w, cp)}) {
+                engine.setOutputShift(shift);
+                for (const std::vector<std::uint8_t> *in :
+                     std::vector<const std::vector<std::uint8_t> *>{
+                         &all_max, &every_other}) {
+                    engine.mvmExact(*in, out, scratch);
+                    const std::vector<int> inputs(in->begin(), in->end());
+                    for (int c = 0; c < kCols; ++c) {
+                        std::vector<int> col(static_cast<std::size_t>(rows));
+                        for (int r = 0; r < rows; ++r)
+                            col[static_cast<std::size_t>(r)] =
+                                w[static_cast<std::size_t>(r)]
+                                 [static_cast<std::size_t>(c)];
+                        ASSERT_EQ(out[static_cast<std::size_t>(c)],
+                                  composedApproxShifted(inputs, col, cp,
+                                                        shift))
+                            << "shift " << shift << " col " << c;
+                    }
+                }
+            }
+        }
+    }
 }
 
 } // namespace

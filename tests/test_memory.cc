@@ -2,15 +2,17 @@
  * @file
  * ReRAM main-memory tests: address mapping round trips (single and
  * multi channel), bank timing, FR-FCFS scheduling with its starvation
- * bound, per-channel stat shards under concurrency, and the functional
- * backing store.
+ * bound, per-channel stat shards, recorded transfers and their replay,
+ * the co-run merge of CPU traffic, occupancy reads racing a timing
+ * pass, and the functional backing store.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +29,16 @@ tech()
 {
     return nvmodel::defaultTechParams();
 }
+
+/** Record a transfer and time it once. */
+void
+timeTransfer(MainMemory &mem, std::uint64_t addr, std::size_t bytes,
+             bool is_write)
+{
+    mem.schedule(mem.recordTransfer(addr, bytes, is_write));
+}
+
+constexpr Ns kForever = std::numeric_limits<Ns>::infinity();
 
 TEST(AddressMapper, GeometryDerivedSizes)
 {
@@ -369,7 +381,7 @@ TEST(MainMemory, SchedulerConfigPlumbsThroughDefaultBatch)
 {
     // The constructor-supplied SchedulerConfig governs every batch
     // scheduled without an explicit config (the old code hardcoded
-    // window=16 in scheduleBytes): window=1 degenerates to FCFS and
+    // window=16 in its burst path): window=1 degenerates to FCFS and
     // must see strictly fewer row hits than the lookahead scheduler
     // on the same interleaved two-row batch.
     auto two_row_batch = [](const MainMemory &mem) {
@@ -430,7 +442,7 @@ TEST(MainMemory, MultiChannelSpreadsStreamEvenly)
     ASSERT_EQ(mem.channels(), 4);
     // A 64-line stream is a whole number of rotations: every channel
     // serves exactly 16 lines.
-    mem.scheduleBytes(0, 64 * 64, false);
+    timeTransfer(mem, 0, 64 * 64, false);
     StatGroup &stats = mem.stats();
     for (int ch = 0; ch < 4; ++ch) {
         EXPECT_EQ(stats.get("mem.ch" + std::to_string(ch) + ".reads")
@@ -463,44 +475,27 @@ TEST(MainMemory, RowTagIsInt64AndDoesNotAlias)
     EXPECT_EQ(mem.stats().get("mem.row_misses").count(), 2u);
 }
 
-TEST(MainMemory, PerChannelShardTotalsExactUnderConcurrency)
+TEST(MainMemory, PerChannelShardTotalsExact)
 {
-    // Four host threads hammer all four channels concurrently; the
-    // published totals must be exactly the sum of what was issued
-    // (shard counters never lose updates), per channel and overall.
-    // TSan (clang-tsan preset) checks the lock discipline on top.
+    // Requests striding a prime through the line space hit every
+    // channel; the published totals must be exactly the sum of what was
+    // issued, per channel and overall, with the source attribution
+    // partitioning the service histogram.
     MainMemory mem(multiChannelTech(4));
-    constexpr int kThreads = 4;
-    constexpr int kPerThread = 512;
+    constexpr std::uint64_t kTotal = 2048;
     const std::uint64_t lines =
         mem.mapper().capacityBytes() / AddressMapper::kLineBytes;
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int th = 0; th < kThreads; ++th) {
-        threads.emplace_back([&mem, th, lines] {
-            for (int i = 0; i < kPerThread; ++i) {
-                // Stride a prime through the line space so each thread
-                // touches every channel.
-                const std::uint64_t line =
-                    (static_cast<std::uint64_t>(th) * 7919 +
-                     static_cast<std::uint64_t>(i) * 104729) %
-                    lines;
-                Request r;
-                r.addr = line * AddressMapper::kLineBytes;
-                r.bytes = 64;
-                r.isWrite = (i % 3) == 0;
-                r.issue = 0.0;
-                r.source = (th % 2) ? RequestSource::Cpu
-                                    : RequestSource::Prime;
-                mem.access(r);
-            }
-        });
+    for (std::uint64_t i = 0; i < kTotal; ++i) {
+        Request r;
+        r.addr = (i * 104729 + (i / 512) * 7919) % lines *
+                 AddressMapper::kLineBytes;
+        r.bytes = 64;
+        r.isWrite = (i % 3) == 0;
+        r.issue = 0.0;
+        r.source = (i / 512) % 2 ? RequestSource::Cpu : RequestSource::Prime;
+        mem.access(r);
     }
-    for (std::thread &t : threads)
-        t.join();
 
-    constexpr std::uint64_t kTotal =
-        static_cast<std::uint64_t>(kThreads) * kPerThread;
     StatGroup &stats = mem.stats();
     EXPECT_EQ(stats.get("mem.reads").count() +
                   stats.get("mem.writes").count(),
@@ -517,18 +512,17 @@ TEST(MainMemory, PerChannelShardTotalsExactUnderConcurrency)
                       stats.get(prefix + "writes").count()) << ch;
     }
     EXPECT_EQ(channel_sum, kTotal);
-    // Source attribution partitions the service histogram exactly.
     EXPECT_EQ(stats.histogram("mem.prime.service_ns").count() +
                   stats.histogram("mem.cpu.service_ns").count(),
               kTotal);
-    EXPECT_EQ(stats.histogram("mem.prime.service_ns").count(),
-              kTotal / 2);
+    EXPECT_EQ(stats.histogram("mem.prime.service_ns").count(), kTotal / 2);
+    EXPECT_EQ(stats.histogram("mem.service_ns").count(), kTotal);
 }
 
 TEST(MainMemory, ResetStatsZeroesCountersKeepsTiming)
 {
     MainMemory mem(multiChannelTech(2));
-    mem.scheduleBytes(0, 4096, false);
+    timeTransfer(mem, 0, 4096, false);
     const Ns horizon = mem.channelFree();
     EXPECT_GT(horizon, 0.0);
     // The per-source makespan horizons are gauges: read-time formulas
@@ -561,9 +555,11 @@ TEST(CpuTraffic, GeneratesTaggedOpenLoopTraffic)
     opt.pattern = CpuPattern::Random;
     opt.intensity = 0.5;
     opt.seed = 7;
-    CpuTrafficGenerator gen(mem, opt);
-    const CpuRunStats run = gen.run(256);
+    CpuTrafficGenerator gen(mem, opt, 256);
+    gen.issueUntil(kForever);
+    const CpuRunStats &run = gen.stats();
     EXPECT_EQ(run.requests, 256u);
+    EXPECT_EQ(gen.remaining(), 0u);
     EXPECT_EQ(run.serviceNs.count(), 256u);
     EXPECT_GT(run.lastDataReady, 0.0);
     // Every request is attributed to the CPU class.
@@ -572,52 +568,125 @@ TEST(CpuTraffic, GeneratesTaggedOpenLoopTraffic)
     EXPECT_EQ(stats.histogram("mem.prime.service_ns").count(), 0u);
 }
 
-TEST(CpuTraffic, StopEndsRunAndZeroIntensityIsIdle)
+TEST(CpuTraffic, HorizonBoundsIssueAndZeroIntensityIsIdle)
 {
     MainMemory mem(tech());
     CpuTrafficOptions opt;
     opt.intensity = 0.0;
-    CpuTrafficGenerator idle(mem, opt);
-    EXPECT_EQ(idle.run(128).requests, 0u);
+    CpuTrafficGenerator idle(mem, opt, 128);
+    idle.issueUntil(kForever);
+    EXPECT_EQ(idle.stats().requests, 0u);
 
+    // Arrivals start at the channel horizon (0 on fresh hardware) and
+    // are pulled in order: a horizon below the first arrival issues
+    // nothing, one past some arrivals issues exactly those.
     opt.intensity = 1.0;
-    CpuTrafficGenerator gen(mem, opt);
-    gen.stop();
-    EXPECT_EQ(gen.run().requests, 0u);
-    gen.rearm();
-    EXPECT_EQ(gen.run(16).requests, 16u);
+    CpuTrafficGenerator gen(mem, opt, 16);
+    gen.issueUntil(0.0);
+    EXPECT_EQ(gen.stats().requests, 0u);
+    const double peak =
+        mem.params().timing.channelBandwidth() * mem.channels();
+    const Ns mean_gap = opt.bytes / (opt.intensity * peak);
+    gen.issueUntil(4.0 * mean_gap);
+    const std::uint64_t early = gen.stats().requests;
+    EXPECT_LT(early, 16u);
+    EXPECT_EQ(gen.remaining(), 16u - early);
+    gen.issueUntil(kForever);
+    EXPECT_EQ(gen.stats().requests, 16u);
+    EXPECT_EQ(gen.remaining(), 0u);
 }
 
-TEST(CpuTraffic, PacingThrottlesAgainstPrimeProgress)
+/**
+ * Seeded PRIME-like transfers -- 25-B Fetch reads and 512-B Commit
+ * writes spread over the space -- recorded on @p mem.
+ */
+std::vector<Transfer>
+fetchCommitStream(const MainMemory &mem, int n)
 {
-    // With pacing on and no PRIME traffic at all, the arrival clock
-    // may only run paceLeadNs past primeProgressNs() == 0: the run
-    // stalls after roughly paceLeadNs worth of arrivals instead of
-    // delivering its whole request budget.
-    MainMemory mem(tech());
+    std::vector<Transfer> out;
+    Rng rng(77);
+    const std::uint64_t cap = mem.mapper().capacityBytes();
+    for (int i = 0; i < n; ++i) {
+        const std::uint64_t addr = static_cast<std::uint64_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(cap - 4096)));
+        out.push_back(mem.recordTransfer(addr, 25, false));
+        out.push_back(mem.recordTransfer(addr + 1024, 512, true));
+    }
+    return out;
+}
+
+TEST(CpuTraffic, CoRunMergeFollowsThePacingRule)
+{
+    // Attached to a memory, the stream issues before each PRIME
+    // transfer every request arriving within paceLeadNs of PRIME's
+    // progress: the same as a caller pulling the stream by hand before
+    // each schedule(), and both twins end bit-identical.
     CpuTrafficOptions opt;
     opt.pattern = CpuPattern::Random;
     opt.intensity = 4.0;
     opt.paceLeadNs = 300.0;
     opt.seed = 5;
-    CpuTrafficGenerator gen(mem, opt);
-    CpuRunStats stats;
-    std::thread t([&gen, &stats] { stats = gen.run(1u << 20); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    gen.stop();
-    t.join();
+    constexpr std::uint64_t kBudget = 1u << 20;
+    MainMemory merged(multiChannelTech(2)), manual(multiChannelTech(2));
+    CpuTrafficGenerator merged_gen(merged, opt, kBudget);
+    CpuTrafficGenerator manual_gen(manual, opt, kBudget);
+    merged.setCoRun(&merged_gen);
+    const std::vector<Transfer> stream = fetchCommitStream(merged, 200);
 
-    EXPECT_GT(stats.requests, 0u);
-    EXPECT_LT(stats.requests, 1u << 20);
-    // Arrivals admitted before the throttle bound are Poisson with
-    // mean paceLeadNs * intensity * peak / bytes; 10x the mean plus
-    // slack is astronomically safe.
+    // The throttle: before the first transfer PRIME has made no
+    // progress, so only the arrivals of the first paceLeadNs issue --
+    // Poisson with mean paceLeadNs * intensity * peak / bytes; 10x the
+    // mean plus slack is astronomically safe.
+    merged.schedule(stream.front());
     const double peak =
-        mem.params().timing.channelBandwidth() * mem.channels();
+        merged.params().timing.channelBandwidth() * merged.channels();
     const double expected =
         opt.paceLeadNs * opt.intensity * peak / opt.bytes;
-    EXPECT_LT(stats.requests,
+    EXPECT_GT(merged_gen.stats().requests, 0u);
+    EXPECT_LT(merged_gen.stats().requests,
               static_cast<std::uint64_t>(10.0 * expected) + 16);
+
+    for (std::size_t i = 1; i < stream.size(); ++i)
+        merged.schedule(stream[i]);
+    merged.setCoRun(nullptr);
+    for (const Transfer &t : stream) {
+        manual_gen.issueUntil(manual.primeProgressNs() + opt.paceLeadNs);
+        manual.schedule(t);
+    }
+
+    EXPECT_EQ(merged_gen.stats().requests, manual_gen.stats().requests);
+    EXPECT_EQ(merged.primeProgressNs(), manual.primeProgressNs());
+    std::ostringstream a, b;
+    merged.stats().dump(a);
+    manual.stats().dump(b);
+    EXPECT_EQ(a.str(), b.str());
+}
+
+TEST(CpuTraffic, SmallCoRunIsDeterministic)
+{
+    // Two fresh memories, the same recorded stream and CPU seed: every
+    // mem.* stat, the cursors and the PRIME progress are identical.
+    auto corun = [] {
+        MainMemory mem(multiChannelTech(2));
+        CpuTrafficOptions opt;
+        opt.pattern = CpuPattern::Random;
+        opt.intensity = 2.0;
+        opt.paceLeadNs = 512.0;
+        opt.seed = 17;
+        CpuTrafficGenerator gen(mem, opt, 4096);
+        mem.setCoRun(&gen);
+        for (const Transfer &t : fetchCommitStream(mem, 100))
+            mem.schedule(t);
+        mem.setCoRun(nullptr);
+        std::ostringstream out;
+        mem.stats().dump(out);
+        out << mem.primeProgressNs() << ' ' << mem.channelFree() << ' '
+            << gen.stats().requests;
+        return out.str();
+    };
+    const std::string first = corun();
+    EXPECT_NE(first.find("mem.cpu.service_ns"), std::string::npos);
+    EXPECT_EQ(corun(), first);
 }
 
 TEST(PagePolicy, ClosedWinsOnRandomRows)
@@ -682,7 +751,7 @@ TEST(MainMemoryStats, ServiceLatencyHistogramAndHitRateFormula)
 {
     MainMemory mem(tech());
     // 256 bytes -> four 64B bursts through the timed path.
-    mem.scheduleBytes(0, 256, false);
+    timeTransfer(mem, 0, 256, false);
     EXPECT_EQ(mem.stats().get("mem.reads").count(), 4u);
 
     const telemetry::Histogram *service =
@@ -701,7 +770,7 @@ TEST(MainMemoryStats, ServiceLatencyHistogramAndHitRateFormula)
 }
 
 // ------------------------------------------------------------------
-// Burst path: stepped decode and scheduleBytes against their
+// Burst path: stepped decode and recorded transfers against their
 // references.
 
 /**
@@ -819,14 +888,35 @@ expectSameHistogram(const telemetry::Histogram &got,
     EXPECT_EQ(got.buckets(), want.buckets()) << what;
 }
 
-TEST(MainMemory, ScheduleBytesMatchesScheduleBatchOfItsBursts)
+TEST(MainMemory, ReplayedTransfersMatchScheduleBatchOfTheirBursts)
 {
     for (const nvmodel::TechParams &t : burstGeometries()) {
         SCOPED_TRACE("channels=" + std::to_string(t.geometry.channels));
-        MainMemory bytes_mem(t), batch_mem(t);
-        const std::uint64_t cap = bytes_mem.mapper().capacityBytes();
+        MainMemory replay_mem(t), batch_mem(t);
+        const std::uint64_t cap = replay_mem.mapper().capacityBytes();
+        // The stream is recorded up front, before any timing: a record
+        // holds no time, so its replay issues at the cursors of the
+        // moment.
+        struct Draw
+        {
+            std::uint64_t addr;
+            std::size_t bytes;
+            bool isWrite;
+        };
         Rng rng(405);
+        std::vector<Draw> draws;
+        std::vector<Transfer> records;
         for (int i = 0; i < 400; ++i) {
+            const std::size_t bytes = static_cast<std::size_t>(
+                rng.uniformInt(1, i % 10 == 0 ? 6000 : 600));
+            const std::uint64_t addr = static_cast<std::uint64_t>(
+                rng.uniformInt(0, static_cast<std::int64_t>(cap - bytes)));
+            draws.push_back(Draw{addr, bytes, rng.bernoulli(0.5)});
+            records.push_back(replay_mem.recordTransfer(
+                addr, bytes, draws.back().isWrite));
+        }
+        for (int i = 0; i < 400; ++i) {
+            const Draw &d = draws[static_cast<std::size_t>(i)];
             // CPU requests on both twins skew the channel cursors, so
             // multi-channel transfers issue out of order and sort.
             if (i % 3 == 0) {
@@ -834,34 +924,30 @@ TEST(MainMemory, ScheduleBytesMatchesScheduleBatchOfItsBursts)
                     static_cast<std::uint64_t>(rng.uniformInt(
                         0, static_cast<std::int64_t>(cap - 64))),
                     64, rng.bernoulli(0.5),
-                    bytes_mem.channelFree() + rng.uniform(0.0, 50.0),
+                    replay_mem.channelFree() + rng.uniform(0.0, 50.0),
                     RequestSource::Cpu};
-                bytes_mem.access(cpu);
+                replay_mem.access(cpu);
                 batch_mem.access(cpu);
             }
-            const std::size_t bytes = static_cast<std::size_t>(
-                rng.uniformInt(1, i % 10 == 0 ? 6000 : 600));
-            const std::uint64_t addr = static_cast<std::uint64_t>(
-                rng.uniformInt(0, static_cast<std::int64_t>(cap - bytes)));
-            const bool is_write = rng.bernoulli(0.5);
 
             // The reference: the transfer's bursts, issued at their own
             // channel's cursor, as one FR-FCFS batch.
             std::vector<Request> bursts;
-            for (std::size_t off = 0; off < bytes; off += 64)
+            for (std::size_t off = 0; off < d.bytes; off += 64)
                 bursts.push_back(Request{
-                    addr + off,
+                    d.addr + off,
                     static_cast<std::uint32_t>(
-                        std::min<std::size_t>(64, bytes - off)),
-                    is_write,
+                        std::min<std::size_t>(64, d.bytes - off)),
+                    d.isWrite,
                     batch_mem
-                        .controller(batch_mem.mapper().channelOf(addr + off))
+                        .controller(
+                            batch_mem.mapper().channelOf(d.addr + off))
                         .channelFree(),
                     RequestSource::Prime});
             const Ns progress = batch_mem.primeProgressNs();
             const std::vector<RequestResult> results =
                 batch_mem.scheduleBatch(bursts);
-            bytes_mem.scheduleBytes(addr, bytes, is_write);
+            replay_mem.schedule(records[static_cast<std::size_t>(i)]);
 
             // The horizon is the latest PRIME dataReady so far.
             Ns ready = progress;
@@ -869,21 +955,21 @@ TEST(MainMemory, ScheduleBytesMatchesScheduleBatchOfItsBursts)
                 ready = std::max(ready, r.dataReady);
             ASSERT_EQ(results.size(), bursts.size());
             ASSERT_EQ(batch_mem.primeProgressNs(), ready) << "transfer " << i;
-            ASSERT_EQ(bytes_mem.primeProgressNs(),
+            ASSERT_EQ(replay_mem.primeProgressNs(),
                       batch_mem.primeProgressNs()) << "transfer " << i;
-            for (int ch = 0; ch < bytes_mem.channels(); ++ch)
-                ASSERT_EQ(bytes_mem.controller(ch).channelFree(),
+            for (int ch = 0; ch < replay_mem.channels(); ++ch)
+                ASSERT_EQ(replay_mem.controller(ch).channelFree(),
                           batch_mem.controller(ch).channelFree())
                     << "transfer " << i << " channel " << ch;
         }
         for (int b = 0; b < t.geometry.totalBanks(); ++b) {
-            EXPECT_EQ(bytes_mem.bank(b).openRow(), batch_mem.bank(b).openRow())
-                << b;
-            EXPECT_EQ(bytes_mem.bank(b).nextFree(),
+            EXPECT_EQ(replay_mem.bank(b).openRow(),
+                      batch_mem.bank(b).openRow()) << b;
+            EXPECT_EQ(replay_mem.bank(b).nextFree(),
                       batch_mem.bank(b).nextFree()) << b;
         }
-        for (int ch = 0; ch < bytes_mem.channels(); ++ch) {
-            const ChannelTotals got = bytes_mem.controller(ch).totals();
+        for (int ch = 0; ch < replay_mem.channels(); ++ch) {
+            const ChannelTotals got = replay_mem.controller(ch).totals();
             const ChannelTotals want = batch_mem.controller(ch).totals();
             EXPECT_EQ(got.reads, want.reads) << ch;
             EXPECT_EQ(got.writes, want.writes) << ch;
@@ -903,7 +989,43 @@ TEST(MainMemory, ScheduleBytesMatchesScheduleBatchOfItsBursts)
                           want.sourceLastReady[src]);
             }
         }
+        // The published documents agree too.
+        std::ostringstream a, b;
+        replay_mem.stats().dump(a);
+        batch_mem.stats().dump(b);
+        EXPECT_EQ(a.str(), b.str());
     }
+}
+
+TEST(MainMemory, RecordedTransferGroupsBurstsPerBank)
+{
+    // A record touches no timing state, and groups its bursts per bank
+    // in first-appearance order, address order within a group.
+    MainMemory mem(oddTech());
+    const Transfer t = mem.recordTransfer(5, 3000, true);
+    EXPECT_EQ(mem.channelFree(), 0.0);
+    ASSERT_EQ(t.bursts.size(), (3000u + 63) / 64);
+    ASSERT_FALSE(t.groupEnds.empty());
+    EXPECT_EQ(t.groupEnds.back(), t.bursts.size());
+    std::vector<int> seen;
+    std::size_t begin = 0;
+    for (const std::uint32_t end : t.groupEnds) {
+        ASSERT_LT(begin, end);
+        const int bank = t.bursts[begin].location.globalBank;
+        EXPECT_EQ(std::find(seen.begin(), seen.end(), bank), seen.end());
+        seen.push_back(bank);
+        for (std::size_t i = begin; i < end; ++i) {
+            EXPECT_EQ(t.bursts[i].location.globalBank, bank);
+            EXPECT_TRUE(t.bursts[i].request.isWrite);
+            if (i > begin) {
+                EXPECT_LT(t.bursts[i - 1].request.addr,
+                          t.bursts[i].request.addr);
+            }
+        }
+        begin = end;
+    }
+    EXPECT_GT(seen.size(), 1u);
+    EXPECT_TRUE(mem.recordTransfer(64, 0, false).bursts.empty());
 }
 
 TEST(MainMemory, FrFcfsOrderMatchesEraseReference)
@@ -959,65 +1081,70 @@ TEST(MainMemory, FrFcfsOrderMatchesEraseReference)
     }
 }
 
-TEST(MainMemory, PrimeHorizonPublishedPerQueuePacesCoRunTraffic)
+TEST(MainMemory, OccupancySampledDuringReplayIsRaceFree)
 {
-    // Two PRIME threads stream Fetch/Commit-sized transfers (one bank
-    // queue each, horizon published once per queue) while a paced CPU
-    // generator reads primeProgressNs() to throttle itself and a
-    // watcher polls it.  The horizon must only move forward, and once
-    // quiescent equal the latest PRIME completion the shards recorded.
-    // TSan (clang-tsan preset) checks the release/acquire pairing.
+    // The one concurrent reader the timing model has: a metrics
+    // sampler evaluating occupancy() while a timing pass (PRIME
+    // transfers with a co-run CPU stream merged in) runs.  The bank
+    // counters only grow and the backlogs stay non-negative; once the
+    // pass is over the counters equal the published totals.  The race
+    // check itself is the ThreadSanitizer build.
     MainMemory mem(multiChannelTech(2));
+    const std::vector<Transfer> stream = fetchCommitStream(mem, 2000);
     CpuTrafficOptions opt;
     opt.pattern = CpuPattern::Random;
     opt.intensity = 0.5;
     opt.paceLeadNs = 200.0;
     opt.seed = 9;
-    CpuTrafficGenerator gen(mem, opt);
+    CpuTrafficGenerator gen(mem, opt, 1u << 20);
+    const int banks = mem.params().geometry.totalBanks();
     std::atomic<bool> done{false};
     std::atomic<bool> went_backwards{false};
-    std::thread cpu([&gen] { gen.run(); });
-    std::thread watcher([&] {
-        Ns last = 0.0;
+    std::atomic<bool> negative_backlog{false};
+    std::thread sampler([&] {
+        const StatGroup &occ = mem.occupancy();
+        double last_reads = 0.0;
         while (!done.load(std::memory_order_acquire)) {
-            const Ns now = mem.primeProgressNs();
-            if (now < last)
+            double reads = 0.0, value = 0.0;
+            for (int b = 0; b < banks; ++b) {
+                const std::string prefix =
+                    "mem.bank" + std::to_string(b) + ".";
+                if (occ.evalFormula(prefix + "reads", value))
+                    reads += value;
+                if (occ.evalFormula(prefix + "backlog_ns", value) &&
+                    value < 0.0) {
+                    negative_backlog.store(true, std::memory_order_relaxed);
+                }
+            }
+            if (reads < last_reads)
                 went_backwards.store(true, std::memory_order_relaxed);
-            last = now;
+            last_reads = reads;
+            (void)occ.evalFormula("mem.channel_free_ns", value);
         }
     });
-    std::vector<std::thread> prime;
-    for (int th = 0; th < 2; ++th) {
-        prime.emplace_back([&mem, th] {
-            const std::uint64_t base =
-                static_cast<std::uint64_t>(th) * (std::uint64_t{1} << 26);
-            for (int i = 0; i < 2000; ++i) {
-                const std::uint64_t addr =
-                    base + static_cast<std::uint64_t>(i) * 576;
-                mem.scheduleBytes(addr, 25, false);
-                mem.scheduleBytes(addr + 64, 512, true);
-            }
-        });
-    }
-    for (std::thread &t : prime)
-        t.join();
-    gen.stop();
-    cpu.join();
+    mem.setCoRun(&gen);
+    for (const Transfer &t : stream)
+        mem.schedule(t);
+    mem.setCoRun(nullptr);
     done.store(true, std::memory_order_release);
-    watcher.join();
+    sampler.join();
 
     EXPECT_FALSE(went_backwards.load());
-    Ns latest = 0.0;
-    for (int ch = 0; ch < mem.channels(); ++ch)
-        latest = std::max(
-            latest, mem.controller(ch).totals().sourceLastReady[static_cast<
-                        std::size_t>(RequestSource::Prime)]);
-    EXPECT_GT(latest, 0.0);
-    EXPECT_EQ(mem.primeProgressNs(), latest);
-    EXPECT_EQ(mem.stats().get("mem.reads").count() +
-                  mem.stats().get("mem.writes").count() -
-                  mem.stats().histogram("mem.cpu.service_ns").count(),
-              2u * 2000u * 9u);
+    EXPECT_FALSE(negative_backlog.load());
+    EXPECT_GT(gen.stats().requests, 0u);
+    double reads = 0.0, writes = 0.0, value = 0.0;
+    for (int b = 0; b < banks; ++b) {
+        const std::string prefix = "mem.bank" + std::to_string(b) + ".";
+        ASSERT_TRUE(mem.occupancy().evalFormula(prefix + "reads", value));
+        reads += value;
+        ASSERT_TRUE(mem.occupancy().evalFormula(prefix + "writes", value));
+        writes += value;
+    }
+    StatGroup &stats = mem.stats();
+    EXPECT_EQ(reads, static_cast<double>(stats.get("mem.reads").count()));
+    EXPECT_EQ(writes, static_cast<double>(stats.get("mem.writes").count()));
+    EXPECT_EQ(stats.histogram("mem.prime.service_ns").count(),
+              2000u * (1u + 8u));
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -344,6 +345,48 @@ TEST(PipelineEngine, BatchBitIdenticalAcrossThreadCounts)
         expectSameBits(prime.runBatch(std::span<const nn::Tensor>(inputs)),
                        expected, "threads=" + std::to_string(threads));
     }
+    ThreadPool::setGlobalThreadCount(0);
+}
+
+/**
+ * The modeled memory side of a fresh tiny-bank system after one
+ * pipelined batch of @p images at @p threads: the mem.* stats
+ * document, every channel's histogram sums and cursor, and the PRIME
+ * progress, the doubles in hex so equality is bit equality.
+ */
+std::string
+pipelinedTiming(int threads, std::size_t images)
+{
+    ThreadPool::setGlobalThreadCount(threads);
+    PrimeSystem prime(tinyBankParams());
+    programTiny(prime);
+    const std::vector<nn::Tensor> inputs = sampleInputs(images);
+    (void)prime.runBatch(std::span<const nn::Tensor>(inputs));
+    memory::MainMemory &mem = prime.mainMemory();
+    std::ostringstream out;
+    mem.stats().dumpJson(out);
+    out << std::hexfloat;
+    for (int ch = 0; ch < mem.channels(); ++ch) {
+        const memory::ChannelTotals t = mem.controller(ch).totals();
+        out << ' ' << t.queueNs.sum() << ' ' << t.serviceNs.sum() << ' '
+            << mem.controller(ch).channelFree();
+    }
+    out << ' ' << mem.primeProgressNs();
+    return out.str();
+}
+
+TEST(PipelineEngine, TimingPassDeterministicAcrossThreadsAndSystems)
+{
+    // A pipelined batch's Fetch/Commit timing is replayed after the
+    // stages finish, in one fixed wavefront order: the modeled memory
+    // fields do not depend on the thread count or on how the stage
+    // threads interleaved.
+    const std::string want = pipelinedTiming(1, 12);
+    EXPECT_NE(want.find("mem.reads"), std::string::npos);
+    for (int threads : {1, 4, 8})
+        for (int system = 0; system < 2; ++system)
+            EXPECT_EQ(pipelinedTiming(threads, 12), want)
+                << "threads=" << threads << " system " << system;
     ThreadPool::setGlobalThreadCount(0);
 }
 
