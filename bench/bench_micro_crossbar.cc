@@ -1,7 +1,7 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the ReRAM compute substrate:
- * crossbar MVMs, the composing pipeline, and the peripheral units.
+ * crossbar MVMs, the composing pipeline and cell programming.
  * These measure the *simulator's* throughput (useful when scaling
  * experiments), not modeled hardware time.  Every MVM benchmark times a
  * span kernel on the path PrimeController::computeMat runs (composed
@@ -20,7 +20,6 @@
 
 #include "common/rng.hh"
 #include "reram/composing.hh"
-#include "reram/peripheral.hh"
 
 using namespace prime;
 using namespace prime::reram;
@@ -244,18 +243,6 @@ BM_ComposedApprox(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ComposedApprox)->Arg(256)->Arg(1024);
-
-void
-BM_MaxPoolUnit(benchmark::State &state)
-{
-    MaxPoolUnit unit;
-    std::array<std::int64_t, 4> in = {17, -3, 42, 8};
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(unit.pool4(in));
-        in[0] = (in[0] + 1) & 0xff;
-    }
-}
-BENCHMARK(BM_MaxPoolUnit);
 
 void
 BM_CellProgramming(benchmark::State &state)

@@ -2,8 +2,9 @@
  * @file
  * Inter-bank pipeline throughput bench (paper Section V-A's inter-bank
  * parallelism): a Large-scale mapping spreads a 4-layer MLP over four
- * banks, and the free-running executor keeps one worker per bank stage
- * busy on a streamed batch.
+ * banks, and the executor runs a batch through the bank stages as
+ * lockstep wavefront steps, the active stages of a step in parallel on
+ * the global pool.
  *
  * Throughput is reported in the modeled (simulated-hardware) domain,
  * like every other bench here: sequential time/image is the sum of the
@@ -19,9 +20,9 @@
  * pipeline.host_speedup is the median of the per-repeat ratios, printed
  * with its quartiles and the sides' own medians and quartiles.  The
  * timed repeats execute under an enabled MetricsRegistry (sampler on,
- * watching the system stats with their live ring/stage gauges), their
- * flight-recorder attribution (busy / stall-upstream /
- * stall-downstream / idle per stage) prints as a bottleneck report,
+ * watching the system stats with their live stage gauges), their
+ * flight-recorder attribution (busy / fill / drain / barrier wait per
+ * stage) prints as a bottleneck report,
  * and the end-to-end latency quantiles plus the per-stage attribution
  * land in BENCH_pipeline.json -- headline numbers as top-level fields,
  * the sampled series summarized in the "metrics" section.
@@ -85,8 +86,6 @@ struct StageSnapshot
 {
     double busyNs = 0.0;
     std::uint64_t items = 0;
-    std::uint64_t pushWaits = 0;
-    std::uint64_t popWaits = 0;
     /** Flight-recorder attribution (pipeline.attribution section). */
     double stallUpNs = 0.0;
     double stallDownNs = 0.0;
@@ -101,8 +100,6 @@ snapshotStage(StatGroup &stats, std::size_t s)
     StageSnapshot snap;
     snap.busyNs = stats.get(prefix + ".busy_ns").sum();
     snap.items = stats.get(prefix + ".items").count();
-    snap.pushWaits = stats.get(prefix + ".push_waits").count();
-    snap.popWaits = stats.get(prefix + ".pop_waits").count();
     StatGroup &attr = stats.child("pipeline.attribution");
     const std::string stage = "stage" + std::to_string(s);
     snap.stallUpNs = attr.get(stage + ".stall_upstream_ns").sum();
@@ -173,8 +170,8 @@ main(int argc, char **argv)
     prime.stats().histogram("pipeline.e2e_latency_ns").reset();
 
     // The timed repeats execute fully observed: sampler thread on,
-    // watching the system's stats (the pipeline's ring-depth/
-    // stage-state gauges among them) and the per-bank memory occupancy.
+    // watching the system's stats (the pipeline's stage-state gauges
+    // among them) and the per-bank memory occupancy.
     telemetry::MetricsRegistry registry;
     registry.enable();
     registry.watch(prime.stats());
@@ -245,8 +242,6 @@ main(int argc, char **argv)
         const StageSnapshot after = snapshotStage(prime.stats(), s);
         timed[s].busyNs = after.busyNs - before[s].busyNs;
         timed[s].items = after.items - before[s].items;
-        timed[s].pushWaits = after.pushWaits - before[s].pushWaits;
-        timed[s].popWaits = after.popWaits - before[s].popWaits;
         timed[s].stallUpNs = after.stallUpNs - before[s].stallUpNs;
         timed[s].stallDownNs =
             after.stallDownNs - before[s].stallDownNs;
@@ -285,11 +280,11 @@ main(int argc, char **argv)
                 pipe_q[1] / 1e6, pipe_q[0] / 1e6, pipe_q[2] / 1e6,
                 speedup_q[1], speedup_q[0], speedup_q[2]);
 
-    // Flight-recorder bottleneck report: where each stage worker's
-    // wall time went during the timed batches.  Stall-upstream means the
-    // stage starved (look one stage up), stall-downstream means it is
-    // faster than its consumer (look one stage down), idle is
-    // slicing/stamping overhead and scheduler noise.
+    // Flight-recorder bottleneck report: where each stage's share of
+    // the timed batches' wall time went.  Stall-up is the fill before
+    // the stage's first chunk, stall-down the drain after its last,
+    // and idle the barrier wait in its own steps: the time the step's
+    // slowest stage, and the step's own overhead, kept it waiting.
     std::printf("\nbottleneck report (%d timed pipelined batches):\n",
                 kRepeats);
     for (std::size_t s = 0; s < n_stages; ++s) {

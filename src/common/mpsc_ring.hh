@@ -2,12 +2,11 @@
  * @file
  * A fixed-capacity multi-producer / single-consumer ring queue: the
  * serving engine's ingress primitive.  Any number of request threads
- * push concurrently; exactly one scheduler thread pops.  Like SpscRing
- * the ring never allocates after construction, but the single-writer
- * tail counter of the SPSC design cannot survive multiple producers,
- * so publication moves from the shared cursor to a per-slot ticket
- * (the bounded-MPMC idiom of Vyukov's queue, restricted here to one
- * consumer):
+ * push concurrently; exactly one scheduler thread pops.  The ring
+ * never allocates after construction.  A single-writer tail counter
+ * cannot survive multiple producers, so publication rides on a
+ * per-slot ticket instead (the bounded-MPMC idiom of Vyukov's queue,
+ * restricted here to one consumer):
  *
  *  - Every slot carries a sequence counter.  A producer claims ticket
  *    t by CAS-advancing tail_ from t to t+1 -- legal only while the
@@ -17,8 +16,7 @@
  *  - The producer fully writes the slot, then publishes it with a
  *    release store of sequence = t+1.  The consumer's acquire load of
  *    the sequence is the matching edge: seeing t+1 guarantees the
- *    value is visible (the SpscRing acquire/release contract, moved
- *    from the tail counter onto the slot).
+ *    value is visible.
  *  - The consumer pops ticket h when the head slot's sequence reads
  *    h+1, moves the value out, and retires the slot with a release
  *    store of sequence = h+capacity -- the value producers of lap
@@ -61,10 +59,10 @@ namespace prime {
 template <typename T>
 class MpscRing
 {
-    // Same slot contract as SpscRing: values cross threads by move
-    // assignment ordered by each slot's sequence ticket, never by
-    // memcpy, so trivial copyability is deliberately NOT required
-    // (serve::Request carries a Tensor and a std::function).
+    // Values cross threads by move assignment ordered by each slot's
+    // sequence ticket, never by memcpy, so trivial copyability is
+    // deliberately NOT required (serve::Request carries a Tensor and a
+    // std::function).
     static_assert(std::is_default_constructible_v<T>,
                   "MpscRing slots are preallocated empty");
     static_assert(std::is_move_constructible_v<T> &&
@@ -160,7 +158,8 @@ class MpscRing
      * sampler's queue-depth probe).  Relaxed loads of two cursors that
      * may be observed at different moments, so the raw difference is
      * clamped to [0, capacity] and only approximate for non-owning
-     * threads -- the SpscRing::approxSize contract.
+     * threads: a point-in-time estimate that never exceeds the
+     * capacity, never goes negative and orders nothing.
      */
     std::size_t
     approxSize() const

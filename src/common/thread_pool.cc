@@ -19,14 +19,15 @@ thread_local bool tls_in_pool = false;
 
 } // namespace
 
-ThreadPool::ThreadPool(int threads, const std::string &lane)
+ThreadPool::ThreadPool(int threads)
 {
     if (threads <= 0)
         threads = defaultThreadCount();
     for (int i = 1; i < threads; ++i)
-        workers_.emplace_back([this, name = lane + "-" + std::to_string(i)] {
-            workerLoop(name);
-        });
+        workers_.emplace_back(
+            [this, name = "pool-worker-" + std::to_string(i)] {
+                workerLoop(name);
+            });
 }
 
 ThreadPool::~ThreadPool()
@@ -64,12 +65,6 @@ ThreadPool::runJob(const std::function<void(std::size_t)> &body,
         PRIME_SPAN(telemetry::globalTrace(), "pool.task", "pool");
         body(i);
     }
-}
-
-bool
-ThreadPool::insideJob()
-{
-    return tls_in_pool;
 }
 
 void

@@ -1,16 +1,16 @@
 /**
  * @file
  * A small fixed-size thread pool for fanning out independent simulator
- * work (whole inferences in sim::Evaluator, the per-tile MVMs of
- * PrimeSystem::run).  Deliberately minimal: no work stealing, no task
- * futures -- just parallelFor over an index range with an atomic
+ * work (whole benchmarks in sim::Evaluator, the mats of one layer in
+ * PrimeController::computeMats, the stages of one inter-bank pipeline
+ * step in Pipeline::run).  Deliberately minimal: no work stealing, no
+ * task futures -- just parallelFor over an index range with an atomic
  * cursor, which is all the compute plane needs.
  *
- * Two kinds of pool exist: the process-wide global() pool, and one
- * stage pool per PrimeSystem sized to its plan's inter-bank pipeline
- * stages.  The pipeline executor runs parallelFor(n_stages, stage_loop)
- * on the stage pool, so every stage gets a thread for the whole batch
- * and the workers park on the pool's condvar between batches.
+ * The simulator runs all of that on one pool, the process-wide
+ * global() pool; the other pools are the ones tests build for
+ * themselves.  A parallelFor from inside a pool job runs its bodies
+ * inline, so a pipeline step's stages do not fan their mats out again.
  *
  * Determinism contract: parallelFor(n, body) invokes body(i) exactly
  * once for every i in [0, n); bodies must write only to disjoint,
@@ -50,11 +50,10 @@ class ThreadPool
     /**
      * @param threads total concurrency including the calling thread;
      *        <= 1 creates no workers (sequential fallback), 0 resolves
-     *        via defaultThreadCount().
-     * @param lane trace-lane prefix of the workers ("<lane>-<i>").
+     *        via defaultThreadCount().  Worker i traces on the lane
+     *        "pool-worker-<i>".
      */
-    explicit ThreadPool(int threads = 0,
-                        const std::string &lane = "pool-worker");
+    explicit ThreadPool(int threads = 0);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -83,13 +82,6 @@ class ThreadPool
 
     /** PRIME_THREADS env var if set and positive, else hardware. */
     static int defaultThreadCount();
-
-    /**
-     * True on a thread that is running a pool job (a worker, or a
-     * caller inside its own parallelFor), where a nested parallelFor
-     * runs its bodies one after another on this thread.
-     */
-    static bool insideJob();
 
   private:
     void workerLoop(const std::string &lane);

@@ -148,7 +148,7 @@ PrimeController::computeMatImpl(int global_mat)
     // own trace lane, giving the per-mat compute timeline.
     PRIME_SPAN(telemetry::globalTrace(), "ff.compute", "compute");
     FfMat &m = mat(global_mat);
-    PRIME_ASSERT(m.mode() == reram::FfMode::Computation,
+    PRIME_ASSERT(m.mode() == FfMode::Computation,
                  "computeMat on a memory-mode mat");
     const reram::ComposedMatrixEngine &engine = m.engine();
     const std::size_t idx = static_cast<std::size_t>(global_mat);

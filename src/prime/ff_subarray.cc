@@ -21,7 +21,7 @@ FfMat::memoryBytes() const
 void
 FfMat::writeMemory(std::size_t offset, const std::vector<std::uint8_t> &data)
 {
-    PRIME_ASSERT(mode_ == reram::FfMode::Memory,
+    PRIME_ASSERT(mode_ == FfMode::Memory,
                  "memory write in computation mode");
     PRIME_ASSERT(offset + data.size() <= slc_.size(),
                  "write beyond mat: ", offset, "+", data.size());
@@ -31,7 +31,7 @@ FfMat::writeMemory(std::size_t offset, const std::vector<std::uint8_t> &data)
 std::vector<std::uint8_t>
 FfMat::readMemory(std::size_t offset, std::size_t size) const
 {
-    PRIME_ASSERT(mode_ == reram::FfMode::Memory,
+    PRIME_ASSERT(mode_ == FfMode::Memory,
                  "memory read in computation mode");
     PRIME_ASSERT(offset + size <= slc_.size(),
                  "read beyond mat: ", offset, "+", size);
@@ -43,7 +43,7 @@ std::vector<std::uint8_t>
 FfMat::morphToCompute(const std::vector<std::vector<int>> &weights, Rng *rng)
 {
     PRIME_SPAN(telemetry::globalTrace(), "ff.morph_to_compute", "morph");
-    PRIME_ASSERT(mode_ == reram::FfMode::Memory,
+    PRIME_ASSERT(mode_ == FfMode::Memory,
                  "mat already in computation mode");
     const int rows = static_cast<int>(weights.size());
     PRIME_ASSERT(rows > 0 && !weights[0].empty(), "empty weights");
@@ -71,7 +71,7 @@ FfMat::morphToCompute(const std::vector<std::vector<int>> &weights, Rng *rng)
     engine_->programWeights(weights, rng);
 
     // Step 3: peripheral reconfiguration.
-    mode_ = reram::FfMode::Computation;
+    mode_ = FfMode::Computation;
     return migrated;
 }
 
@@ -79,11 +79,11 @@ void
 FfMat::morphToMemory()
 {
     PRIME_SPAN(telemetry::globalTrace(), "ff.morph_to_memory", "morph");
-    PRIME_ASSERT(mode_ == reram::FfMode::Computation,
+    PRIME_ASSERT(mode_ == FfMode::Computation,
                  "mat already in memory mode");
     engine_.reset();
     slc_.assign(memoryBytes(), 0);
-    mode_ = reram::FfMode::Memory;
+    mode_ = FfMode::Memory;
 }
 
 const reram::ComposedMatrixEngine &
@@ -126,7 +126,7 @@ FfSubarray::computeMats() const
 {
     int n = 0;
     for (const FfMat &m : mats_)
-        if (m.mode() == reram::FfMode::Computation)
+        if (m.mode() == FfMode::Computation)
             ++n;
     return n;
 }
@@ -136,7 +136,7 @@ FfSubarray::memoryModeBytes() const
 {
     std::size_t bytes = 0;
     for (const FfMat &m : mats_)
-        if (m.mode() == reram::FfMode::Memory)
+        if (m.mode() == FfMode::Memory)
             bytes += m.memoryBytes();
     return bytes;
 }

@@ -15,9 +15,11 @@
 
 #include "nvmodel/tech_params.hh"
 #include "reram/composing.hh"
-#include "reram/peripheral.hh"
 
 namespace prime::core {
+
+/** Operating mode of a morphable FF mat. */
+enum class FfMode { Memory, Computation };
 
 /** One morphable mat. */
 class FfMat
@@ -25,7 +27,7 @@ class FfMat
   public:
     explicit FfMat(const nvmodel::TechParams &tech);
 
-    reram::FfMode mode() const { return mode_; }
+    FfMode mode() const { return mode_; }
 
     /** SLC storage capacity in memory mode. */
     std::size_t memoryBytes() const;
@@ -67,7 +69,7 @@ class FfMat
 
   private:
     nvmodel::TechParams tech_;
-    reram::FfMode mode_ = reram::FfMode::Memory;
+    FfMode mode_ = FfMode::Memory;
     std::vector<std::uint8_t> slc_;
     std::unique_ptr<reram::ComposedMatrixEngine> engine_;
     bool bypassSigmoid_ = true;

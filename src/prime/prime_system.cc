@@ -790,15 +790,8 @@ PrimeSystem::runBatch(std::span<const nn::Tensor> inputs)
             out.push_back(run(in));
         return out;
     }
-    // Inside a pool job parallelFor runs inline: the stages would run
-    // one after another and stage 0 would block forever on a full ring.
-    // Checked before the stage pool is touched, so concurrent misuse
-    // dies here rather than racing on it.
-    PRIME_ASSERT(!ThreadPool::insideJob(),
-                 "runBatch on a multi-stage plan must not be called from "
-                 "inside a parallelFor body");
-    // Size every stage's log for the whole batch before the stage
-    // threads start appending (capacity is kept across batches).
+    // Size every stage's log for the whole batch before the stages
+    // start appending (capacity is kept across batches).
     for (ExecContext &ctx : stageContexts_) {
         ctx.log.reserve(inputs.size() * ctx.transfersPerImage);
         ctx.imageEnds.reserve(inputs.size());
@@ -823,7 +816,7 @@ PrimeSystem::release()
     for (const std::unique_ptr<BankUnit> &b : banks_) {
         for (FfSubarray &sub : b->ff) {
             for (int i = 0; i < sub.matCount(); ++i) {
-                if (sub.mat(i).mode() == reram::FfMode::Computation) {
+                if (sub.mat(i).mode() == FfMode::Computation) {
                     sub.mat(i).morphToMemory();
                     stats_.get("morph.mats_to_memory").increment();
                 }

@@ -15,9 +15,9 @@
  * subarray + controller) per bank the plan places tiles into, so Large
  * plans execute across real bank boundaries.  runBatch() drives those
  * banks as the paper's inter-bank pipeline (Section IV-B: one stage per
- * bank-disjoint layer group) via a per-system Pipeline (stage pool and
- * rings) that persists across batches; run() executes the same stages
- * sequentially.  Bank-level parallelism (identical copies
+ * bank-disjoint layer group) via a per-system Pipeline that runs them
+ * as lockstep wavefront steps on the global ThreadPool; run() executes
+ * the same stages sequentially.  Bank-level parallelism (identical copies
  * of a small/medium NN across banks) still needs only bank 0 for
  * functional fidelity.  Performance and energy are estimated by the
  * analytic PrimeModel over the same MappingPlan.
@@ -98,23 +98,19 @@ class PrimeSystem
 
     /**
      * Batched inference, the one batch entry point.  A multi-stage plan
-     * streams the batch through the free-running inter-bank pipeline
-     * (Pipeline::run: one thread of this system's stage pool per stage,
-     * bounded SPSC rings between them); a one-stage plan runs the
+     * runs the batch through the inter-bank pipeline (Pipeline::run:
+     * lockstep wavefront steps, each step one parallelFor over the
+     * active stages on ThreadPool::global()); a one-stage plan runs the
      * samples through run().  Callers that want sequential execution
      * of a multi-stage plan loop over run() themselves.  Results are
-     * bit-identical to per-sample run() calls at any thread count,
+     * bit-identical to per-sample run() calls at any pool size,
      * noisy analog compute included: every mat draws read noise from
      * its own stream and sees the images in order on every executor.
      *
-     * The pipeline's stage pool is created on the first pipelined
-     * batch and kept across batches (a remap that changes the stage
-     * count rebuilds it); its live values are declared in stats() as
-     * stages first run.  Call from one thread at a time, and not from inside a
-     * ThreadPool::parallelFor body on a multi-stage plan: there a
-     * nested parallelFor runs its bodies inline, so the stages would
-     * run one after another and deadlock on a full ring (a
-     * PRIME_ASSERT catches it instead).
+     * The pipeline's live values are declared in stats() as stages
+     * first run.  Call from one thread at a time.  Called from inside a
+     * parallelFor body, the steps run inline on the calling thread,
+     * with the same results.
      */
     std::vector<nn::Tensor> runBatch(std::span<const nn::Tensor> inputs);
 
@@ -368,7 +364,8 @@ class PrimeSystem
     /** Transfer ids handed out to the tapes' Fetch/Commit commands. */
     std::uint32_t transferCount_ = 0;
     /** True while a pipelined batch runs its stages (set and cleared
-     *  around Pipeline::run, whose pool handoff publishes it). */
+     *  around Pipeline::run, whose first step's pool handoff publishes
+     *  it). */
     bool pipelining_ = false;
     bool programmed_ = false;
     bool configured_ = false;

@@ -18,10 +18,10 @@
  *                              -> PrimeSystem::runBatch
  *                              -> stats -> completion callbacks
  *
- * On a multi-stage plan runBatch runs the inter-bank pipeline on the
- * PrimeSystem's persistent stage pool: the scheduler thread works as
- * one stage and the pool's workers, parked between batches, carry the
- * others.  No thread is spawned per batch.
+ * On a multi-stage plan runBatch runs the inter-bank pipeline as
+ * wavefront steps on ThreadPool::global(): the scheduler thread takes
+ * part in every step and the pool's workers, parked between steps,
+ * carry the other stages.  No thread is spawned per batch.
  *
  * Contracts:
  *  - Admission control: trySubmit never blocks.  A full ingress ring,
@@ -45,7 +45,8 @@
  *    capacity (runBatch's own contract).  The scheduler is the only
  *    thread that calls into the PrimeSystem -- the functional machine
  *    is a single physical memory, and PrimeSystem is not reentrant.
- *    It is a plain thread, never a pool job, as runBatch requires.
+ *    It is a plain thread, not a pool job, so every step of a
+ *    batch fans out over the pool.
  *  - One engine serves one mapped model (the PrimeSystem it wraps);
  *    coalescing is therefore per-model by construction.  Serving
  *    several models means several engines over several systems.

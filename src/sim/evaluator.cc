@@ -77,18 +77,10 @@ Evaluator::evaluateMlBench() const
 
     // Each benchmark builds its own mapper and platform models, so the
     // evaluations are independent: fan them out and fill the result
-    // vector by index (deterministic order for any thread count).
+    // vector by index (deterministic order for any pool size).
     std::vector<BenchmarkEvaluation> out(suite.size());
-    auto body = [&](std::size_t i) { out[i] = evaluate(suite[i]); };
-    if (options_.threads == 1) {
-        for (std::size_t i = 0; i < suite.size(); ++i)
-            body(i);
-    } else if (options_.threads > 1) {
-        ThreadPool pool(options_.threads);
-        pool.parallelFor(suite.size(), body);
-    } else {
-        ThreadPool::global().parallelFor(suite.size(), body);
-    }
+    ThreadPool::global().parallelFor(
+        suite.size(), [&](std::size_t i) { out[i] = evaluate(suite[i]); });
 
     // Serial post-pass: the stats map must not be touched by the
     // parallel fan-out above.

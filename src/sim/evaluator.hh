@@ -42,13 +42,6 @@ struct EvaluatorOptions
     mapping::MapperOptions mapper;
     /** Skip VGG-D (used by quick tests). */
     bool includeVgg = true;
-    /**
-     * Concurrency for evaluateMlBench: 0 uses the global thread pool
-     * (PRIME_THREADS / hardware), 1 forces the sequential path, N > 1
-     * uses a dedicated pool of that size.  Results are identical for
-     * every setting -- each benchmark is evaluated independently.
-     */
-    int threads = 0;
 };
 
 /** Runs the full evaluation matrix. */
@@ -61,7 +54,9 @@ class Evaluator
     /** Evaluate one topology on all platforms. */
     BenchmarkEvaluation evaluate(const nn::Topology &topology) const;
 
-    /** Evaluate the whole MlBench suite (Table III). */
+    /** Evaluate the whole MlBench suite (Table III), one benchmark per
+     *  job on ThreadPool::global(); the results do not depend on its
+     *  size (each benchmark is evaluated independently). */
     std::vector<BenchmarkEvaluation> evaluateMlBench() const;
 
     const nvmodel::TechParams &tech() const { return tech_; }

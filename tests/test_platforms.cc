@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/config.hh"
+#include "common/thread_pool.hh"
 #include "sim/evaluator.hh"
 
 namespace prime::sim {
@@ -232,22 +233,20 @@ TEST(Evaluator, BreakdownsArePerImageConsistent)
 }
 
 /** The threaded MlBench fan-out must be invisible in the results:
- *  every thread-count setting returns the same numbers in the same
- *  suite order (each benchmark is evaluated independently and the
- *  models draw no random numbers). */
+ *  every global pool size returns the same numbers in the same suite
+ *  order (each benchmark is evaluated independently and the models
+ *  draw no random numbers). */
 TEST(Evaluator, MlBenchIndependentOfThreadCount)
 {
-    EvaluatorOptions seq;
-    seq.includeVgg = false;
-    seq.threads = 1;
-    Evaluator ev_seq(tech(), seq);
-    auto want = ev_seq.evaluateMlBench();
+    EvaluatorOptions opt;
+    opt.includeVgg = false;
+    Evaluator ev(tech(), opt);
+    ThreadPool::setGlobalThreadCount(1);
+    auto want = ev.evaluateMlBench();
     ASSERT_EQ(want.size(), 5u);
 
     for (int threads : {2, 4}) {
-        EvaluatorOptions opt = seq;
-        opt.threads = threads;
-        Evaluator ev(tech(), opt);
+        ThreadPool::setGlobalThreadCount(threads);
         auto got = ev.evaluateMlBench();
         ASSERT_EQ(got.size(), want.size()) << "threads=" << threads;
         for (std::size_t i = 0; i < want.size(); ++i) {
@@ -261,6 +260,7 @@ TEST(Evaluator, MlBenchIndependentOfThreadCount)
                 << got[i].topology.name << " threads=" << threads;
         }
     }
+    ThreadPool::setGlobalThreadCount(0);
 }
 
 } // namespace

@@ -27,7 +27,7 @@ tech()
 TEST(FfMat, StartsInMemoryModeWithFullCapacity)
 {
     FfMat mat(tech());
-    EXPECT_EQ(mat.mode(), reram::FfMode::Memory);
+    EXPECT_EQ(mat.mode(), FfMode::Memory);
     // 256x256x4 SLC bits = 32 KiB.
     EXPECT_EQ(mat.memoryBytes(), 32u * 1024);
 }
@@ -50,7 +50,7 @@ TEST(FfMat, MorphingProtocol)
     // Step 1+2: migrate resident data and program weights.
     std::vector<std::vector<int>> weights = {{10, -20}, {-5, 30}};
     std::vector<std::uint8_t> migrated = mat.morphToCompute(weights);
-    EXPECT_EQ(mat.mode(), reram::FfMode::Computation);
+    EXPECT_EQ(mat.mode(), FfMode::Computation);
     ASSERT_GE(migrated.size(), 3u);
     EXPECT_EQ(migrated[0], 1);
     EXPECT_EQ(migrated[2], 3);
@@ -67,7 +67,7 @@ TEST(FfMat, MorphingProtocol)
 
     // Wrap-up: back to memory mode, zeroed.
     mat.morphToMemory();
-    EXPECT_EQ(mat.mode(), reram::FfMode::Memory);
+    EXPECT_EQ(mat.mode(), FfMode::Memory);
     EXPECT_EQ(mat.readMemory(0, 1)[0], 0);
     EXPECT_DEATH(mat.engine(), "not in computation mode");
 }

@@ -146,13 +146,13 @@ TEST(SamplerStress, TicksRaceFreeAgainstPipelineServingAndNewEntries)
                   static_cast<int>(setup.inputs.size()));
         ASSERT_GE(registry.snapshotCount(), 1u);
         ASSERT_TRUE(registry.sampleOnce());
-        bool saw_ring = false, saw_entry = false, saw_serving = false;
+        bool saw_stage = false, saw_entry = false, saw_serving = false;
         for (const auto &s : registry.summarize()) {
-            saw_ring |= s.name == "pipeline.ring0.depth";
+            saw_stage |= s.name == "pipeline.stage0.state";
             saw_entry |= s.name == "stress.entry199";
             saw_serving |= s.name == "serving.completed";
         }
-        EXPECT_TRUE(saw_ring);
+        EXPECT_TRUE(saw_stage);
         EXPECT_TRUE(saw_entry);
         EXPECT_TRUE(saw_serving);
     }

@@ -455,7 +455,7 @@ TEST(ServingEngine, ServedOutputsBitIdenticalAcrossPoolSizes)
     for (const nn::Tensor &in : inputs)
         expected.push_back(prime.run(in));
 
-    for (int threads : {1, 4, 8}) {
+    for (int threads : {1, 2, 4, 8}) {
         ThreadPool::setGlobalThreadCount(threads);
         ServingOptions sopt;
         sopt.queueCapacity = 64;

@@ -153,28 +153,29 @@ TEST(ThreadPoolStress, PoolChurnWithTracing)
 }
 
 /** Nested parallelFor from inside a pool body must run inline without
- *  deadlock, still invoking every index exactly once; insideJob() is
- *  true in every body and false outside parallelFor. */
+ *  deadlock, on the body's own thread, still invoking every index
+ *  exactly once. */
 TEST(ThreadPoolStress, NestedParallelForRunsInline)
 {
     ThreadPool pool(4);
     constexpr std::size_t kOuter = 32;
     constexpr std::size_t kInner = 16;
     std::vector<std::uint32_t> out(kOuter, 0);
-    std::vector<char> inside(kOuter, 0);
-    EXPECT_FALSE(ThreadPool::insideJob());
+    std::vector<char> inline_run(kOuter, 0);
     pool.parallelFor(kOuter, [&](std::size_t i) {
-        inside[i] = ThreadPool::insideJob();
+        const std::thread::id outer = std::this_thread::get_id();
         std::uint32_t sum = 0;
+        bool same_thread = true;
         pool.parallelFor(kInner, [&](std::size_t j) {
             sum += static_cast<std::uint32_t>(j + 1);
+            same_thread &= std::this_thread::get_id() == outer;
         });
         out[i] = sum;
+        inline_run[i] = same_thread;
     });
-    EXPECT_FALSE(ThreadPool::insideJob());
     for (std::size_t i = 0; i < kOuter; ++i) {
         EXPECT_EQ(out[i], kInner * (kInner + 1) / 2);
-        EXPECT_TRUE(inside[i]) << i;  // caller and workers alike
+        EXPECT_TRUE(inline_run[i]) << i;  // caller and workers alike
     }
 }
 
@@ -190,21 +191,20 @@ expectBitIdentical(double a, double b, const char *what,
 }
 
 /** Determinism audit: the whole ML-bench evaluation must be
- *  bit-identical at 1 vs 8 threads.  Under ASan/TSan this catches racy
- *  accumulation regressions, not just crashes. */
+ *  bit-identical on a global pool of 1 vs 8 threads.  Under ASan/TSan
+ *  this catches racy accumulation regressions, not just crashes. */
 TEST(ThreadPoolStress, EvaluateMlBenchBitIdentical1v8Threads)
 {
-    sim::EvaluatorOptions seq;
-    seq.includeVgg = false;
-    seq.threads = 1;
-    sim::Evaluator ev_seq(nvmodel::defaultTechParams(), seq);
-    const auto want = ev_seq.evaluateMlBench();
+    sim::EvaluatorOptions opt;
+    opt.includeVgg = false;
+    sim::Evaluator ev(nvmodel::defaultTechParams(), opt);
+    ThreadPool::setGlobalThreadCount(1);
+    const auto want = ev.evaluateMlBench();
     ASSERT_FALSE(want.empty());
 
-    sim::EvaluatorOptions par = seq;
-    par.threads = 8;
-    sim::Evaluator ev_par(nvmodel::defaultTechParams(), par);
-    const auto got = ev_par.evaluateMlBench();
+    ThreadPool::setGlobalThreadCount(8);
+    const auto got = ev.evaluateMlBench();
+    ThreadPool::setGlobalThreadCount(0);
     ASSERT_EQ(got.size(), want.size());
 
     for (std::size_t i = 0; i < want.size(); ++i) {

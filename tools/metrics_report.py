@@ -7,11 +7,11 @@ form {"ts_ns": N, "metrics": {"name": value, ...}}.
 
 Prints a per-stage pipeline utilization table (decoded from the
 pipeline.stageN.state gauge: 0=idle 1=busy 2=stall-up 3=stall-down
-4=done), ring queue-depth statistics, a serving-engine table (the
-serving.queue.depth and serving.shed_rate gauges plus the rates of the
+4=done), a serving-engine table (the serving.queue.depth and
+serving.shed_rate gauges plus the rates of the
 serving.accepted/rejected/completed/batches counters), and a general
-min/mean/max/last summary of every other series.  Exits non-zero on malformed input, so CI can
-use it as a JSONL validator:
+min/mean/max/last summary of every other series.  Exits non-zero on
+malformed input, so CI can use it as a JSONL validator:
 
     python3 tools/metrics_report.py BENCH_metrics.jsonl
     python3 tools/metrics_report.py --require pipeline metrics.jsonl
@@ -28,7 +28,6 @@ STATE_NAMES = {0: "idle", 1: "busy", 2: "stall-up", 3: "stall-down",
                4: "done"}
 
 STAGE_STATE_RE = re.compile(r"^pipeline\.stage(\d+)\.state$")
-RING_DEPTH_RE = re.compile(r"^pipeline\.ring(\d+)\.depth$")
 SERVING_RE = re.compile(r"^serving\.")
 
 # Monotone admission counters reported as rates in the serving table.
@@ -98,28 +97,6 @@ def stage_table(all_series):
     return True
 
 
-def ring_table(all_series):
-    """Queue-depth stats from pipeline.ringN.depth."""
-    rings = {}
-    for name, points in all_series.items():
-        m = RING_DEPTH_RE.match(name)
-        if m:
-            rings[int(m.group(1))] = [v for _, v in points]
-    if not rings:
-        return False
-    print("ring queue depth (handoff batches):")
-    print("  " + "  ".join(f"{h:>8}"
-                           for h in ["ring", "samples", "min", "mean",
-                                     "max", "last"]))
-    for ring in sorted(rings):
-        vals = rings[ring]
-        row = [str(ring), str(len(vals)), f"{min(vals):.0f}",
-               f"{sum(vals) / len(vals):.2f}", f"{max(vals):.0f}",
-               f"{vals[-1]:.0f}"]
-        print("  " + "  ".join(f"{c:>8}" for c in row))
-    return True
-
-
 def serving_table(all_series, span_ns):
     """Serving-engine gauges and admission-counter rates."""
     serving = {name: points for name, points in all_series.items()
@@ -156,8 +133,7 @@ def serving_table(all_series, span_ns):
 def summary_table(all_series, skip):
     rows = []
     for name in sorted(all_series):
-        if STAGE_STATE_RE.match(name) or RING_DEPTH_RE.match(name) \
-                or SERVING_RE.match(name):
+        if STAGE_STATE_RE.match(name) or SERVING_RE.match(name):
             continue
         vals = [v for _, v in all_series[name]]
         rows.append((name, len(vals), min(vals),
@@ -209,8 +185,6 @@ def main():
 
     print()
     if stage_table(all_series):
-        print()
-    if ring_table(all_series):
         print()
     if serving_table(all_series, span_ns):
         print()

@@ -58,17 +58,17 @@ tsa-raw-mutex
 
 atomic-order
     Every std::atomic load/store/exchange/fetch_*/compare_exchange
-    call spells its memory_order explicitly: the rings, stat shards
-    and pipeline cursors are hot paths where an implicit seq_cst is
+    call spells its memory_order explicitly: the ring, stat shards
+    and pipeline state words are hot paths where an implicit seq_cst is
     either a silent performance bug or an undocumented ordering
     dependency.  The argument scan is balanced-paren and multi-line.
 
 sampler-lock
     No mutex acquisition inside StatGroup formula closures or inside
-    the lock-free ring implementations: a formula runs under the
+    the lock-free ring implementation: a formula runs under the
     registry and group mutexes on the sampler thread (lock inversions
     deadlock it -- only documented leaf locks are allowed, via
-    suppression), and SpscRing/MpscRing are lock-free by contract.
+    suppression), and MpscRing is lock-free by contract.
 
 Exit status: 0 clean, 1 findings, 2 usage/environment error.
 """
@@ -515,8 +515,8 @@ FORMULA_RE = re.compile(r"(?:\.|->)formula\s*\(")
 
 @rule("sampler-lock", "error",
       "no mutex acquisition inside StatGroup formula closures or the"
-      " lock-free ring implementations",
-      "formula declaration sites; src/common/{spsc,mpsc}_ring.hh")
+      " lock-free ring implementation",
+      "formula declaration sites; src/common/mpsc_ring.hh")
 def check_sampler_lock(repo: Repo) -> Iterator[Finding]:
     # Formula closures: a tick calls every formula of a watched group
     # while holding the registry and group mutexes on the sampler
@@ -535,19 +535,18 @@ def check_sampler_lock(repo: Repo) -> Iterator[Finding]:
                     f" formula closure: formulas run under the registry"
                     f" and group mutexes on the sampler thread -- only a"
                     f" leaf lock with a reasoned suppression is safe")
-    # Ring implementations are lock-free by contract.
-    for rel in ("src/common/spsc_ring.hh", "src/common/mpsc_ring.hh"):
-        sf = repo.file(rel)
-        if sf is None:
-            continue
-        for lineno, code in enumerate(sf.code_lines, 1):
-            lm = LOCK_ACQ_RE.search(code)
-            if lm:
-                yield emit(
-                    sf, lineno, "sampler-lock",
-                    f"lock acquisition ({lm.group(0)}) in a lock-free"
-                    f" ring: SpscRing/MpscRing synchronize with"
-                    f" explicit-order atomics only")
+    # The ring implementation is lock-free by contract.
+    sf = repo.file("src/common/mpsc_ring.hh")
+    if sf is None:
+        return
+    for lineno, code in enumerate(sf.code_lines, 1):
+        lm = LOCK_ACQ_RE.search(code)
+        if lm:
+            yield emit(
+                sf, lineno, "sampler-lock",
+                f"lock acquisition ({lm.group(0)}) in a lock-free"
+                f" ring: MpscRing synchronizes with explicit-order"
+                f" atomics only")
 
 
 # String-keyed StatGroup lookup with at least one argument (so
@@ -729,7 +728,7 @@ def self_test() -> int:
 
     # ---- naming rules (ported fixtures) ----
     good_naming = fixture_repo({"src/a.cc": "\n".join([
-        'stats.formula("pipeline.ring0.depth", fn);',
+        'stats.formula("pipeline.stage0.state", fn);',
         'occupancy_.formula("mem.bank0.reads", fn, MetricKind::Counter);',
         'stats.histogram("a.b_c.d2");',
         'stats.get("run.tiled_mvms").increment();',
@@ -876,7 +875,7 @@ def self_test() -> int:
     expect(failures, "sampler-lock/good",
            run_rules(sampler_good, ["sampler-lock"]), 0)
 
-    ring_bad = fixture_repo({"src/common/spsc_ring.hh": "\n".join([
+    ring_bad = fixture_repo({"src/common/mpsc_ring.hh": "\n".join([
         "bool tryPush(T &&v) {",
         "    std::lock_guard<std::mutex> lock(m_);",  # finding
         "    return true;",
