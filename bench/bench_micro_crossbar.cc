@@ -161,6 +161,34 @@ BENCHMARK(BM_ComposedMatMvm)
     ->Args({256, 256})
     ->Args({25, 5});
 
+/** The exact composed MVM over a batch of rows x cols input vectors in
+ *  one call (a conv layer's call); 25 x 5 x 576 is CNN-1's conv layer,
+ *  256 x 256 x 4 a 4-vector batch of a full mat. */
+void
+BM_ComposedMatMvmBatch(benchmark::State &state)
+{
+    const int rows = static_cast<int>(state.range(0));
+    const int cols = static_cast<int>(state.range(1));
+    const int vectors = static_cast<int>(state.range(2));
+    const ComposedMatrixEngine &engine = sharedEngine(rows, cols);
+    Rng rng(10);
+    const std::vector<std::uint8_t> in = randomCodes(rows * vectors, 63, rng);
+    ComposedMatrixEngine::MvmScratch scratch;
+    std::vector<std::int64_t> out(static_cast<std::size_t>(cols) * vectors);
+    for (auto _ : state) {
+        engine.mvmExact(in, out, scratch);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(rows) * cols *
+                            vectors);
+    state.SetLabel(reram::detail::dispatchedSignedPlaneKernel().name);
+}
+BENCHMARK(BM_ComposedMatMvmBatch)
+    ->Args({25, 5, 576})
+    ->Args({256, 256, 4});
+
 /**
  * One ISA variant of the pair's exact kernel, called directly on a
  * rows x bitlines pair with composed-engine levels (7-bit signed) and
@@ -188,15 +216,13 @@ BM_SignedPlaneKernel(benchmark::State &state,
         for (int &v : r)
             v = static_cast<int>(rng.uniformInt(-127, 127));
     pair.programSigned(w);
-    const std::vector<std::uint8_t> high = randomCodes(rows, 7, rng);
-    const std::vector<std::uint8_t> low = randomCodes(rows, 7, rng);
-    std::vector<std::int64_t> pass_h(static_cast<std::size_t>(lines));
-    std::vector<std::int64_t> pass_l(static_cast<std::size_t>(lines));
+    // A high and a low phase: one composed input vector.
+    const std::vector<std::uint8_t> phases = randomCodes(2 * rows, 7, rng);
+    std::vector<std::int64_t> passes(2 * static_cast<std::size_t>(lines));
     for (auto _ : state) {
-        kernel.run(pair.quadPlane().data(), rows, lines, high.data(),
-                   low.data(), pass_h.data(), pass_l.data());
-        benchmark::DoNotOptimize(pass_h.data());
-        benchmark::DoNotOptimize(pass_l.data());
+        kernel.run(pair.quadPlane().data(), rows, lines, 2, phases.data(),
+                   passes.data());
+        benchmark::DoNotOptimize(passes.data());
         benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() *

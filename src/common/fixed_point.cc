@@ -1,8 +1,9 @@
 #include "common/fixed_point.hh"
 
 #include <algorithm>
-#include <vector>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -122,12 +123,32 @@ quantizeActivationCodes(std::span<const double> values, int bits,
         std::frexp(max_abs, &exp);
     const int frac = bits - exp;
     const double max_code = static_cast<double>((1 << bits) - 1);
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        const double scaled = std::ldexp(std::max(values[i], 0.0), frac);
-        out[i] = static_cast<std::uint8_t>(
-            std::clamp(std::nearbyint(scaled), 0.0, max_code));
-    }
+    // Round to nearest even without a libm call: below 2^52, adding
+    // and subtracting 2^52 rounds exactly as std::nearbyint does, and a
+    // scaled value past 512 clamps to the top code either way.
+    constexpr double kRound = 4503599627370496.0;  // 2^52
+    auto quantize = [&](auto scale) {
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            const double scaled =
+                std::min(scale(std::max(values[i], 0.0)), 512.0);
+            out[i] = static_cast<std::uint8_t>(
+                std::clamp((scaled + kRound) - kRound, 0.0, max_code));
+        }
+    };
+    if (const double pow2 = normalPow2(frac); pow2 != 0.0)
+        quantize([pow2](double v) { return v * pow2; });
+    else
+        quantize([frac](double v) { return std::ldexp(v, frac); });
     return frac;
+}
+
+double
+normalPow2(int exp)
+{
+    using limits = std::numeric_limits<double>;
+    return exp >= limits::min_exponent - 1 && exp < limits::max_exponent
+               ? std::ldexp(1.0, exp)
+               : 0.0;
 }
 
 int

@@ -82,6 +82,15 @@ int quantizeActivationCodes(std::span<const double> values, int bits,
  *  saturated to +-(2^bits - 1). */
 int quantizeWeightCode(double w, int frac, int bits);
 
+/**
+ * 2^@p exp when that is a normal double, else 0.  A multiply by a
+ * normal power of two rounds the exact product once, as std::ldexp
+ * does, so x * normalPow2(e) == std::ldexp(x, e) for every x: a loop
+ * that scales by one power of two multiplies instead of calling ldexp
+ * per element, and falls back to ldexp where this returns 0.
+ */
+double normalPow2(int exp);
+
 } // namespace prime
 
 #endif // PRIME_COMMON_FIXED_POINT_HH

@@ -37,6 +37,14 @@ BufferSubarray::write(std::size_t addr, std::span<const std::uint8_t> bytes)
     std::copy(bytes.begin(), bytes.end(), dst.begin());
 }
 
+void
+BufferSubarray::count(std::uint64_t read_bytes, std::uint64_t write_bytes)
+{
+    traffic_ += read_bytes + write_bytes;
+    readBytes_->add(static_cast<double>(read_bytes));
+    writeBytes_->add(static_cast<double>(write_bytes));
+}
+
 std::span<const std::uint8_t>
 BufferSubarray::read(std::size_t addr, std::size_t size) const
 {

@@ -49,6 +49,13 @@ class BufferSubarray
     std::span<const std::uint8_t> read(std::size_t addr,
                                        std::size_t size) const;
 
+    /**
+     * Account @p read_bytes read and @p write_bytes written by transfers
+     * whose data the caller does not move (a later transfer of the same
+     * bytes supersedes them, see PrimeController::count).
+     */
+    void count(std::uint64_t read_bytes, std::uint64_t write_bytes);
+
     /** Bytes moved through the buffer so far (both directions). */
     std::uint64_t trafficBytes() const { return traffic_; }
 

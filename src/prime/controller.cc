@@ -55,6 +55,15 @@ PrimeController::mat(int global_mat)
     return (*ff_)[static_cast<std::size_t>(sub)].mat(global_mat % per);
 }
 
+const reram::ComposedMatrixEngine &
+PrimeController::computeEngine(int global_mat)
+{
+    FfMat &m = mat(global_mat);
+    PRIME_ASSERT(m.mode() == FfMode::Computation,
+                 "computeMat on a memory-mode mat");
+    return m.engine();
+}
+
 PrimeController::MatWork &
 PrimeController::matAt(std::uint64_t ff_addr)
 {
@@ -127,7 +136,9 @@ PrimeController::execute(const mapping::Command &command)
       }
       case CommandOp::Store: {
         // FF output registers -> Buffer (two bytes per code).
-        const std::vector<std::int64_t> &out = matAt(command.src).outputs;
+        const MatWork &work = matAt(command.src);
+        const std::span<const std::int64_t> out =
+            std::span(work.outputs).last(work.cols);
         const std::span<std::uint8_t> data = buffer_->writeView(
             static_cast<std::size_t>(command.dst), 2 * out.size());
         for (std::size_t i = 0; i < out.size(); ++i) {
@@ -142,20 +153,53 @@ PrimeController::execute(const mapping::Command &command)
 }
 
 void
-PrimeController::computeMatImpl(int global_mat)
+PrimeController::count(const mapping::Command &command, std::uint64_t times)
+{
+    using mapping::CommandOp;
+    commands_ += times;
+    commandsStat_->increment(times);
+    const std::uint64_t bytes = command.bytes * times;
+    switch (command.op) {
+      case CommandOp::Fetch:
+        fetchBytes_->add(static_cast<double>(bytes));
+        buffer_->count(0, bytes);
+        break;
+      case CommandOp::Commit:
+        commitBytes_->add(static_cast<double>(bytes));
+        buffer_->count(bytes, 0);
+        break;
+      case CommandOp::Load:
+        loadBytes_->add(static_cast<double>(bytes));
+        buffer_->count(bytes, 0);
+        break;
+      case CommandOp::Store:
+        storeBytes_->add(static_cast<double>(bytes));
+        buffer_->count(0, bytes);
+        break;
+      default:
+        PRIME_PANIC("count() takes data-flow commands, not ",
+                    mapping::commandOpName(command.op));
+    }
+}
+
+void
+PrimeController::computeMatImpl(int global_mat,
+                                std::span<const std::uint8_t> inputs)
 {
     // On the thread-pool fan-out path this span lands on the worker's
     // own trace lane, giving the per-mat compute timeline.
     PRIME_SPAN(telemetry::globalTrace(), "ff.compute", "compute");
-    FfMat &m = mat(global_mat);
-    PRIME_ASSERT(m.mode() == FfMode::Computation,
-                 "computeMat on a memory-mode mat");
-    const reram::ComposedMatrixEngine &engine = m.engine();
+    const reram::ComposedMatrixEngine &engine = computeEngine(global_mat);
     const std::size_t idx = static_cast<std::size_t>(global_mat);
     MatWork &work = work_[idx];
-    work.outputs.resize(static_cast<std::size_t>(engine.cols()));
-    const std::span<const std::uint8_t> inputs =
-        std::span(work.latch).first(static_cast<std::size_t>(engine.rows()));
+    const std::size_t rows = static_cast<std::size_t>(engine.rows());
+    PRIME_ASSERT(inputs.size() >= rows &&
+                     std::ranges::equal(inputs.last(rows),
+                                        std::span(work.latch).first(rows)),
+                 "mat ", global_mat,
+                 ": the last input vector is not the latched one");
+    work.cols = static_cast<std::size_t>(engine.cols());
+    work.outputs.resize(inputs.size() / rows * work.cols);
     if (analog_) {
         Rng *noise = noise_.empty() ? nullptr : &noise_[idx];
         engine.mvmAnalog(inputs, work.outputs, work.scratch, noise);
@@ -167,24 +211,37 @@ PrimeController::computeMatImpl(int global_mat)
 void
 PrimeController::computeMat(int global_mat)
 {
-    computeMatImpl(global_mat);
-    matMvms_->increment();
+    const std::span<const std::uint8_t> in = latch(global_mat).first(
+        static_cast<std::size_t>(computeEngine(global_mat).rows()));
+    computeMats(std::span(&global_mat, 1), std::span(&in, 1));
 }
 
 void
-PrimeController::computeMats(std::span<const int> global_mats)
+PrimeController::computeMats(
+    std::span<const int> global_mats,
+    std::span<const std::span<const std::uint8_t>> inputs)
 {
     PRIME_SPAN(telemetry::globalTrace(), "ff.compute_fanout", "compute");
+    PRIME_ASSERT(inputs.size() == global_mats.size(), "inputs for ",
+                 inputs.size(), " of ", global_mats.size(), " mats");
     // Each mat touches only its own latch, output register, crossbar
     // planes, scratch and noise stream, so results match any thread
     // count.
+    auto fire = [&](std::size_t i) {
+        computeMatImpl(global_mats[i], inputs[i]);
+    };
     if (global_mats.size() == 1)
-        computeMatImpl(global_mats[0]);
-    else
+        fire(0);
+    else  // One captured reference: the std::function stays inline.
         ThreadPool::global().parallelFor(
-            global_mats.size(),
-            [&](std::size_t i) { computeMatImpl(global_mats[i]); });
-    matMvms_->increment(global_mats.size());
+            global_mats.size(), [&fire](std::size_t i) { fire(i); });
+    // Each fire's vector count: its codes over the register width.
+    std::uint64_t vectors = 0;
+    for (const int m : global_mats) {
+        const MatWork &work = work_[static_cast<std::size_t>(m)];
+        vectors += work.outputs.size() / work.cols;
+    }
+    matMvms_->increment(vectors);
 }
 
 std::span<const std::uint8_t>

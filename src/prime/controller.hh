@@ -11,10 +11,17 @@
  * bytes, little endian, per bitline code).
  *
  * Every mat's input latch is allocated with the controller, its output
- * registers and MVM scratch on its first MVM after programming, and the
- * stats are bound at construction: executing a data-flow command or
- * firing a mat after that allocates nothing and does no string-keyed
- * lookup.
+ * codes and MVM scratch on its first fire over as many input vectors,
+ * and the stats are bound at construction: executing or counting a
+ * data-flow command or firing a mat after that allocates nothing and
+ * does no string-keyed lookup.
+ *
+ * A conv layer fires its mats once over all of its windows
+ * (computeMats with M input vectors per mat).  The data path moves the
+ * last window only: every earlier window would write the same staging
+ * bytes, Buffer bytes, latch and registers and read back only what it
+ * wrote itself, so the caller counts those windows' commands
+ * (count) instead of executing them, and the final state is the same.
  *
  * Fetch and Commit move data only (MainMemory::readData/writeData);
  * their bank/channel timing is not the controller's business.  The
@@ -71,29 +78,43 @@ class PrimeController
     void execute(const mapping::Command &command);
 
     /**
-     * Fire the crossbars of one mat: interpret its input latch as
-     * wordline codes, run the composed MVM, and capture the target codes
-     * in the output registers.  (The Run step of the Figure 7 API; not a
-     * Table I command -- computation is triggered by the datapath once
-     * inputs are latched.)
+     * Fire the crossbars of one mat on its input latch: interpret the
+     * latch as wordline codes, run the composed MVM, and capture the
+     * target codes in the output registers.  (The Run step of the
+     * Figure 7 API; not a Table I command -- computation is triggered
+     * by the datapath once inputs are latched.)
      */
     void computeMat(int global_mat);
 
     /**
      * Fire several mats at once (the replica/tile fan-out of the Run
-     * step) on the global thread pool; a single mat fires on the
-     * calling thread.  Each mat owns disjoint latches, outputs, crossbars,
-     * MVM scratch and read-noise stream, so results -- analog noise
-     * included -- are identical at any thread count.
+     * step), each over the M input vectors of inputs[i] (M x rows
+     * codes, one vector after another, as latched in turn; the last
+     * must be what the mat's latch holds), on the global thread pool;
+     * a single mat fires on the calling thread.  controller.mat_mvms
+     * grows by every mat's M.  Each mat owns disjoint latches,
+     * outputs, crossbars, MVM scratch and read-noise stream, and sees
+     * its vectors in order, so results -- analog noise included -- are
+     * identical at any thread count and equal M single fires.
      */
-    void computeMats(std::span<const int> global_mats);
+    void computeMats(std::span<const int> global_mats,
+                     std::span<const std::span<const std::uint8_t>> inputs);
+
+    /**
+     * Account @p times executions of the data-flow @p command without
+     * moving its data: the command count, its controller.*_bytes and
+     * the Buffer traffic it would cause.  The tiled MVM counts a conv
+     * layer's earlier windows this way (see the file comment).
+     */
+    void count(const mapping::Command &command, std::uint64_t times);
 
     /** Input latch of a mat (kFfOutputOffset bytes; byte r is
      *  wordline r's code). */
     std::span<const std::uint8_t> latch(int global_mat) const;
 
-    /** Output register contents of a mat as signed codes: a view valid
-     *  until the mat's next MVM. */
+    /** The signed target codes of a mat's last fire, one row of cols
+     *  codes per input vector in order (the output registers hold the
+     *  last row): a view valid until the mat's next fire. */
     std::span<const std::int64_t> outputCodes(int global_mat) const;
 
     /** Number of commands executed. */
@@ -121,14 +142,20 @@ class PrimeController
     {
         /** Input latch: byte r is wordline r's code. */
         std::array<std::uint8_t, kFfOutputOffset> latch{};
-        /** Output registers: the last MVM's target codes (Store drains
-         *  them as int16). */
+        /** The last fire's target codes, cols per input vector; the
+         *  output registers are the last cols (Store drains them as
+         *  int16). */
         std::vector<std::int64_t> outputs;
+        std::size_t cols = 0;
         reram::ComposedMatrixEngine::MvmScratch scratch;
     };
 
-    /** The MVM of computeMat without the stats bookkeeping. */
-    void computeMatImpl(int global_mat);
+    /** One mat's fire of computeMats, without the stats bookkeeping. */
+    void computeMatImpl(int global_mat,
+                        std::span<const std::uint8_t> inputs);
+
+    /** A mat's engine, asserting the mat computes. */
+    const reram::ComposedMatrixEngine &computeEngine(int global_mat);
 
     /** The mat a data-flow command's FF address falls into. */
     MatWork &matAt(std::uint64_t ff_addr);

@@ -13,6 +13,92 @@
 
 namespace prime::core {
 
+namespace {
+
+/**
+ * out[v * cols + col_base + c] += codes[v * tile_cols + c] * 2^exp for
+ * every vector v of a tile's codes, each code first cast to Code (the
+ * width it crossed the Buffer at).  One exact power-of-two scale serves
+ * the tile (normalPow2), bit-identical to a per-element std::ldexp,
+ * which remains the fallback when 2^exp is not a normal double.
+ */
+template <typename Code>
+void
+mergeTile(std::span<const std::int64_t> codes, int exp, int col_base,
+          std::size_t tile_cols, std::size_t cols, std::span<double> out)
+{
+    auto merge = [&](auto scale) {
+        for (std::size_t v = 0, i = 0; i < codes.size(); ++v) {
+            double *col = out.data() + v * cols + col_base;
+            for (std::size_t c = 0; c < tile_cols; ++c, ++i)
+                col[c] += scale(
+                    static_cast<double>(static_cast<Code>(codes[i])));
+        }
+    };
+    if (const double pow2 = normalPow2(exp); pow2 != 0.0)
+        merge([pow2](double x) { return x * pow2; });
+    else
+        merge([exp](double x) { return std::ldexp(x, exp); });
+}
+
+/**
+ * Gather every window of conv layer @p s over its input codes @p in
+ * into @p out (im2col), row-tile-major as tiledMvm takes it: the rows
+ * [r0, r0 + n) of row tile r0 / tile_rows, window w, at M * r0 + w * n.
+ * Row r = (ic, kh, kw) of the windows along one output row reads one
+ * input row at a sliding offset, zero where the window hangs over the
+ * padding.
+ */
+void
+gatherWindows(const nn::LayerSpec &s, std::span<const std::uint8_t> in,
+              std::size_t tile_rows, std::span<std::uint8_t> out)
+{
+    // Locals: a byte store may alias any field of s.
+    const int kernel = s.kernel, pad = s.padding;
+    const int in_h = s.inH, in_w = s.inW, out_h = s.outH, out_w = s.outW;
+    const std::size_t field =
+        static_cast<std::size_t>(s.inC) * kernel * kernel;
+    const std::size_t windows = static_cast<std::size_t>(out_h) * out_w;
+    PRIME_ASSERT(out.size() == windows * field, "gather of ", out.size(),
+                 " for ", windows, " windows of ", field);
+    for (std::size_t r0 = 0; r0 < field; r0 += tile_rows) {
+        const std::size_t n = std::min(tile_rows, field - r0);
+        for (std::size_t r = r0; r < r0 + n; ++r) {
+            const int ic = static_cast<int>(r) / (kernel * kernel);
+            const int kh = static_cast<int>(r) % (kernel * kernel) / kernel;
+            const int kw = static_cast<int>(r) % kernel;
+            // Output columns whose window column kw lies inside the
+            // input: ix = ox + kw - pad in [0, in_w).
+            const int lo = std::clamp(pad - kw, 0, out_w);
+            const int hi = std::clamp(in_w + pad - kw, lo, out_w);
+            std::uint8_t *first = out.data() + windows * r0 + (r - r0);
+            for (int oy = 0; oy < out_h; ++oy) {
+                std::uint8_t *dst =
+                    first + static_cast<std::size_t>(oy) * out_w * n;
+                const int iy = oy + kh - pad;
+                const bool inside = iy >= 0 && iy < in_h;
+                const int copy_lo = inside ? lo : out_w;
+                const int copy_hi = inside ? hi : out_w;
+                for (int ox = 0; ox < copy_lo; ++ox)
+                    dst[static_cast<std::size_t>(ox) * n] = 0;
+                if (inside) {
+                    const std::uint8_t *row =
+                        in.data() + (static_cast<std::size_t>(ic) * in_h +
+                                     static_cast<std::size_t>(iy)) *
+                                        in_w;
+                    for (int ox = lo; ox < hi; ++ox)
+                        dst[static_cast<std::size_t>(ox) * n] =
+                            row[ox + kw - pad];
+                }
+                for (int ox = copy_hi; ox < out_w; ++ox)
+                    dst[static_cast<std::size_t>(ox) * n] = 0;
+            }
+        }
+    }
+}
+
+} // namespace
+
 PrimeSystem::BankUnit::BankUnit(const nvmodel::TechParams &tech,
                                 memory::MainMemory *mem, StatGroup *stats)
     : ff([&] {
@@ -172,9 +258,18 @@ PrimeSystem::buildStages()
             const mapping::WeightedLayer &info = lp.mapping->info;
             ctx.codes.resize(std::max<std::size_t>(ctx.codes.size(),
                                                    lp.spec.inputCount()));
-            ctx.window.resize(std::max<std::size_t>(ctx.window.size(),
-                                                    info.rows));
-            ctx.mvm.resize(std::max<std::size_t>(ctx.mvm.size(), info.cols));
+            if (lp.spec.kind == nn::LayerKind::Convolution) {
+                const std::size_t vectors = layerVectors(lp.spec);
+                ctx.windows.resize(std::max(
+                    ctx.windows.size(),
+                    vectors * static_cast<std::size_t>(info.rows)));
+                ctx.mvm.resize(std::max(
+                    ctx.mvm.size(),
+                    vectors * static_cast<std::size_t>(info.cols)));
+            }
+            for (const TapeBank &bank : lp.tape.banks)
+                ctx.matInputs.resize(
+                    std::max(ctx.matInputs.size(), bank.mats.size()));
         }
         // Record the bursts of the transfers this context issues: its
         // own stage's layers, and every layer for stage 0, whose
@@ -194,12 +289,8 @@ PrimeSystem::buildStages()
             }
             // One Fetch and one Commit per bank per tiled MVM: once per
             // image for a FC layer, once per output pixel for a conv.
-            const std::size_t mvms =
-                lp.spec.kind == nn::LayerKind::Convolution
-                    ? static_cast<std::size_t>(lp.spec.outH) *
-                          static_cast<std::size_t>(lp.spec.outW)
-                    : 1;
-            const std::size_t n = 2 * lp.tape.banks.size() * mvms;
+            const std::size_t n =
+                lp.tape.mvmLog.size() * layerVectors(lp.spec);
             if (p >= ps.firstWeighted && p < ps.endWeighted)
                 ctx.transfersPerImage += n;
             if (s == 0)
@@ -394,6 +485,7 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
             TapeTile tile;
             tile.controller = &u.controller;
             tile.buffer = &u.buffer;
+            tile.mat = job.mat;
             tile.rowBase = t.rowTile * g.matRows;
             tile.rows = t.rowsUsed;
             tile.colBase = t.colTile * g.matCols;
@@ -409,6 +501,8 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
                 static_cast<std::uint32_t>(2 * t.colsUsed)};
             tile.peakSlot = jobs.size();
             bank->mats.push_back(job.mat);
+            bank->tiles.push_back(lp.tape.tiles.size());
+            lp.tape.rowTiled = lp.tape.rowTiled || tile.rowBase > 0;
             lp.tape.tiles.push_back(tile);
             jobs.push_back(std::move(job));
         }
@@ -428,6 +522,10 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
             tb.commitTransfer = transferCount_++;
             commit_offset += bank_bytes;
         }
+        for (const TapeBank &tb : lp.tape.banks)
+            lp.tape.mvmLog.push_back(tb.fetchTransfer);
+        for (const TapeBank &tb : lp.tape.banks)
+            lp.tape.mvmLog.push_back(tb.commitTransfer);
         programs_.push_back(std::move(lp));
     }
 
@@ -530,6 +628,15 @@ PrimeSystem::configDatapath()
     configured_ = true;
 }
 
+std::size_t
+PrimeSystem::layerVectors(const nn::LayerSpec &spec)
+{
+    return spec.kind == nn::LayerKind::Convolution
+               ? static_cast<std::size_t>(spec.outH) *
+                     static_cast<std::size_t>(spec.outW)
+               : 1;
+}
+
 void
 PrimeSystem::tiledMvm(const LayerProgram &lp,
                       std::span<const std::uint8_t> codes, int in_frac,
@@ -537,35 +644,59 @@ PrimeSystem::tiledMvm(const LayerProgram &lp,
 {
     PRIME_SPAN(telemetry::globalTrace(), "run.tiled_mvm", "compute");
     const mapping::LayerMapping &m = *lp.mapping;
-    PRIME_ASSERT(static_cast<int>(codes.size()) == m.info.rows,
-                 "input codes ", codes.size(), " vs rows ", m.info.rows);
-    PRIME_ASSERT(static_cast<int>(out.size()) == m.info.cols,
-                 "outputs ", out.size(), " vs cols ", m.info.cols);
+    const std::size_t rows = static_cast<std::size_t>(m.info.rows);
+    const std::size_t cols = static_cast<std::size_t>(m.info.cols);
+    const std::size_t vectors = codes.size() / rows;
+    PRIME_ASSERT(vectors > 0 && codes.size() == vectors * rows,
+                 "input codes ", codes.size(), " vs rows ", rows);
+    PRIME_ASSERT(out.size() == vectors * cols,
+                 "outputs ", out.size(), " vs cols ", cols);
     const LayerTape &tape = lp.tape;
+    // Tile t's inputs: its rows of every vector (row-tile-major).
+    auto tile_inputs = [&](const TapeTile &t) {
+        return codes.subspan(vectors * static_cast<std::size_t>(t.rowBase),
+                             vectors * static_cast<std::size_t>(t.rows));
+    };
 
     if (!calibrating_) {
         // Input codes arrive from main memory: the CPU side stages them
         // in the context's input window, then every bank hosting tiles
         // of this layer Fetches them into its Buffer subarray (the
-        // input broadcast over the internal bus).  Fetch and Commit
-        // move the data; their bursts go into the context's log for the
-        // timing pass.
-        mem_.writeData(ctx.inputStageAddr, codes);
+        // input broadcast over the internal bus).  Only the last
+        // vector's data moves (controller.hh): it leaves every byte
+        // the earlier ones would, in staging, Buffer, latches and
+        // registers, so their commands are counted below instead.
+        if (vectors == 1 || !tape.rowTiled) {
+            mem_.writeData(ctx.inputStageAddr, codes.last(rows));
+        } else {
+            for (const TapeTile &tile : tape.tiles)
+                if (tile.colBase == 0)
+                    mem_.writeData(
+                        ctx.inputStageAddr +
+                            static_cast<std::uint64_t>(tile.rowBase),
+                        tile_inputs(tile).last(
+                            static_cast<std::size_t>(tile.rows)));
+        }
         for (const TapeBank &bank : tape.banks) {
             mapping::Command fetch = bank.fetch;
             fetch.src += ctx.inputStageAddr;
             bank.controller->execute(fetch);
-            ctx.log.push_back(bank.fetchTransfer);
         }
         // Load, compute, store (Table I data-flow commands).  All input
         // latches fill first, then each bank's tiles fire together
-        // through its controller's fan-out -- the functional analog of
-        // the hardware evaluating every replica/tile concurrently -- and
-        // the output registers drain back to the per-bank buffers.
+        // through its controller's fan-out, every mat over all vectors
+        // -- the functional analog of the hardware evaluating every
+        // replica/tile concurrently -- and the output registers drain
+        // back to the per-bank buffers.
         for (const TapeTile &tile : tape.tiles)
             tile.controller->execute(tile.load);
-        for (const TapeBank &bank : tape.banks)
-            bank.controller->computeMats(bank.mats);
+        for (const TapeBank &bank : tape.banks) {
+            for (std::size_t i = 0; i < bank.tiles.size(); ++i)
+                ctx.matInputs[i] = tile_inputs(tape.tiles[bank.tiles[i]]);
+            bank.controller->computeMats(
+                bank.mats,
+                std::span(ctx.matInputs).first(bank.tiles.size()));
+        }
         for (const TapeTile &tile : tape.tiles)
             tile.controller->execute(tile.store);
         // Results leave through the same boundary: each bank Commits its
@@ -575,49 +706,60 @@ PrimeSystem::tiledMvm(const LayerProgram &lp,
             mapping::Command commit = bank.commit;
             commit.dst += ctx.outputStageAddr;
             bank.controller->execute(commit);
-            ctx.log.push_back(bank.commitTransfer);
         }
+        if (vectors > 1) {
+            for (const TapeBank &bank : tape.banks) {
+                bank.controller->count(bank.fetch, vectors - 1);
+                bank.controller->count(bank.commit, vectors - 1);
+            }
+            for (const TapeTile &tile : tape.tiles) {
+                tile.controller->count(tile.load, vectors - 1);
+                tile.controller->count(tile.store, vectors - 1);
+            }
+        }
+        // Every vector's bursts go into the context's log for the
+        // timing pass, in vector order (capacity reserved: no
+        // allocation).
+        const std::size_t logged = ctx.log.size();
+        ctx.log.resize(logged + vectors * tape.mvmLog.size());
+        for (std::size_t v = 0; v < vectors; ++v)
+            std::copy(tape.mvmLog.begin(), tape.mvmLog.end(),
+                      ctx.log.begin() +
+                          static_cast<std::ptrdiff_t>(
+                              logged + v * tape.mvmLog.size()));
     }
 
     // Merge: partial target codes of row tiles accumulate per output
     // column; each tile's code scale depends on its own SA window.
     // Accumulation order is the global tile order regardless of bank
     // placement, keeping the floating-point sums bit-identical to the
-    // single-bank path.  Calibration merges each tile's untruncated dot
-    // products instead (tracking their peak), so downstream layers see
-    // exact activations.
+    // single-bank path.  A tile's codes are the int16 its Store writes
+    // to the Buffer, read back there for every vector (the accounted
+    // read; the bytes come straight from the mat's codes).  Calibration
+    // merges each tile's untruncated dot products instead (tracking
+    // their peak), so downstream layers see exact activations.
     std::fill(out.begin(), out.end(), 0.0);
     for (const TapeTile &tile : tape.tiles) {
-        double *col = out.data() + tile.colBase;
+        const std::size_t tile_cols = static_cast<std::size_t>(tile.cols);
         if (calibrating_) {
-            const std::span<std::int64_t> full(
-                calibrationFull_.data(), static_cast<std::size_t>(tile.cols));
-            tile.engine->mvmFull(
-                codes.subspan(static_cast<std::size_t>(tile.rowBase),
-                              static_cast<std::size_t>(tile.rows)),
-                full);
+            const std::span<std::int64_t> full(calibrationFull_.data(),
+                                               vectors * tile_cols);
+            tile.engine->mvmFull(tile_inputs(tile), full);
             std::int64_t &peak = calibrationPeaks_[tile.peakSlot];
-            for (int c = 0; c < tile.cols; ++c) {
-                const std::int64_t v = full[static_cast<std::size_t>(c)];
+            for (const std::int64_t v : full)
                 peak = std::max(peak, std::abs(v));
-                col[c] += std::ldexp(static_cast<double>(v),
-                                     -in_frac - lp.weightFrac);
-            }
+            mergeTile<std::int64_t>(full, -in_frac - lp.weightFrac,
+                                    tile.colBase, tile_cols, cols, out);
             continue;
         }
-        const std::span<const std::uint8_t> raw =
-            tile.buffer->read(static_cast<std::size_t>(tile.store.dst),
-                              tile.store.bytes);
-        const int exp = tile.engine->outputShift() - in_frac - lp.weightFrac;
-        for (int c = 0; c < tile.cols; ++c) {
-            const std::int16_t code = static_cast<std::int16_t>(
-                static_cast<std::uint16_t>(raw[2 * c]) |
-                (static_cast<std::uint16_t>(raw[2 * c + 1]) << 8));
-            col[c] += std::ldexp(static_cast<double>(code), exp);
-        }
+        tile.buffer->count(vectors * tile.store.bytes, 0);
+        mergeTile<std::int16_t>(
+            tile.controller->outputCodes(tile.mat),
+            tile.engine->outputShift() - in_frac - lp.weightFrac,
+            tile.colBase, tile_cols, cols, out);
     }
     if (!calibrating_)
-        ctx.tiledMvms->increment();
+        ctx.tiledMvms->increment(vectors);
 }
 
 nn::Tensor
@@ -652,37 +794,20 @@ PrimeSystem::runConv(const LayerProgram &lp, const nn::Tensor &x,
     const int in_frac =
         quantizeActivationCodes(x.flat(), tech_.inputBits, all_codes);
 
-    const int field = s.inC * s.kernel * s.kernel;
+    const std::size_t windows = layerVectors(s);
+    const std::span<std::uint8_t> gathered = std::span(ctx.windows).first(
+        windows * static_cast<std::size_t>(lp.mapping->info.rows));
+    gatherWindows(s, all_codes,
+                  static_cast<std::size_t>(tech_.geometry.matRows), gathered);
+
+    const std::size_t cols = static_cast<std::size_t>(s.outC);
+    const std::span<double> mvm = std::span(ctx.mvm).first(windows * cols);
+    tiledMvm(lp, gathered, in_frac, mvm, ctx);
     nn::Tensor y({s.outC, s.outH, s.outW});
-    const std::span<std::uint8_t> codes =
-        std::span(ctx.window).first(static_cast<std::size_t>(field));
-    const std::span<double> mvm =
-        std::span(ctx.mvm).first(static_cast<std::size_t>(s.outC));
-    for (int oy = 0; oy < s.outH; ++oy) {
-        for (int ox = 0; ox < s.outW; ++ox) {
-            std::size_t idx = 0;
-            for (int ic = 0; ic < s.inC; ++ic)
-                for (int kh = 0; kh < s.kernel; ++kh)
-                    for (int kw = 0; kw < s.kernel; ++kw) {
-                        const int iy = oy + kh - s.padding;
-                        const int ix = ox + kw - s.padding;
-                        if (iy < 0 || iy >= s.inH || ix < 0 ||
-                            ix >= s.inW) {
-                            codes[idx++] = 0;
-                        } else {
-                            const std::size_t flat =
-                                (static_cast<std::size_t>(ic) * s.inH +
-                                 iy) * s.inW + ix;
-                            codes[idx++] = all_codes[flat];
-                        }
-                    }
-            tiledMvm(lp, codes, in_frac, mvm, ctx);
-            for (int oc = 0; oc < s.outC; ++oc)
-                y.at3(oc, oy, ox) =
-                    mvm[static_cast<std::size_t>(oc)] +
-                    lp.bias[static_cast<std::size_t>(oc)];
-        }
-    }
+    double *out = y.flat().data();
+    for (std::size_t oc = 0; oc < cols; ++oc)
+        for (std::size_t w = 0; w < windows; ++w)
+            *out++ = mvm[w * cols + oc] + lp.bias[oc];
     return y;
 }
 
@@ -696,7 +821,12 @@ PrimeSystem::calibrate(const std::vector<nn::Sample> &samples)
     for (const LayerProgram &lp : programs_)
         tiles += lp.tape.tiles.size();
     calibrationPeaks_.assign(tiles, -1);
-    calibrationFull_.resize(static_cast<std::size_t>(tech_.geometry.matCols));
+    std::size_t full = 0;
+    for (const LayerProgram &lp : programs_)
+        for (const TapeTile &tile : lp.tape.tiles)
+            full = std::max(full, layerVectors(lp.spec) *
+                                      static_cast<std::size_t>(tile.cols));
+    calibrationFull_.resize(full);
     calibrating_ = true;
     for (const nn::Sample &s : samples)
         run(s.input);

@@ -138,11 +138,16 @@ class PrimeSystem
          * (StatGroup map nodes are address-stable).
          */
         Stat *tiledMvms = nullptr;
-        /** A layer's input codes, a conv window's codes and one tiled
-         *  MVM's outputs, sized by buildStages for every layer. */
+        /**
+         * A layer's input codes, a conv layer's gathered windows
+         * (row-tile-major, see tiledMvm) and their tiled-MVM outputs,
+         * and one bank's per-mat input views: sized by buildStages for
+         * every layer.
+         */
         std::vector<std::uint8_t> codes;
-        std::vector<std::uint8_t> window;
+        std::vector<std::uint8_t> windows;
         std::vector<double> mvm;
+        std::vector<std::span<const std::uint8_t>> matInputs;
         /**
          * The bursts of every tape Fetch/Commit this context can issue,
          * recorded once by buildStages at this context's staging
@@ -234,6 +239,9 @@ class PrimeSystem
         BufferSubarray *buffer = nullptr;
         /** The tile mat's engine (SA shift of the merge, calibration). */
         reram::ComposedMatrixEngine *engine = nullptr;
+        /** The tile's mat within its bank (whose codes the merge
+         *  reads). */
+        int mat = 0;
         /** Buffer -> input latch, and output registers -> the tile's
          *  Buffer output slot (which the merge reads back). */
         mapping::Command load;
@@ -257,6 +265,8 @@ class PrimeSystem
         mapping::Command fetch;
         /** The bank's mats in tile order: one computeMats fan-out. */
         std::vector<int> mats;
+        /** Each mat's index in LayerTape::tiles. */
+        std::vector<std::size_t> tiles;
         /** Buffer output slots -> memory; dst is relative to the
          *  context's output window. */
         mapping::Command commit;
@@ -268,12 +278,12 @@ class PrimeSystem
     /**
      * A weighted layer's Table I data-flow stream, lowered once by
      * programWeight with every address, size and pointer resolved.
-     * tiledMvm replays it per MVM: Fetch per bank, Load per tile,
-     * computeMats per bank, Store per tile, Commit per bank, then the
-     * merge over the tiles.  The pointers stay valid until release()
-     * or the next mapTopology/programWeight discards the tape: bank
-     * units are heap-pinned, and engines live until their mats morph
-     * back to memory.
+     * tiledMvm replays it per layer call over M input vectors: Fetch
+     * per bank, Load per tile, computeMats per bank, Store per tile,
+     * Commit per bank, then the merge over the tiles.  The pointers
+     * stay valid until release() or the next mapTopology/programWeight
+     * discards the tape: bank units are heap-pinned, and engines live
+     * until their mats morph back to memory.
      */
     struct LayerTape
     {
@@ -281,6 +291,11 @@ class PrimeSystem
         std::vector<TapeBank> banks;
         /** Replica-0 tiles in global (rowTile-major) order. */
         std::vector<TapeTile> tiles;
+        /** The timing-log entries of one MVM: every bank's Fetch, then
+         *  every bank's Commit. */
+        std::vector<std::uint32_t> mvmLog;
+        /** Whether the layer's rows span more than one row tile. */
+        bool rowTiled = false;
     };
 
     /** Per weighted layer: quantization scales, digital-side bias and
@@ -309,11 +324,21 @@ class PrimeSystem
     /** Seed of @p bank's read-noise streams (none: no noise). */
     std::optional<std::uint64_t> bankNoiseSeed(int bank) const;
 
+    /** Input vectors of one layer call: a conv layer's windows, or 1. */
+    static std::size_t layerVectors(const nn::LayerSpec &spec);
+
     /**
-     * MVM through the mapped tiles of one layer (split-merge): replays
-     * the layer's tape and merges the tiles into @p out (cols entries),
-     * allocating nothing.  While calibrating, the tiles' untruncated
-     * dot products are merged instead and no command is issued.
+     * The MVMs of one layer call over M input vectors through the
+     * layer's mapped tiles (split-merge): replays the layer's tape and
+     * merges the tiles into @p out (M x cols, vector-major), allocating
+     * nothing.  @p codes is row-tile-major: row tile k's slice of every
+     * vector, vector after vector, at M x its first row (for M = 1, or
+     * one row tile, simply the vectors one after another).  Every
+     * vector's commands are counted and its Fetch/Commit logged, in
+     * vector order, but only the last vector's data moves through
+     * memory, Buffer, latch and registers (controller.hh).  While
+     * calibrating, the tiles' untruncated dot products are merged
+     * instead and no command is issued.
      */
     void tiledMvm(const LayerProgram &lp, std::span<const std::uint8_t> codes,
                   int in_frac, std::span<double> out, ExecContext &ctx);
@@ -375,8 +400,9 @@ class PrimeSystem
      *  (-1: no sample reached the tile). */
     std::vector<std::int64_t> calibrationPeaks_;
     /** A calibrated tile's untruncated dot products, sized by
-     *  calibrate() for a whole mat; calibration runs single-threaded
-     *  through run(), so one buffer serves every tile. */
+     *  calibrate() for the largest tile's layer call (M x its cols);
+     *  calibration runs single-threaded through run(), so one buffer
+     *  serves every tile. */
     std::vector<std::int64_t> calibrationFull_;
     /** Cursor for migrating FF-resident data into Mem space. */
     std::uint64_t migrationAddr_ = 0;

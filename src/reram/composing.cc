@@ -172,20 +172,26 @@ int32AssemblyFits(const ComposingParams &p, int rows, int total_shift)
     return true;
 }
 
-/** The per-column assembly loop at width Int. */
+/**
+ * The per-column assembly loop at width Int over a whole batch: the
+ * high passes of all vectors lie back to back, then the low passes, so
+ * output k (vector k / cols, column k % cols) reads bitlines 2k and
+ * 2k + 1 of each half, one flat loop whatever the vector count.
+ */
 template <typename Int>
 void
 assembleColumns(const ComposingParams &p, int total_shift,
-                std::span<const std::int64_t> pass_h,
-                std::span<const std::int64_t> pass_l,
+                std::span<const std::int64_t> passes,
                 std::span<std::int64_t> out)
 {
     const Assembler<Int> sa(p, total_shift);
-    for (std::size_t c = 0; c < out.size(); ++c)
-        out[c] = sa(static_cast<Int>(pass_h[2 * c]),
-                    static_cast<Int>(pass_l[2 * c]),
-                    static_cast<Int>(pass_h[2 * c + 1]),
-                    static_cast<Int>(pass_l[2 * c + 1]));
+    const std::int64_t *pass_h = passes.data();
+    const std::int64_t *pass_l = pass_h + passes.size() / 2;
+    for (std::size_t k = 0; k < out.size(); ++k)
+        out[k] = sa(static_cast<Int>(pass_h[2 * k]),
+                    static_cast<Int>(pass_l[2 * k]),
+                    static_cast<Int>(pass_h[2 * k + 1]),
+                    static_cast<Int>(pass_l[2 * k + 1]));
 }
 
 } // namespace
@@ -294,35 +300,48 @@ ComposedMatrixEngine::programWeights(
 }
 
 void
-ComposedMatrixEngine::assemble(std::span<const std::int64_t> pass_h,
-                               std::span<const std::int64_t> pass_l,
+ComposedMatrixEngine::assemble(std::span<const std::int64_t> passes,
                                std::span<std::int64_t> out,
                                bool exact) const
 {
     // The analog path's components are rounded currents, not bounded
     // by the exact dot product: int64 always.
     if (exact && assembleInt32_)
-        assembleColumns<std::int32_t>(composing_, outputShift_, pass_h,
-                                      pass_l, out);
+        assembleColumns<std::int32_t>(composing_, outputShift_, passes, out);
     else
-        assembleColumns<std::int64_t>(composing_, outputShift_, pass_h,
-                                      pass_l, out);
+        assembleColumns<std::int64_t>(composing_, outputShift_, passes, out);
+}
+
+std::size_t
+ComposedMatrixEngine::vectorCount(std::span<const std::uint8_t> inputs,
+                                  std::span<const std::int64_t> out) const
+{
+    const std::size_t rows = static_cast<std::size_t>(rows_);
+    const std::size_t vectors = inputs.size() / rows;
+    PRIME_ASSERT(vectors > 0 && inputs.size() == vectors * rows,
+                 "inputs=", inputs.size(), " for ", rows, " rows");
+    PRIME_ASSERT(out.size() == vectors * static_cast<std::size_t>(cols_),
+                 "outputs=", out.size(), " for ", vectors, " vectors");
+    return vectors;
 }
 
 void
 ComposedMatrixEngine::splitPhases(std::span<const std::uint8_t> inputs,
                                   MvmScratch &scratch) const
 {
-    PRIME_ASSERT(static_cast<int>(inputs.size()) == rows_,
-                 "inputs=", inputs.size());
     detail::checkInputCodes(inputs, composing_.inputBits);
-    const std::size_t rows = static_cast<std::size_t>(rows_);
-    scratch.phases.resize(2 * rows);
+    const std::size_t n = inputs.size();
+    scratch.phases.resize(2 * n);
     const int bits = composing_.inputPhaseBits;
     const int mask = (1 << bits) - 1;
-    for (std::size_t r = 0; r < rows; ++r) {
-        scratch.phases[r] = static_cast<std::uint8_t>(inputs[r] >> bits);
-        scratch.phases[rows + r] = static_cast<std::uint8_t>(inputs[r] & mask);
+    // Byte pointers may alias anything; __restrict lets the split
+    // vectorize.
+    const std::uint8_t *__restrict in = inputs.data();
+    std::uint8_t *__restrict high = scratch.phases.data();
+    std::uint8_t *__restrict low = high + n;
+    for (std::size_t i = 0; i < n; ++i) {
+        high[i] = static_cast<std::uint8_t>(in[i] >> bits);
+        low[i] = static_cast<std::uint8_t>(in[i] & mask);
     }
 }
 
@@ -345,19 +364,14 @@ ComposedMatrixEngine::mvmExact(std::span<const std::uint8_t> inputs,
                                std::span<std::int64_t> out,
                                MvmScratch &scratch) const
 {
+    const std::size_t vectors = vectorCount(inputs, out);
     splitPhases(inputs, scratch);
-    PRIME_ASSERT(static_cast<int>(out.size()) == cols_,
-                 "outputs=", out.size());
-    const std::size_t rows = static_cast<std::size_t>(rows_);
     const std::size_t lines = 2 * static_cast<std::size_t>(cols_);
-    scratch.passes.resize(2 * lines);
-    const std::span<const std::uint8_t> phases(scratch.phases);
-    const std::span<std::int64_t> passes(scratch.passes);
-    // One fused pass over both input phases: of the high phase, even
-    // bitlines give HH and odd LH; of the low phase, HL and LL.
-    arrays_.mvmExact(phases.first(rows), phases.subspan(rows),
-                     passes.first(lines), passes.subspan(lines));
-    assemble(passes.first(lines), passes.subspan(lines), out, true);
+    scratch.passes.resize(2 * vectors * lines);
+    // One fused pass over every vector's two phases: of a high phase,
+    // even bitlines give HH and odd LH; of a low phase, HL and LL.
+    arrays_.mvmExact(scratch.phases, scratch.passes);
+    assemble(scratch.passes, out, true);
 }
 
 void
@@ -365,28 +379,29 @@ ComposedMatrixEngine::mvmAnalog(std::span<const std::uint8_t> inputs,
                                 std::span<std::int64_t> out,
                                 MvmScratch &scratch, Rng *rng) const
 {
+    const std::size_t vectors = vectorCount(inputs, out);
     splitPhases(inputs, scratch);
-    PRIME_ASSERT(static_cast<int>(out.size()) == cols_,
-                 "outputs=", out.size());
     const std::size_t rows = static_cast<std::size_t>(rows_);
     const std::size_t lines = 2 * static_cast<std::size_t>(cols_);
-    scratch.passes.resize(2 * lines);
+    scratch.passes.resize(2 * vectors * lines);
     scratch.currents.resize(2 * lines);
     const std::span<const std::uint8_t> phases(scratch.phases);
     const std::span<double> current(scratch.currents);
-    // One pass per input phase (high first: the RNG-ordering contract);
-    // the SA digitizes each component to the nearest level-unit code
-    // before the precision-control adder truncates and accumulates.
-    for (std::size_t pass = 0; pass < 2; ++pass) {
-        arrays_.mvmAnalog(phases.subspan(pass * rows, rows),
-                          current.first(lines), current.subspan(lines),
-                          rng);
-        for (std::size_t i = 0; i < lines; ++i)
-            scratch.passes[pass * lines + i] =
-                static_cast<std::int64_t>(std::llround(current[i]));
+    // One pass per input phase, vector by vector (each high phase
+    // before its low one: the RNG-ordering contract); the SA digitizes
+    // each component to the nearest level-unit code before the
+    // precision-control adder truncates and accumulates.
+    for (std::size_t m = 0; m < vectors; ++m) {
+        for (const std::size_t pass : {m, vectors + m}) {
+            arrays_.mvmAnalog(phases.subspan(pass * rows, rows),
+                              current.first(lines), current.subspan(lines),
+                              rng);
+            for (std::size_t i = 0; i < lines; ++i)
+                scratch.passes[pass * lines + i] =
+                    static_cast<std::int64_t>(std::llround(current[i]));
+        }
     }
-    const std::span<const std::int64_t> passes(scratch.passes);
-    assemble(passes.first(lines), passes.subspan(lines), out, false);
+    assemble(scratch.passes, out, false);
 }
 
 void
@@ -394,23 +409,26 @@ ComposedMatrixEngine::mvmFull(std::span<const std::uint8_t> inputs,
                               std::span<std::int64_t> out) const
 {
     PRIME_ASSERT(!logicalWeights_.empty(), "weights not programmed");
-    PRIME_ASSERT(static_cast<int>(inputs.size()) == rows_,
-                 "inputs=", inputs.size());
-    PRIME_ASSERT(static_cast<int>(out.size()) == cols_,
-                 "outputs=", out.size());
+    vectorCount(inputs, out);
     detail::checkInputCodes(inputs, composing_.inputBits);
     // Row-outer over each row's contiguous columns.  A product fits
     // int32 -- one-byte inputs times |w| below 2^Pw <= 2^14 (int8
     // plane halves) -- so the multiply vectorizes; the sums are int64
     // and exact, so neither changes the result.
+    const std::size_t rows = static_cast<std::size_t>(rows_);
+    const std::size_t cols = static_cast<std::size_t>(cols_);
     std::fill(out.begin(), out.end(), 0);
-    for (std::size_t r = 0; r < inputs.size(); ++r) {
-        const int in = inputs[r];
-        if (in == 0)
-            continue;
-        const int *w = logicalWeights_[r].data();
-        for (std::size_t c = 0; c < out.size(); ++c)
-            out[c] += in * w[c];
+    for (std::size_t base = 0, o = 0; base < inputs.size();
+         base += rows, o += cols) {
+        std::int64_t *sums = out.data() + o;
+        for (std::size_t r = 0; r < rows; ++r) {
+            const int in = inputs[base + r];
+            if (in == 0)
+                continue;
+            const int *w = logicalWeights_[r].data();
+            for (std::size_t c = 0; c < cols; ++c)
+                sums[c] += in * w[c];
+        }
     }
 }
 

@@ -33,6 +33,7 @@
 #ifndef PRIME_RERAM_COMPOSING_HH
 #define PRIME_RERAM_COMPOSING_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -163,10 +164,11 @@ class ComposedMatrixEngine
                          const CrossbarParams &array_params);
 
     /**
-     * Working memory of the span MVMs: the two input phases, the
-     * per-pass component results and the analog bitline currents.  Each
-     * MVM sizes it for this engine on first use; reusing one scratch
-     * across calls keeps the MVMs allocation-free.  One scratch per
+     * Working memory of the span MVMs: the two input phases and the
+     * per-pass component results of every input vector, and the analog
+     * bitline currents.  Each MVM sizes it for this engine and its
+     * vector count on first use; reusing one scratch across calls of
+     * that size keeps the MVMs allocation-free.  One scratch per
      * concurrent caller (the engine itself holds no MVM state).
      */
     struct MvmScratch
@@ -180,17 +182,24 @@ class ComposedMatrixEngine
     void programWeights(const std::vector<std::vector<int>> &weights,
                         Rng *rng = nullptr);
 
-    /** Composed MVM with ideal devices (integer datapath) into @p out
-     *  (cols entries). */
+    /**
+     * Composed MVM with ideal devices (integer datapath) of M input
+     * vectors: @p inputs holds M x rows codes (vector m at m * rows),
+     * @p out receives M x cols target codes (vector m at m * cols).
+     * One kernel pass over the quad plane serves all M vectors; a
+     * single vector is the M = 1 case.
+     */
     void mvmExact(std::span<const std::uint8_t> inputs,
                   std::span<std::int64_t> out, MvmScratch &scratch) const;
 
     /**
-     * Composed MVM through the analog arrays into @p out (programming
-     * variation baked into conductances; read noise when @p rng set).
-     * Component results are quantized by the SA before truncation, as
-     * in hardware.  Per call, the high input phase's noise draws
-     * (positive array then negative) precede the low phase's.
+     * Composed MVM through the analog arrays, M vectors laid out as for
+     * mvmExact (programming variation baked into conductances; read
+     * noise when @p rng set).  Component results are quantized by the
+     * SA before truncation, as in hardware.  The vectors run in order,
+     * and per vector the high input phase's noise draws (positive array
+     * then negative) precede the low phase's: a batch draws what M
+     * single calls draw.
      */
     void mvmAnalog(std::span<const std::uint8_t> inputs,
                    std::span<std::int64_t> out, MvmScratch &scratch,
@@ -200,8 +209,9 @@ class ComposedMatrixEngine
     std::vector<std::int64_t>
     targetExact(std::span<const std::uint8_t> inputs) const;
 
-    /** Untruncated integer dot products into @p out (cols entries;
-     *  for SA-window calibration). */
+    /** Untruncated integer dot products of M input vectors (laid out
+     *  as for mvmExact) into @p out (M x cols entries; for SA-window
+     *  calibration). */
     void mvmFull(std::span<const std::uint8_t> inputs,
                  std::span<std::int64_t> out) const;
 
@@ -234,19 +244,25 @@ class ComposedMatrixEngine
     }
 
   private:
-    /** Split @p inputs into the high | low phases of @p scratch. */
+    /** The vector count M of @p inputs (M x rows codes), checked
+     *  against @p out (M x cols). */
+    std::size_t vectorCount(std::span<const std::uint8_t> inputs,
+                            std::span<const std::int64_t> out) const;
+
+    /** Split M input vectors into @p scratch's 2M phase vectors: vector
+     *  m's high phase is phase vector m, its low phase M + m. */
     void splitPhases(std::span<const std::uint8_t> inputs,
                      MvmScratch &scratch) const;
 
     /**
-     * Assemble target codes into @p out from the two passes' bitlines:
-     * even bitlines of @p pass_h give HH, odd LH; of @p pass_l, HL and
-     * LL.  The @p exact path's components are bounded dot products,
-     * assembled in int32 when that provably fits (at most
-     * kInt32AssemblyRows rows); otherwise int64.
+     * Assemble target codes into @p out (M x cols) from @p passes,
+     * vector m's two passes at m and M + m (2 x cols bitlines each, the
+     * splitPhases order): even bitlines of the high pass give HH, odd
+     * LH; of the low pass, HL and LL.  The @p exact path's components
+     * are bounded dot products, assembled in int32 when that provably
+     * fits (at most kInt32AssemblyRows rows); otherwise int64.
      */
-    void assemble(std::span<const std::int64_t> pass_h,
-                  std::span<const std::int64_t> pass_l,
+    void assemble(std::span<const std::int64_t> passes,
                   std::span<std::int64_t> out, bool exact) const;
 
     int rows_;

@@ -61,60 +61,96 @@ accumulateCurrentRow(double *acc, const double *geff, double v, int cols)
 // The exact kernel sums u8 x s8 products in int32 over bounded row
 // chunks, widening to the int64 result between chunks: one product is
 // at most 255 * 127, so 16384 rows stay under 2^31 with margin.  The
-// phases are read in place, so the kernel never allocates.
+// first chunk writes the result, later ones add to it.  The phases are
+// read in place, so the kernel never allocates.
 constexpr int kChunkRows = 16384;
 static_assert(std::int64_t{kChunkRows} * 255 * 127 <
               (std::int64_t{1} << 31));
 static_assert(kChunkRows % 4 == 0, "chunks start on a plane quad");
 
-/** pass[0, n) += sums[0, n): one register's int32 column sums,
- *  widened. */
+/** pass[0, n) = sums[0, n), or += when @p accumulate: one register's
+ *  int32 column sums, widened. */
 void
-addSums(std::int64_t *pass, const std::int32_t *sums, int n)
+putSums(std::int64_t *pass, const std::int32_t *sums, int n, bool accumulate)
 {
-    for (int c = 0; c < n; ++c)
-        pass[c] += sums[c];
+    if (accumulate)
+        for (int c = 0; c < n; ++c)
+            pass[c] += sums[c];
+    else
+        std::copy_n(sums, n, pass);
 }
 
 /**
- * The reference loop, 16 columns at a time.  A u8 x s8 product always
- * fits int16 (255 * -128 = -32640), and computing it there lets the
- * baseline ISA vectorize the loop with 16-bit multiplies.
+ * The reference loop, 16 columns and VB phase vectors at a time.  A u8
+ * x s8 product always fits int16 (255 * -128 = -32640), and computing
+ * it there lets the baseline ISA vectorize the loop with 16-bit
+ * multiplies.
  */
+template <int VB>
 void
-plainChunk(const std::int8_t *plane, int rows, int stride, int cols,
-           const std::uint8_t *high, const std::uint8_t *low,
-           std::int64_t *pass_h, std::int64_t *pass_l)
+plainBlock(const std::int8_t *plane, int rows, int stride, int cols,
+           const std::uint8_t *phases, std::size_t pitch,
+           std::int64_t *passes, bool accumulate)
 {
     constexpr int kCols = 16;
     for (int c0 = 0; c0 < cols; c0 += kCols) {
-        std::int32_t acc_h[kCols] = {};
-        std::int32_t acc_l[kCols] = {};
+        std::int32_t acc[VB][kCols] = {};
         const std::int8_t *w = plane + static_cast<std::size_t>(c0) * 4;
         for (int r = 0; r < rows;
              r += 4, w += static_cast<std::size_t>(stride) * 4) {
-            std::int16_t h[4] = {};
-            std::int16_t l[4] = {};
-            for (int k = 0; k < 4 && r + k < rows; ++k) {
-                h[k] = high[r + k];
-                l[k] = low[r + k];
-            }
+            std::int16_t in[VB][4] = {};
+            for (int v = 0; v < VB; ++v)
+                for (int k = 0; k < 4 && r + k < rows; ++k)
+                    in[v][k] = phases[static_cast<std::size_t>(v) * pitch +
+                                      static_cast<std::size_t>(r + k)];
             for (int c = 0; c < kCols; ++c) {
-                const std::int8_t *v = w + std::size_t{4} * c;
-                acc_h[c] += static_cast<std::int16_t>(h[0] * v[0]) +
-                            static_cast<std::int16_t>(h[1] * v[1]) +
-                            static_cast<std::int16_t>(h[2] * v[2]) +
-                            static_cast<std::int16_t>(h[3] * v[3]);
-                acc_l[c] += static_cast<std::int16_t>(l[0] * v[0]) +
-                            static_cast<std::int16_t>(l[1] * v[1]) +
-                            static_cast<std::int16_t>(l[2] * v[2]) +
-                            static_cast<std::int16_t>(l[3] * v[3]);
+                const std::int8_t *q = w + std::size_t{4} * c;
+                for (int v = 0; v < VB; ++v)
+                    acc[v][c] += static_cast<std::int16_t>(in[v][0] * q[0]) +
+                                 static_cast<std::int16_t>(in[v][1] * q[1]) +
+                                 static_cast<std::int16_t>(in[v][2] * q[2]) +
+                                 static_cast<std::int16_t>(in[v][3] * q[3]);
             }
         }
         const int width = std::min(kCols, cols - c0);
-        addSums(pass_h + c0, acc_h, width);
-        addSums(pass_l + c0, acc_l, width);
+        for (int v = 0; v < VB; ++v)
+            putSums(passes + static_cast<std::size_t>(v) * cols + c0, acc[v],
+                    width, accumulate);
     }
+}
+
+/**
+ * plainBlock<VB> over @p vectors phase vectors: blocks of VB, then the
+ * remainder in halving blocks.  Every ISA's chunk loop has this shape
+ * (an explicit recursion per ISA: each is compiled for its own target).
+ */
+template <int VB>
+void
+plainVectors(const std::int8_t *plane, int rows, int stride, int cols,
+             int vectors, const std::uint8_t *phases, std::size_t pitch,
+             std::int64_t *passes, bool accumulate)
+{
+    int v = 0;
+    for (; v + VB <= vectors; v += VB)
+        plainBlock<VB>(plane, rows, stride, cols,
+                       phases + static_cast<std::size_t>(v) * pitch, pitch,
+                       passes + static_cast<std::size_t>(v) * cols,
+                       accumulate);
+    if constexpr (VB > 1)
+        if (v < vectors)
+            plainVectors<VB / 2>(
+                plane, rows, stride, cols, vectors - v,
+                phases + static_cast<std::size_t>(v) * pitch, pitch,
+                passes + static_cast<std::size_t>(v) * cols, accumulate);
+}
+
+void
+plainChunk(const std::int8_t *plane, int rows, int stride, int cols,
+           int vectors, const std::uint8_t *phases, std::size_t pitch,
+           std::int64_t *passes, bool accumulate)
+{
+    plainVectors<2>(plane, rows, stride, cols, vectors, phases, pitch,
+                    passes, accumulate);
 }
 
 #ifdef PRIME_SIGNED_PLANE_X86
@@ -138,110 +174,176 @@ phaseQuad(const std::uint8_t *rows, int n)
 }
 
 /**
- * AVX2, NB registers of 8 columns: vpmaddubsw sums row pairs of u8 x
- * s8 products into int16, vpmaddwd the two pairs into int32.  The
+ * AVX2, one quad of rows for NB registers of 8 columns times VB phase
+ * vectors (n rows of the quad are real): vpmaddubsw sums row pairs of
+ * u8 x s8 products into int16, vpmaddwd the two pairs into int32.  The
  * int16 step saturates above 32767, so it is exact only while every
  * phase is below 128 (2 * 127 * 127 = 32258): the avx2 kernel's wide
  * loop, for chunks with a phase of 128 or more, is the plain one.
  */
-template <int NB>
-PRIME_TARGET_AVX2 void
-avx2Block(const std::int8_t *plane, int rows, int stride, int cols, int c0,
-          const std::uint8_t *high, const std::uint8_t *low,
-          std::int64_t *pass_h, std::int64_t *pass_l)
+template <int NB, int VB>
+PRIME_TARGET_AVX2 inline void
+avx2Quad(__m256i (&acc)[VB][NB], const std::int8_t *w,
+         const std::uint8_t *phases, std::size_t pitch, int n)
 {
     const __m256i ones = _mm256_set1_epi16(1);
-    __m256i acc_h[NB];
-    __m256i acc_l[NB];
+    __m256i q[NB];
     for (int j = 0; j < NB; ++j)
-        acc_h[j] = acc_l[j] = _mm256_setzero_si256();
+        q[j] = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(w + std::size_t{32} * j));
+    for (int v = 0; v < VB; ++v) {
+        const __m256i in = _mm256_set1_epi32(
+            phaseQuad(phases + static_cast<std::size_t>(v) * pitch, n));
+        for (int j = 0; j < NB; ++j)
+            acc[v][j] = _mm256_add_epi32(
+                acc[v][j],
+                _mm256_madd_epi16(_mm256_maddubs_epi16(in, q[j]), ones));
+    }
+}
+
+template <int NB, int VB>
+PRIME_TARGET_AVX2 void
+avx2Block(const std::int8_t *plane, int rows, int stride, int cols, int c0,
+          const std::uint8_t *phases, std::size_t pitch,
+          std::int64_t *passes, bool accumulate)
+{
+    __m256i acc[VB][NB];
+    for (int v = 0; v < VB; ++v)
+        for (int j = 0; j < NB; ++j)
+            acc[v][j] = _mm256_setzero_si256();
     const std::int8_t *w = plane + static_cast<std::size_t>(c0) * 4;
-    for (int r = 0; r < rows;
-         r += 4, w += static_cast<std::size_t>(stride) * 4) {
-        const int n = std::min(4, rows - r);
-        const __m256i h = _mm256_set1_epi32(phaseQuad(high + r, n));
-        const __m256i l = _mm256_set1_epi32(phaseQuad(low + r, n));
+    const std::size_t quad_pitch = static_cast<std::size_t>(stride) * 4;
+    int r = 0;
+    for (; r + 4 <= rows; r += 4, w += quad_pitch)
+        avx2Quad<NB, VB>(acc, w, phases + r, pitch, 4);
+    if (r < rows)
+        avx2Quad<NB, VB>(acc, w, phases + r, pitch, rows - r);
+    for (int v = 0; v < VB; ++v)
         for (int j = 0; j < NB; ++j) {
-            const __m256i v = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(w + std::size_t{32} * j));
-            acc_h[j] = _mm256_add_epi32(
-                acc_h[j], _mm256_madd_epi16(_mm256_maddubs_epi16(h, v), ones));
-            acc_l[j] = _mm256_add_epi32(
-                acc_l[j], _mm256_madd_epi16(_mm256_maddubs_epi16(l, v), ones));
+            alignas(32) std::int32_t sum[8];
+            _mm256_store_si256(reinterpret_cast<__m256i *>(sum), acc[v][j]);
+            const int base = c0 + 8 * j;
+            putSums(passes + static_cast<std::size_t>(v) * cols + base, sum,
+                    std::min(8, cols - base), accumulate);
         }
-    }
-    for (int j = 0; j < NB; ++j) {
-        alignas(32) std::int32_t sum_h[8];
-        alignas(32) std::int32_t sum_l[8];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(sum_h), acc_h[j]);
-        _mm256_store_si256(reinterpret_cast<__m256i *>(sum_l), acc_l[j]);
-        const int base = c0 + 8 * j;
-        addSums(pass_h + base, sum_h, std::min(8, cols - base));
-        addSums(pass_l + base, sum_l, std::min(8, cols - base));
-    }
+}
+
+/** avx2Block<NB, VB> over @p vectors phase vectors (plainVectors'
+ *  shape). */
+template <int NB, int VB>
+PRIME_TARGET_AVX2 void
+avx2Vectors(const std::int8_t *plane, int rows, int stride, int cols,
+            int c0, int vectors, const std::uint8_t *phases,
+            std::size_t pitch, std::int64_t *passes, bool accumulate)
+{
+    int v = 0;
+    for (; v + VB <= vectors; v += VB)
+        avx2Block<NB, VB>(plane, rows, stride, cols, c0,
+                          phases + static_cast<std::size_t>(v) * pitch,
+                          pitch, passes + static_cast<std::size_t>(v) * cols,
+                          accumulate);
+    if constexpr (VB > 1)
+        if (v < vectors)
+            avx2Vectors<NB, VB / 2>(
+                plane, rows, stride, cols, c0, vectors - v,
+                phases + static_cast<std::size_t>(v) * pitch, pitch,
+                passes + static_cast<std::size_t>(v) * cols, accumulate);
 }
 
 PRIME_TARGET_AVX2 void
 avx2Chunk(const std::int8_t *plane, int rows, int stride, int cols,
-          const std::uint8_t *high, const std::uint8_t *low,
-          std::int64_t *pass_h, std::int64_t *pass_l)
+          int vectors, const std::uint8_t *phases, std::size_t pitch,
+          std::int64_t *passes, bool accumulate)
 {
     int c0 = 0;
     for (; c0 + 32 <= cols; c0 += 32)
-        avx2Block<4>(plane, rows, stride, cols, c0, high, low, pass_h,
-                     pass_l);
+        avx2Vectors<4, 2>(plane, rows, stride, cols, c0, vectors, phases,
+                          pitch, passes, accumulate);
     for (; c0 < cols; c0 += 8)
-        avx2Block<1>(plane, rows, stride, cols, c0, high, low, pass_h,
-                     pass_l);
+        avx2Vectors<1, 8>(plane, rows, stride, cols, c0, vectors, phases,
+                          pitch, passes, accumulate);
 }
 
-/** AVX-512 VNNI, NB registers of 16 columns: one vpdpbusd adds four
- *  rows' u8 x s8 products into each int32 lane, exactly. */
-template <int NB>
+/** AVX-512 VNNI, one quad of rows for NB registers of 16 columns times
+ *  VB phase vectors (n rows of the quad are real): one vpdpbusd adds
+ *  four rows' u8 x s8 products into each int32 lane, exactly. */
+template <int NB, int VB>
+PRIME_TARGET_VNNI inline void
+vnniQuad(__m512i (&acc)[VB][NB], const std::int8_t *w,
+         const std::uint8_t *phases, std::size_t pitch, int n)
+{
+    __m512i q[NB];
+    for (int j = 0; j < NB; ++j)
+        q[j] = _mm512_loadu_si512(w + std::size_t{64} * j);
+    for (int v = 0; v < VB; ++v) {
+        const __m512i in = _mm512_set1_epi32(
+            phaseQuad(phases + static_cast<std::size_t>(v) * pitch, n));
+        for (int j = 0; j < NB; ++j)
+            acc[v][j] = _mm512_dpbusd_epi32(acc[v][j], in, q[j]);
+    }
+}
+
+template <int NB, int VB>
 PRIME_TARGET_VNNI void
 vnniBlock(const std::int8_t *plane, int rows, int stride, int cols, int c0,
-          const std::uint8_t *high, const std::uint8_t *low,
-          std::int64_t *pass_h, std::int64_t *pass_l)
+          const std::uint8_t *phases, std::size_t pitch,
+          std::int64_t *passes, bool accumulate)
 {
-    __m512i acc_h[NB];
-    __m512i acc_l[NB];
-    for (int j = 0; j < NB; ++j)
-        acc_h[j] = acc_l[j] = _mm512_setzero_si512();
+    __m512i acc[VB][NB];
+    for (int v = 0; v < VB; ++v)
+        for (int j = 0; j < NB; ++j)
+            acc[v][j] = _mm512_setzero_si512();
     const std::int8_t *w = plane + static_cast<std::size_t>(c0) * 4;
-    for (int r = 0; r < rows;
-         r += 4, w += static_cast<std::size_t>(stride) * 4) {
-        const int n = std::min(4, rows - r);
-        const __m512i h = _mm512_set1_epi32(phaseQuad(high + r, n));
-        const __m512i l = _mm512_set1_epi32(phaseQuad(low + r, n));
+    const std::size_t quad_pitch = static_cast<std::size_t>(stride) * 4;
+    int r = 0;
+    for (; r + 4 <= rows; r += 4, w += quad_pitch)
+        vnniQuad<NB, VB>(acc, w, phases + r, pitch, 4);
+    if (r < rows)
+        vnniQuad<NB, VB>(acc, w, phases + r, pitch, rows - r);
+    for (int v = 0; v < VB; ++v)
         for (int j = 0; j < NB; ++j) {
-            const __m512i v = _mm512_loadu_si512(w + std::size_t{64} * j);
-            acc_h[j] = _mm512_dpbusd_epi32(acc_h[j], h, v);
-            acc_l[j] = _mm512_dpbusd_epi32(acc_l[j], l, v);
+            alignas(64) std::int32_t sum[16];
+            _mm512_store_si512(sum, acc[v][j]);
+            const int base = c0 + 16 * j;
+            putSums(passes + static_cast<std::size_t>(v) * cols + base, sum,
+                    std::min(16, cols - base), accumulate);
         }
-    }
-    for (int j = 0; j < NB; ++j) {
-        alignas(64) std::int32_t sum_h[16];
-        alignas(64) std::int32_t sum_l[16];
-        _mm512_store_si512(sum_h, acc_h[j]);
-        _mm512_store_si512(sum_l, acc_l[j]);
-        const int base = c0 + 16 * j;
-        addSums(pass_h + base, sum_h, std::min(16, cols - base));
-        addSums(pass_l + base, sum_l, std::min(16, cols - base));
-    }
+}
+
+/** vnniBlock<NB, VB> over @p vectors phase vectors (plainVectors'
+ *  shape). */
+template <int NB, int VB>
+PRIME_TARGET_VNNI void
+vnniVectors(const std::int8_t *plane, int rows, int stride, int cols,
+            int c0, int vectors, const std::uint8_t *phases,
+            std::size_t pitch, std::int64_t *passes, bool accumulate)
+{
+    int v = 0;
+    for (; v + VB <= vectors; v += VB)
+        vnniBlock<NB, VB>(plane, rows, stride, cols, c0,
+                          phases + static_cast<std::size_t>(v) * pitch,
+                          pitch, passes + static_cast<std::size_t>(v) * cols,
+                          accumulate);
+    if constexpr (VB > 1)
+        if (v < vectors)
+            vnniVectors<NB, VB / 2>(
+                plane, rows, stride, cols, c0, vectors - v,
+                phases + static_cast<std::size_t>(v) * pitch, pitch,
+                passes + static_cast<std::size_t>(v) * cols, accumulate);
 }
 
 PRIME_TARGET_VNNI void
 vnniChunk(const std::int8_t *plane, int rows, int stride, int cols,
-          const std::uint8_t *high, const std::uint8_t *low,
-          std::int64_t *pass_h, std::int64_t *pass_l)
+          int vectors, const std::uint8_t *phases, std::size_t pitch,
+          std::int64_t *passes, bool accumulate)
 {
     int c0 = 0;
     for (; c0 + 64 <= cols; c0 += 64)
-        vnniBlock<4>(plane, rows, stride, cols, c0, high, low, pass_h,
-                     pass_l);
+        vnniVectors<4, 4>(plane, rows, stride, cols, c0, vectors, phases,
+                          pitch, passes, accumulate);
     for (; c0 < cols; c0 += 16)
-        vnniBlock<1>(plane, rows, stride, cols, c0, high, low, pass_h,
-                     pass_l);
+        vnniVectors<1, 8>(plane, rows, stride, cols, c0, vectors, phases,
+                          pitch, passes, accumulate);
 }
 
 #endif // PRIME_SIGNED_PLANE_X86
@@ -462,23 +564,20 @@ DifferentialPair::programSigned(const std::vector<std::vector<int>> &weights,
 }
 
 void
-DifferentialPair::mvmExact(std::span<const std::uint8_t> high_phase,
-                           std::span<const std::uint8_t> low_phase,
-                           std::span<std::int64_t> pass_h,
-                           std::span<std::int64_t> pass_l) const
+DifferentialPair::mvmExact(std::span<const std::uint8_t> phases,
+                           std::span<std::int64_t> passes) const
 {
     const CrossbarParams &p = pos_.params();
-    PRIME_ASSERT(static_cast<int>(high_phase.size()) == p.rows &&
-                     static_cast<int>(low_phase.size()) == p.rows,
-                 "inputs=", high_phase.size(), "/", low_phase.size());
-    PRIME_ASSERT(static_cast<int>(pass_h.size()) == p.cols &&
-                     static_cast<int>(pass_l.size()) == p.cols,
-                 "outputs=", pass_h.size(), "/", pass_l.size());
-    detail::checkInputCodes(high_phase, p.inputBits);
-    detail::checkInputCodes(low_phase, p.inputBits);
+    const std::size_t rows = static_cast<std::size_t>(p.rows);
+    const std::size_t vectors = phases.size() / rows;
+    PRIME_ASSERT(vectors > 0 && phases.size() == vectors * rows,
+                 "inputs=", phases.size(), " for ", rows, " rows");
+    PRIME_ASSERT(passes.size() == vectors * static_cast<std::size_t>(p.cols),
+                 "outputs=", passes.size(), " for ", vectors, " vectors");
+    detail::checkInputCodes(phases, p.inputBits);
     detail::dispatchedSignedPlaneKernel().run(
-        quadPlane_.data(), p.rows, p.cols, high_phase.data(),
-        low_phase.data(), pass_h.data(), pass_l.data());
+        quadPlane_.data(), p.rows, p.cols, static_cast<int>(vectors),
+        phases.data(), passes.data());
 }
 
 void
@@ -496,21 +595,22 @@ namespace detail {
 
 void
 SignedPlaneKernel::run(const std::int8_t *plane, int rows, int cols,
-                       const std::uint8_t *high, const std::uint8_t *low,
-                       std::int64_t *pass_h, std::int64_t *pass_l) const
+                       int vectors, const std::uint8_t *phases,
+                       std::int64_t *passes) const
 {
     const int stride = quadPlaneStride(cols);
-    std::fill_n(pass_h, cols, 0);
-    std::fill_n(pass_l, cols, 0);
+    const std::size_t pitch = static_cast<std::size_t>(rows);
     for (int r0 = 0; r0 < rows; r0 += kChunkRows) {
         const int n = std::min(rows - r0, kChunkRows);
         unsigned any = 0;
         if (narrow != wide)
-            for (int r = r0; r < r0 + n; ++r)
-                any |= static_cast<unsigned>(high[r] | low[r]);
+            for (int v = 0; v < vectors; ++v)
+                for (int r = r0; r < r0 + n; ++r)
+                    any |= phases[static_cast<std::size_t>(v) * pitch +
+                                  static_cast<std::size_t>(r)];
         (any < 128 ? narrow : wide)(
             plane + static_cast<std::size_t>(r0) * stride, n, stride, cols,
-            high + r0, low + r0, pass_h, pass_l);
+            vectors, phases + r0, pitch, passes, r0 > 0);
     }
 }
 
@@ -545,7 +645,7 @@ dispatchedSignedPlaneKernel()
 void
 checkInputCodes(std::span<const std::uint8_t> codes, int bits)
 {
-    unsigned any = 0;
+    std::uint8_t any = 0;
     for (const std::uint8_t v : codes)
         any |= v;
     if (any >> bits == 0)

@@ -17,6 +17,7 @@
 #define PRIME_RERAM_CROSSBAR_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -213,19 +214,18 @@ class DifferentialPair
                        Rng *rng = nullptr);
 
     /**
-     * Exact signed MVM of both input phases in one fused pass:
-     * pass_h[j] = sum_i high_phase[i] * (pos - neg)[i][j], and pass_l
-     * likewise for @p low_phase (all cols entries).  On the ideal
-     * datapath the subtraction unit is linear, so this equals the four
-     * crossbar passes pos.mvmExact - neg.mvmExact per phase bit for
-     * bit; it runs the CPU-dispatched u8 x s8 kernel
-     * (detail::dispatchedSignedPlaneKernel) over the pair's quad plane
-     * (the Crossbar planes are left unbuilt) and does not allocate.
+     * Exact signed MVM of a batch of phase vectors in one fused pass:
+     * @p phases holds V vectors of rows codes each, one after another,
+     * and passes[v * cols + j] = sum_i phases[v * rows + i] * (pos -
+     * neg)[i][j].  On the ideal datapath the subtraction unit is
+     * linear, so this equals the crossbar passes pos.mvmExact -
+     * neg.mvmExact per vector bit for bit; it runs the CPU-dispatched
+     * u8 x s8 kernel (detail::dispatchedSignedPlaneKernel) over the
+     * pair's quad plane (the Crossbar planes are left unbuilt) and does
+     * not allocate.
      */
-    void mvmExact(std::span<const std::uint8_t> high_phase,
-                  std::span<const std::uint8_t> low_phase,
-                  std::span<std::int64_t> pass_h,
-                  std::span<std::int64_t> pass_l) const;
+    void mvmExact(std::span<const std::uint8_t> phases,
+                  std::span<std::int64_t> passes) const;
 
     /**
      * Analog signed MVM in level units into @p out: both arrays driven
@@ -270,14 +270,15 @@ quadPlaneStride(int cols)
     return (cols + 15) / 16 * 16;
 }
 
-/** One ISA's loop over a row chunk: adds rows rows of a quad plane
- *  (row pitch stride) times both phases into pass_h / pass_l. */
+/** One ISA's loop over a row chunk: rows rows of a quad plane (row
+ *  pitch stride) times each of @p vectors phase vectors (the chunk's
+ *  first row of vector v at phases[v * pitch]) written to passes[v *
+ *  cols, (v + 1) * cols), or added there when @p accumulate. */
 using SignedPlaneChunkFn = void (*)(const std::int8_t *plane, int rows,
-                                    int stride, int cols,
-                                    const std::uint8_t *high,
-                                    const std::uint8_t *low,
-                                    std::int64_t *pass_h,
-                                    std::int64_t *pass_l);
+                                    int stride, int cols, int vectors,
+                                    const std::uint8_t *phases,
+                                    std::size_t pitch, std::int64_t *passes,
+                                    bool accumulate);
 
 /** One ISA variant of the pair's exact kernel. */
 struct SignedPlaneKernel
@@ -292,14 +293,14 @@ struct SignedPlaneKernel
     bool supported;
 
     /**
-     * pass_h / pass_l (cols entries each, overwritten) = the high /
-     * low phase (rows bytes each, read in place and never past the
-     * end) times the rows x cols quad plane; exact for any byte
-     * phases.
+     * passes (vectors x cols entries, overwritten) = each of the
+     * @p vectors phase vectors (vectors x rows bytes, one after
+     * another, read in place and never past the end) times the rows x
+     * cols quad plane; exact for any byte phases.  Each plane register
+     * is loaded once per block of vectors, not once per vector.
      */
-    void run(const std::int8_t *plane, int rows, int cols,
-             const std::uint8_t *high, const std::uint8_t *low,
-             std::int64_t *pass_h, std::int64_t *pass_l) const;
+    void run(const std::int8_t *plane, int rows, int cols, int vectors,
+             const std::uint8_t *phases, std::int64_t *passes) const;
 };
 
 /** Every variant compiled into this build, fastest first; the plain

@@ -150,6 +150,8 @@ struct LayerReplay
 {
     PrimeSystem *prime = nullptr;
     std::vector<int> mats;
+    /** Each mat's latched rows: computeMats fires one vector each. */
+    std::vector<std::span<const std::uint8_t>> latched;
     std::vector<Command> loads;
     std::vector<Command> stores;
     Command fetch;
@@ -181,6 +183,8 @@ struct LayerReplay
                 CommandOp::Store, 0, 0, ff, buf_out + mats.size() * slot,
                 static_cast<std::uint32_t>(2 * t.colsUsed)});
             mats.push_back(mat);
+            latched.push_back(system.controller(0).latch(mat).first(
+                static_cast<std::size_t>(t.rowsUsed)));
         }
         fetch = Command{CommandOp::Fetch, 0, 0, kInputAddr, 0,
                         static_cast<std::uint32_t>(m.info.rows)};
@@ -199,7 +203,7 @@ struct LayerReplay
         ctrl.execute(fetch);
         for (const Command &c : loads)
             ctrl.execute(c);
-        ctrl.computeMats(mats);
+        ctrl.computeMats(mats, latched);
         for (const Command &c : stores)
             ctrl.execute(c);
         ctrl.execute(commit);

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -444,6 +446,103 @@ TEST(ComposedMatrixEngine, Int32AssemblyMatchesInt64AtExtremeCodes)
             }
         }
     }
+}
+
+/**
+ * One call over M vectors equals M single calls on every path: the
+ * exact kernel (one batched pass, assembled at once, on both assembly
+ * widths), the untruncated mvmFull, and the analog path with read
+ * noise, where equal-seeded Rngs show the batch draws in the order the
+ * single calls draw (the streams also end in the same state).  Each
+ * call gets exact-size heap buffers, so an overread trips ASan.
+ */
+TEST(ComposedMatrixEngine, BatchEqualsSingleCalls)
+{
+    const ComposingParams cp;
+    CrossbarParams xp;
+    xp.readNoiseSigma = 0.01;
+    Rng rng(41);
+    for (const auto &[rows, cols] :
+         {std::pair{25, 5}, std::pair{3, 17}, std::pair{257, 70}}) {
+        ComposedMatrixEngine engine(rows, cols, cp, xp);
+        std::vector<std::vector<int>> w(static_cast<std::size_t>(rows),
+                                        std::vector<int>(
+                                            static_cast<std::size_t>(cols)));
+        for (auto &row : w)
+            for (int &v : row)
+                v = static_cast<int>(rng.uniformInt(-255, 255));
+        engine.programWeights(w, &rng);
+        const std::size_t n_rows = static_cast<std::size_t>(rows);
+        const std::size_t n_cols = static_cast<std::size_t>(cols);
+        // The calibrated window assembles in int32, a 45-bit one in int64.
+        for (const int shift : {engine.outputShift(), 45}) {
+            engine.setOutputShift(shift);
+            for (const std::size_t m : {1u, 2u, 5u, 17u}) {
+                const std::string where = std::to_string(m) + " x " +
+                                          std::to_string(rows) + "x" +
+                                          std::to_string(cols) + " shift " +
+                                          std::to_string(shift);
+                std::vector<std::uint8_t> in(m * n_rows);
+                for (std::uint8_t &v : in)
+                    v = static_cast<std::uint8_t>(rng.uniformInt(0, 63));
+                auto offset = [&](std::size_t v) {
+                    return static_cast<std::ptrdiff_t>(v * n_cols);
+                };
+                auto vector_of = [&](std::size_t v) {
+                    return std::vector<std::uint8_t>(
+                        in.begin() + static_cast<std::ptrdiff_t>(v * n_rows),
+                        in.begin() +
+                            static_cast<std::ptrdiff_t>((v + 1) * n_rows));
+                };
+                ComposedMatrixEngine::MvmScratch scratch;
+                std::vector<std::int64_t> batch(m * n_cols, -1);
+                std::vector<std::int64_t> single(n_cols, -2);
+
+                engine.mvmExact(in, batch, scratch);
+                for (std::size_t v = 0; v < m; ++v) {
+                    engine.mvmExact(vector_of(v), single, scratch);
+                    EXPECT_TRUE(std::equal(single.begin(), single.end(),
+                                           batch.begin() + offset(v)))
+                        << "exact " << where << " vector " << v;
+                }
+
+                engine.mvmFull(in, batch);
+                for (std::size_t v = 0; v < m; ++v) {
+                    engine.mvmFull(vector_of(v), single);
+                    EXPECT_TRUE(std::equal(single.begin(), single.end(),
+                                           batch.begin() + offset(v)))
+                        << "full " << where << " vector " << v;
+                }
+
+                Rng batch_noise(7), single_noise(7);
+                engine.mvmAnalog(in, batch, scratch, &batch_noise);
+                for (std::size_t v = 0; v < m; ++v) {
+                    engine.mvmAnalog(vector_of(v), single, scratch,
+                                     &single_noise);
+                    EXPECT_TRUE(std::equal(single.begin(), single.end(),
+                                           batch.begin() + offset(v)))
+                        << "analog " << where << " vector " << v;
+                }
+                EXPECT_EQ(batch_noise.engine()(), single_noise.engine()())
+                    << where;
+            }
+        }
+    }
+}
+
+TEST(ComposedMatrixEngine, BatchRejectsMismatchedSizes)
+{
+    ComposedMatrixEngine engine(4, 3, ComposingParams{}, CrossbarParams{});
+    engine.programWeights(std::vector<std::vector<int>>(
+        4, std::vector<int>{1, -2, 3}));
+    ComposedMatrixEngine::MvmScratch scratch;
+    const std::vector<std::uint8_t> two(8, 1), ragged(7, 1), none;
+    std::vector<std::int64_t> out2(6), out1(3);
+    EXPECT_DEATH(engine.mvmExact(ragged, out2, scratch), "inputs");
+    EXPECT_DEATH(engine.mvmExact(none, {}, scratch), "inputs");
+    EXPECT_DEATH(engine.mvmExact(two, out1, scratch), "outputs");
+    EXPECT_DEATH(engine.mvmAnalog(two, out1, scratch), "outputs");
+    EXPECT_DEATH(engine.mvmFull(two, out1), "outputs");
 }
 
 } // namespace

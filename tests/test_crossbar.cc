@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -58,6 +61,24 @@ fourPassExact(const DifferentialPair &pair,
     for (std::size_t i = 0; i < n; ++i)
         out[i] -= neg[i];
     return out;
+}
+
+/** The pair's fused kernel on one high and one low phase -- two phase
+ *  vectors in one exact-size heap buffer, so a kernel that read past
+ *  the low phase would trip ASan -- split into {pass_h, pass_l}. */
+std::pair<std::vector<std::int64_t>, std::vector<std::int64_t>>
+fusedExact(const DifferentialPair &pair,
+           const std::vector<std::uint8_t> &high,
+           const std::vector<std::uint8_t> &low)
+{
+    std::vector<std::uint8_t> phases(high);
+    phases.insert(phases.end(), low.begin(), low.end());
+    const std::size_t n =
+        static_cast<std::size_t>(pair.positive().params().cols);
+    std::vector<std::int64_t> passes(2 * n, -7);
+    pair.mvmExact(phases, passes);
+    return {std::vector<std::int64_t>(passes.begin(), passes.begin() + n),
+            std::vector<std::int64_t>(passes.begin() + n, passes.end())};
 }
 
 TEST(Crossbar, MvmExactMatchesReference)
@@ -184,8 +205,7 @@ TEST(DifferentialPair, ExactSignedMvm)
     EXPECT_EQ(out[0], 7 * 5 + 2 * -3 + 1 * 0);
     EXPECT_EQ(out[1], 7 * -5 + 2 * 3 + 1 * 15);
     // The fused kernel gives both phases in one call.
-    std::vector<std::int64_t> pass_h(2), pass_l(2);
-    pair.mvmExact(in, low, pass_h, pass_l);
+    const auto [pass_h, pass_l] = fusedExact(pair, in, low);
     EXPECT_EQ(pass_h, out);
     EXPECT_EQ(pass_l[0], 1 * 5 + 0 * -3 + 3 * 0);
     EXPECT_EQ(pass_l[1], 1 * -5 + 0 * 3 + 3 * 15);
@@ -194,12 +214,14 @@ TEST(DifferentialPair, ExactSignedMvm)
 TEST(DifferentialPair, FusedMvmRejectsBadInputs)
 {
     DifferentialPair pair(smallParams(4, 2));
-    std::vector<std::int64_t> h(2), l(2), short_out(1);
-    const std::vector<std::uint8_t> ok(4, 1), wrong_size(3, 0),
-        too_big(4, 8);
-    EXPECT_DEATH(pair.mvmExact(wrong_size, ok, h, l), "inputs");
-    EXPECT_DEATH(pair.mvmExact(ok, too_big, h, l), "input level");
-    EXPECT_DEATH(pair.mvmExact(ok, ok, h, short_out), "outputs");
+    std::vector<std::int64_t> passes(4), short_out(3);
+    const std::vector<std::uint8_t> ok(8, 1), wrong_size(7, 0), empty;
+    std::vector<std::uint8_t> too_big(8, 1);
+    too_big[5] = 8;
+    EXPECT_DEATH(pair.mvmExact(wrong_size, passes), "inputs");
+    EXPECT_DEATH(pair.mvmExact(empty, {}), "inputs");
+    EXPECT_DEATH(pair.mvmExact(too_big, passes), "input level");
+    EXPECT_DEATH(pair.mvmExact(ok, short_out), "outputs");
 }
 
 /** Weight and input extremes for the fused-kernel property test: a
@@ -241,8 +263,6 @@ TEST(DifferentialPair, FusedKernelMatchesFourPassOracle)
             engine.programWeights(w);
             const DifferentialPair &pair = engine.arrays();
             for (int trial = 0; trial < 3; ++trial) {
-                // Exact-size heap phases: a kernel that read past the
-                // last row would trip ASan.
                 std::vector<std::uint8_t> high(rows), low(rows);
                 for (int r = 0; r < rows; ++r) {
                     // Trial 0 drives every row at the max code.
@@ -255,9 +275,7 @@ TEST(DifferentialPair, FusedKernelMatchesFourPassOracle)
                     low[static_cast<std::size_t>(r)] =
                         static_cast<std::uint8_t>(il);
                 }
-                const std::size_t lines = 2 * static_cast<std::size_t>(cols);
-                std::vector<std::int64_t> pass_h(lines, -7), pass_l(lines, -7);
-                pair.mvmExact(high, low, pass_h, pass_l);
+                const auto [pass_h, pass_l] = fusedExact(pair, high, low);
                 EXPECT_EQ(pass_h, fourPassExact(pair, high))
                     << rows << "x" << cols << " trial " << trial;
                 EXPECT_EQ(pass_l, fourPassExact(pair, low))
@@ -288,8 +306,7 @@ TEST(DifferentialPair, FusedKernelCoversRegisterBlockEdges)
             low[static_cast<std::size_t>(r)] =
                 static_cast<std::uint8_t>(extremeOrRandom(rng, 0, 7));
         }
-        std::vector<std::int64_t> pass_h(cols, 3), pass_l(cols, 3);
-        pair.mvmExact(high, low, pass_h, pass_l);
+        const auto [pass_h, pass_l] = fusedExact(pair, high, low);
         EXPECT_EQ(pass_h, fourPassExact(pair, high)) << cols;
         EXPECT_EQ(pass_l, fourPassExact(pair, low)) << cols;
     }
@@ -354,6 +371,26 @@ class SignedPlaneVariant : public ::testing::TestWithParam<const char *>
 {
 };
 
+/** One phase code of a variant-test trial (@p high: of a high
+ *  phase). */
+std::uint8_t
+trialPhase(int trial, Rng &rng, bool high)
+{
+    auto draw = [&](int hi) {
+        return static_cast<std::uint8_t>(extremeOrRandom(rng, 0, hi));
+    };
+    switch (trial) {
+      case 0:  // the int16 hazard: every phase at 255
+        return 255;
+      case 1:  // the widest vpmaddubsw-exact phases
+        return high ? 127 : draw(127);
+      case 2:
+        return draw(255);
+      default:  // 3-bit composed-engine phases
+        return draw(7);
+    }
+}
+
 /**
  * Each ISA variant, called directly, equals the plain loop and the
  * four-pass oracle bit for bit: row counts that are not multiples of
@@ -388,46 +425,102 @@ TEST_P(SignedPlaneVariant, MatchesPlainLoopAndFourPassOracle)
                     row[1] = -127;
             }
             pair.programSigned(w);
+            const std::size_t height = static_cast<std::size_t>(rows);
             const std::size_t n = static_cast<std::size_t>(lines);
             for (int trial = 0; trial < 4; ++trial) {
-                // Exact-size heap phases: a variant that read past the
-                // last row would trip ASan.
-                std::vector<std::uint8_t> high(rows), low(rows);
-                auto draw = [&](int hi) {
-                    return static_cast<std::uint8_t>(
-                        extremeOrRandom(rng, 0, hi));
-                };
-                for (std::size_t r = 0; r < high.size(); ++r) {
-                    switch (trial) {
-                      case 0:  // the int16 hazard: every phase at 255
-                        high[r] = low[r] = 255;
-                        break;
-                      case 1:  // the widest vpmaddubsw-exact phases
-                        high[r] = 127;
-                        low[r] = draw(127);
-                        break;
-                      case 2:
-                        high[r] = draw(255);
-                        low[r] = draw(255);
-                        break;
-                      default:  // 3-bit composed-engine phases
-                        high[r] = draw(7);
-                        low[r] = draw(7);
-                    }
+                // One high and one low phase vector in an exact-size
+                // heap buffer: a variant that read past the last row
+                // would trip ASan.
+                std::vector<std::uint8_t> phases(2 * height);
+                const std::span<std::uint8_t> high =
+                    std::span(phases).first(height);
+                const std::span<std::uint8_t> low =
+                    std::span(phases).last(height);
+                for (std::size_t r = 0; r < height; ++r) {
+                    high[r] = trialPhase(trial, rng, true);
+                    low[r] = trialPhase(trial, rng, false);
                 }
-                std::vector<std::int64_t> h(n, -1), l(n, -1);
-                std::vector<std::int64_t> ref_h(n, -2), ref_l(n, -2);
-                kernel->run(pair.quadPlane().data(), rows, lines,
-                            high.data(), low.data(), h.data(), l.data());
-                plain.run(pair.quadPlane().data(), rows, lines, high.data(),
-                          low.data(), ref_h.data(), ref_l.data());
+                std::vector<std::int64_t> got(2 * n, -1), ref(2 * n, -2);
+                kernel->run(pair.quadPlane().data(), rows, lines, 2,
+                            phases.data(), got.data());
+                plain.run(pair.quadPlane().data(), rows, lines, 2,
+                          phases.data(), ref.data());
                 const std::string where = std::to_string(rows) + "x" +
                                           std::to_string(lines) +
                                           " trial " + std::to_string(trial);
-                EXPECT_EQ(h, ref_h) << where;
-                EXPECT_EQ(l, ref_l) << where;
-                EXPECT_EQ(ref_h, fourPassExact(pair, high)) << where;
-                EXPECT_EQ(ref_l, fourPassExact(pair, low)) << where;
+                EXPECT_EQ(got, ref) << where;
+                const std::vector<std::uint8_t> h(high.begin(), high.end());
+                const std::vector<std::uint8_t> l(low.begin(), low.end());
+                EXPECT_EQ(std::vector<std::int64_t>(ref.begin(),
+                                                    ref.begin() + lines),
+                          fourPassExact(pair, h)) << where;
+                EXPECT_EQ(std::vector<std::int64_t>(ref.begin() + lines,
+                                                    ref.end()),
+                          fourPassExact(pair, l)) << where;
+            }
+        }
+    }
+}
+
+/**
+ * Each ISA variant over a batch of M phase vectors equals the plain
+ * loop over the same batch, and the plain loop's batch equals its M
+ * single-vector calls: M across the vector-block remainders (1, 2, 3,
+ * 5, 17) and a whole CNN-1 conv layer's 576, row counts that are not
+ * multiples of 4, bitline counts on both register widths, and phases
+ * up to 255 (trial 0 and 2: chunks on the wide loop) as well as below
+ * 128.  Exact-size heap buffers, so an overread trips ASan.
+ */
+TEST_P(SignedPlaneVariant, BatchMatchesPlainLoop)
+{
+    const detail::SignedPlaneKernel *kernel = findKernel(GetParam());
+    if (kernel == nullptr || !kernel->supported)
+        GTEST_SKIP() << GetParam() << " is not built or this CPU lacks it";
+    const detail::SignedPlaneKernel &plain = *findKernel("plain");
+    Rng rng(23);
+    for (const int rows : {1, 2, 3, 5, 25, 256, 257}) {
+        for (const int lines : {5, 70}) {
+            CrossbarParams p = smallParams(rows, lines);
+            p.cellBits = 7;
+            p.inputBits = 8;
+            DifferentialPair pair(p);
+            std::vector<std::vector<int>> w(rows, std::vector<int>(lines));
+            for (auto &row : w)
+                for (int &v : row)
+                    v = extremeOrRandom(rng, -127, 127);
+            pair.programSigned(w);
+            const std::size_t height = static_cast<std::size_t>(rows);
+            const std::size_t n = static_cast<std::size_t>(lines);
+            for (const int vectors : {1, 2, 3, 5, 17, 576}) {
+                const std::size_t m = static_cast<std::size_t>(vectors);
+                const int trial = (rows + vectors + lines) % 4;
+                std::vector<std::uint8_t> phases(m * height);
+                for (std::size_t i = 0; i < phases.size(); ++i)
+                    phases[i] = trialPhase(trial, rng, i / height % 2 == 0);
+                std::vector<std::int64_t> got(m * n, -1), ref(m * n, -2);
+                kernel->run(pair.quadPlane().data(), rows, lines, vectors,
+                            phases.data(), got.data());
+                plain.run(pair.quadPlane().data(), rows, lines, vectors,
+                          phases.data(), ref.data());
+                const std::string where =
+                    std::to_string(vectors) + " x " + std::to_string(rows) +
+                    "x" + std::to_string(lines) + " trial " +
+                    std::to_string(trial);
+                EXPECT_EQ(got, ref) << where;
+                for (std::size_t v = 0; v < m; ++v) {
+                    const std::vector<std::uint8_t> one(
+                        phases.begin() +
+                            static_cast<std::ptrdiff_t>(v * height),
+                        phases.begin() +
+                            static_cast<std::ptrdiff_t>((v + 1) * height));
+                    std::vector<std::int64_t> single(n, -3);
+                    plain.run(pair.quadPlane().data(), rows, lines, 1,
+                              one.data(), single.data());
+                    ASSERT_TRUE(std::equal(
+                        single.begin(), single.end(),
+                        ref.begin() + static_cast<std::ptrdiff_t>(v * n)))
+                        << where << " vector " << v;
+                }
             }
         }
     }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/fixed_point.hh"
@@ -227,6 +228,52 @@ TEST(ActivationCodes, MatchTheFormerQuantizerBitForBit)
                                       codes),
               4);
     EXPECT_EQ(codes[0], 15);
+}
+
+/**
+ * The fraction length at its extremes, where the quantizer's one
+ * power-of-two scale stops being a normal double -- 2^-1023 for a
+ * maximum near DBL_MAX at 1 bit, 2^1024 and beyond for a tiny or
+ * denormal maximum -- and just inside them: the codes still match the
+ * per-element ldexp reference, values whose scaled form is subnormal
+ * included.
+ */
+TEST(ActivationCodes, ExtremeFractionLengthsMatchTheFormerQuantizer)
+{
+    bool below_normal = false, above_normal = false;
+    for (int bits = 1; bits <= 8; ++bits) {
+        for (const int frac :
+             {-1023, -1022, -1021, 1022, 1023, 1024, 1025, 1060}) {
+            // frexp of 0.75 * 2^e gives exponent e, so frac = bits - e.
+            const int e = bits - frac;
+            if (e > 1024 || e < -1072)
+                continue;
+            const double max = std::ldexp(0.75, e);
+            const std::vector<double> v = {
+                max,
+                std::ldexp(0.6, e - 1),
+                std::ldexp(0.51, e - bits),
+                std::ldexp(1.0, e - 30),
+                std::numeric_limits<double>::denorm_min(),
+                -max,
+                0.0,
+            };
+            std::vector<std::uint8_t> want;
+            const int want_frac = referenceActivationCodes(v, bits, want);
+            EXPECT_EQ(want_frac, frac);
+            std::vector<std::uint8_t> got(v.size(), 0xee);
+            EXPECT_EQ(quantizeActivationCodes(v, bits, got), want_frac)
+                << "bits " << bits << " frac " << frac;
+            EXPECT_EQ(got, want) << "bits " << bits << " frac " << frac;
+            below_normal = below_normal || frac < -1022;
+            above_normal = above_normal || frac > 1023;
+        }
+    }
+    EXPECT_TRUE(below_normal && above_normal);
+    EXPECT_EQ(normalPow2(-1022), std::numeric_limits<double>::min());
+    EXPECT_EQ(normalPow2(-1023), 0.0);
+    EXPECT_EQ(normalPow2(1023), std::ldexp(1.0, 1023));
+    EXPECT_EQ(normalPow2(1024), 0.0);
 }
 
 TEST(WeightCode, RoundsAndSaturatesSignMagnitude)

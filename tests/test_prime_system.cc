@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <string>
 
 #include "common/thread_pool.hh"
@@ -382,6 +386,224 @@ TEST(PrimeSystem, ProgrammedConductancesIdenticalAcrossThreads)
     for (std::size_t i = 0; i < one.size(); ++i)
         differing += one[i] == eight[i] ? 0 : 1;
     EXPECT_EQ(differing, 0u);
+}
+
+/** FNV-1a's offset basis: the hash of no bytes. */
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
+
+/** FNV-1a over @p bytes, continuing from @p h. */
+std::uint64_t
+fnv1a(std::span<const std::byte> bytes, std::uint64_t h = kFnvBasis)
+{
+    for (const std::byte b : bytes)
+        h = (h ^ std::to_integer<std::uint64_t>(b)) * 1099511628211ull;
+    return h;
+}
+
+/** The run-time counters of a system, read between run() calls. */
+struct RunCounters
+{
+    std::uint64_t commands = 0;
+    double fetchBytes = 0, commitBytes = 0, loadBytes = 0, storeBytes = 0;
+    double bufferRead = 0, bufferWrite = 0;
+    std::uint64_t tiledMvms = 0, matMvms = 0;
+    std::uint64_t bursts = 0, rowHits = 0, rowMisses = 0;
+    double progressNs = 0;
+
+    /** Summed over every bank (bank N reports into child "bankN"). */
+    explicit RunCounters(PrimeSystem &prime)
+    {
+        for (int b = 0; b < prime.bankCount(); ++b) {
+            StatGroup &s = b == 0 ? prime.stats()
+                                  : prime.stats().child(
+                                        "bank" + std::to_string(b));
+            commands += s.get("controller.commands").count();
+            fetchBytes += s.get("controller.fetch_bytes").sum();
+            commitBytes += s.get("controller.commit_bytes").sum();
+            loadBytes += s.get("controller.load_bytes").sum();
+            storeBytes += s.get("controller.store_bytes").sum();
+            bufferRead += s.get("buffer.read_bytes").sum();
+            bufferWrite += s.get("buffer.write_bytes").sum();
+            matMvms += s.get("controller.mat_mvms").count();
+        }
+        tiledMvms = prime.stats().get("run.tiled_mvms").count();
+        StatGroup &m = prime.mainMemory().stats();
+        bursts = m.get("mem.reads").count() + m.get("mem.writes").count();
+        rowHits = m.get("mem.row_hits").count();
+        rowMisses = m.get("mem.row_misses").count();
+        progressNs = prime.mainMemory().primeProgressNs();
+    }
+};
+
+/** Per-image counters of a run, totals over its images, and hashes of
+ *  its outputs and of the state its last image leaves behind. */
+struct PinnedRun
+{
+    std::uint64_t commands;
+    double fetchBytes, commitBytes, loadBytes, storeBytes;
+    double bufferRead, bufferWrite;
+    std::uint64_t tiledMvms, matMvms, bursts;
+    /** Totals over all images (the row buffers carry state across
+     *  images). */
+    std::uint64_t rowHits, rowMisses;
+    double progressNs;
+    std::uint64_t outputHash, stagingHash, bufferHash;
+};
+
+/** run() of @p inputs on a programmed, configured system: what
+ *  PinnedRun records. */
+PinnedRun
+pinnedRun(PrimeSystem &prime, const std::vector<nn::Tensor> &inputs)
+{
+    const RunCounters before(prime);
+    std::uint64_t outputs = kFnvBasis;
+    for (const nn::Tensor &in : inputs) {
+        const nn::Tensor y = prime.run(in);
+        outputs = fnv1a(std::as_bytes(std::span(y.flat())), outputs);
+    }
+    const RunCounters after(prime);
+    // Read the final state (Buffer reads are accounted, so after the
+    // counters).
+    const PrimeSystem::ExecContext &ctx = prime.stageContext(0);
+    std::vector<std::uint8_t> window(8192);
+    prime.mainMemory().readData(ctx.inputStageAddr, window);
+    std::uint64_t staging = fnv1a(std::as_bytes(std::span(window)));
+    prime.mainMemory().readData(ctx.outputStageAddr, window);
+    staging = fnv1a(std::as_bytes(std::span(window)), staging);
+    const std::uint64_t n = inputs.size();
+    return PinnedRun{
+        (after.commands - before.commands) / n,
+        (after.fetchBytes - before.fetchBytes) / n,
+        (after.commitBytes - before.commitBytes) / n,
+        (after.loadBytes - before.loadBytes) / n,
+        (after.storeBytes - before.storeBytes) / n,
+        (after.bufferRead - before.bufferRead) / n,
+        (after.bufferWrite - before.bufferWrite) / n,
+        (after.tiledMvms - before.tiledMvms) / n,
+        (after.matMvms - before.matMvms) / n,
+        (after.bursts - before.bursts) / n,
+        after.rowHits - before.rowHits,
+        after.rowMisses - before.rowMisses,
+        after.progressNs - before.progressNs,
+        outputs,
+        staging,
+        fnv1a(std::as_bytes(
+            prime.buffer(0).read(0, prime.buffer(0).capacity()))),
+    };
+}
+
+void
+expectPinned(const PinnedRun &got, const PinnedRun &want,
+             const std::string &where)
+{
+    EXPECT_EQ(got.commands, want.commands) << where;
+    EXPECT_EQ(got.fetchBytes, want.fetchBytes) << where;
+    EXPECT_EQ(got.commitBytes, want.commitBytes) << where;
+    EXPECT_EQ(got.loadBytes, want.loadBytes) << where;
+    EXPECT_EQ(got.storeBytes, want.storeBytes) << where;
+    EXPECT_EQ(got.bufferRead, want.bufferRead) << where;
+    EXPECT_EQ(got.bufferWrite, want.bufferWrite) << where;
+    EXPECT_EQ(got.tiledMvms, want.tiledMvms) << where;
+    EXPECT_EQ(got.matMvms, want.matMvms) << where;
+    EXPECT_EQ(got.bursts, want.bursts) << where;
+    EXPECT_EQ(got.rowHits, want.rowHits) << where;
+    EXPECT_EQ(got.rowMisses, want.rowMisses) << where;
+    EXPECT_EQ(got.progressNs, want.progressNs) << where;
+    EXPECT_EQ(got.outputHash, want.outputHash) << where;
+    EXPECT_EQ(got.stagingHash, want.stagingHash) << where;
+    EXPECT_EQ(got.bufferHash, want.bufferHash) << where;
+}
+
+/**
+ * run() of CNN-1 and MLP-S on three seeded images, after a calibration:
+ * every Table I command and byte is accounted once per conv window and
+ * layer, every window's Fetch/Commit reaches the timing pass, and the
+ * outputs, the staging windows and bank 0's Buffer end in the same
+ * bytes -- the values of the one-window-at-a-time data flow.  The
+ * modeled clock's total is exact (the timing pass is deterministic).
+ */
+TEST(PrimeSystem, RunCountersPinned)
+{
+    const std::pair<const char *, PinnedRun> pins[] = {
+        {"CNN-1",
+         {2316, 15190, 296960, 15190, 6200, 318350, 21390, 578, 580, 5230,
+          6981, 8709, 952736.50994430692, 0xd601bc52f0afa1a4ull,
+          0x3b4c1384cc79eeedull,
+          0x1ed1fabcdc1d6eedull}},
+        {"MLP-S",
+         {28, 1534, 5632, 2318, 5020, 12970, 6554, 3, 11, 113, 168, 171,
+          18285.229268294759, 0x068d512e8dfed67aull, 0x658430e8bf0646e2ull,
+          0x44945ef5c5e546e2ull}},
+    };
+    for (const auto &[name, want] : pins) {
+        const nn::Topology topo = nn::mlBenchByName(name);
+        Rng rng(5);
+        const nn::Network net = nn::buildNetwork(topo, rng);
+        nn::SyntheticMnistOptions o;
+        o.seed = 3;
+        nn::SyntheticMnist gen(o);
+        const std::vector<nn::Sample> samples = gen.generate(7);
+        PrimeSystem prime;
+        prime.mapTopology(topo);
+        prime.programWeight(net);
+        prime.configDatapath();
+        prime.calibrate(
+            std::vector<nn::Sample>(samples.begin() + 3, samples.end()));
+        std::vector<nn::Tensor> inputs;
+        for (std::size_t i = 0; i < 3; ++i)
+            inputs.push_back(samples[i].input);
+        expectPinned(pinnedRun(prime, inputs), want, name);
+    }
+}
+
+/**
+ * The conv data flow where a layer spans several row and column tiles
+ * and several banks: 32 x 16 mats, eight per bank, under a padded 3x3
+ * conv of 20 maps over 4 channels (36 rows: two row tiles, two column
+ * tiles) and a 5x5 conv over its 20 maps (500 rows: sixteen row
+ * tiles).  Outputs, counters and final state are the values of the
+ * one-window-at-a-time data flow, after a calibration, and a
+ * pipelined runBatch gives run()'s outputs.
+ */
+TEST(PrimeSystem, RowTiledMultiBankConvPinned)
+{
+    const PinnedRun want = {
+        1220, 18316, 16416, 12620, 6676, 35712, 24992, 81, 513, 578, 48,
+        1686, 91550.588367732533, 0x4ce364bc36cb8fceull,
+        0x87c32b3ce5bdf4c4ull, 0x512d0f90873e96d9ull};
+    nvmodel::TechParams tech = nvmodel::defaultTechParams();
+    tech.geometry.matRows = 32;
+    tech.geometry.matCols = 16;
+    tech.geometry.ffSubarraysPerBank = 1;
+    tech.geometry.matsPerSubarray = 8;
+    const nn::Topology topo = nn::parseTopology(
+        "conv-tiles", "conv3x20-conv5x3-pool-12-10", 4, 8, 8);
+    Rng rng(9);
+    const nn::Network net = nn::buildNetwork(topo, rng);
+    std::vector<nn::Tensor> inputs;
+    std::vector<nn::Sample> calibration;
+    for (int i = 0; i < 6; ++i) {
+        nn::Tensor t({4, 8, 8});
+        for (std::size_t k = 0; k < t.size(); ++k)
+            t[k] = rng.uniform(-0.2, 1.0);
+        if (i < 3)
+            inputs.push_back(t);
+        else
+            calibration.push_back({t, 0});
+    }
+    PrimeSystem prime(tech);
+    prime.mapTopology(topo);
+    prime.programWeight(net);
+    prime.configDatapath();
+    prime.calibrate(calibration);
+    const PinnedRun got = pinnedRun(prime, inputs);
+    expectPinned(got, want, "conv-tiles");
+    const std::vector<nn::Tensor> batched =
+        prime.runBatch(std::span<const nn::Tensor>(inputs));
+    std::uint64_t batch_hash = kFnvBasis;
+    for (const nn::Tensor &y : batched)
+        batch_hash = fnv1a(std::as_bytes(std::span(y.flat())), batch_hash);
+    EXPECT_EQ(batch_hash, want.outputHash);
 }
 
 } // namespace

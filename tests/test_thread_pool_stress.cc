@@ -69,6 +69,11 @@ TEST(ThreadPoolStress, TracedHammerWithConcurrentReaders)
         PRIME_SPAN(telemetry::globalTrace(), "stress.body", "test");
         session.instant("stress.tick", "test");
         out[i] = i * i;
+        // Handshake: the job outlasts the reader's first read, however
+        // fast the pool runs it, so the reads overlap live appends.
+        if (i == 0)
+            while (reads.load(std::memory_order_relaxed) == 0)
+                std::this_thread::yield();
     });
     done.store(true, std::memory_order_release);
     reader.join();
