@@ -97,6 +97,43 @@ BM_ScheduleTransfer(benchmark::State &state)
 }
 BENCHMARK(BM_ScheduleTransfer)->Args({25, 0})->Args({512, 1});
 
+/**
+ * The record side: compiling one transfer when a tape is lowered.
+ * analog_mc re-records every tape and migration transfer on each
+ * trial's programWeight, so this is its per-trial cost per transfer.
+ * A 25-B Fetch and a 512-B Commit as above, and an 8-KiB migration
+ * write that starts 4 KiB before a bank change, so it spans two banks.
+ */
+void
+BM_RecordTransfer(benchmark::State &state)
+{
+    const std::size_t bytes = static_cast<std::size_t>(state.range(0));
+    const bool is_write = state.range(1) != 0;
+    memory::MainMemory mem(nvmodel::defaultTechParams());
+    const memory::AddressMapper &m = mem.mapper();
+    const nvmodel::Geometry &g = m.geometry();
+    // Consecutive addresses change bank after every mat row of every
+    // mat of every subarray.
+    const std::uint64_t bank_edge =
+        m.bytesPerMatRow() *
+        static_cast<std::uint64_t>(g.matsPerSubarray * g.subarraysPerBank);
+    std::vector<std::uint64_t> addrs;
+    for (std::uint64_t i = 0; i < 16; ++i)
+        addrs.push_back(bytes > 4096 ? (i + 1) * bank_edge - 4096
+                                     : i * 1088);
+    std::size_t next = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            mem.recordTransfer(addrs[next], bytes, is_write));
+        next = (next + 1) % addrs.size();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RecordTransfer)
+    ->Args({25, 0})
+    ->Args({512, 1})
+    ->Args({8192, 1});
+
 void
 BM_CommandRoundTrip(benchmark::State &state)
 {

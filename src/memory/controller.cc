@@ -66,106 +66,43 @@ MemoryController::rowTag(const Location &loc) const
            loc.mat;
 }
 
-RequestResult
-MemoryController::access(const Request &request, const Location &loc)
-{
-    PRIME_ASSERT(loc.channel == channel_, "request for channel ",
-                 loc.channel, " routed to controller ", channel_);
-    const int channel_bank =
-        loc.chip * geometry_.banksPerChip + loc.bank;
-    return accessBank(shard(channel_bank), request, loc, rowTag(loc));
-}
+namespace {
 
-RequestResult
-MemoryController::accessBank(BankShard &sh, const Request &request,
-                             const Location &loc, std::int64_t row_tag)
-{
-    RequestResult result;
-    result.request = request;
-    result.location = loc;
-
-    result.bank = sh.bank.access(request.issue, row_tag, request.isWrite);
-    sh.nextFree.store(sh.bank.nextFree(), std::memory_order_relaxed);
-
-    // The data burst serializes on this channel after the bank has the
-    // data (read) or before the bank commits it (write, modeled
-    // symmetrically).  One timing writer: a plain advance of the cursor.
-    const Ns transfer = request.bytes / timing_.channelBandwidth();
-    result.dataReady =
-        std::max(result.bank.complete,
-                 channelFree_.load(std::memory_order_relaxed)) +
-        transfer;
-    channelFree_.store(result.dataReady, std::memory_order_relaxed);
-
-    // Stat shard: the hot path never touches a shared StatGroup (row
-    // hits/misses stay in the BankModel counters).
-    std::atomic<std::uint64_t> &count =
-        request.isWrite ? sh.writes : sh.reads;
-    count.store(count.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
-    sh.bytes += request.bytes;
-    // Modeled latency split: time queued behind the bank/row state vs.
-    // total service (queue + bank + channel burst).
-    sh.queueNs.sample(result.bank.start - request.issue);
-    const Ns service = result.dataReady - request.issue;
-    const std::size_t src = static_cast<std::size_t>(request.source);
-    sh.sourceServiceNs[src].sample(service);
-    sh.sourceLastReady[src] =
-        std::max(sh.sourceLastReady[src], result.dataReady);
-    if (request.source == RequestSource::Prime)
-        primeHorizon_ = std::max(primeHorizon_, result.dataReady);
-    return result;
-}
-
+/**
+ * FR-FCFS with a hard starvation bound, the one selection loop of the
+ * timing model.  The queue is @p n entries, oldest first; @p tag_of(i)
+ * is entry i's row tag, @p bank the bank they all go to, and
+ * @p serve(i) serves entry i there.  Each iteration picks, within the
+ * first sched.window pending entries, one that hits the bank's open
+ * row if one exists, otherwise the oldest -- but once the oldest entry
+ * has been bypassed sched.maxBypass consecutive times, the hit search
+ * is suppressed and the oldest goes next.  `bypasses` counts how many
+ * times the *current* oldest entry has been passed over; it resets
+ * whenever the oldest is served (a newly exposed oldest entry starts
+ * its own count).  @p order (the caller's scratch) holds the pending
+ * queue as entry indices, order[head..n); removing the chosen entry
+ * shifts only the (at most window - 1) entries ahead of it.
+ */
+template <typename TagOf, typename Serve>
 void
-MemoryController::scheduleBankQueue(std::span<const PendingRequest> pending,
-                                    const SchedulerConfig &sched,
-                                    std::vector<RequestResult> *results)
+frFcfs(std::size_t n, const SchedulerConfig &sched, const BankModel &bank,
+       std::vector<std::size_t> &order, TagOf tag_of, Serve serve)
 {
     PRIME_ASSERT(sched.window >= 1, "window=", sched.window);
     PRIME_ASSERT(sched.maxBypass >= 0, "maxBypass=", sched.maxBypass);
-    if (pending.empty())
-        return;
-    const std::size_t n = pending.size();
-
-    const int channel_bank =
-        pending.front().location.chip * geometry_.banksPerChip +
-        pending.front().location.bank;
-    BankShard &sh = shard(channel_bank);
-
-    // Row tags once per entry, not once per window scan.
-    std::vector<std::int64_t> &tags = tags_;
-    std::vector<std::size_t> &order = order_;
-    if (tags.size() < n) {
-        tags.resize(n);
+    if (order.size() < n)
         order.resize(n);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        PRIME_ASSERT(pending[i].location.channel == channel_,
-                     "cross-channel entry in bank queue");
-        tags[i] = rowTag(pending[i].location);
+    for (std::size_t i = 0; i < n; ++i)
         order[i] = i;
-    }
-
-    // FR-FCFS with a hard starvation bound.  order[head..n) is the
-    // pending queue, oldest first.  Each iteration picks, within the
-    // first `window` pending entries, a row-hit request if one exists,
-    // otherwise the oldest -- but once the oldest entry has been
-    // bypassed maxBypass consecutive times, the hit search is
-    // suppressed and the oldest goes next.  `bypasses` tracks how many
-    // times the *current* front entry has been passed over; it resets
-    // whenever the front is serviced (a newly exposed front starts its
-    // own count).  Removing the chosen entry shifts only the (at most
-    // window - 1) entries ahead of it.
     const std::size_t window = static_cast<std::size_t>(sched.window);
     int bypasses = 0;
     for (std::size_t head = 0; head < n; ++head) {
         std::size_t chosen = head;
         if (bypasses < sched.maxBypass) {
-            const std::int64_t open = sh.bank.openRow();
+            const std::int64_t open = bank.openRow();
             const std::size_t limit = std::min(n, head + window);
             for (std::size_t i = head; i < limit; ++i) {
-                if (tags[order[i]] == open) {
+                if (tag_of(order[i]) == open) {
                     chosen = i;
                     break;
                 }
@@ -180,12 +117,91 @@ MemoryController::scheduleBankQueue(std::span<const PendingRequest> pending,
                            order.begin() + static_cast<std::ptrdiff_t>(chosen),
                            order.begin() +
                                static_cast<std::ptrdiff_t>(chosen + 1));
-        const PendingRequest &p = pending[next];
-        const RequestResult result =
-            accessBank(sh, p.request, p.location, tags[next]);
-        if (results)
-            results->push_back(result);
+        serve(next);
     }
+}
+
+} // namespace
+
+RequestResult
+MemoryController::access(const Request &request, const Location &loc)
+{
+    PRIME_ASSERT(loc.channel == channel_, "request for channel ",
+                 loc.channel, " routed to controller ", channel_);
+    const int channel_bank =
+        loc.chip * geometry_.banksPerChip + loc.bank;
+    RequestResult result;
+    result.request = request;
+    result.location = loc;
+    result.bank = serve(shard(channel_bank),
+                        Burst{rowTag(loc), busNs(request.bytes),
+                              request.bytes},
+                        request.issue, request.isWrite, request.source,
+                        result.dataReady);
+    return result;
+}
+
+void
+MemoryController::scheduleBankQueue(std::span<const PendingRequest> pending,
+                                    const SchedulerConfig &sched,
+                                    std::vector<RequestResult> *results)
+{
+    if (pending.empty())
+        return;
+    const std::size_t n = pending.size();
+    const int channel_bank =
+        pending.front().location.chip * geometry_.banksPerChip +
+        pending.front().location.bank;
+    BankShard &sh = shard(channel_bank);
+
+    // Row tags once per entry, not once per window scan.
+    if (tags_.size() < n)
+        tags_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        PRIME_ASSERT(pending[i].location.channel == channel_,
+                     "cross-channel entry in bank queue");
+        tags_[i] = rowTag(pending[i].location);
+    }
+    frFcfs(n, sched, sh.bank, order_,
+           [this](std::size_t i) { return tags_[i]; },
+           [&](std::size_t i) {
+               const PendingRequest &p = pending[i];
+               RequestResult result;
+               result.request = p.request;
+               result.location = p.location;
+               result.bank = serve(
+                   sh,
+                   Burst{tags_[i], busNs(p.request.bytes), p.request.bytes},
+                   p.request.issue, p.request.isWrite, p.request.source,
+                   result.dataReady);
+               if (results)
+                   results->push_back(result);
+           });
+}
+
+void
+MemoryController::scheduleGroup(std::span<const Burst> group, Ns issue,
+                                bool is_write, RequestSource source,
+                                const SchedulerConfig &sched)
+{
+    if (group.empty())
+        return;
+    BankShard &sh = shard(group.front().bank);
+    Ns data_ready = 0.0;
+    // Cold start (see the declaration): served oldest first.
+    const std::int64_t open = sh.bank.openRow();
+    if (open == group.front().rowTag ||
+        std::none_of(group.begin() + 1, group.end(),
+                     [open](const Burst &b) { return b.rowTag == open; })) {
+        for (const Burst &b : group)
+            serve(sh, b, issue, is_write, source, data_ready);
+        return;
+    }
+    frFcfs(group.size(), sched, sh.bank, order_,
+           [group](std::size_t i) { return group[i].rowTag; },
+           [&](std::size_t i) {
+               serve(sh, group[i], issue, is_write, source, data_ready);
+           });
 }
 
 ChannelTotals

@@ -1,9 +1,9 @@
 /**
  * @file
  * The per-channel memory controller: request/scheduling vocabulary
- * (Request, SchedulerConfig) plus the MemoryController that owns one
- * channel's data-bus cursor, its bank shards and the FR-FCFS policy
- * arbitrating CPU and PRIME traffic at that channel.
+ * (Request, SchedulerConfig, Burst) plus the MemoryController that
+ * owns one channel's data-bus cursor, its bank shards and the FR-FCFS
+ * policy arbitrating CPU and PRIME traffic at that channel.
  *
  * Layering: MemoryController sits below memory::MainMemory, which
  * owns one controller per configured channel and routes decoded
@@ -11,6 +11,15 @@
  * traffic and the synthetic CPU streams (cpu_traffic.hh) meet at the
  * same controllers, so channel-level interference between the two
  * request classes is modeled rather than assumed away.
+ *
+ * Two ways in, one scheduler.  scheduleBankQueue takes decoded
+ * requests with their own issue times (scheduleBatch); scheduleGroup
+ * replays a bank group of a recorded transfer, whose Bursts were
+ * compiled to row tag, bus time and byte count when it was recorded.
+ * A group is served oldest first with no FR-FCFS scan unless its bank
+ * is already open on one of the group's later rows (see scheduleGroup
+ * for why); only such a warm start runs the FR-FCFS selection.  Both
+ * paths, and access, serve each burst through one per-burst step.
  *
  * Thread safety -- one timing writer, one kind of concurrent reader:
  *  - The timing state (bank FSMs, stat shards, the channel cursor,
@@ -32,6 +41,7 @@
 #ifndef PRIME_MEMORY_CONTROLLER_HH
 #define PRIME_MEMORY_CONTROLLER_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -99,6 +109,24 @@ struct SchedulerConfig
     int maxBypass = 4;
 };
 
+/**
+ * One burst of a recorded transfer, compiled to what its timing reads
+ * (MainMemory::recordTransfer): the row-buffer tag, the time on the
+ * channel's data bus and the byte count, plus the bank it goes to.
+ * Its issue time, direction and source belong to the transfer.
+ */
+struct Burst
+{
+    /** MemoryController::rowTag of the burst's first byte. */
+    std::int64_t rowTag = 0;
+    /** Channel-bus time, MemoryController::busNs(bytes). */
+    Ns busNs = 0.0;
+    std::uint32_t bytes = 0;
+    std::uint16_t channel = 0;
+    /** Channel-local bank (chip * banksPerChip + bank). */
+    std::uint16_t bank = 0;
+};
+
 /** A decoded request waiting in a controller's scheduling queue. */
 struct PendingRequest
 {
@@ -152,6 +180,34 @@ class MemoryController
     void scheduleBankQueue(std::span<const PendingRequest> pending,
                            const SchedulerConfig &sched,
                            std::vector<RequestResult> *results);
+
+    /**
+     * Replay one bank group of a recorded transfer: @p group's bursts
+     * (all to one bank of this channel, address order) issue at
+     * @p issue with direction @p is_write and source @p source, as one
+     * FR-FCFS queue under @p sched -- the completions
+     * scheduleBankQueue gives the same bursts as requests.
+     *
+     * The group's row tags never decrease (recordTransfer asserts it:
+     * within a bank, addresses order the tags), so each row's bursts
+     * are adjacent.  After a burst is served the open row is its own
+     * row (or none, under PagePolicy::Closed), so the only hit FR-FCFS
+     * can find is the oldest burst: the group is served oldest first
+     * -- its cold order -- unless the bank starts open on one of the
+     * group's rows after its first.  Only that warm start runs the
+     * FR-FCFS selection.  Allocates nothing once the queue scratch has
+     * grown to the largest warm group.  Timing-writer only.
+     */
+    void scheduleGroup(std::span<const Burst> group, Ns issue,
+                       bool is_write, RequestSource source,
+                       const SchedulerConfig &sched);
+
+    /** Time @p bytes take on this channel's data bus. */
+    Ns
+    busNs(std::uint32_t bytes) const
+    {
+        return bytes / timing_.channelBandwidth();
+    }
 
     /** Earliest time this channel's data bus is free (any thread). */
     Ns
@@ -231,10 +287,46 @@ class MemoryController
     /** The shard owning channel-local bank @p channel_bank. */
     BankShard &shard(int channel_bank) const;
 
-    /** Serve one request at its bank and on this channel's bus, and
-     *  sample it into the bank's stat shard. */
-    RequestResult accessBank(BankShard &sh, const Request &request,
-                             const Location &loc, std::int64_t row_tag);
+    /**
+     * The per-burst step every path shares: serve @p burst, issued at
+     * @p issue, at its bank and then on this channel's bus, and sample
+     * it into the bank's stat shard @p sh.  Returns the bank access;
+     * @p data_ready gets the time the data finished moving over the
+     * channel.  Inline: the timing pass calls it once per burst.
+     */
+    BankAccess
+    serve(BankShard &sh, const Burst &burst, Ns issue, bool is_write,
+          RequestSource source, Ns &data_ready)
+    {
+        const BankAccess bank = sh.bank.access(issue, burst.rowTag, is_write);
+        sh.nextFree.store(sh.bank.nextFree(), std::memory_order_relaxed);
+
+        // The data burst serializes on this channel after the bank has
+        // the data (read) or before the bank commits it (write, modeled
+        // symmetrically).  One timing writer: a plain advance of the
+        // cursor.
+        data_ready = std::max(bank.complete,
+                              channelFree_.load(std::memory_order_relaxed)) +
+                     burst.busNs;
+        channelFree_.store(data_ready, std::memory_order_relaxed);
+
+        // Stat shard: the hot path never touches a shared StatGroup (row
+        // hits/misses stay in the BankModel counters).
+        std::atomic<std::uint64_t> &count = is_write ? sh.writes : sh.reads;
+        count.store(count.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
+        sh.bytes += burst.bytes;
+        // Modeled latency split: time queued behind the bank/row state
+        // vs. total service (queue + bank + channel burst).
+        sh.queueNs.sample(bank.start - issue);
+        const std::size_t src = static_cast<std::size_t>(source);
+        sh.sourceServiceNs[src].sample(data_ready - issue);
+        sh.sourceLastReady[src] =
+            std::max(sh.sourceLastReady[src], data_ready);
+        if (source == RequestSource::Prime)
+            primeHorizon_ = std::max(primeHorizon_, data_ready);
+        return bank;
+    }
 
     int channel_;
     nvmodel::TimingParams timing_;
@@ -244,9 +336,9 @@ class MemoryController
     /** Timing writer only writes it; atomic for the sampler. */
     std::atomic<Ns> channelFree_{0.0};
     Ns primeHorizon_ = 0.0;
-    /** scheduleBankQueue scratch: each entry's row tag and the queue
-     *  order as indices into the pending span (grown to the largest
-     *  queue seen, then reused). */
+    /** Queue scratch: scheduleBankQueue's row tag per entry, and the
+     *  FR-FCFS queue order as indices into the queue (grown to the
+     *  largest queue seen, then reused). */
     std::vector<std::int64_t> tags_;
     std::vector<std::size_t> order_;
 };

@@ -17,6 +17,10 @@ MainMemory::MainMemory(const nvmodel::TechParams &params,
 {
     PRIME_ASSERT(sched_.window >= 1, "window=", sched_.window);
     PRIME_ASSERT(sched_.maxBypass >= 0, "maxBypass=", sched_.maxBypass);
+    // A recorded Burst names its channel and bank in 16 bits each.
+    PRIME_ASSERT(params.geometry.channels <= 65536 &&
+                     params.geometry.banksPerChannel() <= 65536,
+                 "geometry too large for a recorded burst");
     controllers_.reserve(
         static_cast<std::size_t>(params.geometry.channels));
     for (int ch = 0; ch < params.geometry.channels; ++ch)
@@ -186,11 +190,57 @@ MainMemory::scheduleBatch(std::vector<Request> requests,
     return results;
 }
 
+namespace {
+
+bool
+sameBank(const Burst &a, const Burst &b)
+{
+    return a.channel == b.channel && a.bank == b.bank;
+}
+
+/**
+ * Merge the runs of @p t -- its bursts in address order, groupEnds
+ * marking where the bank changes -- into one group per bank, banks in
+ * first-appearance order, address order within a bank.  Only needed
+ * when a bank has two runs: the 64-byte lines rotate over channels, or
+ * the transfer wraps round every bank of a channel.
+ */
+void
+mergeBankRuns(Transfer &t)
+{
+    const std::vector<Burst> runs = std::move(t.bursts);
+    const std::vector<std::uint32_t> run_ends = std::move(t.groupEnds);
+    t.bursts.clear();
+    t.bursts.reserve(runs.size());
+    t.groupEnds.clear();
+    std::vector<bool> taken(run_ends.size(), false);
+    for (std::size_t r = 0; r < run_ends.size(); ++r) {
+        if (taken[r])
+            continue;
+        const Burst &first = runs[r == 0 ? 0 : run_ends[r - 1]];
+        for (std::size_t q = r; q < run_ends.size(); ++q) {
+            const std::uint32_t begin = q == 0 ? 0 : run_ends[q - 1];
+            if (taken[q] || !sameBank(runs[begin], first))
+                continue;
+            taken[q] = true;
+            t.bursts.insert(t.bursts.end(),
+                            runs.begin() + static_cast<std::ptrdiff_t>(begin),
+                            runs.begin() +
+                                static_cast<std::ptrdiff_t>(run_ends[q]));
+        }
+        t.groupEnds.push_back(static_cast<std::uint32_t>(t.bursts.size()));
+    }
+}
+
+} // namespace
+
 Transfer
 MainMemory::recordTransfer(std::uint64_t addr, std::size_t bytes,
                            bool is_write, RequestSource source) const
 {
     Transfer transfer;
+    transfer.isWrite = is_write;
+    transfer.source = source;
     if (bytes == 0)
         return transfer;
     // Decode the first burst, then step: every later burst starts one
@@ -201,36 +251,55 @@ MainMemory::recordTransfer(std::uint64_t addr, std::size_t bytes,
     PRIME_ASSERT(addr + last < mapper_.capacityBytes(), "transfer of ",
                  bytes, " bytes at ", addr, " beyond capacity ",
                  mapper_.capacityBytes());
-    std::vector<PendingRequest> bursts;
-    PendingRequest p;
-    p.request.isWrite = is_write;
-    p.request.source = source;
-    p.location = mapper_.decode(addr);
-    for (std::size_t off = 0; off < bytes;
-         off += AddressMapper::kLineBytes) {
-        if (off != 0)
-            mapper_.stepLine(p.location);
-        p.request.addr = addr + off;
-        p.request.bytes = static_cast<std::uint32_t>(
-            std::min<std::size_t>(AddressMapper::kLineBytes, bytes - off));
-        bursts.push_back(p);
-    }
+    const std::size_t n = last / AddressMapper::kLineBytes + 1;
+    const int per_chip = params_.geometry.banksPerChip;
     // Group per bank in first-appearance order, keeping each bank's
     // bursts in address order: the per-bank queues scheduleBatch forms
     // for these bursts, whatever the channel cursors (a channel's
-    // bursts share one issue time, so its banks keep this order).
-    std::vector<int> banks;
-    for (const PendingRequest &b : bursts)
-        if (std::find(banks.begin(), banks.end(), b.location.globalBank) ==
-            banks.end())
-            banks.push_back(b.location.globalBank);
-    transfer.bursts.reserve(bursts.size());
-    for (const int bank : banks) {
-        for (const PendingRequest &b : bursts)
-            if (b.location.globalBank == bank)
-                transfer.bursts.push_back(b);
-        transfer.groupEnds.push_back(
-            static_cast<std::uint32_t>(transfer.bursts.size()));
+    // bursts share one issue time, so its banks keep this order).  One
+    // pass in address order compiles each burst and cuts the transfer
+    // where the bank changes; only a bank with a second run sends the
+    // runs through mergeBankRuns.
+    transfer.bursts.resize(n);
+    bool revisits = false;
+    Location loc = mapper_.decode(addr);
+    for (std::size_t k = 0; k < n; ++k) {
+        if (k != 0)
+            mapper_.stepLine(loc);
+        const MemoryController &ctrl = *controllers_[
+            static_cast<std::size_t>(loc.channel)];
+        const std::uint32_t b_bytes =
+            static_cast<std::uint32_t>(std::min<std::size_t>(
+                AddressMapper::kLineBytes,
+                bytes - k * AddressMapper::kLineBytes));
+        Burst &b = transfer.bursts[k];
+        b.rowTag = ctrl.rowTag(loc);
+        b.busNs = ctrl.busNs(b_bytes);
+        b.bytes = b_bytes;
+        b.channel = static_cast<std::uint16_t>(loc.channel);
+        b.bank = static_cast<std::uint16_t>(loc.chip * per_chip + loc.bank);
+        if (k == 0 || sameBank(b, transfer.bursts[k - 1]))
+            continue;
+        // A new run starts at k: compare it with every earlier run's
+        // first burst.
+        if (!revisits) {
+            revisits = sameBank(b, transfer.bursts.front());
+            for (const std::uint32_t start : transfer.groupEnds)
+                revisits = revisits || sameBank(b, transfer.bursts[start]);
+        }
+        transfer.groupEnds.push_back(static_cast<std::uint32_t>(k));
+    }
+    transfer.groupEnds.push_back(static_cast<std::uint32_t>(n));
+    if (revisits)
+        mergeBankRuns(transfer);
+    // Within a bank, addresses order the row tags, so every row's
+    // bursts are adjacent in its group: what lets schedule() serve a
+    // cold group in this order (MemoryController::scheduleGroup).
+    for (std::size_t k = 1; k < n; ++k) {
+        const Burst &prev = transfer.bursts[k - 1];
+        const Burst &b = transfer.bursts[k];
+        PRIME_ASSERT(!sameBank(prev, b) || prev.rowTag <= b.rowTag,
+                     "row tags out of address order in a bank group");
     }
     return transfer;
 }
@@ -249,16 +318,13 @@ MainMemory::schedule(const Transfer &transfer)
     // push this transfer's issue time on every other channel.
     for (std::size_t ch = 0; ch < controllers_.size(); ++ch)
         issue_[ch] = controllers_[ch]->channelFree();
-    std::size_t begin = 0;
+    std::uint32_t begin = 0;
     for (const std::uint32_t end : transfer.groupEnds) {
-        queue_.assign(transfer.bursts.begin() +
-                          static_cast<std::ptrdiff_t>(begin),
-                      transfer.bursts.begin() +
-                          static_cast<std::ptrdiff_t>(end));
-        const int channel = queue_.front().location.channel;
-        for (PendingRequest &p : queue_)
-            p.request.issue = issue_[static_cast<std::size_t>(channel)];
-        controller(channel).scheduleBankQueue(queue_, sched_, nullptr);
+        const std::span<const Burst> group(transfer.bursts.data() + begin,
+                                           end - begin);
+        const std::size_t ch = group.front().channel;
+        controllers_[ch]->scheduleGroup(group, issue_[ch], transfer.isWrite,
+                                        transfer.source, sched_);
         begin = end;
     }
 }

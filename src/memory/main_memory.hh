@@ -34,19 +34,22 @@ namespace prime::memory {
 class CpuTrafficGenerator;
 
 /**
- * A timed transfer decoded once (MainMemory::recordTransfer): its
- * 64-byte bursts with their addresses, sizes, direction and decoded
- * locations, grouped per bank in first-appearance order -- each group
- * one FR-FCFS bank queue.  The record holds no time: schedule() issues
- * it at the owning channels' cursors of the moment, so one record
- * replays any number of times.
+ * A timed transfer compiled once (MainMemory::recordTransfer): its
+ * 64-byte bursts as the timing reads them (Burst), grouped per bank
+ * in first-appearance order, address order within a group -- each
+ * group one FR-FCFS bank queue -- plus the transfer's direction and
+ * source.  The record holds no time: schedule() issues it at the
+ * owning channels' cursors of the moment, so one record replays any
+ * number of times.
  */
 struct Transfer
 {
-    /** The bursts, bank group after bank group (issue times unset). */
-    std::vector<PendingRequest> bursts;
+    /** The bursts, bank group after bank group. */
+    std::vector<Burst> bursts;
     /** End offset in bursts of each bank group. */
     std::vector<std::uint32_t> groupEnds;
+    bool isWrite = false;
+    RequestSource source = RequestSource::Prime;
 };
 
 /**
@@ -64,8 +67,13 @@ struct Transfer
  * Timing is a pass, not a side effect: PRIME records each Fetch/Commit
  * once as a Transfer (recordTransfer, at tape-lowering time) and
  * replays the ids its stages logged through schedule() in one
- * single-threaded timing pass per public PrimeSystem call.  A co-run
- * CPU stream (setCoRun) is merged into that pass in modeled time.
+ * single-threaded timing pass per public PrimeSystem call.  Everything
+ * about a transfer but its issue time is fixed when it is recorded --
+ * each burst's row tag and bus time, its bank group -- so the replay
+ * copies nothing and serves a group whose bank is not already open on
+ * one of its later rows straight through, in address order
+ * (MemoryController::scheduleGroup).  A co-run CPU stream (setCoRun)
+ * is merged into that pass in modeled time.
  *
  * Thread safety -- the timing state (bank FSMs and stat shards,
  * channel cursors, the PRIME horizon, the scheduling scratch) has one
@@ -109,10 +117,10 @@ class MainMemory
     scheduleBatch(std::vector<Request> requests);
 
     /**
-     * Decode a transfer of @p bytes at @p addr into 64-byte bursts
-     * attributed to @p source, grouped per bank (see Transfer).  Pure:
-     * touches no timing state, so it can run once, when PRIME lowers
-     * its command tape.
+     * Compile a transfer of @p bytes at @p addr into 64-byte bursts
+     * attributed to @p source, grouped per bank (see Transfer), in one
+     * pass over the bursts.  Pure: touches no timing state, so it can
+     * run once, when PRIME lowers its command tape.
      */
     Transfer recordTransfer(std::uint64_t addr, std::size_t bytes,
                             bool is_write,
@@ -233,10 +241,9 @@ class MainMemory
     /** The co-run CPU stream schedule() merges (none: nullptr). */
     CpuTrafficGenerator *coRun_ = nullptr;
 
-    /** Timing-writer scratch, grown to the largest batch or group
-     *  seen: scheduleBatch's decoded requests and bank order, the
-     *  bank queue handed to a controller, schedule()'s per-channel
-     *  issue times. */
+    /** Timing-writer scratch, grown to the largest batch seen:
+     *  scheduleBatch's decoded requests, bank order and the bank queue
+     *  handed to a controller; schedule()'s per-channel issue times. */
     std::vector<PendingRequest> decoded_;
     std::vector<int> bankOrder_;
     std::vector<PendingRequest> queue_;

@@ -228,24 +228,32 @@ MaxPool::forward(const Tensor &input)
     inShape_ = input.shape();
     Tensor out({c, oh, ow});
     argmax_.assign(static_cast<std::size_t>(c) * oh * ow, 0);
+    // The shape is checked above, so index the flat (c, h, w) storage
+    // directly; every window lies inside the input since oh * k <= h
+    // and ow * k <= w.  The output is written in (c, y, x) order.
+    const double *in = input.data();
+    double *dst = out.data();
+    int *route = argmax_.data();
+    const std::size_t plane = static_cast<std::size_t>(h) * w;
     for (int ch = 0; ch < c; ++ch) {
+        const double *in_ch = in + static_cast<std::size_t>(ch) * plane;
         for (int y = 0; y < oh; ++y) {
             for (int x = 0; x < ow; ++x) {
                 double best = -1.0e300;
                 int best_idx = 0;
                 for (int dy = 0; dy < k_; ++dy) {
+                    const int iy = y * k_ + dy;
                     for (int dx = 0; dx < k_; ++dx) {
-                        const int iy = y * k_ + dy, ix = x * k_ + dx;
-                        const double v = input.at3(ch, iy, ix);
+                        const int idx = iy * w + x * k_ + dx;
+                        const double v = in_ch[idx];
                         if (v > best) {
                             best = v;
-                            best_idx = iy * w + ix;
+                            best_idx = idx;
                         }
                     }
                 }
-                out.at3(ch, y, x) = best;
-                argmax_[(static_cast<std::size_t>(ch) * oh + y) * ow + x] =
-                    best_idx;
+                *dst++ = best;
+                *route++ = best_idx;
             }
         }
     }

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -888,6 +889,73 @@ expectSameHistogram(const telemetry::Histogram &got,
     EXPECT_EQ(got.buckets(), want.buckets()) << what;
 }
 
+/**
+ * The reference a replayed transfer must match: its bursts as plain
+ * requests, each issued at its own channel's cursor of @p mem, as one
+ * FR-FCFS batch.  Returns the completions (grouped by bank in
+ * first-appearance order, completion order within a bank).
+ */
+std::vector<RequestResult>
+scheduleAsBatch(MainMemory &mem, std::uint64_t addr, std::size_t bytes,
+                bool is_write)
+{
+    std::vector<Request> bursts;
+    for (std::size_t off = 0; off < bytes; off += 64)
+        bursts.push_back(Request{
+            addr + off,
+            static_cast<std::uint32_t>(std::min<std::size_t>(64, bytes - off)),
+            is_write,
+            mem.controller(mem.mapper().channelOf(addr + off)).channelFree(),
+            RequestSource::Prime});
+    const Ns progress = mem.primeProgressNs();
+    std::vector<RequestResult> results = mem.scheduleBatch(bursts);
+    // The horizon is the latest PRIME dataReady so far.
+    Ns ready = progress;
+    for (const RequestResult &r : results)
+        ready = std::max(ready, r.dataReady);
+    EXPECT_EQ(results.size(), bursts.size());
+    EXPECT_EQ(mem.primeProgressNs(), ready);
+    return results;
+}
+
+/** Every bank, counter, histogram and published stat of the two
+ *  memories agrees. */
+void
+expectSameTimingState(MainMemory &got_mem, MainMemory &want_mem)
+{
+    for (int b = 0; b < got_mem.params().geometry.totalBanks(); ++b) {
+        EXPECT_EQ(got_mem.bank(b).openRow(), want_mem.bank(b).openRow())
+            << b;
+        EXPECT_EQ(got_mem.bank(b).nextFree(), want_mem.bank(b).nextFree())
+            << b;
+    }
+    EXPECT_EQ(got_mem.primeProgressNs(), want_mem.primeProgressNs());
+    for (int ch = 0; ch < got_mem.channels(); ++ch) {
+        EXPECT_EQ(got_mem.controller(ch).channelFree(),
+                  want_mem.controller(ch).channelFree()) << ch;
+        const ChannelTotals got = got_mem.controller(ch).totals();
+        const ChannelTotals want = want_mem.controller(ch).totals();
+        EXPECT_EQ(got.reads, want.reads) << ch;
+        EXPECT_EQ(got.writes, want.writes) << ch;
+        EXPECT_EQ(got.bytes, want.bytes) << ch;
+        EXPECT_EQ(got.rowHits, want.rowHits) << ch;
+        EXPECT_EQ(got.rowMisses, want.rowMisses) << ch;
+        expectSameHistogram(got.queueNs, want.queueNs, "queue_ns");
+        expectSameHistogram(got.serviceNs, want.serviceNs, "service_ns");
+        for (std::size_t src = 0; src < kRequestSources; ++src) {
+            expectSameHistogram(got.sourceServiceNs[src],
+                                want.sourceServiceNs[src],
+                                "source service_ns");
+            EXPECT_EQ(got.sourceLastReady[src], want.sourceLastReady[src]);
+        }
+    }
+    // The published documents agree too.
+    std::ostringstream a, b;
+    got_mem.stats().dump(a);
+    want_mem.stats().dump(b);
+    EXPECT_EQ(a.str(), b.str());
+}
+
 TEST(MainMemory, ReplayedTransfersMatchScheduleBatchOfTheirBursts)
 {
     for (const nvmodel::TechParams &t : burstGeometries()) {
@@ -916,6 +984,7 @@ TEST(MainMemory, ReplayedTransfersMatchScheduleBatchOfTheirBursts)
                 addr, bytes, draws.back().isWrite));
         }
         for (int i = 0; i < 400; ++i) {
+            SCOPED_TRACE("transfer " + std::to_string(i));
             const Draw &d = draws[static_cast<std::size_t>(i)];
             // CPU requests on both twins skew the channel cursors, so
             // multi-channel transfers issue out of order and sort.
@@ -929,103 +998,226 @@ TEST(MainMemory, ReplayedTransfersMatchScheduleBatchOfTheirBursts)
                 replay_mem.access(cpu);
                 batch_mem.access(cpu);
             }
-
-            // The reference: the transfer's bursts, issued at their own
-            // channel's cursor, as one FR-FCFS batch.
-            std::vector<Request> bursts;
-            for (std::size_t off = 0; off < d.bytes; off += 64)
-                bursts.push_back(Request{
-                    d.addr + off,
-                    static_cast<std::uint32_t>(
-                        std::min<std::size_t>(64, d.bytes - off)),
-                    d.isWrite,
-                    batch_mem
-                        .controller(
-                            batch_mem.mapper().channelOf(d.addr + off))
-                        .channelFree(),
-                    RequestSource::Prime});
-            const Ns progress = batch_mem.primeProgressNs();
-            const std::vector<RequestResult> results =
-                batch_mem.scheduleBatch(bursts);
+            scheduleAsBatch(batch_mem, d.addr, d.bytes, d.isWrite);
             replay_mem.schedule(records[static_cast<std::size_t>(i)]);
-
-            // The horizon is the latest PRIME dataReady so far.
-            Ns ready = progress;
-            for (const RequestResult &r : results)
-                ready = std::max(ready, r.dataReady);
-            ASSERT_EQ(results.size(), bursts.size());
-            ASSERT_EQ(batch_mem.primeProgressNs(), ready) << "transfer " << i;
             ASSERT_EQ(replay_mem.primeProgressNs(),
-                      batch_mem.primeProgressNs()) << "transfer " << i;
+                      batch_mem.primeProgressNs());
             for (int ch = 0; ch < replay_mem.channels(); ++ch)
                 ASSERT_EQ(replay_mem.controller(ch).channelFree(),
                           batch_mem.controller(ch).channelFree())
-                    << "transfer " << i << " channel " << ch;
+                    << "channel " << ch;
         }
-        for (int b = 0; b < t.geometry.totalBanks(); ++b) {
-            EXPECT_EQ(replay_mem.bank(b).openRow(),
-                      batch_mem.bank(b).openRow()) << b;
-            EXPECT_EQ(replay_mem.bank(b).nextFree(),
-                      batch_mem.bank(b).nextFree()) << b;
-        }
+        expectSameTimingState(replay_mem, batch_mem);
         for (int ch = 0; ch < replay_mem.channels(); ++ch) {
             const ChannelTotals got = replay_mem.controller(ch).totals();
-            const ChannelTotals want = batch_mem.controller(ch).totals();
-            EXPECT_EQ(got.reads, want.reads) << ch;
-            EXPECT_EQ(got.writes, want.writes) << ch;
-            EXPECT_EQ(got.bytes, want.bytes) << ch;
-            EXPECT_EQ(got.rowHits, want.rowHits) << ch;
-            EXPECT_EQ(got.rowMisses, want.rowMisses) << ch;
             EXPECT_GT(got.rowHits, 0u) << ch;
             EXPECT_GT(got.rowMisses, 0u) << ch;
-            expectSameHistogram(got.queueNs, want.queueNs, "queue_ns");
-            expectSameHistogram(got.serviceNs, want.serviceNs,
-                                "service_ns");
-            for (std::size_t src = 0; src < kRequestSources; ++src) {
-                expectSameHistogram(got.sourceServiceNs[src],
-                                    want.sourceServiceNs[src],
-                                    "source service_ns");
-                EXPECT_EQ(got.sourceLastReady[src],
-                          want.sourceLastReady[src]);
+        }
+    }
+}
+
+TEST(MainMemory, ReplayMatchesScheduleBatchOnWarmStartsAndEveryPolicy)
+{
+    // The replay serves a bank group oldest first unless the bank
+    // starts open on one of the group's rows after its first (a warm
+    // start), and only then runs the FR-FCFS selection.  Here a CPU
+    // access often opens the row of a later burst of the next
+    // transfer, or the previous transfer is repeated (its last row is
+    // still open), under both page policies and narrow windows and
+    // bypass bounds.  On the default geometry every 128-byte mat row
+    // is two bursts, so groups repeat their row tags.  A recorded
+    // group's tags never decrease, so its cold order is always its
+    // address order; what a group can be served in other than address
+    // order comes from a warm start, and each case below checks in
+    // the reference's completion order that it was reached.
+    struct Case
+    {
+        PagePolicy policy;
+        SchedulerConfig sched;
+        /** Can a warm start reorder a group under this case? */
+        bool reorders;
+    };
+    const Case cases[] = {
+        {PagePolicy::Open, SchedulerConfig{}, true},
+        {PagePolicy::Closed, SchedulerConfig{}, false},
+        {PagePolicy::Open, SchedulerConfig{1, 1}, false},
+        {PagePolicy::Open, SchedulerConfig{1, 0}, false},
+        {PagePolicy::Open, SchedulerConfig{2, 1}, true},
+        {PagePolicy::Open, SchedulerConfig{2, 0}, false},
+    };
+    for (const nvmodel::TechParams &t : burstGeometries()) {
+        for (const Case &c : cases) {
+            SCOPED_TRACE(::testing::Message()
+                         << "channels=" << t.geometry.channels << " "
+                         << (c.policy == PagePolicy::Open ? "open"
+                                                          : "closed")
+                         << " window=" << c.sched.window
+                         << " maxBypass=" << c.sched.maxBypass);
+            MainMemory replay_mem(t, c.policy, c.sched);
+            MainMemory batch_mem(t, c.policy, c.sched);
+            const std::uint64_t cap = replay_mem.mapper().capacityBytes();
+            Rng rng(407);
+            std::uint64_t addr = 0;
+            std::size_t bytes = 0;
+            bool is_write = false;
+            int warm_starts = 0, reordered = 0, repeated_tags = 0;
+            for (int i = 0; i < 300; ++i) {
+                SCOPED_TRACE("transfer " + std::to_string(i));
+                if (i == 0 || !rng.bernoulli(0.25)) {
+                    bytes = static_cast<std::size_t>(rng.uniformInt(65, 700));
+                    addr = static_cast<std::uint64_t>(rng.uniformInt(
+                        0, static_cast<std::int64_t>(cap - bytes)));
+                    is_write = rng.bernoulli(0.5);
+                }
+                const Transfer record =
+                    replay_mem.recordTransfer(addr, bytes, is_write);
+                // Open the row of one of the first few later bursts
+                // (any of them, now and then) on both twins.
+                if (rng.bernoulli(0.6)) {
+                    const std::int64_t bursts =
+                        static_cast<std::int64_t>((bytes + 63) / 64);
+                    const std::int64_t j = rng.uniformInt(
+                        1, rng.bernoulli(0.7) ? std::min<std::int64_t>(
+                                                    3, bursts - 1)
+                                              : bursts - 1);
+                    const Request cpu{addr + static_cast<std::uint64_t>(j) *
+                                                 64,
+                                      64, rng.bernoulli(0.5),
+                                      replay_mem.channelFree(),
+                                      RequestSource::Cpu};
+                    replay_mem.access(cpu);
+                    batch_mem.access(cpu);
+                }
+                // Which groups start warm: the bank is open on a row
+                // of the group other than its first.
+                std::size_t begin = 0;
+                for (const std::uint32_t end : record.groupEnds) {
+                    const Burst &front = record.bursts[begin];
+                    const std::int64_t open =
+                        replay_mem.controller(front.channel)
+                            .bank(front.bank)
+                            .openRow();
+                    for (std::size_t k = begin + 1; k < end; ++k) {
+                        repeated_tags += record.bursts[k].rowTag ==
+                                         record.bursts[k - 1].rowTag;
+                        if (open != front.rowTag &&
+                            record.bursts[k].rowTag == open) {
+                            ++warm_starts;
+                            break;
+                        }
+                    }
+                    begin = end;
+                }
+
+                const std::vector<RequestResult> results =
+                    scheduleAsBatch(batch_mem, addr, bytes, is_write);
+                replay_mem.schedule(record);
+                for (std::size_t k = 1; k < results.size(); ++k)
+                    if (results[k].location.globalBank ==
+                            results[k - 1].location.globalBank &&
+                        results[k].request.addr <
+                            results[k - 1].request.addr) {
+                        ++reordered;
+                        break;
+                    }
+                ASSERT_EQ(replay_mem.primeProgressNs(),
+                          batch_mem.primeProgressNs());
+                for (int ch = 0; ch < replay_mem.channels(); ++ch)
+                    ASSERT_EQ(replay_mem.controller(ch).channelFree(),
+                              batch_mem.controller(ch).channelFree())
+                        << "channel " << ch;
+            }
+            expectSameTimingState(replay_mem, batch_mem);
+            if (c.policy == PagePolicy::Closed) {
+                // No row stays open, so no start is warm.
+                EXPECT_EQ(warm_starts, 0);
+                EXPECT_EQ(replay_mem.rowHitRate(), 0.0);
+            } else {
+                EXPECT_GT(warm_starts, 10);
+            }
+            if (c.reorders) {
+                EXPECT_GT(reordered, 5);
+            } else {
+                EXPECT_EQ(reordered, 0);
+            }
+            if (t.geometry.channels == 1) {
+                EXPECT_GT(repeated_tags, 100);
             }
         }
-        // The published documents agree too.
-        std::ostringstream a, b;
-        replay_mem.stats().dump(a);
-        batch_mem.stats().dump(b);
-        EXPECT_EQ(a.str(), b.str());
     }
 }
 
 TEST(MainMemory, RecordedTransferGroupsBurstsPerBank)
 {
-    // A record touches no timing state, and groups its bursts per bank
-    // in first-appearance order, address order within a group.
-    MainMemory mem(oddTech());
-    const Transfer t = mem.recordTransfer(5, 3000, true);
-    EXPECT_EQ(mem.channelFree(), 0.0);
-    ASSERT_EQ(t.bursts.size(), (3000u + 63) / 64);
-    ASSERT_FALSE(t.groupEnds.empty());
-    EXPECT_EQ(t.groupEnds.back(), t.bursts.size());
-    std::vector<int> seen;
-    std::size_t begin = 0;
-    for (const std::uint32_t end : t.groupEnds) {
-        ASSERT_LT(begin, end);
-        const int bank = t.bursts[begin].location.globalBank;
-        EXPECT_EQ(std::find(seen.begin(), seen.end(), bank), seen.end());
-        seen.push_back(bank);
-        for (std::size_t i = begin; i < end; ++i) {
-            EXPECT_EQ(t.bursts[i].location.globalBank, bank);
-            EXPECT_TRUE(t.bursts[i].request.isWrite);
-            if (i > begin) {
-                EXPECT_LT(t.bursts[i - 1].request.addr,
-                          t.bursts[i].request.addr);
+    // A record touches no timing state, compiles every burst (row tag,
+    // bus time, bytes, bank) and groups the bursts per bank in
+    // first-appearance order, one direction for the whole transfer.
+    // Address order within a group is pinned by the replay matching
+    // scheduleBatch (ReplayedTransfersMatchScheduleBatchOfTheirBursts).
+    for (const nvmodel::TechParams &tp : burstGeometries()) {
+        SCOPED_TRACE("channels=" + std::to_string(tp.geometry.channels));
+        MainMemory mem(tp);
+        // Start 1000 bytes before the first bank change.
+        const nvmodel::Geometry &g = tp.geometry;
+        const std::uint64_t addr =
+            mem.mapper().bytesPerMatRow() * g.matsPerSubarray *
+                g.subarraysPerBank * g.channels -
+            1000 + 5;
+        const Transfer t = mem.recordTransfer(addr, 3000, true);
+        EXPECT_EQ(mem.channelFree(), 0.0);
+        EXPECT_TRUE(t.isWrite);
+        EXPECT_EQ(t.source, RequestSource::Prime);
+        ASSERT_EQ(t.bursts.size(), (3000u + 63) / 64);
+        ASSERT_FALSE(t.groupEnds.empty());
+        EXPECT_EQ(t.groupEnds.back(), t.bursts.size());
+
+        // The banks in first-appearance order, and each burst's own
+        // tag and size, from the plain decode of its address.
+        const int per = tp.geometry.banksPerChannel();
+        std::vector<int> want_banks;
+        std::vector<std::size_t> want_count;
+        std::map<int, std::vector<std::int64_t>> tags_of_bank;
+        std::uint64_t bytes = 0;
+        for (std::uint64_t off = 0; off < 3000; off += 64) {
+            const Location loc = mem.mapper().decode(addr + off);
+            const auto it = std::find(want_banks.begin(), want_banks.end(),
+                                      loc.globalBank);
+            if (it == want_banks.end()) {
+                want_banks.push_back(loc.globalBank);
+                want_count.push_back(0);
             }
+            ++want_count[static_cast<std::size_t>(
+                std::find(want_banks.begin(), want_banks.end(),
+                          loc.globalBank) -
+                want_banks.begin())];
+            tags_of_bank[loc.globalBank].push_back(
+                mem.controller(loc.channel).rowTag(loc));
         }
-        begin = end;
+        ASSERT_EQ(t.groupEnds.size(), want_banks.size());
+        EXPECT_GT(want_banks.size(), 1u);
+        std::size_t begin = 0;
+        for (std::size_t g = 0; g < t.groupEnds.size(); ++g) {
+            const std::size_t end = t.groupEnds[g];
+            ASSERT_EQ(end - begin, want_count[g]) << "group " << g;
+            std::vector<std::int64_t> tags;
+            for (std::size_t i = begin; i < end; ++i) {
+                const Burst &b = t.bursts[i];
+                EXPECT_EQ(b.channel * per + b.bank, want_banks[g]) << i;
+                EXPECT_EQ(b.busNs,
+                          mem.controller(b.channel).busNs(b.bytes)) << i;
+                bytes += b.bytes;
+                tags.push_back(b.rowTag);
+            }
+            EXPECT_EQ(tags, tags_of_bank[want_banks[g]]) << "group " << g;
+            begin = end;
+        }
+        EXPECT_EQ(bytes, 3000u);
+
+        const Transfer empty = mem.recordTransfer(64, 0, false);
+        EXPECT_TRUE(empty.bursts.empty());
+        EXPECT_TRUE(empty.groupEnds.empty());
+        EXPECT_FALSE(empty.isWrite);
     }
-    EXPECT_GT(seen.size(), 1u);
-    EXPECT_TRUE(mem.recordTransfer(64, 0, false).bursts.empty());
 }
 
 TEST(MainMemory, FrFcfsOrderMatchesEraseReference)

@@ -90,6 +90,59 @@ TEST(MaxPoolLayer, ForwardAndRouting)
     EXPECT_DOUBLE_EQ(g[0], 0.0);
 }
 
+TEST(MaxPoolLayer, FlatIndexingMatchesAt3Formulation)
+{
+    // The reference walks each window through Tensor::at3 in (dy, dx)
+    // order and keeps the first strict maximum.  Inputs draw from a few
+    // values so windows hold ties, several channels, and shapes where
+    // h % k != 0 and w % k != 0 leave a trailing row/column unpooled.
+    Rng rng(21);
+    struct Shape
+    {
+        int c, h, w, k;
+    };
+    for (const Shape s : {Shape{3, 7, 5, 2}, Shape{2, 9, 9, 3},
+                          Shape{4, 6, 8, 2}, Shape{1, 5, 4, 4}}) {
+        SCOPED_TRACE(::testing::Message() << s.c << "x" << s.h << "x"
+                                          << s.w << " k=" << s.k);
+        Tensor in({s.c, s.h, s.w});
+        for (std::size_t i = 0; i < in.size(); ++i)
+            in[i] = static_cast<double>(rng.uniformInt(-3, 3)) * 0.5;
+        const int oh = s.h / s.k, ow = s.w / s.k;
+        Tensor want({s.c, oh, ow});
+        Tensor want_grad({s.c, s.h, s.w});
+        Tensor grad_out({s.c, oh, ow});
+        for (std::size_t i = 0; i < grad_out.size(); ++i)
+            grad_out[i] = static_cast<double>(i + 1);
+        for (int ch = 0; ch < s.c; ++ch)
+            for (int y = 0; y < oh; ++y)
+                for (int x = 0; x < ow; ++x) {
+                    double best = -1.0e300;
+                    int by = 0, bx = 0;
+                    for (int dy = 0; dy < s.k; ++dy)
+                        for (int dx = 0; dx < s.k; ++dx) {
+                            const double v =
+                                in.at3(ch, y * s.k + dy, x * s.k + dx);
+                            if (v > best) {
+                                best = v;
+                                by = y * s.k + dy;
+                                bx = x * s.k + dx;
+                            }
+                        }
+                    want.at3(ch, y, x) = best;
+                    want_grad.at3(ch, by, bx) += grad_out.at3(ch, y, x);
+                }
+
+        MaxPool pool(s.k);
+        const Tensor got = pool.forward(in);
+        ASSERT_EQ(got.shape(), want.shape());
+        EXPECT_EQ(got.flat(), want.flat());
+        const Tensor got_grad = pool.backward(grad_out);
+        ASSERT_EQ(got_grad.shape(), want_grad.shape());
+        EXPECT_EQ(got_grad.flat(), want_grad.flat());
+    }
+}
+
 TEST(MeanPoolLayer, ForwardAveragesAndBackwardSpreads)
 {
     MeanPool pool(2);
