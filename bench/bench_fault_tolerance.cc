@@ -114,10 +114,9 @@ main()
         nxp.readNoiseSigma = sigma;
         reram::ComposedMatrixEngine engine(128, 16, cp, nxp);
         Rng wrng(9);
-        std::vector<std::vector<int>> w(128, std::vector<int>(16));
-        for (auto &row : w)
-            for (int &v : row)
-                v = static_cast<int>(wrng.uniformInt(-255, 255));
+        std::vector<int> w(128 * 16);
+        for (int &v : w)
+            v = static_cast<int>(wrng.uniformInt(-255, 255));
         engine.programWeights(w);
         double sum_err = 0.0, worst = 0.0;
         int samples = 0;

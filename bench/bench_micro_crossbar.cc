@@ -71,10 +71,9 @@ sharedEngine(int rows, int cols)
         auto engine = std::make_unique<ComposedMatrixEngine>(
             rows, cols, ComposingParams{}, CrossbarParams{});
         Rng rng(9);
-        std::vector<std::vector<int>> w(rows, std::vector<int>(cols));
-        for (auto &r : w)
-            for (int &v : r)
-                v = static_cast<int>(rng.uniformInt(-255, 255));
+        std::vector<int> w(static_cast<std::size_t>(rows) * cols);
+        for (int &v : w)
+            v = static_cast<int>(rng.uniformInt(-255, 255));
         engine->programWeights(w);
         it = cache.emplace(key, std::move(engine)).first;
     }
@@ -211,11 +210,10 @@ BM_SignedPlaneKernel(benchmark::State &state,
     p.cellBits = 7;
     DifferentialPair pair(p);
     Rng rng(11);
-    std::vector<std::vector<int>> w(rows, std::vector<int>(lines));
-    for (auto &r : w)
-        for (int &v : r)
-            v = static_cast<int>(rng.uniformInt(-127, 127));
-    pair.programSigned(w);
+    std::vector<int> w(static_cast<std::size_t>(rows) * lines);
+    for (int &v : w)
+        v = static_cast<int>(rng.uniformInt(-127, 127));
+    pair.programSigned(w, 1);
     // A high and a low phase: one composed input vector.
     const std::vector<std::uint8_t> phases = randomCodes(2 * rows, 7, rng);
     std::vector<std::int64_t> passes(2 * static_cast<std::size_t>(lines));
@@ -283,6 +281,42 @@ BM_CellProgramming(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CellProgramming);
+
+/** A mat's reprogramming with variation (one Monte-Carlo trial's
+ *  per-mat work): construct a rows x cols composed engine and program
+ *  it, every cell drawing its programming error. */
+void
+BM_ProgramWeights(benchmark::State &state)
+{
+    const int rows = static_cast<int>(state.range(0));
+    const int cols = static_cast<int>(state.range(1));
+    Rng rng(13);
+    std::vector<int> w(static_cast<std::size_t>(rows) * cols);
+    for (int &v : w)
+        v = static_cast<int>(rng.uniformInt(-255, 255));
+    CrossbarParams xp;
+    xp.device.programVariation = 0.03;
+    for (auto _ : state) {
+        ComposedMatrixEngine engine(rows, cols, ComposingParams{}, xp);
+        engine.programWeights(w, &rng);
+        benchmark::DoNotOptimize(engine.arrays().quadPlane().data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(rows) * cols);
+}
+BENCHMARK(BM_ProgramWeights)->Args({256, 256});
+
+/** Gaussian draws, the variation and read-noise draw shape. */
+void
+BM_RngGaussian(benchmark::State &state)
+{
+    Rng rng(14);
+    double sum = 0.0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sum += rng.gaussian(0.0, 0.03));
+}
+BENCHMARK(BM_RngGaussian);
 
 } // namespace
 

@@ -1,6 +1,8 @@
 #include "common/fixed_point.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -39,6 +41,29 @@ DfxFormat::minValue() const
     return static_cast<double>(minMantissa()) * step();
 }
 
+namespace {
+
+/**
+ * Bucket of |x| by binary exponent, in magnitude order: 0 for zero, 64
+ * minus the leading-zero count of the significand (1..52) for a
+ * denormal, and the biased exponent plus 52 (53..2099) for a normal
+ * value -- so a nonzero finite x has frexp exponent bucket - 1074.  Inf
+ * and NaN land in the top bucket, 2099.
+ */
+int
+exponentBucket(double x)
+{
+    const std::uint64_t bits =
+        std::bit_cast<std::uint64_t>(x) & ~(std::uint64_t{1} << 63);
+    const int field = static_cast<int>(bits >> 52);
+    return field != 0 ? field + 52 : static_cast<int>(std::bit_width(bits));
+}
+
+constexpr int kExponentBuckets = 2100;
+constexpr int kBucketBias = 1074;
+
+} // namespace
+
 DfxFormat
 DfxFormat::choose(std::span<const double> data, int bits,
                   double saturate_fraction)
@@ -46,32 +71,37 @@ DfxFormat::choose(std::span<const double> data, int bits,
     PRIME_ASSERT(bits >= 1 && bits <= 32, "bits=", bits);
     PRIME_ASSERT(saturate_fraction >= 0.0 && saturate_fraction < 0.5,
                  "saturate_fraction=", saturate_fraction);
-    double max_abs = 0.0;
-    if (saturate_fraction > 0.0 && data.size() > 8) {
-        std::vector<double> mags(data.begin(), data.end());
-        for (double &m : mags)
-            m = std::fabs(m);
-        const std::size_t keep = static_cast<std::size_t>(
-            (1.0 - saturate_fraction) * (mags.size() - 1));
-        std::nth_element(mags.begin(), mags.begin() + keep, mags.end());
-        max_abs = mags[keep];
-    } else {
-        for (double x : data)
-            max_abs = std::max(max_abs, std::fabs(x));
-    }
-
     DfxFormat fmt;
     fmt.bits = bits;
-    if (max_abs == 0.0) {
+    // The format only needs the binary exponent of the covered
+    // magnitude, so a histogram of exponents stands in for sorting
+    // magnitudes: the bucket holding the rank-keep magnitude is the
+    // first whose running count passes keep.
+    int bucket = 0;
+    if (saturate_fraction > 0.0 && data.size() > 8) {
+        const std::size_t keep = static_cast<std::size_t>(
+            (1.0 - saturate_fraction) * (data.size() - 1));
+        std::array<std::size_t, kExponentBuckets> counts{};
+        for (double x : data)
+            ++counts[static_cast<std::size_t>(exponentBucket(x))];
+        for (std::size_t below = counts[0]; below <= keep;
+             below += counts[static_cast<std::size_t>(bucket)])
+            ++bucket;
+    } else {
+        double max_abs = 0.0;
+        for (double x : data)
+            max_abs = std::max(max_abs, std::fabs(x));
+        bucket = exponentBucket(max_abs);
+    }
+
+    if (bucket == 0) {
         fmt.fracLength = bits - 1;
         return fmt;
     }
-    // Integer bits needed to hold max_abs with a sign bit; the fraction
-    // length is whatever is left.  frexp gives max_abs = m * 2^e with
-    // m in [0.5, 1), so values below 2^e need e integer bits.
-    int exp = 0;
-    std::frexp(max_abs, &exp);
-    fmt.fracLength = bits - 1 - exp;
+    // Integer bits needed to hold the magnitude with a sign bit; the
+    // fraction length is whatever is left.  frexp's exponent e has the
+    // magnitude below 2^e, so it needs e integer bits.
+    fmt.fracLength = bits - 1 - (bucket - kBucketBias);
     return fmt;
 }
 
@@ -151,12 +181,29 @@ normalPow2(int exp)
                : 0.0;
 }
 
-int
-quantizeWeightCode(double w, int frac, int bits)
+void
+quantizeWeightCodes(std::span<const double> weights, int frac, int bits,
+                    std::span<int> out)
 {
+    PRIME_ASSERT(bits >= 1 && bits <= 30, "bits=", bits);
+    PRIME_ASSERT(out.size() == weights.size(),
+                 "codes ", out.size(), " vs weights ", weights.size());
     const double max_w = static_cast<double>((1 << bits) - 1);
-    return static_cast<int>(
-        std::clamp(std::nearbyint(std::ldexp(w, frac)), -max_w, max_w));
+    // Round to nearest even without a libm call: for |v| <= 2^51,
+    // adding and subtracting 1.5 * 2^52 rounds exactly as std::nearbyint
+    // does.  Clamping first gives what clamping the rounded value gives
+    // (the bounds are integers) and keeps v in that range.
+    constexpr double kRound = 6755399441055744.0;  // 1.5 * 2^52
+    auto quantize = [&](auto scale) {
+        for (std::size_t i = 0; i < weights.size(); ++i) {
+            const double v = std::clamp(scale(weights[i]), -max_w, max_w);
+            out[i] = static_cast<int>((v + kRound) - kRound);
+        }
+    };
+    if (const double pow2 = normalPow2(frac); pow2 != 0.0)
+        quantize([pow2](double w) { return w * pow2; });
+    else
+        quantize([frac](double w) { return std::ldexp(w, frac); });
 }
 
 } // namespace prime

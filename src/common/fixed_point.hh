@@ -49,7 +49,8 @@ struct DfxFormat
      *        format covers the (1 - saturate_fraction) magnitude
      *        quantile instead of the strict maximum, trading a few
      *        clipped outliers for a finer step (a large win at <= 4
-     *        bits).
+     *        bits).  Only the quantile's binary exponent matters, so
+     *        it is read from a histogram of exponents.
      */
     static DfxFormat choose(std::span<const double> data, int bits,
                             double saturate_fraction = 0.0);
@@ -78,9 +79,13 @@ DfxFormat dfxRoundVector(std::vector<double> &data, int bits,
 int quantizeActivationCodes(std::span<const double> values, int bits,
                             std::span<std::uint8_t> out);
 
-/** A weight's sign-magnitude code: round-to-nearest of w * 2^frac,
- *  saturated to +-(2^bits - 1). */
-int quantizeWeightCode(double w, int frac, int bits);
+/**
+ * Sign-magnitude weight codes into @p out, one per weight: each is
+ * round-to-nearest-even of w * 2^@p frac, saturated to +-(2^bits - 1).
+ * The weights must be finite.
+ */
+void quantizeWeightCodes(std::span<const double> weights, int frac, int bits,
+                         std::span<int> out);
 
 /**
  * 2^@p exp when that is a normal double, else 0.  A multiply by a

@@ -59,10 +59,8 @@ QuantizedNetwork::injectCellFaults(const reram::FaultModel &model,
         // Lift weights to composing codes, corrupt, drop back.
         std::vector<std::vector<int>> codes(
             1, std::vector<int>(q.weights.size()));
-        for (std::size_t i = 0; i < q.weights.size(); ++i)
-            codes[0][i] =
-                quantizeWeightCode(q.weights[i], q.weightFormat.fracLength,
-                                   options_.composing.weightBits);
+        quantizeWeightCodes(q.weights, q.weightFormat.fracLength,
+                            options_.composing.weightBits, codes[0]);
         std::vector<std::vector<int>> faulty =
             reram::injectWeightFaults(codes, options_.composing, model,
                                       rng);
@@ -146,7 +144,6 @@ QuantizedNetwork::composedMvm(
     }
 
     const int w_frac = q.weightFormat.fracLength;
-    const int max_w = (1 << cp.weightBits) - 1;
 
     // Quantize every weight column first, then calibrate the SA window
     // to the worst-case column range (the per-layer reconfigurable-SA
@@ -156,13 +153,8 @@ QuantizedNetwork::composedMvm(
     for (std::size_t c = 0; c < weight_cols.size(); ++c) {
         PRIME_ASSERT(weight_cols[c].size() == inputs.size(),
                      "weight column length mismatch");
-        for (std::size_t i = 0; i < inputs.size(); ++i) {
-            double m = std::nearbyint(
-                std::ldexp(weight_cols[c][i], w_frac));
-            wcodes[c][i] = static_cast<int>(std::clamp(
-                m, static_cast<double>(-max_w),
-                static_cast<double>(max_w)));
-        }
+        quantizeWeightCodes(weight_cols[c], w_frac, cp.weightBits,
+                            wcodes[c]);
     }
     std::vector<double> out(weight_cols.size(), 0.0);
     if (calibrating_) {
@@ -183,12 +175,13 @@ QuantizedNetwork::composedMvm(
     int shift = q.outputShift;
     if (shift < 0) {
         // Uncalibrated: conservative worst-case-weight window.
-        std::vector<std::vector<int>> by_row(
-            inputs.size(), std::vector<int>(weight_cols.size()));
-        for (std::size_t c = 0; c < weight_cols.size(); ++c)
+        const std::size_t cols = weight_cols.size();
+        std::vector<int> by_row(inputs.size() * cols);
+        for (std::size_t c = 0; c < cols; ++c)
             for (std::size_t i = 0; i < inputs.size(); ++i)
-                by_row[i][c] = wcodes[c][i];
-        shift = reram::calibratedOutputShift(by_row, cp);
+                by_row[i * cols + c] = wcodes[c][i];
+        shift = reram::calibratedOutputShift(
+            by_row, static_cast<int>(cols), cp);
     }
 
     for (std::size_t c = 0; c < weight_cols.size(); ++c) {

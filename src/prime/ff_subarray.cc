@@ -40,14 +40,13 @@ FfMat::readMemory(std::size_t offset, std::size_t size) const
 }
 
 std::vector<std::uint8_t>
-FfMat::morphToCompute(const std::vector<std::vector<int>> &weights, Rng *rng)
+FfMat::morphToCompute(std::span<const int> weights, int rows, int cols,
+                      Rng *rng)
 {
     PRIME_SPAN(telemetry::globalTrace(), "ff.morph_to_compute", "morph");
     PRIME_ASSERT(mode_ == FfMode::Memory,
                  "mat already in computation mode");
-    const int rows = static_cast<int>(weights.size());
-    PRIME_ASSERT(rows > 0 && !weights[0].empty(), "empty weights");
-    const int cols = static_cast<int>(weights[0].size());
+    PRIME_ASSERT(rows > 0 && cols > 0, "empty weights");
     PRIME_ASSERT(rows <= tech_.geometry.matRows &&
                      cols <= tech_.geometry.matCols,
                  "tile ", rows, "x", cols, " exceeds mat geometry");

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "nvmodel/tech_params.hh"
@@ -42,12 +43,13 @@ class FfMat
 
     /**
      * Morph to computation mode: returns the SLC contents that must be
-     * migrated to Mem subarrays, then programs the engine with signed
-     * logical weights (rows x cols <= mat geometry).
+     * migrated to Mem subarrays, then programs the engine with the
+     * @p rows x @p cols signed logical weights in @p weights, row-major
+     * (rows x cols <= mat geometry).
      */
-    std::vector<std::uint8_t>
-    morphToCompute(const std::vector<std::vector<int>> &weights,
-                   Rng *rng = nullptr);
+    std::vector<std::uint8_t> morphToCompute(std::span<const int> weights,
+                                             int rows, int cols,
+                                             Rng *rng = nullptr);
 
     /** Morph back to memory mode (wrap-up step); storage starts zeroed. */
     void morphToMemory();

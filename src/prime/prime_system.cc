@@ -15,6 +15,49 @@ namespace prime::core {
 
 namespace {
 
+/** Whether every value of @p values is finite. */
+bool
+allFinite(std::span<const double> values)
+{
+    return std::all_of(values.begin(), values.end(),
+                       [](double v) { return std::isfinite(v); });
+}
+
+/**
+ * Weight codes of one tile, row-major (tile_rows x tile_cols): the
+ * rows [row_base, row_base + tile_rows) of the columns [col_base,
+ * col_base + tile_cols) of a layer's @p rows-row weights, stored column
+ * by column (MVM row r of column c at weights[c * rows + r]).  Each
+ * column's run is contiguous, so a block of columns is quantized into
+ * a column-major buffer and transposed from there, a cache line of
+ * codes per row.
+ */
+std::vector<int>
+tileCodes(std::span<const double> weights, int rows, int row_base,
+          int tile_rows, int col_base, int tile_cols, int frac, int bits)
+{
+    constexpr std::size_t kBlock = 16;
+    const std::size_t n_rows = static_cast<std::size_t>(tile_rows);
+    const std::size_t n_cols = static_cast<std::size_t>(tile_cols);
+    std::vector<int> codes(n_rows * n_cols);
+    std::vector<int> block(kBlock * n_rows);
+    for (std::size_t c0 = 0; c0 < n_cols; c0 += kBlock) {
+        const std::size_t width = std::min(kBlock, n_cols - c0);
+        for (std::size_t k = 0; k < width; ++k)
+            quantizeWeightCodes(
+                weights.subspan((static_cast<std::size_t>(col_base) + c0 +
+                                 k) * static_cast<std::size_t>(rows) +
+                                    static_cast<std::size_t>(row_base),
+                                n_rows),
+                frac, bits,
+                std::span<int>(block).subspan(k * n_rows, n_rows));
+        for (std::size_t r = 0; r < n_rows; ++r)
+            for (std::size_t k = 0; k < width; ++k)
+                codes[r * n_cols + c0 + k] = block[k * n_rows + r];
+    }
+    return codes;
+}
+
 /**
  * out[v * cols + col_base + c] += codes[v * tile_cols + c] * 2^exp for
  * every vector v of a tile's codes, each code first cast to Code (the
@@ -360,6 +403,22 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
                    "trained network (", trained.layerCount(),
                    " layers) does not match the mapped topology (",
                    topology_->layers.size(), " layers)");
+    for (const mapping::LayerMapping &m : plan_->layers) {
+        const nn::Layer &layer =
+            trained.layer(static_cast<std::size_t>(m.info.layerIndex));
+        const std::vector<double> *w = layer.weights();
+        const std::vector<double> *b = layer.bias();
+        PRIME_ASSERT(w && b, "weighted layer without parameters");
+        PRIME_FATAL_IF(w->size() != static_cast<std::size_t>(m.info.rows) *
+                                        static_cast<std::size_t>(m.info.cols),
+                       "layer ", m.info.layerIndex, " has ", w->size(),
+                       " weights; the mapped topology needs ", m.info.rows,
+                       " x ", m.info.cols);
+        // A NaN or infinity has no fixed-point code.
+        PRIME_FATAL_IF(!allFinite(*w) || !allFinite(*b), "layer ",
+                       m.info.layerIndex,
+                       " has a non-finite weight or bias");
+    }
 
     programs_.clear();
     configCommands_.clear();
@@ -378,16 +437,20 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
     const std::uint32_t slot_bytes =
         2 * static_cast<std::uint32_t>(g.matCols);
 
-    // Phase 1 (sequential): quantize, slice every replica-0 tile, place
-    // it, and lower the layer's data flow into its tape.  The mats are
-    // programmed in phase 2.
+    // Phase 1 (sequential): choose each layer's weight format, place
+    // every replica-0 tile, and lower the layer's data flow into its
+    // tape.  The tiles are quantized and the mats programmed in phase 2.
     struct TileJob
     {
+        const mapping::MatTile *tile = nullptr;
         const mapping::LayerMapping *mapping = nullptr;
+        /** The layer's weights, w[c * rows + r] for MVM row r, column
+         *  c, and their fraction length. */
+        std::span<const double> weights;
+        int weightFrac = 0;
         int bank = 0;
         /** Mat index within the bank (controller addressing). */
         int mat = 0;
-        std::vector<std::vector<int>> slice;
         std::vector<std::uint8_t> migrated;
     };
     std::vector<TileJob> jobs;
@@ -401,68 +464,30 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
             trained.layer(static_cast<std::size_t>(m.info.layerIndex));
         const std::vector<double> *w = layer.weights();
         const std::vector<double> *b = layer.bias();
-        PRIME_ASSERT(w && b, "weighted layer without parameters");
+        const int rows = m.info.rows;
 
         // Per-layer dynamic fixed point for the synaptic weights
         // (Courbariaux-style ~1% clipping for a finer step).
-        DfxFormat fmt = DfxFormat::choose(
-            std::span<const double>(w->data(), w->size()),
-            tech_.weightBits, 0.01);
+        DfxFormat fmt = DfxFormat::choose(*w, tech_.weightBits, 0.01);
         lp.weightFrac = fmt.fracLength;
         lp.bias = *b;
         dfxRoundVector(lp.bias, tech_.weightBits);
 
-        // Arrange weight codes as [row][col] of the layer's MVM.
-        const int rows = m.info.rows, cols = m.info.cols;
         PRIME_ASSERT(static_cast<std::uint64_t>(rows) <= buf_out,
                      "input codes overflow the buffer input window: ",
                      rows, " > ", buf_out);
-        std::vector<std::vector<int>> codes(
-            static_cast<std::size_t>(rows),
-            std::vector<int>(static_cast<std::size_t>(cols), 0));
-        auto set_code = [&](int r, int c, double value) {
-            codes[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)] =
-                quantizeWeightCode(value, fmt.fracLength, tech_.weightBits);
-        };
-        if (lp.spec.kind == nn::LayerKind::FullyConnected) {
-            for (int o = 0; o < cols; ++o)
-                for (int i = 0; i < rows; ++i)
-                    set_code(i, o,
-                             (*w)[static_cast<std::size_t>(o) * rows + i]);
-        } else {
-            const nn::LayerSpec &s = lp.spec;
-            for (int oc = 0; oc < cols; ++oc) {
-                int r = 0;
-                for (int ic = 0; ic < s.inC; ++ic)
-                    for (int kh = 0; kh < s.kernel; ++kh)
-                        for (int kw = 0; kw < s.kernel; ++kw, ++r)
-                            set_code(
-                                r, oc,
-                                (*w)[((static_cast<std::size_t>(oc) *
-                                           s.inC + ic) * s.kernel + kh) *
-                                         s.kernel + kw]);
-            }
-        }
 
-        // Slice the replica-0 tiles and lower each into a Load and a
-        // Store on its bank's tape entry (the tile's output slot is its
-        // ordinal among the layer's tiles in that bank).
+        // Lower each replica-0 tile into a Load and a Store on its
+        // bank's tape entry (the tile's output slot is its ordinal
+        // among the layer's tiles in that bank).
         for (const mapping::MatTile &t : m.tiles) {
             if (t.replica != 0)
                 continue;
             TileJob job;
+            job.tile = &t;
             job.mapping = &m;
-            job.slice.assign(
-                static_cast<std::size_t>(t.rowsUsed),
-                std::vector<int>(static_cast<std::size_t>(t.colsUsed)));
-            for (int r = 0; r < t.rowsUsed; ++r)
-                for (int c = 0; c < t.colsUsed; ++c)
-                    job.slice[static_cast<std::size_t>(r)]
-                             [static_cast<std::size_t>(c)] =
-                        codes[static_cast<std::size_t>(
-                            t.rowTile * g.matRows + r)]
-                             [static_cast<std::size_t>(
-                                 t.colTile * g.matCols + c)];
+            job.weights = *w;
+            job.weightFrac = fmt.fracLength;
 
             ensureBank(t.bank);
             job.bank = t.bank;
@@ -539,20 +564,26 @@ PrimeSystem::programWeight(const nn::Network &trained, Rng *rng)
                                           job.mat);
     };
 
-    // Phase 2 (parallel): morphing steps 1+2 on every mat at once --
-    // hand over the resident data, program the weights.  Each mat draws
-    // its variation from its own stream, so the cells are the same at
-    // any thread count.
+    // Phase 2 (parallel): quantize every tile and run morphing steps
+    // 1+2 on every mat at once -- hand over the resident data, program
+    // the weights.  Each mat draws its variation from its own stream,
+    // so the cells are the same at any thread count.
     const std::optional<std::uint64_t> seed =
         rng ? std::optional<std::uint64_t>(rng->engine()()) : std::nullopt;
     ThreadPool::global().parallelFor(jobs.size(), [&](std::size_t i) {
         TileJob &job = jobs[i];
+        const mapping::MatTile &t = *job.tile;
+        const std::vector<int> codes = tileCodes(
+            job.weights, job.mapping->info.rows, t.rowTile * g.matRows,
+            t.rowsUsed, t.colTile * g.matCols, t.colsUsed, job.weightFrac,
+            tech_.weightBits);
         FfMat &mat = unit(job.bank).controller.mat(job.mat);
         std::optional<Rng> variation;
         if (seed)
             variation.emplace(streamSeed(*seed, mat_addr(job)));
-        job.migrated = mat.morphToCompute(
-            job.slice, variation ? &*variation : nullptr);
+        job.migrated =
+            mat.morphToCompute(codes, t.rowsUsed, t.colsUsed,
+                               variation ? &*variation : nullptr);
         // Static SA-window fallback: cover the worst-case dot product
         // of the programmed tile (calibrate() refines it).
         mat.engine().calibrateOutputShift();

@@ -71,24 +71,25 @@ InSituTrainer::reprogram(TrainLayer &layer)
         std::span<const double>(layer.shadowW.data(),
                                 layer.shadowW.size()),
         tech_.weightBits, 0.01);
-    const int rows = layer.spec.inFeatures;
-    const int cols = layer.spec.outFeatures;
-    std::vector<std::vector<int>> codes(
-        static_cast<std::size_t>(rows),
-        std::vector<int>(static_cast<std::size_t>(cols)));
-    for (int o = 0; o < cols; ++o)
-        for (int i = 0; i < rows; ++i)
-            codes[static_cast<std::size_t>(i)][static_cast<std::size_t>(o)] =
-                quantizeWeightCode(
-                    layer.shadowW[static_cast<std::size_t>(o) * rows + i],
-                    layer.format.fracLength, tech_.weightBits);
+    const std::size_t rows =
+        static_cast<std::size_t>(layer.spec.inFeatures);
+    const std::size_t cols =
+        static_cast<std::size_t>(layer.spec.outFeatures);
+    // shadowW is [out][in]; the crossbar takes [in][out].
+    std::vector<int> by_col(rows * cols);
+    quantizeWeightCodes(layer.shadowW, layer.format.fracLength,
+                        tech_.weightBits, by_col);
+    std::vector<int> codes(rows * cols);
+    for (std::size_t o = 0; o < cols; ++o)
+        for (std::size_t i = 0; i < rows; ++i)
+            codes[i * cols + o] = by_col[o * rows + i];
     const std::uint64_t before = layer.engine->totalCellWrites();
     layer.engine->programWeights(
         codes, options_.programVariation > 0.0 ? rng_ : nullptr);
     layer.engine->calibrateOutputShift();
     cellsReprogrammed_ += layer.engine->totalCellWrites() - before;
     ++reprogramEvents_;
-    programmedRows_ += static_cast<std::uint64_t>(rows);
+    programmedRows_ += rows;
 }
 
 std::vector<double>

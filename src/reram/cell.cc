@@ -23,22 +23,8 @@ Cell::idealConductance(const DeviceParams &params, int level, int bits)
 void
 Cell::program(const DeviceParams &params, int level, int bits, Rng *rng)
 {
-    MicroSiemens ideal = idealConductance(params, level, bits);
-    MicroSiemens actual = ideal;
-    if (rng) {
-        // Multiplicative programming error; the closed-loop write-verify
-        // tuning of [31] leaves a residual relative error on this order.
-        actual = ideal * std::exp(rng->gaussian(0.0, params.programVariation));
-        actual = std::clamp(actual, params.gMin(), params.gMax());
-    }
-    // Count a write only when the state actually changes (write drivers
-    // verify before pulsing).
-    if (!everProgrammed_ || level != level_ || levelCount_ != (1 << bits))
-        ++wear_;
-    everProgrammed_ = true;
-    level_ = level;
-    levelCount_ = 1 << bits;
-    conductance_ = actual;
+    programIdeal(level, bits, idealConductance(params, level, bits),
+                 params.gMin(), params.gMax(), params.programVariation, rng);
 }
 
 void

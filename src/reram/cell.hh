@@ -16,6 +16,8 @@
 #ifndef PRIME_RERAM_CELL_HH
 #define PRIME_RERAM_CELL_HH
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "common/rng.hh"
@@ -67,6 +69,35 @@ class Cell
      */
     void program(const DeviceParams &params, int level, int bits,
                  Rng *rng = nullptr);
+
+    /**
+     * program() with its per-write constants supplied: @p ideal is
+     * idealConductance(params, level, bits), @p g_min and @p g_max are
+     * params.gMin() and params.gMax(), @p variation is
+     * params.programVariation.  A whole-array write computes them once
+     * instead of per cell; the stored state and the draw are program()'s.
+     */
+    void
+    programIdeal(int level, int bits, MicroSiemens ideal, MicroSiemens g_min,
+                 MicroSiemens g_max, double variation, Rng *rng)
+    {
+        MicroSiemens actual = ideal;
+        if (rng) {
+            // Multiplicative programming error; the closed-loop
+            // write-verify tuning of [31] leaves a residual relative
+            // error on this order.
+            actual = ideal * std::exp(rng->gaussian(0.0, variation));
+            actual = std::clamp(actual, g_min, g_max);
+        }
+        // Count a write only when the state actually changes (write
+        // drivers verify before pulsing).
+        if (!everProgrammed_ || level != level_ || levelCount_ != (1 << bits))
+            ++wear_;
+        everProgrammed_ = true;
+        level_ = level;
+        levelCount_ = 1 << bits;
+        conductance_ = actual;
+    }
 
     /** SLC SET (program logic '1'). */
     void set(const DeviceParams &params, Rng *rng = nullptr);

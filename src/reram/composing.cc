@@ -241,19 +241,22 @@ outputShiftForBound(std::int64_t bound, int output_bits)
 }
 
 int
-calibratedOutputShift(const std::vector<std::vector<int>> &weights,
+calibratedOutputShift(std::span<const int> weights, int cols,
                       const ComposingParams &p)
 {
-    PRIME_ASSERT(!weights.empty(), "empty weights");
-    const int cols = static_cast<int>(weights[0].size());
+    PRIME_ASSERT(cols > 0 && !weights.empty() &&
+                     weights.size() % static_cast<std::size_t>(cols) == 0,
+                 "weights=", weights.size(), " for ", cols, " columns");
     const std::int64_t max_in = (std::int64_t{1} << p.inputBits) - 1;
+    const std::size_t width = static_cast<std::size_t>(cols);
+    std::vector<std::int64_t> bounds(width, 0);
+    for (std::size_t base = 0; base < weights.size(); base += width)
+        for (std::size_t c = 0; c < width; ++c)
+            bounds[c] +=
+                max_in * std::abs(static_cast<std::int64_t>(weights[base + c]));
     std::int64_t worst = 1;
-    for (int c = 0; c < cols; ++c) {
-        std::int64_t bound = 0;
-        for (const auto &row : weights)
-            bound += max_in * std::abs(static_cast<std::int64_t>(row[c]));
+    for (const std::int64_t bound : bounds)
         worst = std::max(worst, bound);
-    }
     return outputShiftForBound(worst, p.outputBits);
 }
 
@@ -279,24 +282,14 @@ ComposedMatrixEngine::ComposedMatrixEngine(int rows, int cols,
 }
 
 void
-ComposedMatrixEngine::programWeights(
-    const std::vector<std::vector<int>> &weights, Rng *rng)
+ComposedMatrixEngine::programWeights(std::span<const int> weights, Rng *rng)
 {
-    PRIME_ASSERT(static_cast<int>(weights.size()) == rows_,
-                 "weights rows=", weights.size());
-    std::vector<std::vector<int>> physical(
-        rows_, std::vector<int>(cols_ * 2, 0));
-    for (int r = 0; r < rows_; ++r) {
-        PRIME_ASSERT(static_cast<int>(weights[r].size()) == cols_,
-                     "weights cols=", weights[r].size());
-        for (int c = 0; c < cols_; ++c) {
-            auto [wh, wl] = splitWeight(weights[r][c], composing_);
-            physical[r][2 * c] = wh;
-            physical[r][2 * c + 1] = wl;
-        }
-    }
-    arrays_.programSigned(physical, rng);
-    logicalWeights_ = weights;
+    PRIME_ASSERT(weights.size() == static_cast<std::size_t>(rows_) *
+                                       static_cast<std::size_t>(cols_),
+                 "weights=", weights.size(), " for ", rows_, " x ", cols_);
+    arrays_.programSigned(weights, composing_.weightBits / composing_.cellBits,
+                          rng);
+    logicalWeights_.assign(weights.begin(), weights.end());
 }
 
 void
@@ -349,7 +342,8 @@ void
 ComposedMatrixEngine::calibrateOutputShift()
 {
     PRIME_ASSERT(!logicalWeights_.empty(), "weights not programmed");
-    setOutputShift(calibratedOutputShift(logicalWeights_, composing_));
+    setOutputShift(
+        calibratedOutputShift(logicalWeights_, cols_, composing_));
 }
 
 void
@@ -425,7 +419,7 @@ ComposedMatrixEngine::mvmFull(std::span<const std::uint8_t> inputs,
             const int in = inputs[base + r];
             if (in == 0)
                 continue;
-            const int *w = logicalWeights_[r].data();
+            const int *w = logicalWeights_.data() + r * cols;
             for (std::size_t c = 0; c < cols; ++c)
                 sums[c] += in * w[c];
         }
@@ -444,7 +438,7 @@ ComposedMatrixEngine::targetExact(std::span<const std::uint8_t> inputs) const
         std::int64_t full = 0;
         for (int r = 0; r < rows_; ++r)
             full += static_cast<std::int64_t>(inputs[r]) *
-                    logicalWeights_[r][c];
+                    logicalWeights_[static_cast<std::size_t>(r) * cols_ + c];
         out[c] = takeHighBits(full, outputShift_);
     }
     return out;

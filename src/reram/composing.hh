@@ -131,8 +131,9 @@ int outputShiftForBound(std::int64_t bound, int output_bits);
  * Static per-layer SA-range calibration: the smallest shift whose
  * window covers the worst-case |dot product| of the programmed weight
  * columns with any input vector (sum of 63 * |w| per column).
+ * @p weights holds the rows x @p cols weights row-major.
  */
-int calibratedOutputShift(const std::vector<std::vector<int>> &weights,
+int calibratedOutputShift(std::span<const int> weights, int cols,
                           const ComposingParams &p);
 
 /** Assemble one output from the four component dot products under a
@@ -178,9 +179,12 @@ class ComposedMatrixEngine
         std::vector<double> currents;
     };
 
-    /** Program logical signed weights in (-2^Pw, 2^Pw). */
-    void programWeights(const std::vector<std::vector<int>> &weights,
-                        Rng *rng = nullptr);
+    /**
+     * Program logical signed weights in (-2^Pw, 2^Pw), rows x cols
+     * row-major; each splits into its high and low halves on adjacent
+     * bitlines as its cells are written.
+     */
+    void programWeights(std::span<const int> weights, Rng *rng = nullptr);
 
     /**
      * Composed MVM with ideal devices (integer datapath) of M input
@@ -273,7 +277,8 @@ class ComposedMatrixEngine
      *  step with every write of outputShift_. */
     bool assembleInt32_ = false;
     DifferentialPair arrays_;
-    std::vector<std::vector<int>> logicalWeights_;
+    /** The programmed logical weights, rows x cols row-major. */
+    std::vector<int> logicalWeights_;
 };
 
 } // namespace prime::reram

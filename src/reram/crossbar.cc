@@ -539,26 +539,54 @@ DifferentialPair::DifferentialPair(const CrossbarParams &params)
 }
 
 void
-DifferentialPair::programSigned(const std::vector<std::vector<int>> &weights,
+DifferentialPair::programSigned(std::span<const int> weights, int slices,
                                 Rng *rng)
 {
     const CrossbarParams &p = pos_.params();
-    PRIME_ASSERT(static_cast<int>(weights.size()) == p.rows,
-                 "weights rows=", weights.size());
-    const int max_mag = p.cellLevels() - 1;
+    PRIME_ASSERT(slices >= 1 && p.cols % slices == 0 &&
+                     slices * p.cellBits < 31,
+                 "slices=", slices, " for ", p.cols, " columns");
+    const std::size_t cols = static_cast<std::size_t>(p.cols);
+    const std::size_t weight_cols = cols / static_cast<std::size_t>(slices);
+    PRIME_ASSERT(weights.size() ==
+                     static_cast<std::size_t>(p.rows) * weight_cols,
+                 "weights=", weights.size(), " for ", p.rows, " x ",
+                 weight_cols);
+    const int bits = p.cellBits;
+    const int mask = p.cellLevels() - 1;
+    const int max_mag = (1 << (slices * bits)) - 1;
     const std::size_t stride =
         static_cast<std::size_t>(detail::quadPlaneStride(p.cols));
-    for (int r = 0; r < p.rows; ++r) {
-        PRIME_ASSERT(static_cast<int>(weights[r].size()) == p.cols,
-                     "weights cols=", weights[r].size());
-        for (int c = 0; c < p.cols; ++c) {
-            const int w = weights[r][c];
+    const DeviceParams &device = p.device;
+    const MicroSiemens g_min = device.gMin(), g_max = device.gMax();
+    const double variation = device.programVariation;
+    std::vector<MicroSiemens> ideal(static_cast<std::size_t>(mask) + 1);
+    for (int level = 0; level <= mask; ++level)
+        ideal[static_cast<std::size_t>(level)] =
+            Cell::idealConductance(device, level, bits);
+    auto write = [&](Cell &cell, int level) {
+        cell.programIdeal(level, bits, ideal[static_cast<std::size_t>(level)],
+                          g_min, g_max, variation, rng);
+    };
+    pos_.planesDirty_.store(true, std::memory_order_release);
+    neg_.planesDirty_.store(true, std::memory_order_release);
+    for (std::size_t r = 0; r < static_cast<std::size_t>(p.rows); ++r) {
+        std::int8_t *quad = quadPlane_.data() + (r / 4) * stride * 4 + r % 4;
+        for (std::size_t c = 0; c < weight_cols; ++c) {
+            const int w = weights[r * weight_cols + c];
             PRIME_ASSERT(w >= -max_mag && w <= max_mag,
                          "signed weight ", w, " exceeds ", max_mag);
-            pos_.programCell(r, c, w > 0 ? w : 0, rng);
-            neg_.programCell(r, c, w < 0 ? -w : 0, rng);
-            quadPlane_[(static_cast<std::size_t>(r / 4) * stride + c) * 4 +
-                       r % 4] = static_cast<std::int8_t>(w);
+            const int mag = w < 0 ? -w : w;
+            for (int s = 0; s < slices; ++s) {
+                const std::size_t col =
+                    c * static_cast<std::size_t>(slices) +
+                    static_cast<std::size_t>(s);
+                const int level = (mag >> ((slices - 1 - s) * bits)) & mask;
+                write(pos_.cells_[r * cols + col], w > 0 ? level : 0);
+                write(neg_.cells_[r * cols + col], w < 0 ? level : 0);
+                quad[col * 4] = static_cast<std::int8_t>(w < 0 ? -level
+                                                               : level);
+            }
         }
     }
 }

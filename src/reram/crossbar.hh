@@ -144,6 +144,10 @@ class Crossbar
     std::uint64_t totalWear() const;
 
   private:
+    /** programSigned writes both arrays' cells in one interleaved loop
+     *  and invalidates each plane once per call. */
+    friend class DifferentialPair;
+
     /** Bounds-checked flat index of a cell. */
     std::size_t index(int row, int col) const;
 
@@ -206,11 +210,18 @@ class DifferentialPair
     explicit DifferentialPair(const CrossbarParams &params);
 
     /**
-     * Program signed weight levels w in (-2^cellBits, 2^cellBits): the
-     * positive magnitude goes to the positive array, the negative
-     * magnitude to the negative array.
+     * Program signed weights, each sliced over @p slices adjacent
+     * columns: @p weights holds rows x (cols / slices) values, row-major,
+     * with |w| < 2^(slices * cellBits).  Weight (r, c) is cut into
+     * cellBits-wide slices of |w|, most significant first, at columns
+     * c * slices onward, each taking w's sign; a positive level goes to
+     * the positive array, a negative one's magnitude to the negative
+     * array.  One slice is plain signed levels; two are the composing
+     * scheme's high and low weight halves.  Cells are written row by
+     * row, column by column, the positive array's cell before the
+     * negative one's, so a variation @p rng is drawn in that order.
      */
-    void programSigned(const std::vector<std::vector<int>> &weights,
+    void programSigned(std::span<const int> weights, int slices,
                        Rng *rng = nullptr);
 
     /**

@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -201,6 +205,65 @@ TEST(Rng, GaussianZeroSigmaReturnsMeanAndAdvances)
     (void)unit.gaussian();
     (void)unit.gaussian();
     EXPECT_EQ(zero.uniform(), unit.uniform());
+}
+
+/**
+ * Rng's engine is MT19937-64 output-identical to std::mt19937_64: raw
+ * outputs over many refill blocks, and every draw shape Rng offers,
+ * equal the same draws made from the standard engine.
+ */
+TEST(Rng, EngineMatchesStdMt19937_64)
+{
+    for (const std::uint64_t seed :
+         {0ULL, 1ULL, 42ULL, 0x5eed5eedULL, ~0ULL}) {
+        Rng rng(seed);
+        std::mt19937_64 ref(seed);
+        std::size_t differing = 0;
+        for (int i = 0; i < 2'000'000; ++i)
+            differing += rng.engine()() == ref() ? 0 : 1;
+        EXPECT_EQ(differing, 0u) << "seed=" << seed;
+
+        for (int round = 0; round < 3000; ++round) {
+            const std::string where = "seed=" + std::to_string(seed) +
+                                      " round=" + std::to_string(round);
+            std::uniform_real_distribution<double> uniform(-2.0, 5.0);
+            ASSERT_EQ(rng.uniform(-2.0, 5.0), uniform(ref)) << where;
+            std::uniform_int_distribution<std::int64_t> ints(-7, 1000);
+            ASSERT_EQ(rng.uniformInt(-7, 1000), ints(ref)) << where;
+            std::uniform_int_distribution<std::int64_t> wide(
+                std::numeric_limits<std::int64_t>::min(),
+                std::numeric_limits<std::int64_t>::max());
+            ASSERT_EQ(rng.uniformInt(std::numeric_limits<std::int64_t>::min(),
+                                     std::numeric_limits<std::int64_t>::max()),
+                      wide(ref))
+                << where;
+            std::bernoulli_distribution coin(0.3);
+            ASSERT_EQ(rng.bernoulli(0.3), coin(ref)) << where;
+            std::normal_distribution<double> normal(0.5, 2.0);
+            ASSERT_EQ(rng.gaussian(0.5, 2.0), normal(ref)) << where;
+            // stddev 0: the mean, after one standard-normal draw.
+            std::normal_distribution<double> unit;
+            (void)unit(ref);
+            ASSERT_EQ(rng.gaussian(-1.5, 0.0), -1.5) << where;
+            if (round % 100 == 0) {
+                std::vector<std::size_t> want(37);
+                for (std::size_t i = 0; i < want.size(); ++i)
+                    want[i] = i;
+                for (std::size_t i = want.size(); i > 1; --i) {
+                    std::uniform_int_distribution<std::int64_t> j(
+                        0, static_cast<std::int64_t>(i - 1));
+                    std::swap(want[i - 1],
+                              want[static_cast<std::size_t>(j(ref))]);
+                }
+                ASSERT_EQ(rng.permutation(want.size()), want) << where;
+                Rng child = rng.fork();
+                std::mt19937_64 ref_child(ref());
+                for (int k = 0; k < 400; ++k)
+                    ASSERT_EQ(child.engine()(), ref_child()) << where;
+            }
+        }
+        EXPECT_EQ(rng.engine()(), ref()) << "seed=" << seed;
+    }
 }
 
 TEST(Rng, GaussianMatchesStdNormalDistribution)

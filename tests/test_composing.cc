@@ -20,6 +20,16 @@
 namespace prime::reram {
 namespace {
 
+/** @p rows as one row-major block. */
+std::vector<int>
+flat(const std::vector<std::vector<int>> &rows)
+{
+    std::vector<int> out;
+    for (const std::vector<int> &row : rows)
+        out.insert(out.end(), row.begin(), row.end());
+    return out;
+}
+
 TEST(PnForInputCount, PowersOfTwo)
 {
     EXPECT_EQ(pnForInputCount(1), 0);
@@ -190,7 +200,7 @@ TEST(ComposedMatrixEngine, MatchesIntegerModel)
     for (auto &r : w)
         for (int &v : r)
             v = static_cast<int>(rng.uniformInt(-255, 255));
-    engine.programWeights(w);
+    engine.programWeights(flat(w));
 
     std::vector<std::uint8_t> in(rows);
     for (std::uint8_t &v : in)
@@ -220,7 +230,7 @@ TEST(ComposedMatrixEngine, TargetWithinBound)
     for (auto &r : w)
         for (int &v : r)
             v = static_cast<int>(rng.uniformInt(-255, 255));
-    engine.programWeights(w);
+    engine.programWeights(flat(w));
     std::vector<std::uint8_t> in(100);
     for (std::uint8_t &v : in)
         v = static_cast<std::uint8_t>(rng.uniformInt(0, 63));
@@ -238,8 +248,7 @@ TEST(ComposedMatrixEngine, TargetWithinBound)
 TEST(ComposedMatrixEngine, TargetExactRejectsBadInputs)
 {
     ComposedMatrixEngine engine(8, 2, ComposingParams{}, CrossbarParams{});
-    engine.programWeights(
-        std::vector<std::vector<int>>(8, std::vector<int>(2, 1)));
+    engine.programWeights(std::vector<int>(16, 1));
     const std::vector<std::uint8_t> short_in(7, 1), too_big(8, 64);
     EXPECT_DEATH(engine.targetExact(short_in), "inputs");
     EXPECT_DEATH(engine.targetExact(too_big), "input level");
@@ -255,7 +264,7 @@ TEST(ComposedMatrixEngine, AnalogTracksExactWithIdealDevices)
     for (auto &r : w)
         for (int &v : r)
             v = static_cast<int>(rng.uniformInt(-255, 255));
-    engine.programWeights(w);  // ideal
+    engine.programWeights(flat(w));  // ideal
     std::vector<std::uint8_t> in(64);
     for (std::uint8_t &v : in)
         v = static_cast<std::uint8_t>(rng.uniformInt(0, 63));
@@ -277,7 +286,7 @@ TEST(ComposedMatrixEngine, ProgrammingVariationStaysClose)
     for (auto &r : w)
         for (int &v : r)
             v = static_cast<int>(rng.uniformInt(-255, 255));
-    engine.programWeights(w, &rng);  // noisy programming
+    engine.programWeights(flat(w), &rng);  // noisy programming
     std::vector<std::uint8_t> in(128);
     for (std::uint8_t &v : in)
         v = static_cast<std::uint8_t>(rng.uniformInt(0, 63));
@@ -368,10 +377,7 @@ TEST(Composing, OutputBits8KeepsLlTerm)
         in[i] = static_cast<int>(rng.uniformInt(1, 15));
         w[i] = static_cast<int>(rng.uniformInt(1, 15));
     }
-    std::vector<std::vector<int>> rows;
-    for (int v : w)
-        rows.push_back({v});
-    const int shift = calibratedOutputShift(rows, p);
+    const int shift = calibratedOutputShift(w, 1, p);
     std::int64_t full = 0;
     for (int i = 0; i < n; ++i)
         full += static_cast<std::int64_t>(in[i]) * w[i];
@@ -413,7 +419,7 @@ TEST(ComposedMatrixEngine, Int32AssemblyMatchesInt64AtExtremeCodes)
                 row = {max_w, -max_w, r % 2 ? -max_w : max_w};
             }
             ComposedMatrixEngine engine(rows, kCols, cp, CrossbarParams{});
-            engine.programWeights(w);
+            engine.programWeights(flat(w));
             const std::vector<std::uint8_t> all_max(
                 static_cast<std::size_t>(rows),
                 static_cast<std::uint8_t>(max_in));
@@ -424,7 +430,7 @@ TEST(ComposedMatrixEngine, Int32AssemblyMatchesInt64AtExtremeCodes)
             std::vector<std::int64_t> out(kCols);
             for (const int shift :
                  {defaultOutputShift(cp, rows), 0, -2,
-                  calibratedOutputShift(w, cp)}) {
+                  calibratedOutputShift(flat(w), kCols, cp)}) {
                 engine.setOutputShift(shift);
                 for (const std::vector<std::uint8_t> *in :
                      std::vector<const std::vector<std::uint8_t> *>{
@@ -471,7 +477,7 @@ TEST(ComposedMatrixEngine, BatchEqualsSingleCalls)
         for (auto &row : w)
             for (int &v : row)
                 v = static_cast<int>(rng.uniformInt(-255, 255));
-        engine.programWeights(w, &rng);
+        engine.programWeights(flat(w), &rng);
         const std::size_t n_rows = static_cast<std::size_t>(rows);
         const std::size_t n_cols = static_cast<std::size_t>(cols);
         // The calibrated window assembles in int32, a 45-bit one in int64.
@@ -533,8 +539,8 @@ TEST(ComposedMatrixEngine, BatchEqualsSingleCalls)
 TEST(ComposedMatrixEngine, BatchRejectsMismatchedSizes)
 {
     ComposedMatrixEngine engine(4, 3, ComposingParams{}, CrossbarParams{});
-    engine.programWeights(std::vector<std::vector<int>>(
-        4, std::vector<int>{1, -2, 3}));
+    engine.programWeights(flat(std::vector<std::vector<int>>(
+        4, std::vector<int>{1, -2, 3})));
     ComposedMatrixEngine::MvmScratch scratch;
     const std::vector<std::uint8_t> two(8, 1), ragged(7, 1), none;
     std::vector<std::int64_t> out2(6), out1(3);

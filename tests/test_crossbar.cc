@@ -24,6 +24,16 @@
 namespace prime::reram {
 namespace {
 
+/** @p rows as one row-major block. */
+std::vector<int>
+flat(const std::vector<std::vector<int>> &rows)
+{
+    std::vector<int> out;
+    for (const std::vector<int> &row : rows)
+        out.insert(out.end(), row.begin(), row.end());
+    return out;
+}
+
 CrossbarParams
 smallParams(int rows, int cols)
 {
@@ -185,7 +195,7 @@ TEST(DifferentialPair, SignedWeightsSplitCorrectly)
 {
     CrossbarParams p = smallParams(2, 3);
     DifferentialPair pair(p);
-    pair.programSigned({{5, -7, 0}, {-15, 3, 9}});
+    pair.programSigned(std::vector<int>{5, -7, 0, -15, 3, 9}, 1);
     EXPECT_EQ(pair.positive().storedLevel(0, 0), 5);
     EXPECT_EQ(pair.negative().storedLevel(0, 0), 0);
     EXPECT_EQ(pair.positive().storedLevel(0, 1), 0);
@@ -198,7 +208,7 @@ TEST(DifferentialPair, ExactSignedMvm)
 {
     CrossbarParams p = smallParams(3, 2);
     DifferentialPair pair(p);
-    pair.programSigned({{5, -5}, {-3, 3}, {0, 15}});
+    pair.programSigned(std::vector<int>{5, -5, -3, 3, 0, 15}, 1);
     std::vector<std::uint8_t> in = {7, 2, 1};
     const std::vector<std::uint8_t> low = {1, 0, 3};
     const std::vector<std::int64_t> out = fourPassExact(pair, in);
@@ -260,7 +270,7 @@ TEST(DifferentialPair, FusedKernelMatchesFourPassOracle)
             for (auto &row : w)
                 for (int &v : row)
                     v = extremeOrRandom(rng, -max_w, max_w);
-            engine.programWeights(w);
+            engine.programWeights(flat(w));
             const DifferentialPair &pair = engine.arrays();
             for (int trial = 0; trial < 3; ++trial) {
                 std::vector<std::uint8_t> high(rows), low(rows);
@@ -298,7 +308,7 @@ TEST(DifferentialPair, FusedKernelCoversRegisterBlockEdges)
         for (auto &row : w)
             for (int &v : row)
                 v = extremeOrRandom(rng, -15, 15);
-        pair.programSigned(w);
+        pair.programSigned(flat(w), 1);
         std::vector<std::uint8_t> high(rows), low(rows);
         for (int r = 0; r < rows; ++r) {
             high[static_cast<std::size_t>(r)] =
@@ -323,7 +333,7 @@ TEST(DifferentialPair, QuadPlaneLayout)
     for (int r = 0; r < rows; ++r)
         for (int c = 0; c < cols; ++c)
             w[r][c] = (r * cols + c) % 31 - 15;
-    pair.programSigned(w);
+    pair.programSigned(flat(w), 1);
     const int stride = detail::quadPlaneStride(cols);
     ASSERT_EQ(stride, 32);
     const std::span<const std::int8_t> plane = pair.quadPlane();
@@ -424,7 +434,7 @@ TEST_P(SignedPlaneVariant, MatchesPlainLoopAndFourPassOracle)
                 if (lines > 1)
                     row[1] = -127;
             }
-            pair.programSigned(w);
+            pair.programSigned(flat(w), 1);
             const std::size_t height = static_cast<std::size_t>(rows);
             const std::size_t n = static_cast<std::size_t>(lines);
             for (int trial = 0; trial < 4; ++trial) {
@@ -488,7 +498,7 @@ TEST_P(SignedPlaneVariant, BatchMatchesPlainLoop)
             for (auto &row : w)
                 for (int &v : row)
                     v = extremeOrRandom(rng, -127, 127);
-            pair.programSigned(w);
+            pair.programSigned(flat(w), 1);
             const std::size_t height = static_cast<std::size_t>(rows);
             const std::size_t n = static_cast<std::size_t>(lines);
             for (const int vectors : {1, 2, 3, 5, 17, 576}) {
@@ -541,7 +551,7 @@ TEST(DifferentialPair, AnalogCancelsOffset)
     for (auto &row : w)
         for (int &v : row)
             v = static_cast<int>(rng.uniformInt(-15, 15));
-    pair.programSigned(w);  // ideal programming
+    pair.programSigned(flat(w), 1);  // ideal programming
     std::vector<std::uint8_t> in(64);
     for (std::uint8_t &v : in)
         v = static_cast<std::uint8_t>(rng.uniformInt(0, 7));
@@ -555,7 +565,7 @@ TEST(DifferentialPair, AnalogCancelsOffset)
 TEST(DifferentialPair, RejectsOverRangeWeight)
 {
     DifferentialPair pair(smallParams(1, 1));
-    EXPECT_DEATH(pair.programSigned({{16}}), "weight");
+    EXPECT_DEATH(pair.programSigned(std::vector<int>{16}, 1), "weight");
 }
 
 /** Geometry sweep: exact/analog agreement holds across shapes. */
@@ -573,7 +583,7 @@ TEST_P(CrossbarShapeSweep, AnalogAgreesWithExact)
     for (auto &row : w)
         for (int &v : row)
             v = static_cast<int>(rng.uniformInt(-15, 15));
-    pair.programSigned(w);
+    pair.programSigned(flat(w), 1);
     std::vector<std::uint8_t> in(rows);
     for (std::uint8_t &v : in)
         v = static_cast<std::uint8_t>(rng.uniformInt(0, 7));
@@ -790,7 +800,7 @@ TEST(ComposedEngineFastPath, ReusedScratchMatchesFreshPerSample)
     for (auto &row : w)
         for (int &v : row)
             v = static_cast<int>(rng.uniformInt(-255, 255));
-    engine.programWeights(w, &rng);
+    engine.programWeights(flat(w), &rng);
 
     std::vector<std::vector<std::uint8_t>> inputs(
         4, std::vector<std::uint8_t>(24));

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/fixed_point.hh"
@@ -276,14 +277,189 @@ TEST(ActivationCodes, ExtremeFractionLengthsMatchTheFormerQuantizer)
     EXPECT_EQ(normalPow2(1024), 0.0);
 }
 
+/** The span quantizer's code for one weight. */
+int
+weightCode(double w, int frac, int bits)
+{
+    int code = 0;
+    quantizeWeightCodes(std::span<const double>(&w, 1), frac, bits,
+                        std::span<int>(&code, 1));
+    return code;
+}
+
 TEST(WeightCode, RoundsAndSaturatesSignMagnitude)
 {
-    EXPECT_EQ(quantizeWeightCode(0.3, 4, 8), 5);      // 4.8 -> 5
-    EXPECT_EQ(quantizeWeightCode(-0.3, 4, 8), -5);
-    EXPECT_EQ(quantizeWeightCode(2.5 / 16, 4, 8), 2);  // ties to even
-    EXPECT_EQ(quantizeWeightCode(100.0, 4, 8), 255);
-    EXPECT_EQ(quantizeWeightCode(-100.0, 4, 8), -255);
-    EXPECT_EQ(quantizeWeightCode(0.0, -3, 2), 0);
+    EXPECT_EQ(weightCode(0.3, 4, 8), 5);      // 4.8 -> 5
+    EXPECT_EQ(weightCode(-0.3, 4, 8), -5);
+    EXPECT_EQ(weightCode(2.5 / 16, 4, 8), 2);  // ties to even
+    EXPECT_EQ(weightCode(100.0, 4, 8), 255);
+    EXPECT_EQ(weightCode(-100.0, 4, 8), -255);
+    EXPECT_EQ(weightCode(0.0, -3, 2), 0);
+}
+
+/** One weight's code as the per-weight quantizer computed it: libm
+ *  rounding of the ldexp-scaled weight, then saturation. */
+int
+referenceWeightCode(double w, int frac, int bits)
+{
+    const double max_w = static_cast<double>((1 << bits) - 1);
+    return static_cast<int>(
+        std::clamp(std::nearbyint(std::ldexp(w, frac)), -max_w, max_w));
+}
+
+/**
+ * The span quantizer (a multiply by 2^frac and the 1.5 * 2^52 rounding
+ * trick) equals the libm formulation code for code: over every width,
+ * fraction lengths whose 2^frac is not a normal double (the ldexp
+ * fallback), exact .5 ties of both signs, saturation and -0.0.
+ */
+TEST(WeightCodes, MatchScalarQuantizer)
+{
+    Rng rng(31);
+    bool fallback_low = false, fallback_high = false;
+    for (int bits = 2; bits <= 8; ++bits) {
+        const int max_w = (1 << bits) - 1;
+        for (const int frac : {-1100, -1074, -1060, -1023, -1022, -40, -3, 0,
+                               4, 7, 52, 1023, 1024, 1030, 1100}) {
+            std::vector<double> w;
+            // Scaled values past the double range are left out: the
+            // weights must be finite.
+            auto scaled = [&](double code) {
+                if (const double x = std::ldexp(code, -frac); std::isfinite(x))
+                    w.push_back(x);
+            };
+            for (int k = -2 * max_w; k <= 2 * max_w; ++k) {
+                scaled(k + 0.5);  // ties
+                scaled(k);
+            }
+            for (int i = 0; i < 200; ++i)
+                scaled(rng.uniform(-2.0 * max_w, 2.0 * max_w));
+            for (const double extreme :
+                 {0.0, -0.0, 1e300, -1e300,
+                  std::numeric_limits<double>::max(),
+                  -std::numeric_limits<double>::max(),
+                  std::numeric_limits<double>::denorm_min(),
+                  -std::numeric_limits<double>::denorm_min(),
+                  std::numeric_limits<double>::min()})
+                w.push_back(extreme);
+            std::vector<int> got(w.size(), 12345);
+            quantizeWeightCodes(w, frac, bits, got);
+            for (std::size_t i = 0; i < w.size(); ++i)
+                ASSERT_EQ(got[i], referenceWeightCode(w[i], frac, bits))
+                    << "w=" << w[i] << " frac=" << frac << " bits=" << bits;
+            const bool fallback = normalPow2(frac) == 0.0;
+            fallback_low = fallback_low || (fallback && frac < 0);
+            fallback_high = fallback_high || (fallback && frac > 0);
+        }
+    }
+    EXPECT_TRUE(fallback_low && fallback_high);
+}
+
+/** DfxFormat::choose as it was first written, sorting a copy of the
+ *  magnitudes for the kept one. */
+DfxFormat
+referenceChoose(std::span<const double> data, int bits,
+                double saturate_fraction)
+{
+    double max_abs = 0.0;
+    if (saturate_fraction > 0.0 && data.size() > 8) {
+        std::vector<double> mags(data.begin(), data.end());
+        for (double &m : mags)
+            m = std::fabs(m);
+        const std::size_t keep = static_cast<std::size_t>(
+            (1.0 - saturate_fraction) * (mags.size() - 1));
+        std::nth_element(mags.begin(), mags.begin() + keep, mags.end());
+        max_abs = mags[keep];
+    } else {
+        for (double x : data)
+            max_abs = std::max(max_abs, std::fabs(x));
+    }
+    DfxFormat fmt;
+    fmt.bits = bits;
+    if (max_abs == 0.0) {
+        fmt.fracLength = bits - 1;
+        return fmt;
+    }
+    int exp = 0;
+    std::frexp(max_abs, &exp);
+    fmt.fracLength = bits - 1 - exp;
+    return fmt;
+}
+
+/**
+ * The exponent histogram picks the format the sorted formulation does:
+ * seeded mixed-sign vectors of 9 to 200k values, ties at the kept rank,
+ * zeros at and below it, denormals, saturate fractions 0.01 and 0.2,
+ * and the strict-maximum paths (size <= 8, saturate 0).
+ */
+TEST(DfxFormat, ChooseMatchesNthElementFormulation)
+{
+    Rng rng(57);
+    std::vector<std::vector<double>> cases;
+    for (const std::size_t n : {9u, 10u, 17u, 101u, 1000u, 4097u, 200000u}) {
+        std::vector<double> v(n);
+        const int spread = static_cast<int>(rng.uniformInt(0, 30));
+        for (double &x : v)
+            x = std::ldexp(rng.gaussian(), static_cast<int>(rng.uniformInt(
+                                               -spread, spread)));
+        cases.push_back(std::move(v));
+    }
+    for (const std::size_t n : {3u, 8u})
+        cases.push_back(std::vector<double>(n, -0.375));
+    // Ties at the kept rank, and its neighbours straddling a power of
+    // two.
+    {
+        std::vector<double> v(100, 0.5);
+        v[0] = -0.4999999;
+        v[99] = 3.0;
+        cases.push_back(v);
+        std::vector<double> w(100, 0.25);
+        for (std::size_t i = 0; i < 50; ++i)
+            w[i] = -0.5;
+        w[98] = std::nextafter(0.5, 0.0);
+        cases.push_back(w);
+    }
+    // All zeros, and zeros below or at the kept rank.
+    cases.push_back(std::vector<double>(50, 0.0));
+    {
+        std::vector<double> v(100, 0.0);
+        v[7] = -0.0;
+        v[99] = 12.0;
+        cases.push_back(v);
+        std::vector<double> w(100, 0.0);
+        for (std::size_t i = 0; i < 5; ++i)
+            w[i] = 1.0 + i;
+        cases.push_back(w);
+        std::vector<double> u(100, 0.0);
+        for (std::size_t i = 0; i < 30; ++i)
+            u[i] = 0.1 * (i + 1);
+        cases.push_back(u);
+    }
+    // Denormals, alone and among normals.
+    {
+        const double tiny = std::numeric_limits<double>::denorm_min();
+        std::vector<double> v;
+        for (int i = 0; i < 60; ++i)
+            v.push_back((i % 2 ? -1.0 : 1.0) * std::ldexp(tiny, i % 52));
+        cases.push_back(v);
+        v.resize(120, std::numeric_limits<double>::min());
+        cases.push_back(v);
+        v.resize(200, 0.0);
+        cases.push_back(v);
+    }
+    std::size_t compared = 0;
+    for (const std::vector<double> &data : cases)
+        for (const double sf : {0.0, 0.01, 0.2})
+            for (const int bits : {1, 4, 8, 32}) {
+                const DfxFormat want = referenceChoose(data, bits, sf);
+                const DfxFormat got = DfxFormat::choose(data, bits, sf);
+                EXPECT_EQ(got.bits, want.bits);
+                EXPECT_EQ(got.fracLength, want.fracLength)
+                    << "size " << data.size() << " sf " << sf << " bits "
+                    << bits;
+                ++compared;
+            }
+    EXPECT_EQ(compared, cases.size() * 12);
 }
 
 } // namespace

@@ -48,8 +48,8 @@ TEST(FfMat, MorphingProtocol)
     mat.writeMemory(0, resident);
 
     // Step 1+2: migrate resident data and program weights.
-    std::vector<std::vector<int>> weights = {{10, -20}, {-5, 30}};
-    std::vector<std::uint8_t> migrated = mat.morphToCompute(weights);
+    const std::vector<int> weights = {10, -20, -5, 30};
+    std::vector<std::uint8_t> migrated = mat.morphToCompute(weights, 2, 2);
     EXPECT_EQ(mat.mode(), FfMode::Computation);
     ASSERT_GE(migrated.size(), 3u);
     EXPECT_EQ(migrated[0], 1);
@@ -75,12 +75,13 @@ TEST(FfMat, MorphingProtocol)
 TEST(FfMat, RejectsDoubleMorphAndOversizedTile)
 {
     FfMat mat(tech());
-    mat.morphToCompute({{1}});
-    EXPECT_DEATH(mat.morphToCompute({{1}}), "already");
+    const std::vector<int> one = {1};
+    mat.morphToCompute(one, 1, 1);
+    EXPECT_DEATH(mat.morphToCompute(one, 1, 1), "already");
     FfMat mat2(tech());
-    std::vector<std::vector<int>> too_big(
-        257, std::vector<int>(1, 0));
-    EXPECT_DEATH(mat2.morphToCompute(too_big), "exceeds mat geometry");
+    const std::vector<int> too_big(257, 0);
+    EXPECT_DEATH(mat2.morphToCompute(too_big, 257, 1),
+                 "exceeds mat geometry");
 }
 
 TEST(FfSubarray, TracksModesAndCapacity)
@@ -89,7 +90,7 @@ TEST(FfSubarray, TracksModesAndCapacity)
     EXPECT_EQ(sub.matCount(), 32);
     EXPECT_EQ(sub.computeMats(), 0);
     EXPECT_EQ(sub.memoryModeBytes(), 32u * 32 * 1024);
-    sub.mat(3).morphToCompute({{1, 2}, {3, 4}});
+    sub.mat(3).morphToCompute(std::vector<int>{1, 2, 3, 4}, 2, 2);
     EXPECT_EQ(sub.computeMats(), 1);
     EXPECT_EQ(sub.memoryModeBytes(), 31u * 32 * 1024);
 }
@@ -159,7 +160,8 @@ TEST_F(ControllerTest, FetchAndCommitMoveData)
 TEST_F(ControllerTest, LoadComputeStoreRoundTrip)
 {
     // Program mat 0 with a tiny weight matrix.
-    controller_->mat(0).morphToCompute({{100, -100}, {50, 25}});
+    controller_->mat(0).morphToCompute(std::vector<int>{100, -100, 50, 25},
+                                       2, 2);
     controller_->mat(0).engine().setOutputShift(0);
 
     // Stage input codes 3, 2 in the buffer and load them.

@@ -10,7 +10,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <stdexcept>
 #include <utility>
 #include <string>
 
@@ -197,6 +199,49 @@ TEST(PrimeSystem, ProgramWeightRejectsMismatchedNetwork)
     nn::Network dummy;  // empty: layer count cannot match VGG-D
     EXPECT_THROW(prime.programWeight(dummy), std::runtime_error);
     EXPECT_EQ(prime.stats().get("morph.mats_to_compute").count(), 0u);
+}
+
+TEST(PrimeSystem, ProgramWeightRejectsNonFiniteParameters)
+{
+    // A NaN or infinite weight or bias has no fixed-point code:
+    // programWeight names the layer and programs nothing.
+    const nn::Topology topo = nn::mlBenchByName("MLP-S");
+    std::vector<std::size_t> weighted;
+    {
+        Rng rng(3);
+        const nn::Network net = nn::buildNetwork(topo, rng);
+        for (std::size_t i = 0; i < net.layerCount(); ++i)
+            if (net.layer(i).weights())
+                weighted.push_back(i);
+    }
+    ASSERT_GE(weighted.size(), 2u);
+    const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()};
+    for (const double value : bad)
+        for (const bool in_bias : {false, true}) {
+            Rng rng(3);
+            nn::Network net = nn::buildNetwork(topo, rng);
+            const std::size_t index = weighted[in_bias ? 1 : 0];
+            nn::Layer &layer = net.layer(index);
+            std::vector<double> &params =
+                in_bias ? *layer.bias() : *layer.weights();
+            params[params.size() / 2] = value;
+            PrimeSystem prime;
+            prime.mapTopology(topo);
+            std::string message;
+            try {
+                prime.programWeight(net);
+            } catch (const std::runtime_error &e) {
+                message = e.what();
+            }
+            EXPECT_NE(message.find("layer " + std::to_string(index) +
+                                   " has a non-finite weight or bias"),
+                      std::string::npos)
+                << "'" << message << "'";
+            EXPECT_EQ(prime.stats().get("morph.mats_to_compute").count(),
+                      0u);
+        }
 }
 
 TEST(PrimeSystem, CnnEndToEnd)
@@ -604,6 +649,71 @@ TEST(PrimeSystem, RowTiledMultiBankConvPinned)
     for (const nn::Tensor &y : batched)
         batch_hash = fnv1a(std::as_bytes(std::span(y.flat())), batch_hash);
     EXPECT_EQ(batch_hash, want.outputHash);
+}
+
+/**
+ * MLP-S programmed with variation from a fixed seed: a hash of every
+ * mat's positive and negative conductances and of 8 noisy analog
+ * outputs, pinned, at 1 and 4 pool threads.  Each cell's draw is a
+ * function of its mat's stream and its place in the cell order (row,
+ * physical column, positive array then negative), so reprogramming
+ * faster must leave both hashes as they are.
+ */
+TEST(PrimeSystem, VariationProgrammingPinned)
+{
+    constexpr std::uint64_t kConductanceHash = 0x093c0d4b0f97d50dull;
+    constexpr std::uint64_t kOutputHash = 0x941c94fd965dcb68ull;
+    const nn::Topology topo = nn::mlBenchByName("MLP-S");
+    Rng net_rng(5);
+    const nn::Network net = nn::buildNetwork(topo, net_rng);
+    nn::SyntheticMnistOptions o;
+    o.seed = 4;
+    const std::vector<nn::Sample> samples =
+        nn::SyntheticMnist(o).generate(8);
+    const nvmodel::TechParams tech = variationParams();
+    for (const int threads : {1, 4}) {
+        ThreadPool::setGlobalThreadCount(threads);
+        PrimeSystem prime(tech);
+        prime.mapTopology(topo);
+        Rng variation(2024);
+        prime.programWeight(net, &variation);
+        std::uint64_t conductances = kFnvBasis;
+        std::size_t mats = 0;
+        for (const mapping::LayerMapping &m : prime.plan().layers)
+            for (const mapping::MatTile &t : m.tiles) {
+                if (t.replica != 0)
+                    continue;
+                const reram::DifferentialPair &pair =
+                    prime.controller(t.bank)
+                        .mat(t.subarray * tech.geometry.matsPerSubarray +
+                             t.mat)
+                        .engine()
+                        .arrays();
+                for (const reram::Crossbar *x :
+                     {&pair.positive(), &pair.negative()})
+                    for (int r = 0; r < x->params().rows; ++r)
+                        for (int c = 0; c < x->params().cols; ++c) {
+                            const double g = x->conductance(r, c);
+                            conductances = fnv1a(
+                                std::as_bytes(std::span(&g, 1)),
+                                conductances);
+                        }
+                ++mats;
+            }
+        prime.configDatapath();
+        Rng noise(77);
+        prime.setAnalogCompute(true, &noise);
+        std::uint64_t outputs = kFnvBasis;
+        for (const nn::Sample &sample : samples) {
+            const nn::Tensor y = prime.run(sample.input);
+            outputs = fnv1a(std::as_bytes(std::span(y.flat())), outputs);
+        }
+        const std::string where = "threads=" + std::to_string(threads);
+        EXPECT_EQ(mats, 11u) << where;
+        EXPECT_EQ(conductances, kConductanceHash) << where;
+        EXPECT_EQ(outputs, kOutputHash) << where;
+    }
+    ThreadPool::setGlobalThreadCount(0);
 }
 
 } // namespace
