@@ -99,8 +99,8 @@ BM_CrossbarMvmAnalog(benchmark::State &state)
 BENCHMARK(BM_CrossbarMvmAnalog)->Arg(64)->Arg(256);
 
 /** Analog MVM with the first-order wire model active: the IR drop is
- *  folded into the cached conductance plane, so this should track the
- *  plain analog timing instead of paying a divide per cell. */
+ *  folded into the conductance plane when a cell is programmed, so
+ *  this should track the plain analog timing. */
 void
 BM_CrossbarMvmAnalogIrDrop(benchmark::State &state)
 {
@@ -267,20 +267,6 @@ BM_ComposedApprox(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ComposedApprox)->Arg(256)->Arg(1024);
-
-void
-BM_CellProgramming(benchmark::State &state)
-{
-    DeviceParams params;
-    Rng rng(12);
-    Cell cell;
-    int level = 0;
-    for (auto _ : state) {
-        cell.program(params, level, 4, &rng);
-        level = (level + 1) & 0xf;
-    }
-}
-BENCHMARK(BM_CellProgramming);
 
 /** A mat's reprogramming with variation (one Monte-Carlo trial's
  *  per-mat work): construct a rows x cols composed engine and program

@@ -146,8 +146,8 @@ main(int argc, char **argv)
     ThreadPool::setGlobalThreadCount(
         std::max<int>(4, static_cast<int>(prime.stages().size())));
 
-    // Warm-up passes (page in weights, fault in the store, build the
-    // plane caches) before anything is timed; --warmup N scales them,
+    // Warm-up passes (page in weights, fault in the store, warm the
+    // CPU caches) before anything is timed; --warmup N scales them,
     // 0 disables (and lets the cold-start cost land in host_* numbers).
     int warmup = 1;
     for (int i = 1; i < argc; ++i)

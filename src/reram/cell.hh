@@ -1,12 +1,14 @@
 /**
  * @file
- * Metal-oxide ReRAM cell model (paper Section II-A, Figure 1).
+ * Metal-oxide ReRAM device model (paper Section II-A, Figure 1).
  *
  * A cell is a Pt/TiO2-x/Pt metal-insulator-metal stack whose resistance is
  * switched between a high-resistance state (HRS, logic '0') and a
  * low-resistance state (LRS, logic '1') by SET/RESET pulses.  Multi-level
  * cells (MLC) subdivide the conductance range into 2^bits levels; PRIME
- * uses 4-bit MLC in computation mode and SLC in memory mode.
+ * uses 4-bit MLC in computation mode and SLC in memory mode.  A crossbar
+ * stores its cells' state as planes (reram/crossbar.hh); this file holds
+ * the per-device parameters and the conductance a write produces.
  *
  * Device parameters follow the paper's evaluation setup: Pt/TiO2-x/Pt with
  * Ron/Roff = 1 kOhm / 20 kOhm and 2 V SET/RESET [65], endurance up to
@@ -52,91 +54,25 @@ struct DeviceParams
     MicroSiemens gMax() const { return units::ohmsToMicroSiemens(rOn); }
 };
 
+/** Ideal conductance for @p level of 2^bits levels (0 = HRS .. max =
+ *  LRS); dies on bits outside [1, 8] or a level out of range. */
+MicroSiemens idealConductance(const DeviceParams &params, int level,
+                              int bits);
+
 /**
- * One ReRAM cell: programmable to an MLC level, readable as an analog
- * conductance, with endurance wear tracking.
+ * The conductance a write targeting @p ideal leaves in the cell: a
+ * multiplicative programming error, one gaussian of relative sigma
+ * @p variation from @p rng, clamped to [@p g_min, @p g_max] (the
+ * closed-loop write-verify tuning of [31] leaves a residual relative
+ * error on this order).
  */
-class Cell
+inline MicroSiemens
+variedConductance(MicroSiemens ideal, MicroSiemens g_min, MicroSiemens g_max,
+                  double variation, Rng &rng)
 {
-  public:
-    /** Construct an HRS ('0') cell. */
-    Cell() = default;
-
-    /**
-     * Program the cell to @p level out of 2^bits levels (0 = HRS .. max =
-     * LRS).  @p rng, when non-null, applies lognormal-ish programming
-     * variation to the stored conductance; null programs ideally.
-     */
-    void program(const DeviceParams &params, int level, int bits,
-                 Rng *rng = nullptr);
-
-    /**
-     * program() with its per-write constants supplied: @p ideal is
-     * idealConductance(params, level, bits), @p g_min and @p g_max are
-     * params.gMin() and params.gMax(), @p variation is
-     * params.programVariation.  A whole-array write computes them once
-     * instead of per cell; the stored state and the draw are program()'s.
-     */
-    void
-    programIdeal(int level, int bits, MicroSiemens ideal, MicroSiemens g_min,
-                 MicroSiemens g_max, double variation, Rng *rng)
-    {
-        MicroSiemens actual = ideal;
-        if (rng) {
-            // Multiplicative programming error; the closed-loop
-            // write-verify tuning of [31] leaves a residual relative
-            // error on this order.
-            actual = ideal * std::exp(rng->gaussian(0.0, variation));
-            actual = std::clamp(actual, g_min, g_max);
-        }
-        // Count a write only when the state actually changes (write
-        // drivers verify before pulsing).
-        if (!everProgrammed_ || level != level_ || levelCount_ != (1 << bits))
-            ++wear_;
-        everProgrammed_ = true;
-        level_ = level;
-        levelCount_ = 1 << bits;
-        conductance_ = actual;
-    }
-
-    /** SLC SET (program logic '1'). */
-    void set(const DeviceParams &params, Rng *rng = nullptr);
-
-    /** SLC RESET (program logic '0'). */
-    void reset(const DeviceParams &params, Rng *rng = nullptr);
-
-    /** Stored level (what the write driver targeted). */
-    int level() const { return level_; }
-
-    /** Stored level count (2^bits at last program). */
-    int levelCount() const { return levelCount_; }
-
-    /** Actual analog conductance, including programming error. */
-    MicroSiemens conductance() const { return conductance_; }
-
-    /** Read as a digital bit: true when above the SLC midpoint. */
-    bool readBit(const DeviceParams &params) const;
-
-    /** SET+RESET cycles experienced so far. */
-    std::uint64_t wear() const { return wear_; }
-
-    /** Whether the cell exceeded its endurance budget. */
-    bool wornOut(const DeviceParams &params) const
-    {
-        return wear_ > params.endurance;
-    }
-
-    /** Ideal conductance for @p level of 2^bits levels. */
-    static MicroSiemens idealConductance(const DeviceParams &params,
-                                         int level, int bits);
-
-  private:
-    int level_ = 0;
-    int levelCount_ = 2;
-    MicroSiemens conductance_ = 0.0;
-    std::uint64_t wear_ = 0;
-    bool everProgrammed_ = false;
-};
+    return std::clamp(ideal * std::exp(rng.gaussian(0.0, variation)), g_min,
+                      g_max);
+}
 
 } // namespace prime::reram
 

@@ -1,7 +1,9 @@
 #include "reram/crossbar.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <numeric>
 
 #ifdef __x86_64__
 #include <immintrin.h>
@@ -50,12 +52,12 @@ namespace {
     __attribute__((target("avx512f,avx512bw,avx512vnni")))
 #endif
 
-/** acc[c] += v * geff[c] over one cached-plane row. */
+/** acc[c] += v * g[c] over one conductance-plane row. */
 PRIME_MVM_FP_CLONES void
-accumulateCurrentRow(double *acc, const double *geff, double v, int cols)
+accumulateCurrentRow(double *acc, const double *g, double v, int cols)
 {
     for (int c = 0; c < cols; ++c)
-        acc[c] += v * geff[c];
+        acc[c] += v * g[c];
 }
 
 // The exact kernel sums u8 x s8 products in int32 over bounded row
@@ -352,7 +354,8 @@ vnniChunk(const std::int8_t *plane, int rows, int stride, int cols,
 
 Crossbar::Crossbar(const CrossbarParams &params)
     : params_(params),
-      cells_(static_cast<std::size_t>(params.rows) * params.cols)
+      levels_(static_cast<std::size_t>(params.rows) * params.cols, 0),
+      conductance_(levels_.size(), 0.0), wear_(levels_.size(), 0)
 {
     PRIME_ASSERT(params.rows > 0 && params.cols > 0,
                  "bad geometry ", params.rows, "x", params.cols);
@@ -369,40 +372,34 @@ Crossbar::index(int row, int col) const
 }
 
 void
-Crossbar::rebuildPlanes() const
+Crossbar::write(std::size_t i, int level, MicroSiemens ideal, Rng *rng)
 {
-    MutexLock lock(planesMutex_);
-    // Double-checked: a concurrent MVM may have rebuilt while this
-    // thread waited for the lock.
-    if (!planesDirty_.load(std::memory_order_acquire))
-        return;
-    gEffPlane_.resize(cells_.size());
-    const bool ir_drop = params_.wireResistancePerCell > 0.0;
-    for (int r = 0; r < params_.rows; ++r) {
-        const std::size_t base = static_cast<std::size_t>(r) * params_.cols;
-        for (int c = 0; c < params_.cols; ++c) {
-            double g = cells_[base + c].conductance();
-            if (ir_drop && g > 0.0) {
-                // First-order IR drop: the wire segments from the driver
-                // along the wordline (c+1 pitches) and down the bitline
-                // to the SA (rows - r pitches) sit in series with the
-                // cell.
-                const Ohm r_wire =
-                    params_.wireResistancePerCell *
-                    static_cast<double>((c + 1) + (params_.rows - r));
-                g = 1.0 / (1.0 / g + r_wire * 1.0e-6);  // uS vs Ohm
-            }
-            gEffPlane_[base + c] = g;
-        }
+    const DeviceParams &device = params_.device;
+    MicroSiemens g = rng ? variedConductance(ideal, device.gMin(),
+                                             device.gMax(),
+                                             device.programVariation, *rng)
+                         : ideal;
+    if (params_.wireResistancePerCell > 0.0) {
+        // First-order IR drop: the wire segments from the driver along
+        // the wordline (c+1 pitches) and down the bitline to the SA
+        // (rows - r pitches) sit in series with the cell.
+        const std::size_t cols = static_cast<std::size_t>(params_.cols);
+        const std::size_t r = i / cols, c = i % cols;
+        const Ohm r_wire = params_.wireResistancePerCell *
+                           static_cast<double>((c + 1) + (params_.rows - r));
+        g = 1.0 / (1.0 / g + r_wire * 1.0e-6);  // uS vs Ohm
     }
-    planesDirty_.store(false, std::memory_order_release);
+    if (wear_[i] == 0 || level != levels_[i])
+        ++wear_[i];
+    levels_[i] = static_cast<std::uint8_t>(level);
+    conductance_[i] = g;
 }
 
 void
 Crossbar::programCell(int row, int col, int level, Rng *rng)
 {
-    mutableAt(row, col).program(params_.device, level, params_.cellBits,
-                                rng);
+    write(index(row, col), level,
+          idealConductance(params_.device, level, params_.cellBits), rng);
 }
 
 void
@@ -421,13 +418,13 @@ Crossbar::programLevels(const std::vector<std::vector<int>> &levels, Rng *rng)
 int
 Crossbar::storedLevel(int row, int col) const
 {
-    return at(row, col).level();
+    return levels_[index(row, col)];
 }
 
 MicroSiemens
 Crossbar::conductance(int row, int col) const
 {
-    return at(row, col).conductance();
+    return conductance_[index(row, col)];
 }
 
 void
@@ -445,7 +442,7 @@ Crossbar::mvmExact(std::span<const std::uint8_t> input_levels,
         const std::int64_t in = input_levels[r];
         const std::size_t base = static_cast<std::size_t>(r) * cols;
         for (int c = 0; c < cols; ++c)
-            out[static_cast<std::size_t>(c)] += in * cells_[base + c].level();
+            out[static_cast<std::size_t>(c)] += in * levels_[base + c];
     }
 }
 
@@ -458,7 +455,6 @@ Crossbar::mvmAnalog(std::span<const std::uint8_t> input_levels,
     PRIME_ASSERT(static_cast<int>(current.size()) == params_.cols,
                  "outputs=", current.size());
     detail::checkInputCodes(input_levels, params_.inputBits);
-    ensurePlanes();
     const Volt v_step = params_.voltageStep();
     const int cols = params_.cols;
     std::fill(current.begin(), current.end(), 0.0);
@@ -467,7 +463,7 @@ Crossbar::mvmAnalog(std::span<const std::uint8_t> input_levels,
         if (v == 0.0)
             continue;
         accumulateCurrentRow(current.data(),
-                             gEffPlane_.data() +
+                             conductance_.data() +
                                  static_cast<std::size_t>(r) * cols,
                              v, cols);
     }
@@ -488,44 +484,16 @@ Crossbar::levelUnitsFromCurrent(double current_ua) const
     return current_ua / (params_.voltageStep() * params_.conductanceStep());
 }
 
-void
-Crossbar::writeRowBits(int row, std::span<const std::uint8_t> bits, Rng *rng)
-{
-    PRIME_ASSERT(static_cast<int>(bits.size()) == params_.cols,
-                 "bits=", bits.size());
-    for (int c = 0; c < params_.cols; ++c) {
-        if (bits[c])
-            mutableAt(row, c).set(params_.device, rng);
-        else
-            mutableAt(row, c).reset(params_.device, rng);
-    }
-}
-
-std::vector<std::uint8_t>
-Crossbar::readRowBits(int row) const
-{
-    std::vector<std::uint8_t> bits(params_.cols);
-    for (int c = 0; c < params_.cols; ++c)
-        bits[c] = at(row, c).readBit(params_.device) ? 1 : 0;
-    return bits;
-}
-
 std::uint64_t
 Crossbar::maxWear() const
 {
-    std::uint64_t w = 0;
-    for (const Cell &cell : cells_)
-        w = std::max(w, cell.wear());
-    return w;
+    return std::ranges::max(wear_);
 }
 
 std::uint64_t
 Crossbar::totalWear() const
 {
-    std::uint64_t w = 0;
-    for (const Cell &cell : cells_)
-        w += cell.wear();
-    return w;
+    return std::accumulate(wear_.begin(), wear_.end(), std::uint64_t{0});
 }
 
 DifferentialPair::DifferentialPair(const CrossbarParams &params)
@@ -557,19 +525,10 @@ DifferentialPair::programSigned(std::span<const int> weights, int slices,
     const int max_mag = (1 << (slices * bits)) - 1;
     const std::size_t stride =
         static_cast<std::size_t>(detail::quadPlaneStride(p.cols));
-    const DeviceParams &device = p.device;
-    const MicroSiemens g_min = device.gMin(), g_max = device.gMax();
-    const double variation = device.programVariation;
-    std::vector<MicroSiemens> ideal(static_cast<std::size_t>(mask) + 1);
+    std::array<MicroSiemens, 128> ideal{};  // cellBits <= 7
     for (int level = 0; level <= mask; ++level)
         ideal[static_cast<std::size_t>(level)] =
-            Cell::idealConductance(device, level, bits);
-    auto write = [&](Cell &cell, int level) {
-        cell.programIdeal(level, bits, ideal[static_cast<std::size_t>(level)],
-                          g_min, g_max, variation, rng);
-    };
-    pos_.planesDirty_.store(true, std::memory_order_release);
-    neg_.planesDirty_.store(true, std::memory_order_release);
+            idealConductance(p.device, level, bits);
     for (std::size_t r = 0; r < static_cast<std::size_t>(p.rows); ++r) {
         std::int8_t *quad = quadPlane_.data() + (r / 4) * stride * 4 + r % 4;
         for (std::size_t c = 0; c < weight_cols; ++c) {
@@ -582,8 +541,11 @@ DifferentialPair::programSigned(std::span<const int> weights, int slices,
                     c * static_cast<std::size_t>(slices) +
                     static_cast<std::size_t>(s);
                 const int level = (mag >> ((slices - 1 - s) * bits)) & mask;
-                write(pos_.cells_[r * cols + col], w > 0 ? level : 0);
-                write(neg_.cells_[r * cols + col], w < 0 ? level : 0);
+                const int pos = w > 0 ? level : 0, neg = w < 0 ? level : 0;
+                pos_.write(r * cols + col, pos,
+                           ideal[static_cast<std::size_t>(pos)], rng);
+                neg_.write(r * cols + col, neg,
+                           ideal[static_cast<std::size_t>(neg)], rng);
                 quad[col * 4] = static_cast<std::int8_t>(w < 0 ? -level
                                                                : level);
             }

@@ -9,22 +9,18 @@
  * crossbar arrays sharing input ports; an analog subtraction unit takes
  * their difference, which also cancels the HRS conductance offset
  * (G = Gmin + level * Gstep, and the Gmin terms subtract out).
- *
- * In memory mode the same array stores one bit per cell (SLC).
  */
 
 #ifndef PRIME_RERAM_CROSSBAR_HH
 #define PRIME_RERAM_CROSSBAR_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <span>
 #include <vector>
 
-#include "common/mutex.hh"
 #include "common/rng.hh"
-#include "common/thread_annotations.hh"
 #include "reram/cell.hh"
 
 namespace prime::reram {
@@ -70,9 +66,42 @@ struct CrossbarParams
     }
 };
 
+namespace detail {
+
+/** Allocates on a 64-byte boundary: a pair's quad plane, so no 64-byte
+ *  plane load of the exact kernel splits a cache line. */
+template <typename T>
+struct CacheLineAllocator
+{
+    using value_type = T;
+    static constexpr std::align_val_t kAlign{64};
+
+    CacheLineAllocator() = default;
+    template <typename U>
+    CacheLineAllocator(const CacheLineAllocator<U> &)
+    {
+    }
+    T *allocate(std::size_t n)
+    {
+        return static_cast<T *>(::operator new(n * sizeof(T), kAlign));
+    }
+    void deallocate(T *p, std::size_t) { ::operator delete(p, kAlign); }
+    bool operator==(const CacheLineAllocator &) const = default;
+};
+
+} // namespace detail
+
 /**
- * One physical crossbar: a rows x cols grid of Cells with program, SLC
- * read/write, and analog/exact MVM operations.
+ * One physical crossbar: a rows x cols grid of MLC cells with program
+ * and analog/exact MVM operations.
+ *
+ * The cells' state is three row-major planes, written eagerly by one
+ * private write function: a level, the conductance the bitline sees
+ * and a wear count per cell.  A fresh crossbar reads level 0,
+ * conductance 0.0 and wear 0 everywhere.  No read changes any state,
+ * so concurrent const MVMs on a programmed crossbar are plain reads;
+ * they must be ordered after the last program call (the thread pool's
+ * job handoff does that).
  */
 class Crossbar
 {
@@ -91,7 +120,12 @@ class Crossbar
     /** Level the write driver targeted for a cell. */
     int storedLevel(int row, int col) const;
 
-    /** Actual programmed conductance of a cell. */
+    /**
+     * Conductance of a cell as its bitline sees it: the programmed
+     * value, including programming error, in series with the cell's
+     * wordline and bitline wire segments when wireResistancePerCell
+     * is set.
+     */
     MicroSiemens conductance(int row, int col) const;
 
     /**
@@ -99,7 +133,7 @@ class Crossbar
      * the arithmetic the analog array implements when devices are perfect;
      * the composing scheme's correctness proofs are stated in these units.
      *
-     * A plain loop over the Cell levels, kept as the reference the
+     * A plain loop over the level plane, kept as the reference the
      * fused DifferentialPair kernel is tested against; writes the cols
      * results to @p out without allocating.
      */
@@ -109,11 +143,8 @@ class Crossbar
     /**
      * Analog MVM through programmed conductances: writes the per-bitline
      * current in uA to @p current (cols entries), including programming
-     * variation (already baked into the conductances) and optional read
-     * noise when @p rng is non-null.
-     *
-     * Runs over the cached effective-conductance plane, which folds the
-     * per-position wordline/bitline IR drop into each cell's value.
+     * variation and IR drop (both already in the conductance plane) and
+     * optional read noise when @p rng is non-null.
      *
      * RNG-ordering contract: read noise is drawn *after* the full
      * accumulation, one gaussian per bitline in ascending column order,
@@ -130,13 +161,6 @@ class Crossbar
      */
     double levelUnitsFromCurrent(double current_ua) const;
 
-    /** Memory mode: SLC-write a row of bits. */
-    void writeRowBits(int row, std::span<const std::uint8_t> bits,
-                      Rng *rng = nullptr);
-
-    /** Memory mode: SLC-read a row of bits. */
-    std::vector<std::uint8_t> readRowBits(int row) const;
-
     /** Total writes absorbed by the most-worn cell (endurance proxy). */
     std::uint64_t maxWear() const;
 
@@ -145,57 +169,29 @@ class Crossbar
 
   private:
     /** programSigned writes both arrays' cells in one interleaved loop
-     *  and invalidates each plane once per call. */
+     *  through write(). */
     friend class DifferentialPair;
 
     /** Bounds-checked flat index of a cell. */
     std::size_t index(int row, int col) const;
 
-    /** Read-only cell access. */
-    const Cell &at(int row, int col) const { return cells_[index(row, col)]; }
-
     /**
-     * Mutable cell access: the single funnel for every mutation path
-     * (program, SLC write), so the cached planes are invalidated in
-     * exactly one place.
+     * The one write path: program cell @p i (flat index) to @p level,
+     * whose ideal conductance is @p ideal.  Draws the programming
+     * error from @p rng when non-null, folds the cell's IR drop into
+     * the stored conductance, and counts a write when the cell is
+     * first programmed or its level changes (write drivers verify
+     * before pulsing).
      */
-    Cell &mutableAt(int row, int col)
-    {
-        planesDirty_.store(true, std::memory_order_release);
-        return cells_[index(row, col)];
-    }
-
-    /** Rebuild the SoA plane from the Cell array (takes planesMutex_;
-     *  the EXCLUDES makes re-entry a compile-time error). */
-    void rebuildPlanes() const PRIME_EXCLUDES(planesMutex_);
-
-    /** Plane, rebuilt if a mutation invalidated it. */
-    void ensurePlanes() const
-    {
-        if (planesDirty_.load(std::memory_order_acquire))
-            rebuildPlanes();
-    }
+    void write(std::size_t i, int level, MicroSiemens ideal, Rng *rng);
 
     CrossbarParams params_;
-    std::vector<Cell> cells_;
-
-    // Cached structure-of-arrays conductance plane for the analog MVM,
-    // lazily (re)built from cells_ by the first analog MVM after a
-    // mutation (an exact-only array never builds it); any mutation
-    // flips planesDirty_.  The read path is safe to share across
-    // threads: the first MVM after a mutation rebuilds under
-    // planesMutex_ and publishes with a release store of planesDirty_,
-    // which the acquire load in ensurePlanes pairs with.  Mutations
-    // themselves must still be externally ordered against concurrent
-    // MVMs (the evaluator's fan-out keeps whole engines thread-private,
-    // and the controller programs cells only between compute phases).
-    // The plane is deliberately NOT PRIME_GUARDED_BY(planesMutex_): the
-    // MVM read path touches it lock-free after the release/acquire
-    // publication above -- the protocol, not the rebuild lock, is the
-    // read-side contract.
-    mutable Mutex planesMutex_;               ///< serializes rebuilds
-    mutable std::vector<double> gEffPlane_;   ///< rows x cols uS, IR folded
-    mutable std::atomic<bool> planesDirty_{true};
+    /** Per-cell planes, rows x cols row-major. */
+    std::vector<std::uint8_t> levels_;     ///< below 2^cellBits, bits <= 8
+    std::vector<double> conductance_;      ///< uS, IR drop folded in
+    /** One program call adds at most 1 per cell, so no run reaches
+     *  2^32 writes. */
+    std::vector<std::uint32_t> wear_;
 };
 
 /**
@@ -232,7 +228,7 @@ class DifferentialPair
      * linear, so this equals the crossbar passes pos.mvmExact -
      * neg.mvmExact per vector bit for bit; it runs the CPU-dispatched
      * u8 x s8 kernel (detail::dispatchedSignedPlaneKernel) over the
-     * pair's quad plane (the Crossbar planes are left unbuilt) and does
+     * pair's quad plane (the Crossbar planes are not read) and does
      * not allocate.
      */
     void mvmExact(std::span<const std::uint8_t> phases,
@@ -266,7 +262,8 @@ class DifferentialPair
      * mutation path, so it never goes stale.  int8: |level| <
      * 2^cellBits <= 128.
      */
-    std::vector<std::int8_t> quadPlane_;
+    std::vector<std::int8_t, detail::CacheLineAllocator<std::int8_t>>
+        quadPlane_;
 };
 
 namespace detail {

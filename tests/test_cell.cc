@@ -1,11 +1,17 @@
 /**
  * @file
- * ReRAM device model tests (Section II-A behavior).
+ * ReRAM device model tests (Section II-A behavior): the device
+ * functions, and one cell's program/wear behavior through a 1 x 1
+ * crossbar.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "reram/cell.hh"
+#include "reram/crossbar.hh"
 
 namespace prime::reram {
 namespace {
@@ -20,82 +26,99 @@ TEST(DeviceParams, ConductanceEndpoints)
 TEST(Cell, IdealConductanceEndpointsAndMonotonicity)
 {
     DeviceParams p;
-    EXPECT_DOUBLE_EQ(Cell::idealConductance(p, 0, 4), p.gMin());
-    EXPECT_DOUBLE_EQ(Cell::idealConductance(p, 15, 4), p.gMax());
+    EXPECT_DOUBLE_EQ(idealConductance(p, 0, 4), p.gMin());
+    EXPECT_DOUBLE_EQ(idealConductance(p, 15, 4), p.gMax());
     for (int l = 1; l < 16; ++l)
-        EXPECT_GT(Cell::idealConductance(p, l, 4),
-                  Cell::idealConductance(p, l - 1, 4));
+        EXPECT_GT(idealConductance(p, l, 4), idealConductance(p, l - 1, 4));
+}
+
+/** A 1 x 1 crossbar: the cell-level behavior of programCell. */
+CrossbarParams
+oneCell()
+{
+    CrossbarParams p;
+    p.rows = 1;
+    p.cols = 1;
+    return p;
+}
+
+TEST(Cell, UnprogrammedReadsZero)
+{
+    const Crossbar xbar(oneCell());
+    EXPECT_EQ(xbar.storedLevel(0, 0), 0);
+    EXPECT_EQ(xbar.conductance(0, 0), 0.0);
+    EXPECT_EQ(xbar.totalWear(), 0u);
 }
 
 TEST(Cell, ProgramStoresLevelIdeally)
 {
-    DeviceParams p;
-    Cell c;
-    c.program(p, 9, 4);
-    EXPECT_EQ(c.level(), 9);
-    EXPECT_EQ(c.levelCount(), 16);
-    EXPECT_DOUBLE_EQ(c.conductance(), Cell::idealConductance(p, 9, 4));
+    Crossbar xbar(oneCell());
+    xbar.programCell(0, 0, 9);
+    EXPECT_EQ(xbar.storedLevel(0, 0), 9);
+    EXPECT_DOUBLE_EQ(xbar.conductance(0, 0),
+                     idealConductance(xbar.params().device, 9, 4));
 }
 
 TEST(Cell, ProgramVariationBoundedAndNonzero)
 {
-    DeviceParams p;
-    p.programVariation = 0.03;
+    CrossbarParams xp = oneCell();
+    xp.device.programVariation = 0.03;
+    const DeviceParams &p = xp.device;
     Rng rng(3);
     double max_rel = 0.0;
     for (int i = 0; i < 200; ++i) {
-        Cell c;
-        c.program(p, 8, 4, &rng);
-        const double ideal = Cell::idealConductance(p, 8, 4);
-        max_rel = std::max(max_rel,
-                           std::abs(c.conductance() - ideal) / ideal);
-        EXPECT_GE(c.conductance(), p.gMin());
-        EXPECT_LE(c.conductance(), p.gMax());
+        Crossbar xbar(xp);
+        xbar.programCell(0, 0, 8, &rng);
+        const double g = xbar.conductance(0, 0);
+        const double ideal = idealConductance(p, 8, 4);
+        max_rel = std::max(max_rel, std::abs(g - ideal) / ideal);
+        EXPECT_GE(g, p.gMin());
+        EXPECT_LE(g, p.gMax());
     }
     EXPECT_GT(max_rel, 0.0);
     EXPECT_LT(max_rel, 0.2);  // ~3% sigma: 6-sigma tail bound
 }
 
-TEST(Cell, SlcSetResetAndReadBit)
+TEST(Cell, VariationClampedToDeviceRange)
 {
-    DeviceParams p;
-    Cell c;
-    c.set(p);
-    EXPECT_TRUE(c.readBit(p));
-    c.reset(p);
-    EXPECT_FALSE(c.readBit(p));
+    CrossbarParams xp = oneCell();
+    xp.device.programVariation = 5.0;  // most draws leave [gMin, gMax]
+    Rng rng(4);
+    Crossbar xbar(xp);
+    bool hit_min = false, hit_max = false;
+    for (int i = 0; i < 200; ++i) {
+        xbar.programCell(0, 0, i % 2 == 0 ? 0 : 15, &rng);
+        const double g = xbar.conductance(0, 0);
+        EXPECT_GE(g, xp.device.gMin());
+        EXPECT_LE(g, xp.device.gMax());
+        hit_min |= g == xp.device.gMin();
+        hit_max |= g == xp.device.gMax();
+    }
+    EXPECT_TRUE(hit_min);
+    EXPECT_TRUE(hit_max);
 }
 
 TEST(Cell, WearCountsOnlyChanges)
 {
-    DeviceParams p;
-    Cell c;
-    c.set(p);
-    const auto w1 = c.wear();
-    c.set(p);  // same state: write-verify skips the pulse
-    EXPECT_EQ(c.wear(), w1);
-    c.reset(p);
-    EXPECT_EQ(c.wear(), w1 + 1);
-}
-
-TEST(Cell, EnduranceThresholdDetected)
-{
-    DeviceParams p;
-    p.endurance = 3;
-    Cell c;
-    for (int i = 0; i < 4; ++i) {
-        c.set(p);
-        c.reset(p);
-    }
-    EXPECT_TRUE(c.wornOut(p));
+    Crossbar xbar(oneCell());
+    xbar.programCell(0, 0, 0);  // the first write pulses, even to HRS
+    EXPECT_EQ(xbar.totalWear(), 1u);
+    xbar.programCell(0, 0, 0);  // same state: write-verify skips the pulse
+    EXPECT_EQ(xbar.totalWear(), 1u);
+    xbar.programCell(0, 0, 7);
+    EXPECT_EQ(xbar.totalWear(), 2u);
+    xbar.programCell(0, 0, 7);
+    EXPECT_EQ(xbar.totalWear(), 2u);
+    xbar.programCell(0, 0, 0);
+    EXPECT_EQ(xbar.totalWear(), 3u);
+    EXPECT_EQ(xbar.maxWear(), 3u);
 }
 
 TEST(Cell, RejectsOutOfRangeLevel)
 {
-    DeviceParams p;
-    Cell c;
-    EXPECT_DEATH(c.program(p, 16, 4), "level");
-    EXPECT_DEATH(c.program(p, -1, 4), "level");
+    Crossbar xbar(oneCell());
+    EXPECT_DEATH(xbar.programCell(0, 0, 16), "level");
+    EXPECT_DEATH(xbar.programCell(0, 0, -1), "level");
 }
 
 /** MLC level sweep: every level distinguishes from its neighbors. */
@@ -110,7 +133,7 @@ TEST_P(MlcBitsSweep, AllLevelsDistinct)
     const int levels = 1 << bits;
     double prev = -1.0;
     for (int l = 0; l < levels; ++l) {
-        const double g = Cell::idealConductance(p, l, bits);
+        const double g = idealConductance(p, l, bits);
         EXPECT_GT(g, prev);
         prev = g;
     }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Crossbar MVM tests: exact integer semantics, analog fidelity, the
- * differential pos/neg pair, and SLC memory mode.
+ * differential pos/neg pair, and concurrent reads of a programmed
+ * array.
  */
 
 #include <gtest/gtest.h>
@@ -155,22 +156,15 @@ TEST(Crossbar, ReadNoisePerturbsOutput)
     EXPECT_TRUE(different);
 }
 
-TEST(Crossbar, MemoryModeRoundTrip)
-{
-    Crossbar xbar(smallParams(8, 16));
-    std::vector<std::uint8_t> bits = {1, 0, 1, 1, 0, 0, 1, 0,
-                                      1, 1, 1, 0, 0, 1, 0, 1};
-    xbar.writeRowBits(3, bits);
-    EXPECT_EQ(xbar.readRowBits(3), bits);
-}
-
 TEST(Crossbar, WearTracked)
 {
     Crossbar xbar(smallParams(4, 4));
-    std::vector<std::uint8_t> a(4, 1), b(4, 0);
-    xbar.writeRowBits(0, a);
-    xbar.writeRowBits(0, b);
-    EXPECT_GE(xbar.maxWear(), 2u);
+    for (int c = 0; c < 4; ++c)
+        xbar.programCell(0, c, 15);
+    for (int c = 0; c < 4; ++c)
+        xbar.programCell(0, c, 0);
+    EXPECT_EQ(xbar.maxWear(), 2u);
+    EXPECT_EQ(xbar.totalWear(), 8u);
 }
 
 TEST(Crossbar, RejectsBadInputs)
@@ -601,7 +595,7 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{256, 16}, std::pair{33, 129}));
 
 // ------------------------------------------------------------------
-// Compute-plane fast path: cached planes, buffer reuse, thread pool.
+// Compute-plane fast path: the planes, buffer reuse, thread pool.
 // ------------------------------------------------------------------
 
 /** Scalar reference MVM straight from storedLevel(), bypassing planes. */
@@ -618,37 +612,43 @@ referenceMvm(const Crossbar &xbar, const std::vector<std::uint8_t> &in)
     return out;
 }
 
+/** The conductance the bitline sees through a cell at (r, c) of
+ *  conductance @p g: the first-order IR-drop formula, its wordline
+ *  (c + 1 pitches) and bitline (rows - r pitches) wire in series. */
+double
+irDropped(double g, int r, int c, const CrossbarParams &p)
+{
+    const Ohm r_wire = p.wireResistancePerCell *
+                       static_cast<double>((c + 1) + (p.rows - r));
+    return 1.0 / (1.0 / g + r_wire * 1.0e-6);
+}
+
 /** The pre-fast-path mvmAnalog arithmetic, reproduced element by
- *  element from the stored conductances (the formula the cached
- *  effective-conductance plane must match). */
+ *  element from @p xbar's conductances; with @p wired set, each goes
+ *  through irDropped at @p wired's wire resistance first. */
 std::vector<double>
-referenceAnalog(const Crossbar &xbar, const std::vector<std::uint8_t> &in)
+referenceAnalog(const Crossbar &xbar, const std::vector<std::uint8_t> &in,
+                const CrossbarParams *wired = nullptr)
 {
     const CrossbarParams &p = xbar.params();
     const Volt v_step = p.voltageStep();
-    const bool ir_drop = p.wireResistancePerCell > 0.0;
     std::vector<double> current(static_cast<std::size_t>(p.cols), 0.0);
     for (int r = 0; r < p.rows; ++r) {
         const Volt v = v_step * in[static_cast<std::size_t>(r)];
         if (v == 0.0)
             continue;
         for (int c = 0; c < p.cols; ++c) {
-            double g = xbar.conductance(r, c);
-            if (ir_drop && g > 0.0) {
-                const Ohm r_wire = p.wireResistancePerCell *
-                                   static_cast<double>((c + 1) +
-                                                       (p.rows - r));
-                g = 1.0 / (1.0 / g + r_wire * 1.0e-6);
-            }
-            current[static_cast<std::size_t>(c)] += v * g;
+            const double g = xbar.conductance(r, c);
+            current[static_cast<std::size_t>(c)] +=
+                v * (wired ? irDropped(g, r, c, *wired) : g);
         }
     }
     return current;
 }
 
-/** Interleaved programCell/writeRowBits mutations must invalidate the
- *  cached planes: every MVM agrees with a fresh scalar reference. */
-TEST(CrossbarFastPath, CachedPlaneTracksInterleavedMutations)
+/** programCell between MVMs: every exact and analog MVM agrees with a
+ *  fresh scalar reference over the planes as they stand. */
+TEST(CrossbarFastPath, MvmTracksInterleavedProgramming)
 {
     Rng rng(21);
     CrossbarParams p = smallParams(16, 12);
@@ -659,24 +659,20 @@ TEST(CrossbarFastPath, CachedPlaneTracksInterleavedMutations)
         v = static_cast<std::uint8_t>(rng.uniformInt(0, 7));
 
     std::vector<std::int64_t> out(12);
+    std::vector<double> current(12);
     for (int step = 0; step < 8; ++step) {
-        // Warm the planes...
         xbar.mvmExact(in, out);
         EXPECT_EQ(out, referenceMvm(xbar, in)) << "step " << step;
-        // ...then mutate through both write paths.
-        if (step % 2 == 0) {
-            xbar.programCell(static_cast<int>(rng.uniformInt(0, 15)),
-                             static_cast<int>(rng.uniformInt(0, 11)),
-                             static_cast<int>(rng.uniformInt(0, 15)));
-        } else {
-            std::vector<std::uint8_t> bits(12);
-            for (auto &b : bits)
-                b = rng.bernoulli(0.5) ? 1 : 0;
-            xbar.writeRowBits(static_cast<int>(rng.uniformInt(0, 15)),
-                              bits);
-        }
+        xbar.programCell(static_cast<int>(rng.uniformInt(0, 15)),
+                         static_cast<int>(rng.uniformInt(0, 11)),
+                         static_cast<int>(rng.uniformInt(0, 15)), &rng);
         xbar.mvmExact(in, out);
         EXPECT_EQ(out, referenceMvm(xbar, in)) << "after mutation " << step;
+        xbar.mvmAnalog(in, current);
+        const std::vector<double> want = referenceAnalog(xbar, in);
+        for (std::size_t c = 0; c < want.size(); ++c)
+            EXPECT_DOUBLE_EQ(current[c], want[c])
+                << "after mutation " << step << " col " << c;
     }
 }
 
@@ -698,32 +694,42 @@ TEST(CrossbarFastPath, WideArraySpansColumnBlocks)
     EXPECT_EQ(out, want);
 }
 
-/** The cached-conductance analog path must reproduce the pre-change
- *  IR-drop formula exactly. */
+/** The IR drop is folded into the conductance plane at program
+ *  time: a wire-resistant crossbar's conductances and analog MVM equal
+ *  the formula applied to a wire-free twin programmed from the same
+ *  Rng seed, before and after a further programCell. */
 TEST(CrossbarFastPath, AnalogIrDropMatchesFormula)
 {
     Rng rng(22);
-    CrossbarParams p = smallParams(24, 10);
-    p.wireResistancePerCell = 2.5;
-    Crossbar xbar(p);
-    xbar.programLevels(randomLevels(24, 10, 15, rng), &rng);
+    const CrossbarParams p = smallParams(24, 10);
+    CrossbarParams wired = p;
+    wired.wireResistancePerCell = 2.5;
+    const std::vector<std::vector<int>> levels = randomLevels(24, 10, 15, rng);
     std::vector<std::uint8_t> in(24);
     for (std::uint8_t &v : in)
         v = static_cast<std::uint8_t>(rng.uniformInt(0, 7));
 
-    std::vector<double> got(10);
-    xbar.mvmAnalog(in, got);
-    std::vector<double> want = referenceAnalog(xbar, in);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t c = 0; c < got.size(); ++c)
-        EXPECT_DOUBLE_EQ(got[c], want[c]) << "col " << c;
-
-    // Still exact after a mutation invalidates the plane.
-    xbar.programCell(3, 7, 11, &rng);
-    xbar.mvmAnalog(in, got);
-    want = referenceAnalog(xbar, in);
-    for (std::size_t c = 0; c < got.size(); ++c)
-        EXPECT_DOUBLE_EQ(got[c], want[c]) << "col " << c;
+    Crossbar twin(p), xbar(wired);
+    Rng twin_rng(5), xbar_rng(5);
+    twin.programLevels(levels, &twin_rng);
+    xbar.programLevels(levels, &xbar_rng);
+    auto check = [&](const char *when) {
+        for (int r = 0; r < p.rows; ++r)
+            for (int c = 0; c < p.cols; ++c)
+                EXPECT_DOUBLE_EQ(xbar.conductance(r, c),
+                                 irDropped(twin.conductance(r, c), r, c,
+                                           wired))
+                    << when << " cell " << r << "," << c;
+        std::vector<double> got(10);
+        xbar.mvmAnalog(in, got);
+        const std::vector<double> want = referenceAnalog(twin, in, &wired);
+        for (std::size_t c = 0; c < got.size(); ++c)
+            EXPECT_DOUBLE_EQ(got[c], want[c]) << when << " col " << c;
+    };
+    check("programmed");
+    twin.programCell(3, 7, 11, &twin_rng);
+    xbar.programCell(3, 7, 11, &xbar_rng);
+    check("reprogrammed");
 }
 
 /** Read noise: accumulation first, then one gaussian per column in
@@ -822,6 +828,55 @@ TEST(ComposedEngineFastPath, ReusedScratchMatchesFreshPerSample)
         ComposedMatrixEngine::MvmScratch fresh_analog_scratch;
         engine.mvmAnalog(inputs[s], fresh, fresh_analog_scratch, &fresh_rng);
         EXPECT_EQ(out, fresh) << "analog sample " << s;
+    }
+}
+
+/** A programmed array is shared read-only: pool jobs running analog
+ *  MVMs at once on one freshly programmed pair and composed engine
+ *  (each with its own outputs and scratch) each get the sequential
+ *  result bit for bit. */
+TEST(CrossbarFastPath, ConcurrentAnalogReadsOfOneProgrammedArray)
+{
+    constexpr std::size_t kJobs = 8;
+    Rng rng(26);
+    CrossbarParams xp;
+    xp.rows = 64;
+    xp.cols = 32;
+    DifferentialPair pair(xp);
+    std::vector<int> signed_levels(64 * 32);
+    for (int &v : signed_levels)
+        v = static_cast<int>(rng.uniformInt(-15, 15));
+    pair.programSigned(signed_levels, 1, &rng);
+    ComposedMatrixEngine engine(64, 16, ComposingParams{}, CrossbarParams{});
+    std::vector<int> weights(64 * 16);
+    for (int &v : weights)
+        v = static_cast<int>(rng.uniformInt(-255, 255));
+    engine.programWeights(weights, &rng);
+    std::vector<std::uint8_t> codes(64), inputs(64);
+    for (std::uint8_t &v : codes)
+        v = static_cast<std::uint8_t>(rng.uniformInt(0, 7));
+    for (std::uint8_t &v : inputs)
+        v = static_cast<std::uint8_t>(rng.uniformInt(0, 63));
+
+    // Every job reads before any sequential call touches the arrays.
+    std::vector<std::vector<double>> pair_out(kJobs, std::vector<double>(32));
+    std::vector<std::vector<std::int64_t>> engine_out(
+        kJobs, std::vector<std::int64_t>(16));
+    ThreadPool::global().parallelFor(kJobs, [&](std::size_t j) {
+        std::vector<double> neg(32);
+        pair.mvmAnalog(codes, pair_out[j], neg);
+        ComposedMatrixEngine::MvmScratch scratch;
+        engine.mvmAnalog(inputs, engine_out[j], scratch);
+    });
+
+    std::vector<double> pair_want(32), neg(32);
+    pair.mvmAnalog(codes, pair_want, neg);
+    std::vector<std::int64_t> engine_want(16);
+    ComposedMatrixEngine::MvmScratch scratch;
+    engine.mvmAnalog(inputs, engine_want, scratch);
+    for (std::size_t j = 0; j < kJobs; ++j) {
+        EXPECT_EQ(pair_out[j], pair_want) << "job " << j;
+        EXPECT_EQ(engine_out[j], engine_want) << "job " << j;
     }
 }
 

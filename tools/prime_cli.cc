@@ -409,10 +409,10 @@ prepareSystem(int argc, char **argv, const CliOptions &opt)
 
 /**
  * Untimed warm-up passes before any measured section: the first
- * inference after programming rebuilds cold plane caches, and letting
- * that land in host wall-clock stats skews every host_* number.  Resets
- * the system and memory stat groups afterwards so the measured loop
- * starts clean.
+ * inference after programming runs on cold caches and pages, and
+ * letting that land in host wall-clock stats skews every host_*
+ * number.  Resets the system and memory stat groups afterwards so the
+ * measured loop starts clean.
  */
 void
 warmUp(core::PrimeSystem &prime, std::span<const nn::Sample> test,
@@ -533,7 +533,7 @@ cmdServe(int argc, char **argv, const CliOptions &opt)
     PreparedRun prep = prepareSystem(argc, argv, opt);
     core::PrimeSystem &prime = *prep.prime;
 
-    // Warm the plane caches through the same runBatch path serving
+    // Warm the caches through the same runBatch path serving
     // uses; --warmup 0 disables.
     CliOptions wopt = opt;
     wopt.batch = std::max(1, opt.maxBatch);
