@@ -935,7 +935,8 @@ PrimeSystem::run(const nn::Tensor &input)
     for (std::size_t s = 0; s < stages_.size(); ++s)
         x = runStageImpl(x, s, ctx);
     replayLog(ctx);
-    inferences_->increment();
+    if (!calibrating_)
+        inferences_->increment();  // calibrate() counts run.calibrations
     return x;
 }
 

@@ -4,30 +4,22 @@
 #include <span>
 #include <utility>
 
-#include "common/logging.hh"
 #include "common/telemetry/trace_session.hh"
 
 namespace prime::serve {
-
-namespace {
-
-/** Idle nap of the scheduler when the ingress ring is empty: long
- *  enough not to starve co-located producers of a core, short against
- *  any realistic batch window. */
-constexpr std::chrono::microseconds kIdleNap{20};
-
-} // namespace
 
 ServingEngine::ServingEngine(core::PrimeSystem &system,
                              const ServingOptions &options)
     : system_(system), options_(options),
       inputSize_(static_cast<std::size_t>(
           system.topology().layers.front().inputCount())),
-      ingress_(std::max<std::size_t>(1, options.queueCapacity)),
+      batchSize_(stats_.histogram("serving.batch_size")),
+      e2eLatency_(stats_.histogram("serving.e2e_latency_ns")),
+      queueWait_(stats_.histogram("serving.queue_wait_ns")),
       epoch_(std::chrono::steady_clock::now())
 {
+    options_.queueCapacity = std::max<std::size_t>(1, options_.queueCapacity);
     options_.maxBatch = std::max(1, options_.maxBatch);
-    options_.batchWindowUs = std::max(0, options_.batchWindowUs);
 
     // Fixed stats schema: histograms exist (empty) from construction,
     // counters surface as read-time formulas over the atomics the
@@ -35,9 +27,6 @@ ServingEngine::ServingEngine(core::PrimeSystem &system,
     // single-writer contract the multi-producer admission path cannot
     // honor directly.  Every formula reads atomics only, so a metrics
     // sampler may evaluate it at any time.
-    stats_.histogram("serving.e2e_latency_ns");
-    stats_.histogram("serving.queue_wait_ns");
-    stats_.histogram("serving.batch_size");
     auto read = [](const std::atomic<std::uint64_t> &value) {
         return [&value] {
             return static_cast<double>(
@@ -53,7 +42,8 @@ ServingEngine::ServingEngine(core::PrimeSystem &system,
     stats_.formula("serving.batches", read(batches_),
                    MetricKind::Counter);
     stats_.formula("serving.queue.depth", [this] {
-        return static_cast<double>(ingress_.approxSize());
+        return static_cast<double>(
+            depth_.load(std::memory_order_relaxed));
     });
     stats_.formula("serving.shed_rate", [this] {
         const double a = static_cast<double>(
@@ -64,16 +54,10 @@ ServingEngine::ServingEngine(core::PrimeSystem &system,
     });
 }
 
-ServingEngine::~ServingEngine()
-{
-    stop();
-    // An engine destroyed without ever running drops what it admitted
-    // but never scheduled (their callbacks do not fire); a started
-    // engine's stop() above drained everything.
-    Request leftover;
-    while (ingress_.tryPop(leftover)) {
-    }
-}
+// An engine destroyed without ever running drops what it admitted but
+// never scheduled (their callbacks do not fire); a started engine's
+// stop() drains everything.
+ServingEngine::~ServingEngine() { stop(); }
 
 double
 ServingEngine::nowNs() const
@@ -88,7 +72,10 @@ ServingEngine::start()
 {
     if (running_)
         return;
-    stopping_.store(false, std::memory_order_seq_cst);
+    {
+        MutexLock lock(mutex_);
+        stopping_ = false;
+    }
     running_ = true;
     scheduler_ = std::thread([this] { schedulerLoop(); });
 }
@@ -98,11 +85,13 @@ ServingEngine::stop()
 {
     if (!running_)
         return;
-    // Close admission first (trySubmit rejects from here on), then let
-    // the scheduler drain the ring and run its last batches.
-    // seq_cst deliberately: pairs with trySubmit's pendingSubmits_
-    // increment so the drain condition in popOrQuit is race-free.
-    stopping_.store(true, std::memory_order_seq_cst);
+    // Close admission (trySubmit rejects from here on), then let the
+    // scheduler drain the queue and run its last batches.
+    {
+        MutexLock lock(mutex_);
+        stopping_ = true;
+    }
+    ready_.notify_one();
     scheduler_.join();
     running_ = false;
 }
@@ -112,87 +101,62 @@ ServingEngine::trySubmit(nn::Tensor input, CompletionFn on_complete)
 {
     if (input.size() != inputSize_) {
         // A mis-sized tensor would fault the scheduler thread deep in
-        // the datapath; it never enters the ring.
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    // The submit gate pairs with the scheduler's drain condition
-    // (both seq_cst): a submitter that read stopping_ == false is
-    // visible in pendingSubmits_ until its push completed, so the
-    // scheduler cannot conclude "drained" while an accepted request
-    // is still in flight into the ring.
-    pendingSubmits_.fetch_add(1, std::memory_order_seq_cst);
-    if (stopping_.load(std::memory_order_seq_cst)) {
-        pendingSubmits_.fetch_sub(1, std::memory_order_seq_cst);
+        // the datapath; it never enters the queue.
         rejected_.fetch_add(1, std::memory_order_relaxed);
         return std::nullopt;
     }
     Request request;
-    request.id = nextId_.fetch_add(1, std::memory_order_relaxed);
     request.input = std::move(input);
     request.onComplete = std::move(on_complete);
-    request.admitNs = nowNs();
-    const std::uint64_t id = request.id;
-    const bool pushed = ingress_.tryPush(std::move(request));
-    pendingSubmits_.fetch_sub(1, std::memory_order_seq_cst);
-    if (!pushed) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;  // ingress full: load explicitly shed
+    std::uint64_t id = 0;
+    {
+        MutexLock lock(mutex_);
+        if (stopping_ || queue_.size() >= options_.queueCapacity) {
+            rejected_.fetch_add(1, std::memory_order_relaxed);
+            return std::nullopt;  // stopping or full: load shed
+        }
+        id = nextId_++;
+        request.id = id;
+        request.admitNs = nowNs();
+        queue_.push_back(std::move(request));
+        depth_.store(queue_.size(), std::memory_order_relaxed);
+        // Counted under the lock, so the scheduler can never complete
+        // a request that accepted() does not show yet.
+        accepted_.fetch_add(1, std::memory_order_relaxed);
     }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
+    ready_.notify_one();
     return id;
 }
 
 /**
- * Pop the next request, napping while the ring is idle.  Returns false
- * only when the engine is stopping and the ring is conclusively
- * drained: admission closed, no submitter mid-push (the gate), and a
- * final pop after both facts still found nothing.
+ * Wait until requests are queued or stop() began, then move up to
+ * maxBatch of them into @p batch.  Returns false only when the engine
+ * is stopping and the queue is empty.
  */
 bool
-ServingEngine::popOrQuit(Request &out)
+ServingEngine::takeBatch(std::vector<Request> &batch)
 {
-    for (;;) {
-        if (ingress_.tryPop(out))
-            return true;
-        if (stopping_.load(std::memory_order_seq_cst) &&
-            pendingSubmits_.load(std::memory_order_seq_cst) == 0)
-            return ingress_.tryPop(out);
-        std::this_thread::sleep_for(kIdleNap);
+    UniqueLock lock(mutex_);
+    while (queue_.empty() && !stopping_)
+        ready_.wait(lock);
+    if (queue_.empty())
+        return false;
+    const std::size_t n = std::min(
+        queue_.size(), static_cast<std::size_t>(options_.maxBatch));
+    for (std::size_t i = 0; i < n; ++i) {
+        batch.push_back(std::move(queue_.front()));
+        queue_.pop_front();
     }
+    depth_.store(queue_.size(), std::memory_order_relaxed);
+    return true;
 }
 
 void
 ServingEngine::schedulerLoop()
 {
-    const double window_ns = 1e3 * options_.batchWindowUs;
-    const std::size_t max_batch =
-        static_cast<std::size_t>(options_.maxBatch);
     std::vector<Request> batch;
-    batch.reserve(max_batch);
-    for (;;) {
-        Request first;
-        if (!popOrQuit(first))
-            break;
-        // A batch opens on its first request and closes at maxBatch
-        // co-riders or when that request's latency budget expires,
-        // whichever comes first.  The budget runs from admission, so a
-        // request that waited in the ring while the previous batch ran
-        // is not held for a second full window.
-        const double deadline = first.admitNs + window_ns;
-        batch.push_back(std::move(first));
-        while (batch.size() < max_batch) {
-            Request next;
-            if (ingress_.tryPop(next)) {
-                batch.push_back(std::move(next));
-                continue;
-            }
-            // Stopping means no co-rider will ever arrive: close now.
-            if (stopping_.load(std::memory_order_acquire) ||
-                nowNs() >= deadline)
-                break;
-            std::this_thread::yield();
-        }
+    batch.reserve(static_cast<std::size_t>(options_.maxBatch));
+    while (takeBatch(batch)) {
         execute(batch);
         batch.clear();
     }
@@ -203,8 +167,7 @@ ServingEngine::execute(std::vector<Request> &batch)
 {
     PRIME_SPAN(telemetry::globalTrace(), "serve.batch", "serve");
     const std::size_t n = batch.size();
-    stats_.histogram("serving.batch_size")
-        .sample(static_cast<double>(n));
+    batchSize_.sample(static_cast<double>(n));
     batches_.fetch_add(1, std::memory_order_relaxed);
     std::vector<nn::Tensor> inputs;
     inputs.reserve(n);
@@ -216,11 +179,9 @@ ServingEngine::execute(std::vector<Request> &batch)
         system_.runBatch(std::span<const nn::Tensor>(inputs));
     const double done_ns = nowNs();
 
-    telemetry::Histogram &e2e = stats_.histogram("serving.e2e_latency_ns");
-    telemetry::Histogram &wait = stats_.histogram("serving.queue_wait_ns");
     for (const Request &r : batch) {
-        e2e.sample(done_ns - r.admitNs);
-        wait.sample(start_ns - r.admitNs);
+        e2eLatency_.sample(done_ns - r.admitNs);
+        queueWait_.sample(start_ns - r.admitNs);
     }
     completed_.fetch_add(n, std::memory_order_relaxed);
 

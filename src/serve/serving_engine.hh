@@ -7,39 +7,35 @@
  *
  * Data path:
  *
- *   client threads --tryPush--> MpscRing<Request> (bounded ingress,
- *        |                          |          the engine's only queue)
- *        | false = shed load        | single consumer
- *        v                          v
+ *   client threads --trySubmit--> bounded deque<Request> under one
+ *        |                        Mutex (the engine's only queue)
+ *        | nullopt = shed load        | condvar wake
+ *        v                            v
  *     rejected               scheduler thread:
- *                              pop -> coalesce (up to maxBatch requests
- *                              or batchWindowUs after the first one's
- *                              admission, whichever first)
- *                              -> PrimeSystem::runBatch
+ *                              wait for work -> take up to maxBatch
+ *                              queued requests -> PrimeSystem::runBatch
  *                              -> stats -> completion callbacks
  *
  * On a multi-stage plan runBatch runs the inter-bank pipeline as
  * wavefront steps on ThreadPool::global(): the scheduler thread takes
- * part in every step and the pool's workers, parked between steps,
- * carry the other stages.  No thread is spawned per batch.
+ * part in every step and the pool's workers carry the other stages.
+ * No thread is spawned per batch.
  *
  * Contracts:
- *  - Admission control: trySubmit never blocks.  A full ingress ring,
- *    an input whose size is not the model's input count, or an engine
- *    whose stop() began rejects the request explicitly
- *    -- the caller sees false, serving.rejected counts it, and no
- *    callback ever fires for it.  The scheduler pops only what it is
+ *  - Admission control: trySubmit never waits for the executor.  A
+ *    full queue, an input whose size is not the model's input count,
+ *    or an engine whose stop() began rejects the request explicitly
+ *    -- the caller sees nullopt, serving.rejected counts it, and no
+ *    callback ever fires for it.  The scheduler takes only what it is
  *    about to run, so while a batch executes new arrivals wait in the
- *    ring and a busy engine sheds at queueCapacity.  Accepted requests
- *    are completed exactly once, even across stop() (the scheduler
- *    drains the ring and runs its partial batch before exiting).
- *  - Batching policy: a batch opens at the first popped request and
- *    closes after maxBatch requests or batchWindowUs microseconds
- *    after that request's admission, whichever comes first -- the
- *    latency budget bounds how long an early request waits for
- *    co-riders.  A request that already waited while the previous
- *    batch ran does not wait a second window; an empty window never
- *    delays a lone request past the budget.
+ *    queue and a busy engine sheds at exactly queueCapacity.  Accepted
+ *    requests are completed exactly once, even across stop() (the
+ *    scheduler empties the queue before exiting).
+ *  - Batching policy (work-conserving): whenever the scheduler is
+ *    free it takes whatever is queued, up to maxBatch, and runs it at
+ *    once.  No request waits for co-riders: requests that arrive while
+ *    a batch runs form the next batch, so batches grow with load and a
+ *    lone request at low load runs alone without delay.
  *  - Bit-identity: outputs equal per-sample PrimeSystem::run() calls
  *    regardless of batch composition, thread-pool size or queue
  *    capacity (runBatch's own contract).  The scheduler is the only
@@ -48,18 +44,17 @@
  *    It is a plain thread, not a pool job, so every step of a
  *    batch fans out over the pool.
  *  - One engine serves one mapped model (the PrimeSystem it wraps);
- *    coalescing is therefore per-model by construction.  Serving
+ *    batching is therefore per-model by construction.  Serving
  *    several models means several engines over several systems.
  *  - Threading: trySubmit from any thread; start/stop/stats from one
  *    controlling thread (stats() reads are stable only after stop()).
- *    Submissions racing stop() may be rejected; callers must not
- *    submit after stop() returns.
+ *    Submissions racing stop() may be rejected; those after it are.
  *
  * Telemetry: per-request end-to-end and queue-wait latency land in
  * telemetry::Histogram stats (p50/p95/p99), batch sizes in a third;
  * serving.accepted/rejected/completed/batches are counter formulas,
- * serving.shed_rate and serving.queue.depth (the ingress ring's
- * occupancy) gauge formulas -- all sampler-safe, so a MetricsRegistry
+ * serving.shed_rate and serving.queue.depth (the queue's occupancy)
+ * gauge formulas -- all read atomics only, so a MetricsRegistry
  * watching stats() samples them live.
  */
 
@@ -69,27 +64,25 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <thread>
 #include <vector>
 
-#include "common/mpsc_ring.hh"
+#include "common/mutex.hh"
 #include "common/stats.hh"
 #include "prime/prime_system.hh"
 #include "serve/request.hh"
 
 namespace prime::serve {
 
-/** Serving-engine knobs (CLI: --max-batch, --batch-window-us, ...). */
+/** Serving-engine knobs (CLI: --queue-cap, --max-batch). */
 struct ServingOptions
 {
-    /** Bounded ingress ring slots; a full ring sheds load. */
+    /** Requests the queue holds; a full queue sheds load. */
     std::size_t queueCapacity = 1024;
     /** Largest dynamic batch one runBatch call carries. */
     int maxBatch = 16;
-    /** Latency budget: a batch closes this long after its first
-     *  request's admission even if maxBatch was not reached. */
-    int batchWindowUs = 200;
 };
 
 /** Dynamic-batching request scheduler over one PrimeSystem. */
@@ -107,7 +100,7 @@ class ServingEngine
 
     /**
      * Drain and join: stop admitting, let the scheduler empty the
-     * ingress ring and run every batch to completion, then join it
+     * queue and run every batch to completion, then join it
      * (idempotent).  The counter formulas in stats() read the final
      * totals live.
      */
@@ -118,9 +111,9 @@ class ServingEngine
     /**
      * Submit one request from any thread.  Returns the request id on
      * acceptance; std::nullopt when the engine rejected it (input size
-     * is not the model's input count, ingress full, or stop()
-     * underway) -- the admission-control contract, never blocking, no
-     * callback for rejected requests.
+     * is not the model's input count, queue full, or stop()
+     * underway) -- the admission-control contract: it holds the queue
+     * lock only to push, and rejected requests get no callback.
      */
     std::optional<std::uint64_t> trySubmit(nn::Tensor input,
                                            CompletionFn on_complete);
@@ -153,7 +146,7 @@ class ServingEngine
 
   private:
     double nowNs() const;
-    bool popOrQuit(Request &out);
+    bool takeBatch(std::vector<Request> &batch);
     void schedulerLoop();
     void execute(std::vector<Request> &batch);
 
@@ -163,20 +156,29 @@ class ServingEngine
      *  layer's input count). */
     std::size_t inputSize_;
 
-    MpscRing<Request> ingress_;
-    /** Submitters mid-trySubmit; pairs with stopping_ (both seq_cst)
-     *  so the draining scheduler never races an in-flight push. */
-    std::atomic<std::uint64_t> pendingSubmits_{0};
-    std::atomic<std::uint64_t> nextId_{0};
+    Mutex mutex_;
+    /** Signalled on every push and on stop(); the scheduler's only
+     *  wait. */
+    CondVar ready_;
+    std::deque<Request> queue_ PRIME_GUARDED_BY(mutex_);
+    /** Set by stop(): admission closes, the scheduler drains. */
+    bool stopping_ PRIME_GUARDED_BY(mutex_) = false;
+    std::uint64_t nextId_ PRIME_GUARDED_BY(mutex_) = 0;
+    /** queue_.size(), stored under mutex_ for the queue-depth gauge
+     *  (formulas run on the sampler thread and take no locks). */
+    std::atomic<std::size_t> depth_{0};
     std::atomic<std::uint64_t> accepted_{0};
     std::atomic<std::uint64_t> rejected_{0};
     std::atomic<std::uint64_t> completed_{0};
     std::atomic<std::uint64_t> batches_{0};
 
-    /** Histograms written only by the scheduler thread. */
     StatGroup stats_;
+    /** Bound once at construction; written only by the scheduler
+     *  thread. */
+    telemetry::Histogram &batchSize_;
+    telemetry::Histogram &e2eLatency_;
+    telemetry::Histogram &queueWait_;
 
-    std::atomic<bool> stopping_{false};
     bool running_ = false;
     std::chrono::steady_clock::time_point epoch_;
     std::thread scheduler_;

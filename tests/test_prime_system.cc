@@ -189,6 +189,22 @@ TEST(PrimeSystem, RunStatsAccumulate)
     EXPECT_GT(prime.buffer().trafficBytes(), 0u);
 }
 
+TEST(PrimeSystem, CalibrationSamplesAreNotInferences)
+{
+    PrimeSystem prime;
+    prime.mapTopology(setup().topology);
+    prime.programWeight(setup().net);
+    prime.configDatapath();
+    prime.calibrate(std::vector<nn::Sample>(setup().train.begin(),
+                                            setup().train.begin() + 8));
+    EXPECT_EQ(prime.stats().get("run.calibrations").count(), 1u);
+    EXPECT_EQ(prime.stats().get("run.inferences").count(), 0u);
+    constexpr std::uint64_t n = 3;
+    for (std::uint64_t i = 0; i < n; ++i)
+        prime.run(setup().test.front().input);
+    EXPECT_EQ(prime.stats().get("run.inferences").count(), n);
+}
+
 TEST(PrimeSystem, ProgramWeightRejectsMismatchedNetwork)
 {
     // Multi-bank plans execute functionally now, but programWeight

@@ -97,7 +97,6 @@ TEST(SamplerStress, TicksRaceFreeAgainstPipelineServingAndNewEntries)
 
         serve::ServingOptions sopt;
         sopt.maxBatch = 4;
-        sopt.batchWindowUs = 50;
         serve::ServingEngine engine(served, sopt);
 
         telemetry::MetricsRegistry registry;

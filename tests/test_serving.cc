@@ -1,13 +1,13 @@
 /**
  * @file
- * Serving-engine tests: the MPSC ring primitive (mutex-reference
- * parity, boundary behavior, multi-producer hammer designed to run
- * under TSan), and the dynamic-batching ServingEngine over a real
- * 4-bank pipelined PrimeSystem -- admission control / shed-load
- * semantics (also while a batch is executing, and for mis-sized
- * inputs), batch coalescing
- * bounds, latency histograms, and bit-identity of served outputs
- * against sequential run() at 1/4/8 thread-pool threads.
+ * Serving-engine tests over a real 4-bank pipelined PrimeSystem:
+ * admission control / shed-load semantics (an exact queue capacity,
+ * while a batch is executing, and for mis-sized inputs), batches of
+ * whatever is queued up to maxBatch, latency histograms, per-producer
+ * FIFO order across concurrent submitters, exactly-once completion
+ * when stop() races submissions (both meant to run under TSan), and
+ * bit-identity of served outputs against sequential run() at 1/2/4/8
+ * thread-pool threads.
  */
 
 #include <gtest/gtest.h>
@@ -16,15 +16,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <latch>
 #include <map>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "common/mpsc_ring.hh"
 #include "common/telemetry/metrics.hh"
 #include "common/thread_pool.hh"
 #include "nn/dataset.hh"
@@ -34,163 +33,6 @@
 
 namespace prime::serve {
 namespace {
-
-// ------------------------------------------------------ MpscRing -----
-
-/** Mutex-based bounded FIFO with the MpscRing interface: the reference
- *  implementation the lock-free ring is checked against. */
-class ReferenceRing
-{
-  public:
-    explicit ReferenceRing(std::size_t capacity) : capacity_(capacity) {}
-
-    bool
-    tryPush(int &&value)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (queue_.size() == capacity_)
-            return false;
-        queue_.push_back(value);
-        return true;
-    }
-
-    bool
-    tryPop(int &out)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (queue_.empty())
-            return false;
-        out = queue_.front();
-        queue_.pop_front();
-        return true;
-    }
-
-  private:
-    std::size_t capacity_;
-    std::mutex mutex_;
-    std::deque<int> queue_;
-};
-
-TEST(MpscRing, FullAndEmptyBoundaries)
-{
-    MpscRing<int> ring(3);
-    EXPECT_EQ(ring.capacity(), 3u);
-    EXPECT_TRUE(ring.empty());
-    int out = -1;
-    EXPECT_FALSE(ring.tryPop(out));  // empty pop fails
-
-    for (int i = 0; i < 3; ++i) {
-        EXPECT_TRUE(ring.tryPush(int{i})) << i;
-    }
-    EXPECT_EQ(ring.approxSize(), 3u);
-    EXPECT_FALSE(ring.tryPush(99));  // full push fails...
-    EXPECT_TRUE(ring.tryPop(out));
-    EXPECT_EQ(out, 0);
-    EXPECT_TRUE(ring.tryPush(3));    // ...and succeeds after a pop
-    for (int want : {1, 2, 3}) {
-        ASSERT_TRUE(ring.tryPop(out));
-        EXPECT_EQ(out, want);
-    }
-    EXPECT_TRUE(ring.empty());
-}
-
-TEST(MpscRing, WraparoundMatchesMutexReference)
-{
-    // A deterministic push/pop script forcing many wraparounds on a
-    // tiny ring; every outcome (accepted/rejected, popped value) must
-    // match the mutex-based reference queue exactly.
-    MpscRing<int> ring(3);
-    ReferenceRing reference(3);
-    Rng rng(42);
-    int next = 0;
-    for (int step = 0; step < 2000; ++step) {
-        if (rng.uniform(0.0, 1.0) < 0.55) {
-            const bool a = ring.tryPush(int{next});
-            const bool b = reference.tryPush(int{next});
-            EXPECT_EQ(a, b) << "push step " << step;
-            if (a)
-                ++next;
-        } else {
-            int got = -1, want = -1;
-            const bool a = ring.tryPop(got);
-            const bool b = reference.tryPop(want);
-            ASSERT_EQ(a, b) << "pop step " << step;
-            if (a) {
-                EXPECT_EQ(got, want) << "pop step " << step;
-            }
-        }
-    }
-}
-
-TEST(MpscRing, MultiProducerHammerDeliversEverythingInProducerOrder)
-{
-    // The MPSC contract under contention (the test TSan watches):
-    // several producers push through a small ring concurrently, one
-    // consumer pops.  Every value must arrive exactly once, and values
-    // of the same producer must arrive in that producer's push order.
-    constexpr int kProducers = 4;
-    constexpr int kPerProducer = 5000;
-    MpscRing<std::uint64_t> ring(8);
-
-    std::vector<std::uint64_t> received;
-    received.reserve(kProducers * kPerProducer);
-    std::thread consumer([&] {
-        std::uint64_t out = 0;
-        while (static_cast<int>(received.size()) <
-               kProducers * kPerProducer) {
-            if (ring.tryPop(out))
-                received.push_back(out);
-            else
-                std::this_thread::yield();
-        }
-    });
-
-    std::vector<std::thread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&ring, p] {
-            for (int i = 0; i < kPerProducer; ++i) {
-                // Tag each value with its producer in the high bits.
-                std::uint64_t value =
-                    (static_cast<std::uint64_t>(p) << 32) |
-                    static_cast<std::uint64_t>(i);
-                while (!ring.tryPush(std::move(value)))
-                    std::this_thread::yield();
-            }
-        });
-    }
-    for (std::thread &t : producers)
-        t.join();
-    consumer.join();
-
-    ASSERT_EQ(received.size(),
-              static_cast<std::size_t>(kProducers * kPerProducer));
-    std::vector<std::uint64_t> next_of(kProducers, 0);
-    for (std::uint64_t v : received) {
-        const std::size_t p = static_cast<std::size_t>(v >> 32);
-        const std::uint64_t seq = v & 0xffffffffu;
-        ASSERT_LT(p, static_cast<std::size_t>(kProducers));
-        // Per-producer FIFO: each producer's values pop in push order.
-        ASSERT_EQ(seq, next_of[p]) << "producer " << p;
-        ++next_of[p];
-    }
-    for (int p = 0; p < kProducers; ++p)
-        EXPECT_EQ(next_of[static_cast<std::size_t>(p)],
-                  static_cast<std::uint64_t>(kPerProducer));
-}
-
-TEST(MpscRing, FailedPushLeavesValueIntact)
-{
-    // tryPush takes an rvalue but must not consume it on failure (the
-    // submitter reports the rejection with the payload still whole).
-    // Capacity 1 rounds up to the scheme's minimum of 2 slots.
-    MpscRing<std::vector<int>> ring(1);
-    EXPECT_EQ(ring.capacity(), 2u);
-    EXPECT_TRUE(ring.tryPush(std::vector<int>{1, 2, 3}));
-    EXPECT_TRUE(ring.tryPush(std::vector<int>{7, 8, 9}));
-    std::vector<int> value{4, 5, 6};
-    EXPECT_FALSE(ring.tryPush(std::move(value)));
-    EXPECT_EQ(value, (std::vector<int>{4, 5, 6}));
-}
 
 // ------------------------------------------------- ServingEngine -----
 
@@ -295,6 +137,165 @@ TEST(ServingEngine, ShedsLoadWhenIngressFullAndCompletesAccepted)
         engine.trySubmit(servingSetup().inputs[0], nullptr).has_value());
 }
 
+TEST(ServingEngine, QueueCapacityIsExact)
+{
+    core::PrimeSystem prime(tinyBankParams());
+    programTiny(prime);
+
+    ServingOptions sopt;
+    sopt.queueCapacity = 1;  // one queued request, not rounded up
+    ServingEngine engine(prime, sopt);
+    Collector collector;
+
+    const auto first =
+        engine.trySubmit(servingSetup().inputs[0], collector.sink());
+    ASSERT_TRUE(first.has_value());
+    EXPECT_FALSE(
+        engine.trySubmit(servingSetup().inputs[1], collector.sink())
+            .has_value());
+    EXPECT_EQ(engine.accepted(), 1u);
+    EXPECT_EQ(engine.rejected(), 1u);
+
+    engine.start();
+    engine.stop();
+    EXPECT_EQ(engine.completed(), 1u);
+    ASSERT_EQ(collector.responses.size(), 1u);
+    EXPECT_TRUE(collector.responses.count(*first));
+}
+
+TEST(ServingEngine, ConcurrentProducersCompleteInSubmissionOrder)
+{
+    core::PrimeSystem prime(tinyBankParams());
+    programTiny(prime);
+
+    constexpr int kProducers = 4;
+    constexpr int kPerProducer = 40;
+    ServingOptions sopt;
+    sopt.queueCapacity = kProducers * kPerProducer;  // nothing sheds
+    sopt.maxBatch = 8;
+    ServingEngine engine(prime, sopt);
+
+    // Callbacks run serially on the scheduler thread; each one stamps
+    // its request's position in the completion order.
+    std::mutex mutex;
+    std::vector<std::vector<int>> completedAt(
+        kProducers, std::vector<int>(kPerProducer, -1));
+    int completions = 0;
+
+    engine.start();
+    std::latch go(kProducers);
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+        producers.emplace_back([&, p] {
+            go.arrive_and_wait();
+            for (int i = 0; i < kPerProducer; ++i) {
+                const auto id = engine.trySubmit(
+                    servingSetup().inputs[static_cast<std::size_t>(
+                        (p + i) % 16)],
+                    [&, p, i](Response &&) {
+                        std::lock_guard<std::mutex> lock(mutex);
+                        completedAt[p][i] = completions++;
+                    });
+                EXPECT_TRUE(id.has_value()) << "producer " << p;
+            }
+        });
+    }
+    for (std::thread &t : producers)
+        t.join();
+    engine.stop();
+
+    EXPECT_EQ(engine.completed(),
+              static_cast<std::uint64_t>(kProducers * kPerProducer));
+    for (int p = 0; p < kProducers; ++p) {
+        // Each producer's requests complete in the order it submitted
+        // them.
+        for (int i = 0; i < kPerProducer; ++i) {
+            ASSERT_GE(completedAt[p][i], 0)
+                << "producer " << p << " request " << i;
+            if (i > 0) {
+                EXPECT_GT(completedAt[p][i], completedAt[p][i - 1])
+                    << "producer " << p << " request " << i;
+            }
+        }
+    }
+}
+
+TEST(ServingEngine, StopRacingSubmittersCompletesEachAcceptedOnce)
+{
+    core::PrimeSystem prime(tinyBankParams());
+    programTiny(prime);
+
+    ServingOptions sopt;
+    sopt.queueCapacity = 32;
+    sopt.maxBatch = 4;
+    ServingEngine engine(prime, sopt);
+    engine.start();
+
+    // Producers submit without pause until stop() has returned, so
+    // submissions race the close of admission and the final drain;
+    // each then makes one last submission, which must be rejected.
+    // Each callback names its submission, not just its id, so a
+    // callback for a rejected submission would show.
+    constexpr int kProducers = 4;
+    std::atomic<bool> stopped{false};
+    std::mutex mutex;
+    std::map<std::pair<int, int>, int> calls;
+    std::vector<std::vector<std::pair<int, std::uint64_t>>> accepted(
+        kProducers);
+    std::vector<std::vector<int>> rejected(kProducers);
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+        producers.emplace_back([&, p] {
+            for (int i = 0;; ++i) {
+                const bool last = stopped.load(std::memory_order_acquire);
+                const auto id = engine.trySubmit(
+                    servingSetup().inputs[static_cast<std::size_t>(
+                        i % 16)],
+                    [&, p, i](Response &&) {
+                        std::lock_guard<std::mutex> lock(mutex);
+                        ++calls[{p, i}];
+                    });
+                if (id)
+                    accepted[p].emplace_back(i, *id);
+                else
+                    rejected[p].push_back(i);
+                if (last) {
+                    EXPECT_FALSE(id.has_value()) << "producer " << p;
+                    break;
+                }
+            }
+        });
+    }
+    while (engine.accepted() < 64)
+        std::this_thread::yield();
+    engine.stop();
+    stopped.store(true, std::memory_order_release);
+    for (std::thread &t : producers)
+        t.join();
+
+    std::size_t n_accepted = 0, n_rejected = 0;
+    std::map<std::uint64_t, int> ids;
+    for (int p = 0; p < kProducers; ++p) {
+        for (const auto &[i, id] : accepted[p]) {
+            EXPECT_EQ(calls[std::make_pair(p, i)], 1)
+                << "producer " << p << " submission " << i;
+            ++ids[id];
+        }
+        for (int i : rejected[p])
+            EXPECT_EQ(calls.count(std::make_pair(p, i)), 0u)
+                << "rejected producer " << p << " submission " << i;
+        n_accepted += accepted[p].size();
+        n_rejected += rejected[p].size();
+    }
+    // Every accepted request got its own id and exactly one callback,
+    // and the engine's counters agree with what the producers saw.
+    EXPECT_EQ(ids.size(), n_accepted);
+    EXPECT_EQ(calls.size(), n_accepted);
+    EXPECT_EQ(engine.accepted(), n_accepted);
+    EXPECT_EQ(engine.rejected(), n_rejected);
+    EXPECT_EQ(engine.completed(), engine.accepted());
+}
+
 TEST(ServingEngine, ShedsWhileExecutorIsBusy)
 {
     core::PrimeSystem prime(tinyBankParams());
@@ -328,9 +329,9 @@ TEST(ServingEngine, ShedsWhileExecutorIsBusy)
     ASSERT_TRUE(first.has_value());
     entered.wait();
 
-    // While it is busy, the ingress ring is the only place requests
-    // can wait: four fit, the fifth is shed.  The gaps give a
-    // scheduler that kept draining the ring every chance to do so.
+    // While it is busy, the queue is the only place requests can
+    // wait: four fit, the fifth is shed.  The gaps give a scheduler
+    // that kept draining the queue every chance to do so.
     std::vector<std::uint64_t> accepted{*first};
     int shed = 0;
     for (int i = 1; i <= 5; ++i) {
@@ -398,12 +399,11 @@ TEST(ServingEngine, CoalescesQueuedRequestsUpToMaxBatch)
     ServingOptions sopt;
     sopt.queueCapacity = 64;
     sopt.maxBatch = 4;
-    sopt.batchWindowUs = 100000;  // window long enough to never close
     ServingEngine engine(prime, sopt);
     Collector collector;
 
     // Pre-queue 10 requests, then start: the scheduler finds a backlog
-    // and must close batches at maxBatch, not at the window.
+    // and takes it maxBatch at a time.
     constexpr std::size_t kRequests = 10;
     for (std::size_t i = 0; i < kRequests; ++i)
         ASSERT_TRUE(engine
@@ -417,9 +417,9 @@ TEST(ServingEngine, CoalescesQueuedRequestsUpToMaxBatch)
 
     EXPECT_EQ(engine.completed(), kRequests);
     EXPECT_EQ(collector.responses.size(), kRequests);
-    // 10 requests at max batch 4 need at least ceil(10/4) = 3 batches,
-    // and every batch respects the ceiling.
-    EXPECT_GE(engine.batches(), 3u);
+    // The backlog runs as ceil(10/4) = 3 batches of 4, 4 and 2: every
+    // batch takes all that is queued, up to the ceiling.
+    EXPECT_EQ(engine.batches(), 3u);
     const telemetry::Histogram &sizes =
         engine.stats().histogram("serving.batch_size");
     EXPECT_EQ(sizes.count(), engine.batches());
@@ -460,7 +460,6 @@ TEST(ServingEngine, ServedOutputsBitIdenticalAcrossPoolSizes)
         ServingOptions sopt;
         sopt.queueCapacity = 64;
         sopt.maxBatch = 5;  // batches straddle the input set unevenly
-        sopt.batchWindowUs = 200;
         ServingEngine engine(prime, sopt);
         Collector collector;
 

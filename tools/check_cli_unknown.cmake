@@ -49,6 +49,8 @@ elseif(CASE STREQUAL "option")
     expect_failure(want run MLP-S --no-pipeline)
     set(want "unknown option '--batch-window'" "usage:")
     expect_failure(want serve MLP-S --batch-window 50)
+    set(want "unknown option '--batch-window-us'" "usage:")
+    expect_failure(want serve MLP-S --batch-window-us 5)
     set(want "option '--images' needs a value" "usage:")
     expect_failure(want run MLP-S --images)
 elseif(CASE STREQUAL "config")

@@ -13,9 +13,10 @@
  *                                   execute on the full PrimeSystem
  *   prime_cli serve <name>          long-running serving engine fed by
  *                                   a synthetic open-loop Poisson load
- *                                   generator (dynamic batching run on
- *                                   one scheduler thread, admission
- *                                   control, latency stats)
+ *                                   generator (one scheduler thread
+ *                                   runs whatever is queued as the next
+ *                                   batch; admission control, latency
+ *                                   stats)
  *   prime_cli area                  the Figure 12 area report
  *   prime_cli help
  *
@@ -42,9 +43,9 @@
  *   (sampler period, default 10).
  * `serve` options (plus the run training/metrics/warm-up ones):
  *   --qps N (offered load), --requests N (total submissions),
- *   --max-batch N / --batch-window-us N (dynamic batching knobs),
- *   --queue-cap N (ingress ring slots, the engine's only queue;
- *   overflow sheds load), --producers N (load-generator threads).
+ *   --max-batch N (largest batch the scheduler takes from the queue),
+ *   --queue-cap N (requests the engine's one queue holds; overflow
+ *   sheds load), --producers N (load-generator threads).
  */
 
 #include <algorithm>
@@ -99,8 +100,7 @@ struct CliOptions
     double qps = 2000.0;      ///< serve: offered load (req/s)
     int requests = 2000;      ///< serve: total submissions
     int maxBatch = 16;        ///< serve: dynamic batch ceiling
-    int batchWindowUs = 200;  ///< serve: coalescing latency budget
-    int queueCap = 1024;      ///< serve: ingress ring capacity
+    int queueCap = 1024;      ///< serve: queue capacity
     int producers = 1;        ///< serve: load-generator threads
 
     bool metricsRequested() const
@@ -147,7 +147,6 @@ optionFields()
         {"--qps", &CliOptions::qps},
         {"--requests", &CliOptions::requests},
         {"--max-batch", &CliOptions::maxBatch},
-        {"--batch-window-us", &CliOptions::batchWindowUs},
         {"--queue-cap", &CliOptions::queueCap},
         {"--producers", &CliOptions::producers},
     };
@@ -265,10 +264,10 @@ usage()
         "         --metrics-interval-ms N sampler period (default "
         "10)\n"
         "serve:   --qps N --requests N --producers N   offered load\n"
-        "         --max-batch N --batch-window-us N    batching "
-        "policy\n"
-        "         --queue-cap N                        ingress ring "
-        "slots (full = shed)\n");
+        "         --max-batch N                        largest "
+        "batch\n"
+        "         --queue-cap N                        queue "
+        "capacity (full = shed)\n");
     return 2;
 }
 
@@ -543,7 +542,6 @@ cmdServe(int argc, char **argv, const CliOptions &opt)
     sopt.queueCapacity =
         static_cast<std::size_t>(std::max(1, opt.queueCap));
     sopt.maxBatch = opt.maxBatch;
-    sopt.batchWindowUs = opt.batchWindowUs;
     serve::ServingEngine engine(prime, sopt);
 
     telemetry::MetricsRegistry metrics;
@@ -594,12 +592,11 @@ cmdServe(int argc, char **argv, const CliOptions &opt)
         static_cast<unsigned long long>(engine.batches()));
     std::printf(
         "achieved %.1f req/s (incl. drain) | e2e latency p50 %.3f ms, "
-        "p95 %.3f ms, p99 %.3f ms | max-batch %d, window %d us, "
-        "queue %zu\n\n",
+        "p95 %.3f ms, p99 %.3f ms | max-batch %d, queue %zu\n\n",
         wall_s > 0.0 ? engine.completed() / wall_s : 0.0,
         e2e.quantile(0.50) / 1e6, e2e.quantile(0.95) / 1e6,
         e2e.quantile(0.99) / 1e6, engine.options().maxBatch,
-        engine.options().batchWindowUs, engine.options().queueCapacity);
+        engine.options().queueCapacity);
     engine.stats().dump(std::cout);
     std::printf("\n");
     prime.stats().dump(std::cout);

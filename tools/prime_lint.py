@@ -58,17 +58,16 @@ tsa-raw-mutex
 
 atomic-order
     Every std::atomic load/store/exchange/fetch_*/compare_exchange
-    call spells its memory_order explicitly: the ring, stat shards
-    and pipeline state words are hot paths where an implicit seq_cst is
+    call spells its memory_order explicitly: stat shards and
+    pipeline state words are hot paths where an implicit seq_cst is
     either a silent performance bug or an undocumented ordering
     dependency.  The argument scan is balanced-paren and multi-line.
 
 sampler-lock
-    No mutex acquisition inside StatGroup formula closures or inside
-    the lock-free ring implementation: a formula runs under the
-    registry and group mutexes on the sampler thread (lock inversions
-    deadlock it -- only documented leaf locks are allowed, via
-    suppression), and MpscRing is lock-free by contract.
+    No mutex acquisition inside StatGroup formula closures: a formula
+    runs under the registry and group mutexes on the sampler thread
+    (lock inversions deadlock it -- only documented leaf locks are
+    allowed, via suppression).
 
 Exit status: 0 clean, 1 findings, 2 usage/environment error.
 """
@@ -514,9 +513,8 @@ FORMULA_RE = re.compile(r"(?:\.|->)formula\s*\(")
 
 
 @rule("sampler-lock", "error",
-      "no mutex acquisition inside StatGroup formula closures or the"
-      " lock-free ring implementation",
-      "formula declaration sites; src/common/mpsc_ring.hh")
+      "no mutex acquisition inside StatGroup formula closures",
+      "formula declaration sites")
 def check_sampler_lock(repo: Repo) -> Iterator[Finding]:
     # Formula closures: a tick calls every formula of a watched group
     # while holding the registry and group mutexes on the sampler
@@ -535,18 +533,6 @@ def check_sampler_lock(repo: Repo) -> Iterator[Finding]:
                     f" formula closure: formulas run under the registry"
                     f" and group mutexes on the sampler thread -- only a"
                     f" leaf lock with a reasoned suppression is safe")
-    # The ring implementation is lock-free by contract.
-    sf = repo.file("src/common/mpsc_ring.hh")
-    if sf is None:
-        return
-    for lineno, code in enumerate(sf.code_lines, 1):
-        lm = LOCK_ACQ_RE.search(code)
-        if lm:
-            yield emit(
-                sf, lineno, "sampler-lock",
-                f"lock acquisition ({lm.group(0)}) in a lock-free"
-                f" ring: MpscRing synchronizes with explicit-order"
-                f" atomics only")
 
 
 # String-keyed StatGroup lookup with at least one argument (so
@@ -874,15 +860,6 @@ def self_test() -> int:
     ])})
     expect(failures, "sampler-lock/good",
            run_rules(sampler_good, ["sampler-lock"]), 0)
-
-    ring_bad = fixture_repo({"src/common/mpsc_ring.hh": "\n".join([
-        "bool tryPush(T &&v) {",
-        "    std::lock_guard<std::mutex> lock(m_);",  # finding
-        "    return true;",
-        "}",
-    ])})
-    expect(failures, "sampler-lock/ring",
-           run_rules(ring_bad, ["sampler-lock"]), 1)
 
     # ---- hot-path-stats ----
     hot_stats_bad = fixture_repo({
