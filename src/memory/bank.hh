@@ -18,13 +18,6 @@
 
 namespace prime::memory {
 
-/** Row-buffer management policy. */
-enum class PagePolicy
-{
-    Open,    ///< leave the row open (bets on locality)
-    Closed,  ///< auto-precharge after every access (bets against it)
-};
-
 /** Outcome of one bank access. */
 struct BankAccess
 {
@@ -38,13 +31,13 @@ struct BankAccess
     bool rowHit = false;
 };
 
-/** One bank's timing state. */
+/** One bank's timing state (open-page policy: a row stays open until
+ *  another row of the bank is accessed). */
 class BankModel
 {
   public:
-    explicit BankModel(const nvmodel::TimingParams &timing,
-                       PagePolicy policy = PagePolicy::Open)
-        : timing_(timing), policy_(policy)
+    explicit BankModel(const nvmodel::TimingParams &timing)
+        : timing_(timing)
     {}
 
     /**
@@ -64,10 +57,8 @@ class BankModel
 
         Ns latency = 0.0;
         if (!result.rowHit) {
-            // Precharge the old row (if any) and activate the new one;
-            // a closed-page bank precharged eagerly, so only activation
-            // is on the critical path.
-            if (openRow_ >= 0 && policy_ == PagePolicy::Open)
+            // Precharge the old row (if any) and activate the new one.
+            if (openRow_ >= 0)
                 latency += timing_.tRp;
             latency += timing_.tRcd;
             ++rowMisses_;
@@ -84,27 +75,17 @@ class BankModel
         // window after the data burst; reads free the bank at
         // completion.
         result.bankFree = result.complete + (is_write ? timing_.tWr : 0.0);
-
-        if (policy_ == PagePolicy::Closed) {
-            // Auto-precharge off the critical path of this access.
-            openRow_ = -1;
-            nextFree_ = result.bankFree + timing_.tRp;
-        } else {
-            openRow_ = row;
-            nextFree_ = result.bankFree;
-        }
+        openRow_ = row;
+        nextFree_ = result.bankFree;
         lastWasWrite_ = is_write;
         return result;
     }
 
-    /** Currently open row (-1 when closed). */
+    /** Currently open row (-1 before the first access). */
     std::int64_t openRow() const { return openRow_; }
 
     /** Earliest time the bank can start a new access. */
     Ns nextFree() const { return nextFree_; }
-
-    /** Close the open row (used when a subarray morphs modes). */
-    void precharge();
 
     std::uint64_t rowHits() const { return rowHits_; }
     std::uint64_t rowMisses() const { return rowMisses_; }
@@ -121,11 +102,8 @@ class BankModel
         rowMisses_ = 0;
     }
 
-    PagePolicy policy() const { return policy_; }
-
   private:
     nvmodel::TimingParams timing_;
-    PagePolicy policy_;
     bool lastWasWrite_ = false;
     std::int64_t openRow_ = -1;
     Ns nextFree_ = 0.0;

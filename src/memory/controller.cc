@@ -9,7 +9,7 @@ namespace prime::memory {
 
 MemoryController::MemoryController(int channel,
                                    const nvmodel::TechParams &params,
-                                   PagePolicy policy)
+                                   std::span<const BankCounters> counters)
     : channel_(channel), timing_(params.timing),
       geometry_(params.geometry)
 {
@@ -25,32 +25,42 @@ MemoryController::MemoryController(int channel,
     PRIME_ASSERT(tag_span < static_cast<double>(
                                 std::numeric_limits<std::int64_t>::max()),
                  "row-tag space overflows int64");
-    shards_.reserve(
-        static_cast<std::size_t>(geometry_.banksPerChannel()));
-    for (int b = 0; b < geometry_.banksPerChannel(); ++b)
-        shards_.push_back(
-            std::make_unique<BankShard>(params.timing, policy));
+    PRIME_ASSERT(static_cast<int>(counters.size()) ==
+                     geometry_.banksPerChannel(),
+                 counters.size(), " bank counters for ",
+                 geometry_.banksPerChannel(), " banks");
+    banks_.reserve(counters.size());
+    for (const BankCounters &c : counters) {
+        PRIME_ASSERT(c.reads && c.writes, "unbound bank counter");
+        banks_.push_back(Bank{BankModel(params.timing), 0.0, c});
+    }
 }
 
-MemoryController::BankShard &
-MemoryController::shard(int channel_bank) const
+MemoryController::Bank &
+MemoryController::bankAt(int channel_bank)
 {
     PRIME_ASSERT(channel_bank >= 0 &&
-                     channel_bank < static_cast<int>(shards_.size()),
+                     channel_bank < static_cast<int>(banks_.size()),
                  "bank ", channel_bank, " of channel ", channel_);
-    return *shards_[static_cast<std::size_t>(channel_bank)];
+    return banks_[static_cast<std::size_t>(channel_bank)];
+}
+
+const MemoryController::Bank &
+MemoryController::bankAt(int channel_bank) const
+{
+    return const_cast<MemoryController *>(this)->bankAt(channel_bank);
 }
 
 const BankModel &
 MemoryController::bank(int channel_bank) const
 {
-    return shard(channel_bank).bank;
+    return bankAt(channel_bank).model;
 }
 
 BankModel &
 MemoryController::bank(int channel_bank)
 {
-    return shard(channel_bank).bank;
+    return bankAt(channel_bank).model;
 }
 
 std::int64_t
@@ -73,9 +83,9 @@ namespace {
  * timing model.  The queue is @p n entries, oldest first; @p tag_of(i)
  * is entry i's row tag, @p bank the bank they all go to, and
  * @p serve(i) serves entry i there.  Each iteration picks, within the
- * first sched.window pending entries, one that hits the bank's open
+ * first kFrFcfsWindow pending entries, one that hits the bank's open
  * row if one exists, otherwise the oldest -- but once the oldest entry
- * has been bypassed sched.maxBypass consecutive times, the hit search
+ * has been bypassed kFrFcfsMaxBypass consecutive times, the hit search
  * is suppressed and the oldest goes next.  `bypasses` counts how many
  * times the *current* oldest entry has been passed over; it resets
  * whenever the oldest is served (a newly exposed oldest entry starts
@@ -85,20 +95,18 @@ namespace {
  */
 template <typename TagOf, typename Serve>
 void
-frFcfs(std::size_t n, const SchedulerConfig &sched, const BankModel &bank,
+frFcfs(std::size_t n, const BankModel &bank,
        std::vector<std::size_t> &order, TagOf tag_of, Serve serve)
 {
-    PRIME_ASSERT(sched.window >= 1, "window=", sched.window);
-    PRIME_ASSERT(sched.maxBypass >= 0, "maxBypass=", sched.maxBypass);
     if (order.size() < n)
         order.resize(n);
     for (std::size_t i = 0; i < n; ++i)
         order[i] = i;
-    const std::size_t window = static_cast<std::size_t>(sched.window);
+    const std::size_t window = static_cast<std::size_t>(kFrFcfsWindow);
     int bypasses = 0;
     for (std::size_t head = 0; head < n; ++head) {
         std::size_t chosen = head;
-        if (bypasses < sched.maxBypass) {
+        if (bypasses < kFrFcfsMaxBypass) {
             const std::int64_t open = bank.openRow();
             const std::size_t limit = std::min(n, head + window);
             for (std::size_t i = head; i < limit; ++i) {
@@ -133,7 +141,7 @@ MemoryController::access(const Request &request, const Location &loc)
     RequestResult result;
     result.request = request;
     result.location = loc;
-    result.bank = serve(shard(channel_bank),
+    result.bank = serve(bankAt(channel_bank),
                         Burst{rowTag(loc), busNs(request.bytes),
                               request.bytes},
                         request.issue, request.isWrite, request.source,
@@ -143,7 +151,6 @@ MemoryController::access(const Request &request, const Location &loc)
 
 void
 MemoryController::scheduleBankQueue(std::span<const PendingRequest> pending,
-                                    const SchedulerConfig &sched,
                                     std::vector<RequestResult> *results)
 {
     if (pending.empty())
@@ -152,7 +159,7 @@ MemoryController::scheduleBankQueue(std::span<const PendingRequest> pending,
     const int channel_bank =
         pending.front().location.chip * geometry_.banksPerChip +
         pending.front().location.bank;
-    BankShard &sh = shard(channel_bank);
+    Bank &b = bankAt(channel_bank);
 
     // Row tags once per entry, not once per window scan.
     if (tags_.size() < n)
@@ -162,7 +169,7 @@ MemoryController::scheduleBankQueue(std::span<const PendingRequest> pending,
                      "cross-channel entry in bank queue");
         tags_[i] = rowTag(pending[i].location);
     }
-    frFcfs(n, sched, sh.bank, order_,
+    frFcfs(n, b.model, order_,
            [this](std::size_t i) { return tags_[i]; },
            [&](std::size_t i) {
                const PendingRequest &p = pending[i];
@@ -170,7 +177,7 @@ MemoryController::scheduleBankQueue(std::span<const PendingRequest> pending,
                result.request = p.request;
                result.location = p.location;
                result.bank = serve(
-                   sh,
+                   b,
                    Burst{tags_[i], busNs(p.request.bytes), p.request.bytes},
                    p.request.issue, p.request.isWrite, p.request.source,
                    result.dataReady);
@@ -181,26 +188,25 @@ MemoryController::scheduleBankQueue(std::span<const PendingRequest> pending,
 
 void
 MemoryController::scheduleGroup(std::span<const Burst> group, Ns issue,
-                                bool is_write, RequestSource source,
-                                const SchedulerConfig &sched)
+                                bool is_write, RequestSource source)
 {
     if (group.empty())
         return;
-    BankShard &sh = shard(group.front().bank);
+    Bank &bank = bankAt(group.front().bank);
     Ns data_ready = 0.0;
     // Cold start (see the declaration): served oldest first.
-    const std::int64_t open = sh.bank.openRow();
+    const std::int64_t open = bank.model.openRow();
     if (open == group.front().rowTag ||
         std::none_of(group.begin() + 1, group.end(),
                      [open](const Burst &b) { return b.rowTag == open; })) {
         for (const Burst &b : group)
-            serve(sh, b, issue, is_write, source, data_ready);
+            serve(bank, b, issue, is_write, source, data_ready);
         return;
     }
-    frFcfs(group.size(), sched, sh.bank, order_,
+    frFcfs(group.size(), bank.model, order_,
            [group](std::size_t i) { return group[i].rowTag; },
            [&](std::size_t i) {
-               serve(sh, group[i], issue, is_write, source, data_ready);
+               serve(bank, group[i], issue, is_write, source, data_ready);
            });
 }
 
@@ -208,19 +214,17 @@ ChannelTotals
 MemoryController::totals() const
 {
     ChannelTotals t;
-    for (const std::unique_ptr<BankShard> &sh : shards_) {
-        t.reads += sh->reads.load(std::memory_order_relaxed);
-        t.writes += sh->writes.load(std::memory_order_relaxed);
-        t.bytes += sh->bytes;
-        t.rowHits += sh->bank.rowHits();
-        t.rowMisses += sh->bank.rowMisses();
-        t.queueNs.merge(sh->queueNs);
-        for (std::size_t s = 0; s < kRequestSources; ++s) {
-            t.sourceServiceNs[s].merge(sh->sourceServiceNs[s]);
-            t.serviceNs.merge(sh->sourceServiceNs[s]);
-            t.sourceLastReady[s] = std::max(t.sourceLastReady[s],
-                                            sh->sourceLastReady[s]);
-        }
+    for (const Bank &b : banks_) {
+        t.reads += b.counters.reads->count();
+        t.writes += b.counters.writes->count();
+        t.rowHits += b.model.rowHits();
+        t.rowMisses += b.model.rowMisses();
+    }
+    t.bytes = bytes_;
+    t.queueNs = queueNs_;
+    for (std::size_t s = 0; s < kRequestSources; ++s) {
+        t.sourceServiceNs[s] = sourceServiceNs_[s];
+        t.serviceNs.merge(sourceServiceNs_[s]);
     }
     return t;
 }
@@ -229,9 +233,9 @@ double
 MemoryController::rowHitRate() const
 {
     std::uint64_t hits = 0, total = 0;
-    for (const std::unique_ptr<BankShard> &sh : shards_) {
-        hits += sh->bank.rowHits();
-        total += sh->bank.rowHits() + sh->bank.rowMisses();
+    for (const Bank &b : banks_) {
+        hits += b.model.rowHits();
+        total += b.model.rowHits() + b.model.rowMisses();
     }
     return total ? static_cast<double>(hits) / total : 0.0;
 }
@@ -239,16 +243,16 @@ MemoryController::rowHitRate() const
 void
 MemoryController::resetStats()
 {
-    for (const std::unique_ptr<BankShard> &sh : shards_) {
-        sh->reads.store(0, std::memory_order_relaxed);
-        sh->writes.store(0, std::memory_order_relaxed);
-        sh->bytes = 0.0;
-        sh->queueNs.reset();
-        for (std::size_t s = 0; s < kRequestSources; ++s) {
-            sh->sourceServiceNs[s].reset();
-            sh->sourceLastReady[s] = 0.0;
-        }
-        sh->bank.resetCounters();
+    for (Bank &b : banks_) {
+        b.counters.reads->reset();
+        b.counters.writes->reset();
+        b.model.resetCounters();
+    }
+    bytes_ = 0.0;
+    queueNs_.reset();
+    for (std::size_t s = 0; s < kRequestSources; ++s) {
+        sourceServiceNs_[s].reset();
+        sourceLastReady_[s].store(0.0, std::memory_order_relaxed);
     }
 }
 
@@ -256,21 +260,10 @@ Ns
 MemoryController::bankBacklogNs(int channel_bank) const
 {
     const Ns backlog =
-        shard(channel_bank).nextFree.load(std::memory_order_relaxed) -
+        std::atomic_ref<Ns>(bankAt(channel_bank).nextFree)
+            .load(std::memory_order_relaxed) -
         channelFree();
     return backlog > 0.0 ? backlog : 0.0;
-}
-
-std::uint64_t
-MemoryController::bankReads(int channel_bank) const
-{
-    return shard(channel_bank).reads.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-MemoryController::bankWrites(int channel_bank) const
-{
-    return shard(channel_bank).writes.load(std::memory_order_relaxed);
 }
 
 } // namespace prime::memory

@@ -1,9 +1,10 @@
 /**
  * @file
  * The per-channel memory controller: request/scheduling vocabulary
- * (Request, SchedulerConfig, Burst) plus the MemoryController that
- * owns one channel's data-bus cursor, its bank shards and the FR-FCFS
- * policy arbitrating CPU and PRIME traffic at that channel.
+ * (Request, Burst, the FR-FCFS constants) plus the MemoryController
+ * that owns one channel's data-bus cursor, its banks, its stat books
+ * and the FR-FCFS policy arbitrating CPU and PRIME traffic at that
+ * channel.
  *
  * Layering: MemoryController sits below memory::MainMemory, which
  * owns one controller per configured channel and routes decoded
@@ -22,16 +23,19 @@
  * paths, and access, serve each burst through one per-burst step.
  *
  * Thread safety -- one timing writer, one kind of concurrent reader:
- *  - The timing state (bank FSMs, stat shards, the channel cursor,
- *    the PRIME horizon, the queue scratch) has exactly one writer at a
- *    time: the thread running a timing pass (MainMemory::schedule,
- *    access, scheduleBatch, resetStats).  PRIME logs its Fetch/Commit
- *    transfers on the stage threads and replays them in one
- *    single-threaded pass per public call, so no two threads ever
- *    schedule against one controller at once, and no lock is taken.
- *  - The metrics sampler thread reads only the occupancy values
- *    (channelFree, bankBacklogNs, bankReads, bankWrites).  Those are
- *    relaxed atomics, each with that single writer, so the sampler
+ *  - The timing state (bank FSMs, the channel's stat books, the
+ *    channel cursor, the PRIME horizon, the queue scratch) has exactly
+ *    one writer at a time: the thread running a timing pass
+ *    (MainMemory::schedule, access, scheduleBatch, resetStats).  PRIME
+ *    logs its Fetch/Commit transfers on the stage threads and replays
+ *    them in one single-threaded pass per public call, so no two
+ *    threads ever schedule against one controller at once, and no lock
+ *    is taken.  With one writer, one set of books per channel is
+ *    enough: nothing is sharded per bank.
+ *  - Another thread reads only the occupancy values (channelFree,
+ *    bankBacklogNs, the banks' read/write counters, which are Stats of
+ *    MainMemory::occupancy()) and lastReadyNs.  Those are relaxed
+ *    atomics, each with that single writer, so the metrics sampler
  *    never races the pass; it may see one bank's counters a burst
  *    apart from another's.
  *  - Everything else (totals, rowHitRate, bank, primeHorizon) is read
@@ -44,10 +48,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
+#include "common/stats.hh"
 #include "common/telemetry/histogram.hh"
 #include "memory/address.hh"
 #include "memory/bank.hh"
@@ -66,7 +70,7 @@ enum class RequestSource : std::uint8_t
     Cpu = 1,    ///< co-running CPU traffic (cpu_traffic.hh)
 };
 
-/** Number of RequestSource classes (stat-shard array size). */
+/** Number of RequestSource classes (per-source array size). */
 inline constexpr std::size_t kRequestSources = 2;
 
 /** One memory request as seen by the controller. */
@@ -90,23 +94,25 @@ struct RequestResult
     Ns dataReady = 0.0;
 };
 
+/** FR-FCFS row-hit lookahead: how many pending requests of a bank
+ *  queue are inspected for a hit on the open row. */
+inline constexpr int kFrFcfsWindow = 16;
+
 /**
- * FR-FCFS policy knobs.  Callers choose these once (MainMemory
- * constructor) or per batch; nothing in the request path hardcodes a
- * window any more.
+ * FR-FCFS starvation bound: after the oldest pending request has been
+ * bypassed this many consecutive times by younger row hits, it is
+ * scheduled next regardless of row state.  The oldest request
+ * therefore waits at most this many row-hit services, never an
+ * unbounded row-hit stream.
  */
-struct SchedulerConfig
+inline constexpr int kFrFcfsMaxBypass = 4;
+
+/** One bank's occupancy counters: Stats of MainMemory::occupancy(),
+ *  bound when the memory is built. */
+struct BankCounters
 {
-    /** Row-hit lookahead: how many pending requests are inspected. */
-    int window = 16;
-    /**
-     * Starvation bound: after the oldest pending request has been
-     * bypassed this many consecutive times by younger row hits, it is
-     * scheduled next regardless of row state.  The oldest request
-     * therefore waits at most maxBypass row-hit services, never an
-     * unbounded row-hit stream.
-     */
-    int maxBypass = 4;
+    Stat *reads = nullptr;
+    Stat *writes = nullptr;
 };
 
 /**
@@ -146,8 +152,6 @@ struct ChannelTotals
     telemetry::Histogram serviceNs;
     /** Per-RequestSource service latency (index by RequestSource). */
     telemetry::Histogram sourceServiceNs[kRequestSources];
-    /** Latest dataReady per source (the class's makespan horizon). */
-    Ns sourceLastReady[kRequestSources] = {};
 };
 
 /**
@@ -157,50 +161,49 @@ struct ChannelTotals
 class MemoryController
 {
   public:
+    /** @p counters: one entry per channel-local bank, in bank order. */
     MemoryController(int channel, const nvmodel::TechParams &params,
-                     PagePolicy policy);
+                     std::span<const BankCounters> counters);
 
     int channel() const { return channel_; }
-    int banks() const { return static_cast<int>(shards_.size()); }
+    int banks() const { return static_cast<int>(banks_.size()); }
 
     /** Schedule one request immediately (FCFS semantics). */
     RequestResult access(const Request &request, const Location &loc);
 
     /**
      * FR-FCFS over one bank's pending queue (all entries must decode
-     * to the same bank of this channel, oldest first), per @p sched:
-     * within a lookahead window of sched.window requests a row-buffer
-     * hit is preferred, but the oldest request is never bypassed more
-     * than sched.maxBypass consecutive times.  Appends the
+     * to the same bank of this channel, oldest first): within a
+     * lookahead window of kFrFcfsWindow requests a row-buffer hit is
+     * preferred, but the oldest request is never bypassed more than
+     * kFrFcfsMaxBypass consecutive times.  Appends the
      * completions, in completion order, to @p results unless it is
      * null.  The queue order lives in index scratch the controller
      * reuses across calls, so a steady stream of queues allocates
      * nothing.  Timing-writer only (see the file comment).
      */
     void scheduleBankQueue(std::span<const PendingRequest> pending,
-                           const SchedulerConfig &sched,
                            std::vector<RequestResult> *results);
 
     /**
      * Replay one bank group of a recorded transfer: @p group's bursts
      * (all to one bank of this channel, address order) issue at
      * @p issue with direction @p is_write and source @p source, as one
-     * FR-FCFS queue under @p sched -- the completions
-     * scheduleBankQueue gives the same bursts as requests.
+     * FR-FCFS queue -- the completions scheduleBankQueue gives the
+     * same bursts as requests.
      *
      * The group's row tags never decrease (recordTransfer asserts it:
      * within a bank, addresses order the tags), so each row's bursts
      * are adjacent.  After a burst is served the open row is its own
-     * row (or none, under PagePolicy::Closed), so the only hit FR-FCFS
-     * can find is the oldest burst: the group is served oldest first
-     * -- its cold order -- unless the bank starts open on one of the
-     * group's rows after its first.  Only that warm start runs the
-     * FR-FCFS selection.  Allocates nothing once the queue scratch has
-     * grown to the largest warm group.  Timing-writer only.
+     * row, so the only hit FR-FCFS can find is the oldest burst: the
+     * group is served oldest first -- its cold order -- unless the bank
+     * starts open on one of the group's rows after its first.  Only
+     * that warm start runs the FR-FCFS selection.  Allocates nothing
+     * once the queue scratch has grown to the largest warm group.
+     * Timing-writer only.
      */
     void scheduleGroup(std::span<const Burst> group, Ns issue,
-                       bool is_write, RequestSource source,
-                       const SchedulerConfig &sched);
+                       bool is_write, RequestSource source);
 
     /** Time @p bytes take on this channel's data bus. */
     Ns
@@ -225,6 +228,17 @@ class MemoryController
     Ns primeHorizon() const { return primeHorizon_; }
 
     /**
+     * Latest completion of @p source since the last resetStats (the
+     * class's makespan horizon; any thread).
+     */
+    Ns
+    lastReadyNs(RequestSource source) const
+    {
+        return sourceLastReady_[static_cast<std::size_t>(source)].load(
+            std::memory_order_relaxed);
+    }
+
+    /**
      * Physical wordline tag for the row buffer (row x subarray x mat).
      * 64-bit: the constructor asserts the configured geometry cannot
      * overflow it, so tags never alias.
@@ -235,14 +249,15 @@ class MemoryController
     const BankModel &bank(int channel_bank) const;
     BankModel &bank(int channel_bank);
 
-    /** Fold every shard into absolute channel totals. */
+    /** The channel's books and its banks' counters as absolute
+     *  totals. */
     ChannelTotals totals() const;
 
     /** Channel-aggregate row-buffer hit rate. */
     double rowHitRate() const;
 
     /**
-     * Zero every shard's counters/histograms and the banks' hit/miss
+     * Zero the channel's books and the banks' read/write and hit/miss
      * counters (post-warm-up stat reset).  Timing state -- channel
      * cursor, open rows, busy horizons -- is kept: the modeled
      * hardware stays warm, only the accounting restarts.
@@ -254,52 +269,42 @@ class MemoryController
      * this channel's bus cursor (an occupancy value: any thread).
      */
     Ns bankBacklogNs(int channel_bank) const;
-    /** Read/write counters of one bank (occupancy values: any
-     *  thread). */
-    std::uint64_t bankReads(int channel_bank) const;
-    std::uint64_t bankWrites(int channel_bank) const;
 
   private:
     /**
-     * One bank's timing state machine plus the stat shard its accesses
-     * sample into.  The occupancy values the sampler reads are relaxed
-     * atomics: the counters themselves, and a copy of the bank's
-     * next-free time stored after every access.
+     * One bank: its timing state machine, a copy of its next-free time
+     * stored after every access, and its occupancy counters.  The
+     * sampler reads the copy through a relaxed std::atomic_ref
+     * (mutable so a const reader can; an atomic member would pin the
+     * bank in place) and the counters as Stats, whose fields are
+     * relaxed atomics too.
      */
-    struct BankShard
+    struct Bank
     {
-        BankModel bank;
-        std::atomic<std::uint64_t> reads{0};
-        std::atomic<std::uint64_t> writes{0};
-        std::atomic<Ns> nextFree{0.0};
-        double bytes = 0.0;
-        telemetry::Histogram queueNs;
-        /** Service latency per RequestSource; totals() merges them into
-         *  the all-source histogram. */
-        telemetry::Histogram sourceServiceNs[kRequestSources];
-        Ns sourceLastReady[kRequestSources] = {};
-
-        BankShard(const nvmodel::TimingParams &timing, PagePolicy policy)
-            : bank(timing, policy)
-        {}
+        BankModel model;
+        mutable Ns nextFree = 0.0;
+        BankCounters counters;
     };
 
-    /** The shard owning channel-local bank @p channel_bank. */
-    BankShard &shard(int channel_bank) const;
+    /** Channel-local bank @p channel_bank. */
+    Bank &bankAt(int channel_bank);
+    const Bank &bankAt(int channel_bank) const;
 
     /**
      * The per-burst step every path shares: serve @p burst, issued at
-     * @p issue, at its bank and then on this channel's bus, and sample
-     * it into the bank's stat shard @p sh.  Returns the bank access;
-     * @p data_ready gets the time the data finished moving over the
-     * channel.  Inline: the timing pass calls it once per burst.
+     * @p issue, at bank @p b and then on this channel's bus, and
+     * sample it into the bank's counters and the channel's books.
+     * Returns the bank access; @p data_ready gets the time the data
+     * finished moving over the channel.  Inline: the timing pass calls
+     * it once per burst.
      */
     BankAccess
-    serve(BankShard &sh, const Burst &burst, Ns issue, bool is_write,
+    serve(Bank &b, const Burst &burst, Ns issue, bool is_write,
           RequestSource source, Ns &data_ready)
     {
-        const BankAccess bank = sh.bank.access(issue, burst.rowTag, is_write);
-        sh.nextFree.store(sh.bank.nextFree(), std::memory_order_relaxed);
+        const BankAccess bank = b.model.access(issue, burst.rowTag, is_write);
+        std::atomic_ref<Ns>(b.nextFree).store(b.model.nextFree(),
+                                              std::memory_order_relaxed);
 
         // The data burst serializes on this channel after the bank has
         // the data (read) or before the bank commits it (write, modeled
@@ -310,19 +315,17 @@ class MemoryController
                      burst.busNs;
         channelFree_.store(data_ready, std::memory_order_relaxed);
 
-        // Stat shard: the hot path never touches a shared StatGroup (row
-        // hits/misses stay in the BankModel counters).
-        std::atomic<std::uint64_t> &count = is_write ? sh.writes : sh.reads;
-        count.store(count.load(std::memory_order_relaxed) + 1,
-                    std::memory_order_relaxed);
-        sh.bytes += burst.bytes;
+        // Row hits/misses stay in the BankModel counters.
+        (is_write ? b.counters.writes : b.counters.reads)->increment();
+        bytes_ += burst.bytes;
         // Modeled latency split: time queued behind the bank/row state
         // vs. total service (queue + bank + channel burst).
-        sh.queueNs.sample(bank.start - issue);
+        queueNs_.sample(bank.start - issue);
         const std::size_t src = static_cast<std::size_t>(source);
-        sh.sourceServiceNs[src].sample(data_ready - issue);
-        sh.sourceLastReady[src] =
-            std::max(sh.sourceLastReady[src], data_ready);
+        sourceServiceNs_[src].sample(data_ready - issue);
+        std::atomic<Ns> &last = sourceLastReady_[src];
+        if (data_ready > last.load(std::memory_order_relaxed))
+            last.store(data_ready, std::memory_order_relaxed);
         if (source == RequestSource::Prime)
             primeHorizon_ = std::max(primeHorizon_, data_ready);
         return bank;
@@ -331,11 +334,19 @@ class MemoryController
     int channel_;
     nvmodel::TimingParams timing_;
     nvmodel::Geometry geometry_;
-    /** unique_ptr: BankShard holds atomics, which do not move. */
-    std::vector<std::unique_ptr<BankShard>> shards_;
+    std::vector<Bank> banks_;
     /** Timing writer only writes it; atomic for the sampler. */
     std::atomic<Ns> channelFree_{0.0};
     Ns primeHorizon_ = 0.0;
+    /** The channel's books since the last resetStats: bytes moved,
+     *  queueing latency, service latency per RequestSource (totals()
+     *  merges them into the all-source histogram) and the latest
+     *  completion per source (atomic for the readers of
+     *  lastReadyNs). */
+    double bytes_ = 0.0;
+    telemetry::Histogram queueNs_;
+    telemetry::Histogram sourceServiceNs_[kRequestSources];
+    std::atomic<Ns> sourceLastReady_[kRequestSources]{};
     /** Queue scratch: scheduleBankQueue's row tag per entry, and the
      *  FR-FCFS queue order as indices into the queue (grown to the
      *  largest queue seen, then reused). */

@@ -11,25 +11,45 @@
 
 namespace prime::memory {
 
-MainMemory::MainMemory(const nvmodel::TechParams &params,
-                       PagePolicy policy, SchedulerConfig sched)
-    : params_(params), mapper_(params.geometry), sched_(sched)
+MainMemory::MainMemory(const nvmodel::TechParams &params)
+    : params_(params), mapper_(params.geometry)
 {
-    PRIME_ASSERT(sched_.window >= 1, "window=", sched_.window);
-    PRIME_ASSERT(sched_.maxBypass >= 0, "maxBypass=", sched_.maxBypass);
     // A recorded Burst names its channel and bank in 16 bits each.
     PRIME_ASSERT(params.geometry.channels <= 65536 &&
                      params.geometry.banksPerChannel() <= 65536,
                  "geometry too large for a recorded burst");
+    // Live occupancy (see occupancy()).  Global bank numbering, so
+    // dashboards keep one flat mem.bankN.* namespace regardless of
+    // channel count.  Each bank's read/write counters are Stats of
+    // this group, bound here once and bumped by its controller.
+    occupancy_.formula("mem.channel_free_ns",
+                       [this] { return channelFree(); });
+    const int per = params_.geometry.banksPerChannel();
+    std::vector<BankCounters> counters(static_cast<std::size_t>(per));
     controllers_.reserve(
         static_cast<std::size_t>(params.geometry.channels));
-    for (int ch = 0; ch < params.geometry.channels; ++ch)
+    for (int ch = 0; ch < params.geometry.channels; ++ch) {
+        for (int cb = 0; cb < per; ++cb) {
+            const std::string prefix =
+                "mem.bank" + std::to_string(ch * per + cb) + ".";
+            counters[static_cast<std::size_t>(cb)] = {
+                &occupancy_.get(prefix + "reads"),
+                &occupancy_.get(prefix + "writes")};
+        }
         controllers_.push_back(
-            std::make_unique<MemoryController>(ch, params, policy));
+            std::make_unique<MemoryController>(ch, params, counters));
+        const MemoryController *ctrl = controllers_.back().get();
+        occupancy_.formula("mem.ch" + std::to_string(ch) + ".free_ns",
+                           [ctrl] { return ctrl->channelFree(); });
+        for (int cb = 0; cb < per; ++cb)
+            occupancy_.formula(
+                "mem.bank" + std::to_string(ch * per + cb) + ".backlog_ns",
+                [ctrl, cb] { return ctrl->bankBacklogNs(cb); });
+    }
     issue_.resize(controllers_.size());
     // Derived at read time from the hit/miss counters (std::map nodes
     // are address-stable, so the captured pointers stay valid; the
-    // counters themselves are refreshed from the bank shards by
+    // counters themselves are refreshed from the controllers by
     // syncStats before any read).
     stats_.formula("mem.row_hit_rate",
                    [hits = &stats_.get("mem.row_hits"),
@@ -50,49 +70,20 @@ MainMemory::MainMemory(const nvmodel::TechParams &params,
                        });
     }
     // Makespan horizons: the latest completion each class has seen
-    // since the last resetStats, refreshed by syncStats.
-    stats_.formula("mem.prime.last_ready_ns",
-                   [ready = &lastReady_[static_cast<std::size_t>(
-                        RequestSource::Prime)]] {
-                       return ready->load(std::memory_order_relaxed);
-                   });
-    stats_.formula("mem.cpu.last_ready_ns",
-                   [ready = &lastReady_[static_cast<std::size_t>(
-                        RequestSource::Cpu)]] {
-                       return ready->load(std::memory_order_relaxed);
-                   });
-
-    // Live occupancy (see occupancy()).  Global bank numbering, so
-    // dashboards keep one flat mem.bankN.* namespace regardless of
-    // channel count.
-    occupancy_.formula("mem.channel_free_ns",
-                       [this] { return channelFree(); });
-    const int per = params_.geometry.banksPerChannel();
-    for (int ch = 0; ch < channels(); ++ch) {
-        const MemoryController *ctrl = controllers_[
-            static_cast<std::size_t>(ch)].get();
-        occupancy_.formula("mem.ch" + std::to_string(ch) + ".free_ns",
-                           [ctrl] { return ctrl->channelFree(); });
-        for (int cb = 0; cb < per; ++cb) {
-            const std::string prefix =
-                "mem.bank" + std::to_string(ch * per + cb) + ".";
-            occupancy_.formula(prefix + "backlog_ns", [ctrl, cb] {
-                return ctrl->bankBacklogNs(cb);
-            });
-            occupancy_.formula(
-                prefix + "reads",
-                [ctrl, cb] {
-                    return static_cast<double>(ctrl->bankReads(cb));
-                },
-                MetricKind::Counter);
-            occupancy_.formula(
-                prefix + "writes",
-                [ctrl, cb] {
-                    return static_cast<double>(ctrl->bankWrites(cb));
-                },
-                MetricKind::Counter);
-        }
-    }
+    // since the last resetStats, read from the controllers.
+    for (const RequestSource source :
+         {RequestSource::Prime, RequestSource::Cpu})
+        stats_.formula(source == RequestSource::Prime
+                           ? "mem.prime.last_ready_ns"
+                           : "mem.cpu.last_ready_ns",
+                       [this, source] {
+                           Ns latest = 0.0;
+                           for (const std::unique_ptr<MemoryController> &c :
+                                controllers_)
+                               latest = std::max(latest,
+                                                 c->lastReadyNs(source));
+                           return latest;
+                       });
 }
 
 MemoryController &
@@ -155,13 +146,6 @@ MainMemory::access(const Request &request)
 std::vector<RequestResult>
 MainMemory::scheduleBatch(std::vector<Request> requests)
 {
-    return scheduleBatch(std::move(requests), sched_);
-}
-
-std::vector<RequestResult>
-MainMemory::scheduleBatch(std::vector<Request> requests,
-                          const SchedulerConfig &sched)
-{
     std::vector<RequestResult> results;
     results.reserve(requests.size());
     decoded_.clear();
@@ -185,7 +169,7 @@ MainMemory::scheduleBatch(std::vector<Request> requests,
             if (p.location.globalBank == bank)
                 queue_.push_back(p);
         controller(queue_.front().location.channel)
-            .scheduleBankQueue(queue_, sched, &results);
+            .scheduleBankQueue(queue_, &results);
     }
     return results;
 }
@@ -324,7 +308,7 @@ MainMemory::schedule(const Transfer &transfer)
                                            end - begin);
         const std::size_t ch = group.front().channel;
         controllers_[ch]->scheduleGroup(group, issue_[ch], transfer.isWrite,
-                                        transfer.source, sched_);
+                                        transfer.source);
         begin = end;
     }
 }
@@ -376,10 +360,9 @@ double
 MainMemory::rowHitRate() const
 {
     std::uint64_t hits = 0, total = 0;
-    for (const std::unique_ptr<MemoryController> &c : controllers_) {
-        const ChannelTotals t = c->totals();
-        hits += t.rowHits;
-        total += t.rowHits + t.rowMisses;
+    for (int b = 0; b < params_.geometry.totalBanks(); ++b) {
+        hits += bank(b).rowHits();
+        total += bank(b).rowHits() + bank(b).rowMisses();
     }
     return total ? static_cast<double>(hits) / total : 0.0;
 }
@@ -401,8 +384,8 @@ MainMemory::resetStats()
 void
 MainMemory::syncStats()
 {
-    // Rebuild the published totals from the absolute shard sums, so the
-    // refresh is idempotent and never double-counts.
+    // Rebuild the published totals from the controllers' absolute
+    // books, so the refresh is idempotent and never double-counts.
     auto set_counter = [this](const std::string &name,
                               std::uint64_t count) {
         Stat &s = stats_.get(name);
@@ -436,11 +419,8 @@ MainMemory::syncStats()
         all.rowMisses += t.rowMisses;
         all.queueNs.merge(t.queueNs);
         all.serviceNs.merge(t.serviceNs);
-        for (std::size_t s = 0; s < kRequestSources; ++s) {
+        for (std::size_t s = 0; s < kRequestSources; ++s)
             all.sourceServiceNs[s].merge(t.sourceServiceNs[s]);
-            all.sourceLastReady[s] = std::max(all.sourceLastReady[s],
-                                              t.sourceLastReady[s]);
-        }
     }
 
     set_counter("mem.reads", all.reads);
@@ -460,9 +440,6 @@ MainMemory::syncStats()
     set_histogram("mem.cpu.service_ns",
                   all.sourceServiceNs[static_cast<std::size_t>(
                       RequestSource::Cpu)]);
-    for (std::size_t s = 0; s < kRequestSources; ++s)
-        lastReady_[s].store(all.sourceLastReady[s],
-                            std::memory_order_relaxed);
 }
 
 } // namespace prime::memory

@@ -13,7 +13,6 @@
 #define PRIME_MEMORY_MAIN_MEMORY_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -59,7 +58,7 @@ struct Transfer
  * be checked end to end).
  *
  * Organization: one MemoryController per geometry.channels, each owning
- * its channel's data-bus cursor and bank shards; MainMemory decodes
+ * its channel's data-bus cursor, banks and stat books; MainMemory decodes
  * addresses (64B lines rotate across channels) and routes requests to
  * the owning controller.  PRIME traffic and CPU co-run traffic
  * (cpu_traffic.hh) arbitrate at the same controllers.
@@ -75,14 +74,16 @@ struct Transfer
  * (MemoryController::scheduleGroup).  A co-run CPU stream (setCoRun)
  * is merged into that pass in modeled time.
  *
- * Thread safety -- the timing state (bank FSMs and stat shards,
- * channel cursors, the PRIME horizon, the scheduling scratch) has one
- * writer at a time and no lock: the thread calling schedule, access,
- * scheduleBatch or resetStats.  Those calls must not overlap one
- * another, and stats(), rowHitRate(), primeProgressNs() and bank()
+ * Thread safety -- the timing state (bank FSMs, the controllers' stat
+ * books, channel cursors, the PRIME horizon, the scheduling scratch)
+ * has one writer at a time and no lock: the thread calling schedule,
+ * access, scheduleBatch or resetStats.  Those calls must not overlap
+ * one another, and stats(), rowHitRate(), primeProgressNs() and bank()
  * belong to that thread, between passes.  The one concurrent reader
  * is the metrics sampler, and it reads only occupancy(), whose
- * values are relaxed atomics with that single writer (controller.hh).
+ * values (the per-bank read/write Stats, the backlog and channel-free
+ * formulas) are relaxed atomics with that single writer
+ * (controller.hh).
  * The functional backing store is independent of the timing state:
  * sparse 4 KiB pages, allocated zero-filled on first write and copied
  * with memcpy, spread page-wise over a small mutex array, so any
@@ -93,26 +94,19 @@ struct Transfer
 class MainMemory
 {
   public:
-    explicit MainMemory(const nvmodel::TechParams &params,
-                        PagePolicy policy = PagePolicy::Open,
-                        SchedulerConfig sched = {});
+    explicit MainMemory(const nvmodel::TechParams &params);
 
     /** Schedule one request immediately (FCFS semantics). */
     RequestResult access(const Request &request);
 
     /**
-     * FR-FCFS: schedule a batch under @p sched -- row-buffer hits are
-     * preferred within a lookahead window of sched.window requests, and
-     * the oldest pending request is bypassed at most sched.maxBypass
-     * consecutive times before it is forced next (the starvation
-     * bound).  Results are grouped by bank in first-appearance order,
-     * completion-ordered within each bank.
+     * FR-FCFS: schedule a batch -- row-buffer hits are preferred within
+     * a lookahead window of kFrFcfsWindow requests, and the oldest
+     * pending request is bypassed at most kFrFcfsMaxBypass consecutive
+     * times before it is forced next (the starvation bound).  Results
+     * are grouped by bank in first-appearance order, completion-ordered
+     * within each bank.
      */
-    std::vector<RequestResult>
-    scheduleBatch(std::vector<Request> requests,
-                  const SchedulerConfig &sched);
-
-    /** scheduleBatch under the memory's configured SchedulerConfig. */
     std::vector<RequestResult>
     scheduleBatch(std::vector<Request> requests);
 
@@ -132,10 +126,9 @@ class MainMemory
      * (setCoRun) that arrives no later than primeProgressNs() +
      * paceLeadNs, then issue the transfer's bursts at their own
      * channel's cursor as read before any of them is scheduled, each
-     * bank group as one FR-FCFS queue under the configured
-     * SchedulerConfig.  Timing only -- readData/writeData move the
-     * payload.  Allocates nothing once its scratch has grown to the
-     * largest group.
+     * bank group as one FR-FCFS queue.  Timing only -- readData/writeData
+     * move the payload.  Allocates nothing once its scratch has grown to
+     * the largest group.
      */
     void schedule(const Transfer &transfer);
 
@@ -154,9 +147,6 @@ class MainMemory
     void readData(std::uint64_t addr, std::span<std::uint8_t> out) const;
 
     const AddressMapper &mapper() const { return mapper_; }
-
-    /** Scheduling policy every batch without an explicit config uses. */
-    const SchedulerConfig &schedulerConfig() const { return sched_; }
 
     /** Number of independent channels (= geometry.channels). */
     int channels() const { return static_cast<int>(controllers_.size()); }
@@ -188,9 +178,9 @@ class MainMemory
     double rowHitRate() const;
 
     /**
-     * The published stats, refreshed from the per-bank shards on every
-     * call.  Aggregates are published as mem.* plus per-channel shards
-     * as mem.chN.* and per-source service latency as
+     * The published stats, refreshed from the controllers' books on
+     * every call.  Aggregates are published as mem.* plus per-channel
+     * shards as mem.chN.* and per-source service latency as
      * mem.prime.service_ns / mem.cpu.service_ns (mem.service_ns is
      * their merge).
      */
@@ -210,11 +200,12 @@ class MainMemory
      * Live occupancy, for the metrics sampler to watch: per bank
      * (global numbering) mem.bankN.backlog_ns (gauge: how far bank N's
      * timing cursor runs ahead of its channel's bus) and mem.bankN.
-     * reads/writes (counters); per channel mem.chN.free_ns; plus the
-     * aggregate horizon mem.channel_free_ns.  All are formulas over
-     * the controllers' relaxed atomics, safe to read while a timing
-     * pass runs.  Kept apart from stats() so the stats document leaves
-     * out these mostly idle per-bank entries.
+     * reads/writes (counter Stats the controllers bump per burst); per
+     * channel mem.chN.free_ns; plus the aggregate horizon
+     * mem.channel_free_ns.  The gauges are formulas over the
+     * controllers' relaxed atomics; all are safe to read while a
+     * timing pass runs.  Kept apart from stats() so the stats document
+     * leaves out these mostly idle per-bank entries.
      */
     const StatGroup &occupancy() const { return occupancy_; }
 
@@ -230,13 +221,13 @@ class MainMemory
         return page % kStoreStripes;
     }
 
-    /** Fold the controllers' shards into stats_ (absolute, idempotent). */
+    /** Fold the controllers' books into stats_ (absolute,
+     *  idempotent). */
     void syncStats();
 
     nvmodel::TechParams params_;
     AddressMapper mapper_;
-    SchedulerConfig sched_;
-    /** One controller per channel (pinned: they own mutexes). */
+    /** One controller per channel (pinned: they own atomics). */
     std::vector<std::unique_ptr<MemoryController>> controllers_;
     /** The co-run CPU stream schedule() merges (none: nullptr). */
     CpuTrafficGenerator *coRun_ = nullptr;
@@ -259,11 +250,6 @@ class MainMemory
     };
     mutable std::array<StoreStripe, kStoreStripes> store_;
 
-    /** Latest completion per RequestSource since the last resetStats,
-     *  as of the last syncStats: the mem.prime/cpu.last_ready_ns
-     *  formulas read it (atomic: a formula may run on the sampler
-     *  thread while syncStats writes). */
-    std::array<std::atomic<Ns>, kRequestSources> lastReady_{};
     StatGroup stats_;
     StatGroup occupancy_;
 };

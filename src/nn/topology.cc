@@ -111,24 +111,37 @@ forwardUnweighted(const LayerSpec &spec, Tensor x)
     switch (spec.kind) {
       case LayerKind::MaxPool:
       case LayerKind::MeanPool: {
+        // Check the shape once, then index the flat (c, h, w) storage
+        // directly (as MaxPool::forward does): every window lies inside
+        // the input since outH * k <= h and outW * k <= w.
+        const int k = spec.poolK;
+        PRIME_ASSERT(x.shape().size() == 3 && x.shape()[0] == spec.outC &&
+                         spec.outH * k <= x.shape()[1] &&
+                         spec.outW * k <= x.shape()[2],
+                     "pool input does not fit ", spec.describe());
+        const int w = x.shape()[2];
+        const std::size_t plane = static_cast<std::size_t>(x.shape()[1]) * w;
         Tensor y({spec.outC, spec.outH, spec.outW});
-        for (int c = 0; c < spec.outC; ++c)
+        double *dst = y.data();
+        for (int c = 0; c < spec.outC; ++c) {
+            const double *in_c = x.data() + static_cast<std::size_t>(c) * plane;
             for (int oy = 0; oy < spec.outH; ++oy)
                 for (int ox = 0; ox < spec.outW; ++ox) {
                     double best = -1.0e300, sum = 0.0;
-                    for (int dy = 0; dy < spec.poolK; ++dy)
-                        for (int dx = 0; dx < spec.poolK; ++dx) {
-                            const double v =
-                                x.at3(c, oy * spec.poolK + dy,
-                                      ox * spec.poolK + dx);
-                            best = std::max(best, v);
-                            sum += v;
+                    for (int dy = 0; dy < k; ++dy) {
+                        const double *row =
+                            in_c + static_cast<std::size_t>(oy * k + dy) * w +
+                            ox * k;
+                        for (int dx = 0; dx < k; ++dx) {
+                            best = std::max(best, row[dx]);
+                            sum += row[dx];
                         }
-                    y.at3(c, oy, ox) =
-                        spec.kind == LayerKind::MaxPool
-                            ? best
-                            : sum / (spec.poolK * spec.poolK);
+                    }
+                    *dst++ = spec.kind == LayerKind::MaxPool
+                                 ? best
+                                 : sum / (k * k);
                 }
+        }
         return y;
       }
       case LayerKind::Sigmoid:

@@ -121,8 +121,7 @@ generateTrace(const memory::AddressMapper &mapper,
 
 TraceResult
 runTrace(memory::MainMemory &memory,
-         std::vector<memory::Request> requests,
-         const memory::SchedulerConfig &sched)
+         std::vector<memory::Request> requests)
 {
     PRIME_ASSERT(!requests.empty(), "empty trace");
     double bytes = 0.0;
@@ -130,7 +129,7 @@ runTrace(memory::MainMemory &memory,
         bytes += r.bytes;
 
     std::vector<memory::RequestResult> results =
-        memory.scheduleBatch(std::move(requests), sched);
+        memory.scheduleBatch(std::move(requests));
 
     TraceResult out;
     double latency_sum = 0.0;

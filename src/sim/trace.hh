@@ -69,10 +69,9 @@ struct TraceResult
     Ns meanLatency = 0.0;
 };
 
-/** Replay through FR-FCFS scheduling under @p sched and summarize. */
+/** Replay through FR-FCFS scheduling and summarize. */
 TraceResult runTrace(memory::MainMemory &memory,
-                     std::vector<memory::Request> requests,
-                     const memory::SchedulerConfig &sched = {});
+                     std::vector<memory::Request> requests);
 
 } // namespace prime::sim
 

@@ -9,7 +9,9 @@
  * counts, so the tiled MVM replays its tape -- or merges its tiles'
  * untruncated dot products -- without allocating; run() of the
  * CNN-1 and MLP-S benchmark nets stays at its pinned count per image;
- * and so does a pipelined runBatch on a 4-stage plan.
+ * and so does a pipelined runBatch on a 4-stage plan.  Building a
+ * default MainMemory or PrimeSystem allocates at most its pinned
+ * number of bytes.
  *
  * This executable replaces the global operator new/delete with
  * counting versions, which is why it is a binary of its own.
@@ -34,6 +36,8 @@ namespace {
 
 /** operator new calls so far, from every thread. */
 std::atomic<std::size_t> g_allocations{0};
+/** Bytes those calls asked for (frees are not subtracted). */
+std::atomic<std::size_t> g_bytes{0};
 
 // The replacement operator new/delete sit on the C allocator: they
 // cannot call themselves.
@@ -41,6 +45,7 @@ void *
 countedAlloc(std::size_t size, std::size_t align = 0) noexcept
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
     size = size ? size : 1;
     if (align <= alignof(std::max_align_t))
         // NOLINTNEXTLINE(cppcoreguidelines-no-malloc): see above.
@@ -336,6 +341,34 @@ TEST(AllocationPin, ScheduleTransferAllocatesNothing)
         [&] { mem.schedule(migration); }, 20);
     EXPECT_EQ(migrate, 0u);
     EXPECT_GT(mem.rowHitRate(), 0.0);
+}
+
+/** Bytes operator new handed out while @p fn ran, after one warm-up
+ *  call (first-use statics are not the footprint). */
+template <typename Fn>
+std::size_t
+allocatedBytes(Fn &&fn)
+{
+    fn();
+    const std::size_t before = g_bytes.load();
+    fn();
+    return g_bytes.load() - before;
+}
+
+TEST(AllocationPin, ConstructionFootprintPinned)
+{
+    // A default MainMemory keeps one set of stat books per channel and
+    // per bank only its timing state, its next-free copy and its
+    // occupancy counters: about 64 KB, most of it the occupancy group's
+    // per-bank entries.  Per-bank latency histograms (6 KB each, three
+    // per bank) would cost over 1 MB and fail the bound.
+    const std::size_t memory = allocatedBytes(
+        [] { memory::MainMemory mem(nvmodel::defaultTechParams()); });
+    EXPECT_LE(memory, 128u * 1024);
+    // A bare PrimeSystem (its MainMemory, buffers and controllers):
+    // 3,383,306 bytes when this pin was set, plus a 10% margin.
+    const std::size_t system = allocatedBytes([] { PrimeSystem prime; });
+    EXPECT_LE(system, 3'720'000u);
 }
 
 /** Steady-state operator new calls per run() of a benchmark net. */

@@ -3,8 +3,11 @@
  * Table III topology parser and workload characterization tests.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "nn/topology.hh"
 
 namespace prime::nn {
@@ -145,6 +148,55 @@ TEST(Topology, PeakActivation)
     EXPECT_EQ(t.peakActivation(), 1000);
     Topology vgg = mlBenchByName("VGG-D");
     EXPECT_EQ(vgg.peakActivation(), 64ll * 224 * 224);
+}
+
+TEST(ForwardUnweighted, PoolingMatchesAt3Reference)
+{
+    // The run path's pooling indexes the flat (c, h, w) storage; the
+    // reference walks every window through the checked at3 accessor.
+    // Sides that are not multiples of k leave a ragged edge the pool
+    // must skip.  The outputs must agree bit for bit.
+    Rng rng(29);
+    for (const LayerKind kind : {LayerKind::MaxPool, LayerKind::MeanPool})
+        for (const int k : {2, 3}) {
+            SCOPED_TRACE(::testing::Message()
+                         << (kind == LayerKind::MaxPool ? "max" : "mean")
+                         << " k=" << k);
+            const int c = 3, h = 3 * k + 1, w = 2 * k + k - 1;
+            LayerSpec spec;
+            spec.kind = kind;
+            spec.poolK = k;
+            spec.inC = spec.outC = c;
+            spec.inH = h;
+            spec.inW = w;
+            spec.outH = h / k;
+            spec.outW = w / k;
+            Tensor x({c, h, w});
+            for (std::size_t i = 0; i < x.size(); ++i)
+                x[i] = rng.uniform(-2.0, 2.0);
+
+            Tensor want({c, spec.outH, spec.outW});
+            for (int ch = 0; ch < c; ++ch)
+                for (int oy = 0; oy < spec.outH; ++oy)
+                    for (int ox = 0; ox < spec.outW; ++ox) {
+                        double best = -1.0e300, sum = 0.0;
+                        for (int dy = 0; dy < k; ++dy)
+                            for (int dx = 0; dx < k; ++dx) {
+                                const double v =
+                                    x.at3(ch, oy * k + dy, ox * k + dx);
+                                best = std::max(best, v);
+                                sum += v;
+                            }
+                        want.at3(ch, oy, ox) = kind == LayerKind::MaxPool
+                                                   ? best
+                                                   : sum / (k * k);
+                    }
+
+            const Tensor got = forwardUnweighted(spec, x);
+            ASSERT_EQ(got.shape(), want.shape());
+            for (std::size_t i = 0; i < got.size(); ++i)
+                EXPECT_EQ(got[i], want[i]) << i;
+        }
 }
 
 } // namespace

@@ -572,12 +572,13 @@ def hot_path(path: str, func: str) -> bool:
       "src/memory/**, src/prime/**")
 def check_hot_path_stats(repo: Repo) -> Iterator[Finding]:
     # A string-keyed registry lookup costs a map walk (and, past the
-    # SSO length, a heap allocation for the key) on every call; on the
-    # memory request path it also reintroduces the shared-map
-    # contention the bank shards exist to avoid.  Memory functions
-    # sample into their bank shard; only stat *publication* (the
-    # MainMemory constructor, stats()/syncStats) touches the registry.  PRIME's hot functions
-    # use the Stat pointers their constructors / buildStages bound.
+    # SSO length, a heap allocation for the key) on every call, and the
+    # memory request path runs once per 64-byte burst.  Memory functions
+    # sample into their controller's books and the per-bank occupancy
+    # Stats bound once; only the MainMemory constructor (which binds
+    # them) and stat *publication* (stats()/syncStats) touch the
+    # registry.  PRIME's hot functions use the Stat pointers their
+    # constructors / buildStages bound.
     for subdir in ("src/memory", "src/prime"):
         for sf in repo.files(subdir, (".hh", ".cc")):
             current = ""
