@@ -96,12 +96,12 @@ struct StageSnapshot
 StageSnapshot
 snapshotStage(StatGroup &stats, std::size_t s)
 {
-    const std::string prefix = "pipeline.stage" + std::to_string(s);
     StageSnapshot snap;
-    snap.busyNs = stats.get(prefix + ".busy_ns").sum();
-    snap.items = stats.get(prefix + ".items").count();
+    snap.items =
+        stats.get("pipeline.stage" + std::to_string(s) + ".items").count();
     StatGroup &attr = stats.child("pipeline.attribution");
     const std::string stage = "stage" + std::to_string(s);
+    snap.busyNs = attr.get(stage + ".busy_ns").sum();
     snap.stallUpNs = attr.get(stage + ".stall_upstream_ns").sum();
     snap.stallDownNs = attr.get(stage + ".stall_downstream_ns").sum();
     snap.idleNs = attr.get(stage + ".idle_ns").sum();

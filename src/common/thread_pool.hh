@@ -3,9 +3,9 @@
  * A small fixed-size thread pool for fanning out independent simulator
  * work (whole benchmarks in sim::Evaluator, the mats of one layer in
  * PrimeController::computeMats, the stages of one inter-bank pipeline
- * step in Pipeline::run).  Deliberately minimal: no work stealing, no
- * task futures -- just parallelFor over an index range with an atomic
- * cursor, which is all the compute plane needs.
+ * step in PrimeSystem::runBatch).  Deliberately minimal: no work
+ * stealing, no task futures -- just parallelFor over an index range
+ * with an atomic cursor, which is all the compute plane needs.
  *
  * The simulator runs all of that on one pool, the process-wide
  * global() pool; the other pools are the ones tests build for

@@ -26,14 +26,9 @@ CpuTrafficGenerator::CpuTrafficGenerator(MainMemory &mem,
     PRIME_ASSERT(options_.intensity >= 0.0,
                  "intensity=", options_.intensity);
     PRIME_ASSERT(options_.bytes >= 1, "bytes=", options_.bytes);
-    const std::uint64_t capacity = mem_.mapper().capacityBytes();
-    PRIME_ASSERT(options_.regionBase < capacity,
-                 "regionBase ", options_.regionBase, " beyond capacity");
-    std::uint64_t region = options_.regionBytes;
-    if (region == 0 || options_.regionBase + region > capacity)
-        region = capacity - options_.regionBase;
+    // The CPU's working region is the whole memory.
     regionLines_ = std::max<std::uint64_t>(
-        1, region / AddressMapper::kLineBytes);
+        1, mem_.mapper().capacityBytes() / AddressMapper::kLineBytes);
     streamLine_ = static_cast<std::uint64_t>(rng_.uniformInt(
         0, static_cast<std::int64_t>(regionLines_ - 1)));
     if (options_.intensity <= 0.0 || requests == 0)
@@ -73,7 +68,7 @@ CpuTrafficGenerator::nextAddr()
             0, static_cast<std::int64_t>(regionLines_ - 1)));
         break;
     }
-    return options_.regionBase + line * AddressMapper::kLineBytes;
+    return line * AddressMapper::kLineBytes;
 }
 
 void

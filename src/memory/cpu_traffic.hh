@@ -51,10 +51,6 @@ struct CpuTrafficOptions
     std::uint32_t bytes = 64;
     /** Fraction of writes. */
     double writeFraction = 0.3;
-    /** First byte of the CPU's working region. */
-    std::uint64_t regionBase = 0;
-    /** Region size in bytes (0 = everything above regionBase). */
-    std::uint64_t regionBytes = 0;
     unsigned long long seed = 1;
     /**
      * Co-run pacing lead, in modeled ns: attached to a MainMemory

@@ -25,7 +25,6 @@ BufferSubarray::writeView(std::size_t addr, std::size_t size)
     PRIME_ASSERT(addr + size <= data_.size(),
                  "buffer write out of range: ", addr, "+", size, " > ",
                  data_.size());
-    traffic_ += size;
     writeBytes_->add(static_cast<double>(size));
     return std::span<std::uint8_t>(data_).subspan(addr, size);
 }
@@ -40,7 +39,6 @@ BufferSubarray::write(std::size_t addr, std::span<const std::uint8_t> bytes)
 void
 BufferSubarray::count(std::uint64_t read_bytes, std::uint64_t write_bytes)
 {
-    traffic_ += read_bytes + write_bytes;
     readBytes_->add(static_cast<double>(read_bytes));
     writeBytes_->add(static_cast<double>(write_bytes));
 }
@@ -51,7 +49,6 @@ BufferSubarray::read(std::size_t addr, std::size_t size) const
     PRIME_SPAN(telemetry::globalTrace(), "buffer.read", "buffer");
     PRIME_ASSERT(addr + size <= data_.size(),
                  "buffer read out of range: ", addr, "+", size);
-    traffic_ += size;
     readBytes_->add(static_cast<double>(size));
     return std::span<const std::uint8_t>(data_).subspan(addr, size);
 }

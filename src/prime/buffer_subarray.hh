@@ -22,9 +22,9 @@ namespace prime::core {
 /**
  * The byte-addressable staging buffer of one bank.  Transfers are span
  * views into the buffer's own storage: a read or write copies nothing
- * and allocates nothing, and every byte it covers is accounted (the
- * traffic counter plus the buffer.read_bytes / buffer.write_bytes
- * stats, bound once at construction).
+ * and allocates nothing, and every byte it covers is accounted in the
+ * buffer.read_bytes / buffer.write_bytes stats, bound once at
+ * construction.
  */
 class BufferSubarray
 {
@@ -57,14 +57,18 @@ class BufferSubarray
     void count(std::uint64_t read_bytes, std::uint64_t write_bytes);
 
     /** Bytes moved through the buffer so far (both directions). */
-    std::uint64_t trafficBytes() const { return traffic_; }
+    std::uint64_t
+    trafficBytes() const
+    {
+        return static_cast<std::uint64_t>(readBytes_->sum() +
+                                          writeBytes_->sum());
+    }
 
   private:
     std::vector<std::uint8_t> data_;
     /** buffer.read_bytes / buffer.write_bytes. */
     Stat *readBytes_;
     Stat *writeBytes_;
-    mutable std::uint64_t traffic_ = 0;
 };
 
 } // namespace prime::core

@@ -78,7 +78,6 @@ PrimeController::execute(const mapping::Command &command)
     using mapping::CommandOp;
     PRIME_SPAN(telemetry::globalTrace(), mapping::commandOpName(command.op),
                "controller");
-    ++commands_;
     commandsStat_->increment();
 
     switch (command.op) {
@@ -156,7 +155,6 @@ void
 PrimeController::count(const mapping::Command &command, std::uint64_t times)
 {
     using mapping::CommandOp;
-    commands_ += times;
     commandsStat_->increment(times);
     const std::uint64_t bytes = command.bytes * times;
     switch (command.op) {

@@ -118,7 +118,7 @@ class PrimeController
     std::span<const std::int64_t> outputCodes(int global_mat) const;
 
     /** Number of commands executed. */
-    std::uint64_t commandCount() const { return commands_; }
+    std::uint64_t commandCount() const { return commandsStat_->count(); }
 
     /** Resolve a global mat index to its FfMat. */
     FfMat &mat(int global_mat);
@@ -167,7 +167,6 @@ class PrimeController
     bool analog_ = false;
     /** Per-mat read-noise streams; empty when read noise is off. */
     std::vector<Rng> noise_;
-    std::uint64_t commands_ = 0;
     std::vector<MatWork> work_;
 
     /** The controller.* stats, bound at construction. */

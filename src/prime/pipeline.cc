@@ -1,13 +1,51 @@
-#include "prime/pipeline.hh"
+/**
+ * @file
+ * PrimeSystem::runBatch: the functional inter-bank pipeline executor
+ * (paper Section IV-B).
+ *
+ * A Large MappingPlan assigns consecutive layer groups to disjoint
+ * banks; runBatch executes a batch of inputs through those stages as
+ * lockstep wavefront steps on ThreadPool::global().  The batch is cut
+ * into chunks of kHandoffBatch images; step t runs every active stage s
+ * on chunk t - s, the stages as one global().parallelFor, so while
+ * stage 1's banks work on chunk c, stage 0's banks already work on
+ * chunk c + 1.  A one-stage plan takes the same steps, each a
+ * parallelFor of one.  This is the order the timing pass replays a
+ * batch in (PrimeSystem::replay), and, like FPSA's spatial pipeline,
+ * it is fixed by the mapping: no queues between stages, no thread of
+ * the pipeline's own, no waiting loop.  Each stage's chunk in one step
+ * is one "pipe.stageN" trace span.
+ *
+ * Images are updated in place in one results vector.  The return of
+ * each step's parallelFor orders that step's writes before the next
+ * step reads them, and within a step every stage touches only its own
+ * banks and ExecContext (staging windows, StatGroup, timing log,
+ * executor record), in image order.  So the outputs are bit-identical
+ * to sequential PrimeSystem::run() calls at any pool size, a pool
+ * smaller than the stage count included.  Called from inside a pool
+ * job, each step's parallelFor runs inline: the steps then run one
+ * after another on the calling thread, still in wavefront order.
+ * Timing-derived stats (pipeline.stage_ns and the attribution) are
+ * schedule-dependent.
+ *
+ * Live state: each stage's ExecContext holds a state word that persists
+ * across batches and remaps (the contexts are grow-only), so the
+ * executor declares its live values once, in the system's StatGroup,
+ * as stages first run a batch: the pipeline.stageN.state gauge formula
+ * and the pipeline.stageN.items Stat a stage bumps per chunk.  Its
+ * other stats are bound at the same time and merged from the stages'
+ * batch accumulators after the last step.
+ *
+ * Lock contract: this executor owns no mutex; its only shared atomics
+ * are the state words, stored and sampled relaxed.
+ */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <functional>
 #include <string>
 
 #include "common/logging.hh"
-#include "common/telemetry/histogram.hh"
 #include "common/telemetry/trace_session.hh"
 #include "common/thread_pool.hh"
 #include "prime/prime_system.hh"
@@ -36,49 +74,32 @@ enum StageState : int
 
 } // namespace
 
-struct Pipeline::Stage
-{
-    /** A StageState, stored by whoever runs the stage's step. */
-    std::atomic<int> state{kStateIdle};
-    /** pipeline.stageN.items, bumped by the stage per chunk. */
-    Stat *items = nullptr;
-    /** pipeline.stageN.{busy_ns,service_ns}. */
-    Stat *busy = nullptr;
-    telemetry::Histogram *service = nullptr;
-    /** pipeline.attribution.stageN.*_ns: where the batch wall went. */
-    Stat *attrBusy = nullptr;
-    Stat *attrFill = nullptr;     ///< .stall_upstream_ns
-    Stat *attrDrain = nullptr;    ///< .stall_downstream_ns
-    Stat *attrBarrier = nullptr;  ///< .idle_ns
-    Stat *attrWall = nullptr;     ///< .wall_ns
-
-    /** This batch, touched only by the thread running the stage's
-     *  step, and merged into the stats above after the last step. */
-    telemetry::Histogram serviceNs;  ///< wall ns per image; sum = busy
-    telemetry::Histogram e2eNs;      ///< admit -> complete (last stage)
-};
-
-Pipeline::Pipeline(StatGroup &stats) : stats_(stats) {}
-
-Pipeline::~Pipeline() = default;
-
 void
-Pipeline::grow(std::size_t n)
+PrimeSystem::bindBatchStats()
 {
-    while (stages_.size() < n) {
-        const std::string name = "stage" + std::to_string(stages_.size());
+    if (!batchStats_.batches) {
+        batchStats_.stageNs = &stats_.histogram("pipeline.stage_ns");
+        batchStats_.e2eNs = &stats_.histogram("pipeline.e2e_latency_ns");
+        batchStats_.batches = &stats_.get("pipeline.batches");
+        batchStats_.samples = &stats_.get("pipeline.samples");
+        batchStats_.bottleneckNs =
+            &stats_.get("pipeline.measured_bottleneck_ns");
+    }
+    for (std::size_t s = 0; s < stages_.size(); ++s) {
+        ExecContext &ctx = *stageContexts_[s];
+        if (ctx.items)
+            continue;
+        const std::string name = "stage" + std::to_string(s);
         const std::string prefix = "pipeline." + name;
-        Stage &stage = *stages_.emplace_back(std::make_unique<Stage>());
-        stage.items = &stats_.get(prefix + ".items");
-        stage.busy = &stats_.get(prefix + ".busy_ns");
-        stage.service = &stats_.histogram(prefix + ".service_ns");
+        ctx.items = &stats_.get(prefix + ".items");
+        ctx.service = &stats_.histogram(prefix + ".service_ns");
         StatGroup &attribution = stats_.child("pipeline.attribution");
-        stage.attrBusy = &attribution.get(name + ".busy_ns");
-        stage.attrFill = &attribution.get(name + ".stall_upstream_ns");
-        stage.attrDrain = &attribution.get(name + ".stall_downstream_ns");
-        stage.attrBarrier = &attribution.get(name + ".idle_ns");
-        stage.attrWall = &attribution.get(name + ".wall_ns");
-        stats_.formula(prefix + ".state", [state = &stage.state] {
+        ctx.attrBusy = &attribution.get(name + ".busy_ns");
+        ctx.attrFill = &attribution.get(name + ".stall_upstream_ns");
+        ctx.attrDrain = &attribution.get(name + ".stall_downstream_ns");
+        ctx.attrBarrier = &attribution.get(name + ".idle_ns");
+        ctx.attrWall = &attribution.get(name + ".wall_ns");
+        stats_.formula(prefix + ".state", [state = &ctx.state] {
             return static_cast<double>(
                 state->load(std::memory_order_relaxed));
         });
@@ -86,17 +107,17 @@ Pipeline::grow(std::size_t n)
 }
 
 std::vector<nn::Tensor>
-Pipeline::run(PrimeSystem &system, std::span<const nn::Tensor> inputs)
+PrimeSystem::runBatch(std::span<const nn::Tensor> inputs)
 {
     PRIME_SPAN(telemetry::globalTrace(), "pipeline.batch", "pipeline");
-    const std::size_t n_stages = system.stages().size();
-    PRIME_ASSERT(n_stages >= 1, "no pipeline stages");
-
+    PRIME_ASSERT(programmed_, "programWeight must precede runBatch");
+    PRIME_ASSERT(configured_, "configDatapath must precede runBatch");
+    const std::size_t n_stages = stages_.size();
     const std::size_t total = inputs.size();
     std::vector<nn::Tensor> results(total);
     if (total == 0)
         return results;
-    grow(n_stages);
+    bindBatchStats();
     const std::size_t n_chunks = (total + kHandoffBatch - 1) / kHandoffBatch;
     const std::size_t n_steps = n_chunks + n_stages - 1;
 
@@ -110,10 +131,14 @@ Pipeline::run(PrimeSystem &system, std::span<const nn::Tensor> inputs)
     };
 
     for (std::size_t s = 0; s < n_stages; ++s) {
-        Stage &stage = *stages_[s];
-        stage.serviceNs.reset();
-        stage.e2eNs.reset();
-        stage.state.store(kStateStallUpstream, std::memory_order_relaxed);
+        ExecContext &ctx = *stageContexts_[s];
+        // Size the log for the whole batch before the stages start
+        // appending (capacity is kept across batches).
+        ctx.log.reserve(total * ctx.transfersPerImage);
+        ctx.imageEnds.reserve(total);
+        ctx.serviceNs.reset();
+        ctx.e2eNs.reset();
+        ctx.state.store(kStateStallUpstream, std::memory_order_relaxed);
     }
     // When each step began, then when the last one ended.
     std::vector<double> step_start(n_steps + 1);
@@ -130,26 +155,25 @@ Pipeline::run(PrimeSystem &system, std::span<const nn::Tensor> inputs)
         const std::size_t chunk = step - s;
         const std::size_t begin = chunk * kHandoffBatch;
         const std::size_t end = std::min(begin + kHandoffBatch, total);
-        PRIME_SPAN(telemetry::globalTrace(),
-                   "pipe.stage" + std::to_string(s), "pipeline");
-        Stage &stage = *stages_[s];
-        PrimeSystem::ExecContext &ctx = system.stageContext(s);
-        stage.state.store(kStateBusy, std::memory_order_relaxed);
+        ExecContext &ctx = *stageContexts_[s];
+        PRIME_SPAN(telemetry::globalTrace(), ctx.spanName.c_str(),
+                   "pipeline");
+        ctx.state.store(kStateBusy, std::memory_order_relaxed);
         for (std::size_t i = begin; i < end; ++i) {
             const double t0 = now_ns();
             if (s == 0 && i == begin)
                 admit[chunk] = t0;
-            results[i] =
-                system.runStage(s == 0 ? inputs[i] : results[i], s, ctx);
+            results[i] = s == 0 ? stageStep(inputs[i], s)
+                                : stageStep(std::move(results[i]), s);
             const double t1 = now_ns();
-            stage.serviceNs.sample(t1 - t0);
+            ctx.serviceNs.sample(t1 - t0);
             if (s + 1 == n_stages)
-                stage.e2eNs.sample(t1 - admit[chunk]);
+                ctx.e2eNs.sample(t1 - admit[chunk]);
         }
-        stage.items->increment(end - begin);
-        stage.state.store(chunk + 1 == n_chunks ? kStateStallDownstream
-                                                : kStateIdle,
-                          std::memory_order_relaxed);
+        ctx.items->increment(end - begin);
+        ctx.state.store(chunk + 1 == n_chunks ? kStateStallDownstream
+                                              : kStateIdle,
+                        std::memory_order_relaxed);
     };
 
     // Step t runs stages max(0, t - n_chunks + 1) .. min(t, n_stages - 1);
@@ -161,20 +185,17 @@ Pipeline::run(PrimeSystem &system, std::span<const nn::Tensor> inputs)
         pool.parallelFor(std::min(step, n_stages - 1) - first + 1, body);
     }
     step_start[n_steps] = now_ns();
+    replay();
 
-    telemetry::Histogram &stage_ns = stats_.histogram("pipeline.stage_ns");
-    telemetry::Histogram &e2e_ns =
-        stats_.histogram("pipeline.e2e_latency_ns");
     const double wall = step_start[n_steps] - step_start[0];
     double bottleneck = 0.0;
     for (std::size_t s = 0; s < n_stages; ++s) {
-        Stage &stage = *stages_[s];
-        stage.state.store(kStateDone, std::memory_order_relaxed);
-        stage_ns.merge(stage.serviceNs);
-        e2e_ns.merge(stage.e2eNs);
-        stage.service->merge(stage.serviceNs);
-        const double busy = stage.serviceNs.sum();
-        stage.busy->add(busy);
+        ExecContext &ctx = *stageContexts_[s];
+        ctx.state.store(kStateDone, std::memory_order_relaxed);
+        batchStats_.stageNs->merge(ctx.serviceNs);
+        batchStats_.e2eNs->merge(ctx.e2eNs);
+        ctx.service->merge(ctx.serviceNs);
+        const double busy = ctx.serviceNs.sum();
         bottleneck = std::max(bottleneck, busy / static_cast<double>(total));
         // Stage s's share of the batch wall: the fill before its first
         // chunk (steps 0 .. s-1), the drain after its last (steps
@@ -182,20 +203,18 @@ Pipeline::run(PrimeSystem &system, std::span<const nn::Tensor> inputs)
         // the step's slowest stage -- with busy, exactly the wall.
         const double fill = step_start[s] - step_start[0];
         const double drain = step_start[n_steps] - step_start[s + n_chunks];
-        stage.attrBusy->add(busy);
-        stage.attrFill->add(fill);
-        stage.attrDrain->add(drain);
-        stage.attrBarrier->add(wall - fill - drain - busy);
-        stage.attrWall->add(wall);
+        ctx.attrBusy->add(busy);
+        ctx.attrFill->add(fill);
+        ctx.attrDrain->add(drain);
+        ctx.attrBarrier->add(wall - fill - drain - busy);
+        ctx.attrWall->add(wall);
     }
-    stats_.get("pipeline.batches").increment();
-    stats_.get("pipeline.samples").increment(total);
+    batchStats_.batches->increment();
+    batchStats_.samples->increment(total);
     // Measured stage bottleneck (mean wall ns of the slowest stage),
     // the empirical counterpart of PrimeModel::stageCosts' analytic
     // maximum.
-    stats_.get("pipeline.measured_bottleneck_ns").add(bottleneck);
-    // Stat parity with the sequential path, which counts per run().
-    stats_.get("run.inferences").increment(total);
+    batchStats_.bottleneckNs->add(bottleneck);
     return results;
 }
 

@@ -9,7 +9,6 @@
 #include "common/telemetry/trace_session.hh"
 #include "common/thread_pool.hh"
 #include "nn/network.hh"
-#include "prime/pipeline.hh"
 
 namespace prime::core {
 
@@ -158,8 +157,7 @@ PrimeSystem::BankUnit::BankUnit(const nvmodel::TechParams &tech,
 
 PrimeSystem::PrimeSystem(const nvmodel::TechParams &tech,
                          const mapping::MapperOptions &mapper_options)
-    : tech_(tech), mapperOptions_(mapper_options), mem_(tech),
-      pipeline_(stats_)
+    : tech_(tech), mapperOptions_(mapper_options), mem_(tech)
 {
     // Bank 0 always exists (small/medium NNs execute entirely in it);
     // programWeight instantiates further banks as the plan needs them.
@@ -239,7 +237,6 @@ PrimeSystem::mapTopology(const nn::Topology &topology)
     programs_.clear();
     configCommands_.clear();
     stages_.clear();
-    stageContexts_.clear();
     programmed_ = false;
     configured_ = false;
     return *plan_;
@@ -276,28 +273,46 @@ void
 PrimeSystem::buildStages()
 {
     stages_ = plan_->pipelineStages(topology_->layers.size());
-    stageContexts_.clear();
     // Concurrent stages stage their Fetch/Commit traffic through
     // disjoint slices of the input/output windows; stage 0 keeps the
-    // base addresses, so a single-stage plan is byte-identical to the
-    // sequential path.
+    // base addresses.
     const std::uint64_t capacity = mem_.mapper().capacityBytes();
     const std::uint64_t stride =
         (capacity / 4 / stages_.size()) & ~std::uint64_t{63};
     PRIME_ASSERT(stride >= 64,
                  "staging stride ", stride, " too small for ",
                  stages_.size(), " stages");
-    std::size_t run_transfers = 0;
-    for (std::size_t s = 0; s < stages_.size(); ++s) {
-        ExecContext ctx;
+    while (stageContexts_.size() < stages_.size()) {
+        const std::size_t s = stageContexts_.size();
+        ExecContext &ctx =
+            *stageContexts_.emplace_back(std::make_unique<ExecContext>());
         ctx.stats = s == 0 ? &stats_
                            : &stats_.child("stage" + std::to_string(s));
-        ctx.inputStageAddr = inputStageAddr_ + s * stride;
-        ctx.outputStageAddr = outputStageAddr_ + s * stride;
         // Pre-resolved here, single-threaded, so the stage workers
         // never do a creating map lookup on the tile path.
         ctx.tiledMvms = &ctx.stats->get("run.tiled_mvms");
-        for (const LayerProgram &lp : programs_) {
+        ctx.spanName = "pipe.stage" + std::to_string(s);
+    }
+    for (std::size_t s = 0; s < stageContexts_.size(); ++s) {
+        ExecContext &ctx = *stageContexts_[s];
+        ctx.codes.clear();
+        ctx.windows.clear();
+        ctx.mvm.clear();
+        ctx.matInputs.clear();
+        ctx.transfers.clear();
+        ctx.log.clear();
+        ctx.imageEnds.clear();
+        ctx.transfersPerImage = 0;
+        if (s >= stages_.size())
+            continue;
+        ctx.inputStageAddr = inputStageAddr_ + s * stride;
+        ctx.outputStageAddr = outputStageAddr_ + s * stride;
+        // Size the buffers and record the bursts of the stage's own
+        // layers.
+        ctx.transfers.resize(transferCount_);
+        for (std::size_t p = stages_[s].firstWeighted;
+             p < stages_[s].endWeighted; ++p) {
+            const LayerProgram &lp = programs_[p];
             const mapping::WeightedLayer &info = lp.mapping->info;
             ctx.codes.resize(std::max<std::size_t>(ctx.codes.size(),
                                                    lp.spec.inputCount()));
@@ -310,19 +325,9 @@ PrimeSystem::buildStages()
                     ctx.mvm.size(),
                     vectors * static_cast<std::size_t>(info.cols)));
             }
-            for (const TapeBank &bank : lp.tape.banks)
+            for (const TapeBank &bank : lp.tape.banks) {
                 ctx.matInputs.resize(
                     std::max(ctx.matInputs.size(), bank.mats.size()));
-        }
-        // Record the bursts of the transfers this context issues: its
-        // own stage's layers, and every layer for stage 0, whose
-        // context run() drives through all stages.
-        ctx.transfers.resize(transferCount_);
-        const mapping::PipelineStage &ps = stages_[s];
-        for (std::size_t p = s == 0 ? 0 : ps.firstWeighted;
-             p < (s == 0 ? programs_.size() : ps.endWeighted); ++p) {
-            const LayerProgram &lp = programs_[p];
-            for (const TapeBank &bank : lp.tape.banks) {
                 ctx.transfers[bank.fetchTransfer] = mem_.recordTransfer(
                     bank.fetch.src + ctx.inputStageAddr, bank.fetch.bytes,
                     false);
@@ -332,66 +337,52 @@ PrimeSystem::buildStages()
             }
             // One Fetch and one Commit per bank per tiled MVM: once per
             // image for a FC layer, once per output pixel for a conv.
-            const std::size_t n =
+            ctx.transfersPerImage +=
                 lp.tape.mvmLog.size() * layerVectors(lp.spec);
-            if (p >= ps.firstWeighted && p < ps.endWeighted)
-                ctx.transfersPerImage += n;
-            if (s == 0)
-                run_transfers += n;
         }
+        // run() logs one image per stage.
         ctx.log.reserve(ctx.transfersPerImage);
-        stageContexts_.push_back(std::move(ctx));
+        ctx.imageEnds.reserve(1);
     }
-    // run() logs a whole image in stage 0's context.
-    stageContexts_.front().log.reserve(run_transfers);
     inferences_ = &stats_.get("run.inferences");
 }
 
 void
-PrimeSystem::replayLog(ExecContext &ctx)
-{
-    if (ctx.log.empty())
-        return;
-    PRIME_SPAN(telemetry::globalTrace(), "mem.replay", "memory");
-    for (const std::uint32_t id : ctx.log)
-        mem_.schedule(ctx.transfers[id]);
-    ctx.log.clear();
-}
-
-void
-PrimeSystem::replayWavefront(std::size_t images)
+PrimeSystem::replay()
 {
     PRIME_SPAN(telemetry::globalTrace(), "mem.replay", "memory");
-    const std::size_t n_stages = stageContexts_.size();
-    for (const ExecContext &ctx : stageContexts_)
-        PRIME_ASSERT(ctx.imageEnds.size() == images, "stage logged ",
-                     ctx.imageEnds.size(), " of ", images, " images");
+    const std::size_t n_stages = stages_.size();
+    std::size_t images = 0;
+    for (std::size_t s = 0; s < n_stages; ++s)
+        images = std::max(images, stageContexts_[s]->imageEnds.size());
     // Step t runs stage s on image t - s, stages in order: the modeled
-    // schedule of a pipeline that advances one stage per step.
+    // schedule of a pipeline that advances one stage per step.  A
+    // context that logged fewer images (a lone runStage) skips the
+    // steps it has none for.
     for (std::size_t t = 0; t + 1 < images + n_stages; ++t) {
         for (std::size_t s = 0; s < n_stages && s <= t; ++s) {
+            const ExecContext &ctx = *stageContexts_[s];
             const std::size_t image = t - s;
-            if (image >= images)
+            if (image >= ctx.imageEnds.size())
                 continue;
-            const ExecContext &ctx = stageContexts_[s];
             const std::size_t begin =
                 image == 0 ? 0 : ctx.imageEnds[image - 1];
             for (std::size_t k = begin; k < ctx.imageEnds[image]; ++k)
                 mem_.schedule(ctx.transfers[ctx.log[k]]);
         }
     }
-    for (ExecContext &ctx : stageContexts_) {
-        ctx.log.clear();
-        ctx.imageEnds.clear();
+    for (std::size_t s = 0; s < n_stages; ++s) {
+        stageContexts_[s]->log.clear();
+        stageContexts_[s]->imageEnds.clear();
     }
 }
 
 PrimeSystem::ExecContext &
 PrimeSystem::stageContext(std::size_t stage)
 {
-    PRIME_ASSERT(stage < stageContexts_.size(),
-                 "stage ", stage, " of ", stageContexts_.size());
-    return stageContexts_[stage];
+    PRIME_ASSERT(stage < stages_.size(),
+                 "stage ", stage, " of ", stages_.size());
+    return *stageContexts_[stage];
 }
 
 void
@@ -875,11 +866,11 @@ PrimeSystem::calibrate(const std::vector<nn::Sample> &samples)
 }
 
 nn::Tensor
-PrimeSystem::runStageImpl(const nn::Tensor &x, std::size_t stage,
-                          ExecContext &ctx)
+PrimeSystem::stageStep(nn::Tensor x, std::size_t stage)
 {
+    PRIME_SPAN(telemetry::globalTrace(), "pipeline.stage", "pipeline");
+    ExecContext &ctx = stageContext(stage);
     const mapping::PipelineStage &ps = stages_[stage];
-    nn::Tensor y = x;
     std::size_t next_program = ps.firstWeighted;
     for (std::size_t li = ps.firstLayer; li < ps.endLayer; ++li) {
         const nn::LayerSpec &spec = topology_->layers[li];
@@ -889,9 +880,9 @@ PrimeSystem::runStageImpl(const nn::Tensor &x, std::size_t stage,
             PRIME_ASSERT(next_program < ps.endWeighted,
                          "program/topology mismatch");
             const LayerProgram &lp = programs_[next_program++];
-            y = spec.kind == nn::LayerKind::FullyConnected
-                    ? runFc(lp, y, ctx)
-                    : runConv(lp, y, ctx);
+            x = spec.kind == nn::LayerKind::FullyConnected
+                    ? runFc(lp, x, ctx)
+                    : runConv(lp, x, ctx);
             break;
           }
           case nn::LayerKind::MaxPool:
@@ -899,25 +890,25 @@ PrimeSystem::runStageImpl(const nn::Tensor &x, std::size_t stage,
           case nn::LayerKind::Sigmoid:
           case nn::LayerKind::Relu:
           case nn::LayerKind::Flatten:
-            y = nn::forwardUnweighted(spec, std::move(y));
+            x = nn::forwardUnweighted(spec, std::move(x));
             break;
         }
     }
-    return y;
+    ctx.imageEnds.push_back(ctx.log.size());
+    // calibrate() counts run.calibrations instead.
+    if (stage + 1 == stages_.size() && !calibrating_)
+        inferences_->increment();
+    return x;
 }
 
 nn::Tensor
 PrimeSystem::runStage(const nn::Tensor &x, std::size_t stage,
                       ExecContext &ctx)
 {
-    PRIME_SPAN(telemetry::globalTrace(), "pipeline.stage", "pipeline");
-    PRIME_ASSERT(stage < stages_.size(),
-                 "stage ", stage, " of ", stages_.size());
-    nn::Tensor y = runStageImpl(x, stage, ctx);
-    if (pipelining_)
-        ctx.imageEnds.push_back(ctx.log.size());
-    else
-        replayLog(ctx);
+    PRIME_ASSERT(&ctx == &stageContext(stage),
+                 "runStage of stage ", stage, " in another context");
+    nn::Tensor y = stageStep(x, stage);
+    replay();
     return y;
 }
 
@@ -927,42 +918,11 @@ PrimeSystem::run(const nn::Tensor &input)
     PRIME_SPAN(telemetry::globalTrace(), "phase.run", "phase");
     PRIME_ASSERT(programmed_, "programWeight must precede run");
     PRIME_ASSERT(configured_, "configDatapath must precede run");
-
-    // Every stage runs in stage 0's context: the root StatGroup, the
-    // base staging windows and buffers sized for every layer.
-    ExecContext &ctx = stageContexts_.front();
     nn::Tensor x = input;
     for (std::size_t s = 0; s < stages_.size(); ++s)
-        x = runStageImpl(x, s, ctx);
-    replayLog(ctx);
-    if (!calibrating_)
-        inferences_->increment();  // calibrate() counts run.calibrations
+        x = stageStep(std::move(x), s);
+    replay();
     return x;
-}
-
-std::vector<nn::Tensor>
-PrimeSystem::runBatch(std::span<const nn::Tensor> inputs)
-{
-    PRIME_ASSERT(programmed_, "programWeight must precede runBatch");
-    PRIME_ASSERT(configured_, "configDatapath must precede runBatch");
-    if (stages_.size() <= 1) {
-        std::vector<nn::Tensor> out;
-        out.reserve(inputs.size());
-        for (const nn::Tensor &in : inputs)
-            out.push_back(run(in));
-        return out;
-    }
-    // Size every stage's log for the whole batch before the stages
-    // start appending (capacity is kept across batches).
-    for (ExecContext &ctx : stageContexts_) {
-        ctx.log.reserve(inputs.size() * ctx.transfersPerImage);
-        ctx.imageEnds.reserve(inputs.size());
-    }
-    pipelining_ = true;
-    std::vector<nn::Tensor> out = pipeline_.run(*this, inputs);
-    pipelining_ = false;
-    replayWavefront(inputs.size());
-    return out;
 }
 
 std::vector<double>

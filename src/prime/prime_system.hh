@@ -6,41 +6,51 @@
  *   Map_Topology    -> mapTopology()      compile-time mapping (IV-B)
  *   Program_Weight  -> programWeight()    morph FF mats + program cells
  *   Config_Datapath -> configDatapath()   Table I configuration commands
- *   Run             -> run()              functional inference through
+ *   Run             -> run()/runBatch()   functional inference through
  *                                         the mapped crossbar engines,
  *                                         data moved by Table I commands
  *   Post_Proc       -> postProc()         softmax over the logits
  *
  * The functional path instantiates one bank unit (FF subarrays + Buffer
  * subarray + controller) per bank the plan places tiles into, so Large
- * plans execute across real bank boundaries.  runBatch() drives those
- * banks as the paper's inter-bank pipeline (Section IV-B: one stage per
- * bank-disjoint layer group) via a per-system Pipeline that runs them
- * as lockstep wavefront steps on the global ThreadPool; run() executes
- * the same stages sequentially.  Bank-level parallelism (identical copies
- * of a small/medium NN across banks) still needs only bank 0 for
- * functional fidelity.  Performance and energy are estimated by the
- * analytic PrimeModel over the same MappingPlan.
+ * plans execute across real bank boundaries.  The plan's bank-disjoint
+ * layer groups are the inter-bank pipeline's stages (Section IV-B), and
+ * each stage has one ExecContext: its staging windows, buffers, timing
+ * log and executor record.  Every entry point -- run(), runBatch(),
+ * runStage(), calibrate() and the served batches -- runs stage s in
+ * stage s's context through one step and times the logged traffic with
+ * one wavefront replay.  runBatch() runs the stages as lockstep
+ * wavefront steps on the global ThreadPool (pipeline.cc); run() is the
+ * one-image case, its stages in order.  Bank-level parallelism
+ * (identical copies of a small/medium NN across banks) still needs only
+ * bank 0 for functional fidelity.  Performance and energy are estimated
+ * by the analytic PrimeModel over the same MappingPlan.
  */
 
 #ifndef PRIME_PRIME_PRIME_SYSTEM_HH
 #define PRIME_PRIME_PRIME_SYSTEM_HH
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/fixed_point.hh"
+#include "common/stats.hh"
+#include "common/telemetry/histogram.hh"
 #include "common/thread_pool.hh"
 #include "mapping/mapper.hh"
 #include "memory/main_memory.hh"
 #include "nn/quantized.hh"
 #include "prime/controller.hh"
-#include "prime/pipeline.hh"
 #include "sim/prime_model.hh"
 
 namespace prime::core {
+
+/** Images one stage runs per wavefront step of runBatch (one chunk). */
+inline constexpr std::size_t kHandoffBatch = 4;
 
 /** The full PRIME machine (functional + analytic). */
 class PrimeSystem
@@ -93,24 +103,29 @@ class PrimeSystem
      */
     void setAnalogCompute(bool analog, Rng *noise_rng = nullptr);
 
-    /** One inference through the mapped crossbars. */
+    /**
+     * One inference through the mapped crossbars: every stage in order,
+     * each in its own context, then the one timing replay.  It times
+     * exactly as a one-image runBatch.
+     */
     nn::Tensor run(const nn::Tensor &input);
 
     /**
-     * Batched inference, the one batch entry point.  A multi-stage plan
-     * runs the batch through the inter-bank pipeline (Pipeline::run:
-     * lockstep wavefront steps, each step one parallelFor over the
-     * active stages on ThreadPool::global()); a one-stage plan runs the
-     * samples through run().  Callers that want sequential execution
-     * of a multi-stage plan loop over run() themselves.  Results are
-     * bit-identical to per-sample run() calls at any pool size,
-     * noisy analog compute included: every mat draws read noise from
-     * its own stream and sees the images in order on every executor.
+     * Batched inference, the one batch entry point: the batch runs
+     * through the inter-bank pipeline as lockstep wavefront steps, each
+     * step one parallelFor over the active stages on
+     * ThreadPool::global() (pipeline.cc), whatever the stage count.
+     * A one-stage plan's steps are parallelFors of one, which run on
+     * the caller, so each layer still fans its mats out over the pool.
+     * Results are bit-identical to per-sample run() calls at any pool
+     * size, noisy analog compute included: every mat draws read noise
+     * from its own stream and sees the images in order on every
+     * executor.
      *
-     * The pipeline's live values are declared in stats() as stages
-     * first run.  Call from one thread at a time.  Called from inside a
-     * parallelFor body, the steps run inline on the calling thread,
-     * with the same results.
+     * The pipeline's live values and batch stats are declared in
+     * stats() as stages first run a batch.  Call from one thread at a
+     * time.  Called from inside a parallelFor body, the steps run
+     * inline on the calling thread, with the same results.
      */
     std::vector<nn::Tensor> runBatch(std::span<const nn::Tensor> inputs);
 
@@ -120,12 +135,18 @@ class PrimeSystem
     // ------------------------------------------------ pipeline view --
 
     /**
-     * Execution context of one pipeline stage (or the sequential
-     * default path): the StatGroup its run.* stats land in, the
+     * Execution context of one pipeline stage, the one per-stage record
+     * of every run path: the StatGroup its run.* stats land in, the
      * main-memory staging windows its Fetch/Commit traffic uses, the
-     * working buffers of its weighted layers and its timing log.
-     * Concurrent stages get disjoint windows, StatGroups, buffers and
-     * logs, which is what makes the pipeline rounds race-free.
+     * working buffers of its weighted layers, its timing log and its
+     * executor record.  Concurrent stages get disjoint windows,
+     * StatGroups, buffers and logs, which is what makes the pipeline
+     * rounds race-free.
+     *
+     * Contexts are heap-pinned and only ever grown: the
+     * pipeline.stageN.state formula captures the state word's address,
+     * and the metrics sampler may read it at any time, across remaps
+     * too.  buildStages resets the per-plan fields in place.
      */
     struct ExecContext
     {
@@ -142,27 +163,50 @@ class PrimeSystem
          * A layer's input codes, a conv layer's gathered windows
          * (row-tile-major, see tiledMvm) and their tiled-MVM outputs,
          * and one bank's per-mat input views: sized by buildStages for
-         * every layer.
+         * the stage's own layers.
          */
         std::vector<std::uint8_t> codes;
         std::vector<std::uint8_t> windows;
         std::vector<double> mvm;
         std::vector<std::span<const std::uint8_t>> matInputs;
         /**
-         * The bursts of every tape Fetch/Commit this context can issue,
+         * The bursts of the stage's own tape Fetch/Commit commands,
          * recorded once by buildStages at this context's staging
          * windows and indexed by TapeBank::fetchTransfer /
-         * commitTransfer (empty for a layer the context never runs).
+         * commitTransfer (empty for the other stages' layers).
          */
         std::vector<memory::Transfer> transfers;
         /** Transfer ids issued since the last timing pass, in program
          *  order; capacity reserved up front, so appending allocates
          *  nothing. */
         std::vector<std::uint32_t> log;
-        /** During a pipelined batch: log.size() after each image. */
+        /** log.size() after each image since the last timing pass. */
         std::vector<std::size_t> imageEnds;
         /** Log entries one image appends in this stage. */
         std::size_t transfersPerImage = 0;
+
+        // Executor record, kept across remaps; runBatch binds the stats
+        // the first time the stage runs a batch.
+        /** What the stage is doing (pipeline.cc's StageState), stored
+         *  by whoever runs its step and sampled relaxed. */
+        std::atomic<int> state{0};
+        /** "pipe.stageN": the stage's trace span per wavefront step. */
+        std::string spanName;
+        /** pipeline.stageN.items, bumped per chunk, and
+         *  pipeline.stageN.service_ns. */
+        Stat *items = nullptr;
+        telemetry::Histogram *service = nullptr;
+        /** pipeline.attribution.stageN.*_ns: where the batch wall
+         *  went. */
+        Stat *attrBusy = nullptr;
+        Stat *attrFill = nullptr;     ///< .stall_upstream_ns
+        Stat *attrDrain = nullptr;    ///< .stall_downstream_ns
+        Stat *attrBarrier = nullptr;  ///< .idle_ns
+        Stat *attrWall = nullptr;     ///< .wall_ns
+        /** This batch, touched only by the thread running the stage's
+         *  step, and merged into the stats after the last step. */
+        telemetry::Histogram serviceNs;  ///< wall ns per image
+        telemetry::Histogram e2eNs;      ///< admit -> complete (last)
     };
 
     /** The plan's pipeline stages (valid after programWeight). */
@@ -175,12 +219,10 @@ class PrimeSystem
     ExecContext &stageContext(std::size_t stage);
 
     /**
-     * Execute one stage's topology-layer slice on @p x inside @p ctx
-     * (the pipeline engine's worker entry point; emits a
-     * "pipeline.stage" span).  Inside a pipelined runBatch the stage's
-     * Fetch/Commit transfers stay in ctx's log for the batch's
-     * wavefront timing pass; called on its own, it times them before
-     * returning, as run() does.
+     * Execute one stage's topology-layer slice on @p x, on its own:
+     * the step every run path takes (one "pipeline.stage" span), then
+     * the timing replay of the stage's Fetch/Commit transfers.
+     * @p ctx must be stageContext(@p stage).
      */
     nn::Tensor runStage(const nn::Tensor &x, std::size_t stage,
                         ExecContext &ctx);
@@ -348,23 +390,29 @@ class PrimeSystem
     nn::Tensor runConv(const LayerProgram &lp, const nn::Tensor &x,
                        ExecContext &ctx);
 
-    /** runStage without the span (run()'s sequential loop body). */
-    nn::Tensor runStageImpl(const nn::Tensor &x, std::size_t stage,
-                            ExecContext &ctx);
+    /**
+     * The one stage step of every run path: stage @p stage's layers on
+     * @p x in stageContext(@p stage), then the image's end in its log.
+     * An image leaving the last stage counts as an inference (unless
+     * calibrating).
+     */
+    nn::Tensor stageStep(nn::Tensor x, std::size_t stage);
 
-    /** Build stages_ + stageContexts_ from the plan, size the
-     *  contexts' buffers, record their transfers, reserve their logs
-     *  and bind the run counters (programWeight). */
+    /** Build stages_ from the plan and reset their contexts in place:
+     *  size the buffers, record the transfers, reserve the logs and
+     *  bind the run counters (programWeight). */
     void buildStages();
 
-    /** Timing pass of run() / a lone runStage: @p ctx's logged
-     *  transfers in program order; clears the log. */
-    void replayLog(ExecContext &ctx);
+    /** Bind the batch stats, and each active stage's executor record,
+     *  the first time they run a batch (runBatch). */
+    void bindBatchStats();
 
-    /** Timing pass of a pipelined batch of @p images: step t, stage
-     *  s, image t - s (ARCHITECTURE.md, "Timing pass"); clears the
-     *  logs. */
-    void replayWavefront(std::size_t images);
+    /**
+     * The timing pass of every run path: each context's logged images
+     * in wavefront order -- step t, stage s, image t - s
+     * (ARCHITECTURE.md, "Timing pass") -- then clears the logs.
+     */
+    void replay();
 
     nvmodel::TechParams tech_;
     mapping::MapperOptions mapperOptions_;
@@ -381,17 +429,22 @@ class PrimeSystem
     std::vector<LayerProgram> programs_;
     std::vector<mapping::Command> configCommands_;
     std::vector<mapping::PipelineStage> stages_;
-    std::vector<ExecContext> stageContexts_;
+    /** One per stage of the largest plan so far: grow-only, so the
+     *  state formulas' captured addresses stay valid. */
+    std::vector<std::unique_ptr<ExecContext>> stageContexts_;
     /** run.inferences, bound by buildStages. */
     Stat *inferences_ = nullptr;
-    /** The inter-bank pipeline, kept across runBatch calls. */
-    Pipeline pipeline_;
+    /** The batch-wide pipeline.* stats, bound by bindBatchStats. */
+    struct BatchStats
+    {
+        telemetry::Histogram *stageNs = nullptr;
+        telemetry::Histogram *e2eNs = nullptr;
+        Stat *batches = nullptr;
+        Stat *samples = nullptr;
+        Stat *bottleneckNs = nullptr;
+    } batchStats_;
     /** Transfer ids handed out to the tapes' Fetch/Commit commands. */
     std::uint32_t transferCount_ = 0;
-    /** True while a pipelined batch runs its stages (set and cleared
-     *  around Pipeline::run, whose first step's pool handoff publishes
-     *  it). */
-    bool pipelining_ = false;
     bool programmed_ = false;
     bool configured_ = false;
     /** True while calibrate() drives inferences. */

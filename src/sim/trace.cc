@@ -7,6 +7,15 @@
 
 namespace prime::sim {
 
+namespace {
+
+/** HotSpot: the hot region's fraction of capacity. */
+constexpr double kHotFraction = 0.01;
+/** RowLocal: accesses per touched row. */
+constexpr int kBurstsPerRow = 8;
+
+} // namespace
+
 const char *
 tracePatternName(TracePattern pattern)
 {
@@ -58,7 +67,7 @@ generateTrace(const memory::AddressMapper &mapper,
       }
       case TracePattern::HotSpot: {
         const std::uint64_t hot_lines = std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(options.hotFraction * lines));
+            1, static_cast<std::uint64_t>(kHotFraction * lines));
         for (int i = 0; i < options.count; ++i) {
             if (rng.bernoulli(0.9))
                 push(static_cast<std::uint64_t>(rng.uniformInt(
@@ -107,7 +116,7 @@ generateTrace(const memory::AddressMapper &mapper,
                     0, static_cast<std::int64_t>(lines - 1))) /
                 lines_per_row * lines_per_row;
             for (int b = 0;
-                 b < options.burstsPerRow && emitted < options.count;
+                 b < kBurstsPerRow && emitted < options.count;
                  ++b, ++emitted)
                 push(row_base + static_cast<std::uint64_t>(rng.uniformInt(
                                     0, static_cast<std::int64_t>(

@@ -44,10 +44,6 @@ struct TraceOptions
     double writeFraction = 0.2;
     /** Request size in bytes. */
     std::uint32_t bytes = 64;
-    /** Hot-region fraction of capacity (HotSpot only). */
-    double hotFraction = 0.01;
-    /** Accesses per touched row (RowLocal only). */
-    int burstsPerRow = 8;
     unsigned long long seed = 1;
 };
 

@@ -13,12 +13,12 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/telemetry/metrics.hh"
 #include "common/thread_pool.hh"
 #include "nn/dataset.hh"
-#include "prime/pipeline.hh"
 #include "prime/prime_system.hh"
 #include "sim/prime_model.hh"
 
@@ -81,9 +81,9 @@ sampleInputs(std::size_t n)
     return inputs;
 }
 
-/** Fresh programmed system on the tiny 4-bank geometry. */
+/** Map, program and configure the 4-layer MLP on @p prime. */
 void
-programTiny(PrimeSystem &prime)
+programNet(PrimeSystem &prime)
 {
     prime.mapTopology(pipelinedSetup().topology);
     prime.programWeight(pipelinedSetup().net);
@@ -158,39 +158,14 @@ TEST(PipelineStages, SingleBankPlanIsOneStage)
               nn::mlBenchByName("MLP-S").layers.size());
 }
 
-TEST(PipelineEngine, BatchBitIdenticalAcrossThreadCounts)
-{
-    // Global pools smaller than, equal to and larger than the stage
-    // count, on a batch whose last chunk is partial (13 = 3 * 4 + 1).
-    PrimeSystem prime(tinyBankParams());
-    programTiny(prime);
-    ASSERT_EQ(prime.stages().size(), 4u);
-
-    const std::vector<nn::Tensor> inputs = sampleInputs(13);
-    ASSERT_NE(inputs.size() % kHandoffBatch, 0u);
-    const std::vector<nn::Tensor> expected = runEach(prime, inputs);
-    for (int threads : {1, 2, 4, 8}) {
-        ThreadPool::setGlobalThreadCount(threads);
-        expectSameBits(prime.runBatch(std::span<const nn::Tensor>(inputs)),
-                       expected, "threads=" + std::to_string(threads));
-    }
-    ThreadPool::setGlobalThreadCount(0);
-}
-
 /**
- * The modeled memory side of a fresh tiny-bank system after one
- * pipelined batch of @p images at @p threads: the mem.* stats
- * document, every channel's histogram sums and cursor, and the PRIME
- * progress, the doubles in hex so equality is bit equality.
+ * The modeled memory side of @p prime: the mem.* stats document, every
+ * channel's histogram sums and cursor, and the PRIME progress, the
+ * doubles in hex so equality is bit equality.
  */
 std::string
-pipelinedTiming(int threads, std::size_t images)
+memoryState(PrimeSystem &prime)
 {
-    ThreadPool::setGlobalThreadCount(threads);
-    PrimeSystem prime(tinyBankParams());
-    programTiny(prime);
-    const std::vector<nn::Tensor> inputs = sampleInputs(images);
-    (void)prime.runBatch(std::span<const nn::Tensor>(inputs));
     memory::MainMemory &mem = prime.mainMemory();
     std::ostringstream out;
     mem.stats().dumpJson(out);
@@ -202,6 +177,55 @@ pipelinedTiming(int threads, std::size_t images)
     }
     out << ' ' << mem.primeProgressNs();
     return out.str();
+}
+
+TEST(PipelineEngine, BatchBitIdenticalAcrossThreadCounts)
+{
+    // Global pools smaller than, equal to and larger than the stage
+    // count, on a batch whose last chunk is partial (13 = 3 * 4 + 1):
+    // the 4-stage plan, and the same net on the default geometry, where
+    // it maps into one bank as one stage.  The one-stage batch takes
+    // the same wavefront steps and also leaves the memory side exactly
+    // as the run() loop over its images does.
+    const std::vector<nn::Tensor> inputs = sampleInputs(13);
+    ASSERT_NE(inputs.size() % kHandoffBatch, 0u);
+    const std::pair<nvmodel::TechParams, std::size_t> plans[] = {
+        {tinyBankParams(), 4}, {nvmodel::defaultTechParams(), 1}};
+    for (const auto &[tech, n_stages] : plans) {
+        const std::string plan = std::to_string(n_stages) + "-stage";
+        PrimeSystem reference(tech);
+        programNet(reference);
+        ASSERT_EQ(reference.stages().size(), n_stages);
+        const std::vector<nn::Tensor> expected = runEach(reference, inputs);
+        for (int threads : {1, 2, 4, 8}) {
+            ThreadPool::setGlobalThreadCount(threads);
+            PrimeSystem prime(tech);
+            programNet(prime);
+            const std::string where =
+                plan + " threads=" + std::to_string(threads);
+            expectSameBits(
+                prime.runBatch(std::span<const nn::Tensor>(inputs)),
+                expected, where);
+            if (n_stages == 1) {
+                EXPECT_EQ(memoryState(prime), memoryState(reference))
+                    << where;
+            }
+        }
+        ThreadPool::setGlobalThreadCount(0);
+    }
+}
+
+/** memoryState of a fresh tiny-bank system after one pipelined batch
+ *  of @p images at @p threads. */
+std::string
+pipelinedTiming(int threads, std::size_t images)
+{
+    ThreadPool::setGlobalThreadCount(threads);
+    PrimeSystem prime(tinyBankParams());
+    programNet(prime);
+    const std::vector<nn::Tensor> inputs = sampleInputs(images);
+    (void)prime.runBatch(std::span<const nn::Tensor>(inputs));
+    return memoryState(prime);
 }
 
 TEST(PipelineEngine, TimingPassDeterministicAcrossThreadsAndSystems)
@@ -226,7 +250,7 @@ TEST(PipelineEngine, BackToBackBatchesAndRemaps)
     // not multiples of kHandoffBatch) and more chunks than stages.
     const std::vector<std::size_t> sizes = {1, 3, 4, 9, 17};
     PrimeSystem prime(tinyBankParams());
-    programTiny(prime);
+    programNet(prime);
     ASSERT_EQ(prime.stages().size(), 4u);
     ASSERT_GT(sizes.back(), prime.stages().size() * kHandoffBatch);
 
@@ -278,8 +302,8 @@ TEST(PipelineEngine, RunBatchInsideParallelForMatchesRun)
     const std::vector<nn::Tensor> inputs = sampleInputs(13);
     PrimeSystem a(tinyBankParams());
     PrimeSystem b(tinyBankParams());
-    programTiny(a);
-    programTiny(b);
+    programNet(a);
+    programNet(b);
     const std::vector<nn::Tensor> expected = runEach(a, inputs);
     ThreadPool pool(2);
     for (int threads : {1, 4}) {
@@ -300,7 +324,7 @@ TEST(PipelineEngine, RunBatchInsideParallelForMatchesRun)
 TEST(PipelineEngine, StatsAccountForEveryStageExecution)
 {
     PrimeSystem prime(tinyBankParams());
-    programTiny(prime);
+    programNet(prime);
     const std::vector<nn::Tensor> inputs = sampleInputs(16);
     ThreadPool::setGlobalThreadCount(4);
     prime.runBatch(std::span<const nn::Tensor>(inputs));
@@ -318,7 +342,7 @@ TEST(PipelineEngine, StatsAccountForEveryStageExecution)
     EXPECT_EQ(stats.histogram("pipeline.e2e_latency_ns").count(), n);
     EXPECT_GT(stats.get("pipeline.measured_bottleneck_ns").sum(), 0.0);
     // Per-stage executor counters: every stage saw every sample and
-    // accumulated nonzero busy time, the attribution's busy share.
+    // accumulated nonzero busy time in the attribution.
     StatGroup &attr = stats.child("pipeline.attribution");
     for (std::size_t s = 0; s < n_stages; ++s) {
         const std::string prefix =
@@ -326,9 +350,8 @@ TEST(PipelineEngine, StatsAccountForEveryStageExecution)
         EXPECT_EQ(stats.get(prefix + ".items").count(), n) << s;
         EXPECT_EQ(stats.histogram(prefix + ".service_ns").count(), n)
             << s;
-        EXPECT_GT(stats.get(prefix + ".busy_ns").sum(), 0.0) << s;
-        EXPECT_EQ(stats.get(prefix + ".busy_ns").sum(),
-                  attr.get("stage" + std::to_string(s) + ".busy_ns").sum())
+        EXPECT_GT(attr.get("stage" + std::to_string(s) + ".busy_ns").sum(),
+                  0.0)
             << s;
     }
     // Sequential-path parity for the inference counter.
@@ -338,7 +361,7 @@ TEST(PipelineEngine, StatsAccountForEveryStageExecution)
 TEST(PipelineEngine, FlightRecorderPopulatesHistograms)
 {
     PrimeSystem prime(tinyBankParams());
-    programTiny(prime);
+    programNet(prime);
     const std::vector<nn::Tensor> inputs = sampleInputs(12);
     ThreadPool::setGlobalThreadCount(4);
     prime.runBatch(std::span<const nn::Tensor>(inputs));
@@ -398,7 +421,7 @@ TEST(PipelineEngine, FlightRecorderPopulatesHistograms)
 TEST(PipelineEngine, BitIdenticalWithMetricsEnabled)
 {
     PrimeSystem prime(tinyBankParams());
-    programTiny(prime);
+    programNet(prime);
     const std::vector<nn::Tensor> inputs = sampleInputs(12);
     const std::vector<nn::Tensor> expected = runEach(prime, inputs);
 
@@ -487,7 +510,7 @@ TEST(PipelineEngine, Table3WorkloadsBatchMatchSequential)
     // Table 3 workloads that fit the functional model (VGG-D's ~2k mats
     // exceed what the in-process crossbars can instantiate; it stays
     // analytic-only).  These map single-bank on the default geometry,
-    // so runBatch must reduce to exactly the sequential path.
+    // so runBatch steps their one stage image after image.
     for (const char *name :
          {"CNN-1", "CNN-2", "MLP-S", "MLP-M", "MLP-L"}) {
         nn::Topology topo = nn::mlBenchByName(name);

@@ -13,8 +13,9 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
-#include <utility>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/thread_pool.hh"
 #include "nn/dataset.hh"
@@ -468,6 +469,9 @@ struct RunCounters
     double fetchBytes = 0, commitBytes = 0, loadBytes = 0, storeBytes = 0;
     double bufferRead = 0, bufferWrite = 0;
     std::uint64_t tiledMvms = 0, matMvms = 0;
+    /** run.tiled_mvms per stage (stage N counts into child "stageN");
+     *  tiledMvms is their sum. */
+    std::vector<std::uint64_t> stageTiledMvms;
     std::uint64_t bursts = 0, rowHits = 0, rowMisses = 0;
     double progressNs = 0;
 
@@ -487,7 +491,13 @@ struct RunCounters
             bufferWrite += s.get("buffer.write_bytes").sum();
             matMvms += s.get("controller.mat_mvms").count();
         }
-        tiledMvms = prime.stats().get("run.tiled_mvms").count();
+        for (std::size_t s = 0; s < prime.stages().size(); ++s) {
+            StatGroup &g = s == 0 ? prime.stats()
+                                  : prime.stats().child(
+                                        "stage" + std::to_string(s));
+            stageTiledMvms.push_back(g.get("run.tiled_mvms").count());
+            tiledMvms += stageTiledMvms.back();
+        }
         StatGroup &m = prime.mainMemory().stats();
         bursts = m.get("mem.reads").count() + m.get("mem.writes").count();
         rowHits = m.get("mem.row_hits").count();
@@ -622,49 +632,156 @@ TEST(PrimeSystem, RunCountersPinned)
  * and several banks: 32 x 16 mats, eight per bank, under a padded 3x3
  * conv of 20 maps over 4 channels (36 rows: two row tiles, two column
  * tiles) and a 5x5 conv over its 20 maps (500 rows: sixteen row
- * tiles).  Outputs, counters and final state are the values of the
- * one-window-at-a-time data flow, after a calibration, and a
- * pipelined runBatch gives run()'s outputs.
+ * tiles).  The plan runs as three pipeline stages.
+ */
+struct ConvTilesSetup
+{
+    nvmodel::TechParams tech = nvmodel::defaultTechParams();
+    nn::Topology topo = nn::parseTopology(
+        "conv-tiles", "conv3x20-conv5x3-pool-12-10", 4, 8, 8);
+    nn::Network net;
+    std::vector<nn::Tensor> inputs;
+    std::vector<nn::Sample> calibration;
+
+    ConvTilesSetup()
+    {
+        tech.geometry.matRows = 32;
+        tech.geometry.matCols = 16;
+        tech.geometry.ffSubarraysPerBank = 1;
+        tech.geometry.matsPerSubarray = 8;
+        Rng rng(9);
+        net = nn::buildNetwork(topo, rng);
+        for (int i = 0; i < 6; ++i) {
+            nn::Tensor t({4, 8, 8});
+            for (std::size_t k = 0; k < t.size(); ++k)
+                t[k] = rng.uniform(-0.2, 1.0);
+            if (i < 3)
+                inputs.push_back(t);
+            else
+                calibration.push_back({t, 0});
+        }
+    }
+
+    /** Map, program, configure and calibrate @p prime. */
+    void
+    program(PrimeSystem &prime) const
+    {
+        prime.mapTopology(topo);
+        prime.programWeight(net);
+        prime.configDatapath();
+        prime.calibrate(calibration);
+    }
+};
+
+/**
+ * The conv-tiles plan: outputs, counters and final state are the values
+ * of the one-window-at-a-time data flow, after a calibration, and a
+ * pipelined runBatch gives run()'s outputs.  run() stages stage s's
+ * traffic through stage s's windows, so the staging hash reads stage
+ * 0's windows after its own last layer.
  */
 TEST(PrimeSystem, RowTiledMultiBankConvPinned)
 {
     const PinnedRun want = {
         1220, 18316, 16416, 12620, 6676, 35712, 24992, 81, 513, 578, 48,
-        1686, 91550.588367732533, 0x4ce364bc36cb8fceull,
-        0x87c32b3ce5bdf4c4ull, 0x512d0f90873e96d9ull};
-    nvmodel::TechParams tech = nvmodel::defaultTechParams();
-    tech.geometry.matRows = 32;
-    tech.geometry.matCols = 16;
-    tech.geometry.ffSubarraysPerBank = 1;
-    tech.geometry.matsPerSubarray = 8;
-    const nn::Topology topo = nn::parseTopology(
-        "conv-tiles", "conv3x20-conv5x3-pool-12-10", 4, 8, 8);
-    Rng rng(9);
-    const nn::Network net = nn::buildNetwork(topo, rng);
-    std::vector<nn::Tensor> inputs;
-    std::vector<nn::Sample> calibration;
-    for (int i = 0; i < 6; ++i) {
-        nn::Tensor t({4, 8, 8});
-        for (std::size_t k = 0; k < t.size(); ++k)
-            t[k] = rng.uniform(-0.2, 1.0);
-        if (i < 3)
-            inputs.push_back(t);
-        else
-            calibration.push_back({t, 0});
-    }
-    PrimeSystem prime(tech);
-    prime.mapTopology(topo);
-    prime.programWeight(net);
-    prime.configDatapath();
-    prime.calibrate(calibration);
-    const PinnedRun got = pinnedRun(prime, inputs);
+        1686, 91250.921200753219, 0x4ce364bc36cb8fceull,
+        0x3a618479591be6d9ull, 0x512d0f90873e96d9ull};
+    const ConvTilesSetup conv;
+    PrimeSystem prime(conv.tech);
+    conv.program(prime);
+    ASSERT_EQ(prime.stages().size(), 3u);
+    const PinnedRun got = pinnedRun(prime, conv.inputs);
     expectPinned(got, want, "conv-tiles");
     const std::vector<nn::Tensor> batched =
-        prime.runBatch(std::span<const nn::Tensor>(inputs));
+        prime.runBatch(std::span<const nn::Tensor>(conv.inputs));
     std::uint64_t batch_hash = kFnvBasis;
     for (const nn::Tensor &y : batched)
         batch_hash = fnv1a(std::as_bytes(std::span(y.flat())), batch_hash);
     EXPECT_EQ(batch_hash, want.outputHash);
+}
+
+/** Equal run-time counters, stage by stage. */
+void
+expectSameCounters(const RunCounters &got, const RunCounters &want,
+                   const std::string &where)
+{
+    EXPECT_EQ(got.commands, want.commands) << where;
+    EXPECT_EQ(got.fetchBytes, want.fetchBytes) << where;
+    EXPECT_EQ(got.commitBytes, want.commitBytes) << where;
+    EXPECT_EQ(got.loadBytes, want.loadBytes) << where;
+    EXPECT_EQ(got.storeBytes, want.storeBytes) << where;
+    EXPECT_EQ(got.bufferRead, want.bufferRead) << where;
+    EXPECT_EQ(got.bufferWrite, want.bufferWrite) << where;
+    EXPECT_EQ(got.stageTiledMvms, want.stageTiledMvms) << where;
+    EXPECT_EQ(got.matMvms, want.matMvms) << where;
+    EXPECT_EQ(got.bursts, want.bursts) << where;
+    EXPECT_EQ(got.rowHits, want.rowHits) << where;
+    EXPECT_EQ(got.rowMisses, want.rowMisses) << where;
+    EXPECT_EQ(got.progressNs, want.progressNs) << where;
+}
+
+/**
+ * run() is the one-image case of runBatch: on two freshly programmed,
+ * identical systems, run(x) per image and a runBatch of each image
+ * alone give the same outputs and leave the same commands, bytes,
+ * bursts, row hits and misses, modeled progress and per-stage tiled
+ * MVMs after every image -- on the 3-stage conv-tiles plan and on the
+ * 4-stage 64-256-256-256-256 MLP (one mat per bank).
+ */
+TEST(PrimeSystem, RunTimesAsOneImageBatch)
+{
+    const ConvTilesSetup conv;
+    PrimeSystem conv_run(conv.tech), conv_batch(conv.tech);
+    conv.program(conv_run);
+    conv.program(conv_batch);
+
+    nvmodel::TechParams mlp_tech = nvmodel::defaultTechParams();
+    mlp_tech.geometry.ffSubarraysPerBank = 1;
+    mlp_tech.geometry.matsPerSubarray = 1;
+    const nn::Topology mlp = nn::parseTopology(
+        "mlp-pipeline", "64-256-256-256-256", 1, 8, 8);
+    Rng rng(7);
+    const nn::Network mlp_net = nn::buildNetwork(mlp, rng);
+    std::vector<nn::Tensor> mlp_inputs;
+    for (int i = 0; i < 3; ++i) {
+        nn::Tensor t({1, 8, 8});
+        for (std::size_t k = 0; k < t.size(); ++k)
+            t[k] = rng.uniform(0.0, 1.0);
+        mlp_inputs.push_back(std::move(t));
+    }
+    PrimeSystem mlp_run(mlp_tech), mlp_batch(mlp_tech);
+    for (PrimeSystem *prime : {&mlp_run, &mlp_batch}) {
+        prime->mapTopology(mlp);
+        prime->programWeight(mlp_net);
+        prime->configDatapath();
+    }
+
+    struct Case
+    {
+        const char *name;
+        PrimeSystem &run;
+        PrimeSystem &batch;
+        const std::vector<nn::Tensor> &inputs;
+        std::size_t stages;
+    };
+    for (const Case &c :
+         {Case{"conv-tiles", conv_run, conv_batch, conv.inputs, 3},
+          Case{"mlp-4stage", mlp_run, mlp_batch, mlp_inputs, 4}}) {
+        ASSERT_EQ(c.run.stages().size(), c.stages) << c.name;
+        for (std::size_t i = 0; i < c.inputs.size(); ++i) {
+            const std::string where =
+                std::string(c.name) + " image " + std::to_string(i);
+            const nn::Tensor y = c.run.run(c.inputs[i]);
+            const std::vector<nn::Tensor> yb = c.batch.runBatch(
+                std::span<const nn::Tensor>(&c.inputs[i], 1));
+            ASSERT_EQ(yb.size(), 1u) << where;
+            ASSERT_EQ(y.size(), yb[0].size()) << where;
+            for (std::size_t k = 0; k < y.size(); ++k)
+                EXPECT_EQ(y[k], yb[0][k]) << where << " element " << k;
+            expectSameCounters(RunCounters(c.batch), RunCounters(c.run),
+                               where);
+        }
+    }
 }
 
 /**

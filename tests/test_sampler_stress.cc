@@ -3,8 +3,9 @@
  * Stress test of the metrics sampling contract (telemetry/metrics.hh):
  * one thread ticks sampleOnce() in a loop over the watched groups of a
  * pipelined system, its memory occupancy and a serving engine, while
- * pipelined runBatch calls, a serving run and a third thread creating
- * new entries in a watched group all run concurrently.  The assertions
+ * pipelined runBatch calls (and a remap between them), a serving run
+ * and a third thread creating new entries in a watched group all run
+ * concurrently.  The assertions
  * check the outputs stay bit-identical; the race check itself is the
  * ThreadSanitizer build (CI runs this binary there with
  * --gtest_repeat=10).
@@ -136,6 +137,13 @@ TEST(SamplerStress, TicksRaceFreeAgainstPipelineServingAndNewEntries)
             expectSameBits(batched.runBatch(std::span<const nn::Tensor>(
                                setup.inputs)),
                            expected);
+        // Remap while the sampler reads the stage gauges: the stage
+        // contexts their formulas point into are reset in place.
+        batched.release();
+        setup.program(batched);
+        expectSameBits(
+            batched.runBatch(std::span<const nn::Tensor>(setup.inputs)),
+            expected);
         engine.stop();
         creator.join();
         stop.store(true, std::memory_order_release);

@@ -31,9 +31,9 @@
  *   --trace <file>        record a Chrome trace_event JSON file of the
  *                         run (open in Perfetto / chrome://tracing)
  * `run` options: --images N (test set), --train N, --epochs N,
- *   --batch N (run inference through runBatch in batches of N;
- *   multi-bank plans execute on the inter-bank pipeline engine; without
- *   --batch every image goes through run(), one at a time),
+ *   --batch N (run inference through runBatch in batches of N, as
+ *   the inter-bank pipeline's wavefront steps; without --batch every
+ *   image goes through run(), one at a time),
  *   --warmup N (untimed warm-up inference passes before the measured
  *   loop so cold plane-cache rebuilds don't skew host wall-clock stats;
  *   default 1, 0 disables), --metrics-out <file> (sampled JSONL

@@ -546,13 +546,15 @@ FUNC_DEF_RE = re.compile(r"^((?:\w+(?:<[^(;]*>)?::)*~?\w+)\s*\(")
 # Memory: every function is, or is called from, a request path except
 # the publication-only ones (matched on the last name component).
 MEM_STATS_ALLOWED = {"MainMemory", "stats", "syncStats"}
-# PRIME: the per-command and per-tile functions (fnmatch patterns on the
-# qualified name); constructors and buildStages bind the stats they use.
+# PRIME: the per-command, per-tile and per-stage-step functions (fnmatch
+# patterns on the qualified name); constructors, buildStages and
+# bindBatchStats bind the stats they use.
 PRIME_HOT_FUNCS = ("PrimeController::execute",
                    "PrimeController::computeMat*",
                    "BufferSubarray::read", "BufferSubarray::write*",
                    "PrimeSystem::tiledMvm", "PrimeSystem::runFc",
-                   "PrimeSystem::runConv", "PrimeSystem::run")
+                   "PrimeSystem::runConv", "PrimeSystem::run",
+                   "PrimeSystem::runBatch", "PrimeSystem::stageStep")
 
 
 def hot_path(path: str, func: str) -> bool:
@@ -888,10 +890,15 @@ def self_test() -> int:
             "{",
             "    stats_.get(\"run.inferences\").increment();",  # finding
             "}",
+            "std::vector<nn::Tensor>",
+            "PrimeSystem::runBatch(std::span<const nn::Tensor> in)",
+            "{",
+            "    stats_.get(\"pipeline.batches\").increment();",  # finding
+            "}",
         ]),
     })
     expect(failures, "hot-path-stats/bad",
-           run_rules(hot_stats_bad, ["hot-path-stats"]), 5)
+           run_rules(hot_stats_bad, ["hot-path-stats"]), 6)
 
     hot_stats_good = fixture_repo({
         "src/memory/mm.cc": "\n".join([
@@ -923,10 +930,10 @@ def self_test() -> int:
             "{",
             "    inferences_ = &stats_.get(\"run.inferences\");",
             "}",
-            "std::vector<nn::Tensor>",
-            "PrimeSystem::runBatch(std::span<const nn::Tensor> in)",
+            "void",
+            "PrimeSystem::bindBatchStats()",
             "{",
-            "    stats_.get(\"pipeline.batches\").increment();",
+            "    batches_ = &stats_.get(\"pipeline.batches\");",
             "}",
         ]),
     })
